@@ -36,6 +36,14 @@ def parse_params(pairs) -> dict:
     return params
 
 
+def cutoff_arg(text) -> int:
+    """argparse type for --cutoff.  UsageError is not a ValueError, so
+    argparse lets it through to main, which prints one line and exits 2."""
+    if not text.isdecimal():
+        raise UsageError("--cutoff must be a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True) \
         if args.format == "json" else payload
@@ -197,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
         if params:
             p.add_argument("params", nargs="*", metavar="name=rational",
                            help="exact parameters, e.g. n=3 delta=1/2")
-        p.add_argument("--cutoff", type=int, default=None)
+        p.add_argument("--cutoff", type=cutoff_arg, default=None)
         p.add_argument("--format", choices=["json", "pretty"], default="pretty")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -247,8 +255,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (CatalogueError, QDomainError, RealizeError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

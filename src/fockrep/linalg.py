@@ -1,6 +1,7 @@
-"""Exact linear algebra over Q(sqrt2).
+"""Exact linear algebra over Q(sqrt2), and spans over the prime field F_p.
 
-Sparse vectors are dicts key -> Scalar with mutually comparable keys.
+Sparse vectors are dicts key -> Scalar (key -> int for F_p) with mutually
+comparable keys.
 Elimination pivots on the first (smallest) nonzero coordinate, never on
 magnitude, so every result is deterministic and exact; a zero residual
 means an identity, not a tolerance.
@@ -8,7 +9,7 @@ means an identity, not a tolerance.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import MOD_P, ONE, ZERO, Scalar
 
 
 def vec_sub_scaled(vec: dict, row: dict, coeff: Scalar) -> dict:
@@ -92,11 +93,44 @@ class EchelonSpan:
         return self.express(vec)[0] is not None
 
 
-def spark_rank(vectors) -> int:
-    span = EchelonSpan()
-    for v in vectors:
-        span.insert(v)
-    return span.dim
+class ModPSpan:
+    """Insert-only echelonized span over F_p, p = MOD_P.
+
+    Vectors are sparse dicts key -> int; the same first-nonzero-key pivots
+    as EchelonSpan, each stored row scaled to pivot coefficient 1.  Entries
+    stay below p, so unlike over Q(sqrt2) no coefficient grows.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot key -> row
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: dict) -> bool:
+        """Add a vector; False when it was already in the span."""
+        p = MOD_P
+        rows = self.rows
+        vec = {k: v % p for k, v in vec.items() if v % p}
+        get = vec.get
+        while vec:
+            k = min(vec)
+            row = rows.get(k)
+            if row is None:
+                inv = pow(vec[k], -1, p)
+                rows[k] = {j: v * inv % p for j, v in vec.items()}
+                return True
+            # add -vec[k] * row; lam * v is nonzero mod p, so an entry that
+            # cancels was present in vec
+            lam = p - vec[k]
+            for j, v in row.items():
+                s = (get(j, 0) + lam * v) % p
+                if s:
+                    vec[j] = s
+                else:
+                    del vec[j]
+        return False
 
 
 # -- dense helpers (small matrices) ---------------------------------------------
@@ -135,17 +169,6 @@ def mat_trace(x) -> Scalar:
     for i in range(len(x)):
         t = t + x[i][i]
     return t
-
-
-def mat_rank(x) -> int:
-    span = EchelonSpan()
-    for row in x:
-        span.insert({j: v for j, v in enumerate(row) if not v.is_zero()})
-    return span.dim
-
-
-def mat_eq(x, y) -> bool:
-    return all(a == b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
 
 
 def charpoly(a) -> list:

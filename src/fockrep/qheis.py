@@ -190,11 +190,6 @@ def q_multiply(x: QWeylElement, y: QWeylElement) -> QWeylElement:
     return QWeylElement(x.q, terms)
 
 
-def q_commutator_weighted(x: QWeylElement, y: QWeylElement, weight) -> QWeylElement:
-    """x y - weight * y x."""
-    return q_multiply(x, y) - q_multiply(y, x).scale(weight)
-
-
 # -- Jackson derivative on single-variable polynomials ---------------------------
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .catalogue import (RepSpec, gl_super_family, glk_family,
+from .catalogue import (RepSpec, build, gl_super_family, glk_family,
                         metaplectic_triple, osp22_octet, shift_pair,
                         sl2_triple, sl2q_triple, sl3_octet)
 from .fock import MatrixRep, basis_states, to_matrix
@@ -545,15 +545,6 @@ def _realize_fd(rep: RepSpec, deltas):
     raise AssertionError(rid)
 
 
-def realize_matrix(rep: RepSpec, kind: str, cutoff: int = None,
-                   deltas=None) -> dict:
-    """Named exact matrices of the realized generators on the graded basis."""
-    cutoff = rep.default_cutoff if cutoff is None else cutoff
-    gens = realize_generators(rep, kind, deltas)
-    return {name: poly_to_matrix(op, rep.modes, cutoff, name)
-            for name, op in gens.items()}
-
-
 def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     """The catalogue family whose Fock matrices the realization must equal.
 
@@ -561,9 +552,14 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     fd realization compare against the representation itself; for base
     families realized by finite differences the counterpart is the
     shift-transformed build, since the fd pair is the coordinate image of
-    the transformed pair.
+    the transformed pair.  The Jackson pair realizes the spectral sl2q, so
+    its counterpart is the delta = 0 build whatever the rep's delta.
     """
-    if kind in ("differential", "jackson"):
+    if kind == "differential":
+        return rep
+    if kind == "jackson":
+        if rep.params.get("delta"):
+            return build("sl2q", {**rep.params, "delta": rat(0)})
         return rep
     if kind == "fd":
         if rep.rep_id in ("sl2_translated", "sl3_translated", "osp22_translated"):

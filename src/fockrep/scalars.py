@@ -26,10 +26,6 @@ def rat(value, den=None) -> Rational:
     return Rational(value)
 
 
-def rat_to_str(r) -> str:
-    return str(r)
-
-
 class Scalar:
     """An element a + b*sqrt(2) of Q(sqrt2).
 
@@ -195,3 +191,27 @@ ONE = Scalar(1)
 SQRT2 = Scalar.sqrt2()
 HALF = Scalar(Rational(1, 2))
 INV_SQRT2 = SQRT2.inverse()  # (1/2) sqrt2
+
+# -- reduction modulo a prime -----------------------------------------------------
+#
+# MOD_P = 2^61 - 1 is prime and = 7 (mod 8), so 2 is a square mod MOD_P; since
+# also MOD_P = 3 (mod 4), 2^((MOD_P+1)/4) is a square root of it.  Sending
+# sqrt2 to that root is a ring homomorphism Z_(p)[sqrt2] -> F_p: it respects
+# sums and products of every Scalar whose denominators MOD_P does not divide.
+
+MOD_P = 2 ** 61 - 1
+SQRT2_MOD_P = pow(2, (MOD_P + 1) // 4, MOD_P)
+if SQRT2_MOD_P * SQRT2_MOD_P % MOD_P != 2:
+    raise ArithmeticError("2 is not a square modulo %d" % MOD_P)
+
+
+def reduce_mod_p(x: Scalar):
+    """The image of x in F_p, p = MOD_P, or None when p divides a denominator."""
+    out = 0
+    for part, unit in ((x.rat, 1), (x.irr, SQRT2_MOD_P)):
+        if part:
+            den = int(part.denominator) % MOD_P
+            if not den:
+                return None
+            out += int(part.numerator) * unit * pow(den, -1, MOD_P)
+    return out % MOD_P

@@ -39,10 +39,6 @@ class ModeSystem:
         if self.bosonic < 0 or self.fermionic < 0:
             raise ValueError("mode counts must be nonnegative")
 
-    def check_same(self, other: "ModeSystem"):
-        if self != other:
-            raise ValueError("mode-system mismatch: %s vs %s" % (self, other))
-
 
 class ModeMismatch(ValueError):
     pass

@@ -137,6 +137,23 @@ def test_cross_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_cross_jackson_on_shifted_sl2q(capsys):
+    # the Jackson pair realizes the spectral sl2q whatever delta is
+    code, out, _ = run(capsys, "cross", "sl2q", "alpha=0", "q=2", "delta=1",
+                       "--realization", "jackson")
+    assert code == 0
+    assert "PASS" in out and "FAIL" not in out
+
+
+def test_negative_cutoff_exits_two(capsys):
+    for argv in (["matrix", "sl2_standard", "n=2", "--gen", "J0", "--cutoff", "-1"],
+                 ["verify", "sl2_standard", "n=2", "--cutoff", "-5"],
+                 ["casimir", "sl2_standard", "n=2", "--cutoff", "x"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--cutoff" in err and "Traceback" not in err
+
+
 def test_report_all_small(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "small")
     assert code == 0

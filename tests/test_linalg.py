@@ -1,0 +1,109 @@
+"""Independent oracle: sympy's ranks and characteristic polynomials over
+F_p, QQ and QQ(sqrt2) against the engine's own linear algebra."""
+
+import random
+
+import pytest
+
+from fockrep.linalg import EchelonSpan, ModPSpan, charpoly
+from fockrep.scalars import MOD_P, Scalar, rat, reduce_mod_p
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import GF, QQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+QQ_SQRT2 = QQ.algebraic_field(sympy.sqrt(2))
+SQRT2_IN_FIELD = QQ_SQRT2.from_sympy(sympy.sqrt(2))
+
+
+def _random_rows(rng, n_rows, n_cols, entry):
+    """Random rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(n_rows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            c = entry(rng)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([entry(rng) for _ in range(n_cols)])
+    return rows
+
+
+def _small_int(rng):
+    return rng.randint(-3, 3)
+
+
+def _rational_entry(rng):
+    return Scalar(rat(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _scalar_entry(rng):
+    # a sprinkle of zeros keeps the rank deficient now and then
+    if rng.random() < 0.3:
+        return Scalar(0)
+    return Scalar(rat(rng.randint(-4, 4), rng.randint(1, 3)),
+                  rat(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def _sympy_rational(q):
+    return QQ(int(q.numerator), int(q.denominator))
+
+
+def _sympy_element(domain, x: Scalar):
+    if domain is QQ:
+        assert x.is_rational()
+        return _sympy_rational(x.rat)
+    return (domain.convert(_sympy_rational(x.rat))
+            + domain.convert(_sympy_rational(x.irr)) * SQRT2_IN_FIELD)
+
+
+def test_mod_p_span_rank_matches_sympy_gf():
+    rng = random.Random(5)
+    field = GF(MOD_P)
+    seen_deficient = False
+    for _ in range(100):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 6)
+        rows = _random_rows(rng, n_rows, n_cols, _small_int)
+        if rng.random() < 0.3:  # entries equal mod p but not as integers
+            rows = [[x + MOD_P * rng.randint(-2, 2) for x in row] for row in rows]
+        span = ModPSpan()
+        for row in rows:
+            span.insert({j: x for j, x in enumerate(row) if x})
+        expected = DomainMatrix([[field(x) for x in row] for row in rows],
+                                (n_rows, n_cols), field).rank()
+        assert span.dim == expected, rows
+        seen_deficient |= expected < min(n_rows, n_cols)
+    assert seen_deficient
+
+
+@pytest.mark.parametrize("domain, entry", [(QQ, _rational_entry),
+                                           (QQ_SQRT2, _scalar_entry)])
+def test_echelon_rank_and_charpoly_match_sympy(domain, entry):
+    rng = random.Random(11)
+    for _ in range(12):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _random_rows(rng, n_rows, n_cols, entry)
+        span = EchelonSpan()
+        for row in rows:
+            span.insert({j: x for j, x in enumerate(row) if x})
+        dm = DomainMatrix([[_sympy_element(domain, x) for x in row] for row in rows],
+                          (n_rows, n_cols), domain)
+        assert span.dim == dm.rank()
+    for d in range(1, 5):
+        a = [[entry(rng) for _ in range(d)] for _ in range(d)]
+        dm = DomainMatrix([[_sympy_element(domain, x) for x in row] for row in a],
+                          (d, d), domain)
+        assert [_sympy_element(domain, c) for c in charpoly(a)] == dm.charpoly()
+
+
+def test_reduce_mod_p_is_a_ring_map():
+    rng = random.Random(3)
+    for _ in range(50):
+        x, y = _scalar_entry(rng), _scalar_entry(rng)
+        rx, ry = reduce_mod_p(x), reduce_mod_p(y)
+        assert reduce_mod_p(x + y) == (rx + ry) % MOD_P
+        assert reduce_mod_p(x * y) == rx * ry % MOD_P
+    assert reduce_mod_p(Scalar.sqrt2()) ** 2 % MOD_P == 2
+    assert reduce_mod_p(Scalar(rat(1, MOD_P))) is None
+    assert reduce_mod_p(Scalar(0, rat(3, 2 * MOD_P))) is None
+    assert reduce_mod_p(Scalar(MOD_P)) == 0

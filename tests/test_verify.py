@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from fockrep import verify
 from fockrep.catalogue import build
 from fockrep.fock import Poly
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
-from fockrep.scalars import ONE, ZERO, Scalar, rat
+from fockrep.scalars import MOD_P, ONE, SQRT2, ZERO, Scalar, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
                             charpoly_equivalence, check_relations, closure,
                             closure_symbolic, full_verify, invariant_subspace,
@@ -151,13 +152,58 @@ def test_invariant_subspace_and_witness():
     assert not result.passed and "J+" in result.witness
 
 
-def test_burnside_examples():
+def _scaled(rep, name, c):
+    gens = dict(rep.generators)
+    gens[name] = gens[name].scale(c)
+    return dataclasses.replace(rep, generators=gens)
+
+
+@pytest.fixture
+def exact_spans(monkeypatch):
+    """Records each exact span the Burnside fallback opens."""
+    opened = []
+
+    class Recorded(EchelonSpan):
+        def __init__(self):
+            super().__init__()
+            opened.append(self)
+    monkeypatch.setattr(verify, "EchelonSpan", Recorded)
+    return opened
+
+
+def test_burnside_examples(exact_spans):
     verdict, result = burnside_irreducibility(build("sl2_standard", {"n": 2}))
     assert verdict == ("irreducible", 9) and result.passed
     verdict, result = burnside_irreducibility(build("glk", {"k": 2, "n": 1}))
     assert verdict == ("irreducible", 4) and result.passed
+    assert not exact_spans  # both certified mod p
+    # "reducible" comes only from the exact span
     verdict, result = burnside_irreducibility(build("sl2_vector_field", {}))
-    assert verdict[0] == "reducible" and verdict[1] < 9 and result.passed
+    assert verdict == ("reducible", 5) and result.passed and exact_spans
+    assert result.detail == "reducible: algebra dimension 5 on a 3-dimensional space"
+
+
+def test_burnside_certificate_with_sqrt2_entries(exact_spans):
+    rep = _scaled(build("sl2_standard", {"n": 3}), "J+", SQRT2)
+    assert any(not x.is_rational() for row in restricted_matrix(rep, "J+") for x in row)
+    verdict, result = burnside_irreducibility(rep)
+    assert verdict == ("irreducible", 16) and result.passed
+    assert not exact_spans  # certified mod p, no exact span
+
+
+def test_burnside_falls_back_when_p_divides_a_denominator(exact_spans):
+    rep = build("sl2_standard", {"n": 3})
+    assert burnside_irreducibility(rep)[0] == ("irreducible", 16) and not exact_spans
+    verdict, result = burnside_irreducibility(_scaled(rep, "J+", Scalar(rat(1, MOD_P))))
+    assert verdict == ("irreducible", 16) and result.passed and exact_spans
+
+
+def test_burnside_falls_back_when_p_is_unlucky(exact_spans):
+    # J+ scaled by p vanishes mod p, so the span mod p is the triangular
+    # algebra; the exact span still finds all of M_2
+    rep = _scaled(build("sl2_standard", {"n": 1}), "J+", Scalar(MOD_P))
+    verdict, result = burnside_irreducibility(rep)
+    assert verdict == ("irreducible", 4) and result.passed and exact_spans
 
 
 def test_charpoly_equivalence():
