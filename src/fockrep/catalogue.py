@@ -5,23 +5,26 @@ mode system) together with everything the verifier needs: the expected
 relation table where one exists, a Casimir descriptor, the invariant
 subspace, structural claims, and secondary closed-form expressions.
 
-Shift-transformed families are built normatively by substituting the
-transformed canonical pair
+Each pair-generic family has one generator formula in FORMULAS, written
+over a Kit of canonical pairs.  The catalogue calls it with the Fock pairs,
+and shift-transformed families with the transformed canonical pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
-into the base-family formulas, which makes the algebra relations hold by
-construction.  The explicitly displayed closed forms are attached as
-alt_forms: checkable claims whose mismatches are reported, never patched
-into the generators.
+which makes the algebra relations hold by construction; the realizations
+call the same formula with their own pairs.  The explicitly displayed
+closed forms are attached as alt_forms: checkable claims whose mismatches
+are reported, never patched into the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .fock import (ExpA, LeftDivB, OperatorExpr, Poly, Product, QSpectral,
-                   Scale, Sum, identity_op)
+                   Scale, Sum, basis_states, identity_op)
+from .qheis import q_alpha_hat, q_number, q_pair
 from .scalars import ONE, Rational, Scalar, rat
 from .weyl import ModeSystem, WeylElement
 
@@ -64,8 +67,6 @@ class InvariantSpace:
     description: str
 
     def basis(self, modes: ModeSystem):
-        from .fock import basis_states
-
         return [key for key in basis_states(modes, self.max_degree)
                 if self.predicate(*key)]
 
@@ -90,17 +91,25 @@ class AltForm:
 @dataclass
 class RepSpec:
     rep_id: str
-    modes: ModeSystem
     params: dict
     generators: dict  # name -> OperatorExpr, insertion order is canonical
-    parities: dict  # name -> 0 | 1
-    relations: list
+    relations: list = field(default_factory=list)
+    parities: dict = None  # name -> 0 | 1; all even when not given
     casimir: CasimirSpec = None
     invariant_space: InvariantSpace = None
     claims: Claims = field(default_factory=Claims)
     alt_forms: list = field(default_factory=list)
-    default_cutoff: int = 8
+    default_cutoff: int = None  # invariant-space degree + 2, else 8
     description: str = ""
+    modes: ModeSystem = field(init=False)  # the generators' mode system
+
+    def __post_init__(self):
+        self.modes = next(iter(self.generators.values())).modes
+        if self.parities is None:
+            self.parities = {name: 0 for name in self.generators}
+        if self.default_cutoff is None:
+            inv = self.invariant_space
+            self.default_cutoff = inv.max_degree + 2 if inv else 8
 
     def generator(self, name: str) -> OperatorExpr:
         try:
@@ -159,8 +168,10 @@ def _scaled(terms, c):
     return [(coeff * c, names) for coeff, names in terms]
 
 
-def _is_nonneg_int(x: Rational) -> bool:
-    return x.denominator == 1 and x >= 0
+def _finite(n: Rational) -> int | None:
+    """n as an int when it is a nonnegative integer, the degree of a
+    finite-dimensional invariant space; None otherwise."""
+    return int(n) if n.denominator == 1 and n >= 0 else None
 
 
 def _require_int(x: Rational, name: str) -> int:
@@ -188,14 +199,14 @@ SL2_RELATIONS = [
 ]
 
 
+SL2_CASIMIR_TERMS = [(Scalar(rat(1, 2)), ("J+", "J-")), (Scalar(rat(1, 2)), ("J-", "J+")),
+                     (Scalar(-1), ("J0", "J0"))]
+
+
 def sl2_casimir(n: Rational) -> CasimirSpec:
     # claimed value as catalogued; the measured value is -(n/2)(n/2+1)
-    half = Scalar(rat(1, 2))
     nn = rat(n)
-    claimed = Scalar(-(nn / 2) * (nn / 2 + rat(1, 2)))
-    return CasimirSpec(
-        [(half, ("J+", "J-")), (half, ("J-", "J+")), (Scalar(-1), ("J0", "J0"))],
-        claimed)
+    return CasimirSpec(list(SL2_CASIMIR_TERMS), Scalar(-(nn / 2) * (nn / 2 + rat(1, 2))))
 
 
 def sl3_octet(a1, a2, b1, b2, n: Rational):
@@ -212,8 +223,9 @@ def sl3_octet(a1, a2, b1, b2, n: Rational):
     }
 
 
-def glk_family(a, b, n: Rational, k: int):
+def glk_family(a, b, n: Rational):
     """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2)."""
+    k = len(a) + 1
     j0 = None
     for i in range(k - 1):
         j0 = b[i] * a[i] if j0 is None else j0 + b[i] * a[i]
@@ -234,7 +246,7 @@ def gl_super_family(a, b, th, dth, n: Rational, one):
     """gl(k+1,r+1) generators over any element implementation.
 
     a, b: k bosonic pairs; th, dth: r fermionic pairs; one: the identity
-    element.  Returns (generators, parities) in canonical order.
+    element.  Returns the generators in canonical order.
     """
     k, r = len(a), len(th)
     t0 = one.scale(Scalar(rat(n)))
@@ -242,7 +254,7 @@ def gl_super_family(a, b, th, dth, n: Rational, one):
         t0 = t0 - b[i] * a[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
-    gens, parities = {}, {}
+    gens = {}
     for i in range(k):
         gens["T%d-" % (i + 1)] = a[i]
     for i in range(k):
@@ -251,33 +263,24 @@ def gl_super_family(a, b, th, dth, n: Rational, one):
     gens["T0"] = t0
     for i in range(k):
         gens["T%d+" % (i + 1)] = b[i] * t0
-    for name in list(gens):
-        parities[name] = 0
     for j in range(r):
         gens["Qb%d-" % (j + 1)] = dth[j]
-        parities["Qb%d-" % (j + 1)] = 1
     for j in range(r):
         gens["Qb%d+" % (j + 1)] = th[j] * t0
-        parities["Qb%d+" % (j + 1)] = 1
     for i in range(r):
         for j in range(k):
             gens["Q-_%d%d" % (i + 1, j + 1)] = th[i] * a[j]
-            parities["Q-_%d%d" % (i + 1, j + 1)] = 1
     for i in range(k):
         for j in range(r):
             gens["Q+_%d%d" % (i + 1, j + 1)] = b[i] * dth[j]
-            parities["Q+_%d%d" % (i + 1, j + 1)] = 1
     for i in range(r):
         for j in range(r):
             gens["J0_%d%d" % (i + 1, j + 1)] = th[i] * dth[j]
-            parities["J0_%d%d" % (i + 1, j + 1)] = 0
-    return gens, parities
+    return gens
 
 
 def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
     """Deformed sl2 generators over any implementation of the q-pair."""
-    from .qheis import q_alpha_hat, q_number
-
     qa = Scalar(q_number(alpha, q))
     ahat = Scalar(q_alpha_hat(alpha, q))
     return {
@@ -367,48 +370,67 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
     return ahat, bhat
 
 
-def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
-    """The q-deformed pair (atilde, btilde) with atilde btilde - q btilde atilde = 1.
+@dataclass
+class Kit:
+    """One implementation of the canonical pairs a family formula is written
+    in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
+    the identity."""
 
-    delta = 0 is the spectral embedding over the plain pair; nonzero delta
-    first applies the shift transform, acting through the delta
-    falling-factorial eigenbasis.
-    """
-    q = rat(q)
-    delta = rat(delta)
-    qinv = Scalar(q - 1).inverse()
-    qpart = Scale(qinv, Sum([QSpectral(modes, mode, q, delta),
-                             Scale(Scalar(-1), identity_op(modes))]))
-    if delta == 0:
-        atilde = Product([LeftDivB(modes, mode), qpart])
-        btilde = Poly(WeylElement.b(modes, mode))
+    a: list
+    b: list
+    th: list
+    dth: list
+    one: object
+
+
+def fock_kit(modes: ModeSystem, deltas=None) -> Kit:
+    """The Fock pairs of `modes`; with per-mode `deltas`, the bosonic pairs
+    are the shift-transformed ones."""
+    if deltas is None:
+        pairs = [(Poly(WeylElement.a(modes, i)), Poly(WeylElement.b(modes, i)))
+                 for i in range(1, modes.bosonic + 1)]
     else:
-        d = Scalar(delta)
-        atilde = Product([ExpA(modes, mode, d), LeftDivB(modes, mode), qpart])
-        btilde = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -d)])
-    return atilde, btilde
+        pairs = [shift_pair(modes, i + 1, deltas[i]) for i in range(modes.bosonic)]
+    fermi = range(1, modes.fermionic + 1)
+    return Kit([a for a, _ in pairs], [b for _, b in pairs],
+               [Poly(WeylElement.theta(modes, j)) for j in fermi],
+               [Poly(WeylElement.dtheta(modes, j)) for j in fermi],
+               identity_op(modes))
+
+
+def _osp22_gens(a, b, th, dth, n: Rational):
+    thdth = th * dth
+    gens = osp22_octet(a, b, thdth, n)
+    gens["Q1"] = dth
+    gens["Q2"] = b * dth
+    gens["Qb1"] = b * a * th - th.scale(Scalar(rat(n)))
+    gens["Qb2"] = -(a * th)
+    order = ["T+", "T0", "T-", "J", "Q1", "Q2", "Qb1", "Qb2"]
+    return {name: gens[name] for name in order}
+
+
+# The one generator formula of each pair-generic family, formula(kit, params),
+# keyed by the family that has a finite-difference realization.  The base
+# families (sl2_standard, sl3_fock, osp22) use the same formula over the
+# plain Fock kit.
+FORMULAS = {
+    "sl2_translated": lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"]),
+    "sl2_metaplectic": lambda kit, p: metaplectic_triple(kit.a[0], kit.b[0]),
+    "sl3_translated": lambda kit, p: sl3_octet(kit.a[0], kit.a[1], kit.b[0], kit.b[1],
+                                               p["n"]),
+    "glk": lambda kit, p: glk_family(kit.a, kit.b, p["n"]),
+    "gl_super": lambda kit, p: gl_super_family(kit.a, kit.b, kit.th, kit.dth, p["n"],
+                                               kit.one),
+    "osp22_translated": lambda kit, p: _osp22_gens(kit.a[0], kit.b[0], kit.th[0],
+                                                   kit.dth[0], p["n"]),
+}
 
 
 # -- the sixteen builders ---------------------------------------------------------
 
 
-def _b(modes, i=1):
-    return Poly(WeylElement.b(modes, i))
-
-
-def _a(modes, i=1):
-    return Poly(WeylElement.a(modes, i))
-
-
-def _thdth(modes, j=1):
-    return Poly(WeylElement.theta(modes, j) * WeylElement.dtheta(modes, j))
-
-
-def _degree_space(n: int, weights, modes: ModeSystem, expected: int, desc: str,
-                  fermi_rule=None) -> InvariantSpace:
+def _degree_space(n: int, weights, expected: int, desc: str) -> InvariantSpace:
     def pred(alpha, beta):
-        if fermi_rule is not None:
-            return fermi_rule(alpha, beta)
         if beta:
             return False
         return sum(w * k for w, k in zip(weights, alpha)) <= n
@@ -416,34 +438,29 @@ def _degree_space(n: int, weights, modes: ModeSystem, expected: int, desc: str,
     return InvariantSpace(pred, n, expected, desc)
 
 
+def _sl2(rep_id, params, deltas, description):
+    """sl2_standard, sl2_translated and sl2_oscillator: the sl2 formula over
+    the plain or the shift-transformed pair."""
+    ni = _finite(params["n"])
+    inv = None if ni is None else _degree_space(ni, (1,), ni + 1, "span(1, b, ..., b^n)")
+    gens = FORMULAS["sl2_translated"](fock_kit(ModeSystem(1, 0), deltas), params)
+    return RepSpec(rep_id, params, gens, list(SL2_RELATIONS),
+                   casimir=sl2_casimir(params["n"]), invariant_space=inv,
+                   claims=Claims(irreducible=True if inv else None),
+                   description=description)
+
+
 def _build_sl2_standard(params):
-    n = params["n"]
-    modes = ModeSystem(1, 0)
-    gens = sl2_triple(_a(modes), _b(modes), n)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        inv = _degree_space(ni, (1,), modes, ni + 1, "span(1, b, ..., b^n)")
-    return RepSpec(
-        "sl2_standard", modes, params, gens, {g: 0 for g in gens},
-        list(SL2_RELATIONS), casimir=sl2_casimir(n), invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None),
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="sl2 on one bosonic mode, lowest polynomial family")
+    return _sl2("sl2_standard", params, None,
+                "sl2 on one bosonic mode, lowest polynomial family")
 
 
 def _build_sl2_translated(params):
-    n, delta = params["n"], params["delta"]
-    modes = ModeSystem(1, 0)
-    ahat, bhat = shift_pair(modes, 1, delta)
-    gens = sl2_triple(ahat, bhat, n)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        inv = _degree_space(ni, (1,), modes, ni + 1, "span(1, b, ..., b^n)")
-    d = Scalar(rat(delta))
-    nn = Scalar(rat(n))
-    b = _b(modes)
+    rep = _sl2("sl2_translated", params, [params["delta"]], "sl2, shift-transform family")
+    modes = rep.modes
+    d = Scalar(rat(params["delta"]))
+    nn = Scalar(rat(params["n"]))
+    b = Poly(WeylElement.b(modes))
     # displayed closed forms: (b/d - 1) b e^{-da} (1-n-e^{-da});
     # (b/d)(1-e^{-da}) - n/2;  (e^{da}-1)/d
     eminus = ExpA(modes, 1, -d)
@@ -459,60 +476,38 @@ def _build_sl2_translated(params):
     ])
     disp_jm = Scale(d.inverse(), Sum([ExpA(modes, 1, d),
                                       Scale(Scalar(-1), identity_op(modes))]))
-    return RepSpec(
-        "sl2_translated", modes, params, gens, {g: 0 for g in gens},
-        list(SL2_RELATIONS), casimir=sl2_casimir(n), invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None),
-        alt_forms=[AltForm("J+", disp_jp), AltForm("J0", disp_j0),
-                   AltForm("J-", disp_jm)],
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="sl2, shift-transform family")
+    rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
+                     AltForm("J-", disp_jm)]
+    return rep
 
 
 def _build_sl2_oscillator(params):
-    n = params["n"]
-    modes = ModeSystem(1, 0)
     # Normative: the oscillator pair is itself canonical, so after rewriting
     # in that pair the generators act on the standard Fock space as the base
     # triple.  The displayed cubic forms are recorded in the original pair,
     # here expressed through the inverse rewriting a -> (a-b)/s2, b -> (a+b)/s2.
-    gens = sl2_triple(_a(modes), _b(modes), n)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        inv = _degree_space(ni, (1,), modes, ni + 1, "span(1, b, ..., b^n)")
+    rep = _sl2("sl2_oscillator", params, None, "sl2, oscillator (rotated-pair) family")
+    n = params["n"]
     inv_s2 = Scalar.sqrt2().inverse()
-    A, B = WeylElement.a(modes), WeylElement.b(modes)
+    A, B = WeylElement.a(rep.modes), WeylElement.b(rep.modes)
     aa = (A - B).scale(inv_s2)  # original lowering operator
     bb = (A + B).scale(inv_s2)  # original raising operator
     two_n1 = Scalar(2 * rat(n) + 1)
     disp_jp = Poly((bb ** 3 + aa ** 3 - bb * (bb + aa) * aa
                     - (bb - aa).scale(two_n1) - bb.scale(2)).scale(inv_s2 ** 3))
-    disp_j0 = Poly((bb ** 2 - aa ** 2 - WeylElement.scalar(modes, rat(n) + 1))
+    disp_j0 = Poly((bb ** 2 - aa ** 2 - WeylElement.scalar(rep.modes, rat(n) + 1))
                    .scale(Scalar(rat(1, 2))))
     disp_jm = Poly((bb + aa).scale(inv_s2))
-    return RepSpec(
-        "sl2_oscillator", modes, params, gens, {g: 0 for g in gens},
-        list(SL2_RELATIONS), casimir=sl2_casimir(n), invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None),
-        alt_forms=[AltForm("J+", disp_jp), AltForm("J0", disp_j0),
-                   AltForm("J-", disp_jm)],
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="sl2, oscillator (rotated-pair) family")
+    rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
+                     AltForm("J-", disp_jm)]
+    return rep
 
 
 def _build_sl2_metaplectic(params):
-    modes = ModeSystem(1, 0)
-    half = Scalar(rat(1, 2))
-    gens = metaplectic_triple(_a(modes), _b(modes))
-
+    gens = FORMULAS["sl2_metaplectic"](fock_kit(ModeSystem(1, 0)), params)
     return RepSpec(
-        "sl2_metaplectic", modes, params, gens, {g: 0 for g in gens},
-        list(SL2_RELATIONS),
-        casimir=CasimirSpec(
-            [(half, ("J+", "J-")), (half, ("J-", "J+")), (Scalar(-1), ("J0", "J0"))],
-            Scalar(rat(3, 16))),
-        default_cutoff=8,
+        "sl2_metaplectic", params, gens, list(SL2_RELATIONS),
+        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), Scalar(rat(3, 16))),
         description="sl2, metaplectic (half-quadratic) family, infinite-dimensional")
 
 
@@ -524,64 +519,46 @@ def _build_sl2_clifford(params):
     bcl = WeylElement.one(modes) - (th * dth).scale(2)  # squares to 1, anticommutes
     gens = {"J1": Poly(acl), "J2": Poly(bcl), "J3": Poly(acl * bcl)}
     return RepSpec(
-        "sl2_clifford", modes, params, gens, {g: 0 for g in gens}, [],
-        default_cutoff=2,
+        "sl2_clifford", params, gens, default_cutoff=2,
         description="sl2 inside the rank-2 Clifford algebra (2x2 matrices)")
 
 
 def _build_sl2_vector_field(params):
-    modes = ModeSystem(2, 0)
-    b1, b2 = _b(modes, 1), _b(modes, 2)
-    a1, a2 = _a(modes, 1), _a(modes, 2)
+    kit = fock_kit(ModeSystem(2, 0))
+    (a1, a2), (b1, b2) = kit.a, kit.b
     gens = {"J1": b1 * a2, "J2": b2 * a1, "J3": b1 * a1 - b2 * a2}
-    inv = _degree_space(1, (1, 1), modes, 3, "span(1, b1, b2)")
     return RepSpec(
-        "sl2_vector_field", modes, params, gens, {g: 0 for g in gens}, [],
-        invariant_space=inv, claims=Claims(irreducible=False),
-        default_cutoff=4,
+        "sl2_vector_field", params, gens,
+        invariant_space=_degree_space(1, (1, 1), 3, "span(1, b1, b2)"),
+        claims=Claims(irreducible=False), default_cutoff=4,
         description="sl2 by degree-preserving vector fields on two modes, reducible")
 
 
+def _sl3(rep_id, params, deltas, description):
+    """sl3_fock and sl3_translated: the sl3 formula over the plain or the
+    per-mode shift-transformed pairs."""
+    ni = _finite(params["n"])
+    inv = None if ni is None else _degree_space(ni, (1, 1), (ni + 1) * (ni + 2) // 2,
+                                                "span(b1^n1 b2^n2 : n1+n2 <= n)")
+    gens = FORMULAS["sl3_translated"](fock_kit(ModeSystem(2, 0), deltas), params)
+    return RepSpec(rep_id, params, gens, invariant_space=inv, description=description)
+
+
 def _build_sl3_fock(params):
-    n = params["n"]
-    modes = ModeSystem(2, 0)
-    gens = sl3_octet(_a(modes, 1), _a(modes, 2), _b(modes, 1), _b(modes, 2), n)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        inv = _degree_space(ni, (1, 1), modes, (ni + 1) * (ni + 2) // 2,
-                            "span(b1^n1 b2^n2 : n1+n2 <= n)")
-    return RepSpec(
-        "sl3_fock", modes, params, gens, {g: 0 for g in gens}, [],
-        invariant_space=inv,
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="sl3 on two bosonic modes")
+    return _sl3("sl3_fock", params, None, "sl3 on two bosonic modes")
 
 
 def _build_sl3_translated(params):
-    n = params["n"]
-    d1, d2 = params["delta1"], params["delta2"]
-    modes = ModeSystem(2, 0)
-    a1, b1 = shift_pair(modes, 1, d1)
-    a2, b2 = shift_pair(modes, 2, d2)
-    gens = sl3_octet(a1, a2, b1, b2, n)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        inv = _degree_space(ni, (1, 1), modes, (ni + 1) * (ni + 2) // 2,
-                            "span(b1^n1 b2^n2 : n1+n2 <= n)")
-    return RepSpec(
-        "sl3_translated", modes, params, gens, {g: 0 for g in gens}, [],
-        invariant_space=inv,
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="sl3, per-mode shift-transform family")
+    return _sl3("sl3_translated", params, [params["delta1"], params["delta2"]],
+                "sl3, per-mode shift-transform family")
 
 
 def _build_sl3_seven(params):
     m, n = params["m"], params["n"]
     modes = ModeSystem(3, 0)
-    b1, b2, b3 = (_b(modes, i) for i in (1, 2, 3))
-    a1, a2, a3 = (_a(modes, i) for i in (1, 2, 3))
+    kit = fock_kit(modes)
+    a1, a2, a3 = kit.a
+    b1, b2, b3 = kit.b
     mm, nn = Scalar(rat(m)), Scalar(rat(n))
     gens = {
         "J1+": (b1 * b3 - b2) * a1 - b2 * b3 * a2 - b3 * b3 * a3 + b3.scale(nn),
@@ -595,8 +572,7 @@ def _build_sl3_seven(params):
         "J0_2": (b1 * a1).scale(2) + b2 * a2 - b3 * a3 - mm * identity_op(modes),
     }
     return RepSpec(
-        "sl3_seven", modes, params, gens, {g: 0 for g in gens}, [],
-        default_cutoff=6,
+        "sl3_seven", params, gens, default_cutoff=6,
         description="sl3 on three bosonic modes (flag coordinates), two parameters")
 
 
@@ -605,9 +581,8 @@ def _build_gl2_semidirect(params):
     n = params["n"]
     if r < 1:
         raise CatalogueError("r must be a positive integer")
-    modes = ModeSystem(2, 0)
-    b1, b2 = _b(modes, 1), _b(modes, 2)
-    a1, a2 = _a(modes, 1), _a(modes, 2)
+    kit = fock_kit(ModeSystem(2, 0))
+    (a1, a2), (b1, b2) = kit.a, kit.b
     nn = rat(n)
     gens = {
         "J1": a1,
@@ -624,62 +599,39 @@ def _build_gl2_semidirect(params):
         RelationClaim("[%s,%s] = 0" % (x, y), comm(x, y), zero_rhs(), "ideal")
         for i, x in enumerate(ideal) for y in ideal[i + 1:]
     ]
+    ni = _finite(n)
     inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
+    if ni is not None:
         expected = sum(1 for n2 in range(ni // r + 1) for n1 in range(ni - r * n2 + 1))
-        inv = _degree_space(ni, (1, r), modes, expected,
-                            "span(b1^n1 b2^n2 : n1 + r n2 <= n)")
+        inv = _degree_space(ni, (1, r), expected, "span(b1^n1 b2^n2 : n1 + r n2 <= n)")
     return RepSpec(
-        "gl2_semidirect", modes, params, gens, {g: 0 for g in gens}, relations,
+        "gl2_semidirect", params, gens, relations,
         invariant_space=inv,
         claims=Claims(abelian_ideal=ideal),
-        default_cutoff=(int(n) + 2 * max(1, r) if _is_nonneg_int(n) else 8),
+        default_cutoff=(ni + 2 * r if inv else 8),
         description="gl2 semidirect with an (r+1)-dimensional abelian ideal")
 
 
 def _build_glk(params):
     k = _require_int(params["k"], "k")
-    n = params["n"]
     if k < 2:
         raise CatalogueError("k must be an integer >= 2")
-    modes = ModeSystem(k - 1, 0)
-    a = [_a(modes, i + 1) for i in range(k - 1)]
-    b = [_b(modes, i + 1) for i in range(k - 1)]
-    gens = glk_family(a, b, n, k)
-    inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        from math import comb as _comb
-
-        inv = _degree_space(ni, (1,) * (k - 1), modes, _comb(ni + k - 1, k - 1),
-                            "span(b2^n2 ... bk^nk : sum <= n)")
+    gens = FORMULAS["glk"](fock_kit(ModeSystem(k - 1, 0)), params)
+    ni = _finite(params["n"])
+    inv = None if ni is None else _degree_space(ni, (1,) * (k - 1), comb(ni + k - 1, k - 1),
+                                                "span(b2^n2 ... bk^nk : sum <= n)")
     return RepSpec(
-        "glk", modes, params, gens, {g: 0 for g in gens}, [],
+        "glk", params, gens,
         invariant_space=inv,
         claims=Claims(irreducible=True if inv else None),
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
         description="gl_k on its minimal (k-1)-mode Fock space")
-
-
-def _osp22_gens(a, b, th, dth, n: Rational):
-    thdth = th * dth
-    gens = osp22_octet(a, b, thdth, n)
-    gens["Q1"] = dth
-    gens["Q2"] = b * dth
-    gens["Qb1"] = b * a * th - th.scale(Scalar(rat(n)))
-    gens["Qb2"] = -(a * th)
-    order = ["T+", "T0", "T-", "J", "Q1", "Q2", "Qb1", "Qb2"]
-    return {name: gens[name] for name in order}
 
 
 OSP22_PARITIES = {"T+": 0, "T0": 0, "T-": 0, "J": 0,
                   "Q1": 1, "Q2": 1, "Qb1": 1, "Qb2": 1}
 
 
-def _osp22_invariant(n) -> InvariantSpace:
-    ni = int(n)
-
+def _osp22_invariant(ni: int) -> InvariantSpace:
     def pred(alpha, beta):
         if beta == 0:
             return alpha[0] <= ni
@@ -691,34 +643,33 @@ def _osp22_invariant(n) -> InvariantSpace:
                           "span(b^k : k <= n) + span(b^k th : k <= n-1)")
 
 
-def _build_osp22(params):
-    n = params["n"]
-    modes = ModeSystem(1, 1)
-    th, dth = Poly(WeylElement.theta(modes, 1)), Poly(WeylElement.dtheta(modes, 1))
-    gens = _osp22_gens(_a(modes), _b(modes), th, dth, n)
-    inv = _osp22_invariant(n) if _is_nonneg_int(n) else None
+def _osp22(rep_id, params, deltas, description):
+    """osp22 and osp22_translated: the osp(2,2) formula over the plain or the
+    shift-transformed bosonic pair."""
+    ni = _finite(params["n"])
+    gens = FORMULAS["osp22_translated"](fock_kit(ModeSystem(1, 1), deltas), params)
     return RepSpec(
-        "osp22", modes, params, gens, dict(OSP22_PARITIES),
-        list(OSP22_RELATIONS), invariant_space=inv,
-        claims=Claims(superalgebra=True),
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="osp(2,2) on the spinorial (one boson + one fermion) Fock space")
+        rep_id, params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
+        invariant_space=None if ni is None else _osp22_invariant(ni),
+        claims=Claims(superalgebra=True), description=description)
+
+
+def _build_osp22(params):
+    return _osp22("osp22", params, None,
+                  "osp(2,2) on the spinorial (one boson + one fermion) Fock space")
 
 
 def _build_osp22_translated(params):
-    n, delta = params["n"], params["delta"]
-    modes = ModeSystem(1, 1)
-    ahat, bhat = shift_pair(modes, 1, delta)
-    th, dth = Poly(WeylElement.theta(modes, 1)), Poly(WeylElement.dtheta(modes, 1))
-    gens = _osp22_gens(ahat, bhat, th, dth, n)
-    inv = _osp22_invariant(n) if _is_nonneg_int(n) else None
-
-    d = Scalar(rat(delta))
-    nn = Scalar(rat(n))
+    rep = _osp22("osp22_translated", params, [params["delta"]],
+                 "osp(2,2), shift-transform family")
+    modes = rep.modes
+    d = Scalar(rat(params["delta"]))
+    nn = Scalar(rat(params["n"]))
     half = Scalar(rat(1, 2))
-    b = _b(modes)
+    b = Poly(WeylElement.b(modes))
+    th, dth = Poly(WeylElement.theta(modes, 1)), Poly(WeylElement.dtheta(modes, 1))
     one = identity_op(modes)
-    thdth = _thdth(modes)
+    thdth = th * dth
     eminus = ExpA(modes, 1, -d)
     eplus = ExpA(modes, 1, d)
     # displayed closed forms of the shift-transformed family
@@ -737,13 +688,8 @@ def _build_osp22_translated(params):
                           Scale(Scalar(-1), Product([b * th, eminus]))])),
         "Qb2": Scale(d.inverse(), Sum([th, Scale(Scalar(-1), Product([th, eplus]))])),
     }
-    return RepSpec(
-        "osp22_translated", modes, params, gens, dict(OSP22_PARITIES),
-        list(OSP22_RELATIONS), invariant_space=inv,
-        claims=Claims(superalgebra=True),
-        alt_forms=[AltForm(name, expr) for name, expr in disp.items()],
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
-        description="osp(2,2), shift-transform family")
+    rep.alt_forms = [AltForm(name, expr) for name, expr in disp.items()]
+    return rep
 
 
 def _build_osp22_metaplectic(params):
@@ -764,31 +710,21 @@ def _build_osp22_metaplectic(params):
         "Qb2": Poly((B * TH).scale(inv_s2)),
     }
     return RepSpec(
-        "osp22_metaplectic", modes, params, gens, dict(OSP22_PARITIES),
-        list(OSP22_RELATIONS),
+        "osp22_metaplectic", params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
         claims=Claims(superalgebra=True),
-        default_cutoff=8,
         description="osp(2,2), super-metaplectic family, infinite-dimensional")
 
 
 def _build_gl_super(params):
     k = _require_int(params["k"], "k")
     r = _require_int(params["r"], "r")
-    n = params["n"]
     if k < 1 or r < 1:
         raise CatalogueError("k and r must be positive integers")
-    modes = ModeSystem(k, r)
-    a = [_a(modes, i + 1) for i in range(k)]
-    b = [_b(modes, i + 1) for i in range(k)]
-    th = [Poly(WeylElement.theta(modes, j + 1)) for j in range(r)]
-    dth = [Poly(WeylElement.dtheta(modes, j + 1)) for j in range(r)]
-    gens, parities = gl_super_family(a, b, th, dth, n, identity_op(modes))
+    gens = FORMULAS["gl_super"](fock_kit(ModeSystem(k, r)), params)
+    ni = _finite(params["n"])
     inv = None
-    if _is_nonneg_int(n):
-        ni = int(n)
-        from math import comb as _comb
-
-        expected = sum(_comb(r, f) * _comb(ni - f + k, k) for f in range(min(r, ni) + 1))
+    if ni is not None:
+        expected = sum(comb(r, f) * comb(ni - f + k, k) for f in range(min(r, ni) + 1))
 
         def pred(alpha, beta):
             return sum(alpha) + beta.bit_count() <= ni
@@ -796,10 +732,10 @@ def _build_gl_super(params):
         inv = InvariantSpace(pred, ni, expected,
                              "span(b^alpha th^beta : |alpha|+|beta| <= n)")
     return RepSpec(
-        "gl_super", modes, params, gens, parities, [],
+        "gl_super", params, gens,
+        parities={name: g.as_weyl().parity() for name, g in gens.items()},
         invariant_space=inv,
         claims=Claims(superalgebra=True, irreducible=True if inv else None),
-        default_cutoff=(int(n) + 2 if _is_nonneg_int(n) else 8),
         description="gl(k+1,r+1) superalgebra on k bosonic + r fermionic modes")
 
 
@@ -814,8 +750,6 @@ def _build_sl2q(params):
     al = _require_int(alpha, "alpha")
     if al == -1:
         raise CatalogueError("alpha = -1 makes {2 alpha + 2} vanish")
-    from .qheis import q_alpha_hat, q_number
-
     modes = ModeSystem(1, 0)
     atil, btil = q_pair(modes, 1, q, delta)
     ahat = q_alpha_hat(al, q)
@@ -844,8 +778,7 @@ def _build_sl2q(params):
         name="q-C2")
     inv = None
     if al >= 0:
-        inv = _degree_space(al, (1,), modes, al + 1,
-                            "span(1, btilde, ..., btilde^n)|0>")
+        inv = _degree_space(al, (1,), al + 1, "span(1, btilde, ..., btilde^n)|0>")
     alt = []
     if delta != 0:
         # the displayed transformed lowering operator carries a 1/(b+delta)
@@ -857,11 +790,10 @@ def _build_sl2q(params):
         alt.append(AltForm("J-", Product([LeftDivB(modes, 1, d),
                                           ExpA(modes, 1, d), qpart])))
     return RepSpec(
-        "sl2q", modes, params, gens, {g: 0 for g in gens}, relations,
+        "sl2q", params, gens, relations,
         casimir=casimir, invariant_space=inv,
         claims=Claims(closes=False, irreducible=True if inv else None),
         alt_forms=alt,
-        default_cutoff=(al + 2 if al >= 0 else 8),
         description="quantum sl2 over the q-deformed pair"
                     + (" (shift-transformed)" if delta != 0 else " (spectral)"))
 

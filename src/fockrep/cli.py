@@ -29,8 +29,11 @@ def parse_params(pairs) -> dict:
         if "=" not in pair:
             raise UsageError("parameters look like name=rational, got %r" % pair)
         name, _, value = pair.partition("=")
+        name = name.strip()
+        if name in params:
+            raise UsageError("parameter %s given more than once" % name)
         try:
-            params[name.strip()] = rat(value.strip())
+            params[name] = rat(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError("bad rational %r for %s: %s" % (value, name, exc))
     return params
@@ -50,8 +53,11 @@ def _emit(payload, args):
     if not isinstance(text, str):
         text = str(text)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.out, exc.strerror or exc))
     else:
         print(text)
 

@@ -636,18 +636,17 @@ class MatrixRep:
         }
 
 
-def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    basis = basis_states(op.modes, cutoff)
+def matrix_columns(basis: list, image_of) -> tuple:
+    """(cols, overflow) of an operator on `basis`, where image_of(key) is
+    the image of one basis state as a dict key -> Scalar; overflow lists
+    the columns whose image leaves the basis."""
     index = {key: i for i, key in enumerate(basis)}
     cols = []
     overflow = []
     for j, key in enumerate(basis):
-        image = op.apply(FockVector(op.modes, {key: ONE}))
         col = {}
         spilled = False
-        for skey, c in image.terms.items():
+        for skey, c in image_of(key).items():
             row = index.get(skey)
             if row is None:
                 spilled = True
@@ -656,6 +655,15 @@ def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
         if spilled:
             overflow.append(j)
         cols.append(col)
+    return cols, overflow
+
+
+def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    basis = basis_states(op.modes, cutoff)
+    cols, overflow = matrix_columns(
+        basis, lambda key: op.apply(FockVector(op.modes, {key: ONE})).terms)
     return MatrixRep(cutoff, op.modes, basis, cols, overflow, name, op.max_raise())
 
 

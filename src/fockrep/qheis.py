@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fock import identity_op
+from .fock import ExpA, LeftDivB, Poly, Product, QSpectral, Scale, Sum, identity_op
 from .scalars import Rational, Scalar, rat
-from .weyl import ModeSystem
+from .weyl import ModeSystem, WeylElement
 
 
 class QDomainError(ValueError):
@@ -190,30 +190,29 @@ def q_multiply(x: QWeylElement, y: QWeylElement) -> QWeylElement:
     return QWeylElement(x.q, terms)
 
 
-# -- Jackson derivative on single-variable polynomials ---------------------------
+# -- Fock-space embeddings ---------------------------------------------------------
 
 
-def jackson_apply(q, poly: dict) -> dict:
-    """(f(qx) - f(x)) / (x (q-1)) on a dict power -> Scalar; exact.
+def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
+    """The q-deformed pair (atilde, btilde) with atilde btilde - q btilde atilde = 1.
 
-    The constant term cancels before the division, so the result is again a
-    polynomial: x^k -> {k} x^(k-1).
+    delta = 0 is the spectral embedding over the plain pair; nonzero delta
+    first applies the shift transform, acting through the delta
+    falling-factorial eigenbasis.
     """
     q = rat(q)
-    if q == 1:
-        raise QDomainError("q = 1 not allowed")
-    out = {}
-    inv = rat(1) / (q - 1)
-    for k, c in poly.items():
-        if k == 0:
-            continue
-        coeff = c * Scalar((q ** k - 1) * inv)
-        if not coeff.is_zero():
-            out[k - 1] = out.get(k - 1, Scalar(0)) + coeff
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-# -- Fock-space embeddings ---------------------------------------------------------
+    delta = rat(delta)
+    qinv = Scalar(q - 1).inverse()
+    qpart = Scale(qinv, Sum([QSpectral(modes, mode, q, delta),
+                             Scale(Scalar(-1), identity_op(modes))]))
+    if delta == 0:
+        atilde = Product([LeftDivB(modes, mode), qpart])
+        btilde = Poly(WeylElement.b(modes, mode))
+    else:
+        d = Scalar(delta)
+        atilde = Product([ExpA(modes, mode, d), LeftDivB(modes, mode), qpart])
+        btilde = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -d)])
+    return atilde, btilde
 
 
 def embed(q, variant: str = "spectral", delta=None):
@@ -237,19 +236,4 @@ def embed(q, variant: str = "spectral", delta=None):
             raise QDomainError("delta = 0 for the transformed embedding")
     else:
         raise QDomainError("unknown embedding variant %r" % variant)
-    from .catalogue import q_pair
-
     return q_pair(modes, 1, q, dlt)
-
-
-def sl2q_generators(q, alpha, variant="spectral", delta=None):
-    """The deformed sl2 triple over the chosen embedding."""
-    atil, btil = embed(q, variant, delta)
-    qa = Scalar(q_number(alpha, q))
-    ahat = Scalar(q_alpha_hat(alpha, q))
-    modes = atil.modes
-    return {
-        "J+": btil * btil * atil - btil.scale(qa),
-        "J0": btil * atil - ahat * identity_op(modes),
-        "J-": atil,
-    }

@@ -12,19 +12,18 @@ shared graded basis, against the abstract Fock matrices of the catalogue.
 
 from __future__ import annotations
 
+import dataclasses
 from math import comb
 
-from .catalogue import (RepSpec, build, gl_super_family, glk_family,
-                        metaplectic_triple, osp22_octet, shift_pair,
-                        sl2_triple, sl2q_triple, sl3_octet)
-from .fock import MatrixRep, basis_states, to_matrix
+from .catalogue import FORMULAS, Kit, RepSpec, build, fock_kit, sl2q_triple
+from .fock import MatrixRep, basis_states, matrix_columns, to_matrix
 from .scalars import ONE, ZERO, Scalar, rat
 from .verify import CheckResult, AltFormResult
+from .weyl import ModeSystem, WeylElement, _mask_to_list
 
 
 class RealizeError(ValueError):
     """The requested realization kind does not apply to this family."""
-from .weyl import ModeSystem, WeylElement, _mask_to_list
 
 
 # -- polynomial-space operators ---------------------------------------------------
@@ -439,22 +438,22 @@ def weyl_to_polyop(w: WeylElement, cliff: CliffordMatrices = None) -> PolyOp:
 def poly_to_matrix(op: PolyOp, modes: ModeSystem, cutoff: int,
                    name: str = "") -> MatrixRep:
     basis = basis_states(modes, cutoff)
-    index = {key: i for i, key in enumerate(basis)}
-    cols, overflow = [], []
-    for j, key in enumerate(basis):
-        image = op.apply({key: ONE})
-        col = {}
-        spilled = False
-        for skey, c in image.items():
-            row = index.get(skey)
-            if row is None:
-                spilled = True
-            else:
-                col[row] = c
-        if spilled:
-            overflow.append(j)
-        cols.append(col)
+    cols, overflow = matrix_columns(basis, lambda key: op.apply({key: ONE}))
     return MatrixRep(cutoff, modes, basis, cols, overflow, name)
+
+
+def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
+    """"" when both have the same overflow columns and equal entries in
+    every other column; otherwise the first difference."""
+    if set(realized.overflow_columns) != set(abstract.overflow_columns):
+        return "overflow columns differ: %s vs %s" % (realized.overflow_columns,
+                                                      abstract.overflow_columns)
+    overflow = set(realized.overflow_columns)
+    for j in range(realized.dim):
+        if j not in overflow and realized.cols[j] != abstract.cols[j]:
+            return "column %d differs: realized %s, abstract %s" % (
+                j, realized.cols[j], abstract.cols[j])
+    return ""
 
 
 # -- realizations per family -------------------------------------------------------------
@@ -466,17 +465,29 @@ def fd_pair(i: int, delta) -> tuple:
     return Dplus(i, delta), PCompose([MultX(i), PSum([PIdent(), PScale(-delta, Dminus(i, delta))])])
 
 
-_FD_FAMILIES = {"sl2_translated", "sl2_metaplectic", "sl3_translated",
-                "glk", "gl_super", "osp22_translated"}
+def fd_kit(modes: ModeSystem, deltas) -> Kit:
+    """The finite-difference pairs per bosonic mode and the Pauli-Kronecker
+    matrices per fermionic mode."""
+    pairs = [fd_pair(i + 1, deltas[i]) for i in range(modes.bosonic)]
+    cliff = CliffordMatrices(modes.fermionic)
+    return Kit([a for a, _ in pairs], [b for _, b in pairs],
+               [Cliff(m) for m in cliff.b_f], [Cliff(m) for m in cliff.a_f], PIdent())
+
+
+def _fd_formula(rep: RepSpec):
+    formula = FORMULAS.get(rep.rep_id)
+    if formula is None:
+        raise RealizeError("no finite-difference realization for %s" % rep.rep_id)
+    return formula
 
 
 def realize_generators(rep: RepSpec, kind: str, deltas=None):
     """Named PolyOps realizing the family in the requested function space.
 
     kind 'differential': generic relabeling of polynomial generators.
-    kind 'fd': the finite-difference pair substituted into the base family
-    formulas (deltas from the rep's parameters; uniform delta for glk,
-    gl_super and the metaplectic family).
+    kind 'fd': the family's catalogue formula over fd_kit (deltas from the
+    rep's parameters; uniform delta for glk, gl_super and the metaplectic
+    family).
     kind 'jackson': the Jackson-derivative pair for the deformed family.
     """
     modes = rep.modes
@@ -487,9 +498,7 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
         return {name: weyl_to_polyop(g.as_weyl(), cliff)
                 for name, g in rep.generators.items()}
     if kind == "fd":
-        if rep.rep_id not in _FD_FAMILIES:
-            raise RealizeError("no finite-difference realization for %s" % rep.rep_id)
-        return _realize_fd(rep, deltas or fd_deltas(rep))
+        return _fd_formula(rep)(fd_kit(modes, deltas or fd_deltas(rep)), rep.params)
     if kind == "jackson":
         if rep.rep_id != "sl2q":
             raise RealizeError("the Jackson realization applies to sl2q only")
@@ -510,50 +519,16 @@ def fd_deltas(rep: RepSpec) -> list:
     return [rat(1)] * p  # families whose catalogue form carries no delta
 
 
-def _realize_fd(rep: RepSpec, deltas):
-    pairs = [fd_pair(i + 1, deltas[i]) for i in range(rep.modes.bosonic)]
-    n = rep.params.get("n")
-    rid = rep.rep_id
-    if rid == "sl2_translated":
-        return sl2_triple(pairs[0][0], pairs[0][1], n)
-    if rid == "sl2_metaplectic":
-        return metaplectic_triple(pairs[0][0], pairs[0][1])
-    if rid == "sl3_translated":
-        return sl3_octet(pairs[0][0], pairs[1][0], pairs[0][1], pairs[1][1], n)
-    if rid == "glk":
-        k = int(rep.params["k"])
-        return glk_family([p[0] for p in pairs], [p[1] for p in pairs], n, k)
-    if rid == "gl_super":
-        k, r = int(rep.params["k"]), int(rep.params["r"])
-        cliff = CliffordMatrices(r)
-        th = [Cliff(cliff.b_f[j]) for j in range(r)]
-        dth = [Cliff(cliff.a_f[j]) for j in range(r)]
-        gens, _ = gl_super_family([p[0] for p in pairs], [p[1] for p in pairs],
-                                  th, dth, n, PIdent())
-        return gens
-    if rid == "osp22_translated":
-        cliff = CliffordMatrices(1)
-        th, dth = Cliff(cliff.b_f[0]), Cliff(cliff.a_f[0])
-        a, b = pairs[0]
-        gens = osp22_octet(a, b, PCompose([th, dth]), n)
-        gens["Q1"] = dth
-        gens["Q2"] = b * dth
-        gens["Qb1"] = b * a * th - th.scale(Scalar(rat(n)))
-        gens["Qb2"] = -(a * th)
-        order = ["T+", "T0", "T-", "J", "Q1", "Q2", "Qb1", "Qb2"]
-        return {name: gens[name] for name in order}
-    raise AssertionError(rid)
-
-
 def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     """The catalogue family whose Fock matrices the realization must equal.
 
-    The differential relabeling and (for already-transformed families) the
-    fd realization compare against the representation itself; for base
-    families realized by finite differences the counterpart is the
-    shift-transformed build, since the fd pair is the coordinate image of
-    the transformed pair.  The Jackson pair realizes the spectral sl2q, so
-    its counterpart is the delta = 0 build whatever the rep's delta.
+    The differential relabeling compares against the representation itself.
+    The fd realization puts the fd pairs into the family's formula, and the
+    fd pair is the coordinate image of the shift-transformed pair, so the
+    counterpart is the same formula over the shift kit with the same deltas;
+    a *_translated family built with its own deltas already is that.  The
+    Jackson pair realizes the spectral sl2q, so its counterpart is the
+    delta = 0 build whatever the rep's delta.
     """
     if kind == "differential":
         return rep
@@ -562,30 +537,11 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
             return build("sl2q", {**rep.params, "delta": rat(0)})
         return rep
     if kind == "fd":
-        if rep.rep_id in ("sl2_translated", "sl3_translated", "osp22_translated"):
-            return rep
-        deltas = deltas or fd_deltas(rep)
-        modes = rep.modes
-        n = rep.params.get("n")
-        pairs = [shift_pair(modes, i + 1, deltas[i]) for i in range(modes.bosonic)]
-        if rep.rep_id == "sl2_metaplectic":
-            gens = metaplectic_triple(pairs[0][0], pairs[0][1])
-        elif rep.rep_id == "glk":
-            gens = glk_family([p[0] for p in pairs], [p[1] for p in pairs],
-                              n, int(rep.params["k"]))
-        elif rep.rep_id == "gl_super":
-            from .fock import Poly as FPoly, identity_op
-
-            r = modes.fermionic
-            th = [FPoly(WeylElement.theta(modes, j + 1)) for j in range(r)]
-            dth = [FPoly(WeylElement.dtheta(modes, j + 1)) for j in range(r)]
-            gens, _ = gl_super_family([p[0] for p in pairs], [p[1] for p in pairs],
-                                      th, dth, n, identity_op(modes))
-        else:
-            raise RealizeError("no transformed counterpart for %s" % rep.rep_id)
-        import dataclasses
-
-        return dataclasses.replace(rep, generators=gens)
+        formula = _fd_formula(rep)
+        if deltas is None and rep.rep_id.endswith("_translated"):
+            return rep  # the catalogue built it over the same shift kit
+        kit = fock_kit(rep.modes, deltas or fd_deltas(rep))
+        return dataclasses.replace(rep, generators=formula(kit, rep.params))
     raise ValueError(kind)
 
 
@@ -603,28 +559,12 @@ def cross_check(rep: RepSpec, kind: str, cutoff: int = None, deltas=None) -> lis
     for name, op in realized.items():
         mat_r = poly_to_matrix(op, rep.modes, cutoff, name)
         mat_a = to_matrix(abstract.generator(name), cutoff, name)
-        if set(mat_r.overflow_columns) != set(mat_a.overflow_columns):
-            results.append(CheckResult(
-                "cross %s %s" % (kind, name), "FAIL", "",
-                "overflow columns differ: %s vs %s"
-                % (mat_r.overflow_columns, mat_a.overflow_columns)))
-            continue
-        bad = None
-        overflow = set(mat_r.overflow_columns)
-        for j in range(mat_r.dim):
-            if j in overflow:
-                continue
-            if mat_r.cols[j] != mat_a.cols[j]:
-                bad = j
-                break
-        if bad is None:
+        diff = _first_difference(mat_r, mat_a)
+        if diff:
+            results.append(CheckResult("cross %s %s" % (kind, name), "FAIL", "", diff))
+        else:
             results.append(CheckResult("cross %s %s" % (kind, name), "PASS",
                                        "dim %d, cutoff %d" % (mat_r.dim, cutoff)))
-        else:
-            results.append(CheckResult(
-                "cross %s %s" % (kind, name), "FAIL", "",
-                "column %d differs: realized %s, abstract %s"
-                % (bad, mat_r.cols[bad], mat_a.cols[bad])))
     return results
 
 
@@ -779,13 +719,7 @@ def check_fd_displayed(rep: RepSpec, cutoff: int = None, deltas=None) -> list:
     for name, disp in displayed.items():
         mat_d = poly_to_matrix(disp, rep.modes, cutoff, name)
         mat_n = poly_to_matrix(normative[name], rep.modes, cutoff, name)
-        same = set(mat_d.overflow_columns) == set(mat_n.overflow_columns)
-        if same:
-            overflow = set(mat_d.overflow_columns)
-            for j in range(mat_d.dim):
-                if j not in overflow and mat_d.cols[j] != mat_n.cols[j]:
-                    same = False
-                    break
+        same = not _first_difference(mat_d, mat_n)
         out.append(AltFormResult(name, "MATCH" if same else "DIFFERS",
                                  "" if same else "displayed fd form differs"))
     return out

@@ -121,6 +121,22 @@ def test_out_file(tmp_path, capsys):
     assert data["rep"] == "sl2_standard"
 
 
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "f.json")
+    for argv in (["list", "--out", missing],
+                 ["verify", "sl2_standard", "n=1", "--out", missing]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_repeated_parameter_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "gl_super", "k=1", "r=1", "n=1", "n=2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "more than once" in err
+
+
 def test_casimir_command(capsys):
     code, out, _ = run(capsys, "casimir", "sl2_metaplectic", "--format", "json")
     assert code == 0

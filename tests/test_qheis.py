@@ -4,9 +4,10 @@ import pytest
 
 from fockrep.fock import (FockVector, Product, Scale, Sum, check_identity,
                           identity_op, to_matrix)
+from fockrep.catalogue import sl2q_triple
 from fockrep.qheis import (QDomainError, QWeylElement, _reorder, embed,
-                           jackson_apply, q_alpha_hat, q_multiply, q_number,
-                           sl2q_generators)
+                           q_alpha_hat, q_multiply, q_number)
+from fockrep.realize import JacksonX
 from fockrep.scalars import ONE, Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement, multiply
 
@@ -100,6 +101,12 @@ def test_alpha_hat():
         q_alpha_hat(-1, rat(2))  # {2a+2} = {0} = 0
 
 
+def jackson_apply(q, poly):
+    """JacksonX on one variable, with polynomials as dicts power -> Scalar."""
+    out = JacksonX(1, q).apply({((k,), 0): c for k, c in poly.items()})
+    return {e[0]: c for (e, _), c in out.items()}
+
+
 def test_jackson_on_monomials():
     q = rat(2)
     assert jackson_apply(q, {3: ONE}) == {2: Scalar(7)}
@@ -144,8 +151,8 @@ def test_both_embeddings_leave_degree_n_space_invariant():
     for q in QS:
         for n in range(4):
             for variant, delta in (("spectral", None), ("transformed", rat(1, 2))):
-                gens = sl2q_generators(q, n, variant, delta)
                 modes = ModeSystem(1, 0)
+                gens = sl2q_triple(*embed(q, variant, delta), n, q, identity_op(modes))
                 for name, g in gens.items():
                     for k in range(n + 1):
                         image = g.apply(FockVector.state(modes, (k,)))
@@ -154,7 +161,7 @@ def test_both_embeddings_leave_degree_n_space_invariant():
 
 
 def test_jackson_matches_spectral_matrices():
-    from fockrep.realize import JacksonX, poly_to_matrix
+    from fockrep.realize import poly_to_matrix
 
     modes = ModeSystem(1, 0)
     for q in QS:

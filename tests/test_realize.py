@@ -1,11 +1,11 @@
 import pytest
 
-from fockrep.catalogue import build
+from fockrep.catalogue import FORMULAS, build
 from fockrep.fock import Poly, to_matrix
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, PCompose, PIdent, PScale, PSum, Partial,
-                             ShiftX, check_fd_displayed, cross_check,
-                             fd_pair, poly_to_matrix, q_pair_fd,
+                             RealizeError, ShiftX, check_fd_displayed,
+                             cross_check, fd_pair, poly_to_matrix, q_pair_fd,
                              realize_generators, weyl_to_polyop)
 from fockrep.scalars import ONE, Scalar, rat
 from fockrep.weyl import ModeSystem
@@ -113,6 +113,9 @@ def test_fd_cross_checks():
         ("glk", {"k": 3, "n": 2}, [rat(1), rat(-1, 3)]),
         ("gl_super", {"k": 2, "r": 1, "n": 2}, [rat(1, 2), rat(1)]),
         ("sl2_metaplectic", {}, [rat(1, 2)]),
+        # fd steps other than the rep's own: the counterpart uses the same steps
+        ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, [rat(1)]),
+        ("osp22_translated", {"n": 2, "delta": rat(1)}, [rat(-1, 3)]),
     ]
     for rid, params, deltas in cases:
         results = cross_check(build(rid, params), "fd", None, deltas)
@@ -188,3 +191,22 @@ def test_jackson_node_examples():
     j = JacksonX(1, rat(2))
     assert j.apply(poly1({3: 1})) == poly1({2: 7})
     assert j.apply(poly1({0: 5})) == {}
+
+
+def test_realization_coverage_on_the_grid():
+    # the (instance, kind) pairs the cross checks run over stay exactly these
+    from fockrep.grids import acceptance_grid
+
+    assert set(FORMULAS) == {"sl2_translated", "sl2_metaplectic", "sl3_translated",
+                             "glk", "gl_super", "osp22_translated"}
+    accepted = {"differential": 0, "fd": 0, "jackson": 0}
+    for rep_id, params in acceptance_grid():
+        rep = build(rep_id, params)
+        for kind in accepted:
+            try:
+                realize_generators(rep, kind)
+            except RealizeError:
+                continue
+            accepted[kind] += 1
+            assert kind != "fd" or rep_id in FORMULAS
+    assert accepted == {"differential": 100, "fd": 91, "jackson": 36}
