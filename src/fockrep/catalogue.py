@@ -223,12 +223,16 @@ def sl3_octet(a1, a2, b1, b2, n: Rational):
     }
 
 
-def glk_family(a, b, n: Rational):
-    """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2)."""
+def glk_family(a, b, n: Rational, number=None):
+    """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
+
+    number[i], when given, stands for b[i] a[i] inside J0.
+    """
     k = len(a) + 1
+    number = number or [b[i] * a[i] for i in range(k - 1)]
     j0 = None
     for i in range(k - 1):
-        j0 = b[i] * a[i] if j0 is None else j0 + b[i] * a[i]
+        j0 = number[i] if j0 is None else j0 + number[i]
     j0 = _sc(n) - j0 if j0 is not None else None
     gens = {}
     for i in range(k - 1):
@@ -242,16 +246,18 @@ def glk_family(a, b, n: Rational):
     return gens
 
 
-def gl_super_family(a, b, th, dth, n: Rational, one):
+def gl_super_family(a, b, th, dth, n: Rational, one, number=None):
     """gl(k+1,r+1) generators over any element implementation.
 
     a, b: k bosonic pairs; th, dth: r fermionic pairs; one: the identity
-    element.  Returns the generators in canonical order.
+    element; number[i], when given, stands for b[i] a[i] inside T0.
+    Returns the generators in canonical order.
     """
     k, r = len(a), len(th)
+    number = number or [b[i] * a[i] for i in range(k)]
     t0 = one.scale(Scalar(rat(n)))
     for i in range(k):
-        t0 = t0 - b[i] * a[i]
+        t0 = t0 - number[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
     gens = {}

@@ -118,7 +118,7 @@ def cmd_matrix(args) -> int:
         if args.gen not in gens:
             raise UsageError("unknown generator %r; have %s"
                              % (args.gen, ", ".join(gens)))
-        mat = poly_to_matrix(gens[args.gen], rep.modes, cutoff, args.gen)
+        mat = poly_to_matrix(gens[args.gen], cutoff, args.gen)
     payload = mat.to_json()
     payload["rep"] = args.rep
     payload["generator"] = args.gen

@@ -4,7 +4,8 @@ A FockVector is a finite combination of states b^alpha th^beta |0> with
 a_i|0> = 0 and dth_j|0> = 0.  Operators are expression trees: normal-ordered
 polynomials (Poly), terminating exponentials e^{g a_i} (ExpA), spectral
 q-powers q^{N} diagonal in the falling-factorial basis (QSpectral), formal
-left division by b_i + shift (LeftDivB), and Sum/Product/Scale.  The
+left division by b_i + shift (LeftDivB), the identity (Identity), and
+Sum/Product/Scale; other modules add leaves of their own.  The
 extended nodes are infinite series in the algebra but exact finite
 operations on any vector because each a_i is locally nilpotent, so nothing
 here ever truncates silently: to_matrix flags overflow columns instead.
@@ -83,9 +84,6 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((state_degree(k) for k in self.terms), default=-1)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: state_sort_key(kv[0]))
 
@@ -105,6 +103,16 @@ class FockVector:
         return out
 
     __repr__ = __str__
+
+
+def accumulate(out: dict, key, c):
+    """out[key] += c, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    s = c if cur is None else cur + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 def state_degree(key) -> int:
@@ -202,7 +210,7 @@ class OperatorExpr:
         return self.scale(other)
 
     def __pow__(self, n: int):
-        result = Poly(WeylElement.one(self.modes))
+        result = identity_op(self.modes)
         for _ in range(n):
             result = result * self
         return result
@@ -416,6 +424,17 @@ class LeftDivB(OperatorExpr):
         return _map_mode_coeff_lists(vec, i, solve)
 
 
+def _part_weyls(parts):
+    """The WeylElement of every part, or None as soon as one has none."""
+    weyls = []
+    for p in parts:
+        w = p.as_weyl()
+        if w is None:
+            return None
+        weyls.append(w)
+    return weyls
+
+
 class Sum(OperatorExpr):
     __slots__ = ("modes", "parts")
 
@@ -428,17 +447,18 @@ class Sum(OperatorExpr):
         return max(p.max_raise() for p in self.parts)
 
     def apply(self, vec):
-        out = FockVector.zero(vec.modes)
+        out: dict = {}
         for p in self.parts:
-            out = out + p.apply(vec)
-        return out
+            for key, c in p.apply(vec).terms.items():
+                accumulate(out, key, c)
+        return FockVector(vec.modes, out)
 
     def as_weyl(self):
+        weyls = _part_weyls(self.parts)
+        if weyls is None:
+            return None
         total = WeylElement.zero(self.modes)
-        for p in self.parts:
-            w = p.as_weyl()
-            if w is None:
-                return None
+        for w in weyls:
             total = total + w
         return total
 
@@ -462,11 +482,11 @@ class Product(OperatorExpr):
         return vec
 
     def as_weyl(self):
+        weyls = _part_weyls(self.factors)
+        if weyls is None:
+            return None
         total = WeylElement.one(self.modes)
-        for f in self.factors:
-            w = f.as_weyl()
-            if w is None:
-                return None
+        for w in weyls:
             total = total * w
         return total
 
@@ -490,8 +510,20 @@ class Scale(OperatorExpr):
         return None if w is None else w.scale(self.coeff)
 
 
-def identity_op(modes) -> Poly:
-    return Poly(WeylElement.one(modes))
+class Identity(Poly):
+    """The unit polynomial; apply hands back its input without arithmetic."""
+
+    __slots__ = ()
+
+    def __init__(self, modes: ModeSystem):
+        super().__init__(WeylElement.one(modes))
+
+    def apply(self, vec: FockVector) -> FockVector:
+        return vec
+
+
+def identity_op(modes) -> Identity:
+    return Identity(modes)
 
 
 # -- falling-factorial transform ----------------------------------------------
@@ -621,10 +653,6 @@ class MatrixRep:
     def entry(self, row: int, col: int) -> Scalar:
         return self.cols[col].get(row, ZERO)
 
-    def dense(self):
-        return [[self.cols[j].get(i, ZERO) for j in range(self.dim)]
-                for i in range(self.dim)]
-
     def to_json(self):
         return {
             "cutoff": self.cutoff,
@@ -636,17 +664,17 @@ class MatrixRep:
         }
 
 
-def matrix_columns(basis: list, image_of) -> tuple:
-    """(cols, overflow) of an operator on `basis`, where image_of(key) is
-    the image of one basis state as a dict key -> Scalar; overflow lists
-    the columns whose image leaves the basis."""
+def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    basis = basis_states(op.modes, cutoff)
     index = {key: i for i, key in enumerate(basis)}
     cols = []
     overflow = []
     for j, key in enumerate(basis):
         col = {}
         spilled = False
-        for skey, c in image_of(key).items():
+        for skey, c in op.apply(FockVector(op.modes, {key: ONE})).terms.items():
             row = index.get(skey)
             if row is None:
                 spilled = True
@@ -655,15 +683,6 @@ def matrix_columns(basis: list, image_of) -> tuple:
         if spilled:
             overflow.append(j)
         cols.append(col)
-    return cols, overflow
-
-
-def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    basis = basis_states(op.modes, cutoff)
-    cols, overflow = matrix_columns(
-        basis, lambda key: op.apply(FockVector(op.modes, {key: ONE})).terms)
     return MatrixRep(cutoff, op.modes, basis, cols, overflow, name, op.max_raise())
 
 

@@ -89,9 +89,6 @@ class EchelonSpan:
                     coeffs[i] = s
         return coeffs, {}
 
-    def contains(self, vec: dict) -> bool:
-        return self.express(vec)[0] is not None
-
 
 class ModPSpan:
     """Insert-only echelonized span over F_p, p = MOD_P.

@@ -14,7 +14,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rational
 
 RAT_ZERO = Rational(0)
-RAT_ONE = Rational(1)
 
 
 def rat(value, den=None) -> Rational:
@@ -189,8 +188,6 @@ def _isqrt(n: int) -> int:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT2 = Scalar.sqrt2()
-HALF = Scalar(Rational(1, 2))
-INV_SQRT2 = SQRT2.inverse()  # (1/2) sqrt2
 
 # -- reduction modulo a prime -----------------------------------------------------
 #

@@ -59,9 +59,6 @@ class StructureConstants:
     probe_degree: int
     dependent: list = field(default_factory=list)
 
-    def bracket_coeffs(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
-
     def perturbed(self, i: int, j: int, k: int, delta=1) -> "StructureConstants":
         """Copy with c_{ij}^k shifted; used by negative-control tests."""
         table = {key: dict(val) for key, val in self.table.items()}

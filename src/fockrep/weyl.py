@@ -200,9 +200,6 @@ class WeylElement:
     def max_lower(self) -> int:
         return max((monomial_lower(m) for m in self.terms), default=0)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, Scalar(0))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 

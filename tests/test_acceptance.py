@@ -16,11 +16,11 @@ import itertools
 import time
 
 from fockrep.catalogue import build
-from fockrep.fock import Poly, basis_states, check_identity
+from fockrep.fock import (FockVector, Poly, Product, Scale, Sum, basis_states,
+                          check_identity, identity_op)
 from fockrep.grids import DELTAS, KR_PAIRS, KS, NS, QS, RS, acceptance_grid
 from fockrep.qheis import embed, q_alpha_hat, q_number
-from fockrep.realize import (PCompose, PIdent, PScale, PSum, JacksonX,
-                             cross_check, poly_to_matrix, q_pair_fd,
+from fockrep.realize import (JacksonX, cross_check, poly_to_matrix, q_pair_fd,
                              realize_generators)
 from fockrep.scalars import ONE, Scalar, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
@@ -152,14 +152,14 @@ def test_criterion_3_dimension_counts():
 # -- 4. the osp(2,2) relation table ----------------------------------------------------------
 
 
-def _poly_word(gens, terms):
+def _poly_word(gens, terms, modes):
     parts = []
     for coeff, names in terms:
-        op = PIdent()
+        op = identity_op(modes)
         for g in names:
-            op = PCompose([op, gens[g]])
-        parts.append(PScale(coeff, op))
-    return PSum(parts) if parts else PScale(Scalar(0), PIdent())
+            op = Product([op, gens[g]])
+        parts.append(Scale(coeff, op))
+    return Sum(parts) if parts else Scale(Scalar(0), identity_op(modes))
 
 
 def test_criterion_4_osp22_table():
@@ -178,10 +178,10 @@ def test_criterion_4_osp22_table():
         gens = realize_generators(rep, "differential")
         states = basis_states(rep.modes, n + 2)
         for rel in rep.relations:
-            lhs = _poly_word(gens, rel.lhs)
-            rhs = _poly_word(gens, rel.rhs)
+            lhs = _poly_word(gens, rel.lhs, rep.modes)
+            rhs = _poly_word(gens, rel.rhs, rep.modes)
             for key in states:
-                vec = {key: ONE}
+                vec = FockVector(rep.modes, {key: ONE})
                 if lhs.apply(vec) != rhs.apply(vec):
                     failures.append(("differential", n, rel.name, key))
                     break
@@ -343,7 +343,7 @@ def test_criterion_7_ordering_oracles():
 
 
 def test_criterion_8_embeddings():
-    from fockrep.fock import Product, Scale, Sum, identity_op, to_matrix
+    from fockrep.fock import to_matrix
 
     failures = []
     modes = ModeSystem(1, 0)
@@ -358,16 +358,15 @@ def test_criterion_8_embeddings():
             if not check_identity(rel, identity_op(modes), 8).equal:
                 failures.append(("transformed", str(q), str(d)))
             atf, btf = q_pair_fd(q, d)
-            relf = PSum([PCompose([atf, btf]),
-                         PScale(Scalar(-q), PCompose([btf, atf]))])
+            relf = Sum([Product([atf, btf]), Scale(Scalar(-q), Product([btf, atf]))])
             for k in range(9):
-                f = {((k,), 0): ONE}
+                f = FockVector(modes, {((k,), 0): ONE})
                 if relf.apply(f) != f:
                     failures.append(("fd pair", str(q), str(d), k))
                     break
         spectral_at, _ = embed(q)
         if to_matrix(spectral_at, 8).cols != \
-                poly_to_matrix(JacksonX(1, q), modes, 8).cols:
+                poly_to_matrix(JacksonX(modes, 1, q), 8).cols:
             failures.append(("jackson vs spectral", str(q)))
     _conclude("8", "deformed relation on degree <= 8 for every embedding; "
                    "Jackson = spectral", failures)

@@ -103,8 +103,10 @@ def test_alpha_hat():
 
 def jackson_apply(q, poly):
     """JacksonX on one variable, with polynomials as dicts power -> Scalar."""
-    out = JacksonX(1, q).apply({((k,), 0): c for k, c in poly.items()})
-    return {e[0]: c for (e, _), c in out.items()}
+    modes = ModeSystem(1, 0)
+    out = JacksonX(modes, 1, q).apply(FockVector(modes, {((k,), 0): c
+                                                         for k, c in poly.items()}))
+    return {e[0]: c for (e, _), c in out.terms.items()}
 
 
 def test_jackson_on_monomials():
@@ -167,6 +169,6 @@ def test_jackson_matches_spectral_matrices():
     for q in QS:
         at, _ = embed(q)
         spectral = to_matrix(at, 8)
-        jackson = poly_to_matrix(JacksonX(1, q), modes, 8)
+        jackson = poly_to_matrix(JacksonX(modes, 1, q), 8)
         assert spectral.basis == jackson.basis
         assert spectral.cols == jackson.cols
