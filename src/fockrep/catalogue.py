@@ -19,11 +19,11 @@ are reported, never patched into the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
-from .fock import (ExpA, LeftDivB, OperatorExpr, Poly, Product, QSpectral,
-                   Scale, Sum, basis_states, identity_op)
+from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
+                   QSpectral, Scale, Sum, basis_states, identity_op)
 from .qheis import q_alpha_hat, q_number, q_pair
 from .scalars import ONE, Rational, Scalar, rat
 from .weyl import ModeSystem, WeylElement
@@ -139,6 +139,13 @@ class RepSpec:
     def max_generator_raise(self) -> int:
         return max(max(0, g.max_raise()) for g in self.generators.values())
 
+    def compiled(self) -> "RepSpec":
+        """A copy whose generators are fock.Compiled: every check run on it
+        computes each generator's image of a basis state at most once."""
+        gens = {name: g if isinstance(g, Compiled) else Compiled(g)
+                for name, g in self.generators.items()}
+        return replace(self, generators=gens)
+
 
 # -- small helpers -----------------------------------------------------------
 
@@ -209,8 +216,10 @@ def sl2_casimir(n: Rational) -> CasimirSpec:
     return CasimirSpec(list(SL2_CASIMIR_TERMS), Scalar(-(nn / 2) * (nn / 2 + rat(1, 2))))
 
 
-def sl3_octet(a1, a2, b1, b2, n: Rational):
-    num = b1 * a1 + b2 * a2 - _sc(n)
+def sl3_octet(a1, a2, b1, b2, n: Rational, number=None):
+    """number[i], when given, stands for b_i a_i inside J1+, J2+ and J0."""
+    n1, n2 = number or (b1 * a1, b2 * a2)
+    num = n1 + n2 - _sc(n)
     return {
         "J1+": b1 * num,
         "J2+": b2 * num,
@@ -218,8 +227,8 @@ def sl3_octet(a1, a2, b1, b2, n: Rational):
         "J2-": a2,
         "J0_21": b2 * a1,
         "J0_12": b1 * a2,
-        "J0_1": b1 * a1 - b2 * a2,
-        "J0_2": b1 * a1 + b2 * a2 - Scalar(rat(2, 3) * rat(n)),
+        "J0_1": n1 - n2,
+        "J0_2": n1 + n2 - Scalar(rat(2, 3) * rat(n)),
     }
 
 

@@ -143,7 +143,7 @@ def cmd_casimir(args) -> int:
     rep = build(args.rep, parse_params(args.params))
     if rep.casimir is None:
         raise UsageError("%s carries no Casimir descriptor" % args.rep)
-    measured, checks, claim = casimir_check(rep, args.cutoff)
+    measured, checks, claim = casimir_check(rep.compiled(), args.cutoff)
     payload = {
         "rep": args.rep,
         "params": {k: str(v) for k, v in sorted(rep.params.items())},

@@ -4,8 +4,9 @@ A FockVector is a finite combination of states b^alpha th^beta |0> with
 a_i|0> = 0 and dth_j|0> = 0.  Operators are expression trees: normal-ordered
 polynomials (Poly), terminating exponentials e^{g a_i} (ExpA), spectral
 q-powers q^{N} diagonal in the falling-factorial basis (QSpectral), formal
-left division by b_i + shift (LeftDivB), the identity (Identity), and
-Sum/Product/Scale; other modules add leaves of their own.  The
+left division by b_i + shift (LeftDivB), the identity (Identity),
+Sum/Product/Scale, and Compiled, which remembers each basis state's image;
+other modules add leaves of their own.  The
 extended nodes are infinite series in the algebra but exact finite
 operations on any vector because each a_i is locally nilpotent, so nothing
 here ever truncates silently: to_matrix flags overflow columns instead.
@@ -524,6 +525,55 @@ class Identity(Poly):
 
 def identity_op(modes) -> Identity:
     return Identity(modes)
+
+
+class Compiled(OperatorExpr):
+    """inner, with the image of each basis state computed once, on first use.
+
+    Exact: a column is inner's exact image of one basis state and apply is
+    linear, so no cutoff enters the cache.  inner must be defined on every
+    basis state it meets (LeftDivB alone is not).  Cached images are handed
+    out without a copy, which is safe because no FockVector is mutated after
+    construction.
+    """
+
+    __slots__ = ("modes", "inner", "_cols")
+
+    def __init__(self, inner: OperatorExpr):
+        self.modes = inner.modes
+        self.inner = inner
+        self._cols = {}  # state key -> terms of inner.apply(state)
+
+    def max_raise(self):
+        return self.inner.max_raise()
+
+    def as_weyl(self):
+        return self.inner.as_weyl()
+
+    def _column(self, key) -> dict:
+        col = self._cols.get(key)
+        if col is None:
+            col = self.inner.apply(FockVector(self.modes, {key: ONE})).terms
+            self._cols[key] = col
+        return col
+
+    def apply(self, vec: FockVector) -> FockVector:
+        terms = vec.terms
+        if len(terms) == 1:
+            (key, c), = terms.items()
+            if c == ONE:
+                return FockVector(vec.modes, self._column(key))
+        out: dict = {}
+        for key, c in terms.items():
+            for skey, d in self._column(key).items():
+                v = d * c
+                cur = out.get(skey)
+                s = v if cur is None else cur + v
+                if s.is_zero():
+                    out.pop(skey, None)
+                else:
+                    out[skey] = s
+        return FockVector(vec.modes, out)
 
 
 # -- falling-factorial transform ----------------------------------------------

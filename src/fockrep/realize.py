@@ -18,7 +18,7 @@ import dataclasses
 from math import comb
 
 from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family,
-                        glk_family, sl2q_triple)
+                        glk_family, sl2q_triple, sl3_octet)
 from .fock import (FockVector, LeftDivB, MatrixRep, OperatorExpr, Poly, Product,
                    QSpectral, Scale, Sum, accumulate, identity_op, to_matrix)
 from .scalars import ONE, Scalar, rat
@@ -446,17 +446,7 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
                                         + (dm[0] ** 2).scale(-(d * d)))).scale(half),
         }
     if rid == "sl3_translated":
-        num = number[0] + number[1] - Scalar(rat(n))
-        return {
-            "J1+": kit.b[0] * num,
-            "J2+": kit.b[1] * num,
-            "J1-": kit.a[0],
-            "J2-": kit.a[1],
-            "J0_21": kit.b[1] * kit.a[0],
-            "J0_12": kit.b[0] * kit.a[1],
-            "J0_1": number[0] - number[1],
-            "J0_2": number[0] + number[1] - Scalar(rat(2, 3) * rat(n)),
-        }
+        return sl3_octet(kit.a[0], kit.a[1], kit.b[0], kit.b[1], n, number)
     if rid == "glk":
         return glk_family(kit.a, kit.b, n, number)
     if rid == "gl_super":

@@ -636,6 +636,7 @@ BURNSIDE_DIM_CAP = 12
 def full_verify(rep: RepSpec, cutoff: int = None,
                 burnside_cap: int = BURNSIDE_DIM_CAP) -> VerificationReport:
     start = time.monotonic()
+    rep = rep.compiled()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     report = VerificationReport(rep.rep_id, rep.params, cutoff)
     if rep.relations:

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockrep import catalogue
 from fockrep.cli import main, parse_params
@@ -191,3 +194,47 @@ def test_decimal_flag(capsys):
                        "--gen", "J-", "--decimal", "--format", "json")
     assert code == 0
     assert "matrix_decimal" in json.loads(out)
+
+
+_SIGNATURES = {rid: [name.rstrip("?") for name in sig.split(", ") if name]
+               for rid, sig, _ in catalogue.list_catalogue()}
+_VALUES = ["0", "1", "2", "-1", "-1/2", "1/2", "3/5", "1/0", "1.5", "two", ""]
+
+
+@st.composite
+def _argv(draw):
+    """Mostly well-formed command lines with small or bad values; some with
+    a missing, repeated or unknown parameter."""
+    command = draw(st.sampled_from(["verify", "casimir", "matrix", "cross", "list"]))
+    if command == "list":
+        return [command] + draw(st.sampled_from([[], ["--filter", "sl2"], ["sl2"]]))
+    rep_id = draw(st.sampled_from(sorted(_SIGNATURES) + ["no_such_rep"]))
+    names = [name for name in _SIGNATURES.get(rep_id, ["n"]) if draw(st.integers(0, 5))]
+    names += draw(st.lists(st.sampled_from(["n", "q", "delta", "x"]), max_size=1))
+    argv = [command, rep_id] + ["%s=%s" % (name, draw(st.sampled_from(_VALUES)))
+                                for name in names]
+    argv += draw(st.sampled_from([[], ["--cutoff", "0"], ["--cutoff", "2"],
+                                  ["--cutoff", "4"], ["--cutoff", "-1"],
+                                  ["--cutoff", "x"]]))
+    if command == "matrix":
+        argv += ["--gen", draw(st.sampled_from(["J0", "J+", "J-", "T0", "Q1", "nope"]))]
+    if command in ("matrix", "cross"):
+        argv += draw(st.sampled_from([["--realization", "diff"], ["--realization", "fd"],
+                                      ["--realization", "jackson"], []]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_exit_codes_and_no_traceback(argv):
+    # exit 0 pass, 1 failed check, 2 usage or domain error, never an
+    # uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "error:" in err.getvalue().strip().splitlines()[-1], argv

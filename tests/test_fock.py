@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fockrep.scalars import ONE, Scalar, rat
-from fockrep.fock import (ExpA, FockVector, LeftDivB, NotLeftDivisible, Poly,
-                          Product, QSpectral, Scale, Sum, basis_states,
+from fockrep.catalogue import shift_pair
+from fockrep.scalars import ONE, SQRT2, Scalar, rat
+from fockrep.fock import (Compiled, ExpA, FockVector, LeftDivB, NotLeftDivisible,
+                          Poly, Product, QSpectral, Scale, Sum, basis_states,
                           check_identity, from_falling_basis, identity_op,
                           matmul, to_falling_basis, to_matrix)
 from fockrep.weyl import ModeSystem, WeylElement
 
 B1 = ModeSystem(1, 0)
+B2 = ModeSystem(2, 0)
 SUPER = ModeSystem(1, 1)
 
 
@@ -211,3 +214,72 @@ def test_matrix_json_round_trip_shape():
     assert data["overflow_columns"] == []
     assert data["matrix"][0][1] == {"r": "1"}
     assert data["basis"][1] == {"b": [1], "theta": []}
+
+
+# -- Compiled ------------------------------------------------------------------
+
+
+def _compile_cases(ms):
+    """One operator of each kind the catalogue builds from, over ms."""
+    b, a = Poly(WeylElement.b(ms)), Poly(WeylElement.a(ms))
+    if ms.fermionic:
+        other = Poly(WeylElement.theta(ms) * WeylElement.dtheta(ms))
+    else:
+        other = Poly(WeylElement.b(ms, 2) * WeylElement.a(ms, 1))
+    ahat, bhat = shift_pair(ms, 1, rat(1, 2))
+    return {
+        "poly": b * b * a + a.scale(3) + other,
+        "expa": ExpA(ms, 1, rat(2, 3)),
+        "qspectral": QSpectral(ms, 1, rat(3, 5)),
+        "qspectral_shifted": QSpectral(ms, 1, 2, rat(1, 2)),
+        "shift_pair": bhat * ahat,
+        "tree": Sum([Product([ExpA(ms, 1, -1), b]),
+                     Scale(SQRT2, QSpectral(ms, 1, 2, 1)), other.scale(rat(-1, 3))]),
+    }
+
+
+_coeffs = st.builds(lambda p, q, s: Scalar(rat(p, q), rat(s, 2)),
+                    st.integers(-4, 4), st.integers(1, 5), st.integers(-2, 2))
+
+
+def _vectors(ms):
+    keys = basis_states(ms, 4)
+    return st.dictionaries(st.sampled_from(keys), _coeffs, min_size=1, max_size=5).map(
+        lambda terms: FockVector(ms, {k: c for k, c in terms.items() if not c.is_zero()}))
+
+
+@pytest.mark.parametrize("ms", [SUPER, B2], ids=["1+1", "2+0"])
+@pytest.mark.parametrize("kind", ["poly", "expa", "qspectral", "qspectral_shifted",
+                                  "shift_pair", "tree"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compiled_equals_the_tree_walk(ms, kind, data):
+    op = _compile_cases(ms)[kind]
+    compiled = Compiled(op)
+    assert compiled.max_raise() == op.max_raise()
+    assert (compiled.as_weyl() is None) == (op.as_weyl() is None)
+    vec = data.draw(_vectors(ms))
+    expected = op.apply(vec)
+    assert compiled.apply(vec) == expected
+    assert compiled.apply(vec) == expected
+    for key in vec.terms:
+        unit = FockVector(ms, {key: ONE})
+        assert compiled.apply(unit) == op.apply(unit)
+
+
+def test_compiled_images_survive_their_consumers():
+    # a unit state's image is the cached column itself, so every consumer
+    # must build a new vector instead of writing into it
+    ahat, bhat = shift_pair(SUPER, 1, rat(1, 2))
+    op = Compiled(bhat * ahat + Poly(WeylElement.theta(SUPER) * WeylElement.dtheta(SUPER)))
+    unit = FockVector.state(SUPER, (3,), (1,))
+    image = op.apply(unit)
+    assert len(image.terms) > 1
+    before = FockVector(SUPER, dict(image.terms))
+    assert op.apply(unit).terms is image.terms
+    other = FockVector.state(SUPER, (2,), (1,), coeff=3)
+    results = [image + image, other + image, image - other, other - image,
+               image.scale(rat(5, 7)), Sum([op, op.scale(2)]).apply(unit),
+               Sum([op, op]).apply(image)]
+    assert all(not r.is_zero() for r in results)
+    assert op.apply(unit) == before

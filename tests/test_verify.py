@@ -5,7 +5,7 @@ import pytest
 
 from fockrep import verify
 from fockrep.catalogue import build
-from fockrep.fock import Poly
+from fockrep.fock import Compiled, Poly
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, ONE, SQRT2, ZERO, Scalar, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
@@ -293,3 +293,30 @@ def test_structure_constants_graded_antisymmetry():
             sign = ONE if sc.parities[i] and sc.parities[j] else Scalar(-1)
             expected = {k: v * sign for k, v in sc.table[(i, j)].items()}
             assert sc.table[(j, i)] == expected
+
+
+def test_full_verify_leaves_the_callers_generators_alone():
+    rep = build("sl2q", {"alpha": 1, "q": 2, "delta": rat(1, 3)})
+    before = dict(rep.generators)
+    assert full_verify(rep).passed
+    assert list(rep.generators) == list(before)
+    assert all(rep.generators[name] is g for name, g in before.items())
+    assert not any(isinstance(g, Compiled) for g in rep.generators.values())
+    compiled = rep.compiled()
+    assert all(isinstance(g, Compiled) for g in compiled.generators.values())
+    again = compiled.compiled()
+    assert all(again.generators[name] is g for name, g in compiled.generators.items())
+
+
+@pytest.mark.parametrize("rep_id, params", [
+    ("sl2q", {"alpha": 1, "q": 2, "delta": rat(1, 3)}),
+    ("osp22_translated", {"n": 2, "delta": rat(1, 2)}),
+    ("sl3_translated", {"n": 2, "delta1": 1, "delta2": rat(1, 2)}),
+])
+def test_checks_agree_on_compiled_generators(rep_id, params):
+    rep = build(rep_id, params)
+    compiled = rep.compiled()
+    assert check_relations(compiled) == check_relations(rep)
+    assert closure(compiled) == closure(rep)
+    assert casimir_check(compiled) == casimir_check(rep)
+    assert invariant_subspace(compiled) == invariant_subspace(rep)
