@@ -16,7 +16,7 @@ from .fock import to_matrix
 from .qheis import QDomainError
 from .realize import RealizeError, cross_check, poly_to_matrix, realize_generators
 from .scalars import Scalar, rat
-from .verify import BURNSIDE_DIM_CAP, casimir_check, full_verify
+from .verify import casimir_check, full_verify
 
 
 class UsageError(Exception):
@@ -95,8 +95,7 @@ def _report_lines(report):
 
 def cmd_verify(args) -> int:
     rep = build(args.rep, parse_params(args.params))
-    report = full_verify(rep, args.cutoff,
-                         burnside_cap=None if args.deep else BURNSIDE_DIM_CAP)
+    report = full_verify(rep, args.cutoff)
     if args.format == "json":
         _emit(report.to_json(), args)
     else:
@@ -168,13 +167,9 @@ def cmd_casimir(args) -> int:
 def cmd_report_all(args) -> int:
     from .grids import acceptance_grid
 
-    reports = []
-    all_pass = True
-    for rep_id, params in acceptance_grid(small=args.grid == "small"):
-        rep = build(rep_id, params)
-        report = full_verify(rep)
-        reports.append(report)
-        all_pass = all_pass and report.passed
+    reports = [full_verify(build(rep_id, params))
+               for rep_id, params in acceptance_grid(small=args.grid == "small")]
+    all_pass = all(r.passed for r in reports)
     if args.format == "json":
         _emit([r.to_json() for r in reports], args)
     else:
@@ -224,8 +219,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every applicable check for one family")
     p.add_argument("rep")
     common(p)
-    p.add_argument("--deep", action="store_true",
-                   help="run the irreducibility span on large spaces too")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("matrix", help="emit one generator's exact matrix")

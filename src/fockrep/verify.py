@@ -476,26 +476,29 @@ def restricted_matrix(rep: RepSpec, gen_name: str):
 
 
 def burnside_irreducibility(rep: RepSpec):
-    """Span the generated unital matrix algebra; irreducible iff dim = d^2.
+    """Irreducible iff the generated unital algebra has dimension d^2.
 
-    The proof is asymmetric.  "irreducible" is certified by a rank mod the
-    prime p = 2^61 - 1: the closure of {I, g_1, ..., g_m} under right
-    multiplication by the g_i is run on the generators reduced into F_p
-    (sqrt2 sent to a square root of 2 mod p).  If that span reaches d^2,
-    some d^2 words have a d^2 x d^2 minor that is nonzero mod p, so the
-    minor of the exact words is nonzero in Q(sqrt2), and the algebra is
-    all of M_d.  If p divides a denominator, or the span mod p stays below
-    d^2 (the algebra is smaller, or p is unlucky), the same closure runs
-    over Q(sqrt2) exactly: "reducible" and every algebra dimension below
-    d^2 come only from that exact span.  Both are exact; the F_p path is
-    fast because its coefficients do not grow.  The work is still about
-    d^4 per word, which is why full_verify applies BURNSIDE_DIM_CAP.
+    "irreducible" is Norton's spin certificate (the MeatAxe criterion) mod
+    p = 2^61 - 1, sqrt2 sent to a square root of 2.  theta = g - lam I for
+    the first generator g triangular on the basis with a diagonal value lam
+    occurring once mod p, so once over Q(sqrt2): theta has nullity 1 over
+    the algebraic closure.  Every claimed family has such a g: J0 or T0 is
+    triangular and the vacuum's value occurs once.  If theta's kernel vector
+    spins to the space under the generators and theta^T's to the dual under
+    their transposes, the space is absolutely irreducible, so by Burnside
+    the algebra has dimension d^2; a full spin mod p is a full exact spin.
+    Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
+    every dimension below d^2 come only from that span.
     """
     if rep.invariant_space is None:
         return None, CheckResult("irreducibility", "PASS", "no claim")
-    d = len(rep.invariant_space.basis(rep.modes))
-    mats = [restricted_matrix(rep, name) for name in rep.generators]
-    algebra_dim = d * d if _spans_mod_p(mats, d) else _exact_algebra_dim(mats, d)
+    keys = rep.invariant_space.basis(rep.modes)
+    d = len(keys)
+    if _norton_certifies(rep, keys):
+        algebra_dim = d * d
+    else:
+        mats = [restricted_matrix(rep, name) for name in rep.generators]
+        algebra_dim = _exact_algebra_dim(mats, d)
     irreducible = algebra_dim == d * d
     verdict = "irreducible" if irreducible else "reducible"
     detail = "%s: algebra dimension %d on a %d-dimensional space" % (
@@ -511,49 +514,59 @@ def burnside_irreducibility(rep: RepSpec):
                                                witness)
 
 
-def _spans_mod_p(mats, d) -> bool:
-    """True when the words in the generators reduced mod p span d^2 matrices."""
-    gens = []  # per generator: row index -> {column: entry}
-    for mat in mats:
-        rows = {}
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if x:
-                    r = reduce_mod_p(x)
-                    if r is None:
-                        return False
-                    if r:
-                        rows.setdefault(i, {})[j] = r
-        gens.append(rows)
+def _norton_certifies(rep: RepSpec, keys) -> bool:
+    """True when a Norton spin certificate mod p proves irreducibility."""
+    index = {key: i for i, key in enumerate(keys)}
+    cols = [[{} for _ in keys] for _ in rep.generators]  # column j: {i: g_ij mod p}
+    rows = [[{} for _ in keys] for _ in rep.generators]  # row i: {j: g_ij mod p}
+    for g, g_cols, g_rows in zip(rep.generators.values(), cols, rows):
+        for j, key in enumerate(keys):
+            for skey, c in g.apply(FockVector(rep.modes, {key: ONE})).terms.items():
+                r = reduce_mod_p(c)
+                if r is None:
+                    return False
+                g_cols[j][index[skey]] = g_rows[index[skey]][j] = r
+    for g_cols, g_rows in zip(cols, rows):
+        # triangular on the exact support: an entry may vanish mod p
+        upper = all(i <= j for j, col in enumerate(g_cols) for i in col)
+        if not upper and not all(i >= j for j, col in enumerate(g_cols) for i in col):
+            continue
+        diag = [col.get(j, 0) for j, col in enumerate(g_cols)]
+        k = next((k for k, lam in enumerate(diag) if diag.count(lam) == 1), None)
+        if k is not None:
+            down, up = range(k - 1, -1, -1), range(k + 1, len(keys))
+            v = _kernel_vector(g_rows, diag, k, down if upper else up)
+            w = _kernel_vector(g_cols, diag, k, up if upper else down)
+            return _spins(v, cols) and _spins(w, rows)
+    return False
 
-    # words are flat dicts i*d + j -> entry, so keys order like (i, j)
-    def times(word, g):
-        out = {}
-        for key, a in word.items():
-            i, k = divmod(key, d)
-            base = i * d
-            for j, b in g.get(k, {}).items():
-                out[base + j] = out.get(base + j, 0) + a * b
-        return {key: v % MOD_P for key, v in out.items() if v % MOD_P}
 
+def _kernel_vector(rows, diag, k, order) -> dict:
+    """Kernel vector, 1 at k, of triangular g - diag[k] I mod p, g by rows."""
+    v = {k: 1}
+    for i in order:
+        s = sum(c * v[j] for j, c in rows[i].items() if j in v) % MOD_P
+        if s:
+            v[i] = -s * pow(diag[i] - diag[k], -1, MOD_P) % MOD_P
+    return v
+
+
+def _spins(v: dict, mats) -> bool:
+    """True when v spins to F_p^d under mats, each a list of d sparse columns."""
+    d = len(mats[0])
     span = ModPSpan()
-    full = d * d
-    frontier = []
-    identity = {i * d + i: 1 for i in range(d)}
-    for word in [identity] + [times(identity, g) for g in gens]:
-        if span.insert(word):
-            frontier.append(word)
-    while frontier and span.dim < full:
-        new = []
-        for word in frontier:
-            for g in gens:
-                prod = times(word, g)
-                if span.insert(prod):
-                    new.append(prod)
-                    if span.dim == full:
-                        return True
-        frontier = new
-    return span.dim == full
+    span.insert(v)
+    stack = [v]
+    while stack and span.dim < d:
+        u = stack.pop()
+        for cols in mats:
+            image = {}
+            for j, x in u.items():
+                for i, c in cols[j].items():
+                    image[i] = (image.get(i, 0) + x * c) % MOD_P
+            if span.insert(image):
+                stack.append(image)
+    return span.dim == d
 
 
 def _exact_algebra_dim(mats, d) -> int:
@@ -627,14 +640,7 @@ def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
 # -- orchestration ------------------------------------------------------------------------
 
 
-# Burnside spans a d^2-dimensional matrix algebra; beyond this dimension the
-# orchestrator leaves irreducibility to an explicit burnside_irreducibility
-# call (CLI --deep) instead of stalling every grid run.
-BURNSIDE_DIM_CAP = 12
-
-
-def full_verify(rep: RepSpec, cutoff: int = None,
-                burnside_cap: int = BURNSIDE_DIM_CAP) -> VerificationReport:
+def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     start = time.monotonic()
     rep = rep.compiled()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
@@ -665,11 +671,10 @@ def full_verify(rep: RepSpec, cutoff: int = None,
     report.checks.extend(casimir_results)
     if casimir_claim is not None:
         report.alt_forms.append(casimir_claim)
-    dim, inv_result = invariant_subspace(rep)
+    _, inv_result = invariant_subspace(rep)
     report.checks.append(inv_result)
     if rep.invariant_space is not None and inv_result.passed \
-            and rep.claims.irreducible is not None \
-            and (burnside_cap is None or dim <= burnside_cap):
+            and rep.claims.irreducible is not None:
         _, burn = burnside_irreducibility(rep)
         report.checks.append(burn)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)

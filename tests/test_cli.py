@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -178,6 +179,14 @@ def test_report_all_small(capsys):
     assert code == 0
     assert "all PASS" in out
     assert len([l for l in out.splitlines() if l.startswith("PASS")]) == 16
+
+
+def test_report_all_small_json_is_pinned(capsys):
+    # byte-identity oracle: any change to what a report says shows here
+    code, out, _ = run(capsys, "report-all", "--grid", "small", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "88dc6f8dc3e995ba8a44efeb45cccbefb7452ff993ece1543b3042dd1b797c46")
 
 
 def test_unavailable_realization_exits_two(capsys):

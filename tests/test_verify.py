@@ -4,8 +4,8 @@ import json
 import pytest
 
 from fockrep import verify
-from fockrep.catalogue import build
-from fockrep.fock import Compiled, Poly
+from fockrep.catalogue import Claims, InvariantSpace, RepSpec, build
+from fockrep.fock import Compiled, FockVector, Poly
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, ONE, SQRT2, ZERO, Scalar, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
@@ -13,7 +13,7 @@ from fockrep.verify import (burnside_irreducibility, casimir_check,
                             closure_symbolic, full_verify, invariant_subspace,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
-from fockrep.weyl import WeylElement
+from fockrep.weyl import ModeSystem, WeylElement
 
 
 def _index(sc, name):
@@ -171,16 +171,80 @@ def exact_spans(monkeypatch):
     return opened
 
 
+# every grid space above dimension 12, then the stress instances
+LARGE_SPACES = (
+    [("glk", {"k": 3, "n": n}, d) for n, d in [(4, 15), (5, 21)]]
+    + [("gl_super", {"k": 2, "r": 1, "n": n}, d) for n, d in [(3, 16), (4, 25), (5, 36)]]
+    + [("gl_super", {"k": 2, "r": 2, "n": n}, d)
+       for n, d in [(2, 13), (3, 25), (4, 41), (5, 61)]]
+    + [("gl_super", {"k": 3, "r": 2, "n": n}, d)
+       for n, d in [(2, 19), (3, 44), (4, 85), (5, 146)]]
+    + [("sl2_translated", {"n": 10, "delta": rat(1, 2)}, 11),
+       ("sl2q", {"alpha": 10, "q": rat(3, 5), "delta": 1}, 11),
+       ("gl_super", {"k": 3, "r": 3, "n": 3}, 63)])
+
+
 def test_burnside_examples(exact_spans):
     verdict, result = burnside_irreducibility(build("sl2_standard", {"n": 2}))
     assert verdict == ("irreducible", 9) and result.passed
     verdict, result = burnside_irreducibility(build("glk", {"k": 2, "n": 1}))
     assert verdict == ("irreducible", 4) and result.passed
-    assert not exact_spans  # both certified mod p
+    for rep_id, params, d in LARGE_SPACES:
+        verdict, result = burnside_irreducibility(build(rep_id, params))
+        assert verdict == ("irreducible", d * d) and result.passed, (rep_id, params)
+    assert not exact_spans  # all certified mod p
     # "reducible" comes only from the exact span
     verdict, result = burnside_irreducibility(build("sl2_vector_field", {}))
     assert verdict == ("reducible", 5) and result.passed and exact_spans
     assert result.detail == "reducible: algebra dimension 5 on a 3-dimensional space"
+
+
+def test_full_verify_checks_irreducibility_on_large_spaces():
+    report = full_verify(build("glk", {"k": 3, "n": 4}))
+    burnside = report.check("irreducibility")
+    assert report.passed and burnside is not None and burnside.passed
+    assert burnside.detail == "irreducible: algebra dimension 225 on a 15-dimensional space"
+
+
+def _two_state_rep(**gens):
+    """Generators given as Weyl polynomials in one mode, on span(|0>, b|0>)."""
+    modes = ModeSystem(1, 0)
+    space = InvariantSpace(lambda alpha, beta: True, 1, 2, "span(|0>, b|0>)")
+    return RepSpec("two_state", {}, {name: Poly(w(WeylElement.a(modes),
+                                                   WeylElement.b(modes)))
+                                     for name, w in gens.items()},
+                   invariant_space=space, claims=Claims(irreducible=False))
+
+
+@pytest.mark.parametrize("gens, algebra_dim", [
+    # N = diag(0, 1) and X|0> = b|0>: |0> spins to the space, but no
+    # generator has a |0> component in any image, so the dual spin of <0|
+    # stays 1-dimensional; the invariant line is b|0>
+    ({"N": lambda a, b: b * a, "X": lambda a, b: b - b * b * a}, 3),
+    # not triangular, diagonal (1, 0); it fixes the line |0> + b|0>
+    ({"M": lambda a, b: 1 - b * a + 2 * b - 2 * b * b * a + a}, 2),
+    # D vanishes on the space, its diagonal value 0 occurs twice; the swap
+    # X fixes the line |0> + b|0>
+    ({"D": lambda a, b: a * a, "X": lambda a, b: a + b - b * b * a}, 2),
+    # T is upper triangular with diagonal (0, 1); the dual kernel vector is
+    # <0| - <1|, which X maps to its negative; T and X fix |0> + b|0>
+    ({"T": lambda a, b: a + b * a, "X": lambda a, b: a + b - b * b * a}, 3),
+])
+def test_burnside_certificate_conditions_are_load_bearing(exact_spans, gens, algebra_dim):
+    rep = _two_state_rep(**gens)
+    verdict, result = burnside_irreducibility(rep)
+    assert verdict == ("reducible", algebra_dim) and result.passed and exact_spans
+
+
+def test_burnside_dual_spin_is_needed():
+    rep = _two_state_rep(N=lambda a, b: b * a, X=lambda a, b: b - b * b * a)
+    vacuum = FockVector.vacuum(rep.modes)
+    one = FockVector.state(rep.modes, (1,))
+    assert rep.generators["N"].apply(vacuum).is_zero()  # N - 0 I has kernel |0>
+    assert rep.generators["X"].apply(vacuum) == one  # the forward spin is full
+    for g in rep.generators.values():  # the dual spin of <0| is not
+        for v in (vacuum, one):
+            assert vacuum.terms.keys().isdisjoint(g.apply(v).terms)
 
 
 def test_burnside_certificate_with_sqrt2_entries(exact_spans):
