@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
-                   QSpectral, Scale, Sum, basis_states, identity_op)
-from .qheis import q_alpha_hat, q_number, q_pair
+                   Scale, Sum, basis_states, identity_op)
+from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import ONE, Rational, Scalar, rat
 from .weyl import ModeSystem, WeylElement
 
@@ -799,11 +799,8 @@ def _build_sl2q(params):
         # the displayed transformed lowering operator carries a 1/(b+delta)
         # prefactor; equal to the normative one via (b+d)^-1 e^{da} = e^{da} b^-1
         d = Scalar(delta)
-        qpart = Scale(Scalar(q - 1).inverse(),
-                      Sum([QSpectral(modes, 1, q, delta),
-                           Scale(Scalar(-1), identity_op(modes))]))
-        alt.append(AltForm("J-", Product([LeftDivB(modes, 1, d),
-                                          ExpA(modes, 1, d), qpart])))
+        alt.append(AltForm("J-", Product([LeftDivB(modes, 1, d), ExpA(modes, 1, d),
+                                          q_number_op(modes, 1, q, delta)])))
     return RepSpec(
         "sl2q", params, gens, relations,
         casimir=casimir, invariant_space=inv,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .scalars import ONE, ZERO, Rational, Scalar
-from .weyl import ModeSystem, WeylElement, _mask_to_list
+from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
 
 
 class NotLeftDivisible(ValueError):
@@ -58,12 +58,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            cur = terms.get(key)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            accumulate(terms, key, c)
         return FockVector(self.modes, terms)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -104,16 +99,6 @@ class FockVector:
         return out
 
     __repr__ = __str__
-
-
-def accumulate(out: dict, key, c):
-    """out[key] += c, dropping the key when the sum is zero."""
-    cur = out.get(key)
-    s = c if cur is None else cur + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def state_degree(key) -> int:
@@ -297,13 +282,7 @@ class Poly(OperatorExpr):
                     c = c * factor
                 if sign < 0:
                     c = -c
-                key = (new_alpha, bmask)
-                cur = out.get(key)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (new_alpha, bmask), c)
         return FockVector(vec.modes, out)
 
 
@@ -333,13 +312,7 @@ class ExpA(OperatorExpr):
             k = alpha[i]
             for j in range(k + 1):
                 coeff = c * self._pow(j) * comb(k, j) if j else c
-                key = (alpha[:i] + (k - j,) + alpha[i + 1:], beta)
-                cur = out.get(key)
-                s = coeff if cur is None else cur + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (alpha[:i] + (k - j,) + alpha[i + 1:], beta), coeff)
         return FockVector(vec.modes, out)
 
 
@@ -566,41 +539,11 @@ class Compiled(OperatorExpr):
         out: dict = {}
         for key, c in terms.items():
             for skey, d in self._column(key).items():
-                v = d * c
-                cur = out.get(skey)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    out.pop(skey, None)
-                else:
-                    out[skey] = s
+                accumulate(out, skey, d * c)
         return FockVector(vec.modes, out)
 
 
 # -- falling-factorial transform ----------------------------------------------
-
-
-def to_falling_basis(vec: FockVector, mode: int, delta) -> FockVector:
-    """Coordinates w.r.t. p_k = b(b-d)...(b-(k-1)d)|0> in the given mode.
-
-    The returned vector stores the coordinate of p_k in the slot of b^k.
-    """
-    delta = Rational(delta)
-    if delta == 0:
-        raise ValueError("falling-factorial basis needs delta != 0")
-    return _map_mode_coeff_lists(vec, mode - 1,
-                                 lambda coeffs: _monomial_to_newton(coeffs, delta))
-
-
-def from_falling_basis(vec: FockVector, mode: int, delta) -> FockVector:
-    delta = Rational(delta)
-    if delta == 0:
-        raise ValueError("falling-factorial basis needs delta != 0")
-    i = mode - 1
-
-    def expand(coeffs):
-        return _newton_to_monomial(coeffs, delta)
-
-    return _map_mode_coeff_lists(vec, i, expand)
 
 
 def _monomial_to_newton(coeffs, delta):
@@ -662,16 +605,7 @@ def _map_mode_coeff_lists(vec: FockVector, i: int, func) -> FockVector:
         coeffs = [by_k.get(k, ZERO) for k in range(K + 1)]
         new_coeffs = func(coeffs)
         for k, c in enumerate(new_coeffs):
-            if c.is_zero():
-                continue
-            alpha = rest_alpha[:i] + (k,) + rest_alpha[i:]
-            key = (alpha, beta)
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (rest_alpha[:i] + (k,) + rest_alpha[i:], beta), c)
     return FockVector(vec.modes, out)
 
 
@@ -734,25 +668,6 @@ def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
             overflow.append(j)
         cols.append(col)
     return MatrixRep(cutoff, op.modes, basis, cols, overflow, name, op.max_raise())
-
-
-def matmul(x: MatrixRep, y: MatrixRep) -> MatrixRep:
-    assert x.basis == y.basis
-    cols = []
-    for j in range(y.dim):
-        col: dict = {}
-        for k, c in y.cols[j].items():
-            for i, d in x.cols[k].items():
-                cur = col.get(i)
-                s = d * c if cur is None else cur + d * c
-                if s.is_zero():
-                    col.pop(i, None)
-                else:
-                    col[i] = s
-        cols.append(col)
-    overflow = sorted(set(x.overflow_columns) | set(y.overflow_columns))
-    return MatrixRep(x.cutoff, x.modes, x.basis, cols, overflow,
-                     max_raise=x.max_raise + y.max_raise)
 
 
 # -- identity checking -------------------------------------------------------------

@@ -10,6 +10,7 @@ means an identity, not a tolerance.
 from __future__ import annotations
 
 from .scalars import MOD_P, ONE, ZERO, Scalar
+from .weyl import accumulate
 
 
 def vec_sub_scaled(vec: dict, row: dict, coeff: Scalar) -> dict:
@@ -81,12 +82,7 @@ class EchelonSpan:
             lam = vec[k]
             vec = vec_sub_scaled(vec, rvec, lam)
             for i, c in rcombo.items():
-                cur = coeffs.get(i)
-                s = lam * c if cur is None else cur + lam * c
-                if s.is_zero():
-                    coeffs.pop(i, None)
-                else:
-                    coeffs[i] = s
+                accumulate(coeffs, i, lam * c)
         return coeffs, {}
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .fock import ExpA, LeftDivB, Poly, Product, QSpectral, Scale, Sum, identity_op
 from .scalars import Rational, Scalar, rat
-from .weyl import ModeSystem, WeylElement
+from .weyl import ModeSystem, WeylElement, accumulate
 
 
 class QDomainError(ValueError):
@@ -114,11 +114,7 @@ class QWeylElement:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, Scalar(0)) + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            accumulate(terms, key, c)
         return QWeylElement(self.q, terms)
 
     def __sub__(self, other):
@@ -179,18 +175,19 @@ def q_multiply(x: QWeylElement, y: QWeylElement) -> QWeylElement:
         for (k2, m2), c2 in y.terms.items():
             base = c1 * c2
             for (j, l), w in _reorder(m1, k2, x.q):
-                key = (k1 + j, l + m2)
-                cur = terms.get(key)
-                add = base * Scalar(w)
-                s = add if cur is None else cur + add
-                if s.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                accumulate(terms, (k1 + j, l + m2), base * Scalar(w))
     return QWeylElement(x.q, terms)
 
 
 # -- Fock-space embeddings ---------------------------------------------------------
+
+
+def q_number_op(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
+    """{N}_q = (q^N - 1)/(q - 1) for the number operator N of the pair in
+    `mode`, shift-transformed when delta != 0 (see fock.QSpectral)."""
+    q = rat(q)
+    return Scale(Scalar(q - 1).inverse(), Sum([QSpectral(modes, mode, q, delta),
+                                               Scale(Scalar(-1), identity_op(modes))]))
 
 
 def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
@@ -200,11 +197,8 @@ def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
     first applies the shift transform, acting through the delta
     falling-factorial eigenbasis.
     """
-    q = rat(q)
     delta = rat(delta)
-    qinv = Scalar(q - 1).inverse()
-    qpart = Scale(qinv, Sum([QSpectral(modes, mode, q, delta),
-                             Scale(Scalar(-1), identity_op(modes))]))
+    qpart = q_number_op(modes, mode, q, delta)
     if delta == 0:
         atilde = Product([LeftDivB(modes, mode), qpart])
         btilde = Poly(WeylElement.b(modes, mode))

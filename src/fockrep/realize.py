@@ -20,10 +20,11 @@ from math import comb
 from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family,
                         glk_family, sl2q_triple, sl3_octet)
 from .fock import (FockVector, LeftDivB, MatrixRep, OperatorExpr, Poly, Product,
-                   QSpectral, Scale, Sum, accumulate, identity_op, to_matrix)
+                   Scale, Sum, identity_op, to_matrix)
+from .qheis import q_number_op
 from .scalars import ONE, Scalar, rat
 from .verify import CheckResult, AltFormResult
-from .weyl import ModeSystem, WeylElement, _mask_to_list
+from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
 
 
 class RealizeError(ValueError):
@@ -224,13 +225,6 @@ class CliffordMatrices:
     @staticmethod
     def identity(r: int) -> dict:
         return {(s, s): ONE for s in range(1 << r)}
-
-    @staticmethod
-    def anticommutator(x: dict, y: dict) -> dict:
-        out = dict(CliffordMatrices.matmul(x, y))
-        for k, v in CliffordMatrices.matmul(y, x).items():
-            accumulate(out, k, v)
-        return out
 
 
 class Cliff(OperatorExpr):
@@ -509,10 +503,8 @@ def q_pair_fd(q, delta):
     """The displayed transformed q-pair in finite-difference form:
     atil = (x + d)^{-1} (1 + d D+) (q^{x D-} - 1)/(q - 1), btil = x(1 - d D-)."""
     modes = ModeSystem(1, 0)
-    q = rat(q)
     d = Scalar(rat(delta))
-    one = identity_op(modes)
     a, btil = fd_pair(modes, 1, d)
-    atil = (LeftDivB(modes, 1, d) * (a.scale(d) + one)
-            * (QSpectral(modes, 1, q, rat(delta)) - one).scale(Scalar(q - 1).inverse()))
+    atil = (LeftDivB(modes, 1, d) * (a.scale(d) + identity_op(modes))
+            * q_number_op(modes, 1, q, delta))
     return atil, btil

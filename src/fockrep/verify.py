@@ -16,7 +16,7 @@ from .catalogue import RepSpec
 from .fock import FockVector, basis_states, check_identity
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, ONE, ZERO, Scalar, reduce_mod_p
-from .weyl import WeylElement, commutator as w_comm, anticommutator as w_acomm
+from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
 
 
 @dataclass
@@ -141,21 +141,11 @@ def check_relations_symbolic(rep: RepSpec) -> CheckResult:
         return CheckResult("relations_symbolic", "PASS", "skipped: extended generators")
     failures = []
     for rel in rep.relations:
-        diff = _word_weyl(rep, rel.lhs) - _word_weyl(rep, rel.rhs)
+        diff = rep.word_expr(rel.lhs).as_weyl() - rep.word_expr(rel.rhs).as_weyl()
         if not diff.is_zero():
             failures.append("%s: residual %s" % (rel.name, diff))
     return CheckResult("relations_symbolic", "FAIL" if failures else "PASS",
                        "%d relations" % len(rep.relations), "; ".join(failures))
-
-
-def _word_weyl(rep: RepSpec, terms) -> WeylElement:
-    total = WeylElement.zero(rep.modes)
-    for coeff, names in terms:
-        factor = WeylElement.one(rep.modes)
-        for g in names:
-            factor = factor * rep.generators[g].as_weyl()
-        total = total + factor.scale(coeff)
-    return total
 
 
 # -- closure and structure constants ----------------------------------------------
@@ -317,16 +307,8 @@ def jacobi(sc: StructureConstants) -> CheckResult:
         for mid, cij in inner.items():
             outer = sc.table.get((mid, k), {})
             for l, cml in outer.items():
-                key = l
                 val = cij * cml
-                if sign < 0:
-                    val = -val
-                cur = acc.get(key)
-                s = val if cur is None else cur + val
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                accumulate(acc, l, val if sign > 0 else -val)
 
     for i in range(m):
         for j in range(m):
@@ -434,22 +416,39 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
 # -- invariant subspace ---------------------------------------------------------------
 
 
+def _space_columns(rep: RepSpec, names):
+    """Each named generator on the invariant-space basis, by basis position.
+
+    Returns (keys, cols, escape): cols[n][j] = {i: c} is the image of basis
+    state j under names[n], and escape is "" or the witness for the first
+    component that leaves the space, where the columns stop.
+    """
+    keys = rep.invariant_space.basis(rep.modes)
+    index = {key: i for i, key in enumerate(keys)}
+    cols = []
+    for name in names:
+        g = rep.generator(name)
+        g_cols = []
+        for key in keys:
+            col = {}
+            for skey, c in g.apply(FockVector(rep.modes, {key: ONE})).terms.items():
+                i = index.get(skey)
+                if i is None:
+                    return keys, cols, "%s maps %s outside the space (component %s)" % (
+                        name, _state_name(key, rep.modes), _state_name(skey, rep.modes))
+                col[i] = c
+            g_cols.append(col)
+        cols.append(g_cols)
+    return keys, cols, ""
+
+
 def invariant_subspace(rep: RepSpec):
     if rep.invariant_space is None:
         return None, CheckResult("invariant_subspace", "PASS", "no claim")
     space = rep.invariant_space
-    keys = space.basis(rep.modes)
-    inside = set(keys)
-    for name, g in rep.generators.items():
-        for key in keys:
-            image = g.apply(FockVector(rep.modes, {key: ONE}))
-            for skey in image.terms:
-                if skey not in inside:
-                    return None, CheckResult(
-                        "invariant_subspace", "FAIL", space.description,
-                        "%s maps %s outside the space (component %s)"
-                        % (name, _state_name(key, rep.modes),
-                           _state_name(skey, rep.modes)))
+    keys, _, escape = _space_columns(rep, rep.generators)
+    if escape:
+        return None, CheckResult("invariant_subspace", "FAIL", space.description, escape)
     dim = len(keys)
     status = "PASS" if dim == space.expected_dim else "FAIL"
     detail = "dimension %d (expected %d): %s" % (dim, space.expected_dim,
@@ -459,16 +458,17 @@ def invariant_subspace(rep: RepSpec):
 
 def restricted_matrix(rep: RepSpec, gen_name: str):
     """Dense matrix of one generator on the invariant-space basis."""
-    space = rep.invariant_space
-    keys = space.basis(rep.modes)
-    index = {key: idx for idx, key in enumerate(keys)}
-    d = len(keys)
+    keys, cols, escape = _space_columns(rep, [gen_name])
+    if escape:
+        raise ValueError(escape)
+    return _dense(cols[0], len(keys))
+
+
+def _dense(cols, d):
     mat = [[ZERO] * d for _ in range(d)]
-    g = rep.generator(gen_name)
-    for j, key in enumerate(keys):
-        image = g.apply(FockVector(rep.modes, {key: ONE}))
-        for skey, c in image.terms.items():
-            mat[index[skey]][j] = c
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            mat[i][j] = c
     return mat
 
 
@@ -492,13 +492,14 @@ def burnside_irreducibility(rep: RepSpec):
     """
     if rep.invariant_space is None:
         return None, CheckResult("irreducibility", "PASS", "no claim")
-    keys = rep.invariant_space.basis(rep.modes)
+    keys, cols, escape = _space_columns(rep, rep.generators)
+    if escape:
+        raise ValueError(escape)
     d = len(keys)
-    if _norton_certifies(rep, keys):
+    if _norton_certifies(cols, d):
         algebra_dim = d * d
     else:
-        mats = [restricted_matrix(rep, name) for name in rep.generators]
-        algebra_dim = _exact_algebra_dim(mats, d)
+        algebra_dim = _exact_algebra_dim([_dense(g_cols, d) for g_cols in cols], d)
     irreducible = algebra_dim == d * d
     verdict = "irreducible" if irreducible else "reducible"
     detail = "%s: algebra dimension %d on a %d-dimensional space" % (
@@ -514,18 +515,18 @@ def burnside_irreducibility(rep: RepSpec):
                                                witness)
 
 
-def _norton_certifies(rep: RepSpec, keys) -> bool:
-    """True when a Norton spin certificate mod p proves irreducibility."""
-    index = {key: i for i, key in enumerate(keys)}
-    cols = [[{} for _ in keys] for _ in rep.generators]  # column j: {i: g_ij mod p}
-    rows = [[{} for _ in keys] for _ in rep.generators]  # row i: {j: g_ij mod p}
-    for g, g_cols, g_rows in zip(rep.generators.values(), cols, rows):
-        for j, key in enumerate(keys):
-            for skey, c in g.apply(FockVector(rep.modes, {key: ONE})).terms.items():
+def _norton_certifies(exact_cols, d) -> bool:
+    """True when a Norton spin certificate mod p proves irreducibility of
+    the generators given by their exact sparse columns on a d-space."""
+    cols = [[{} for _ in range(d)] for _ in exact_cols]  # column j: {i: g_ij mod p}
+    rows = [[{} for _ in range(d)] for _ in exact_cols]  # row i: {j: g_ij mod p}
+    for g_exact, g_cols, g_rows in zip(exact_cols, cols, rows):
+        for j, col in enumerate(g_exact):
+            for i, c in col.items():
                 r = reduce_mod_p(c)
                 if r is None:
                     return False
-                g_cols[j][index[skey]] = g_rows[index[skey]][j] = r
+                g_cols[j][i] = g_rows[i][j] = r
     for g_cols, g_rows in zip(cols, rows):
         # triangular on the exact support: an entry may vanish mod p
         upper = all(i <= j for j, col in enumerate(g_cols) for i in col)
@@ -534,7 +535,7 @@ def _norton_certifies(rep: RepSpec, keys) -> bool:
         diag = [col.get(j, 0) for j, col in enumerate(g_cols)]
         k = next((k for k, lam in enumerate(diag) if diag.count(lam) == 1), None)
         if k is not None:
-            down, up = range(k - 1, -1, -1), range(k + 1, len(keys))
+            down, up = range(k - 1, -1, -1), range(k + 1, d)
             v = _kernel_vector(g_rows, diag, k, down if upper else up)
             w = _kernel_vector(g_cols, diag, k, up if upper else down)
             return _spins(v, cols) and _spins(w, rows)

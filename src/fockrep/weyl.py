@@ -129,7 +129,7 @@ class WeylElement:
         _check_modes(self, other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            _accumulate(terms, mono, c)
+            accumulate(terms, mono, c)
         return WeylElement(self.modes, terms)
 
     __radd__ = __add__
@@ -229,30 +229,6 @@ class WeylElement:
 
     __repr__ = __str__
 
-    # -- JSON -----------------------------------------------------------------
-
-    def to_json(self):
-        out = []
-        for (bp, ap, th, dth), c in self.sorted_terms():
-            out.append({
-                "b": list(bp),
-                "a": list(ap),
-                "theta": _mask_to_list(th),
-                "dtheta": _mask_to_list(dth),
-                "coeff": c.to_json(),
-            })
-        return out
-
-    @staticmethod
-    def from_json(modes: ModeSystem, data) -> "WeylElement":
-        terms: dict = {}
-        for entry in data:
-            mono = (tuple(entry["b"]), tuple(entry["a"]),
-                    _mask(entry["theta"], modes.fermionic),
-                    _mask(entry["dtheta"], modes.fermionic))
-            _accumulate(terms, mono, Scalar.from_json(entry["coeff"]))
-        return WeylElement(modes, terms)
-
 
 # -- multiplication ------------------------------------------------------------
 
@@ -271,7 +247,7 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
                 continue
             if p == 0:
                 for (th, dth), sign in ferm:
-                    _accumulate(terms, ((), (), th, dth),
+                    accumulate(terms, ((), (), th, dth),
                                 coeff if sign == 1 else -coeff)
                 continue
             # bosonic part: per-mode closed-form reordering of a1^m b2^k
@@ -288,7 +264,7 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
                 ap = tuple(ap1[i] + ap2[i] - choice[i][0] for i in range(p))
                 base = coeff if num == 1 else coeff * num
                 for (th, dth), sign in ferm:
-                    _accumulate(terms, (bp, ap, th, dth),
+                    accumulate(terms, (bp, ap, th, dth),
                                 base if sign == 1 else -base)
     return WeylElement(x.modes, terms)
 
@@ -350,51 +326,17 @@ def super_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     return commutator(x, y)
 
 
-# -- substitution ----------------------------------------------------------------
-
-
-def substitute(elem: WeylElement, images: dict):
-    """Evaluate elem with generators replaced by the given images.
-
-    images maps atoms ('b', i), ('a', i), ('th', j), ('dth', j) to ring
-    elements supporting + and *.  Atoms of each monomial are multiplied in
-    canonical word order, so non-commuting images of a single mode are
-    handled exactly.  Atoms without an image default to themselves only if
-    images provides a 'default' factory.
-    """
-    result = None
-    for (bp, ap, th, dth), c in elem.sorted_terms():
-        factors = []
-        for i in range(len(bp)):
-            factors.extend([images[("b", i + 1)]] * bp[i])
-            factors.extend([images[("a", i + 1)]] * ap[i])
-        for j in _mask_to_list(th):
-            factors.append(images[("th", j)])
-        for j in _mask_to_list(dth):
-            factors.append(images[("dth", j)])
-        term = images["one"].scale(c)
-        for f in factors:
-            term = term * f
-        result = term if result is None else result + term
-    if result is None:
-        return images["one"].scale(Scalar(0))
-    return result
-
-
 # -- helpers ------------------------------------------------------------------------
 
 
-def _accumulate(terms: dict, mono: Monomial, c: Scalar):
-    prev = terms.get(mono)
-    if prev is None:
-        if not c.is_zero():
-            terms[mono] = c
-        return
-    s = prev + c
+def accumulate(out: dict, key, c: Scalar):
+    """out[key] += c, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    s = c if cur is None else cur + c
     if s.is_zero():
-        del terms[mono]
+        out.pop(key, None)
     else:
-        terms[mono] = s
+        out[key] = s
 
 
 def _unit(p: int, i: int):

@@ -7,8 +7,8 @@ from fockrep.catalogue import shift_pair
 from fockrep.scalars import ONE, SQRT2, Scalar, rat
 from fockrep.fock import (Compiled, ExpA, FockVector, LeftDivB, NotLeftDivisible,
                           Poly, Product, QSpectral, Scale, Sum, basis_states,
-                          check_identity, from_falling_basis, identity_op,
-                          matmul, to_falling_basis, to_matrix)
+                          check_identity, identity_op, to_matrix)
+from fockrep.linalg import mat_mul
 from fockrep.weyl import ModeSystem, WeylElement
 
 B1 = ModeSystem(1, 0)
@@ -79,29 +79,38 @@ def test_expa_inverse_pairs():
 
 
 def test_falling_factorial_round_trip():
+    # at q = 1 QSpectral is the monomial -> Newton -> monomial round trip
     rng = random.Random(11)
     for delta in (rat(1), rat(1, 2), rat(-1, 3)):
+        op = QSpectral(B1, 1, 1, delta)
         for _ in range(20):
             terms = {((k,), 0): Scalar(rng.randint(-5, 5)) for k in range(7)}
             v = FockVector(B1, {k: c for k, c in terms.items() if not c.is_zero()})
-            w = from_falling_basis(to_falling_basis(v, 1, delta), 1, delta)
-            assert w == v
+            assert op.apply(v) == v
+
+
+def _falling(k, delta):
+    """p_k = b(b-d)...(b-(k-1)d)|0>, built as bhat^k |0>."""
+    _, bhat = shift_pair(B1, 1, delta)
+    return (bhat ** k).apply(FockVector.vacuum(B1))
 
 
 def test_falling_factorial_example():
-    # b^2 = p_2 + p_1 at delta = 1  (b^2 = b(b-1) + b)
-    v = to_falling_basis(b_state(2), 1, rat(1))
-    assert v == FockVector(B1, {((2,), 0): ONE, ((1,), 0): ONE})
+    # b^2 = p_2 + p_1 at delta = 1 (b^2 = b(b-1) + b), so q^N b^2 = q^2 p_2 + q p_1
+    q, delta = rat(3), rat(1)
+    got = QSpectral(B1, 1, q, delta).apply(b_state(2))
+    assert got == _falling(2, delta).scale(q ** 2) + _falling(1, delta).scale(q)
     # degree zero is fixed
-    assert to_falling_basis(FockVector.vacuum(B1), 1, rat(2)) == FockVector.vacuum(B1)
+    assert QSpectral(B1, 1, q, rat(2)).apply(FockVector.vacuum(B1)) == FockVector.vacuum(B1)
 
 
 def test_qspectral_eigenbasis():
-    q, delta = rat(3, 5), rat(1, 2)
-    op = QSpectral(B1, 1, q, delta)
-    for k in range(6):
-        pk = from_falling_basis(b_state(k), 1, delta)
-        assert op.apply(pk) == pk.scale(Scalar(q ** k))
+    q = rat(3, 5)
+    for delta in (rat(1), rat(1, 2), rat(-1, 3)):
+        op = QSpectral(B1, 1, q, delta)
+        for k in range(6):
+            pk = _falling(k, delta)
+            assert op.apply(pk) == pk.scale(Scalar(q ** k)), (delta, k)
 
 
 def test_qspectral_delta_zero():
@@ -167,15 +176,18 @@ def test_to_matrix_overflow_flagging():
 
 
 def test_matmul_matches_product_matrix():
+    # neither factor raises the degree, so the truncated matrices multiply exactly
     x = Poly(WeylElement.b(B1) * WeylElement.a(B1))
     y = Poly(WeylElement.a(B1) ** 2)
-    prod = to_matrix(Product([x, y]), 5)
-    viamul = matmul(to_matrix(x, 5), to_matrix(y, 5))
-    for j in range(prod.dim):
-        if j in viamul.overflow_columns:
-            continue
-        for i in range(prod.dim):
-            assert prod.entry(i, j) == viamul.entry(i, j)
+
+    def dense(op):
+        m = to_matrix(op, 5)
+        assert m.overflow_columns == []
+        return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
+
+    viamul = mat_mul(dense(x), dense(y))
+    assert dense(x * y) == viamul
+    assert dense(Product([x, y])) == viamul
 
 
 def test_check_identity_canonical_pair():

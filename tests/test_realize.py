@@ -9,7 +9,7 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              poly_to_matrix, q_pair_fd, realize_generators,
                              weyl_to_differential)
 from fockrep.scalars import ONE, Scalar, rat
-from fockrep.weyl import ModeSystem
+from fockrep.weyl import ModeSystem, WeylElement
 
 B1 = ModeSystem(1, 0)
 
@@ -66,20 +66,22 @@ def test_fd_pair_is_canonical():
 
 
 def test_pauli_kron_car():
+    ms = ModeSystem(0, 2)
     cl = CliffordMatrices(2)
-    ident = CliffordMatrices.identity(2)
+    a_f = [Cliff(ms, m) for m in cl.a_f]
+    b_f = [Cliff(ms, m) for m in cl.b_f]
+    one, zero = identity_op(ms), Poly(WeylElement.zero(ms))
+    # cutoff 4 covers every spinor state even for b_f b_f, which raises by 2
     for i in range(2):
         for j in range(2):
-            anti = CliffordMatrices.anticommutator(cl.a_f[i], cl.b_f[j])
-            assert anti == (ident if i == j else {}), (i, j)
-            assert CliffordMatrices.anticommutator(cl.a_f[i], cl.a_f[j]) == {}
-            assert CliffordMatrices.anticommutator(cl.b_f[i], cl.b_f[j]) == {}
+            for x, y, want in ((a_f[i], b_f[j], one if i == j else zero),
+                               (a_f[i], a_f[j], zero), (b_f[i], b_f[j], zero)):
+                report = check_identity(x * y + y * x, want, 4)
+                assert report.equal and report.tested_degree >= 2, (i, j, want)
 
 
 def test_pauli_matches_abstract_fermions():
     # the Kronecker matrices act exactly like th/dth on the graded basis
-    from fockrep.weyl import WeylElement
-
     ms = ModeSystem(0, 2)
     cl = CliffordMatrices(2)
     for j in (1, 2):

@@ -263,8 +263,9 @@ def test_burnside_falls_back_when_p_divides_a_denominator(exact_spans):
 
 
 def test_burnside_falls_back_when_p_is_unlucky(exact_spans):
-    # J+ scaled by p vanishes mod p, so the span mod p is the triangular
-    # algebra; the exact span still finds all of M_2
+    # J+ scaled by p vanishes mod p, so the vacuum's forward spin stays at
+    # dimension 1 and Norton's certificate fails; the exact span opens and
+    # still finds all of M_2
     rep = _scaled(build("sl2_standard", {"n": 1}), "J+", Scalar(MOD_P))
     verdict, result = burnside_irreducibility(rep)
     assert verdict == ("irreducible", 4) and result.passed and exact_spans

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fockrep.scalars import Scalar, rat
 from fockrep.weyl import (ModeSystem, WeylElement, anticommutator, commutator,
-                          multiply, substitute, super_bracket)
+                          multiply, super_bracket)
 
 from oracles import swap_multiply
 
@@ -203,23 +203,14 @@ def test_super_jacobi():
         assert total.is_zero(), (parities, total)
 
 
-def test_substitute_oscillator_pair():
+def test_oscillator_pair_is_canonical():
     # hatted pair (b+a)/s2, (b-a)/s2 keeps [a, b] = 1
     s2inv = Scalar.sqrt2().inverse()
     ahat = (b() + a()).scale(s2inv)
     bhat = (b() - a()).scale(s2inv)
     assert commutator(ahat, bhat) == WeylElement.one(B1)
-    images = {("a", 1): ahat, ("b", 1): bhat, "one": WeylElement.one(B1)}
-    expr = b() ** 2 * a() - b().scale(3)
-    direct = bhat * bhat * ahat - bhat.scale(3)
-    assert substitute(expr, images) == direct
 
 
 def test_str_rendering():
     expr = b() ** 2 * a() - b().scale(3)
     assert str(expr) == "3 b - b^2 a" or str(expr) == "-3 b + b^2 a"
-
-
-def test_json_round_trip():
-    x = (b() ** 2 * a() - b().scale(rat(3, 2))).scale(Scalar(1, rat(1, 2)))
-    assert WeylElement.from_json(B1, x.to_json()) == x
