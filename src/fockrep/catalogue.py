@@ -397,6 +397,13 @@ class Kit:
     dth: list
     one: object
 
+    def compiled(self) -> "Kit":
+        """A copy whose bosonic pairs are fock.Compiled, so every generator
+        of a formula over it shares each pair's image of a basis state; th,
+        dth and one stay as they are, so polynomial pairs still fold."""
+        return replace(self, a=[Compiled(x) for x in self.a],
+                       b=[Compiled(x) for x in self.b])
+
 
 def fock_kit(modes: ModeSystem, deltas=None) -> Kit:
     """The Fock pairs of `modes`; with per-mode `deltas`, the bosonic pairs

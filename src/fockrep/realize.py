@@ -329,9 +329,9 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
     """Named operators realizing the family in the requested function space.
 
     kind 'differential': generic relabeling of polynomial generators.
-    kind 'fd': the family's catalogue formula over fd_kit (deltas from the
-    rep's parameters; uniform delta for glk, gl_super and the metaplectic
-    family).
+    kind 'fd': the family's catalogue formula over the compiled fd_kit
+    (deltas from the rep's parameters; uniform delta for glk, gl_super and
+    the metaplectic family).
     kind 'jackson': the Jackson-derivative pair for the deformed family.
     """
     modes = rep.modes
@@ -342,7 +342,8 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
         return {name: weyl_to_differential(g.as_weyl(), cliff)
                 for name, g in rep.generators.items()}
     if kind == "fd":
-        return _fd_formula(rep)(fd_kit(modes, deltas or fd_deltas(rep)), rep.params)
+        kit = fd_kit(modes, deltas or fd_deltas(rep)).compiled()
+        return _fd_formula(rep)(kit, rep.params)
     if kind == "jackson":
         if rep.rep_id != "sl2q":
             raise RealizeError("the Jackson realization applies to sl2q only")
@@ -370,10 +371,11 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     The differential relabeling compares against the representation itself.
     The fd realization puts the fd pairs into the family's formula, and the
     fd pair is the coordinate image of the shift-transformed pair, so the
-    counterpart is the same formula over the shift kit with the same deltas;
-    a *_translated family built with its own deltas already is that.  The
-    Jackson pair realizes the spectral sl2q, so its counterpart is the
-    delta = 0 build whatever the rep's delta.
+    counterpart is the same formula over the shift kit with the same deltas.
+    Both kits are compiled, so each pair's image of a basis state is
+    computed once per call and shared by every generator.  The Jackson pair
+    realizes the spectral sl2q, so its counterpart is the delta = 0 build
+    whatever the rep's delta.
     """
     if kind == "differential":
         return rep
@@ -382,11 +384,8 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
             return build("sl2q", {**rep.params, "delta": rat(0)})
         return rep
     if kind == "fd":
-        formula = _fd_formula(rep)
-        if deltas is None and rep.rep_id.endswith("_translated"):
-            return rep  # the catalogue built it over the same shift kit
-        kit = fock_kit(rep.modes, deltas or fd_deltas(rep))
-        return dataclasses.replace(rep, generators=formula(kit, rep.params))
+        kit = fock_kit(rep.modes, deltas or fd_deltas(rep)).compiled()
+        return dataclasses.replace(rep, generators=_fd_formula(rep)(kit, rep.params))
     raise ValueError(kind)
 
 

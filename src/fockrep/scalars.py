@@ -34,7 +34,7 @@ class Scalar:
 
     __slots__ = ("rat", "irr")
 
-    def __init__(self, rat_part=0, irr_part=0):
+    def __init__(self, rat_part=RAT_ZERO, irr_part=RAT_ZERO):
         self.rat = rat_part if type(rat_part) is type(RAT_ZERO) else Rational(rat_part)
         self.irr = irr_part if type(irr_part) is type(RAT_ZERO) else Rational(irr_part)
 

@@ -1,13 +1,16 @@
+import re
+
 import pytest
 
-from fockrep.catalogue import FORMULAS, build
-from fockrep.fock import (FockVector, OperatorExpr, Poly, basis_states,
+from fockrep import realize
+from fockrep.catalogue import FORMULAS, build, fock_kit
+from fockrep.fock import (Compiled, FockVector, OperatorExpr, Poly, basis_states,
                           check_identity, identity_op, state_degree, to_matrix)
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
-                             check_fd_displayed, cross_check, fd_pair,
-                             poly_to_matrix, q_pair_fd, realize_generators,
-                             weyl_to_differential)
+                             abstract_counterpart, check_fd_displayed, cross_check,
+                             fd_deltas, fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
+                             realize_generators, weyl_to_differential)
 from fockrep.scalars import ONE, Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement
 
@@ -161,6 +164,82 @@ def test_fd_cross_checks():
         results = cross_check(build(rid, params), "fd", None, deltas)
         assert all(c.passed for c in results), (rid, [c.witness for c in results
                                                       if not c.passed])
+
+
+# one small instance of each family with an fd realization
+FD_FAMILIES = [
+    ("sl2_translated", {"n": 2, "delta": rat(1, 2)}),
+    ("sl2_metaplectic", {}),
+    ("sl3_translated", {"n": 1, "delta1": rat(1), "delta2": rat(-1, 3)}),
+    ("glk", {"k": 3, "n": 1}),
+    ("gl_super", {"k": 2, "r": 1, "n": 1}),
+    ("osp22_translated", {"n": 2, "delta": rat(1)}),
+]
+
+
+def _same_matrices(left: dict, right: dict, cutoff: int) -> bool:
+    assert list(left) == list(right)
+    for name in left:
+        got, want = to_matrix(left[name], cutoff), to_matrix(right[name], cutoff)
+        if got.cols != want.cols or got.overflow_columns != want.overflow_columns:
+            return False
+    return True
+
+
+def test_compiled_kits_give_the_same_matrices():
+    # Kit.compiled caches each pair's columns; the generators' matrices
+    # over it equal those over the plain kit, on both sides of the fd check
+    cutoff = 4
+    for rid, params in FD_FAMILIES:
+        rep = build(rid, params)
+        deltas = fd_deltas(rep)
+        formula = FORMULAS[rid]
+        for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
+            compiled = kit.compiled()
+            assert all(isinstance(x, Compiled) for x in compiled.a + compiled.b)
+            assert _same_matrices(formula(compiled, rep.params),
+                                  formula(kit, rep.params), cutoff), rid
+        if rid.endswith("_translated"):
+            # the counterpart is the catalogue's own formula over the same kit
+            counterpart = abstract_counterpart(rep, "fd")
+            assert _same_matrices(counterpart.generators, rep.generators, cutoff), rid
+
+
+def _nodes(op):
+    yield op
+    for child in getattr(op, "parts", ()) or getattr(op, "factors", ()):
+        yield from _nodes(child)
+    if getattr(op, "inner", None) is not None:
+        yield from _nodes(op.inner)
+
+
+def test_cross_check_leaves_the_catalogue_rep_uncompiled():
+    for rid, params in FD_FAMILIES:
+        rep = build(rid, params)
+        before = dict(rep.generators)
+        assert all(c.passed for c in cross_check(rep, "fd", 4)), rid
+        assert rep.generators.keys() == before.keys()
+        for name, op in rep.generators.items():
+            assert op is before[name], (rid, name)
+            assert not any(isinstance(node, Compiled) for node in _nodes(op)), (rid, name)
+
+
+def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):
+    # a single monomial added to one realized generator over the compiled
+    # kit must still show as a differing column
+    for rid, params, name in [("sl2_translated", {"n": 2, "delta": rat(1, 2)}, "J0"),
+                              ("gl_super", {"k": 2, "r": 1, "n": 1}, "T0_12")]:
+        rep = build(rid, params)
+        gens = realize_generators(rep, "fd")
+        bump = Poly(WeylElement.monomial(rep.modes, (1,), (1,), coeff=rat(1, 3)))
+        gens[name] = gens[name] + bump
+        monkeypatch.setattr(realize, "realize_generators",
+                            lambda rep, kind, deltas=None, gens=gens: gens)
+        results = cross_check(rep, "fd", 4)
+        failed = [c for c in results if not c.passed]
+        assert [c.name for c in failed] == ["cross fd %s" % name], rid
+        assert re.match(r"column \d+ differs: realized ", failed[0].witness), rid
+        monkeypatch.undo()
 
 
 def test_jackson_cross_check():

@@ -1,8 +1,10 @@
 """Every function and class defined in the library is named by the library
 or by the benchmark; code that only the tests call is not kept.
 
-A name counts as used wherever it appears, so a definition shares the fate
-of every other definition or variable with the same name."""
+A method counts as used only where it is named as an attribute (x.name): a
+variable or function of the same name does not keep it.  A function or
+class outside a class body counts as used through a name, an import or an
+attribute."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,8 @@ TEST_API = {
     "is_rational": "test_linalg and test_verify check where sqrt2 enters",
     "state": "FockVector.state builds the tests' Fock vectors",
     "vacuum": "FockVector.vacuum is the tests' start vector",
+    "atil": "criterion 7 checks q-normal ordering from QWeylElement.atil",
+    "btil": "criterion 7 checks q-normal ordering from QWeylElement.btil",
 }
 
 
@@ -31,38 +35,52 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def _named() -> set:
-    """Every name, attribute and imported name the library and benchmark use."""
-    out = set()
+def _uses():
+    """(attributes, names): every attribute the library and benchmark name,
+    and every attribute, bare name and imported name they use."""
+    attributes, names = set(), set()
     for path in USERS:
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
             elif isinstance(node, ast.alias):
-                out.add(node.name.split(".")[-1])
-    return out
+                names.add(node.name.split(".")[-1])
+    return attributes, names | attributes
 
 
 def _definitions():
+    """(file name, node, is_method) for every function and class."""
     for path in LIBRARY:
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path.name, node
+                yield path.name, node, id(node) in methods
+
+
+def _used_definitions() -> set:
+    """The definitions the library or benchmark use, by (file name, line)."""
+    attributes, names = _uses()
+    return {(fname, node.lineno) for fname, node, is_method in _definitions()
+            if node.name in (attributes if is_method else names)}
 
 
 def test_every_library_definition_is_named_outside_the_tests():
-    named = _named()
+    used = _used_definitions()
     unreferenced = ["%s:%d %s" % (fname, node.lineno, node.name)
-                    for fname, node in _definitions()
+                    for fname, node, _ in _definitions()
                     if not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in named and node.name not in TEST_API]
+                    and (fname, node.lineno) not in used and node.name not in TEST_API]
     assert not unreferenced, "defined but never named: %s" % ", ".join(unreferenced)
 
 
 def test_test_api_entries_are_defined_and_otherwise_unused():
     # an entry goes once the library starts using it or deletes it
-    defined = {node.name for _, node in _definitions()}
-    assert set(TEST_API) <= defined
-    assert not set(TEST_API) & _named()
+    used = _used_definitions()
+    entries = [(fname, node.lineno, node.name) for fname, node, _ in _definitions()
+               if node.name in TEST_API]
+    assert {name for _, _, name in entries} == set(TEST_API)
+    assert not [name for fname, line, name in entries if (fname, line) in used]
