@@ -1,9 +1,12 @@
 """Exact coefficient arithmetic over the field Q(sqrt2).
 
 Every number the engine touches is a Scalar: p + q*sqrt(2) with exact
-rational p, q.  Rationals are gmpy2.mpq when available (much faster),
-fractions.Fraction otherwise; both are arbitrary precision and always
-reduced.  There is no floating point anywhere in this package.
+rational p, q.  Each part is held as a Python int whenever it is
+integral, so integer arithmetic never builds a fraction; only a
+non-integral part is a Rational: gmpy2.mpq when available (install the
+`fast` extra), fractions.Fraction otherwise.  Both are arbitrary
+precision and always reduced.  There is no floating point anywhere in
+this package: a float passed in raises TypeError.
 """
 
 from __future__ import annotations
@@ -13,16 +16,31 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rational
 
-RAT_ZERO = Rational(0)
+_RATIONAL = type(Rational(0))
+
+
+def _refuse_float(x):
+    if isinstance(x, float):
+        raise TypeError("a float is not an exact number: %r" % (x,))
 
 
 def rat(value, den=None) -> Rational:
     """Build an exact Rational from int, string 'p/q', or Rational."""
+    _refuse_float(value)
     if den is not None:
+        _refuse_float(den)
         return Rational(value, den)
-    if isinstance(value, str):
-        return Rational(value)
     return Rational(value)
+
+
+def _part(x):
+    """x as an int when it is integral, else as a reduced Rational."""
+    if type(x) is int:
+        return x
+    if type(x) is not _RATIONAL:
+        _refuse_float(x)
+        x = Rational(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 class Scalar:
@@ -34,9 +52,9 @@ class Scalar:
 
     __slots__ = ("rat", "irr")
 
-    def __init__(self, rat_part=RAT_ZERO, irr_part=RAT_ZERO):
-        self.rat = rat_part if type(rat_part) is type(RAT_ZERO) else Rational(rat_part)
-        self.irr = irr_part if type(irr_part) is type(RAT_ZERO) else Rational(irr_part)
+    def __init__(self, rat_part=0, irr_part=0):
+        self.rat = rat_part if type(rat_part) is int else _part(rat_part)
+        self.irr = irr_part if type(irr_part) is int else _part(irr_part)
 
     # -- constructors -------------------------------------------------
 
@@ -44,11 +62,11 @@ class Scalar:
     def of(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        return Scalar(Rational(x))
+        return Scalar(x)
 
     @staticmethod
     def sqrt2(coeff=1) -> "Scalar":
-        return Scalar(RAT_ZERO, Rational(coeff))
+        return Scalar(0, coeff)
 
     # -- predicates ----------------------------------------------------
 
@@ -60,27 +78,28 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    _COERCIBLE = (int, type(RAT_ZERO))
+    _COERCIBLE = (int, _RATIONAL)
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
+        """A non-Scalar operand as a Scalar, or None."""
         if isinstance(other, self._COERCIBLE):
-            return Scalar(Rational(other))
+            return Scalar(other)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return Scalar(self.rat + other.rat, self.irr + other.irr)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return Scalar(self.rat - other.rat, self.irr - other.irr)
 
     def __rsub__(self, other):
@@ -93,9 +112,10 @@ class Scalar:
         return Scalar(-self.rat, -self.irr)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self.rat, self.irr, other.rat, other.irr
         if not b and not d:
             return Scalar(a * c)
@@ -108,9 +128,10 @@ class Scalar:
         a, b = self.rat, self.irr
         if not a and not b:
             raise ZeroDivisionError("division by zero")
+        # divide through Rational: 1 / a is a float when a is an int
         if not b:
-            return Scalar(1 / a)
-        norm = a * a - 2 * b * b
+            return Scalar(1 / Rational(a))
+        norm = Rational(a * a - 2 * b * b)
         return Scalar(a / norm, -b / norm)
 
     def __truediv__(self, other):
@@ -136,7 +157,7 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.rat == other.rat and self.irr == other.irr
-        if isinstance(other, (int, type(RAT_ZERO))):
+        if isinstance(other, Scalar._COERCIBLE):
             return not self.irr and self.rat == other
         return NotImplemented
 
@@ -176,7 +197,7 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        return Scalar(Rational(obj["r"]), Rational(obj.get("s2", 0)))
+        return Scalar(obj["r"], obj.get("s2", 0))
 
 
 def _isqrt(n: int) -> int:

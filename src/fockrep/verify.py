@@ -298,31 +298,40 @@ def structure_constants_agree(a: StructureConstants, b: StructureConstants) -> b
 
 
 def jacobi(sc: StructureConstants) -> CheckResult:
-    """Graded Jacobi identity on every index triple, exact."""
+    """Graded Jacobi identity on every index triple, exact.
+
+    The nested bracket A(i,j,k) = [[x_i, x_j], x_k] is formed once, from
+    the nonzero table entries.  The identity at (i,j,k) is a signed sum of
+    A over its three rotations, so a triple that is no rotation of a key of
+    A holds trivially; the others are checked in index order.  No graded
+    antisymmetry of the table is assumed.
+    """
     m = len(sc.names)
     p = sc.parities
-
-    def term(i, j, k, acc, sign):
-        inner = sc.table.get((i, j), {})
+    by_left = {}
+    for (mid, k), outer in sc.table.items():
+        by_left.setdefault(mid, []).append((k, outer))
+    nested = {}
+    for (i, j), inner in sc.table.items():
         for mid, cij in inner.items():
-            outer = sc.table.get((mid, k), {})
-            for l, cml in outer.items():
-                val = cij * cml
-                accumulate(acc, l, val if sign > 0 else -val)
-
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                acc = {}
-                term(i, j, k, acc, -1 if p[i] * p[k] else 1)
-                term(j, k, i, acc, -1 if p[j] * p[i] else 1)
-                term(k, i, j, acc, -1 if p[k] * p[j] else 1)
-                if acc:
-                    l, v = next(iter(acc.items()))
-                    return CheckResult(
-                        "jacobi", "FAIL", "",
-                        "triple (%s,%s,%s): coefficient of %s is %s, not 0"
-                        % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], v))
+            for k, outer in by_left.get(mid, ()):
+                acc = nested.setdefault((i, j, k), {})
+                for l, cml in outer.items():
+                    accumulate(acc, l, cij * cml)
+    triples = sorted({rot for (i, j, k), acc in nested.items() if acc
+                      for rot in ((i, j, k), (j, k, i), (k, i, j))})
+    for i, j, k in triples:
+        acc = {}
+        for key, odd in (((i, j, k), p[i] * p[k]), ((j, k, i), p[j] * p[i]),
+                         ((k, i, j), p[k] * p[j])):
+            for l, v in nested.get(key, {}).items():
+                accumulate(acc, l, -v if odd else v)
+        if acc:
+            l = min(acc)
+            return CheckResult(
+                "jacobi", "FAIL", "",
+                "triple (%s,%s,%s): coefficient of %s is %s, not 0"
+                % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], acc[l]))
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
 
 

@@ -3,11 +3,12 @@
 The production algebra reorders with closed-form binomial sums and
 transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
-deliberately naive.
+deliberately naive.  The Jacobi oracle walks all m^3 index triples.
 """
 
 from fockrep.scalars import Scalar
-from fockrep.weyl import ModeSystem, WeylElement
+from fockrep.verify import CheckResult, StructureConstants
+from fockrep.weyl import ModeSystem, WeylElement, accumulate
 
 # atoms: ('b', i), ('a', i), ('th', j), ('dth', j)
 
@@ -135,3 +136,33 @@ def q_swap_multiply(terms_x, terms_y, q) -> dict:
         stack.append((head + ("b", "a") + tail, c * qs))
         stack.append((head + tail, c))
     return out
+
+
+def loop_jacobi(sc: StructureConstants) -> CheckResult:
+    """Oracle for verify.jacobi: every one of the m^3 triples in index
+    order, each nested bracket recomputed for each triple it enters."""
+    m = len(sc.names)
+    p = sc.parities
+
+    def term(i, j, k, acc, sign):
+        inner = sc.table.get((i, j), {})
+        for mid, cij in inner.items():
+            outer = sc.table.get((mid, k), {})
+            for l, cml in outer.items():
+                val = cij * cml
+                accumulate(acc, l, val if sign > 0 else -val)
+
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                acc = {}
+                term(i, j, k, acc, -1 if p[i] * p[k] else 1)
+                term(j, k, i, acc, -1 if p[j] * p[i] else 1)
+                term(k, i, j, acc, -1 if p[k] * p[j] else 1)
+                if acc:
+                    l, v = next(iter(acc.items()))
+                    return CheckResult(
+                        "jacobi", "FAIL", "",
+                        "triple (%s,%s,%s): coefficient of %s is %s, not 0"
+                        % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], v))
+    return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))

@@ -3,8 +3,9 @@ or by the benchmark; code that only the tests call is not kept.
 
 A method counts as used only where it is named as an attribute (x.name): a
 variable or function of the same name does not keep it.  A function or
-class outside a class body counts as used through a name, an import or an
-attribute."""
+class outside a class body counts as used through a bare name, an import,
+or an attribute of its own module (verify.jacobi): a method of the same
+name does not keep it."""
 
 import ast
 from pathlib import Path
@@ -36,18 +37,25 @@ def _parse(path):
 
 
 def _uses():
-    """(attributes, names): every attribute the library and benchmark name,
-    and every attribute, bare name and imported name they use."""
-    attributes, names = set(), set()
+    """(attributes, names, module_attributes): every attribute the library
+    and benchmark name; every bare and imported name they use; and every
+    (module, name) for an attribute of a library module (verify.jacobi,
+    fockrep.verify.jacobi)."""
+    modules = {path.stem for path in LIBRARY}
+    attributes, names, module_attributes = set(), set(), set()
     for path in USERS:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                owner = node.value
+                owner = getattr(owner, "id", None) or getattr(owner, "attr", None)
+                if owner in modules:
+                    module_attributes.add((owner, node.attr))
             elif isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name.split(".")[-1])
-    return attributes, names | attributes
+    return attributes, names, module_attributes
 
 
 def _definitions():
@@ -63,9 +71,10 @@ def _definitions():
 
 def _used_definitions() -> set:
     """The definitions the library or benchmark use, by (file name, line)."""
-    attributes, names = _uses()
+    attributes, names, module_attributes = _uses()
     return {(fname, node.lineno) for fname, node, is_method in _definitions()
-            if node.name in (attributes if is_method else names)}
+            if (node.name in attributes if is_method else
+                node.name in names or (fname[:-len(".py")], node.name) in module_attributes)}
 
 
 def test_every_library_definition_is_named_outside_the_tests():

@@ -14,6 +14,7 @@ from fockrep.verify import (burnside_irreducibility, casimir_check,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
+from oracles import loop_jacobi
 
 
 def _index(sc, name):
@@ -83,6 +84,26 @@ def test_jacobi_negative_control():
     bad = sc.perturbed(_index(sc, "J0"), _index(sc, "J+"), _index(sc, "J-"))
     result = jacobi(bad)
     assert not result.passed and "triple" in result.witness
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2_standard", {"n": 2}), ("osp22", {"n": 1}),
+    ("gl_super", {"k": 1, "r": 1, "n": 1})])
+def test_jacobi_matches_loop_oracle_on_every_perturbation(rid, params):
+    # the sparse check must give the m^3 loop's verdict and first failing
+    # triple, whether or not the corruption keeps the table antisymmetric
+    sc, _ = closure(build(rid, params))
+    m = len(sc.names)
+    tables = [sc] + [sc.perturbed(i, j, k)
+                     for i in range(m) for j in range(m) for k in range(m)]
+    failing = 0
+    for table in tables:
+        got, want = jacobi(table), loop_jacobi(table)
+        assert got.status == want.status
+        assert got.detail == want.detail
+        assert got.witness.split(":")[0] == want.witness.split(":")[0]
+        failing += not got.passed
+    assert jacobi(sc).passed and failing
 
 
 def test_killing_form_sl2_with_trace_oracle():
