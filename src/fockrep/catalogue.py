@@ -25,7 +25,7 @@ from math import comb
 from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
                    Scale, Sum, basis_states, identity_op)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
-from .scalars import ONE, Rational, Scalar, rat
+from .scalars import SQRT2, Rational, inverse, rat
 from .weyl import ModeSystem, WeylElement
 
 
@@ -38,10 +38,10 @@ class CatalogueError(ValueError):
 
 @dataclass
 class RelationClaim:
-    """lhs = rhs where both sides are Scalar-weighted words in generator names."""
+    """lhs = rhs where both sides are weighted words in generator names."""
 
     name: str
-    lhs: list  # [(Scalar, (gen, ...))]; () is the identity
+    lhs: list  # [(coefficient, (gen, ...))]; () is the identity
     rhs: list
     line: str = ""
 
@@ -54,8 +54,8 @@ class CasimirSpec:
     mismatch is reported as a catalogue discrepancy, never patched.
     """
 
-    terms: list  # [(Scalar, (gen, ...))]
-    claimed: Scalar
+    terms: list  # [(coefficient, (gen, ...))]
+    claimed: object  # a coefficient
     name: str = "C2"
 
 
@@ -119,7 +119,7 @@ class RepSpec:
                                  % (name, ", ".join(self.generators)))
 
     def word_expr(self, terms) -> OperatorExpr:
-        """Operator for a Scalar-weighted sum of generator words."""
+        """Operator for a weighted sum of generator words."""
         parts = []
         for coeff, names in terms:
             factor = identity_op(self.modes) if not names else None
@@ -150,20 +150,16 @@ class RepSpec:
 # -- small helpers -----------------------------------------------------------
 
 
-def _sc(x) -> Scalar:
-    return Scalar.of(x)
-
-
 def comm(x: str, y: str):
-    return [(ONE, (x, y)), (Scalar(-1), (y, x))]
+    return [(1, (x, y)), (-1, (y, x))]
 
 
 def acomm(x: str, y: str):
-    return [(ONE, (x, y)), (ONE, (x, y))] if x == y else [(ONE, (x, y)), (ONE, (y, x))]
+    return [(1, (x, y)), (1, (x, y))] if x == y else [(1, (x, y)), (1, (y, x))]
 
 
 def gen(name: str, c=1):
-    return [(_sc(c), (name,))]
+    return [(c, (name,))]
 
 
 def zero_rhs():
@@ -171,7 +167,6 @@ def zero_rhs():
 
 
 def _scaled(terms, c):
-    c = _sc(c)
     return [(coeff * c, names) for coeff, names in terms]
 
 
@@ -191,9 +186,9 @@ def _require_int(x: Rational, name: str) -> int:
 
 
 def sl2_triple(a, b, n: Rational):
-    half_n = Scalar(rat(n) / 2)
+    half_n = rat(n) / 2
     return {
-        "J+": b * b * a - b.scale(_sc(n)),
+        "J+": b * b * a - b.scale(rat(n)),
         "J0": b * a - half_n,
         "J-": a,
     }
@@ -206,20 +201,20 @@ SL2_RELATIONS = [
 ]
 
 
-SL2_CASIMIR_TERMS = [(Scalar(rat(1, 2)), ("J+", "J-")), (Scalar(rat(1, 2)), ("J-", "J+")),
-                     (Scalar(-1), ("J0", "J0"))]
+SL2_CASIMIR_TERMS = [(rat(1, 2), ("J+", "J-")), (rat(1, 2), ("J-", "J+")),
+                     (-1, ("J0", "J0"))]
 
 
 def sl2_casimir(n: Rational) -> CasimirSpec:
     # claimed value as catalogued; the measured value is -(n/2)(n/2+1)
     nn = rat(n)
-    return CasimirSpec(list(SL2_CASIMIR_TERMS), Scalar(-(nn / 2) * (nn / 2 + rat(1, 2))))
+    return CasimirSpec(list(SL2_CASIMIR_TERMS), -(nn / 2) * (nn / 2 + rat(1, 2)))
 
 
 def sl3_octet(a1, a2, b1, b2, n: Rational, number=None):
     """number[i], when given, stands for b_i a_i inside J1+, J2+ and J0."""
     n1, n2 = number or (b1 * a1, b2 * a2)
-    num = n1 + n2 - _sc(n)
+    num = n1 + n2 - rat(n)
     return {
         "J1+": b1 * num,
         "J2+": b2 * num,
@@ -228,7 +223,7 @@ def sl3_octet(a1, a2, b1, b2, n: Rational, number=None):
         "J0_21": b2 * a1,
         "J0_12": b1 * a2,
         "J0_1": n1 - n2,
-        "J0_2": n1 + n2 - Scalar(rat(2, 3) * rat(n)),
+        "J0_2": n1 + n2 - rat(2, 3) * rat(n),
     }
 
 
@@ -242,7 +237,7 @@ def glk_family(a, b, n: Rational, number=None):
     j0 = None
     for i in range(k - 1):
         j0 = number[i] if j0 is None else j0 + number[i]
-    j0 = _sc(n) - j0 if j0 is not None else None
+    j0 = rat(n) - j0 if j0 is not None else None
     gens = {}
     for i in range(k - 1):
         gens["J%d-" % (i + 2)] = a[i]
@@ -264,7 +259,7 @@ def gl_super_family(a, b, th, dth, n: Rational, one, number=None):
     """
     k, r = len(a), len(th)
     number = number or [b[i] * a[i] for i in range(k)]
-    t0 = one.scale(Scalar(rat(n)))
+    t0 = one.scale(rat(n))
     for i in range(k):
         t0 = t0 - number[i]
     for j in range(r):
@@ -296,8 +291,8 @@ def gl_super_family(a, b, th, dth, n: Rational, one, number=None):
 
 def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
     """Deformed sl2 generators over any implementation of the q-pair."""
-    qa = Scalar(q_number(alpha, q))
-    ahat = Scalar(q_alpha_hat(alpha, q))
+    qa = q_number(alpha, q)
+    ahat = q_alpha_hat(alpha, q)
     return {
         "J+": btil * btil * atil - btil.scale(qa),
         "J0": btil * atil - one.scale(ahat),
@@ -306,8 +301,8 @@ def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
 
 
 def metaplectic_triple(a, b):
-    half = Scalar(rat(1, 2))
-    quarter = Scalar(rat(-1, 4))
+    half = rat(1, 2)
+    quarter = rat(-1, 4)
     return {
         "J+": (a * a).scale(half),
         "J0": (a * b + b * a).scale(quarter),
@@ -317,14 +312,13 @@ def metaplectic_triple(a, b):
 
 def osp22_octet(a, b, th_dth, n: Rational):
     """th_dth is the even element th*dth of the single fermionic mode."""
-    half = Scalar(rat(1, 2))
-    nn = Scalar(rat(n))
+    half = rat(1, 2)
     sl2 = sl2_triple(a, b, n)
     return {
         "T+": sl2["J+"] + b * th_dth,
         "T0": sl2["J0"] + th_dth.scale(half),
         "T-": a,
-        "J": th_dth.scale(-half) - nn * half,
+        "J": th_dth.scale(-half) - rat(n) * half,
     }
 
 
@@ -378,10 +372,9 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
     delta = rat(delta)
     if delta == 0:
         raise CatalogueError("delta = 0 degenerates the shift transform")
-    d = Scalar(delta)
-    ahat = Scale(d.inverse(),
-                 Sum([ExpA(modes, mode, d), Scale(Scalar(-1), identity_op(modes))]))
-    bhat = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -d)])
+    ahat = Scale(inverse(delta),
+                 Sum([ExpA(modes, mode, delta), Scale(-1, identity_op(modes))]))
+    bhat = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -delta)])
     return ahat, bhat
 
 
@@ -425,7 +418,7 @@ def _osp22_gens(a, b, th, dth, n: Rational):
     gens = osp22_octet(a, b, thdth, n)
     gens["Q1"] = dth
     gens["Q2"] = b * dth
-    gens["Qb1"] = b * a * th - th.scale(Scalar(rat(n)))
+    gens["Qb1"] = b * a * th - th.scale(rat(n))
     gens["Qb2"] = -(a * th)
     order = ["T+", "T0", "T-", "J", "Q1", "Q2", "Qb1", "Qb2"]
     return {name: gens[name] for name in order}
@@ -480,24 +473,24 @@ def _build_sl2_standard(params):
 def _build_sl2_translated(params):
     rep = _sl2("sl2_translated", params, [params["delta"]], "sl2, shift-transform family")
     modes = rep.modes
-    d = Scalar(rat(params["delta"]))
-    nn = Scalar(rat(params["n"]))
+    d = rat(params["delta"])
+    n = rat(params["n"])
     b = Poly(WeylElement.b(modes))
     # displayed closed forms: (b/d - 1) b e^{-da} (1-n-e^{-da});
     # (b/d)(1-e^{-da}) - n/2;  (e^{da}-1)/d
     eminus = ExpA(modes, 1, -d)
     disp_jp = Product([
-        b * b.scale(d.inverse()) - b,
+        b * b.scale(inverse(d)) - b,
         eminus,
-        Sum([identity_op(modes).scale(ONE - nn), Scale(Scalar(-1), eminus)]),
+        Sum([identity_op(modes).scale(1 - n), Scale(-1, eminus)]),
     ])
     disp_j0 = Sum([
-        Product([b.scale(d.inverse()),
-                 Sum([identity_op(modes), Scale(Scalar(-1), eminus)])]),
-        identity_op(modes).scale(-nn * Scalar(rat(1, 2))),
+        Product([b.scale(inverse(d)),
+                 Sum([identity_op(modes), Scale(-1, eminus)])]),
+        identity_op(modes).scale(-n / 2),
     ])
-    disp_jm = Scale(d.inverse(), Sum([ExpA(modes, 1, d),
-                                      Scale(Scalar(-1), identity_op(modes))]))
+    disp_jm = Scale(inverse(d), Sum([ExpA(modes, 1, d),
+                                     Scale(-1, identity_op(modes))]))
     rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
                      AltForm("J-", disp_jm)]
     return rep
@@ -510,15 +503,15 @@ def _build_sl2_oscillator(params):
     # here expressed through the inverse rewriting a -> (a-b)/s2, b -> (a+b)/s2.
     rep = _sl2("sl2_oscillator", params, None, "sl2, oscillator (rotated-pair) family")
     n = params["n"]
-    inv_s2 = Scalar.sqrt2().inverse()
+    inv_s2 = SQRT2.inverse()
     A, B = WeylElement.a(rep.modes), WeylElement.b(rep.modes)
     aa = (A - B).scale(inv_s2)  # original lowering operator
     bb = (A + B).scale(inv_s2)  # original raising operator
-    two_n1 = Scalar(2 * rat(n) + 1)
+    two_n1 = 2 * rat(n) + 1
     disp_jp = Poly((bb ** 3 + aa ** 3 - bb * (bb + aa) * aa
                     - (bb - aa).scale(two_n1) - bb.scale(2)).scale(inv_s2 ** 3))
     disp_j0 = Poly((bb ** 2 - aa ** 2 - WeylElement.scalar(rep.modes, rat(n) + 1))
-                   .scale(Scalar(rat(1, 2))))
+                   .scale(rat(1, 2)))
     disp_jm = Poly((bb + aa).scale(inv_s2))
     rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
                      AltForm("J-", disp_jm)]
@@ -529,7 +522,7 @@ def _build_sl2_metaplectic(params):
     gens = FORMULAS["sl2_metaplectic"](fock_kit(ModeSystem(1, 0)), params)
     return RepSpec(
         "sl2_metaplectic", params, gens, list(SL2_RELATIONS),
-        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), Scalar(rat(3, 16))),
+        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), rat(3, 16)),
         description="sl2, metaplectic (half-quadratic) family, infinite-dimensional")
 
 
@@ -581,7 +574,7 @@ def _build_sl3_seven(params):
     kit = fock_kit(modes)
     a1, a2, a3 = kit.a
     b1, b2, b3 = kit.b
-    mm, nn = Scalar(rat(m)), Scalar(rat(n))
+    mm, nn = rat(m), rat(n)
     gens = {
         "J1+": (b1 * b3 - b2) * a1 - b2 * b3 * a2 - b3 * b3 * a3 + b3.scale(nn),
         "J2+": b1 * (b1 * b3 - b2) * a1 - b2 * b2 * a2 - b2 * b3 * a3
@@ -605,12 +598,11 @@ def _build_gl2_semidirect(params):
         raise CatalogueError("r must be a positive integer")
     kit = fock_kit(ModeSystem(2, 0))
     (a1, a2), (b1, b2) = kit.a, kit.b
-    nn = rat(n)
     gens = {
         "J1": a1,
-        "J2": b1 * a1 - Scalar(nn / 3),
-        "J3": b2 * a2 - Scalar(nn / (3 * r)),
-        "J4": b1 * b1 * a1 + (b1 * b2 * a2).scale(r) - b1.scale(Scalar(nn)),
+        "J2": b1 * a1 - rat(n) / 3,
+        "J3": b2 * a2 - rat(n) / (3 * r),
+        "J4": b1 * b1 * a1 + (b1 * b2 * a2).scale(r) - b1.scale(rat(n)),
     }
     ideal = []
     for k in range(r + 1):
@@ -685,9 +677,9 @@ def _build_osp22_translated(params):
     rep = _osp22("osp22_translated", params, [params["delta"]],
                  "osp(2,2), shift-transform family")
     modes = rep.modes
-    d = Scalar(rat(params["delta"]))
-    nn = Scalar(rat(params["n"]))
-    half = Scalar(rat(1, 2))
+    d = rat(params["delta"])
+    n = rat(params["n"])
+    half = rat(1, 2)
     b = Poly(WeylElement.b(modes))
     th, dth = Poly(WeylElement.theta(modes, 1)), Poly(WeylElement.dtheta(modes, 1))
     one = identity_op(modes)
@@ -696,19 +688,19 @@ def _build_osp22_translated(params):
     eplus = ExpA(modes, 1, d)
     # displayed closed forms of the shift-transformed family
     disp = {
-        "T+": Product([b * b.scale(d.inverse()) - b, eminus,
-                       Sum([one.scale(ONE - nn) + thdth, Scale(Scalar(-1), eminus)])]),
-        "T0": Sum([Product([b.scale(d.inverse()),
-                            Sum([one, Scale(Scalar(-1), eminus)])]),
-                   thdth.scale(half) - one.scale(nn * half)]),
-        "T-": Scale(d.inverse(), Sum([eplus, Scale(Scalar(-1), one)])),
+        "T+": Product([b * b.scale(inverse(d)) - b, eminus,
+                       Sum([one.scale(1 - n) + thdth, Scale(-1, eminus)])]),
+        "T0": Sum([Product([b.scale(inverse(d)),
+                            Sum([one, Scale(-1, eminus)])]),
+                   thdth.scale(half) - one.scale(n * half)]),
+        "T-": Scale(inverse(d), Sum([eplus, Scale(-1, one)])),
         "J": one.scale(-half) - thdth.scale(half),
         "Q1": dth,
         "Q2": Product([b, eminus, dth]),
-        "Qb1": Scale(d.inverse(),
-                     Sum([b * th - th.scale(nn),
-                          Scale(Scalar(-1), Product([b * th, eminus]))])),
-        "Qb2": Scale(d.inverse(), Sum([th, Scale(Scalar(-1), Product([th, eplus]))])),
+        "Qb1": Scale(inverse(d),
+                     Sum([b * th - th.scale(n),
+                          Scale(-1, Product([b * th, eminus]))])),
+        "Qb2": Scale(inverse(d), Sum([th, Scale(-1, Product([th, eplus]))])),
     }
     rep.alt_forms = [AltForm(name, expr) for name, expr in disp.items()]
     return rep
@@ -718,9 +710,9 @@ def _build_osp22_metaplectic(params):
     modes = ModeSystem(1, 1)
     A, B = WeylElement.a(modes), WeylElement.b(modes)
     TH, DTH = WeylElement.theta(modes, 1), WeylElement.dtheta(modes, 1)
-    half = Scalar(rat(1, 2))
-    quarter = Scalar(rat(1, 4))
-    inv_s2 = Scalar.sqrt2().inverse()
+    half = rat(1, 2)
+    quarter = rat(1, 4)
+    inv_s2 = SQRT2.inverse()
     gens = {
         "T+": Poly((A ** 2).scale(half)),
         "T0": Poly((A * B + B * A).scale(-quarter)),
@@ -779,24 +771,22 @@ def _build_sl2q(params):
     # relation table after the rational rescaling (j+ = J+, j- = q^-alpha J-,
     # j0 = c0 J0); the freedom j± -> c^{±1} j± makes this equivalent to the
     # half-power normalization
-    c0 = Scalar((q ** (-al) / (q + 1)) * (q_number(2 * al + 2, q) / q_number(al + 1, q)))
-    qs = Scalar(q)
+    c0 = (q ** (-al) / (q + 1)) * (q_number(2 * al + 2, q) / q_number(al + 1, q))
     relations = [
         RelationClaim("j0 j+ - q j+ j0 = j+",
-                      [(c0, ("J0", "J+")), (-(qs * c0), ("J+", "J0"))],
+                      [(c0, ("J0", "J+")), (-(q * c0), ("J+", "J0"))],
                       gen("J+"), "q1"),
         RelationClaim("q^2 j+ j- - j- j+ = -(q+1) j0",
-                      [(Scalar(q ** (2 - al)), ("J+", "J-")),
-                       (-Scalar(q ** (-al)), ("J-", "J+"))],
-                      [(-(qs + ONE) * c0, ("J0",))], "q2"),
+                      [(q ** (2 - al), ("J+", "J-")), (-(q ** (-al)), ("J-", "J+"))],
+                      [(-(q + 1) * c0, ("J0",))], "q2"),
         RelationClaim("q j0 j- - j- j0 = -j-",
-                      [(qs * c0, ("J0", "J-")), (-c0, ("J-", "J0"))],
+                      [(q * c0, ("J0", "J-")), (-c0, ("J-", "J0"))],
                       gen("J-", -1), "q3"),
     ]
     casimir = CasimirSpec(
-        [(qs, ("J+", "J-")), (Scalar(-1), ("J0", "J0")),
-         (Scalar(q_number(al + 1, q) - 2 * ahat), ("J0",))],
-        Scalar(ahat * (ahat - q_number(al + 1, q))),
+        [(q, ("J+", "J-")), (-1, ("J0", "J0")),
+         (q_number(al + 1, q) - 2 * ahat, ("J0",))],
+        ahat * (ahat - q_number(al + 1, q)),
         name="q-C2")
     inv = None
     if al >= 0:
@@ -805,8 +795,7 @@ def _build_sl2q(params):
     if delta != 0:
         # the displayed transformed lowering operator carries a 1/(b+delta)
         # prefactor; equal to the normative one via (b+d)^-1 e^{da} = e^{da} b^-1
-        d = Scalar(delta)
-        alt.append(AltForm("J-", Product([LeftDivB(modes, 1, d), ExpA(modes, 1, d),
+        alt.append(AltForm("J-", Product([LeftDivB(modes, 1, delta), ExpA(modes, 1, delta),
                                           q_number_op(modes, 1, q, delta)])))
     return RepSpec(
         "sl2q", params, gens, relations,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
 domain error.  All output is exact and deterministic; --decimal renders
-scalars approximately for reading but is never used by any check.
+scalars approximately for reading but is never used by any check, and
+--timing adds wall-clock times, the one part of a report that varies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .catalogue import CatalogueError, build, list_catalogue
 from .fock import to_matrix
 from .qheis import QDomainError
 from .realize import RealizeError, cross_check, poly_to_matrix, realize_generators
-from .scalars import Scalar, rat
+from .scalars import rat, to_decimal
 from .verify import casimir_check, full_verify
 
 
@@ -77,7 +78,7 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _report_lines(report):
+def _report_lines(report, timing=False):
     lines = ["%s %s" % (report.rep_id,
                         " ".join("%s=%s" % kv for kv in sorted(report.params.items())))]
     for c in report.checks:
@@ -90,6 +91,8 @@ def _report_lines(report):
                      % (a.status, a.generator,
                         "  [%s]" % a.detail if a.detail else ""))
     lines.append("result: %s" % ("PASS" if report.passed else "FAIL"))
+    if timing:
+        lines.append("elapsed: %d ms" % report.elapsed_ms)
     return "\n".join(lines)
 
 
@@ -97,9 +100,9 @@ def cmd_verify(args) -> int:
     rep = build(args.rep, parse_params(args.params))
     report = full_verify(rep, args.cutoff)
     if args.format == "json":
-        _emit(report.to_json(), args)
+        _emit(report.to_json(args.timing), args)
     else:
-        _emit(_report_lines(report), args)
+        _emit(_report_lines(report, args.timing), args)
     return 0 if report.passed else 1
 
 
@@ -122,13 +125,11 @@ def cmd_matrix(args) -> int:
     payload["rep"] = args.rep
     payload["generator"] = args.gen
     payload["realization"] = args.realization
+    entries = [[mat.entry(i, j) for j in range(mat.dim)] for i in range(mat.dim)]
     if args.decimal:
-        payload["matrix_decimal"] = [
-            [Scalar.from_json(entry).to_decimal() for entry in row]
-            for row in payload["matrix"]]
+        payload["matrix_decimal"] = [[to_decimal(c) for c in row] for row in entries]
     if args.format == "pretty":
-        rows = [" ".join(str(Scalar.from_json(entry)).rjust(8) for entry in row)
-                for row in payload["matrix"]]
+        rows = [" ".join(str(c).rjust(8) for c in row) for row in entries]
         head = "%s of %s, cutoff %d, dim %d" % (args.gen, args.rep, mat.cutoff, mat.dim)
         if mat.overflow_columns:
             head += ", overflow columns %s" % mat.overflow_columns
@@ -171,14 +172,15 @@ def cmd_report_all(args) -> int:
                for rep_id, params in acceptance_grid(small=args.grid == "small")]
     all_pass = all(r.passed for r in reports)
     if args.format == "json":
-        _emit([r.to_json() for r in reports], args)
+        _emit([r.to_json(args.timing) for r in reports], args)
     else:
         lines = []
         for r in reports:
-            lines.append("%-5s %s %s  (%d checks, %d ms)"
+            lines.append("%-5s %s %s  (%d checks%s)"
                          % ("PASS" if r.passed else "FAIL", r.rep_id,
                             " ".join("%s=%s" % kv for kv in sorted(r.params.items())),
-                            len(r.checks), r.elapsed_ms))
+                            len(r.checks),
+                            ", %d ms" % r.elapsed_ms if args.timing else ""))
         lines.append("total: %d runs, %s" % (len(reports),
                                              "all PASS" if all_pass else "FAILURES"))
         _emit("\n".join(lines), args)
@@ -194,6 +196,9 @@ def cmd_cross(args) -> int:
     else:
         _emit("\n".join("%-4s %s" % (c.status, c.name) for c in results), args)
     return 0 if all(c.passed for c in results) else 1
+
+
+TIMING_HELP = "add each run's wall-clock ms (output is then no longer byte-identical)"
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -219,6 +224,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every applicable check for one family")
     p.add_argument("rep")
     common(p)
+    p.add_argument("--timing", action="store_true", help=TIMING_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("matrix", help="emit one generator's exact matrix")
@@ -248,6 +254,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=["small", "full"], default="small")
     p.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p.add_argument("--out", default=None)
+    p.add_argument("--timing", action="store_true", help=TIMING_HELP)
     p.set_defaults(func=cmd_report_all)
     return parser
 

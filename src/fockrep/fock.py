@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .scalars import ONE, ZERO, Rational, Scalar
+from .scalars import exact, to_json
 from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
 
 
@@ -29,7 +29,7 @@ class NotLeftDivisible(ValueError):
 
 
 class FockVector:
-    """Finite map (alpha, beta_mask) -> Scalar over a ModeSystem."""
+    """Finite map (alpha, beta_mask) -> coefficient over a ModeSystem."""
 
     __slots__ = ("modes", "terms")
 
@@ -43,7 +43,7 @@ class FockVector:
 
     @staticmethod
     def vacuum(modes) -> "FockVector":
-        return FockVector(modes, {((0,) * modes.bosonic, 0): ONE})
+        return FockVector(modes, {((0,) * modes.bosonic, 0): 1})
 
     @staticmethod
     def state(modes, alpha=(), beta=(), coeff=1) -> "FockVector":
@@ -52,8 +52,8 @@ class FockVector:
         mask = 0
         for j in beta:
             mask |= 1 << (j - 1)
-        c = Scalar.of(coeff)
-        return FockVector(modes, {(al, mask): c} if not c.is_zero() else {})
+        c = exact(coeff)
+        return FockVector(modes, {(al, mask): c} if c else {})
 
     def __add__(self, other: "FockVector") -> "FockVector":
         terms = dict(self.terms)
@@ -62,13 +62,16 @@ class FockVector:
         return FockVector(self.modes, terms)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(Scalar(-1))
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(terms, key, -c)
+        return FockVector(self.modes, terms)
 
     def scale(self, c) -> "FockVector":
-        c = Scalar.of(c)
-        if c.is_zero():
+        c = exact(c)
+        if not c:
             return FockVector.zero(self.modes)
-        return FockVector(self.modes, {k: v * c for k, v in self.terms.items()})
+        return FockVector(self.modes, {k: exact(v * c) for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, FockVector) and self.modes == other.modes \
@@ -182,7 +185,7 @@ class OperatorExpr:
         return _as_expr(other, self.modes) + (-self)
 
     def __neg__(self):
-        return self.scale(Scalar(-1))
+        return self.scale(-1)
 
     def __mul__(self, other):
         other = _as_expr(other, self.modes)
@@ -202,7 +205,6 @@ class OperatorExpr:
         return result
 
     def scale(self, c) -> "OperatorExpr":
-        c = Scalar.of(c)
         w = self.as_weyl()
         if w is not None:
             return Poly(w.scale(c))
@@ -294,8 +296,8 @@ class ExpA(OperatorExpr):
     def __init__(self, modes: ModeSystem, mode: int, gamma):
         self.modes = modes
         self.mode = mode  # 1-based
-        self.gamma = Scalar.of(gamma)
-        self._powers = [ONE]
+        self.gamma = exact(gamma)
+        self._powers = [1]
 
     def max_raise(self):
         return 0
@@ -329,8 +331,8 @@ class QSpectral(OperatorExpr):
     def __init__(self, modes: ModeSystem, mode: int, q, delta=0):
         self.modes = modes
         self.mode = mode
-        self.q = Rational(q)
-        self.delta = Rational(delta)
+        self.q = exact(q)
+        self.delta = exact(delta)
 
     def max_raise(self):
         return 0
@@ -340,10 +342,10 @@ class QSpectral(OperatorExpr):
         if self.delta == 0:
             out = {}
             for (alpha, beta), c in vec.terms.items():
-                out[(alpha, beta)] = c * Scalar(self.q ** alpha[i])
+                accumulate(out, (alpha, beta), c * self.q ** alpha[i])
             return FockVector(vec.modes, out)
         def scale_newton(coeffs):
-            return [c * Scalar(self.q ** k) for k, c in enumerate(coeffs)]
+            return [c * self.q ** k for k, c in enumerate(coeffs)]
         return _map_mode_coeffs(vec, i, self.delta, scale_newton)
 
 
@@ -360,14 +362,14 @@ class LeftDivB(OperatorExpr):
     def __init__(self, modes: ModeSystem, mode: int, shift=0):
         self.modes = modes
         self.mode = mode
-        self.shift = Scalar.of(shift)
+        self.shift = exact(shift)
 
     def max_raise(self):
         return -1
 
     def apply(self, vec: FockVector) -> FockVector:
         i = self.mode - 1
-        if self.shift.is_zero():
+        if not self.shift:
             out = {}
             for (alpha, beta), c in vec.terms.items():
                 if alpha[i] == 0:
@@ -384,12 +386,12 @@ class LeftDivB(OperatorExpr):
             if not coeffs:
                 return coeffs
             K = len(coeffs) - 1
-            w = [ZERO] * K
+            w = [0] * K
             for j in range(K, 0, -1):
-                upper = w[j] if j < K else ZERO
+                upper = w[j] if j < K else 0
                 w[j - 1] = coeffs[j] - shift * upper
-            residual = coeffs[0] - (shift * w[0] if K > 0 else ZERO)
-            if not residual.is_zero():
+            residual = coeffs[0] - (shift * w[0] if K > 0 else 0)
+            if residual:
                 raise NotLeftDivisible(
                     "not left-divisible by (b%d + %s): residual %s"
                     % (self.mode, shift, residual))
@@ -469,7 +471,7 @@ class Scale(OperatorExpr):
     __slots__ = ("modes", "coeff", "inner")
 
     def __init__(self, coeff, inner: OperatorExpr):
-        self.coeff = Scalar.of(coeff)
+        self.coeff = exact(coeff)
         self.inner = inner
         self.modes = inner.modes
 
@@ -526,7 +528,7 @@ class Compiled(OperatorExpr):
     def _column(self, key) -> dict:
         col = self._cols.get(key)
         if col is None:
-            col = self.inner.apply(FockVector(self.modes, {key: ONE})).terms
+            col = self.inner.apply(FockVector(self.modes, {key: 1})).terms
             self._cols[key] = col
         return col
 
@@ -534,7 +536,7 @@ class Compiled(OperatorExpr):
         terms = vec.terms
         if len(terms) == 1:
             (key, c), = terms.items()
-            if c == ONE:
+            if c == 1:
                 return FockVector(vec.modes, self._column(key))
         out: dict = {}
         for key, c in terms.items():
@@ -552,10 +554,10 @@ def _monomial_to_newton(coeffs, delta):
     out = []
     t = 0
     while coeffs:
-        node = Scalar(t * delta)
+        node = t * delta
         # divide by (x - node): quotient q, remainder r
-        q = [ZERO] * (len(coeffs) - 1)
-        carry = ZERO
+        q = [0] * (len(coeffs) - 1)
+        carry = 0
         for j in range(len(coeffs) - 1, 0, -1):
             carry = coeffs[j] + node * carry
             q[j - 1] = carry
@@ -572,9 +574,9 @@ def _newton_to_monomial(newton, delta):
     K = len(newton) - 1
     result = [newton[K]]
     for j in range(K - 1, -1, -1):
-        node = Scalar(j * delta)
+        node = j * delta
         # result = result*(x - node) + newton[j]
-        shifted = [ZERO] + result
+        shifted = [0] + result
         for t in range(len(result)):
             shifted[t] = shifted[t] - result[t] * node
         shifted[0] = shifted[0] + newton[j]
@@ -602,7 +604,7 @@ def _map_mode_coeff_lists(vec: FockVector, i: int, func) -> FockVector:
     out: dict = {}
     for (rest_alpha, beta), by_k in groups.items():
         K = max(by_k)
-        coeffs = [by_k.get(k, ZERO) for k in range(K + 1)]
+        coeffs = [by_k.get(k, 0) for k in range(K + 1)]
         new_coeffs = func(coeffs)
         for k, c in enumerate(new_coeffs):
             accumulate(out, (rest_alpha[:i] + (k,) + rest_alpha[i:], beta), c)
@@ -625,7 +627,7 @@ class MatrixRep:
     cutoff: int
     modes: ModeSystem
     basis: list
-    cols: list  # list of dict row_index -> Scalar
+    cols: list  # list of dict row_index -> coefficient
     overflow_columns: list = field(default_factory=list)
     name: str = ""
     max_raise: int = 0
@@ -634,15 +636,15 @@ class MatrixRep:
     def dim(self) -> int:
         return len(self.basis)
 
-    def entry(self, row: int, col: int) -> Scalar:
-        return self.cols[col].get(row, ZERO)
+    def entry(self, row: int, col: int):
+        return self.cols[col].get(row, 0)
 
     def to_json(self):
         return {
             "cutoff": self.cutoff,
             "basis": [{"b": list(alpha), "theta": _mask_to_list(beta)}
                       for alpha, beta in self.basis],
-            "matrix": [[self.entry(i, j).to_json() for j in range(self.dim)]
+            "matrix": [[to_json(self.entry(i, j)) for j in range(self.dim)]
                        for i in range(self.dim)],
             "overflow_columns": list(self.overflow_columns),
         }
@@ -658,7 +660,7 @@ def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
     for j, key in enumerate(basis):
         col = {}
         spilled = False
-        for skey, c in op.apply(FockVector(op.modes, {key: ONE})).terms.items():
+        for skey, c in op.apply(FockVector(op.modes, {key: 1})).terms.items():
             row = index.get(skey)
             if row is None:
                 spilled = True
@@ -701,7 +703,7 @@ def check_identity(lhs: OperatorExpr, rhs: OperatorExpr, cutoff: int) -> Identit
     tested = cutoff - raise_bound
     modes = lhs.modes
     for key in basis_states(modes, max(tested, 0)):
-        vec = FockVector(modes, {key: ONE})
+        vec = FockVector(modes, {key: 1})
         left = lhs.apply(vec)
         right = rhs.apply(vec)
         if left != right:

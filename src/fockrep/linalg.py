@@ -1,6 +1,6 @@
 """Exact linear algebra over Q(sqrt2), and spans over the prime field F_p.
 
-Sparse vectors are dicts key -> Scalar (key -> int for F_p) with mutually
+Sparse vectors are dicts key -> coefficient (key -> int for F_p) with mutually
 comparable keys.
 Elimination pivots on the first (smallest) nonzero coordinate, never on
 magnitude, so every result is deterministic and exact; a zero residual
@@ -9,20 +9,15 @@ means an identity, not a tolerance.
 
 from __future__ import annotations
 
-from .scalars import MOD_P, ONE, ZERO, Scalar
+from .scalars import MOD_P, exact, inverse
 from .weyl import accumulate
 
 
-def vec_sub_scaled(vec: dict, row: dict, coeff: Scalar) -> dict:
+def vec_sub_scaled(vec: dict, row: dict, coeff) -> dict:
     """vec - coeff * row, dropping exact zeros."""
     out = dict(vec)
     for k, v in row.items():
-        cur = out.get(k)
-        s = -(coeff * v) if cur is None else cur - coeff * v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        accumulate(out, k, -(coeff * v))
     return out
 
 
@@ -35,7 +30,7 @@ class EchelonSpan:
     """
 
     def __init__(self):
-        self.rows = []  # (pivot_key, vec, combo) with combo: orig_index -> Scalar
+        self.rows = []  # (pivot_key, vec, combo) with combo: orig_index -> coefficient
         self.pivot_map = {}
         self.n_inserted = 0
 
@@ -59,12 +54,12 @@ class EchelonSpan:
         """Add a vector; False when it was already in the span."""
         idx = self.n_inserted
         self.n_inserted += 1
-        pivot, red, combo = self._reduce(dict(vec), {idx: ONE})
+        pivot, red, combo = self._reduce(dict(vec), {idx: 1})
         if pivot is None:
             return False
-        inv = red[pivot].inverse()
-        red = {k: v * inv for k, v in red.items()}
-        combo = {k: v * inv for k, v in combo.items()}
+        inv = inverse(red[pivot])
+        red = {k: exact(v * inv) for k, v in red.items()}
+        combo = {k: exact(v * inv) for k, v in combo.items()}
         self.pivot_map[pivot] = len(self.rows)
         self.rows.append((pivot, red, combo))
         return True
@@ -130,22 +125,22 @@ class ModPSpan:
 
 
 def mat_identity(d: int):
-    return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
 
 def mat_mul(x, y):
     d = len(x)
     m = len(y[0]) if y else 0
-    out = [[ZERO] * m for _ in range(d)]
+    out = [[0] * m for _ in range(d)]
     for i in range(d):
         xi = x[i]
         oi = out[i]
         for k, xik in enumerate(xi):
-            if xik.is_zero():
+            if not xik:
                 continue
             yk = y[k]
             for j in range(m):
-                if not yk[j].is_zero():
+                if yk[j]:
                     oi[j] = oi[j] + xik * yk[j]
     return out
 
@@ -157,8 +152,8 @@ def mat_scale(x, c):
     return [[a * c for a in row] for row in x]
 
 
-def mat_trace(x) -> Scalar:
-    t = ZERO
+def mat_trace(x):
+    t = 0
     for i in range(len(x)):
         t = t + x[i][i]
     return t
@@ -168,13 +163,14 @@ def charpoly(a) -> list:
     """Characteristic polynomial det(tI - A) by Faddeev-LeVerrier.
 
     Returns [1, c1, ..., cd] with p(t) = t^d + c1 t^(d-1) + ... + cd;
-    the only divisions are by integers, exact over the field.
+    the only divisions are by integers, through inverse, so exact over the
+    field (a bare int / int would be a float).
     """
     d = len(a)
-    coeffs = [ONE]
+    coeffs = [1]
     m = None
     for k in range(1, d + 1):
         m = a if m is None else mat_mul(a, mat_add(m, mat_scale(mat_identity(d), coeffs[-1])))
-        ck = -(mat_trace(m) / k)
+        ck = exact(-(mat_trace(m) * inverse(k)))
         coeffs.append(ck)
     return coeffs

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .fock import ExpA, LeftDivB, Poly, Product, QSpectral, Scale, Sum, identity_op
-from .scalars import Rational, Scalar, rat
+from .scalars import Rational, exact, inverse, rat
 from .weyl import ModeSystem, WeylElement, accumulate
 
 
@@ -81,7 +81,7 @@ class QWeylElement:
         if q == 1:
             raise QDomainError("q = 1 delegates to the undeformed algebra")
         self.q = q
-        self.terms = terms  # (k, m) -> Scalar
+        self.terms = terms  # (k, m) -> coefficient
 
     @staticmethod
     def zero(q) -> "QWeylElement":
@@ -89,8 +89,8 @@ class QWeylElement:
 
     @staticmethod
     def monomial(q, k=0, m=0, coeff=1) -> "QWeylElement":
-        c = Scalar.of(coeff)
-        return QWeylElement(q, {(k, m): c} if not c.is_zero() else {})
+        c = exact(coeff)
+        return QWeylElement(q, {(k, m): c} if c else {})
 
     @staticmethod
     def one(q):
@@ -120,16 +120,16 @@ class QWeylElement:
     def __sub__(self, other):
         if not isinstance(other, QWeylElement):
             other = QWeylElement.monomial(self.q, coeff=other)
-        return self + other.scale(Scalar(-1))
+        return self + other.scale(-1)
 
     def __neg__(self):
-        return self.scale(Scalar(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "QWeylElement":
-        c = Scalar.of(c)
-        if c.is_zero():
+        c = exact(c)
+        if not c:
             return QWeylElement.zero(self.q)
-        return QWeylElement(self.q, {key: v * c for key, v in self.terms.items()})
+        return QWeylElement(self.q, {key: exact(v * c) for key, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, QWeylElement):
@@ -175,7 +175,7 @@ def q_multiply(x: QWeylElement, y: QWeylElement) -> QWeylElement:
         for (k2, m2), c2 in y.terms.items():
             base = c1 * c2
             for (j, l), w in _reorder(m1, k2, x.q):
-                accumulate(terms, (k1 + j, l + m2), base * Scalar(w))
+                accumulate(terms, (k1 + j, l + m2), base * w)
     return QWeylElement(x.q, terms)
 
 
@@ -186,8 +186,8 @@ def q_number_op(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
     """{N}_q = (q^N - 1)/(q - 1) for the number operator N of the pair in
     `mode`, shift-transformed when delta != 0 (see fock.QSpectral)."""
     q = rat(q)
-    return Scale(Scalar(q - 1).inverse(), Sum([QSpectral(modes, mode, q, delta),
-                                               Scale(Scalar(-1), identity_op(modes))]))
+    return Scale(inverse(q - 1), Sum([QSpectral(modes, mode, q, delta),
+                                      Scale(-1, identity_op(modes))]))
 
 
 def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
@@ -203,9 +203,8 @@ def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
         atilde = Product([LeftDivB(modes, mode), qpart])
         btilde = Poly(WeylElement.b(modes, mode))
     else:
-        d = Scalar(delta)
-        atilde = Product([ExpA(modes, mode, d), LeftDivB(modes, mode), qpart])
-        btilde = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -d)])
+        atilde = Product([ExpA(modes, mode, delta), LeftDivB(modes, mode), qpart])
+        btilde = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -delta)])
     return atilde, btilde
 
 

@@ -22,7 +22,7 @@ from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family
 from .fock import (FockVector, LeftDivB, MatrixRep, OperatorExpr, Poly, Product,
                    Scale, Sum, identity_op, to_matrix)
 from .qheis import q_number_op
-from .scalars import ONE, Scalar, rat
+from .scalars import exact, inverse, rat
 from .verify import CheckResult, AltFormResult
 from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
 
@@ -81,14 +81,14 @@ class ShiftX(OperatorExpr):
     def __init__(self, modes: ModeSystem, i: int, delta):
         self.modes = modes
         self.i = i - 1
-        self.delta = Scalar.of(delta)
+        self.delta = exact(delta)
 
     def max_raise(self):
         return 0
 
     def apply(self, vec):
         out = {}
-        powers = [ONE]
+        powers = [1]
         for (e, s), c in vec.terms.items():
             k = e[self.i]
             while len(powers) <= k:
@@ -104,10 +104,10 @@ class Dplus(OperatorExpr):
 
     def __init__(self, modes: ModeSystem, i: int, delta):
         self.modes = modes
-        self.delta = Scalar.of(delta)
-        if self.delta.is_zero():
+        self.delta = exact(delta)
+        if not self.delta:
             raise ValueError("finite difference needs delta != 0")
-        self.inv = self.delta.inverse()
+        self.inv = inverse(self.delta)
         self.shift = ShiftX(modes, i, self.delta)
 
     def max_raise(self):
@@ -125,7 +125,7 @@ class Dplus(OperatorExpr):
 
 def Dminus(modes: ModeSystem, i: int, delta) -> Dplus:
     """(f(x) - f(x-d))/d, which is Dplus with d negated."""
-    return Dplus(modes, i, -Scalar.of(delta))
+    return Dplus(modes, i, -delta)
 
 
 class JacksonX(OperatorExpr):
@@ -143,12 +143,12 @@ class JacksonX(OperatorExpr):
 
     def apply(self, vec):
         out = {}
-        inv = rat(1) / (self.q - 1)
+        inv = inverse(self.q - 1)
         for (e, s), c in vec.terms.items():
             k = e[self.i]
             if k == 0:
                 continue
-            coeff = c * Scalar((self.q ** k - 1) * inv)
+            coeff = c * ((self.q ** k - 1) * inv)
             accumulate(out, (e[:self.i] + (k - 1,) + e[self.i + 1:], s), coeff)
         return FockVector(vec.modes, out)
 
@@ -202,7 +202,7 @@ class CliffordMatrices:
             for col in range(self.dim):
                 v = dense[row][col]
                 if v:
-                    entries[(self._to_mask(row), self._to_mask(col))] = Scalar(v)
+                    entries[(self._to_mask(row), self._to_mask(col))] = v
         return entries
 
     def _to_mask(self, kron_index: int) -> int:
@@ -224,7 +224,7 @@ class CliffordMatrices:
 
     @staticmethod
     def identity(r: int) -> dict:
-        return {(s, s): ONE for s in range(1 << r)}
+        return {(s, s): 1 for s in range(1 << r)}
 
 
 class Cliff(OperatorExpr):
@@ -294,8 +294,12 @@ def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
     for j in range(realized.dim):
         if j not in overflow and realized.cols[j] != abstract.cols[j]:
             return "column %d differs: realized %s, abstract %s" % (
-                j, realized.cols[j], abstract.cols[j])
+                j, _col_str(realized.cols[j]), _col_str(abstract.cols[j]))
     return ""
+
+
+def _col_str(col: dict) -> str:
+    return "{%s}" % ", ".join("%d: %s" % kv for kv in col.items())
 
 
 # -- realizations per family -------------------------------------------------------------
@@ -303,7 +307,6 @@ def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
 
 def fd_pair(modes: ModeSystem, i: int, delta) -> tuple:
     """The finite-difference canonical pair a = D+, b = x(1 - d D-)."""
-    delta = Scalar.of(delta)
     return (Dplus(modes, i, delta),
             MultX(modes, i) * (identity_op(modes) + Dminus(modes, i, delta).scale(-delta)))
 
@@ -429,8 +432,8 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
     if rid == "sl2_translated":
         return _fd_sl2_displayed(modes, n, deltas[0])
     if rid == "sl2_metaplectic":
-        d = Scalar.of(deltas[0])
-        half = Scalar(rat(1, 2))
+        d = deltas[0]
+        half = rat(1, 2)
         return {
             "J+": (kit.a[0] ** 2).scale(half),
             "J0": (number[0] - half).scale(-half),
@@ -445,19 +448,19 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
     if rid == "gl_super":
         return gl_super_family(kit.a, kit.b, kit.th, kit.dth, n, kit.one, number)
     if rid == "osp22_translated":
-        proj_up = Cliff(modes, {(0, 0): ONE})    # spinor level empty
-        proj_dn = Cliff(modes, {(1, 1): ONE})    # spinor level occupied
+        proj_up = Cliff(modes, {(0, 0): 1})    # spinor level empty
+        proj_dn = Cliff(modes, {(1, 1): 1})    # spinor level occupied
         sp, sm = kit.dth[0], kit.th[0]
         jp_n = _fd_sl2_displayed(modes, n, deltas[0])["J+"]
         jp_n1 = _fd_sl2_displayed(modes, rat(n) - 1, deltas[0])["J+"]
-        half = Scalar(rat(1, 2))
-        nn = Scalar(rat(n))
+        half = rat(1, 2)
+        nn = rat(n)
         return {
             "T+": jp_n * proj_up + jp_n1 * proj_dn,
             "T0": (number[0] - nn * half) * proj_up
-                  + (number[0] - (nn - ONE) * half) * proj_dn,
+                  + (number[0] - (nn - 1) * half) * proj_dn,
             "T-": kit.a[0],
-            "J": proj_up.scale(-(nn * half)) + proj_dn.scale(-((nn + ONE) * half)),
+            "J": proj_up.scale(-(nn * half)) + proj_dn.scale(-((nn + 1) * half)),
             "Q1": sp,
             "Q2": kit.b[0] * sp,
             "Qb1": (number[0] - nn) * sm,
@@ -466,16 +469,15 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
     raise RealizeError("no displayed fd forms for %s" % rid)
 
 
-def _fd_sl2_displayed(modes, n, delta):
-    d = Scalar.of(delta)
-    nn = Scalar(rat(n))
+def _fd_sl2_displayed(modes, n, d):
+    nn = rat(n)
     x = MultX(modes, 1)
     dm = Dminus(modes, 1, d)
-    jp = (x * (identity_op(modes) + x.scale(-d.inverse()))
-          * ((dm ** 2).scale(d * d) + dm.scale(-((nn + ONE) * d)) + nn))
+    jp = (x * (identity_op(modes) + x.scale(-inverse(d)))
+          * ((dm ** 2).scale(d * d) + dm.scale(-((nn + 1) * d)) + nn))
     return {
         "J+": jp,
-        "J0": x * dm - nn * Scalar(rat(1, 2)),
+        "J0": x * dm - nn / 2,
         "J-": Dplus(modes, 1, d),
     }
 
@@ -502,7 +504,7 @@ def q_pair_fd(q, delta):
     """The displayed transformed q-pair in finite-difference form:
     atil = (x + d)^{-1} (1 + d D+) (q^{x D-} - 1)/(q - 1), btil = x(1 - d D-)."""
     modes = ModeSystem(1, 0)
-    d = Scalar(rat(delta))
+    d = rat(delta)
     a, btil = fd_pair(modes, 1, d)
     atil = (LeftDivB(modes, 1, d) * (a.scale(d) + identity_op(modes))
             * q_number_op(modes, 1, q, delta))

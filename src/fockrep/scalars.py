@@ -1,15 +1,24 @@
 """Exact coefficient arithmetic over the field Q(sqrt2).
 
-Every number the engine touches is a Scalar: p + q*sqrt(2) with exact
-rational p, q.  Each part is held as a Python int whenever it is
-integral, so integer arithmetic never builds a fraction; only a
-non-integral part is a Rational: gmpy2.mpq when available (install the
-`fast` extra), fractions.Fraction otherwise.  Both are arbitrary
-precision and always reduced.  There is no floating point anywhere in
-this package: a float passed in raises TypeError.
+A coefficient is a Python int when it is an integer, a Rational when it is
+a non-integral rational, and a Scalar p + q*sqrt(2) only while its
+irrational part q is nonzero.  Rational is gmpy2.mpq when available
+(install the `fast` extra), fractions.Fraction otherwise; both are
+arbitrary precision and always reduced.  So the engine multiplies and adds
+native numbers, and only the few families that build sqrt2 pay for the
+Scalar wrapper.  weyl.accumulate brings sums back to this form: an
+integral Rational becomes an int, and a Scalar whose irrational part
+cancelled becomes its rational part.
+
+There is no floating point anywhere in this package: rat and exact, the
+entry points for numbers, refuse a float.  Parameters are Rationals, so
+arithmetic on them stays exact; a coefficient is never divided with `/`,
+because int / int is a float: division goes through inverse.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 try:
     from gmpy2 import mpq as Rational
@@ -33,94 +42,74 @@ def rat(value, den=None) -> Rational:
     return Rational(value)
 
 
-def _part(x):
-    """x as an int when it is integral, else as a reduced Rational."""
-    if type(x) is int:
+def exact(x):
+    """The coefficient x in its plainest type: an int when integral, a
+    Rational when rational, else a Scalar.  Constructors that take a
+    constant pass it through here; a float raises TypeError."""
+    t = type(x)
+    if t is int:
         return x
-    if type(x) is not _RATIONAL:
+    if t is Scalar:
+        return x if x.irr else x.rat
+    if t is not _RATIONAL:
         _refuse_float(x)
         x = Rational(x)
-    return int(x.numerator) if x.denominator == 1 else x
+    return int(x) if x.denominator == 1 else x
 
 
 class Scalar:
     """An element a + b*sqrt(2) of Q(sqrt2).
 
-    Immutable.  Nonzero scalars are invertible: since sqrt(2) is
-    irrational, a^2 - 2*b^2 = 0 forces a = b = 0.
+    Immutable.  Each part is an int when integral, else a Rational.  Nonzero
+    scalars are invertible: since sqrt(2) is irrational, a^2 - 2*b^2 = 0
+    forces a = b = 0.  Arithmetic with ints and Rationals, on either side,
+    gives a Scalar, also when the irrational part cancels; weyl.accumulate
+    is where such a result becomes rational again.
     """
 
     __slots__ = ("rat", "irr")
 
     def __init__(self, rat_part=0, irr_part=0):
-        self.rat = rat_part if type(rat_part) is int else _part(rat_part)
-        self.irr = irr_part if type(irr_part) is int else _part(irr_part)
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def of(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        return Scalar(x)
-
-    @staticmethod
-    def sqrt2(coeff=1) -> "Scalar":
-        return Scalar(0, coeff)
-
-    # -- predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.rat and not self.irr
-
-    def is_rational(self) -> bool:
-        return not self.irr
+        self.rat = rat_part if type(rat_part) is int else exact(rat_part)
+        self.irr = irr_part if type(irr_part) is int else exact(irr_part)
 
     # -- arithmetic ----------------------------------------------------
 
     _COERCIBLE = (int, _RATIONAL)
 
-    def _coerce(self, other):
-        """A non-Scalar operand as a Scalar, or None."""
-        if isinstance(other, self._COERCIBLE):
-            return Scalar(other)
-        return None
-
     def __add__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return Scalar(self.rat + other.rat, self.irr + other.irr)
+        if type(other) is Scalar:
+            return Scalar(self.rat + other.rat, self.irr + other.irr)
+        if isinstance(other, Scalar._COERCIBLE):
+            return Scalar(self.rat + other, self.irr)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return Scalar(self.rat - other.rat, self.irr - other.irr)
+        if type(other) is Scalar:
+            return Scalar(self.rat - other.rat, self.irr - other.irr)
+        if isinstance(other, Scalar._COERCIBLE):
+            return Scalar(self.rat - other, self.irr)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, Scalar._COERCIBLE):
+            return Scalar(other - self.rat, -self.irr)
+        return NotImplemented
 
     def __neg__(self):
         return Scalar(-self.rat, -self.irr)
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b, c, d = self.rat, self.irr, other.rat, other.irr
-        if not b and not d:
-            return Scalar(a * c)
-        # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s,  s = sqrt(2)
-        return Scalar(a * c + 2 * b * d, a * d + b * c)
+        a, b = self.rat, self.irr
+        if type(other) is Scalar:
+            c, d = other.rat, other.irr
+            # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s,  s = sqrt(2)
+            return Scalar(a * c + 2 * b * d, a * d + b * c)
+        if isinstance(other, Scalar._COERCIBLE):
+            return Scalar(a * other, b * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -129,21 +118,19 @@ class Scalar:
         if not a and not b:
             raise ZeroDivisionError("division by zero")
         # divide through Rational: 1 / a is a float when a is an int
-        if not b:
-            return Scalar(1 / Rational(a))
         norm = Rational(a * a - 2 * b * b)
         return Scalar(a / norm, -b / norm)
 
     def __truediv__(self, other):
-        return self * Scalar.of(other).inverse()
+        return self * inverse(other)
 
     def __rtruediv__(self, other):
-        return Scalar.of(other) * self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
+        result = Scalar(1)
         base = self
         while n:
             if n & 1:
@@ -155,17 +142,18 @@ class Scalar:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             return self.rat == other.rat and self.irr == other.irr
         if isinstance(other, Scalar._COERCIBLE):
             return not self.irr and self.rat == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rat, self.irr))
+        # equal numbers hash equal: a rational Scalar hashes as its value
+        return hash((self.rat, self.irr)) if self.irr else hash(self.rat)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.rat) or bool(self.irr)
 
     # -- rendering -------------------------------------------------------
 
@@ -181,41 +169,50 @@ class Scalar:
         sep = "+" if not irr_str.startswith("-") else ""
         return "%s%s%s" % (self.rat, sep, irr_str)
 
-    def to_decimal(self, digits: int = 12) -> str:
-        """Approximate rendering for the CLI --decimal flag; never used in checks."""
-        scale = 10 ** digits
-        num = self.rat * scale * scale + self.irr * _isqrt(2 * scale * scale * scale * scale)
-        return "%.*f" % (digits, int(num) / scale / scale)
 
-    # -- JSON --------------------------------------------------------------
-
-    def to_json(self):
-        out = {"r": str(self.rat)}
-        if self.irr:
-            out["s2"] = str(self.irr)
-        return out
-
-    @staticmethod
-    def from_json(obj) -> "Scalar":
-        return Scalar(obj["r"], obj.get("s2", 0))
+SQRT2 = Scalar(0, 1)
 
 
-def _isqrt(n: int) -> int:
-    import math
+def _parts(x):
+    """(rational part, irrational part) of a coefficient."""
+    return (x.rat, x.irr) if type(x) is Scalar else (x, 0)
 
-    return math.isqrt(n)
+
+def inverse(x):
+    """1/x for an int, a Rational or a Scalar, never a float."""
+    if type(x) is Scalar:
+        return x.inverse()
+    return exact(1 / rat(x))
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-SQRT2 = Scalar.sqrt2()
+def is_rational(x) -> bool:
+    return type(x) is not Scalar or not x.irr
+
+
+def to_json(x) -> dict:
+    """{"r": rational part} plus "s2": irrational part when it is nonzero."""
+    a, b = _parts(x)
+    out = {"r": str(a)}
+    if b:
+        out["s2"] = str(b)
+    return out
+
+
+def to_decimal(x, digits: int = 12) -> str:
+    """Approximate rendering for the CLI --decimal flag; never used in checks."""
+    a, b = _parts(x)
+    scale = 10 ** digits
+    num = a * scale * scale + b * isqrt(2 * scale * scale * scale * scale)
+    return "%.*f" % (digits, int(num) / scale / scale)
+
 
 # -- reduction modulo a prime -----------------------------------------------------
 #
 # MOD_P = 2^61 - 1 is prime and = 7 (mod 8), so 2 is a square mod MOD_P; since
 # also MOD_P = 3 (mod 4), 2^((MOD_P+1)/4) is a square root of it.  Sending
 # sqrt2 to that root is a ring homomorphism Z_(p)[sqrt2] -> F_p: it respects
-# sums and products of every Scalar whose denominators MOD_P does not divide.
+# sums and products of every coefficient whose denominators MOD_P does not
+# divide.
 
 MOD_P = 2 ** 61 - 1
 SQRT2_MOD_P = pow(2, (MOD_P + 1) // 4, MOD_P)
@@ -223,10 +220,10 @@ if SQRT2_MOD_P * SQRT2_MOD_P % MOD_P != 2:
     raise ArithmeticError("2 is not a square modulo %d" % MOD_P)
 
 
-def reduce_mod_p(x: Scalar):
+def reduce_mod_p(x):
     """The image of x in F_p, p = MOD_P, or None when p divides a denominator."""
     out = 0
-    for part, unit in ((x.rat, 1), (x.irr, SQRT2_MOD_P)):
+    for part, unit in zip(_parts(x), (1, SQRT2_MOD_P)):
         if part:
             den = int(part.denominator) % MOD_P
             if not den:

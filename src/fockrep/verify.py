@@ -1,6 +1,6 @@
 """Machine verification of catalogue claims.
 
-Every check is exact: a PASS is an identity of Scalars, a FAIL carries a
+Every check is exact: a PASS is an identity over Q(sqrt2), a FAIL carries a
 concrete witness (a basis state or index pair with both values).  Closure
 is checked at matrix level uniformly, with a symbolic second path over
 normal-ordered canonical forms for purely polynomial families; the two
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .catalogue import RepSpec
 from .fock import FockVector, basis_states, check_identity
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
-from .scalars import MOD_P, ONE, ZERO, Scalar, reduce_mod_p
+from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
 
 
@@ -54,7 +54,7 @@ class AltFormResult:
 class StructureConstants:
     names: list
     parities: list
-    table: dict  # (i, j) -> {k: Scalar}
+    table: dict  # (i, j) -> {k: coefficient}
     span_dim: int
     probe_degree: int
     dependent: list = field(default_factory=list)
@@ -63,7 +63,7 @@ class StructureConstants:
         """Copy with c_{ij}^k shifted; used by negative-control tests."""
         table = {key: dict(val) for key, val in self.table.items()}
         entry = table.setdefault((i, j), {})
-        entry[k] = entry.get(k, ZERO) + Scalar.of(delta)
+        entry[k] = entry.get(k, 0) + delta
         return StructureConstants(self.names, self.parities, table,
                                   self.span_dim, self.probe_degree, self.dependent)
 
@@ -189,7 +189,7 @@ def closure(rep: RepSpec, cutoff: int = None):
                 vec[(j, alpha, beta)] = c
         return vec
 
-    unit = [FockVector(rep.modes, {key: ONE}) for key in states]
+    unit = [FockVector(rep.modes, {key: 1}) for key in states]
     applied = [[g.apply(v) for v in unit] for g in gens]
 
     span = EchelonSpan()
@@ -219,8 +219,7 @@ def closure(rep: RepSpec, cutoff: int = None):
                                          "probe degree %d" % probe, witness)
             table[(i, j)] = coeffs
             if i != j:
-                sign = Scalar(-1) if not anti else ONE
-                table[(j, i)] = {k: v * sign for k, v in coeffs.items()}
+                table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
     sc = StructureConstants(names, parities, table, span_dim, probe, dependent)
     detail = "span dimension %d over %d generators, probe degree %d" % (
         span_dim, m, probe)
@@ -256,8 +255,7 @@ def closure_symbolic(rep: RepSpec):
                        WeylElement(rep.modes, residual)))
             table[(i, j)] = coeffs
             if i != j:
-                sign = ONE if anti else Scalar(-1)
-                table[(j, i)] = {k: v * sign for k, v in coeffs.items()}
+                table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
     sc = StructureConstants(names, parities, table, span.dim, -1, dependent)
     return sc, CheckResult("closure_symbolic", "PASS",
                            "span dimension %d" % span.dim)
@@ -341,10 +339,10 @@ def jacobi(sc: StructureConstants) -> CheckResult:
 def killing_form(sc: StructureConstants):
     """K(x_i, x_j) = tr(ad x_i ad x_j) from the structure constants."""
     m = len(sc.names)
-    K = [[ZERO] * m for _ in range(m)]
+    K = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            total = ZERO
+            total = 0
             for mid in range(m):
                 ci = sc.table.get((i, mid), {})
                 for k, cik in ci.items():
@@ -356,7 +354,7 @@ def killing_form(sc: StructureConstants):
             K[j][i] = total
     span = EchelonSpan()
     for row in K:
-        span.insert({idx: v for idx, v in enumerate(row) if not v.is_zero()})
+        span.insert({idx: v for idx, v in enumerate(row) if v})
     return K, span.dim
 
 
@@ -390,12 +388,12 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     measured = None
     value_failures = []
     for key in probe_keys:
-        v = FockVector(rep.modes, {key: ONE})
+        v = FockVector(rep.modes, {key: 1})
         got = expr.apply(v)
         if measured is None:
             coeff = got.terms.get(key)
             if coeff is None and got.is_zero():
-                coeff = ZERO
+                coeff = 0
             if coeff is None:
                 value_failures.append("on %s: image %s is not a multiple of the state"
                                       % (_state_name(key, rep.modes), got))
@@ -440,7 +438,7 @@ def _space_columns(rep: RepSpec, names):
         g_cols = []
         for key in keys:
             col = {}
-            for skey, c in g.apply(FockVector(rep.modes, {key: ONE})).terms.items():
+            for skey, c in g.apply(FockVector(rep.modes, {key: 1})).terms.items():
                 i = index.get(skey)
                 if i is None:
                     return keys, cols, "%s maps %s outside the space (component %s)" % (
@@ -474,7 +472,7 @@ def restricted_matrix(rep: RepSpec, gen_name: str):
 
 
 def _dense(cols, d):
-    mat = [[ZERO] * d for _ in range(d)]
+    mat = [[0] * d for _ in range(d)]
     for j, col in enumerate(cols):
         for i, c in col.items():
             mat[i][j] = c
@@ -584,7 +582,7 @@ def _exact_algebra_dim(mats, d) -> int:
 
     def flat(mat):
         return {(i, j): mat[i][j] for i in range(d) for j in range(d)
-                if not mat[i][j].is_zero()}
+                if mat[i][j]}
 
     span = EchelonSpan()
     frontier = []

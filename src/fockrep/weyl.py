@@ -1,6 +1,6 @@
 """Normal-ordered super-Heisenberg (Weyl) algebra.
 
-Elements are finite Scalar combinations of monomials
+Elements are finite combinations, with coefficients in Q(sqrt2), of monomials
 
     b1^k1 a1^m1 ... bp^kp ap^mp  th_{i1}...th_{ik}  dth_{j1}...dth_{jl}
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import comb, factorial
 
-from .scalars import ONE, Scalar
+from .scalars import exact, inverse
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class WeylElement:
 
     def __init__(self, modes: ModeSystem, terms: dict):
         self.modes = modes
-        self.terms = terms  # Monomial -> nonzero Scalar
+        self.terms = terms  # Monomial -> nonzero coefficient
 
     # -- constructors ---------------------------------------------------
 
@@ -83,9 +83,9 @@ class WeylElement:
 
     @staticmethod
     def scalar(modes: ModeSystem, c) -> "WeylElement":
-        c = Scalar.of(c)
+        c = exact(c)
         zero_pow = (0,) * modes.bosonic
-        if c.is_zero():
+        if not c:
             return WeylElement(modes, {})
         return WeylElement(modes, {(zero_pow, zero_pow, 0, 0): c})
 
@@ -100,8 +100,8 @@ class WeylElement:
         ap = tuple(a_pow) + (0,) * (p - len(a_pow))
         th = _mask(theta, modes.fermionic)
         dth = _mask(dtheta, modes.fermionic)
-        c = Scalar.of(coeff)
-        if c.is_zero():
+        c = exact(coeff)
+        if not c:
             return WeylElement(modes, {})
         return WeylElement(modes, {(bp, ap, th, dth): c})
 
@@ -135,7 +135,7 @@ class WeylElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, WeylElement) else -Scalar.of(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -144,10 +144,10 @@ class WeylElement:
         return WeylElement(self.modes, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "WeylElement":
-        c = Scalar.of(c)
-        if c.is_zero():
+        c = exact(c)
+        if not c:
             return WeylElement.zero(self.modes)
-        return WeylElement(self.modes, {m: cc * c for m, cc in self.terms.items()})
+        return WeylElement(self.modes, {m: exact(cc * c) for m, cc in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -159,7 +159,7 @@ class WeylElement:
         return self.scale(other)
 
     def __truediv__(self, c):
-        return self.scale(Scalar.of(c).inverse())
+        return self.scale(inverse(c))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -213,7 +213,7 @@ class WeylElement:
             body = _mono_str(mono, self.modes)
             cs = str(c)
             if body:
-                if c == ONE:
+                if c == 1:
                     piece = body
                 elif cs == "-1":
                     piece = "-" + body
@@ -329,14 +329,19 @@ def super_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
 # -- helpers ------------------------------------------------------------------------
 
 
-def accumulate(out: dict, key, c: Scalar):
-    """out[key] += c, dropping the key when the sum is zero."""
+def accumulate(out: dict, key, c):
+    """out[key] += c, dropping the key when the sum is zero.
+
+    The sum is stored in its plainest type (scalars.exact): an integral
+    Rational as an int, a Scalar whose irrational part cancelled as its
+    rational part.
+    """
     cur = out.get(key)
     s = c if cur is None else cur + c
-    if s.is_zero():
+    if not s:
         out.pop(key, None)
     else:
-        out[key] = s
+        out[key] = s if type(s) is int else exact(s)
 
 
 def _unit(p: int, i: int):

@@ -4,9 +4,13 @@ The production algebra reorders with closed-form binomial sums and
 transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
 deliberately naive.  The Jacobi oracle walks all m^3 index triples.
+OracleScalar is the earlier coefficient type, in which every number was a
+Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
-from fockrep.scalars import Scalar
+from math import isqrt
+
+from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
 from fockrep.verify import CheckResult, StructureConstants
 from fockrep.weyl import ModeSystem, WeylElement, accumulate
 
@@ -29,30 +33,43 @@ def _is_fermionic(atom):
 
 
 def swap_normal_order(word, coeff, modes: ModeSystem) -> WeylElement:
-    """Normal-order a single word by repeated adjacent swaps."""
+    """Normal-order a single word by repeated adjacent swaps.
+
+    Each step rewrites the first out-of-order adjacent pair of every word
+    by one defining relation; identical words are merged between steps, so
+    a word reached along many rewrite paths is rewritten once per step.
+    """
     result = WeylElement.zero(modes)
-    stack = [(tuple(word), Scalar.of(coeff))]
-    while stack:
-        w, c = stack.pop()
-        pos = _first_violation(w)
-        if pos is None:
-            result = result + _word_to_element(w, c, modes)
-            continue
-        x, y = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        if _is_fermionic(x) and x == y:
-            continue  # nilpotent square kills the word
-        if x[0] == "a" and y[0] == "b" and x[1] == y[1]:
-            stack.append((head + (y, x) + tail, c))  # ab -> ba + 1
-            stack.append((head + tail, c))
-        elif _is_fermionic(x) and _is_fermionic(y):
-            if x[0] == "dth" and y[0] == "th" and x[1] == y[1]:
-                stack.append((head + tail, c))  # dth th -> 1 - th dth
-                stack.append((head + (y, x) + tail, -c))
+    words = {tuple(word): coeff}
+    while words:
+        step = {}
+
+        def push(w, c):
+            step[w] = step.get(w, 0) + c
+
+        for w, c in words.items():
+            if not c:
+                continue
+            pos = _first_violation(w)
+            if pos is None:
+                result = result + _word_to_element(w, c, modes)
+                continue
+            x, y = w[pos], w[pos + 1]
+            head, tail = w[:pos], w[pos + 2:]
+            if _is_fermionic(x) and x == y:
+                continue  # nilpotent square kills the word
+            if x[0] == "a" and y[0] == "b" and x[1] == y[1]:
+                push(head + (y, x) + tail, c)  # ab -> ba + 1
+                push(head + tail, c)
+            elif _is_fermionic(x) and _is_fermionic(y):
+                if x[0] == "dth" and y[0] == "th" and x[1] == y[1]:
+                    push(head + tail, c)  # dth th -> 1 - th dth
+                    push(head + (y, x) + tail, -c)
+                else:
+                    push(head + (y, x) + tail, -c)
             else:
-                stack.append((head + (y, x) + tail, -c))
-        else:
-            stack.append((head + (y, x) + tail, c))  # commuting swap
+                push(head + (y, x) + tail, c)  # commuting swap
+        words = step
     return result
 
 
@@ -110,10 +127,9 @@ def swap_multiply(x: WeylElement, y: WeylElement) -> WeylElement:
 def q_swap_multiply(terms_x, terms_y, q) -> dict:
     """Oracle for the q-deformed pair:  a b -> q b a + 1.
 
-    terms are dicts (k, m) -> Scalar for b^k a^m words; returns the same
+    terms are dicts (k, m) -> coefficient for b^k a^m words; returns the same
     shape, fully reordered by adjacent swaps.
     """
-    qs = Scalar.of(q)
     out: dict = {}
     stack = []
     for (k1, m1), c1 in terms_x.items():
@@ -126,14 +142,14 @@ def q_swap_multiply(terms_x, terms_y, q) -> dict:
                     if word[i] == "a" and word[i + 1] == "b"), None)
         if pos is None:
             key = (word.count("b"), word.count("a"))
-            cur = out.get(key, Scalar(0)) + c
-            if cur.is_zero():
+            cur = out.get(key, 0) + c
+            if not cur:
                 out.pop(key, None)
             else:
                 out[key] = cur
             continue
         head, tail = word[:pos], word[pos + 2:]
-        stack.append((head + ("b", "a") + tail, c * qs))
+        stack.append((head + ("b", "a") + tail, c * q))
         stack.append((head + tail, c))
     return out
 
@@ -166,3 +182,131 @@ def loop_jacobi(sc: StructureConstants) -> CheckResult:
                         "triple (%s,%s,%s): coefficient of %s is %s, not 0"
                         % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], v))
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
+
+
+# -- the coefficient oracle: every number a Scalar ----------------------------------
+
+
+_RATIONAL = type(Rational(0))
+
+
+def _part(x):
+    """x as an int when it is integral, else as a reduced Rational."""
+    if type(x) is int:
+        return x
+    if type(x) is not _RATIONAL:
+        if isinstance(x, float):
+            raise TypeError("a float is not an exact number: %r" % (x,))
+        x = Rational(x)
+    return int(x.numerator) if x.denominator == 1 else x
+
+
+class OracleScalar:
+    """a + b*sqrt(2) with both parts held and every operand coerced to it."""
+
+    __slots__ = ("rat", "irr")
+
+    def __init__(self, rat_part=0, irr_part=0):
+        self.rat = _part(rat_part)
+        self.irr = _part(irr_part)
+
+    _COERCIBLE = (int, _RATIONAL)
+
+    def _coerce(self, other):
+        if isinstance(other, OracleScalar):
+            return other
+        if isinstance(other, self._COERCIBLE):
+            return OracleScalar(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return OracleScalar(self.rat + other.rat, self.irr + other.irr)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return OracleScalar(self.rat - other.rat, self.irr - other.irr)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return OracleScalar(-self.rat, -self.irr)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self.rat, self.irr, other.rat, other.irr
+        return OracleScalar(a * c + 2 * b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        a, b = self.rat, self.irr
+        if not a and not b:
+            raise ZeroDivisionError("division by zero")
+        norm = Rational(a * a - 2 * b * b)
+        return OracleScalar(a / norm, -b / norm)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = OracleScalar(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.rat == other.rat and self.irr == other.irr
+
+    def __hash__(self):
+        return hash((self.rat, self.irr))
+
+    def __repr__(self):
+        return "OracleScalar(%s)" % self
+
+    def __str__(self):
+        if not self.irr:
+            return str(self.rat)
+        irr_str = "sqrt2" if self.irr == 1 else ("-sqrt2" if self.irr == -1 else "%s*sqrt2" % self.irr)
+        if not self.rat:
+            return irr_str
+        sep = "+" if not irr_str.startswith("-") else ""
+        return "%s%s%s" % (self.rat, sep, irr_str)
+
+    def to_decimal(self, digits: int = 12) -> str:
+        scale = 10 ** digits
+        num = self.rat * scale * scale + self.irr * isqrt(2 * scale * scale * scale * scale)
+        return "%.*f" % (digits, int(num) / scale / scale)
+
+    def to_json(self):
+        out = {"r": str(self.rat)}
+        if self.irr:
+            out["s2"] = str(self.irr)
+        return out
+
+    def reduce_mod_p(self):
+        out = 0
+        for part, unit in ((self.rat, 1), (self.irr, SQRT2_MOD_P)):
+            if part:
+                den = int(part.denominator) % MOD_P
+                if not den:
+                    return None
+                out += int(part.numerator) * unit * pow(den, -1, MOD_P)
+        return out % MOD_P

@@ -22,7 +22,7 @@ from fockrep.grids import DELTAS, KR_PAIRS, KS, NS, QS, RS, acceptance_grid
 from fockrep.qheis import embed, q_alpha_hat, q_number
 from fockrep.realize import (JacksonX, cross_check, poly_to_matrix, q_pair_fd,
                              realize_generators)
-from fockrep.scalars import ONE, Scalar, rat
+from fockrep.scalars import Scalar, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
                             charpoly_equivalence, closure, full_verify,
                             invariant_subspace, jacobi, verify_constants)
@@ -181,7 +181,7 @@ def test_criterion_4_osp22_table():
             lhs = _poly_word(gens, rel.lhs, rep.modes)
             rhs = _poly_word(gens, rel.rhs, rep.modes)
             for key in states:
-                vec = FockVector(rep.modes, {key: ONE})
+                vec = FockVector(rep.modes, {key: 1})
                 if lhs.apply(vec) != rhs.apply(vec):
                     failures.append(("differential", n, rel.name, key))
                     break
@@ -360,7 +360,7 @@ def test_criterion_8_embeddings():
             atf, btf = q_pair_fd(q, d)
             relf = Sum([Product([atf, btf]), Scale(Scalar(-q), Product([btf, atf]))])
             for k in range(9):
-                f = FockVector(modes, {((k,), 0): ONE})
+                f = FockVector(modes, {((k,), 0): 1})
                 if relf.apply(f) != f:
                     failures.append(("fd pair", str(q), str(d), k))
                     break
@@ -398,7 +398,7 @@ def test_criterion_9_negative_controls():
         for name, g in rep.generators.items():
             weyl = g.as_weyl()
             for mono in list(weyl.terms):
-                bumped = weyl + WeylElement(rep.modes, {mono: ONE})
+                bumped = weyl + WeylElement(rep.modes, {mono: 1})
                 gens = dict(rep.generators)
                 gens[name] = Poly(bumped)
                 report = full_verify(dataclasses.replace(rep, generators=gens))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +188,46 @@ def test_report_all_small_json_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "88dc6f8dc3e995ba8a44efeb45cccbefb7452ff993ece1543b3042dd1b797c46")
+
+
+def test_pretty_report_all_is_byte_identical_across_runs(capsys):
+    _, out1, _ = run(capsys, "report-all", "--grid", "small")
+    _, out2, _ = run(capsys, "report-all", "--grid", "small")
+    assert out1 == out2
+    assert " ms)" not in out1
+
+
+def test_timing_flag(capsys):
+    code, out, _ = run(capsys, "report-all", "--grid", "small", "--timing")
+    assert code == 0
+    runs = [l for l in out.splitlines() if l.startswith("PASS")]
+    assert len(runs) == 16 and all(re.search(r"checks, \d+ ms\)$", l) for l in runs)
+    code, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing")
+    assert code == 0 and re.search(r"^elapsed: \d+ ms$", out, re.M)
+    _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing", "--format", "json")
+    assert isinstance(json.loads(out)["elapsed_ms"], int)
+    _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--format", "json")
+    assert "elapsed_ms" not in json.loads(out)
+
+
+# the bytes `fockrep matrix` printed when every entry went through a Scalar
+# JSON round trip: native entries must render the same
+@pytest.mark.parametrize("argv, digest", [
+    # sqrt2 entries
+    (["osp22_metaplectic", "--gen", "Q2"],
+     "a24c716ec368f4c008b8eb9c11650fdcb4185347c22896be56db9ecb1556c817"),
+    (["osp22_metaplectic", "--gen", "Q2", "--decimal", "--format", "json"],
+     "6ff0cf3af2256a168751cf62a3c90e5c15aee73008e5a0d819490394ebe186d9"),
+    # integer entries
+    (["sl2_standard", "n=2", "--gen", "J+"],
+     "94480af3eaff5e4ccc8bbfbd08fe45de6139062059524610f73f4f1a59cf6e59"),
+    (["sl2_standard", "n=2", "--gen", "J+", "--decimal", "--format", "json"],
+     "062c736cd03dd9b70e66633f08d45521ea3a563405cbb81de5715d4cff28181b"),
+])
+def test_matrix_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "matrix", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unavailable_realization_exits_two(capsys):

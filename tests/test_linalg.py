@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fockrep.linalg import EchelonSpan, ModPSpan, charpoly
-from fockrep.scalars import MOD_P, Scalar, rat, reduce_mod_p
+from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, is_rational, rat, reduce_mod_p
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF, QQ  # noqa: E402
@@ -34,7 +34,7 @@ def _small_int(rng):
 
 
 def _rational_entry(rng):
-    return Scalar(rat(rng.randint(-4, 4), rng.randint(1, 3)))
+    return exact(rat(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
 def _scalar_entry(rng):
@@ -49,12 +49,13 @@ def _sympy_rational(q):
     return QQ(int(q.numerator), int(q.denominator))
 
 
-def _sympy_element(domain, x: Scalar):
+def _sympy_element(domain, x):
+    a, b = (x.rat, x.irr) if isinstance(x, Scalar) else (x, 0)
     if domain is QQ:
-        assert x.is_rational()
-        return _sympy_rational(x.rat)
-    return (domain.convert(_sympy_rational(x.rat))
-            + domain.convert(_sympy_rational(x.irr)) * SQRT2_IN_FIELD)
+        assert is_rational(x)
+        return _sympy_rational(a)
+    return (domain.convert(_sympy_rational(a))
+            + domain.convert(_sympy_rational(b)) * SQRT2_IN_FIELD)
 
 
 def test_mod_p_span_rank_matches_sympy_gf():
@@ -103,7 +104,16 @@ def test_reduce_mod_p_is_a_ring_map():
         rx, ry = reduce_mod_p(x), reduce_mod_p(y)
         assert reduce_mod_p(x + y) == (rx + ry) % MOD_P
         assert reduce_mod_p(x * y) == rx * ry % MOD_P
-    assert reduce_mod_p(Scalar.sqrt2()) ** 2 % MOD_P == 2
+    assert reduce_mod_p(SQRT2) ** 2 % MOD_P == 2
     assert reduce_mod_p(Scalar(rat(1, MOD_P))) is None
     assert reduce_mod_p(Scalar(0, rat(3, 2 * MOD_P))) is None
     assert reduce_mod_p(Scalar(MOD_P)) == 0
+
+
+def test_charpoly_of_an_integer_matrix_has_no_float():
+    # int / int is a float: the Faddeev-LeVerrier divisions must stay exact
+    coeffs = charpoly([[1, 2], [3, 4]])
+    assert coeffs == [1, -5, -2]
+    assert not any(isinstance(c, float) for c in coeffs)
+    assert charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
+    assert charpoly([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, -6, 11, -6]

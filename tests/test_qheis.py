@@ -8,7 +8,7 @@ from fockrep.catalogue import sl2q_triple
 from fockrep.qheis import (QDomainError, QWeylElement, _reorder, embed,
                            q_alpha_hat, q_multiply, q_number)
 from fockrep.realize import JacksonX
-from fockrep.scalars import ONE, Scalar, rat
+from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement, multiply
 
 from oracles import q_swap_multiply
@@ -54,7 +54,7 @@ def test_reorder_degenerates_to_weyl_at_q_one():
         for k in range(5):
             image = {}
             for (j, l), c in _reorder(m, k, rat(1)):
-                image[((j,), (l,), 0, 0)] = Scalar.of(c)
+                image[((j,), (l,), 0, 0)] = c
             direct = multiply(WeylElement.a(ms) ** m, WeylElement.b(ms) ** k)
             assert image == direct.terms
 
@@ -111,12 +111,12 @@ def jackson_apply(q, poly):
 
 def test_jackson_on_monomials():
     q = rat(2)
-    assert jackson_apply(q, {3: ONE}) == {2: Scalar(7)}
+    assert jackson_apply(q, {3: 1}) == {2: Scalar(7)}
     assert jackson_apply(q, {0: Scalar(5)}) == {}
-    assert jackson_apply(q, {1: ONE}) == {0: ONE}
+    assert jackson_apply(q, {1: 1}) == {0: 1}
     for q in QS:
         for k in range(1, 9):
-            assert jackson_apply(q, {k: ONE}) == {k - 1: Scalar(q_number(k, q))}
+            assert jackson_apply(q, {k: 1}) == {k - 1: Scalar(q_number(k, q))}
 
 
 def test_spectral_embedding_action():

@@ -11,7 +11,7 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              abstract_counterpart, check_fd_displayed, cross_check,
                              fd_deltas, fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
                              realize_generators, weyl_to_differential)
-from fockrep.scalars import ONE, Scalar, rat
+from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement
 
 B1 = ModeSystem(1, 0)
@@ -19,8 +19,7 @@ B1 = ModeSystem(1, 0)
 
 def poly1(coeffs):
     """dict x^k -> coeff in the one-variable spinorless space."""
-    return FockVector(B1, {((k,), 0): Scalar.of(c) for k, c in coeffs.items()
-                           if Scalar.of(c)})
+    return FockVector(B1, {((k,), 0): c for k, c in coeffs.items() if c})
 
 
 def test_shift_is_terminating_exponential():
@@ -38,7 +37,7 @@ def test_shift_is_terminating_exponential():
                 coeff = c * Scalar(delta ** j) * Scalar(rat(1, factorial(j)))
                 series[key] = series.get(key, Scalar(0)) + coeff
             term = Partial(B1, 1).apply(term)
-        series = {k2: v for k2, v in series.items() if not v.is_zero()}
+        series = {k2: v for k2, v in series.items() if v}
         assert shift.apply(f).terms == series
 
 
@@ -123,7 +122,7 @@ def test_leaf_max_raise_bounds_image_degree():
             bound = leaf.max_raise()
             attained = False
             for key in basis_states(modes, 6):
-                image = leaf.apply(FockVector(modes, {key: ONE}))
+                image = leaf.apply(FockVector(modes, {key: 1}))
                 degrees = [state_degree(k) for k in image.terms]
                 assert all(d <= state_degree(key) + bound for d in degrees), \
                     (modes, type(leaf).__name__, key)
@@ -265,7 +264,7 @@ def test_vector_field_preserves_homogeneous_degree():
     gens = realize_generators(rep, "differential")
     for name, op in gens.items():
         for e in ((2, 0), (1, 1), (0, 2), (3, 1)):
-            image = op.apply(FockVector(rep.modes, {(e, 0): ONE}))
+            image = op.apply(FockVector(rep.modes, {(e, 0): 1}))
             assert all(sum(exps) == sum(e) for (exps, _) in image.terms), (name, e)
 
 

@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fockrep.scalars import ONE, SQRT2, ZERO, Rational, Scalar, rat
+from fockrep.scalars import (SQRT2, Rational, Scalar, exact, inverse, is_rational, rat,
+                             reduce_mod_p, to_decimal, to_json)
+from fockrep.weyl import accumulate
+
+from oracles import OracleScalar
 
 rationals = st.builds(Rational, st.integers(-10**6, 10**6), st.integers(1, 10**4))
 scalars = st.builds(Scalar, rationals, rationals)
@@ -16,7 +20,7 @@ mixed = st.tuples(parts, parts)
 
 def test_basic_examples():
     # (1 + s)(1 - s) = -1
-    assert (ONE + SQRT2) * (ONE - SQRT2) == Scalar(-1)
+    assert (1 + SQRT2) * (1 - SQRT2) == Scalar(-1)
     # 1/s = s/2
     assert SQRT2.inverse() == Scalar(0, rat(1, 2))
     assert Scalar(rat(1, 3)) + Scalar(rat(1, 6)) == Scalar(rat(1, 2))
@@ -24,15 +28,17 @@ def test_basic_examples():
 
 def test_inverse_formula():
     x = Scalar(rat(3, 2), rat(-1, 3))
-    assert x * x.inverse() == ONE
+    assert x * x.inverse() == 1
     with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
+        Scalar(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        inverse(0)
 
 
 def test_pow():
     assert SQRT2 ** 2 == Scalar(2)
     assert SQRT2 ** -2 == Scalar(rat(1, 2))
-    assert (ONE + SQRT2) ** 0 == ONE
+    assert (1 + SQRT2) ** 0 == 1
 
 
 @given(scalars, scalars, scalars)
@@ -42,19 +48,24 @@ def test_field_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
-    if not x.is_zero():
-        assert x * x.inverse() == ONE
+    if x:
+        assert x * x.inverse() == 1
+
+
+def _from_json(obj):
+    return Scalar(rat(obj["r"]), rat(obj.get("s2", 0)))
 
 
 @given(scalars)
 def test_json_round_trip(x):
-    encoded = json.dumps(x.to_json())
-    assert Scalar.from_json(json.loads(encoded)) == x
+    encoded = json.dumps(to_json(x))
+    assert _from_json(json.loads(encoded)) == x
 
 
 def test_json_shape():
-    assert Scalar(rat(-3, 2)).to_json() == {"r": "-3/2"}
-    assert Scalar(1, rat(1, 2)).to_json() == {"r": "1", "s2": "1/2"}
+    assert to_json(Scalar(rat(-3, 2))) == {"r": "-3/2"}
+    assert to_json(Scalar(1, rat(1, 2))) == {"r": "1", "s2": "1/2"}
+    assert to_json(rat(-3, 2)) == {"r": "-3/2"} and to_json(-3) == {"r": "-3"}
 
 
 def test_rat_parses_strings():
@@ -63,8 +74,8 @@ def test_rat_parses_strings():
 
 
 def test_floats_are_refused():
-    for build in (lambda: Scalar(0.5), lambda: Scalar(1, 0.5), lambda: Scalar.of(0.1),
-                  lambda: rat(0.1), lambda: rat(1, 2.0)):
+    for build in (lambda: Scalar(0.5), lambda: Scalar(1, 0.5), lambda: exact(0.1),
+                  lambda: rat(0.1), lambda: rat(1, 2.0), lambda: inverse(0.5)):
         with pytest.raises(TypeError):
             build()
 
@@ -106,7 +117,7 @@ def _check(x: Scalar, pair):
         assert (type(part) is int) == (part.denominator == 1)
     ref = _as_fractions(*pair)
     assert str(x) == str(ref)
-    assert x.to_json() == ref.to_json()
+    assert to_json(x) == to_json(ref)
     assert x == ref and ref == x
     assert hash(x) == hash(ref)
 
@@ -123,9 +134,97 @@ def test_parts_are_ints_exactly_when_integral(xp, yp, n):
     _check(-x, (-xf[0], -xf[1]))
     _check(x + 3, (xf[0] + 3, xf[1]))
     _check(x * rat(1, 2), (xf[0] / 2, xf[1] / 2))
-    if not x.is_zero():
+    if x:
         _check(x.inverse(), _pair_inverse(xf))
         _check(x ** n, _pair_pow(xf, n))
         _check(y / x, _pair_mul(yf, _pair_inverse(xf)))
     elif n >= 0:
         _check(x ** n, _pair_pow(xf, n))
+
+
+# -- native coefficients: int, Rational, and a Scalar only where sqrt2 survives --
+
+
+def test_hash_agrees_with_equality():
+    for x, same in ((2, Scalar(2)), (rat(2), Scalar(2)), (rat(1, 3), Scalar(rat(1, 3))),
+                    (-5, Scalar(rat(-10, 2)))):
+        assert x == same and same == x
+        assert hash(x) == hash(same)
+        assert len({x, same}) == 1
+    assert len({2, rat(2), Scalar(2)}) == 1
+    assert len({Scalar(2), Scalar(2, 1), 2}) == 2
+    assert Scalar(1, 1) != 1 and hash(Scalar(1, 1)) == hash(Scalar(1, 1))
+
+
+def test_exact_gives_the_plainest_type():
+    assert type(exact(rat(4, 2))) is int and exact(rat(4, 2)) == 2
+    assert exact(rat(1, 2)) == rat(1, 2) and type(exact(rat(1, 2))) is type(rat(1, 2))
+    assert type(exact(Scalar(rat(6, 3)))) is int
+    assert exact(Scalar(1, 1)) == Scalar(1, 1)
+    assert exact("3/6") == rat(1, 2)
+
+
+def test_accumulate_collapses_sums():
+    out = {}
+    accumulate(out, "k", rat(3, 2))
+    accumulate(out, "k", rat(1, 2))
+    assert out == {"k": 2} and type(out["k"]) is int
+    accumulate(out, "s", Scalar(1, 1))
+    accumulate(out, "s", Scalar(rat(1, 2), -1))
+    assert out["s"] == rat(3, 2) and type(out["s"]) is type(rat(3, 2))
+    accumulate(out, "k", -2)
+    assert "k" not in out
+
+
+def _oracle(x):
+    if isinstance(x, Scalar):
+        return OracleScalar(x.rat, x.irr)
+    return OracleScalar(x)
+
+
+def _no_float(x):
+    assert not isinstance(x, float), x
+    if isinstance(x, Scalar):
+        assert not isinstance(x.rat, float) and not isinstance(x.irr, float), x
+
+
+def _agrees(got, want: OracleScalar):
+    _no_float(got)
+    assert _oracle(got) == want
+    assert str(got) == str(want)
+    assert to_json(got) == want.to_json()
+    assert to_decimal(got) == want.to_decimal()
+    assert reduce_mod_p(got) == want.reduce_mod_p()
+    assert is_rational(got) == (not want.irr)
+
+
+_small = st.integers(-20, 20)
+_rationals = st.builds(rat, _small, st.integers(1, 6))
+# the plain forms the library produces, plus integral Rationals and Scalars
+# with a zero irrational part, which arithmetic can hand back transiently
+coefficients = st.one_of(
+    _small, st.builds(exact, _rationals), _rationals,
+    st.builds(Scalar, _rationals, _rationals.filter(bool)),
+    st.builds(Scalar, _rationals))
+
+
+@given(coefficients, coefficients, st.integers(-3, 3))
+def test_native_arithmetic_matches_the_scalar_oracle(x, y, n):
+    ox, oy = _oracle(x), _oracle(y)
+    _agrees(x, ox)
+    _agrees(x + y, ox + oy)
+    _agrees(x - y, ox - oy)
+    _agrees(x * y, ox * oy)
+    _agrees(-x, -ox)
+    if y:
+        # the library divides only through inverse: int / int is a float
+        _agrees(inverse(y), oy.inverse())
+        _agrees(x * inverse(y), ox / oy)
+        if isinstance(x, Scalar) or isinstance(y, Scalar):
+            _agrees(x / y, ox / oy)
+    if n >= 0:
+        _agrees(x ** n, ox ** n)
+    elif x:
+        _agrees(inverse(x) ** -n, ox ** n)
+        if isinstance(x, Scalar):
+            _agrees(x ** n, ox ** n)

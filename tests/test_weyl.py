@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep.scalars import Scalar, rat
+from fockrep.scalars import SQRT2, Scalar, rat
 from fockrep.weyl import (ModeSystem, WeylElement, anticommutator, commutator,
                           multiply, super_bracket)
 
@@ -132,7 +132,7 @@ def test_closed_form_matches_swap_oracle_fermionic():
 
 # -- property tests ----------------------------------------------------------
 
-small_scalars = st.integers(-4, 4).map(Scalar.of)
+small_scalars = st.integers(-4, 4).map(Scalar)
 
 
 def _elements(ms, max_terms=3, bmax=2):
@@ -205,7 +205,7 @@ def test_super_jacobi():
 
 def test_oscillator_pair_is_canonical():
     # hatted pair (b+a)/s2, (b-a)/s2 keeps [a, b] = 1
-    s2inv = Scalar.sqrt2().inverse()
+    s2inv = SQRT2.inverse()
     ahat = (b() + a()).scale(s2inv)
     bhat = (b() - a()).scale(s2inv)
     assert commutator(ahat, bhat) == WeylElement.one(B1)
