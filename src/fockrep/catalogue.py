@@ -74,7 +74,6 @@ class InvariantSpace:
 @dataclass
 class Claims:
     closes: bool = True
-    superalgebra: bool = False
     irreducible: bool = None  # True / False / None (no claim)
     abelian_ideal: list = field(default_factory=list)
 
@@ -85,7 +84,6 @@ class AltForm:
 
     generator: str
     expr: OperatorExpr
-    note: str = ""
 
 
 @dataclass
@@ -100,7 +98,6 @@ class RepSpec:
     claims: Claims = field(default_factory=Claims)
     alt_forms: list = field(default_factory=list)
     default_cutoff: int = None  # invariant-space degree + 2, else 8
-    description: str = ""
     modes: ModeSystem = field(init=False)  # the generators' mode system
 
     def __post_init__(self):
@@ -445,15 +442,14 @@ FORMULAS = {
 
 
 def _degree_space(n: int, weights, expected: int, desc: str) -> InvariantSpace:
+    """States whose weighted bosonic degree plus fermionic degree is <= n."""
     def pred(alpha, beta):
-        if beta:
-            return False
-        return sum(w * k for w, k in zip(weights, alpha)) <= n
+        return sum(w * k for w, k in zip(weights, alpha)) + beta.bit_count() <= n
 
     return InvariantSpace(pred, n, expected, desc)
 
 
-def _sl2(rep_id, params, deltas, description):
+def _sl2(rep_id, params, deltas):
     """sl2_standard, sl2_translated and sl2_oscillator: the sl2 formula over
     the plain or the shift-transformed pair."""
     ni = _finite(params["n"])
@@ -461,17 +457,15 @@ def _sl2(rep_id, params, deltas, description):
     gens = FORMULAS["sl2_translated"](fock_kit(ModeSystem(1, 0), deltas), params)
     return RepSpec(rep_id, params, gens, list(SL2_RELATIONS),
                    casimir=sl2_casimir(params["n"]), invariant_space=inv,
-                   claims=Claims(irreducible=True if inv else None),
-                   description=description)
+                   claims=Claims(irreducible=True if inv else None))
 
 
 def _build_sl2_standard(params):
-    return _sl2("sl2_standard", params, None,
-                "sl2 on one bosonic mode, lowest polynomial family")
+    return _sl2("sl2_standard", params, None)
 
 
 def _build_sl2_translated(params):
-    rep = _sl2("sl2_translated", params, [params["delta"]], "sl2, shift-transform family")
+    rep = _sl2("sl2_translated", params, [params["delta"]])
     modes = rep.modes
     d = rat(params["delta"])
     n = rat(params["n"])
@@ -501,7 +495,7 @@ def _build_sl2_oscillator(params):
     # in that pair the generators act on the standard Fock space as the base
     # triple.  The displayed cubic forms are recorded in the original pair,
     # here expressed through the inverse rewriting a -> (a-b)/s2, b -> (a+b)/s2.
-    rep = _sl2("sl2_oscillator", params, None, "sl2, oscillator (rotated-pair) family")
+    rep = _sl2("sl2_oscillator", params, None)
     n = params["n"]
     inv_s2 = SQRT2.inverse()
     A, B = WeylElement.a(rep.modes), WeylElement.b(rep.modes)
@@ -522,8 +516,7 @@ def _build_sl2_metaplectic(params):
     gens = FORMULAS["sl2_metaplectic"](fock_kit(ModeSystem(1, 0)), params)
     return RepSpec(
         "sl2_metaplectic", params, gens, list(SL2_RELATIONS),
-        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), rat(3, 16)),
-        description="sl2, metaplectic (half-quadratic) family, infinite-dimensional")
+        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), rat(3, 16)))
 
 
 def _build_sl2_clifford(params):
@@ -533,9 +526,7 @@ def _build_sl2_clifford(params):
     acl = th + dth                                  # squares to 1
     bcl = WeylElement.one(modes) - (th * dth).scale(2)  # squares to 1, anticommutes
     gens = {"J1": Poly(acl), "J2": Poly(bcl), "J3": Poly(acl * bcl)}
-    return RepSpec(
-        "sl2_clifford", params, gens, default_cutoff=2,
-        description="sl2 inside the rank-2 Clifford algebra (2x2 matrices)")
+    return RepSpec("sl2_clifford", params, gens, default_cutoff=2)
 
 
 def _build_sl2_vector_field(params):
@@ -545,27 +536,25 @@ def _build_sl2_vector_field(params):
     return RepSpec(
         "sl2_vector_field", params, gens,
         invariant_space=_degree_space(1, (1, 1), 3, "span(1, b1, b2)"),
-        claims=Claims(irreducible=False), default_cutoff=4,
-        description="sl2 by degree-preserving vector fields on two modes, reducible")
+        claims=Claims(irreducible=False), default_cutoff=4)
 
 
-def _sl3(rep_id, params, deltas, description):
+def _sl3(rep_id, params, deltas):
     """sl3_fock and sl3_translated: the sl3 formula over the plain or the
     per-mode shift-transformed pairs."""
     ni = _finite(params["n"])
     inv = None if ni is None else _degree_space(ni, (1, 1), (ni + 1) * (ni + 2) // 2,
                                                 "span(b1^n1 b2^n2 : n1+n2 <= n)")
     gens = FORMULAS["sl3_translated"](fock_kit(ModeSystem(2, 0), deltas), params)
-    return RepSpec(rep_id, params, gens, invariant_space=inv, description=description)
+    return RepSpec(rep_id, params, gens, invariant_space=inv)
 
 
 def _build_sl3_fock(params):
-    return _sl3("sl3_fock", params, None, "sl3 on two bosonic modes")
+    return _sl3("sl3_fock", params, None)
 
 
 def _build_sl3_translated(params):
-    return _sl3("sl3_translated", params, [params["delta1"], params["delta2"]],
-                "sl3, per-mode shift-transform family")
+    return _sl3("sl3_translated", params, [params["delta1"], params["delta2"]])
 
 
 def _build_sl3_seven(params):
@@ -586,9 +575,7 @@ def _build_sl3_seven(params):
         "J0_1": -(b1 * a1) + b2 * a2 + (b3 * a3).scale(2) - nn * identity_op(modes),
         "J0_2": (b1 * a1).scale(2) + b2 * a2 - b3 * a3 - mm * identity_op(modes),
     }
-    return RepSpec(
-        "sl3_seven", params, gens, default_cutoff=6,
-        description="sl3 on three bosonic modes (flag coordinates), two parameters")
+    return RepSpec("sl3_seven", params, gens, default_cutoff=6)
 
 
 def _build_gl2_semidirect(params):
@@ -622,8 +609,7 @@ def _build_gl2_semidirect(params):
         "gl2_semidirect", params, gens, relations,
         invariant_space=inv,
         claims=Claims(abelian_ideal=ideal),
-        default_cutoff=(ni + 2 * r if inv else 8),
-        description="gl2 semidirect with an (r+1)-dimensional abelian ideal")
+        default_cutoff=(ni + 2 * r if inv else 8))
 
 
 def _build_glk(params):
@@ -637,45 +623,30 @@ def _build_glk(params):
     return RepSpec(
         "glk", params, gens,
         invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None),
-        description="gl_k on its minimal (k-1)-mode Fock space")
+        claims=Claims(irreducible=True if inv else None))
 
 
 OSP22_PARITIES = {"T+": 0, "T0": 0, "T-": 0, "J": 0,
                   "Q1": 1, "Q2": 1, "Qb1": 1, "Qb2": 1}
 
 
-def _osp22_invariant(ni: int) -> InvariantSpace:
-    def pred(alpha, beta):
-        if beta == 0:
-            return alpha[0] <= ni
-        if beta == 1:
-            return alpha[0] <= ni - 1
-        return False
-
-    return InvariantSpace(pred, ni, 2 * ni + 1,
-                          "span(b^k : k <= n) + span(b^k th : k <= n-1)")
-
-
-def _osp22(rep_id, params, deltas, description):
+def _osp22(rep_id, params, deltas):
     """osp22 and osp22_translated: the osp(2,2) formula over the plain or the
     shift-transformed bosonic pair."""
     ni = _finite(params["n"])
+    inv = None if ni is None else _degree_space(
+        ni, (1,), 2 * ni + 1, "span(b^k : k <= n) + span(b^k th : k <= n-1)")
     gens = FORMULAS["osp22_translated"](fock_kit(ModeSystem(1, 1), deltas), params)
-    return RepSpec(
-        rep_id, params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
-        invariant_space=None if ni is None else _osp22_invariant(ni),
-        claims=Claims(superalgebra=True), description=description)
+    return RepSpec(rep_id, params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
+                   invariant_space=inv)
 
 
 def _build_osp22(params):
-    return _osp22("osp22", params, None,
-                  "osp(2,2) on the spinorial (one boson + one fermion) Fock space")
+    return _osp22("osp22", params, None)
 
 
 def _build_osp22_translated(params):
-    rep = _osp22("osp22_translated", params, [params["delta"]],
-                 "osp(2,2), shift-transform family")
+    rep = _osp22("osp22_translated", params, [params["delta"]])
     modes = rep.modes
     d = rat(params["delta"])
     n = rat(params["n"])
@@ -723,10 +694,8 @@ def _build_osp22_metaplectic(params):
         "Qb1": Poly((A * TH).scale(inv_s2)),
         "Qb2": Poly((B * TH).scale(inv_s2)),
     }
-    return RepSpec(
-        "osp22_metaplectic", params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
-        claims=Claims(superalgebra=True),
-        description="osp(2,2), super-metaplectic family, infinite-dimensional")
+    return RepSpec("osp22_metaplectic", params, gens, list(OSP22_RELATIONS),
+                   dict(OSP22_PARITIES))
 
 
 def _build_gl_super(params):
@@ -739,18 +708,13 @@ def _build_gl_super(params):
     inv = None
     if ni is not None:
         expected = sum(comb(r, f) * comb(ni - f + k, k) for f in range(min(r, ni) + 1))
-
-        def pred(alpha, beta):
-            return sum(alpha) + beta.bit_count() <= ni
-
-        inv = InvariantSpace(pred, ni, expected,
-                             "span(b^alpha th^beta : |alpha|+|beta| <= n)")
+        inv = _degree_space(ni, (1,) * k, expected,
+                            "span(b^alpha th^beta : |alpha|+|beta| <= n)")
     return RepSpec(
         "gl_super", params, gens,
         parities={name: g.as_weyl().parity() for name, g in gens.items()},
         invariant_space=inv,
-        claims=Claims(superalgebra=True, irreducible=True if inv else None),
-        description="gl(k+1,r+1) superalgebra on k bosonic + r fermionic modes")
+        claims=Claims(irreducible=True if inv else None))
 
 
 def _build_sl2q(params):
@@ -801,9 +765,7 @@ def _build_sl2q(params):
         "sl2q", params, gens, relations,
         casimir=casimir, invariant_space=inv,
         claims=Claims(closes=False, irreducible=True if inv else None),
-        alt_forms=alt,
-        description="quantum sl2 over the q-deformed pair"
-                    + (" (shift-transformed)" if delta != 0 else " (spectral)"))
+        alt_forms=alt)
 
 
 # -- registry -------------------------------------------------------------------

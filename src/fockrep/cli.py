@@ -113,14 +113,14 @@ def cmd_matrix(args) -> int:
         cutoff = rep.invariant_space.max_degree if rep.invariant_space else 6
     if args.realization == "fock":
         gen = rep.generator(args.gen)
-        mat = to_matrix(gen, cutoff, args.gen)
+        mat = to_matrix(gen, cutoff)
     else:
         kind = {"diff": "differential", "fd": "fd", "jackson": "jackson"}[args.realization]
         gens = realize_generators(rep, kind)
         if args.gen not in gens:
             raise UsageError("unknown generator %r; have %s"
                              % (args.gen, ", ".join(gens)))
-        mat = poly_to_matrix(gens[args.gen], cutoff, args.gen)
+        mat = poly_to_matrix(gens[args.gen], cutoff)
     payload = mat.to_json()
     payload["rep"] = args.rep
     payload["generator"] = args.gen

@@ -6,7 +6,9 @@ polynomials (Poly), terminating exponentials e^{g a_i} (ExpA), spectral
 q-powers q^{N} diagonal in the falling-factorial basis (QSpectral), formal
 left division by b_i + shift (LeftDivB), the identity (Identity),
 Sum/Product/Scale, and Compiled, which remembers each basis state's image;
-other modules add leaves of their own.  The
+other modules add leaves of their own.  Arithmetic (+, -, *, scale) is the
+one place polynomials fold: two Poly operands give one Poly, anything else
+gives a Sum, Product or Scale node, which never folds later.  The
 extended nodes are infinite series in the algebra but exact finite
 operations on any vector because each a_i is locally nilpotent, so nothing
 here ever truncates silently: to_matrix flags overflow columns instead.
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .scalars import exact, to_json
-from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
+from .weyl import (ModeSystem, WeylElement, _mask_to_list, _mono_str, _terms_str,
+                   accumulate)
 
 
 class NotLeftDivisible(ValueError):
@@ -87,19 +90,8 @@ class FockVector:
         return sorted(self.terms.items(), key=lambda kv: state_sort_key(kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (alpha, beta), c in self.sorted_terms():
-            body = _state_str(alpha, beta, self.modes)
-            cs = str(c)
-            prefix = "" if cs == "1" else ("-" if cs == "-1" else
-                                           ("(%s) " % cs if "+" in cs[1:] or "sqrt" in cs else cs + " "))
-            parts.append(prefix + body)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
+        return _terms_str((_state_str(alpha, beta, self.modes), c)
+                          for (alpha, beta), c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -115,16 +107,8 @@ def state_sort_key(key):
 
 
 def _state_str(alpha, beta, modes) -> str:
-    single = modes.bosonic == 1
-    fsingle = modes.fermionic == 1
-    parts = []
-    for i, k in enumerate(alpha):
-        if k:
-            name = "b" if single else "b%d" % (i + 1)
-            parts.append(name if k == 1 else "%s^%d" % (name, k))
-    for j in _mask_to_list(beta):
-        parts.append("th" if fsingle else "th%d" % j)
-    return (" ".join(parts) + " |0>") if parts else "|0>"
+    body = _mono_str((alpha, (), beta, 0), modes)
+    return body + " |0>" if body else "|0>"
 
 
 def basis_states(modes: ModeSystem, cutoff: int):
@@ -164,7 +148,8 @@ class OperatorExpr:
         raise NotImplementedError
 
     def as_weyl(self):
-        """The underlying WeylElement if the tree is purely polynomial, else None."""
+        """The WeylElement of a Poly (also inside Compiled); None for every
+        other node, Sum, Product and Scale included."""
         return None
 
     # arithmetic builds trees, folding plain polynomials eagerly
@@ -400,17 +385,6 @@ class LeftDivB(OperatorExpr):
         return _map_mode_coeff_lists(vec, i, solve)
 
 
-def _part_weyls(parts):
-    """The WeylElement of every part, or None as soon as one has none."""
-    weyls = []
-    for p in parts:
-        w = p.as_weyl()
-        if w is None:
-            return None
-        weyls.append(w)
-    return weyls
-
-
 class Sum(OperatorExpr):
     __slots__ = ("modes", "parts")
 
@@ -428,15 +402,6 @@ class Sum(OperatorExpr):
             for key, c in p.apply(vec).terms.items():
                 accumulate(out, key, c)
         return FockVector(vec.modes, out)
-
-    def as_weyl(self):
-        weyls = _part_weyls(self.parts)
-        if weyls is None:
-            return None
-        total = WeylElement.zero(self.modes)
-        for w in weyls:
-            total = total + w
-        return total
 
 
 class Product(OperatorExpr):
@@ -457,15 +422,6 @@ class Product(OperatorExpr):
             vec = f.apply(vec)
         return vec
 
-    def as_weyl(self):
-        weyls = _part_weyls(self.factors)
-        if weyls is None:
-            return None
-        total = WeylElement.one(self.modes)
-        for w in weyls:
-            total = total * w
-        return total
-
 
 class Scale(OperatorExpr):
     __slots__ = ("modes", "coeff", "inner")
@@ -480,10 +436,6 @@ class Scale(OperatorExpr):
 
     def apply(self, vec):
         return self.inner.apply(vec).scale(self.coeff)
-
-    def as_weyl(self):
-        w = self.inner.as_weyl()
-        return None if w is None else w.scale(self.coeff)
 
 
 class Identity(Poly):
@@ -625,12 +577,9 @@ class MatrixRep:
     """
 
     cutoff: int
-    modes: ModeSystem
     basis: list
     cols: list  # list of dict row_index -> coefficient
     overflow_columns: list = field(default_factory=list)
-    name: str = ""
-    max_raise: int = 0
 
     @property
     def dim(self) -> int:
@@ -650,7 +599,7 @@ class MatrixRep:
         }
 
 
-def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
+def to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     basis = basis_states(op.modes, cutoff)
@@ -669,7 +618,7 @@ def to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
         if spilled:
             overflow.append(j)
         cols.append(col)
-    return MatrixRep(cutoff, op.modes, basis, cols, overflow, name, op.max_raise())
+    return MatrixRep(cutoff, basis, cols, overflow)
 
 
 # -- identity checking -------------------------------------------------------------

@@ -13,14 +13,6 @@ from .scalars import MOD_P, exact, inverse
 from .weyl import accumulate
 
 
-def vec_sub_scaled(vec: dict, row: dict, coeff) -> dict:
-    """vec - coeff * row, dropping exact zeros."""
-    out = dict(vec)
-    for k, v in row.items():
-        accumulate(out, k, -(coeff * v))
-    return out
-
-
 class EchelonSpan:
     """Incrementally echelonized span with coordinates in the inserted vectors.
 
@@ -38,46 +30,45 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, combo: dict):
+    def _reduce(self, vec: dict, used: dict):
+        """Eliminate vec against the stored rows in place, adding to used
+        each row's combination times the multiple subtracted; returns the
+        first key left in vec, or None when vec reduced to zero."""
         while vec:
             k = min(vec)
             row_idx = self.pivot_map.get(k)
             if row_idx is None:
-                return k, vec, combo
+                return k
             _, rvec, rcombo = self.rows[row_idx]
             lam = vec[k]
-            vec = vec_sub_scaled(vec, rvec, lam)
-            combo = vec_sub_scaled(combo, rcombo, lam)
-        return None, vec, combo
+            for j, v in rvec.items():
+                accumulate(vec, j, -(lam * v))
+            for j, v in rcombo.items():
+                accumulate(used, j, lam * v)
+        return None
 
     def insert(self, vec: dict) -> bool:
         """Add a vector; False when it was already in the span."""
         idx = self.n_inserted
         self.n_inserted += 1
-        pivot, red, combo = self._reduce(dict(vec), {idx: 1})
+        # starting from -inserted, used ends as minus red's combination
+        red, used = dict(vec), {idx: -1}
+        pivot = self._reduce(red, used)
         if pivot is None:
             return False
         inv = inverse(red[pivot])
         red = {k: exact(v * inv) for k, v in red.items()}
-        combo = {k: exact(v * inv) for k, v in combo.items()}
+        neg_inv = -inv
+        combo = {k: exact(v * neg_inv) for k, v in used.items()}
         self.pivot_map[pivot] = len(self.rows)
         self.rows.append((pivot, red, combo))
         return True
 
     def express(self, vec: dict):
         """Coefficients c with vec = sum c_i * inserted_i, or (None, residual)."""
-        coeffs: dict = {}
-        vec = dict(vec)
-        while vec:
-            k = min(vec)
-            row_idx = self.pivot_map.get(k)
-            if row_idx is None:
-                return None, vec
-            _, rvec, rcombo = self.rows[row_idx]
-            lam = vec[k]
-            vec = vec_sub_scaled(vec, rvec, lam)
-            for i, c in rcombo.items():
-                accumulate(coeffs, i, lam * c)
+        residual, coeffs = dict(vec), {}
+        if self._reduce(residual, coeffs) is not None:
+            return None, residual
         return coeffs, {}
 
 

@@ -279,9 +279,9 @@ def weyl_to_differential(w: WeylElement, cliff: CliffordMatrices = None) -> Oper
 # -- matrices on the shared graded basis ----------------------------------------------
 
 
-def poly_to_matrix(op: OperatorExpr, cutoff: int, name: str = "") -> MatrixRep:
+def poly_to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
     """The realized side of a cross check, on the shared graded basis."""
-    return to_matrix(op, cutoff, name)
+    return to_matrix(op, cutoff)
 
 
 def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
@@ -404,8 +404,8 @@ def cross_check(rep: RepSpec, kind: str, cutoff: int = None, deltas=None) -> lis
     abstract = abstract_counterpart(rep, kind, deltas)
     results = []
     for name, op in realized.items():
-        mat_r = poly_to_matrix(op, cutoff, name)
-        mat_a = to_matrix(abstract.generator(name), cutoff, name)
+        mat_r = poly_to_matrix(op, cutoff)
+        mat_a = to_matrix(abstract.generator(name), cutoff)
         diff = _first_difference(mat_r, mat_a)
         if diff:
             results.append(CheckResult("cross %s %s" % (kind, name), "FAIL", "", diff))
@@ -489,8 +489,8 @@ def check_fd_displayed(rep: RepSpec, cutoff: int = None, deltas=None) -> list:
     displayed = fd_displayed_forms(rep, deltas)
     out = []
     for name, disp in displayed.items():
-        mat_d = poly_to_matrix(disp, cutoff, name)
-        mat_n = poly_to_matrix(normative[name], cutoff, name)
+        mat_d = poly_to_matrix(disp, cutoff)
+        mat_n = poly_to_matrix(normative[name], cutoff)
         same = not _first_difference(mat_d, mat_n)
         out.append(AltFormResult(name, "MATCH" if same else "DIFFERS",
                                  "" if same else "displayed fd form differs"))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalogue import RepSpec
-from .fock import FockVector, basis_states, check_identity
+from .fock import FockVector, _state_str, basis_states, check_identity
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
@@ -212,9 +212,9 @@ def closure(rep: RepSpec, cutoff: int = None):
             coeffs, residual = span.express(stacked(bracket_cols))
             if coeffs is None:
                 key = min(residual)
-                witness = ("[%s,%s%s on state %s leaves the span"
-                           % (names[i], names[j], "}" if anti else "]",
-                              _state_name(states[key[0]], rep.modes)))
+                witness = ("%s on state %s leaves the span"
+                           % (_bracket_name(names[i], names[j], anti),
+                              _state_str(*states[key[0]], rep.modes)))
                 return None, CheckResult("closure", "FAIL",
                                          "probe degree %d" % probe, witness)
             table[(i, j)] = coeffs
@@ -250,8 +250,8 @@ def closure_symbolic(rep: RepSpec):
             if coeffs is None:
                 return None, CheckResult(
                     "closure_symbolic", "FAIL", "",
-                    "[%s,%s%s has residual %s"
-                    % (names[i], names[j], "}" if anti else "]",
+                    "%s has residual %s"
+                    % (_bracket_name(names[i], names[j], anti),
                        WeylElement(rep.modes, residual)))
             table[(i, j)] = coeffs
             if i != j:
@@ -280,8 +280,8 @@ def verify_constants(rep: RepSpec, sc: StructureConstants) -> CheckResult:
         if not residual.is_zero():
             return CheckResult(
                 "constants", "FAIL", "",
-                "[%s,%s%s != claimed combination; residual %s"
-                % (names[i], names[j], "}" if anti else "]", residual))
+                "%s != claimed combination; residual %s"
+                % (_bracket_name(names[i], names[j], anti), residual))
     return CheckResult("constants", "PASS", "%d brackets" % len(sc.table))
 
 
@@ -396,12 +396,12 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
                 coeff = 0
             if coeff is None:
                 value_failures.append("on %s: image %s is not a multiple of the state"
-                                      % (_state_name(key, rep.modes), got))
+                                      % (_state_str(*key, rep.modes), got))
                 break
             measured = coeff
         if got != v.scale(measured):
             value_failures.append("on %s: %s is not %s * state"
-                                  % (_state_name(key, rep.modes), got, measured))
+                                  % (_state_str(*key, rep.modes), got, measured))
             break
     value = CheckResult("casimir_value", "FAIL" if value_failures else "PASS",
                         "acts as the scalar %s on %d states"
@@ -442,7 +442,7 @@ def _space_columns(rep: RepSpec, names):
                 i = index.get(skey)
                 if i is None:
                     return keys, cols, "%s maps %s outside the space (component %s)" % (
-                        name, _state_name(key, rep.modes), _state_name(skey, rep.modes))
+                        name, _state_str(*key, rep.modes), _state_str(*skey, rep.modes))
                 col[i] = c
             g_cols.append(col)
         cols.append(g_cols)
@@ -689,7 +689,6 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     return report
 
 
-def _state_name(key, modes) -> str:
-    from .fock import _state_str
-
-    return _state_str(key[0], key[1], modes)
+def _bracket_name(x: str, y: str, anti: bool) -> str:
+    """{x,y} for an anticommutator, [x,y] for a commutator."""
+    return ("{%s,%s}" if anti else "[%s,%s]") % (x, y)

@@ -206,26 +206,7 @@ class WeylElement:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            body = _mono_str(mono, self.modes)
-            cs = str(c)
-            if body:
-                if c == 1:
-                    piece = body
-                elif cs == "-1":
-                    piece = "-" + body
-                else:
-                    piece = ("(%s) " % cs if ("+" in cs[1:] or "sqrt" in cs) else cs + " ") + body
-            else:
-                piece = "(%s)" % cs if "+" in cs[1:] else cs
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
+        return _terms_str((_mono_str(mono, self.modes), c) for mono, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -245,12 +226,8 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
             ferm = _ferm_multiply(th1, dth1, th2, dth2)
             if not ferm:
                 continue
-            if p == 0:
-                for (th, dth), sign in ferm:
-                    accumulate(terms, ((), (), th, dth),
-                                coeff if sign == 1 else -coeff)
-                continue
-            # bosonic part: per-mode closed-form reordering of a1^m b2^k
+            # bosonic part: per-mode closed-form reordering of a1^m b2^k;
+            # with no bosonic modes the one empty choice keeps coeff
             options = []
             for i in range(p):
                 m, k = ap1[i], bp2[i]
@@ -397,3 +374,26 @@ def _mono_str(mono: Monomial, modes: ModeSystem) -> str:
     for j in _mask_to_list(dth):
         parts.append("dth" if fsingle else "dth%d" % j)
     return " ".join(parts)
+
+
+def _terms_str(pieces) -> str:
+    """Render (body, coefficient) pairs as "c body + c body - ..."; an
+    empty body is a constant term, and no pairs render as "0"."""
+    out = ""
+    for body, c in pieces:
+        cs = str(c)
+        if not body:
+            piece = "(%s)" % cs if "+" in cs[1:] else cs
+        elif cs == "1":
+            piece = body
+        elif cs == "-1":
+            piece = "-" + body
+        else:
+            piece = ("(%s) " % cs if "+" in cs[1:] or "sqrt" in cs else cs + " ") + body
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out or "0"

@@ -155,6 +155,18 @@ def test_every_grid_build_is_well_formed():
                     assert g in rep.generators, (rep_id, rel.name, g)
 
 
+def test_is_polynomial_exactly_on_the_polynomial_families():
+    from fockrep.grids import acceptance_grid
+
+    extended = {"sl2_translated", "sl3_translated", "osp22_translated", "sl2q"}
+    seen = {}
+    for rep_id, params in acceptance_grid():
+        polynomial = build(rep_id, params).is_polynomial()
+        assert polynomial == (rep_id not in extended), (rep_id, params)
+        seen[rep_id] = polynomial
+    assert len(seen) == 16 and sum(seen.values()) == 12
+
+
 def test_substituted_pairs_are_canonical():
     # the shift pair keeps [a, b] = 1, which is what makes substitution
     # normative; checked here straight from the built generators

@@ -150,6 +150,33 @@ def test_left_div_errors():
         shifted.apply(b_state(1))  # b is not (b+1) * anything polynomial
 
 
+def test_str_pins_coefficient_forms():
+    vec = (FockVector.vacuum(SUPER).scale(-1) + FockVector.state(SUPER, (2,), (1,), rat(1, 2))
+           + FockVector.state(SUPER, (1,), (), SQRT2) + FockVector.state(SUPER, (3,), (), -1))
+    assert str(vec) == "-|0> + (sqrt2) b |0> + 1/2 b^2 th |0> - b^3 |0>"
+    vec = (FockVector.state(SUPER, (1,), (1,), 1 + SQRT2) + FockVector.state(SUPER, (), (1,))
+           + FockVector.vacuum(SUPER).scale(rat(-2, 3)))
+    assert str(vec) == "-2/3 |0> + th |0> + (1+sqrt2) b th |0>"
+    ms = ModeSystem(2, 2)
+    vec = (FockVector.state(ms, (0, 2), (1, 2), -3)
+           + FockVector.state(ms, (1, 0), (2,), 1 - SQRT2))
+    assert str(vec) == "(1-sqrt2) b1 th2 |0> - 3 b2^2 th1 th2 |0>"
+    assert str(FockVector.zero(SUPER)) == "0" and str(FockVector.vacuum(ms)) == "|0>"
+
+
+def test_arithmetic_is_the_only_polynomial_fold():
+    b, a = Poly(WeylElement.b(B2, 1)), Poly(WeylElement.a(B2, 2))
+    for folded in (b + a, b - a, b * a, b.scale(rat(2, 3)), -b, b + 2, 2 - b, 3 * b,
+                   identity_op(B2) * b):
+        assert type(folded) is Poly
+    assert (b * a - a).as_weyl() == WeylElement.b(B2, 1) * WeylElement.a(B2, 2) \
+        - WeylElement.a(B2, 2)
+    # a tree built by hand stays a tree, however polynomial its leaves
+    for tree in (Sum([b, a]), Product([b, a]), Scale(2, b), Scale(-1, identity_op(B2)),
+                 Sum([b, a]) + b, Product([b, a]).scale(2)):
+        assert tree.as_weyl() is None
+
+
 def test_to_matrix_lowering():
     m = to_matrix(Poly(WeylElement.a(B1)), 2)
     assert [tuple(alpha) for alpha, _ in m.basis] == [(0,), (1,), (2,)]
@@ -167,12 +194,14 @@ def test_to_matrix_number_operator_diagonal():
 
 
 def test_to_matrix_overflow_flagging():
-    m = to_matrix(Poly(WeylElement.b(B1)), 2)
+    op = Poly(WeylElement.b(B1))
+    m = to_matrix(op, 2)
     assert m.overflow_columns == [2]
-    assert m.max_raise == 1
+    assert op.max_raise() == 1
     # lowering operators can never overflow
-    m = to_matrix(Poly(WeylElement.a(B1) ** 2), 3)
-    assert m.max_raise <= 0 and m.overflow_columns == []
+    op = Poly(WeylElement.a(B1) ** 2)
+    m = to_matrix(op, 3)
+    assert op.max_raise() <= 0 and m.overflow_columns == []
 
 
 def test_matmul_matches_product_matrix():

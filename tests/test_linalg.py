@@ -4,6 +4,7 @@ F_p, QQ and QQ(sqrt2) against the engine's own linear algebra."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockrep.linalg import EchelonSpan, ModPSpan, charpoly
 from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, is_rational, rat, reduce_mod_p
@@ -117,3 +118,31 @@ def test_charpoly_of_an_integer_matrix_has_no_float():
     assert not any(isinstance(c, float) for c in coeffs)
     assert charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
     assert charpoly([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, -6, 11, -6]
+
+
+_span_entries = st.builds(lambda p, q, s: exact(rat(p, q) + s * SQRT2),
+                          st.integers(-3, 3), st.integers(1, 3), st.sampled_from([0, 0, 1, -1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), _span_entries, min_size=1, max_size=5),
+                min_size=1, max_size=6),
+       st.lists(_span_entries, min_size=6, max_size=6))
+def test_echelon_express_returns_the_combination(vectors, weights):
+    span = EchelonSpan()
+    independent = []
+    for vec in vectors:
+        vec = {k: v for k, v in vec.items() if v}
+        before = dict(vec)
+        if span.insert(vec):
+            independent.append((span.n_inserted - 1, vec))
+        assert vec == before
+    total = {}
+    for (idx, vec), c in zip(independent, weights):
+        for k, v in vec.items():
+            total[k] = exact(total.get(k, 0) + c * v)
+    total = {k: v for k, v in total.items() if v}
+    before = dict(total)
+    coeffs, residual = span.express(total)
+    assert total == before and residual == {}
+    assert coeffs == {idx: c for (idx, _), c in zip(independent, weights) if c}

@@ -79,6 +79,25 @@ def test_closure_failure_has_witness():
     assert sc is None and not result.passed and result.witness
 
 
+def test_anticommutator_witnesses_use_braces():
+    rep = build("osp22", {"n": 2})
+    sc, _ = closure(rep)
+    q1 = _index(sc, "Q1")
+    result = verify.verify_constants(rep, sc.perturbed(q1, q1, 0))
+    assert not result.passed and result.witness.startswith("{Q1,Q1} != ")
+    gens = {name: g for name, g in rep.generators.items() if name != "T-"}
+    broken = dataclasses.replace(rep, generators=gens, relations=[],
+                                 parities={name: rep.parities[name] for name in gens})
+    for check in (closure, closure_symbolic):
+        sc_b, result = check(broken)
+        assert sc_b is None and result.witness.startswith("{Q1,Qb2} ")
+    sl2 = build("sl2_standard", {"n": 2})
+    sc, _ = closure(sl2)
+    i0 = _index(sc, "J0")
+    result = verify.verify_constants(sl2, sc.perturbed(i0, i0, 0))
+    assert result.witness.startswith("[J0,J0] != ")
+
+
 def test_jacobi_negative_control():
     sc, _ = closure(build("sl2_standard", {"n": 2}))
     bad = sc.perturbed(_index(sc, "J0"), _index(sc, "J+"), _index(sc, "J-"))

@@ -214,3 +214,19 @@ def test_oscillator_pair_is_canonical():
 def test_str_rendering():
     expr = b() ** 2 * a() - b().scale(3)
     assert str(expr) == "3 b - b^2 a" or str(expr) == "-3 b + b^2 a"
+
+
+def test_str_pins_coefficient_forms():
+    ms = ModeSystem(1, 1)
+    b1, a1 = WeylElement.b(ms), WeylElement.a(ms)
+    th, dth = WeylElement.theta(ms, 1), WeylElement.dtheta(ms, 1)
+    const = lambda c: WeylElement.scalar(ms, c)
+    assert str(b1 * b1 * a1 - b1 + (th * dth).scale(rat(1, 2)) + (b1 * th).scale(SQRT2)
+               - const(rat(2, 3))) == "-2/3 - b + 1/2 th dth + (sqrt2) b th + b^2 a"
+    assert str(a1.scale(SQRT2 + 1) + th + const(SQRT2 + 1)) == "(1+sqrt2) + th + (1+sqrt2) a"
+    assert str(-a1 + const(1 - SQRT2) + dth.scale(rat(-5, 3))) == "1-sqrt2 - 5/3 dth - a"
+    assert str(const(-1)) == "-1" and str(WeylElement.zero(ms)) == "0"
+    assert str(const(SQRT2 - 1)) == "(-1+sqrt2)"
+    ms = ModeSystem(2, 2)
+    assert str(-(b(ms, 1) * a(ms, 2)) + WeylElement.theta(ms, 2) * WeylElement.dtheta(ms, 1)
+               + b(ms, 2) ** 3) == "th2 dth1 - b1 a2 + b2^3"
