@@ -5,10 +5,12 @@ a_i|0> = 0 and dth_j|0> = 0.  Operators are expression trees: normal-ordered
 polynomials (Poly), terminating exponentials e^{g a_i} (ExpA), spectral
 q-powers q^{N} diagonal in the falling-factorial basis (QSpectral), formal
 left division by b_i + shift (LeftDivB), the identity (Identity),
-Sum/Product/Scale, and Compiled, which remembers each basis state's image;
-other modules add leaves of their own.  Arithmetic (+, -, *, scale) is the
-one place polynomials fold: two Poly operands give one Poly, anything else
-gives a Sum, Product or Scale node, which never folds later.  The
+Sum/Product/Scale, and Compiled, which remembers each basis state's image
+(its column); other modules add leaves of their own.  Arithmetic (+, -, *,
+scale) is the one place polynomials fold: two Poly operands give one Poly,
+anything else gives a Sum, Product or Scale node, which never folds later.
+Scaling by 1 returns the operator itself, and a Sum adds a Scale part's
+inner image times the coefficient without a scaled copy.  The
 extended nodes are infinite series in the algebra but exact finite
 operations on any vector because each a_i is locally nilpotent, so nothing
 here ever truncates silently: to_matrix flags overflow columns instead.
@@ -190,6 +192,9 @@ class OperatorExpr:
         return result
 
     def scale(self, c) -> "OperatorExpr":
+        c = exact(c)
+        if c == 1:
+            return self
         w = self.as_weyl()
         if w is not None:
             return Poly(w.scale(c))
@@ -399,8 +404,13 @@ class Sum(OperatorExpr):
     def apply(self, vec):
         out: dict = {}
         for p in self.parts:
-            for key, c in p.apply(vec).terms.items():
-                accumulate(out, key, c)
+            if type(p) is Scale:  # c * inner, summed without a scaled copy
+                c = p.coeff
+                for key, k in p.inner.apply(vec).terms.items():
+                    accumulate(out, key, c * k)
+            else:
+                for key, k in p.apply(vec).terms.items():
+                    accumulate(out, key, k)
         return FockVector(vec.modes, out)
 
 
@@ -477,7 +487,8 @@ class Compiled(OperatorExpr):
     def as_weyl(self):
         return self.inner.as_weyl()
 
-    def _column(self, key) -> dict:
+    def column(self, key) -> dict:
+        """The terms of inner's image of basis state key; not to be mutated."""
         col = self._cols.get(key)
         if col is None:
             col = self.inner.apply(FockVector(self.modes, {key: 1})).terms
@@ -489,10 +500,10 @@ class Compiled(OperatorExpr):
         if len(terms) == 1:
             (key, c), = terms.items()
             if c == 1:
-                return FockVector(vec.modes, self._column(key))
+                return FockVector(vec.modes, self.column(key))
         out: dict = {}
         for key, c in terms.items():
-            for skey, d in self._column(key).items():
+            for skey, d in self.column(key).items():
                 accumulate(out, skey, d * c)
         return FockVector(vec.modes, out)
 

@@ -169,8 +169,12 @@ def closure(rep: RepSpec, cutoff: int = None):
     every state of degree up to the combined lowering degree of a generator
     pair is an exact abstract identity, so the extracted constants are not
     truncation artifacts.  Extended families are probed on the overflow-free
-    range of the stated cutoff.
+    range of the stated cutoff.  An operator is the stacked vector of its
+    images of the probe states, keyed (state index, image state); each
+    bracket is summed from the generators' compiled columns straight into
+    that vector.
     """
+    rep = rep.compiled()
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -182,34 +186,34 @@ def closure(rep: RepSpec, cutoff: int = None):
         probe = max(cutoff - 2 * rep.max_generator_raise(), pairlow, 1)
     states = basis_states(rep.modes, probe)
 
-    def stacked(op_applied):
-        vec = {}
-        for j, image in enumerate(op_applied):
-            for (alpha, beta), c in image.terms.items():
-                vec[(j, alpha, beta)] = c
-        return vec
-
-    unit = [FockVector(rep.modes, {key: 1}) for key in states]
-    applied = [[g.apply(v) for v in unit] for g in gens]
-
     span = EchelonSpan()
     dependent = []
-    for idx, cols in enumerate(applied):
-        if not span.insert(stacked(cols)):
-            dependent.append(names[idx])
+    for name, g in zip(names, gens):
+        vec = {(idx, key): c for idx, state in enumerate(states)
+               for key, c in g.column(state).items()}
+        if not span.insert(vec):
+            dependent.append(name)
     span_dim = span.dim
 
     table = {}
     m = len(gens)
     for i in range(m):
+        col_i = gens[i].column
         for j in range(i, m):
+            col_j = gens[j].column
             anti = parities[i] == 1 and parities[j] == 1
-            bracket_cols = []
-            for idx in range(len(states)):
-                left = gens[i].apply(applied[j][idx])
-                right = gens[j].apply(applied[i][idx])
-                bracket_cols.append(left + right if anti else left - right)
-            coeffs, residual = span.express(stacked(bracket_cols))
+            vec = {}
+            # x_i x_j -/+ x_j x_i on each probe state
+            for idx, state in enumerate(states):
+                for key, d in col_j(state).items():
+                    for out, c in col_i(key).items():
+                        accumulate(vec, (idx, out), c * d)
+                for key, d in col_i(state).items():
+                    if not anti:
+                        d = -d
+                    for out, c in col_j(key).items():
+                        accumulate(vec, (idx, out), c * d)
+            coeffs, residual = span.express(vec)
             if coeffs is None:
                 key = min(residual)
                 witness = ("%s on state %s leaves the span"
@@ -298,38 +302,41 @@ def structure_constants_agree(a: StructureConstants, b: StructureConstants) -> b
 def jacobi(sc: StructureConstants) -> CheckResult:
     """Graded Jacobi identity on every index triple, exact.
 
-    The nested bracket A(i,j,k) = [[x_i, x_j], x_k] is formed once, from
-    the nonzero table entries.  The identity at (i,j,k) is a signed sum of
-    A over its three rotations, so a triple that is no rotation of a key of
-    A holds trivially; the others are checked in index order.  No graded
-    antisymmetry of the table is assumed.
+    The identity at (i,j,k) is the signed sum, over its three rotations
+    (a,b,c), of the nested bracket [[x_a, x_b], x_c] times (-1)^(p_a p_c).
+    So every rotation of a triple carries the same identity: it is summed
+    once per rotation class, keyed by the class's least rotation, in one
+    pass over the nonzero table entries.  The class of (i,i,i) has one
+    member, which the identity counts three times.  A FAIL names the least
+    failing triple and the least nonzero coefficient, as a loop over all
+    m^3 triples in index order would.  No graded antisymmetry of the table
+    is assumed.
     """
     m = len(sc.names)
     p = sc.parities
     by_left = {}
     for (mid, k), outer in sc.table.items():
-        by_left.setdefault(mid, []).append((k, outer))
-    nested = {}
+        if outer:
+            by_left.setdefault(mid, []).append((k, outer))
+    jac = {}
     for (i, j), inner in sc.table.items():
         for mid, cij in inner.items():
             for k, outer in by_left.get(mid, ()):
-                acc = nested.setdefault((i, j, k), {})
+                acc = jac.setdefault(min((i, j, k), (j, k, i), (k, i, j)), {})
+                f = cij * 3 if i == j == k else cij
+                if p[i] and p[k]:
+                    f = -f
                 for l, cml in outer.items():
-                    accumulate(acc, l, cij * cml)
-    triples = sorted({rot for (i, j, k), acc in nested.items() if acc
-                      for rot in ((i, j, k), (j, k, i), (k, i, j))})
-    for i, j, k in triples:
-        acc = {}
-        for key, odd in (((i, j, k), p[i] * p[k]), ((j, k, i), p[j] * p[i]),
-                         ((k, i, j), p[k] * p[j])):
-            for l, v in nested.get(key, {}).items():
-                accumulate(acc, l, -v if odd else v)
-        if acc:
-            l = min(acc)
-            return CheckResult(
-                "jacobi", "FAIL", "",
-                "triple (%s,%s,%s): coefficient of %s is %s, not 0"
-                % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], acc[l]))
+                    accumulate(acc, l, f * cml)
+    failing = [triple for triple, acc in jac.items() if acc]
+    if failing:
+        i, j, k = min(failing)
+        acc = jac[(i, j, k)]
+        l = min(acc)
+        return CheckResult(
+            "jacobi", "FAIL", "",
+            "triple (%s,%s,%s): coefficient of %s is %s, not 0"
+            % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], acc[l]))
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
 
 

@@ -12,8 +12,11 @@ coefficients.
 
 Production reordering uses the closed form
     a^m b^k = sum_j C(m,j) C(k,j) j! b^(k-j) a^(m-j)
-per bosonic mode and transposition-counted Koszul signs for fermions.
-The independent single-swap rewriter lives in the test suite as an oracle.
+per bosonic mode, expanded only on the contracting modes of a monomial
+pair (where m and k are both nonzero; every other mode just adds its
+exponents), and transposition-counted Koszul signs for fermions, skipped
+when the right monomial has none.  The independent single-swap rewriter
+lives in the test suite as an oracle.
 
 Fermionic sign convention: moving any fermionic generator past another
 (distinct) one contributes one factor -1 per adjacent transposition.
@@ -22,7 +25,6 @@ Fermionic sign convention: moving any fermionic generator past another
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from math import comb, factorial
 
 from .scalars import exact, inverse
@@ -221,28 +223,27 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
     terms: dict = {}
     for (bp1, ap1, th1, dth1), c1 in x.terms.items():
         for (bp2, ap2, th2, dth2), c2 in y.terms.items():
-            coeff = c1 * c2
             # fermionic part: fold y's generators into x's normal-ordered word
-            ferm = _ferm_multiply(th1, dth1, th2, dth2)
-            if not ferm:
-                continue
-            # bosonic part: per-mode closed-form reordering of a1^m b2^k;
-            # with no bosonic modes the one empty choice keeps coeff
-            options = []
+            if th2 or dth2:
+                ferm = _ferm_multiply(th1, dth1, th2, dth2)
+                if not ferm:
+                    continue
+            else:
+                ferm = (((th1, dth1), 1),)
+            # bosonic part: a1^m b2^k reorders by the closed form only on the
+            # contracting modes, where m and k are both nonzero
+            prods = [(tuple(u + v for u, v in zip(bp1, bp2)),
+                      tuple(u + v for u, v in zip(ap1, ap2)), c1 * c2)]
             for i in range(p):
                 m, k = ap1[i], bp2[i]
-                options.append([(j, comb(m, j) * comb(k, j) * factorial(j))
-                                for j in range(min(m, k) + 1)])
-            for choice in _cartesian(*options):
-                num = 1
-                for _, w in choice:
-                    num *= w
-                bp = tuple(bp1[i] + bp2[i] - choice[i][0] for i in range(p))
-                ap = tuple(ap1[i] + ap2[i] - choice[i][0] for i in range(p))
-                base = coeff if num == 1 else coeff * num
+                if m and k:
+                    prods = [(b[:i] + (b[i] - j,) + b[i + 1:],
+                              a[:i] + (a[i] - j,) + a[i + 1:],
+                              c * (comb(m, j) * comb(k, j) * factorial(j)) if j else c)
+                             for b, a, c in prods for j in range(min(m, k) + 1)]
+            for bp, ap, c in prods:
                 for (th, dth), sign in ferm:
-                    accumulate(terms, (bp, ap, th, dth),
-                                base if sign == 1 else -base)
+                    accumulate(terms, (bp, ap, th, dth), c if sign == 1 else -c)
     return WeylElement(x.modes, terms)
 
 

@@ -176,11 +176,11 @@ def loop_jacobi(sc: StructureConstants) -> CheckResult:
                 term(j, k, i, acc, -1 if p[j] * p[i] else 1)
                 term(k, i, j, acc, -1 if p[k] * p[j] else 1)
                 if acc:
-                    l, v = next(iter(acc.items()))
+                    l = min(acc)
                     return CheckResult(
                         "jacobi", "FAIL", "",
                         "triple (%s,%s,%s): coefficient of %s is %s, not 0"
-                        % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], v))
+                        % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], acc[l]))
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
 
 

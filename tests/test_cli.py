@@ -190,6 +190,15 @@ def test_report_all_small_json_is_pinned(capsys):
         "88dc6f8dc3e995ba8a44efeb45cccbefb7452ff993ece1543b3042dd1b797c46")
 
 
+def test_report_all_full_json_is_pinned(capsys):
+    # every check on all 190 grid instances, so a kernel that changes any
+    # PASS detail shows here
+    code, out, _ = run(capsys, "report-all", "--grid", "full", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b9e304d62d20c8970b0ad2cc637efa3359e1a483c9082e5306ccf9d8c9689bde")
+
+
 def test_pretty_report_all_is_byte_identical_across_runs(capsys):
     _, out1, _ = run(capsys, "report-all", "--grid", "small")
     _, out2, _ = run(capsys, "report-all", "--grid", "small")

@@ -324,3 +324,26 @@ def test_compiled_images_survive_their_consumers():
                Sum([op, op]).apply(image)]
     assert all(not r.is_zero() for r in results)
     assert op.apply(unit) == before
+
+
+# -- scaling -------------------------------------------------------------------
+
+
+def test_scale_by_one_returns_the_operator_itself():
+    b, a = Poly(WeylElement.b(B2, 1)), Poly(WeylElement.a(B2, 2))
+    for op in (b, Compiled(b), Compiled(ExpA(B2, 1, 2)), Sum([b, a]), Product([b, a]),
+               Scale(rat(1, 2), ExpA(B2, 1, 2)), identity_op(B2)):
+        assert op.scale(1) is op and op.scale(rat(1)) is op and 1 * op is op
+        assert op.scale(-1) is not op
+
+
+@pytest.mark.parametrize("ms", [SUPER, B2], ids=["1+1", "2+0"])
+@pytest.mark.parametrize("c", [-1, rat(1, 3), 1 + SQRT2], ids=["-1", "1/3", "1+sqrt2"])
+def test_sum_applies_a_scaled_part_as_its_scaled_image(ms, c):
+    cases = _compile_cases(ms)
+    b = cases["tree"]
+    for name, a in cases.items():
+        op = Sum([Scale(c, a), b])
+        for key in basis_states(ms, 4):
+            vec = FockVector(ms, {key: 1})
+            assert op.apply(vec) == a.apply(vec).scale(c) + b.apply(vec), (name, key)

@@ -135,7 +135,7 @@ def test_closed_form_matches_swap_oracle_fermionic():
 small_scalars = st.integers(-4, 4).map(Scalar)
 
 
-def _elements(ms, max_terms=3, bmax=2):
+def _elements(ms, max_terms=3, bmax=2, fermions=True):
     def build(draw_terms):
         elem = WeylElement.zero(ms)
         for bp, ap, th, dth, c in draw_terms:
@@ -147,11 +147,41 @@ def _elements(ms, max_terms=3, bmax=2):
     term = st.tuples(
         st.tuples(*[st.integers(0, bmax)] * ms.bosonic),
         st.tuples(*[st.integers(0, bmax)] * ms.bosonic),
-        st.integers(0, (1 << ms.fermionic) - 1),
-        st.integers(0, (1 << ms.fermionic) - 1),
+        st.integers(0, (1 << ms.fermionic) - 1 if fermions else 0),
+        st.integers(0, (1 << ms.fermionic) - 1 if fermions else 0),
         small_scalars,
     )
     return st.lists(term, min_size=1, max_size=max_terms).map(build)
+
+
+def _without_b(y, modes):
+    """y with every b power on the given 0-based modes set to zero."""
+    out = WeylElement.zero(y.modes)
+    for (bp, ap, th, dth), c in y.terms.items():
+        bp = tuple(0 if i in modes else k for i, k in enumerate(bp))
+        out = out + WeylElement(y.modes, {(bp, ap, th, dth): c})
+    return out
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(x, y) of up to three terms each; y is fermion-free in a third of
+    the draws, and in another third shares no contracting mode with x (no
+    mode where x has an a and y a b)."""
+    ms = draw(st.sampled_from([ModeSystem(0, 2), ModeSystem(2, 1), ModeSystem(3, 1)]))
+    x = draw(_elements(ms))
+    kind = draw(st.sampled_from(["any", "bosonic right", "no contraction"]))
+    y = draw(_elements(ms, fermions=kind != "bosonic right"))
+    if kind == "no contraction":
+        y = _without_b(y, {i for _, ap, _, _ in x.terms for i, k in enumerate(ap) if k})
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_pairs())
+def test_multiply_matches_swap_oracle_on_sums(pair):
+    x, y = pair
+    assert multiply(x, y) == swap_multiply(x, y)
 
 
 @settings(max_examples=60, deadline=None)
