@@ -1,19 +1,23 @@
 """Fock vectors, extended operators, and exact truncated matrices.
 
-A FockVector is a finite combination of states b^alpha th^beta |0> with
-a_i|0> = 0 and dth_j|0> = 0.  Operators are expression trees: normal-ordered
-polynomials (Poly), terminating exponentials e^{g a_i} (ExpA), spectral
-q-powers q^{N} diagonal in the falling-factorial basis (QSpectral), formal
-left division by b_i + shift (LeftDivB), the identity (Identity),
-Sum/Product/Scale, and Compiled, which remembers each basis state's image
-(its column); other modules add leaves of their own.  Arithmetic (+, -, *,
-scale) is the one place polynomials fold: two Poly operands give one Poly,
-anything else gives a Sum, Product or Scale node, which never folds later.
-Scaling by 1 returns the operator itself, and a Sum adds a Scale part's
-inner image times the coefficient without a scaled copy.  The
-extended nodes are infinite series in the algebra but exact finite
-operations on any vector because each a_i is locally nilpotent, so nothing
-here ever truncates silently: to_matrix flags overflow columns instead.
+A Fock vector is a plain dict {(alpha, beta_mask): coefficient}, a finite
+combination of states b^alpha th^beta |0> with a_i|0> = 0 and dth_j|0> = 0;
+{} is the zero vector.  An operator's apply maps such a dict to a dict; a
+dict given to or returned by apply is never written into, since Identity
+returns its input and Compiled a cached column.  Operators are expression
+trees: normal-ordered polynomials (Poly), terminating exponentials e^{g a_i}
+(ExpA), spectral q-powers q^{N} diagonal in the falling-factorial basis
+(QSpectral), formal left division by b_i + shift (LeftDivB), the identity
+(Identity), Sum/Product/Scale, and Compiled, which remembers each basis
+state's image (its column); other modules add leaves of their own.
+Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
+operands give one Poly, anything else gives a Sum, Product or Scale node,
+which never folds later.  Scaling by 1 returns the operator itself, and a
+Sum adds a Scale part's inner image times the coefficient without a scaled
+copy.  The extended nodes are infinite series in the algebra but exact
+finite operations on any vector because each a_i is locally nilpotent, so
+nothing here ever truncates silently: to_matrix flags overflow columns
+instead.
 """
 
 from __future__ import annotations
@@ -33,71 +37,6 @@ class NotLeftDivisible(ValueError):
 # -- Fock vectors -----------------------------------------------------------
 
 
-class FockVector:
-    """Finite map (alpha, beta_mask) -> coefficient over a ModeSystem."""
-
-    __slots__ = ("modes", "terms")
-
-    def __init__(self, modes: ModeSystem, terms: dict):
-        self.modes = modes
-        self.terms = terms
-
-    @staticmethod
-    def zero(modes) -> "FockVector":
-        return FockVector(modes, {})
-
-    @staticmethod
-    def vacuum(modes) -> "FockVector":
-        return FockVector(modes, {((0,) * modes.bosonic, 0): 1})
-
-    @staticmethod
-    def state(modes, alpha=(), beta=(), coeff=1) -> "FockVector":
-        p = modes.bosonic
-        al = tuple(alpha) + (0,) * (p - len(alpha))
-        mask = 0
-        for j in beta:
-            mask |= 1 << (j - 1)
-        c = exact(coeff)
-        return FockVector(modes, {(al, mask): c} if c else {})
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(terms, key, c)
-        return FockVector(self.modes, terms)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(terms, key, -c)
-        return FockVector(self.modes, terms)
-
-    def scale(self, c) -> "FockVector":
-        c = exact(c)
-        if not c:
-            return FockVector.zero(self.modes)
-        return FockVector(self.modes, {k: exact(v * c) for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.modes == other.modes \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.modes, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: state_sort_key(kv[0]))
-
-    def __str__(self):
-        return _terms_str((_state_str(alpha, beta, self.modes), c)
-                          for (alpha, beta), c in self.sorted_terms())
-
-    __repr__ = __str__
-
-
 def state_degree(key) -> int:
     alpha, beta = key
     return sum(alpha) + beta.bit_count()
@@ -111,6 +50,13 @@ def state_sort_key(key):
 def _state_str(alpha, beta, modes) -> str:
     body = _mono_str((alpha, (), beta, 0), modes)
     return body + " |0>" if body else "|0>"
+
+
+def vector_str(terms: dict, modes: ModeSystem) -> str:
+    """A Fock vector {(alpha, beta): coefficient} as "c b^alpha th^beta |0> + ...",
+    graded then lex; the empty vector is "0"."""
+    return _terms_str((_state_str(alpha, beta, modes), c) for (alpha, beta), c in
+                      sorted(terms.items(), key=lambda kv: state_sort_key(kv[0])))
 
 
 def basis_states(modes: ModeSystem, cutoff: int):
@@ -143,7 +89,7 @@ class OperatorExpr:
 
     modes: ModeSystem
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, terms: dict) -> dict:
         raise NotImplementedError
 
     def max_raise(self) -> int:
@@ -230,10 +176,10 @@ class Poly(OperatorExpr):
     def max_raise(self):
         return self.weyl.max_raise()
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, terms: dict) -> dict:
         out: dict = {}
         p = self.modes.bosonic
-        for (alpha, beta), cv in vec.terms.items():
+        for (alpha, beta), cv in terms.items():
             for bp, ap, th_desc, dth_desc, cm in self._terms:
                 sign = 1
                 bmask = beta
@@ -275,7 +221,7 @@ class Poly(OperatorExpr):
                 if sign < 0:
                     c = -c
                 accumulate(out, (new_alpha, bmask), c)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class ExpA(OperatorExpr):
@@ -297,15 +243,15 @@ class ExpA(OperatorExpr):
             self._powers.append(self._powers[-1] * self.gamma)
         return self._powers[j]
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, terms: dict) -> dict:
         i = self.mode - 1
         out: dict = {}
-        for (alpha, beta), c in vec.terms.items():
+        for (alpha, beta), c in terms.items():
             k = alpha[i]
             for j in range(k + 1):
                 coeff = c * self._pow(j) * comb(k, j) if j else c
                 accumulate(out, (alpha[:i] + (k - j,) + alpha[i + 1:], beta), coeff)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class QSpectral(OperatorExpr):
@@ -327,16 +273,16 @@ class QSpectral(OperatorExpr):
     def max_raise(self):
         return 0
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, terms: dict) -> dict:
         i = self.mode - 1
         if self.delta == 0:
             out = {}
-            for (alpha, beta), c in vec.terms.items():
+            for (alpha, beta), c in terms.items():
                 accumulate(out, (alpha, beta), c * self.q ** alpha[i])
-            return FockVector(vec.modes, out)
+            return out
         def scale_newton(coeffs):
             return [c * self.q ** k for k, c in enumerate(coeffs)]
-        return _map_mode_coeffs(vec, i, self.delta, scale_newton)
+        return _map_mode_coeffs(terms, i, self.delta, scale_newton)
 
 
 class LeftDivB(OperatorExpr):
@@ -357,17 +303,17 @@ class LeftDivB(OperatorExpr):
     def max_raise(self):
         return -1
 
-    def apply(self, vec: FockVector) -> FockVector:
+    def apply(self, terms: dict) -> dict:
         i = self.mode - 1
         if not self.shift:
             out = {}
-            for (alpha, beta), c in vec.terms.items():
+            for (alpha, beta), c in terms.items():
                 if alpha[i] == 0:
                     raise NotLeftDivisible(
                         "not left-divisible: component %s has b%d-degree 0"
-                        % (_state_str(alpha, beta, vec.modes), self.mode))
+                        % (_state_str(alpha, beta, self.modes), self.mode))
                 out[(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], beta)] = c
-            return FockVector(vec.modes, out)
+            return out
         shift = self.shift
 
         def solve(coeffs):
@@ -387,7 +333,7 @@ class LeftDivB(OperatorExpr):
                     % (self.mode, shift, residual))
             return w
 
-        return _map_mode_coeff_lists(vec, i, solve)
+        return _map_mode_coeff_lists(terms, i, solve)
 
 
 class Sum(OperatorExpr):
@@ -401,17 +347,17 @@ class Sum(OperatorExpr):
     def max_raise(self):
         return max(p.max_raise() for p in self.parts)
 
-    def apply(self, vec):
+    def apply(self, terms):
         out: dict = {}
         for p in self.parts:
             if type(p) is Scale:  # c * inner, summed without a scaled copy
                 c = p.coeff
-                for key, k in p.inner.apply(vec).terms.items():
+                for key, k in p.inner.apply(terms).items():
                     accumulate(out, key, c * k)
             else:
-                for key, k in p.apply(vec).terms.items():
+                for key, k in p.apply(terms).items():
                     accumulate(out, key, k)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class Product(OperatorExpr):
@@ -427,10 +373,10 @@ class Product(OperatorExpr):
     def max_raise(self):
         return sum(f.max_raise() for f in self.factors)
 
-    def apply(self, vec):
+    def apply(self, terms):
         for f in reversed(self.factors):
-            vec = f.apply(vec)
-        return vec
+            terms = f.apply(terms)
+        return terms
 
 
 class Scale(OperatorExpr):
@@ -444,8 +390,10 @@ class Scale(OperatorExpr):
     def max_raise(self):
         return self.inner.max_raise()
 
-    def apply(self, vec):
-        return self.inner.apply(vec).scale(self.coeff)
+    def apply(self, terms):
+        c = self.coeff
+        image = self.inner.apply(terms)
+        return {k: exact(v * c) for k, v in image.items()} if c else {}
 
 
 class Identity(Poly):
@@ -456,8 +404,8 @@ class Identity(Poly):
     def __init__(self, modes: ModeSystem):
         super().__init__(WeylElement.one(modes))
 
-    def apply(self, vec: FockVector) -> FockVector:
-        return vec
+    def apply(self, terms: dict) -> dict:
+        return terms
 
 
 def identity_op(modes) -> Identity:
@@ -469,9 +417,9 @@ class Compiled(OperatorExpr):
 
     Exact: a column is inner's exact image of one basis state and apply is
     linear, so no cutoff enters the cache.  inner must be defined on every
-    basis state it meets (LeftDivB alone is not).  Cached images are handed
-    out without a copy, which is safe because no FockVector is mutated after
-    construction.
+    basis state it meets (LeftDivB alone is not).  apply({key: 1}) is the
+    cached column itself, handed out without a copy, which is safe because
+    nothing writes into a vector that apply is given or returns.
     """
 
     __slots__ = ("modes", "inner", "_cols")
@@ -479,7 +427,7 @@ class Compiled(OperatorExpr):
     def __init__(self, inner: OperatorExpr):
         self.modes = inner.modes
         self.inner = inner
-        self._cols = {}  # state key -> terms of inner.apply(state)
+        self._cols = {}  # state key -> inner.apply({key: 1})
 
     def max_raise(self):
         return self.inner.max_raise()
@@ -488,24 +436,22 @@ class Compiled(OperatorExpr):
         return self.inner.as_weyl()
 
     def column(self, key) -> dict:
-        """The terms of inner's image of basis state key; not to be mutated."""
+        """inner's image of basis state key; not to be mutated."""
         col = self._cols.get(key)
         if col is None:
-            col = self.inner.apply(FockVector(self.modes, {key: 1})).terms
-            self._cols[key] = col
+            col = self._cols[key] = self.inner.apply({key: 1})
         return col
 
-    def apply(self, vec: FockVector) -> FockVector:
-        terms = vec.terms
+    def apply(self, terms: dict) -> dict:
         if len(terms) == 1:
             (key, c), = terms.items()
             if c == 1:
-                return FockVector(vec.modes, self.column(key))
+                return self.column(key)
         out: dict = {}
         for key, c in terms.items():
             for skey, d in self.column(key).items():
                 accumulate(out, skey, d * c)
-        return FockVector(vec.modes, out)
+        return out
 
 
 # -- falling-factorial transform ----------------------------------------------
@@ -547,7 +493,7 @@ def _newton_to_monomial(newton, delta):
     return result
 
 
-def _map_mode_coeffs(vec: FockVector, i: int, delta, newton_map) -> FockVector:
+def _map_mode_coeffs(terms: dict, i: int, delta, newton_map) -> dict:
     """Group terms by everything except mode i, transform through the
     Newton (falling-factorial) basis, apply newton_map there, transform back."""
 
@@ -556,12 +502,12 @@ def _map_mode_coeffs(vec: FockVector, i: int, delta, newton_map) -> FockVector:
         newton = newton_map(newton)
         return _newton_to_monomial(newton, delta)
 
-    return _map_mode_coeff_lists(vec, i, transform)
+    return _map_mode_coeff_lists(terms, i, transform)
 
 
-def _map_mode_coeff_lists(vec: FockVector, i: int, func) -> FockVector:
+def _map_mode_coeff_lists(terms: dict, i: int, func) -> dict:
     groups: dict = {}
-    for (alpha, beta), c in vec.terms.items():
+    for (alpha, beta), c in terms.items():
         rest = (alpha[:i] + alpha[i + 1:], beta)
         groups.setdefault(rest, {})[alpha[i]] = c
     out: dict = {}
@@ -571,7 +517,7 @@ def _map_mode_coeff_lists(vec: FockVector, i: int, func) -> FockVector:
         new_coeffs = func(coeffs)
         for k, c in enumerate(new_coeffs):
             accumulate(out, (rest_alpha[:i] + (k,) + rest_alpha[i:], beta), c)
-    return FockVector(vec.modes, out)
+    return out
 
 
 # -- matrices -------------------------------------------------------------------
@@ -620,7 +566,7 @@ def to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
     for j, key in enumerate(basis):
         col = {}
         spilled = False
-        for skey, c in op.apply(FockVector(op.modes, {key: 1})).terms.items():
+        for skey, c in op.apply({key: 1}).items():
             row = index.get(skey)
             if row is None:
                 spilled = True
@@ -640,8 +586,8 @@ class IdentityReport:
     equal: bool
     tested_degree: int
     witness_state: tuple = None
-    lhs_value: FockVector = None
-    rhs_value: FockVector = None
+    lhs_value: dict = None
+    rhs_value: dict = None
 
     def __bool__(self):
         return self.equal
@@ -650,7 +596,8 @@ class IdentityReport:
         if self.equal:
             return "equal on all states of degree <= %d" % self.tested_degree
         return "mismatch on %s: lhs %s, rhs %s" % (
-            _state_str(*self.witness_state, modes), self.lhs_value, self.rhs_value)
+            _state_str(*self.witness_state, modes), vector_str(self.lhs_value, modes),
+            vector_str(self.rhs_value, modes))
 
 
 def check_identity(lhs: OperatorExpr, rhs: OperatorExpr, cutoff: int) -> IdentityReport:
@@ -661,9 +608,8 @@ def check_identity(lhs: OperatorExpr, rhs: OperatorExpr, cutoff: int) -> Identit
     """
     raise_bound = max(0, lhs.max_raise(), rhs.max_raise())
     tested = cutoff - raise_bound
-    modes = lhs.modes
-    for key in basis_states(modes, max(tested, 0)):
-        vec = FockVector(modes, {key: 1})
+    for key in basis_states(lhs.modes, max(tested, 0)):
+        vec = {key: 1}
         left = lhs.apply(vec)
         right = rhs.apply(vec)
         if left != right:

@@ -19,8 +19,8 @@ from math import comb
 
 from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family,
                         glk_family, sl2q_triple, sl3_octet)
-from .fock import (FockVector, LeftDivB, MatrixRep, OperatorExpr, Poly, Product,
-                   Scale, Sum, identity_op, to_matrix)
+from .fock import (LeftDivB, MatrixRep, OperatorExpr, Poly, Product, Scale, Sum,
+                   identity_op, to_matrix)
 from .qheis import q_number_op
 from .scalars import exact, inverse, rat
 from .verify import CheckResult, AltFormResult
@@ -33,10 +33,10 @@ class RealizeError(ValueError):
 
 # -- function-space operators -----------------------------------------------------
 #
-# Each leaf is a fock expression node on the Fock-vector keys read as
-# polynomials: (exps, smask) is the monomial x^exps with values in the
-# spinor basis vector of mask smask, so fock's Sum/Product/Scale combine
-# them and fock's to_matrix and check_identity evaluate them.
+# Each leaf is a fock expression node, mapping a Fock-vector dict to a new
+# dict with the keys read as polynomials: (exps, smask) is the monomial
+# x^exps with values in the spinor basis vector of mask smask.  fock's
+# Sum/Product/Scale combine the leaves; to_matrix and check_identity evaluate them.
 
 
 class Partial(OperatorExpr):
@@ -49,13 +49,13 @@ class Partial(OperatorExpr):
     def max_raise(self):
         return -1
 
-    def apply(self, vec):
+    def apply(self, terms):
         out = {}
-        for (e, s), c in vec.terms.items():
+        for (e, s), c in terms.items():
             k = e[self.i]
             if k:
                 accumulate(out, (e[:self.i] + (k - 1,) + e[self.i + 1:], s), c * k)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class MultX(OperatorExpr):
@@ -68,11 +68,11 @@ class MultX(OperatorExpr):
     def max_raise(self):
         return 1
 
-    def apply(self, vec):
+    def apply(self, terms):
         out = {}
-        for (e, s), c in vec.terms.items():
+        for (e, s), c in terms.items():
             accumulate(out, (e[:self.i] + (e[self.i] + 1,) + e[self.i + 1:], s), c)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class ShiftX(OperatorExpr):
@@ -86,17 +86,17 @@ class ShiftX(OperatorExpr):
     def max_raise(self):
         return 0
 
-    def apply(self, vec):
+    def apply(self, terms):
         out = {}
         powers = [1]
-        for (e, s), c in vec.terms.items():
+        for (e, s), c in terms.items():
             k = e[self.i]
             while len(powers) <= k:
                 powers.append(powers[-1] * self.delta)
             for j in range(k + 1):
                 coeff = c * comb(k, j) * powers[j] if j else c
                 accumulate(out, (e[:self.i] + (k - j,) + e[self.i + 1:], s), coeff)
-        return FockVector(vec.modes, out)
+        return out
 
 
 class Dplus(OperatorExpr):
@@ -113,14 +113,14 @@ class Dplus(OperatorExpr):
     def max_raise(self):
         return -1
 
-    def apply(self, vec):
+    def apply(self, terms):
         inv = self.inv
         out = {}
-        for k, v in self.shift.apply(vec).terms.items():
+        for k, v in self.shift.apply(terms).items():
             accumulate(out, k, v * inv)
-        for k, v in vec.terms.items():
+        for k, v in terms.items():
             accumulate(out, k, -(v * inv))
-        return FockVector(vec.modes, out)
+        return out
 
 
 def Dminus(modes: ModeSystem, i: int, delta) -> Dplus:
@@ -141,16 +141,16 @@ class JacksonX(OperatorExpr):
     def max_raise(self):
         return -1
 
-    def apply(self, vec):
+    def apply(self, terms):
         out = {}
         inv = inverse(self.q - 1)
-        for (e, s), c in vec.terms.items():
+        for (e, s), c in terms.items():
             k = e[self.i]
             if k == 0:
                 continue
             coeff = c * ((self.q ** k - 1) * inv)
             accumulate(out, (e[:self.i] + (k - 1,) + e[self.i + 1:], s), coeff)
-        return FockVector(vec.modes, out)
+        return out
 
 
 # -- Clifford (Pauli-Kronecker) matrices ---------------------------------------------
@@ -241,12 +241,12 @@ class Cliff(OperatorExpr):
     def max_raise(self):
         return self._raise
 
-    def apply(self, vec):
+    def apply(self, terms):
         out = {}
-        for (e, s), c in vec.terms.items():
+        for (e, s), c in terms.items():
             for row, v in self.by_col.get(s, ()):
                 accumulate(out, (e, row), c * v)
-        return FockVector(vec.modes, out)
+        return out
 
 
 # -- generic differential relabeling ----------------------------------------------
@@ -345,8 +345,8 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
         return {name: weyl_to_differential(g.as_weyl(), cliff)
                 for name, g in rep.generators.items()}
     if kind == "fd":
-        kit = fd_kit(modes, deltas or fd_deltas(rep)).compiled()
-        return _fd_formula(rep)(kit, rep.params)
+        formula = _fd_formula(rep)
+        return formula(fd_kit(modes, deltas or fd_deltas(rep)).compiled(), rep.params)
     if kind == "jackson":
         if rep.rep_id != "sl2q":
             raise RealizeError("the Jackson realization applies to sl2q only")
@@ -387,8 +387,9 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
             return build("sl2q", {**rep.params, "delta": rat(0)})
         return rep
     if kind == "fd":
+        formula = _fd_formula(rep)
         kit = fock_kit(rep.modes, deltas or fd_deltas(rep)).compiled()
-        return dataclasses.replace(rep, generators=_fd_formula(rep)(kit, rep.params))
+        return dataclasses.replace(rep, generators=formula(kit, rep.params))
     raise ValueError(kind)
 
 

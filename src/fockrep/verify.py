@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalogue import RepSpec
-from .fock import FockVector, _state_str, basis_states, check_identity
+from .fock import _state_str, basis_states, check_identity, vector_str
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
@@ -56,7 +56,6 @@ class StructureConstants:
     parities: list
     table: dict  # (i, j) -> {k: coefficient}
     span_dim: int
-    probe_degree: int
     dependent: list = field(default_factory=list)
 
     def perturbed(self, i: int, j: int, k: int, delta=1) -> "StructureConstants":
@@ -65,7 +64,7 @@ class StructureConstants:
         entry = table.setdefault((i, j), {})
         entry[k] = entry.get(k, 0) + delta
         return StructureConstants(self.names, self.parities, table,
-                                  self.span_dim, self.probe_degree, self.dependent)
+                                  self.span_dim, self.dependent)
 
 
 @dataclass
@@ -224,7 +223,7 @@ def closure(rep: RepSpec, cutoff: int = None):
             table[(i, j)] = coeffs
             if i != j:
                 table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
-    sc = StructureConstants(names, parities, table, span_dim, probe, dependent)
+    sc = StructureConstants(names, parities, table, span_dim, dependent)
     detail = "span dimension %d over %d generators, probe degree %d" % (
         span_dim, m, probe)
     if dependent:
@@ -260,7 +259,7 @@ def closure_symbolic(rep: RepSpec):
             table[(i, j)] = coeffs
             if i != j:
                 table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
-    sc = StructureConstants(names, parities, table, span.dim, -1, dependent)
+    sc = StructureConstants(names, parities, table, span.dim, dependent)
     return sc, CheckResult("closure_symbolic", "PASS",
                            "span dimension %d" % span.dim)
 
@@ -344,21 +343,23 @@ def jacobi(sc: StructureConstants) -> CheckResult:
 
 
 def killing_form(sc: StructureConstants):
-    """K(x_i, x_j) = tr(ad x_i ad x_j) from the structure constants."""
+    """K(x_i, x_j) = tr(ad x_i ad x_j), summed over the entries of ad x_i:
+    ad[i][(k, mid)] = c_{i,mid}^k, matched with ad[j][(mid, k)]."""
     m = len(sc.names)
+    ad = [{} for _ in range(m)]
+    for (i, mid), coeffs in sc.table.items():
+        for k, c in coeffs.items():
+            ad[i][(k, mid)] = c
     K = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
+            ad_j = ad[j]
             total = 0
-            for mid in range(m):
-                ci = sc.table.get((i, mid), {})
-                for k, cik in ci.items():
-                    cj = sc.table.get((j, k), {})
-                    v = cj.get(mid)
-                    if v is not None:
-                        total = total + cik * v
-            K[i][j] = total
-            K[j][i] = total
+            for (k, mid), c in ad[i].items():
+                v = ad_j.get((mid, k))
+                if v is not None:
+                    total = total + c * v
+            K[i][j] = K[j][i] = total
     span = EchelonSpan()
     for row in K:
         span.insert({idx: v for idx, v in enumerate(row) if v})
@@ -395,20 +396,18 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     measured = None
     value_failures = []
     for key in probe_keys:
-        v = FockVector(rep.modes, {key: 1})
-        got = expr.apply(v)
+        got = expr.apply({key: 1})
         if measured is None:
-            coeff = got.terms.get(key)
-            if coeff is None and got.is_zero():
-                coeff = 0
-            if coeff is None:
+            if got and key not in got:
                 value_failures.append("on %s: image %s is not a multiple of the state"
-                                      % (_state_str(*key, rep.modes), got))
+                                      % (_state_str(*key, rep.modes),
+                                         vector_str(got, rep.modes)))
                 break
-            measured = coeff
-        if got != v.scale(measured):
+            measured = got.get(key, 0)
+        if got != ({key: measured} if measured else {}):
             value_failures.append("on %s: %s is not %s * state"
-                                  % (_state_str(*key, rep.modes), got, measured))
+                                  % (_state_str(*key, rep.modes),
+                                     vector_str(got, rep.modes), measured))
             break
     value = CheckResult("casimir_value", "FAIL" if value_failures else "PASS",
                         "acts as the scalar %s on %d states"
@@ -445,7 +444,7 @@ def _space_columns(rep: RepSpec, names):
         g_cols = []
         for key in keys:
             col = {}
-            for skey, c in g.apply(FockVector(rep.modes, {key: 1})).terms.items():
+            for skey, c in g.apply({key: 1}).items():
                 i = index.get(skey)
                 if i is None:
                     return keys, cols, "%s maps %s outside the space (component %s)" % (

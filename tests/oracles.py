@@ -3,7 +3,8 @@
 The production algebra reorders with closed-form binomial sums and
 transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
-deliberately naive.  The Jacobi oracle walks all m^3 index triples.
+deliberately naive.  The Jacobi oracle walks all m^3 index triples, and
+the Killing oracle every middle index of every pair.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
@@ -182,6 +183,26 @@ def loop_jacobi(sc: StructureConstants) -> CheckResult:
                         "triple (%s,%s,%s): coefficient of %s is %s, not 0"
                         % (sc.names[i], sc.names[j], sc.names[k], sc.names[l], acc[l]))
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
+
+
+def loop_killing(sc: StructureConstants) -> list:
+    """Oracle for verify.killing_form's K: for each pair i <= j, every
+    middle index in order, with the table looked up entry by entry."""
+    m = len(sc.names)
+    K = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            total = 0
+            for mid in range(m):
+                ci = sc.table.get((i, mid), {})
+                for k, cik in ci.items():
+                    cj = sc.table.get((j, k), {})
+                    v = cj.get(mid)
+                    if v is not None:
+                        total = total + cik * v
+            K[i][j] = total
+            K[j][i] = total
+    return K
 
 
 # -- the coefficient oracle: every number a Scalar ----------------------------------

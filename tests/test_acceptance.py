@@ -16,8 +16,8 @@ import itertools
 import time
 
 from fockrep.catalogue import build
-from fockrep.fock import (FockVector, Poly, Product, Scale, Sum, basis_states,
-                          check_identity, identity_op)
+from fockrep.fock import (Poly, Product, Scale, Sum, basis_states, check_identity,
+                          identity_op)
 from fockrep.grids import DELTAS, KR_PAIRS, KS, NS, QS, RS, acceptance_grid
 from fockrep.qheis import embed, q_alpha_hat, q_number
 from fockrep.realize import (JacksonX, cross_check, poly_to_matrix, q_pair_fd,
@@ -181,7 +181,7 @@ def test_criterion_4_osp22_table():
             lhs = _poly_word(gens, rel.lhs, rep.modes)
             rhs = _poly_word(gens, rel.rhs, rep.modes)
             for key in states:
-                vec = FockVector(rep.modes, {key: 1})
+                vec = {key: 1}
                 if lhs.apply(vec) != rhs.apply(vec):
                     failures.append(("differential", n, rel.name, key))
                     break
@@ -360,7 +360,7 @@ def test_criterion_8_embeddings():
             atf, btf = q_pair_fd(q, d)
             relf = Sum([Product([atf, btf]), Scale(Scalar(-q), Product([btf, atf]))])
             for k in range(9):
-                f = FockVector(modes, {((k,), 0): 1})
+                f = {((k,), 0): 1}
                 if relf.apply(f) != f:
                     failures.append(("fd pair", str(q), str(d), k))
                     break

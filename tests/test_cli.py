@@ -166,6 +166,16 @@ def test_cross_jackson_on_shifted_sl2q(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_fd_without_a_formula_exits_two(capsys):
+    # the formula lookup must come before the fd pairs, which refuse delta = 0
+    for argv in (["matrix", "sl2q", "alpha=0", "q=2", "delta=0", "--gen", "J0",
+                  "--realization", "fd"],
+                 ["cross", "sl2q", "alpha=0", "q=2", "delta=0", "--realization", "fd"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: no finite-difference realization for sl2q\n"
+
+
 def test_negative_cutoff_exits_two(capsys):
     for argv in (["matrix", "sl2_standard", "n=2", "--gen", "J0", "--cutoff", "-1"],
                  ["verify", "sl2_standard", "n=2", "--cutoff", "-5"],

@@ -3,34 +3,56 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep.catalogue import shift_pair
-from fockrep.scalars import SQRT2, Scalar, rat
-from fockrep.fock import (Compiled, ExpA, FockVector, LeftDivB, NotLeftDivisible,
-                          Poly, Product, QSpectral, Scale, Sum, basis_states,
-                          check_identity, identity_op, to_matrix)
+from fockrep.catalogue import build, shift_pair
+from fockrep.scalars import SQRT2, Scalar, exact, rat
+from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, Poly, Product,
+                          QSpectral, Scale, Sum, basis_states, check_identity,
+                          identity_op, to_matrix, vector_str)
 from fockrep.linalg import mat_mul
-from fockrep.weyl import ModeSystem, WeylElement
+from fockrep.verify import casimir_check, closure, invariant_subspace
+from fockrep.weyl import ModeSystem, WeylElement, accumulate
 
 B1 = ModeSystem(1, 0)
 B2 = ModeSystem(2, 0)
 SUPER = ModeSystem(1, 1)
 
 
+def state(ms, alpha=(), beta=(), coeff=1):
+    """coeff b^alpha th^beta |0> as a Fock-vector dict; alpha is padded with
+    zeros and beta lists the occupied fermionic levels."""
+    alpha = tuple(alpha) + (0,) * (ms.bosonic - len(alpha))
+    c = exact(coeff)
+    return {(alpha, sum(1 << (j - 1) for j in beta)): c} if c else {}
+
+
+def vacuum(ms):
+    return state(ms)
+
+
+def lincomb(*pairs):
+    """The Fock-vector dict sum of c * vec over (c, vec) pairs."""
+    out = {}
+    for c, vec in pairs:
+        for key, v in vec.items():
+            accumulate(out, key, c * v)
+    return out
+
+
 def b_state(k, coeff=1):
-    return FockVector.state(B1, (k,), coeff=coeff)
+    return state(B1, (k,), coeff=coeff)
 
 
 def test_lowering_action():
     a = Poly(WeylElement.a(B1))
     assert a.apply(b_state(3)) == b_state(2, 3)
-    assert a.apply(FockVector.vacuum(B1)).is_zero()
+    assert a.apply(vacuum(B1)) == {}
 
 
 def test_fermionic_action():
     dth = Poly(WeylElement.dtheta(SUPER, 1))
-    th_state = FockVector.state(SUPER, (0,), (1,))
-    assert dth.apply(th_state) == FockVector.vacuum(SUPER)
-    assert dth.apply(FockVector.vacuum(SUPER)).is_zero()
+    th_state = state(SUPER, (0,), (1,))
+    assert dth.apply(th_state) == vacuum(SUPER)
+    assert dth.apply(vacuum(SUPER)) == {}
 
 
 def test_normal_ordered_action_is_multiplicative():
@@ -45,7 +67,7 @@ def test_normal_ordered_action_is_multiplicative():
         y = sum((p * q for p, q in zip(rng.sample(pool, 2), rng.sample(pool, 2))),
                 WeylElement.zero(ms))
         for key in basis_states(ms, 4):
-            v = FockVector(ms, {key: 1})
+            v = {key: 1}
             assert Poly(x * y).apply(v) == Poly(x).apply(Poly(y).apply(v))
 
 
@@ -54,11 +76,11 @@ def test_expa_shift_action():
     delta = rat(1, 2)
     e = ExpA(B1, 1, Scalar(-delta))
     got = e.apply(b_state(2))
-    expected = FockVector(B1, {
+    expected = {
         ((2,), 0): 1,
         ((1,), 0): Scalar(-1),  # 2 * (-1/2)
         ((0,), 0): Scalar(rat(1, 4)),
-    })
+    }
     assert got == expected
 
 
@@ -66,8 +88,8 @@ def test_bhat_builds_falling_factorials():
     # bhat = b e^{-d a}; bhat^2 |0> = b(b-d)|0>
     delta = rat(1)
     bhat = Product([Poly(WeylElement.b(B1)), ExpA(B1, 1, Scalar(-delta))])
-    v = bhat.apply(bhat.apply(FockVector.vacuum(B1)))
-    assert v == FockVector(B1, {((2,), 0): 1, ((1,), 0): Scalar(-1)})
+    v = bhat.apply(bhat.apply(vacuum(B1)))
+    assert v == {((2,), 0): 1, ((1,), 0): Scalar(-1)}
 
 
 def test_expa_inverse_pairs():
@@ -85,23 +107,23 @@ def test_falling_factorial_round_trip():
         op = QSpectral(B1, 1, 1, delta)
         for _ in range(20):
             terms = {((k,), 0): Scalar(rng.randint(-5, 5)) for k in range(7)}
-            v = FockVector(B1, {k: c for k, c in terms.items() if c})
+            v = {k: c for k, c in terms.items() if c}
             assert op.apply(v) == v
 
 
 def _falling(k, delta):
     """p_k = b(b-d)...(b-(k-1)d)|0>, built as bhat^k |0>."""
     _, bhat = shift_pair(B1, 1, delta)
-    return (bhat ** k).apply(FockVector.vacuum(B1))
+    return (bhat ** k).apply(vacuum(B1))
 
 
 def test_falling_factorial_example():
     # b^2 = p_2 + p_1 at delta = 1 (b^2 = b(b-1) + b), so q^N b^2 = q^2 p_2 + q p_1
     q, delta = rat(3), rat(1)
     got = QSpectral(B1, 1, q, delta).apply(b_state(2))
-    assert got == _falling(2, delta).scale(q ** 2) + _falling(1, delta).scale(q)
+    assert got == lincomb((q ** 2, _falling(2, delta)), (q, _falling(1, delta)))
     # degree zero is fixed
-    assert QSpectral(B1, 1, q, rat(2)).apply(FockVector.vacuum(B1)) == FockVector.vacuum(B1)
+    assert QSpectral(B1, 1, q, rat(2)).apply(vacuum(B1)) == vacuum(B1)
 
 
 def test_qspectral_eigenbasis():
@@ -110,7 +132,7 @@ def test_qspectral_eigenbasis():
         op = QSpectral(B1, 1, q, delta)
         for k in range(6):
             pk = _falling(k, delta)
-            assert op.apply(pk) == pk.scale(Scalar(q ** k)), (delta, k)
+            assert op.apply(pk) == lincomb((Scalar(q ** k), pk)), (delta, k)
 
 
 def test_qspectral_delta_zero():
@@ -123,9 +145,9 @@ def test_qspectral_leaves_spectator_modes_alone():
     q, delta = rat(2), rat(1)
     op = QSpectral(ms, 2, q, delta)
     # p_2 in mode 2, tensored with b1^3 th1: eigenvalue q^2, spectators fixed
-    p2 = FockVector(ms, {((3, 2), 1): 1, ((3, 1), 1): Scalar(-1)})
-    assert op.apply(p2) == p2.scale(Scalar(q ** 2))
-    mixed = FockVector(ms, {((1, 0), 1): Scalar(5)})
+    p2 = {((3, 2), 1): 1, ((3, 1), 1): Scalar(-1)}
+    assert op.apply(p2) == lincomb((Scalar(q ** 2), p2))
+    mixed = {((1, 0), 1): Scalar(5)}
     assert op.apply(mixed) == mixed  # k = 0 eigenvalue 1
 
 
@@ -141,27 +163,26 @@ def test_spectral_q_lowering():
 def test_left_div_errors():
     div = LeftDivB(B1, 1)
     with pytest.raises(NotLeftDivisible):
-        div.apply(FockVector.vacuum(B1))
+        div.apply(vacuum(B1))
     shifted = LeftDivB(B1, 1, Scalar(rat(1)))
     # (b+1) w = b^2 + b  has w = b exactly
-    v = FockVector(B1, {((2,), 0): 1, ((1,), 0): 1})
+    v = {((2,), 0): 1, ((1,), 0): 1}
     assert shifted.apply(v) == b_state(1)
     with pytest.raises(NotLeftDivisible):
         shifted.apply(b_state(1))  # b is not (b+1) * anything polynomial
 
 
 def test_str_pins_coefficient_forms():
-    vec = (FockVector.vacuum(SUPER).scale(-1) + FockVector.state(SUPER, (2,), (1,), rat(1, 2))
-           + FockVector.state(SUPER, (1,), (), SQRT2) + FockVector.state(SUPER, (3,), (), -1))
-    assert str(vec) == "-|0> + (sqrt2) b |0> + 1/2 b^2 th |0> - b^3 |0>"
-    vec = (FockVector.state(SUPER, (1,), (1,), 1 + SQRT2) + FockVector.state(SUPER, (), (1,))
-           + FockVector.vacuum(SUPER).scale(rat(-2, 3)))
-    assert str(vec) == "-2/3 |0> + th |0> + (1+sqrt2) b th |0>"
+    vec = lincomb((-1, vacuum(SUPER)), (1, state(SUPER, (2,), (1,), rat(1, 2))),
+                  (1, state(SUPER, (1,), (), SQRT2)), (1, state(SUPER, (3,), (), -1)))
+    assert vector_str(vec, SUPER) == "-|0> + (sqrt2) b |0> + 1/2 b^2 th |0> - b^3 |0>"
+    vec = lincomb((1, state(SUPER, (1,), (1,), 1 + SQRT2)), (1, state(SUPER, (), (1,))),
+                  (rat(-2, 3), vacuum(SUPER)))
+    assert vector_str(vec, SUPER) == "-2/3 |0> + th |0> + (1+sqrt2) b th |0>"
     ms = ModeSystem(2, 2)
-    vec = (FockVector.state(ms, (0, 2), (1, 2), -3)
-           + FockVector.state(ms, (1, 0), (2,), 1 - SQRT2))
-    assert str(vec) == "(1-sqrt2) b1 th2 |0> - 3 b2^2 th1 th2 |0>"
-    assert str(FockVector.zero(SUPER)) == "0" and str(FockVector.vacuum(ms)) == "|0>"
+    vec = lincomb((1, state(ms, (0, 2), (1, 2), -3)), (1, state(ms, (1, 0), (2,), 1 - SQRT2)))
+    assert vector_str(vec, ms) == "(1-sqrt2) b1 th2 |0> - 3 b2^2 th1 th2 |0>"
+    assert vector_str({}, SUPER) == "0" and vector_str(vacuum(ms), ms) == "|0>"
 
 
 def test_arithmetic_is_the_only_polynomial_fold():
@@ -286,7 +307,7 @@ _coeffs = st.builds(lambda p, q, s: Scalar(rat(p, q), rat(s, 2)),
 def _vectors(ms):
     keys = basis_states(ms, 4)
     return st.dictionaries(st.sampled_from(keys), _coeffs, min_size=1, max_size=5).map(
-        lambda terms: FockVector(ms, {k: c for k, c in terms.items() if c}))
+        lambda terms: {k: c for k, c in terms.items() if c})
 
 
 @pytest.mark.parametrize("ms", [SUPER, B2], ids=["1+1", "2+0"])
@@ -303,8 +324,8 @@ def test_compiled_equals_the_tree_walk(ms, kind, data):
     expected = op.apply(vec)
     assert compiled.apply(vec) == expected
     assert compiled.apply(vec) == expected
-    for key in vec.terms:
-        unit = FockVector(ms, {key: 1})
+    for key in vec:
+        unit = {key: 1}
         assert compiled.apply(unit) == op.apply(unit)
 
 
@@ -313,17 +334,32 @@ def test_compiled_images_survive_their_consumers():
     # must build a new vector instead of writing into it
     ahat, bhat = shift_pair(SUPER, 1, rat(1, 2))
     op = Compiled(bhat * ahat + Poly(WeylElement.theta(SUPER) * WeylElement.dtheta(SUPER)))
-    unit = FockVector.state(SUPER, (3,), (1,))
+    unit = state(SUPER, (3,), (1,))
     image = op.apply(unit)
-    assert len(image.terms) > 1
-    before = FockVector(SUPER, dict(image.terms))
-    assert op.apply(unit).terms is image.terms
-    other = FockVector.state(SUPER, (2,), (1,), coeff=3)
-    results = [image + image, other + image, image - other, other - image,
-               image.scale(rat(5, 7)), Sum([op, op.scale(2)]).apply(unit),
-               Sum([op, op]).apply(image)]
-    assert all(not r.is_zero() for r in results)
-    assert op.apply(unit) == before
+    assert len(image) > 1 and op.apply(unit) is image
+    before = dict(image)
+    other = state(SUPER, (2,), (1,), coeff=3)
+    results = [Sum([op, op.scale(2)]).apply(unit), Sum([op, op]).apply(image),
+               Scale(rat(5, 7), op).apply(unit), Product([op, op]).apply(unit),
+               op.apply(lincomb((1, unit), (1, other))), op.apply(lincomb((2, unit)))]
+    assert all(results)
+    assert to_matrix(op, 5).dim and not check_identity(op, op.scale(2), 5)
+    assert op.apply(unit) is image and image == before
+
+
+def test_compiled_columns_survive_the_checks():
+    # closure, casimir_check and invariant_subspace read the generators'
+    # cached columns; every column must be as it was made
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)}).compiled()
+    keys = basis_states(rep.modes, rep.default_cutoff + 2 * rep.max_generator_raise())
+    before = {(name, key): dict(g.column(key))
+              for name, g in rep.generators.items() for key in keys}
+    assert closure(rep)[1].passed
+    measured, checks, _ = casimir_check(rep)
+    assert measured is not None and checks and all(c.passed for c in checks)
+    assert invariant_subspace(rep)[1].passed
+    assert all(rep.generators[name].column(key) == col
+               for (name, key), col in before.items())
 
 
 # -- scaling -------------------------------------------------------------------
@@ -345,5 +381,6 @@ def test_sum_applies_a_scaled_part_as_its_scaled_image(ms, c):
     for name, a in cases.items():
         op = Sum([Scale(c, a), b])
         for key in basis_states(ms, 4):
-            vec = FockVector(ms, {key: 1})
-            assert op.apply(vec) == a.apply(vec).scale(c) + b.apply(vec), (name, key)
+            vec = {key: 1}
+            assert op.apply(vec) == lincomb((c, a.apply(vec)), (1, b.apply(vec))), \
+                (name, key)

@@ -30,8 +30,6 @@ TEST_API = {
     "super_bracket": "test_catalogue and test_weyl check graded brackets",
     "catalogue_ids": "test_catalogue checks the registry order",
     "is_rational": "test_linalg and test_verify check where sqrt2 enters",
-    "state": "FockVector.state builds the tests' Fock vectors",
-    "vacuum": "FockVector.vacuum is the tests' start vector",
     "atil": "criterion 7 checks q-normal ordering from QWeylElement.atil",
     "btil": "criterion 7 checks q-normal ordering from QWeylElement.btil",
     "abelian_ideal": "test_killing_vanishes_on_abelian_ideal reads Claims.abelian_ideal",

@@ -6,7 +6,8 @@ import pytest
 
 from fockrep import verify
 from fockrep.catalogue import Claims, InvariantSpace, RepSpec, build
-from fockrep.fock import Compiled, FockVector, Poly
+from fockrep.fock import Compiled, Poly
+from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
@@ -15,7 +16,7 @@ from fockrep.verify import (burnside_irreducibility, casimir_check,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import loop_jacobi
+from oracles import loop_jacobi, loop_killing
 
 
 def _index(sc, name):
@@ -166,6 +167,28 @@ def test_killing_form_sl2_with_trace_oracle():
             assert K[i][j] == mat_trace(mat_mul(ads[i], ads[j]))
 
 
+def test_killing_form_matches_loop_oracle():
+    # the trace over ad x_i's table entries must give the loop's K on every
+    # closing small-grid instance, and on every shift and every zeroing of
+    # one table entry of sl2_standard, osp22 and sl2_clifford
+    closing = 0
+    for rep_id, params in acceptance_grid(small=True):
+        sc, _ = closure(build(rep_id, params))
+        if sc is None:
+            continue
+        closing += 1
+        tables = [sc]
+        if rep_id in ("sl2_standard", "osp22", "sl2_clifford"):
+            m = len(sc.names)
+            tables += [sc.perturbed(i, j, k) for i in range(m) for j in range(m)
+                       for k in range(m)]
+            tables += [sc.perturbed(i, j, k, -c) for (i, j), row in sc.table.items()
+                       for k, c in row.items()]
+        for table in tables:
+            assert killing_form(table)[0] == loop_killing(table), (rep_id, params)
+    assert closing == 15
+
+
 def test_killing_vanishes_on_abelian_ideal():
     rep = build("gl2_semidirect", {"r": 2, "n": 2})
     sc, _ = closure(rep)
@@ -189,6 +212,25 @@ def test_casimir_measures_scalar():
     assert claim.status == "DIFFERS"  # printed claim -3/2 is a source erratum
     measured, checks, claim = casimir_check(build("sl2_metaplectic", {}))
     assert measured == Scalar(rat(3, 16)) and claim.status == "MATCH"
+
+
+@pytest.mark.parametrize("keep, extra, measured, witness", [
+    (False, [(1, ("J+",))], None, "on |0>: image -2 b |0> is not a multiple of the state"),
+    (True, [(1, ("J+",))], None, "on |0>: -2 |0> - 2 b |0> is not -2 * state"),
+    (False, [], 0, ""),
+    (False, [(1, ("J0",))], None, "on b |0>: 0 is not -1 * state"),
+    (False, [(1, ("J-",))], None, "on b |0>: |0> is not 0 * state"),
+])
+def test_casimir_value_witnesses_are_pinned(keep, extra, measured, witness):
+    # each way the probes can fail to act as one scalar, and the zero
+    # operator, which acts as 0: sl2 n = 2 with the Casimir's terms, kept or
+    # not, plus extra terms
+    rep = build("sl2_standard", {"n": 2})
+    terms = (rep.casimir.terms if keep else []) + extra
+    bad = dataclasses.replace(rep, casimir=dataclasses.replace(rep.casimir, terms=terms))
+    got, (_, value), _ = casimir_check(bad)
+    assert got == measured and value.witness == witness
+    assert value.passed == (not witness)
 
 
 def test_casimir_centrality_fails_on_perturbation():
@@ -297,13 +339,12 @@ def test_burnside_certificate_conditions_are_load_bearing(exact_spans, gens, alg
 
 def test_burnside_dual_spin_is_needed():
     rep = _two_state_rep(N=lambda a, b: b * a, X=lambda a, b: b - b * b * a)
-    vacuum = FockVector.vacuum(rep.modes)
-    one = FockVector.state(rep.modes, (1,))
-    assert rep.generators["N"].apply(vacuum).is_zero()  # N - 0 I has kernel |0>
+    vacuum, one = {((0,), 0): 1}, {((1,), 0): 1}
+    assert rep.generators["N"].apply(vacuum) == {}  # N - 0 I has kernel |0>
     assert rep.generators["X"].apply(vacuum) == one  # the forward spin is full
     for g in rep.generators.values():  # the dual spin of <0| is not
         for v in (vacuum, one):
-            assert vacuum.terms.keys().isdisjoint(g.apply(v).terms)
+            assert vacuum.keys().isdisjoint(g.apply(v))
 
 
 def test_burnside_certificate_with_sqrt2_entries(exact_spans):
