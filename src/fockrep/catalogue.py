@@ -182,6 +182,14 @@ def _require_int(x: Rational, name: str) -> int:
 # -- base generator formulas (generic over the pair implementation) -----------
 
 
+def _unshared(x):
+    return x
+
+
+def _compiled_unless_polynomial(x):
+    return x if x.as_weyl() is not None else Compiled(x)
+
+
 def sl2_triple(a, b, n: Rational):
     half_n = rat(n) / 2
     return {
@@ -208,10 +216,11 @@ def sl2_casimir(n: Rational) -> CasimirSpec:
     return CasimirSpec(list(SL2_CASIMIR_TERMS), -(nn / 2) * (nn / 2 + rat(1, 2)))
 
 
-def sl3_octet(a1, a2, b1, b2, n: Rational, number=None):
-    """number[i], when given, stands for b_i a_i inside J1+, J2+ and J0."""
+def sl3_octet(a1, a2, b1, b2, n: Rational, number=None, share=_unshared):
+    """number[i], when given, stands for b_i a_i inside J1+, J2+ and J0;
+    share is the kit's (see Kit), applied to the factor J1+ and J2+ share."""
     n1, n2 = number or (b1 * a1, b2 * a2)
-    num = n1 + n2 - rat(n)
+    num = share(n1 + n2 - rat(n))
     return {
         "J1+": b1 * num,
         "J2+": b2 * num,
@@ -224,17 +233,15 @@ def sl3_octet(a1, a2, b1, b2, n: Rational, number=None):
     }
 
 
-def glk_family(a, b, n: Rational, number=None):
+def glk_family(a, b, n: Rational, number=None, share=_unshared):
     """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
 
-    number[i], when given, stands for b[i] a[i] inside J0.
+    number[i], when given, stands for b[i] a[i] inside J0; share is the
+    kit's (see Kit), applied to J0, which every J_i+ contains.
     """
     k = len(a) + 1
     number = number or [b[i] * a[i] for i in range(k - 1)]
-    j0 = None
-    for i in range(k - 1):
-        j0 = number[i] if j0 is None else j0 + number[i]
-    j0 = rat(n) - j0 if j0 is not None else None
+    j0 = share(rat(n) - sum(number[1:], number[0]))
     gens = {}
     for i in range(k - 1):
         gens["J%d-" % (i + 2)] = a[i]
@@ -247,12 +254,13 @@ def glk_family(a, b, n: Rational, number=None):
     return gens
 
 
-def gl_super_family(a, b, th, dth, n: Rational, one, number=None):
+def gl_super_family(a, b, th, dth, n: Rational, one, number=None, share=_unshared):
     """gl(k+1,r+1) generators over any element implementation.
 
     a, b: k bosonic pairs; th, dth: r fermionic pairs; one: the identity
-    element; number[i], when given, stands for b[i] a[i] inside T0.
-    Returns the generators in canonical order.
+    element; number[i], when given, stands for b[i] a[i] inside T0; share
+    is the kit's (see Kit), applied to T0, which every T_i+ and Qb_j+
+    contains.  Returns the generators in canonical order.
     """
     k, r = len(a), len(th)
     number = number or [b[i] * a[i] for i in range(k)]
@@ -261,6 +269,7 @@ def gl_super_family(a, b, th, dth, n: Rational, one, number=None):
         t0 = t0 - number[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
+    t0 = share(t0)
     gens = {}
     for i in range(k):
         gens["T%d-" % (i + 1)] = a[i]
@@ -379,20 +388,26 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
 class Kit:
     """One implementation of the canonical pairs a family formula is written
     in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
-    the identity."""
+    the identity.  share is what a formula stores in place of an
+    intermediate that several of its generators contain; on a plain kit it
+    returns the intermediate itself."""
 
     a: list
     b: list
     th: list
     dth: list
     one: object
+    share: object = _unshared
 
     def compiled(self) -> "Kit":
-        """A copy whose bosonic pairs are fock.Compiled, so every generator
-        of a formula over it shares each pair's image of a basis state; th,
-        dth and one stay as they are, so polynomial pairs still fold."""
+        """A copy whose bosonic pairs are fock.Compiled, and whose share
+        compiles each formula's non-polynomial intermediate, so every
+        generator of a formula over it shares each pair's and each
+        intermediate's image of a basis state.  th, dth and one stay as they
+        are, and share leaves a polynomial as it is, so polynomials still
+        fold."""
         return replace(self, a=[Compiled(x) for x in self.a],
-                       b=[Compiled(x) for x in self.b])
+                       b=[Compiled(x) for x in self.b], share=_compiled_unless_polynomial)
 
 
 def fock_kit(modes: ModeSystem, deltas=None) -> Kit:
@@ -429,10 +444,10 @@ FORMULAS = {
     "sl2_translated": lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"]),
     "sl2_metaplectic": lambda kit, p: metaplectic_triple(kit.a[0], kit.b[0]),
     "sl3_translated": lambda kit, p: sl3_octet(kit.a[0], kit.a[1], kit.b[0], kit.b[1],
-                                               p["n"]),
-    "glk": lambda kit, p: glk_family(kit.a, kit.b, p["n"]),
+                                               p["n"], share=kit.share),
+    "glk": lambda kit, p: glk_family(kit.a, kit.b, p["n"], share=kit.share),
     "gl_super": lambda kit, p: gl_super_family(kit.a, kit.b, kit.th, kit.dth, p["n"],
-                                               kit.one),
+                                               kit.one, share=kit.share),
     "osp22_translated": lambda kit, p: _osp22_gens(kit.a[0], kit.b[0], kit.th[0],
                                                    kit.dth[0], p["n"]),
 }

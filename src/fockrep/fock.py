@@ -17,7 +17,9 @@ Sum adds a Scale part's inner image times the coefficient without a scaled
 copy.  The extended nodes are infinite series in the algebra but exact
 finite operations on any vector because each a_i is locally nilpotent, so
 nothing here ever truncates silently: to_matrix flags overflow columns
-instead.
+instead.  The truncated basis of each (modes, cutoff) is enumerated once
+per process: basis_states hands out one shared immutable tuple, and
+to_matrix reads its row index from the same memo.
 """
 
 from __future__ import annotations
@@ -59,15 +61,27 @@ def vector_str(terms: dict, modes: ModeSystem) -> str:
                       sorted(terms.items(), key=lambda kv: state_sort_key(kv[0])))
 
 
-def basis_states(modes: ModeSystem, cutoff: int):
-    """All (alpha, beta) with total degree <= cutoff, graded then lex order."""
-    states = []
-    for beta in range(1 << modes.fermionic):
-        fdeg = beta.bit_count()
-        for alpha in _compositions_upto(modes.bosonic, cutoff - fdeg):
-            states.append((alpha, beta))
-    states.sort(key=state_sort_key)
-    return states
+_BASES: dict = {}  # (modes, cutoff) -> (basis tuple, {key: position})
+
+
+def _basis(modes: ModeSystem, cutoff: int):
+    """The memoised (basis, row index) pair of basis_states and to_matrix."""
+    entry = _BASES.get((modes, cutoff))
+    if entry is None:
+        states = tuple(sorted(
+            ((alpha, beta) for beta in range(1 << modes.fermionic)
+             for alpha in _compositions_upto(modes.bosonic, cutoff - beta.bit_count())),
+            key=state_sort_key))
+        entry = _BASES[(modes, cutoff)] = (states, {key: i for i, key in enumerate(states)})
+    return entry
+
+
+def basis_states(modes: ModeSystem, cutoff: int) -> tuple:
+    """All (alpha, beta) with total degree <= cutoff, graded then lex order.
+
+    Enumerated and sorted once per (modes, cutoff): every call returns the
+    same immutable tuple, which to_matrix also uses as its basis."""
+    return _basis(modes, cutoff)[0]
 
 
 def _compositions_upto(p: int, total: int):
@@ -530,11 +544,12 @@ class MatrixRep:
     Column j holds the coordinates of (op applied to basis state j)
     restricted to the basis; columns whose image leaves the cutoff are
     listed in overflow_columns, never silently truncated.  Operators with
-    max_raise <= 0 can have no overflow columns.
+    max_raise <= 0 can have no overflow columns.  basis is the shared
+    immutable tuple basis_states(modes, cutoff), not a copy.
     """
 
     cutoff: int
-    basis: list
+    basis: tuple
     cols: list  # list of dict row_index -> coefficient
     overflow_columns: list = field(default_factory=list)
 
@@ -559,8 +574,7 @@ class MatrixRep:
 def to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    basis = basis_states(op.modes, cutoff)
-    index = {key: i for i, key in enumerate(basis)}
+    basis, index = _basis(op.modes, cutoff)
     cols = []
     overflow = []
     for j, key in enumerate(basis):

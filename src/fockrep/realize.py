@@ -375,10 +375,10 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     The fd realization puts the fd pairs into the family's formula, and the
     fd pair is the coordinate image of the shift-transformed pair, so the
     counterpart is the same formula over the shift kit with the same deltas.
-    Both kits are compiled, so each pair's image of a basis state is
-    computed once per call and shared by every generator.  The Jackson pair
-    realizes the spectral sl2q, so its counterpart is the delta = 0 build
-    whatever the rep's delta.
+    Both kits are compiled, so each pair's and each shared intermediate's
+    image of a basis state is computed once per call and shared by every
+    generator.  The Jackson pair realizes the spectral sl2q, so its
+    counterpart is the delta = 0 build whatever the rep's delta.
     """
     if kind == "differential":
         return rep

@@ -1,13 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockrep import fock
 from fockrep.catalogue import build, shift_pair
 from fockrep.scalars import SQRT2, Scalar, exact, rat
 from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, Poly, Product,
                           QSpectral, Scale, Sum, basis_states, check_identity,
-                          identity_op, to_matrix, vector_str)
+                          identity_op, state_sort_key, to_matrix, vector_str)
 from fockrep.linalg import mat_mul
 from fockrep.verify import casimir_check, closure, invariant_subspace
 from fockrep.weyl import ModeSystem, WeylElement, accumulate
@@ -267,6 +269,43 @@ def test_basis_state_ordering():
     assert degrees == sorted(degrees)
     assert states[0] == ((0, 0), 0)
     assert len(states) == len(set(states))
+
+
+def test_basis_states_is_one_shared_tuple_per_key():
+    # enumerated and sorted once per (modes, cutoff); to_matrix uses the same
+    # tuple, and an independent enumeration gives the same states in order
+    for p, r in ((1, 0), (2, 1), (3, 2)):
+        for cutoff in range(6):
+            states = basis_states(ModeSystem(p, r), cutoff)
+            assert isinstance(states, tuple)
+            assert basis_states(ModeSystem(p, r), cutoff) is states
+            want = sorted(((alpha, sum(bit << j for j, bit in enumerate(bits)))
+                           for alpha in product(range(cutoff + 1), repeat=p)
+                           for bits in product((0, 1), repeat=r)
+                           if sum(alpha) + sum(bits) <= cutoff), key=state_sort_key)
+            assert list(states) == want, (p, r, cutoff)
+            assert to_matrix(identity_op(ModeSystem(p, r)), cutoff).basis is states
+
+
+def test_check_identity_walks_the_patchable_basis_states(monkeypatch):
+    # the benchmark counts probed states by patching fock.basis_states, so
+    # check_identity must look it up at call time and iterate what it returns
+    real = fock.basis_states
+    walked = []
+
+    def counting(modes, cutoff):
+        for key in real(modes, cutoff):
+            walked.append(key)
+            yield key
+
+    monkeypatch.setattr(fock, "basis_states", counting)
+    number = Poly(WeylElement.b(B2, 1) * WeylElement.a(B2, 1))
+    assert check_identity(number, number, 3)
+    assert walked == list(real(B2, 3))
+    walked.clear()
+    report = check_identity(number, number.scale(2), 3)
+    assert walked == list(real(B2, 3))[:walked.index(report.witness_state) + 1]
+    assert walked[-1] == ((1, 0), 0)
 
 
 def test_matrix_json_round_trip_shape():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -225,6 +226,60 @@ def test_cross_check_leaves_the_catalogue_rep_uncompiled():
             assert not any(isinstance(node, Compiled) for node in _nodes(op)), (rid, name)
 
 
+class _CountingApply(OperatorExpr):
+    """wrapped, counting how often apply meets each state."""
+
+    def __init__(self, wrapped):
+        self.modes = wrapped.modes
+        self.wrapped = wrapped
+        self.calls = Counter()
+
+    def max_raise(self):
+        return self.wrapped.max_raise()
+
+    def apply(self, terms):
+        self.calls.update(terms)
+        return self.wrapped.apply(terms)
+
+
+# the generators of each formula that contain its intermediate (T0, J0, num)
+SHARED_INTERMEDIATE = [
+    ("gl_super", {"k": 2, "r": 2, "n": 1}, ["T0", "T1+", "T2+", "Qb1+", "Qb2+"]),
+    ("glk", {"k": 4, "n": 1}, ["J0", "J2+", "J3+", "J4+"]),
+    ("sl3_translated", {"n": 1, "delta1": rat(1), "delta2": rat(-1, 3)}, ["J1+", "J2+"]),
+]
+
+
+def test_compiled_kits_share_each_formulas_intermediate():
+    for rid, params, names in SHARED_INTERMEDIATE:
+        rep = build(rid, params)
+        deltas = fd_deltas(rep)
+        for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
+            compiled = kit.compiled()
+            gens = FORMULAS[rid](compiled, rep.params)
+            pairs = {id(x) for x in compiled.a + compiled.b}
+            shared = {name: {id(node): node for node in _nodes(gens[name])
+                             if isinstance(node, Compiled) and id(node) not in pairs}
+                      for name in names}
+            (node,) = shared[names[0]].values()
+            assert all(set(found) == {id(node)} for found in shared.values()), rid
+            # a to_matrix sweep over every generator applies its inner
+            # operator to each basis state at most once
+            node.inner = _CountingApply(node.inner)
+            for op in gens.values():
+                to_matrix(op, rep.default_cutoff)
+            calls = node.inner.calls
+            assert calls and max(calls.values()) == 1, rid
+            # over the plain kit the formula has no Compiled node
+            plain = FORMULAS[rid](kit, rep.params)
+            assert not any(isinstance(node, Compiled)
+                           for op in plain.values() for node in _nodes(op)), rid
+        # a polynomial intermediate is not wrapped and still folds
+        gens = FORMULAS[rid](fock_kit(rep.modes).compiled(), rep.params)
+        assert all(gens[name].as_weyl() is not None and not isinstance(gens[name], Compiled)
+                   for name in names), rid
+
+
 def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):
     # a single monomial added to one realized generator over the compiled
     # kit must still show as a differing column
@@ -329,6 +384,37 @@ def test_cross_check_results_are_pinned():
     assert len(lists) == 227
     digest = hashlib.sha256(json.dumps(lists, sort_keys=True).encode()).hexdigest()
     assert digest == "4a64d114bd00abbd60291edd477437e497bb4d77963d0503f9893738e1545da2"
+
+
+def _matrix_record(mat):
+    return [[[list(alpha), beta] for alpha, beta in mat.basis],
+            [sorted([row, str(c)] for row, c in col.items()) for col in mat.cols],
+            list(mat.overflow_columns)]
+
+
+def test_cross_check_matrices_are_pinned():
+    # both sides of a cross check share one basis, so verdicts alone would
+    # not show a misordered or truncated basis: pin the matrices themselves
+    from fockrep.grids import acceptance_grid
+
+    records = []
+    for rep_id, params in acceptance_grid(small=True):
+        rep = build(rep_id, params)
+        for kind in ("differential", "fd", "jackson"):
+            try:
+                realized = realize_generators(rep, kind)
+            except RealizeError:
+                continue
+            abstract = abstract_counterpart(rep, kind)
+            for name, op in realized.items():
+                records.append([rep_id, sorted([k, str(v)] for k, v in params.items()),
+                                kind, name,
+                                _matrix_record(to_matrix(op, rep.default_cutoff)),
+                                _matrix_record(to_matrix(abstract.generator(name),
+                                                         rep.default_cutoff))])
+    assert len(records) == 129 and len({(r[0], r[2]) for r in records}) == 19
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "740c9660673ddeda693c7a097c99a19aaa4de7ac17edf539f0a4f79d3cf6c254"
 
 
 def test_realization_coverage_on_the_grid():
