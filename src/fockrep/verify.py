@@ -5,6 +5,15 @@ concrete witness (a basis state or index pair with both values).  Closure
 is checked at matrix level uniformly, with a symbolic second path over
 normal-ordered canonical forms for purely polynomial families; the two
 paths are independent implementations.
+
+On a polynomial family a relation line, a Casimir commutator [C,g] and an
+alt form are operator identities between polynomials, decided by comparing
+normal forms: equal normal forms act alike on every state.  Where the forms
+differ, check_identity probes the states up to the cutoff, and the probe
+only looks for a witness.  full_verify forms the normal-ordered product of
+each generator word once (WordProducts) and the relation, Casimir and
+symbolic closure checks all read it.  Extended families, whose generators
+are not polynomials, are probed as operator trees.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalogue import RepSpec
-from .fock import _state_str, basis_states, check_identity, vector_str
+from .fock import Poly, _state_str, basis_states, check_identity, vector_str
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
@@ -103,16 +112,75 @@ class VerificationReport:
 # -- relations ---------------------------------------------------------------
 
 
-def check_relations(rep: RepSpec, cutoff: int = None) -> list:
+class WordProducts(dict):
+    """Normal-ordered products of a polynomial rep's generator words.
+
+    Keyed by the word, a tuple of generator names.  Looking a word up forms
+    its product on first use, one multiplication onto its stored prefix, and
+    keeps it; get() reads without forming.  One instance serves the checks of
+    one full_verify call and goes with it.
+    """
+
+    def __init__(self, rep: RepSpec):
+        super().__init__()
+        self.rep = rep
+
+    def __missing__(self, word):
+        if not word:
+            product = WeylElement.one(self.rep.modes)
+        elif len(word) == 1:
+            product = self.rep.generator(word[0]).as_weyl()
+        else:
+            product = self[word[:-1]] * self.rep.generator(word[-1]).as_weyl()
+        self[word] = product
+        return product
+
+    def combination(self, terms) -> WeylElement:
+        """The normal form of a weighted sum of generator words, as
+        RepSpec.word_expr(terms) would fold it."""
+        out = {}
+        for coeff, word in terms:
+            for mono, c in self[tuple(word)].terms.items():
+                accumulate(out, mono, c * coeff)
+        return WeylElement(self.rep.modes, out)
+
+
+def _word_exprs(rep: RepSpec, words):
+    """terms -> operator: on a polynomial rep the Poly of the normal form
+    from words (a fresh WordProducts when None), else rep.word_expr."""
+    if not rep.is_polynomial():
+        return rep.word_expr
+    if words is None:
+        words = WordProducts(rep)
+    return lambda terms: Poly(words.combination(terms))
+
+
+def _mismatch(lhs, rhs, cutoff: int):
+    """check_identity's report where lhs and rhs differ on its probe range,
+    else None.  Two polynomials with equal normal forms are the same
+    operator, so they are decided without a probe."""
+    w = lhs.as_weyl()
+    if w is not None and w == rhs.as_weyl():
+        return None
+    report = check_identity(lhs, rhs, cutoff)
+    return None if report.equal else report
+
+
+def check_relations(rep: RepSpec, cutoff: int = None, words=None) -> list:
     """One result per relation line; FAIL carries the first witness.
 
-    The cutoff is floored so the overflow-free probe range never collapses
-    to the vacuum alone (relation words raise by at most twice the largest
-    generator raise).
+    On a polynomial rep a relation whose sides have equal normal forms (from
+    words, a WordProducts) holds without a probe.  Any other relation is
+    probed on every state of degree up to the cutoff less the larger raise
+    of its sides, and FAILs only where a state separates the sides.  The
+    cutoff is floored so that probe range never collapses to the vacuum
+    alone (relation words raise by at most twice the largest generator
+    raise).
     """
     if cutoff is None:
         cutoff = rep.default_cutoff
     cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
+    word_expr = _word_exprs(rep, words)
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -122,9 +190,8 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
         names = []
         for rel in rels:
             names.append(rel.name)
-            report = check_identity(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs),
-                                    cutoff)
-            if not report.equal:
+            report = _mismatch(word_expr(rel.lhs), word_expr(rel.rhs), cutoff)
+            if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
         results.append(CheckResult(
             "relation %s" % label,
@@ -134,13 +201,16 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     return results
 
 
-def check_relations_symbolic(rep: RepSpec) -> CheckResult:
-    """Exact canonical-form identity check, polynomial families only."""
+def check_relations_symbolic(rep: RepSpec, words=None) -> CheckResult:
+    """Exact canonical-form identity check, polynomial families only; words
+    is a WordProducts to read the products from."""
     if not rep.is_polynomial():
         return CheckResult("relations_symbolic", "PASS", "skipped: extended generators")
+    if words is None:
+        words = WordProducts(rep)
     failures = []
     for rel in rep.relations:
-        diff = rep.word_expr(rel.lhs).as_weyl() - rep.word_expr(rel.rhs).as_weyl()
+        diff = words.combination(rel.lhs) - words.combination(rel.rhs)
         if not diff.is_zero():
             failures.append("%s: residual %s" % (rel.name, diff))
     return CheckResult("relations_symbolic", "FAIL" if failures else "PASS",
@@ -231,14 +301,24 @@ def closure(rep: RepSpec, cutoff: int = None):
     return sc, CheckResult("closure", "PASS", detail)
 
 
-def closure_symbolic(rep: RepSpec):
-    """Second, independent closure path over canonical normal-ordered forms."""
+def closure_symbolic(rep: RepSpec, words=None):
+    """Second, independent closure path over canonical normal-ordered forms.
+
+    A product x_i x_j already in words (a WordProducts) is read from it;
+    every other product is formed here and not kept.
+    """
     if not rep.is_polynomial():
         return None, CheckResult("closure_symbolic", "PASS",
                                  "skipped: extended generators")
     names = list(rep.generators)
     gens = [rep.generators[n].as_weyl() for n in names]
     parities = [rep.parities[n] for n in names]
+    known = {} if words is None else words
+
+    def product(i, j):
+        found = known.get((names[i], names[j]))
+        return gens[i] * gens[j] if found is None else found
+
     span = EchelonSpan()
     dependent = []
     for idx, g in enumerate(gens):
@@ -248,7 +328,12 @@ def closure_symbolic(rep: RepSpec):
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             anti = parities[i] == 1 and parities[j] == 1
-            bracket = w_acomm(gens[i], gens[j]) if anti else w_comm(gens[i], gens[j])
+            if i == j and not anti:
+                table[(i, i)] = {}  # [x, x] = 0
+                continue
+            xy = product(i, j)
+            yx = xy if i == j else product(j, i)
+            bracket = xy + yx if anti else xy - yx
             coeffs, residual = span.express(dict(bracket.terms))
             if coeffs is None:
                 return None, CheckResult(
@@ -369,21 +454,25 @@ def killing_form(sc: StructureConstants):
 # -- Casimir ------------------------------------------------------------------------
 
 
-def casimir_check(rep: RepSpec, cutoff: int = None):
+def casimir_check(rep: RepSpec, cutoff: int = None, words=None):
     """Centrality, exact scalar action, and the claimed-value comparison.
 
     Returns (measured_scalar_or_None, [CheckResult...], claim_result).  The
     claim comparison is a catalogue discrepancy report (MATCH/DIFFERS), not
     a verification failure: the engine's measured value is authoritative.
+    On a polynomial rep C's normal form is summed from words (a
+    WordProducts), and [C,g] = 0 holds without a probe where C g and g C
+    have equal normal forms; otherwise the states up to the cutoff are
+    probed for a witness.
     """
     if rep.casimir is None:
         return None, [], None
     cutoff = rep.default_cutoff if cutoff is None else cutoff
-    expr = rep.word_expr(rep.casimir.terms)
+    expr = _word_exprs(rep, words)(rep.casimir.terms)
     failures = []
     for name, g in rep.generators.items():
-        report = check_identity(expr * g, g * expr, cutoff)
-        if not report.equal:
+        report = _mismatch(expr * g, g * expr, cutoff)
+        if report is not None:
             failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
     commutes = CheckResult("casimir_commutes", "FAIL" if failures else "PASS",
                            "against %d generators" % len(rep.generators),
@@ -455,11 +544,14 @@ def _space_columns(rep: RepSpec, names):
     return keys, cols, ""
 
 
-def invariant_subspace(rep: RepSpec):
+def invariant_subspace(rep: RepSpec, columns=None):
+    """The claimed invariant space is closed under every generator and has
+    the claimed dimension; columns is _space_columns(rep, rep.generators)
+    when the caller already has it."""
     if rep.invariant_space is None:
         return None, CheckResult("invariant_subspace", "PASS", "no claim")
     space = rep.invariant_space
-    keys, _, escape = _space_columns(rep, rep.generators)
+    keys, _, escape = columns or _space_columns(rep, rep.generators)
     if escape:
         return None, CheckResult("invariant_subspace", "FAIL", space.description, escape)
     dim = len(keys)
@@ -488,8 +580,11 @@ def _dense(cols, d):
 # -- Burnside irreducibility --------------------------------------------------------
 
 
-def burnside_irreducibility(rep: RepSpec):
+def burnside_irreducibility(rep: RepSpec, columns=None):
     """Irreducible iff the generated unital algebra has dimension d^2.
+
+    columns is _space_columns(rep, rep.generators) when the caller already
+    has it; a generator mapping out of the space raises ValueError.
 
     "irreducible" is Norton's spin certificate (the MeatAxe criterion) mod
     p = 2^61 - 1, sqrt2 sent to a square root of 2.  theta = g - lam I for
@@ -505,7 +600,7 @@ def burnside_irreducibility(rep: RepSpec):
     """
     if rep.invariant_space is None:
         return None, CheckResult("irreducibility", "PASS", "no claim")
-    keys, cols, escape = _space_columns(rep, rep.generators)
+    keys, cols, escape = columns or _space_columns(rep, rep.generators)
     if escape:
         raise ValueError(escape)
     d = len(keys)
@@ -640,14 +735,16 @@ def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
 
     A DIFFERS entry is a reported catalogue discrepancy, not a failure: the
     normative construction wins by design and the mismatch is preserved as
-    data.
+    data.  A polynomial alt form of a polynomial generator MATCHes without a
+    probe when the normal forms are equal; any other pair is probed on the
+    states up to the cutoff and DIFFERS only where a state separates them.
     """
     out = []
     for alt in rep.alt_forms:
-        report = check_identity(rep.generator(alt.generator), alt.expr, cutoff)
+        report = _mismatch(rep.generator(alt.generator), alt.expr, cutoff)
         out.append(AltFormResult(
-            alt.generator, "MATCH" if report.equal else "DIFFERS",
-            report.describe(rep.modes) if not report.equal else ""))
+            alt.generator, "MATCH" if report is None else "DIFFERS",
+            "" if report is None else report.describe(rep.modes)))
     return out
 
 
@@ -659,9 +756,10 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     rep = rep.compiled()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     report = VerificationReport(rep.rep_id, rep.params, cutoff)
+    words = WordProducts(rep) if rep.is_polynomial() else None
     if rep.relations:
-        report.checks.extend(check_relations(rep, cutoff))
-        report.checks.append(check_relations_symbolic(rep))
+        report.checks.extend(check_relations(rep, cutoff, words))
+        report.checks.append(check_relations_symbolic(rep, words))
     if rep.claims.closes:
         sc, closure_result = closure(rep, cutoff)
         report.checks.append(closure_result)
@@ -672,7 +770,7 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
                 "killing_rank", "PASS",
                 "rank %d of %d" % (rank, len(sc.names))))
         if rep.is_polynomial():
-            sym_sc, sym_result = closure_symbolic(rep)
+            sym_sc, sym_result = closure_symbolic(rep, words)
             report.checks.append(sym_result)
             if sc is not None and sym_sc is not None:
                 agree = structure_constants_agree(sc, sym_sc)
@@ -681,15 +779,16 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
                     "matrix and symbolic structure constants",
                     "" if agree else "paths disagree"))
     report.alt_forms.extend(check_alt_forms(rep))
-    _, casimir_results, casimir_claim = casimir_check(rep, cutoff)
+    _, casimir_results, casimir_claim = casimir_check(rep, cutoff, words)
     report.checks.extend(casimir_results)
     if casimir_claim is not None:
         report.alt_forms.append(casimir_claim)
-    _, inv_result = invariant_subspace(rep)
+    columns = None if rep.invariant_space is None else _space_columns(rep, rep.generators)
+    _, inv_result = invariant_subspace(rep, columns)
     report.checks.append(inv_result)
     if rep.invariant_space is not None and inv_result.passed \
             and rep.claims.irreducible is not None:
-        _, burn = burnside_irreducibility(rep)
+        _, burn = burnside_irreducibility(rep, columns)
         report.checks.append(burn)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return report

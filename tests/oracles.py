@@ -4,15 +4,18 @@ The production algebra reorders with closed-form binomial sums and
 transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
 deliberately naive.  The Jacobi oracle walks all m^3 index triples, and
-the Killing oracle every middle index of every pair.
+the Killing oracle every middle index of every pair.  The probe oracles
+decide every relation, Casimir commutator and alt form by applying both
+sides to each state up to the cutoff, with no normal-form shortcut.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
 from math import isqrt
 
+from fockrep.fock import check_identity
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
-from fockrep.verify import CheckResult, StructureConstants
+from fockrep.verify import AltFormResult, CheckResult, StructureConstants
 from fockrep.weyl import ModeSystem, WeylElement, accumulate
 
 # atoms: ('b', i), ('a', i), ('th', j), ('dth', j)
@@ -203,6 +206,54 @@ def loop_killing(sc: StructureConstants) -> list:
             K[i][j] = total
             K[j][i] = total
     return K
+
+
+# -- probe oracles: relations, [C,g] and alt forms decided state by state -----------
+
+
+def probe_relations(rep, cutoff=None) -> list:
+    """Oracle for verify.check_relations: each relation's sides built as
+    operator trees by RepSpec.word_expr and compared by check_identity."""
+    if cutoff is None:
+        cutoff = rep.default_cutoff
+    cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
+    grouped = {}
+    for rel in rep.relations:
+        grouped.setdefault(rel.line or rel.name, []).append(rel)
+    results = []
+    for label, rels in grouped.items():
+        failures = []
+        for rel in rels:
+            report = check_identity(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
+            if not report.equal:
+                failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
+        results.append(CheckResult("relation %s" % label, "FAIL" if failures else "PASS",
+                                   "; ".join(rel.name for rel in rels), "; ".join(failures)))
+    return results
+
+
+def probe_casimir_commutes(rep, cutoff=None) -> CheckResult:
+    """Oracle for verify.casimir_check's casimir_commutes: C g against g C
+    on every probe state, for each generator g."""
+    cutoff = rep.default_cutoff if cutoff is None else cutoff
+    expr = rep.word_expr(rep.casimir.terms)
+    failures = []
+    for name, g in rep.generators.items():
+        report = check_identity(expr * g, g * expr, cutoff)
+        if not report.equal:
+            failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
+    return CheckResult("casimir_commutes", "FAIL" if failures else "PASS",
+                       "against %d generators" % len(rep.generators), "; ".join(failures))
+
+
+def probe_alt_forms(rep, cutoff=6) -> list:
+    """Oracle for verify.check_alt_forms: every alt form probed."""
+    out = []
+    for alt in rep.alt_forms:
+        report = check_identity(rep.generator(alt.generator), alt.expr, cutoff)
+        out.append(AltFormResult(alt.generator, "MATCH" if report.equal else "DIFFERS",
+                                 "" if report.equal else report.describe(rep.modes)))
+    return out
 
 
 # -- the coefficient oracle: every number a Scalar ----------------------------------

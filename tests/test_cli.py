@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,3 +311,19 @@ def test_exit_codes_and_no_traceback(argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert "error:" in err.getvalue().strip().splitlines()[-1], argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "sl2_standard", "n=1"], 0),
+    (["verify", "no_such_rep"], 2),
+])
+def test_python_dash_m_runs_the_cli_from_a_checkout(argv, code):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "fockrep"] + argv, cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    else:
+        assert "PASS" in done.stdout

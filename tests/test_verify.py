@@ -1,22 +1,24 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from fockrep import verify
+from fockrep import verify, weyl
 from fockrep.catalogue import Claims, InvariantSpace, RepSpec, build
 from fockrep.fock import Compiled, Poly
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
-                            charpoly_equivalence, check_relations, closure,
+                            charpoly_equivalence, check_alt_forms, check_relations, closure,
                             closure_symbolic, full_verify, invariant_subspace,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import loop_jacobi, loop_killing
+from oracles import (loop_jacobi, loop_killing, probe_alt_forms, probe_casimir_commutes,
+                     probe_relations)
 
 
 def _index(sc, name):
@@ -496,3 +498,127 @@ def test_checks_agree_on_compiled_generators(rep_id, params):
     assert closure(compiled) == closure(rep)
     assert casimir_check(compiled) == casimir_check(rep)
     assert invariant_subspace(compiled) == invariant_subspace(rep)
+
+
+def _bumps(rep):
+    """rep with 1 added to one monomial of one generator, for each in turn."""
+    for name, g in rep.generators.items():
+        w = g.as_weyl()
+        for mono in list(w.terms):
+            gens = dict(rep.generators)
+            gens[name] = Poly(w + WeylElement(rep.modes, {mono: 1}))
+            yield dataclasses.replace(rep, generators=gens)
+
+
+def test_normal_form_decisions_match_the_probe_oracles():
+    # relations, [C,g] and alt forms decided in normal form give the probe
+    # oracle's status, detail and witness: on each polynomial --grid small
+    # instance and each +1 bump of five polynomial families at n <= 2, both
+    # called directly and, as full_verify calls them, on the compiled rep
+    # with one shared WordProducts; sl2_oscillator's bumps break alt forms
+    reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid(small=True))
+            if rep.is_polynomial()]
+    for rid, params in ([("sl2_standard", {"n": n}) for n in range(3)]
+                        + [("osp22", {"n": n}) for n in range(3)]
+                        + [("osp22_metaplectic", {})]
+                        + [("gl2_semidirect", {"r": 2, "n": n}) for n in range(3)]
+                        + [("sl2_oscillator", {"n": n}) for n in range(3)]):
+        reps.extend(_bumps(build(rid, params)))
+    seen = Counter()
+    for rep in reps:
+        relations, alt_forms = probe_relations(rep), probe_alt_forms(rep)
+        commutes = probe_casimir_commutes(rep) if rep.casimir else None
+        compiled = rep.compiled()
+        words = verify.WordProducts(compiled)
+        assert check_relations(rep) == relations
+        assert check_relations(compiled, None, words) == relations
+        assert check_alt_forms(rep) == alt_forms == check_alt_forms(compiled)
+        if commutes is not None:
+            assert casimir_check(rep)[1][0] == commutes
+            assert casimir_check(compiled, None, words)[1][0] == commutes
+            seen["casimir_commutes " + commutes.status] += 1
+        seen.update("relation " + r.status for r in relations)
+        seen.update("alt " + a.status for a in alt_forms)
+    assert len(reps) == 116
+    assert set(seen) == {"relation PASS", "relation FAIL", "casimir_commutes PASS",
+                         "casimir_commutes FAIL", "alt MATCH", "alt DIFFERS"}
+
+
+def _count_products_and_probes(monkeypatch):
+    """Count weyl.multiply calls by their (x, y) operands, and record each
+    report verify's check_identity gives."""
+    products, probes = Counter(), []
+    multiply, check_identity = weyl.multiply, verify.check_identity
+
+    def counting_multiply(x, y):
+        products[(x, y)] += 1
+        return multiply(x, y)
+
+    def recording_check_identity(lhs, rhs, cutoff):
+        probes.append(check_identity(lhs, rhs, cutoff))
+        return probes[-1]
+
+    monkeypatch.setattr(weyl, "multiply", counting_multiply)
+    monkeypatch.setattr(verify, "check_identity", recording_check_identity)
+    return products, probes
+
+
+@pytest.mark.parametrize("rep_id", ["osp22", "sl2_standard"])
+def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypatch, rep_id):
+    rep = build(rep_id, {"n": 2})
+    products, probes = _count_products_and_probes(monkeypatch)
+    report = full_verify(rep)
+    assert report.passed and report.check("relations_symbolic").passed
+    assert not probes
+    assert products and max(products.values()) == 1
+
+
+def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
+    rep = build("osp22", {"n": 2})
+    w = rep.generators["Q2"].as_weyl()
+    gens = dict(rep.generators)
+    gens["Q2"] = Poly(w + WeylElement(rep.modes, {min(w.terms): 1}))
+    bad = dataclasses.replace(rep, generators=gens)
+    _, probes = _count_products_and_probes(monkeypatch)
+    report = full_verify(bad)
+    failing = [c.name for c in report.checks if not c.passed]
+    assert failing[:6] == ["relation L06", "relation L07", "relation L08",
+                           "relation L11", "relation L12", "relations_symbolic"]
+    assert len(probes) == 5 and not any(probes)
+    assert report.check("relation L06").witness == (
+        "{Q2,Qb1} = T+: mismatch on |0>: lhs -4 b |0>, rhs -2 b |0>")
+
+
+def test_full_verify_builds_the_space_columns_once(monkeypatch):
+    calls = []
+    space_columns = verify._space_columns
+
+    def counting(rep, names):
+        calls.append(list(names))
+        return space_columns(rep, names)
+
+    rep = build("sl2_standard", {"n": 3})
+    monkeypatch.setattr(verify, "_space_columns", counting)
+    report = full_verify(rep)
+    assert report.check("invariant_subspace").passed and report.check("irreducibility").passed
+    assert calls == [list(rep.generators)]
+
+
+def test_burnside_raises_on_a_generator_leaving_the_space():
+    rep = build("sl2_standard", {"n": 3})
+    gens = dict(rep.generators)
+    gens["J+"] = gens["J+"] + Poly(WeylElement.b(rep.modes) ** 4)
+    with pytest.raises(ValueError, match="J\\+ maps"):
+        burnside_irreducibility(dataclasses.replace(rep, generators=gens))
+
+
+def test_symbolic_closure_squares_an_odd_generator():
+    # {X,X} = 2 X^2 is the one diagonal bracket not zero by antisymmetry:
+    # X = th + dth squares to 1
+    modes = ModeSystem(0, 1)
+    x = WeylElement.theta(modes) + WeylElement.dtheta(modes)
+    rep = RepSpec("odd_square", {}, {"X": Poly(x), "E": Poly(WeylElement.one(modes))},
+                  parities={"X": 1, "E": 0})
+    sym, result = closure_symbolic(rep)
+    assert result.passed and sym.table[(0, 0)] == {1: 2} and sym.table[(1, 1)] == {}
+    assert structure_constants_agree(sym, closure(rep)[0])
