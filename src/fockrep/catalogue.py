@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
-                   Scale, Sum, basis_states, identity_op)
+                   Scale, Sum, _state_str, basis_states, identity_op)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
-from .weyl import ModeSystem, WeylElement
+from .weyl import ModeSystem, WeylElement, accumulate
 
 
 class CatalogueError(ValueError):
@@ -88,6 +88,11 @@ class AltForm:
 
 @dataclass
 class RepSpec:
+    """A catalogued representation.  It memoises what several checks share:
+    each generator word's normal form (formed_product) and each generator's
+    invariant-space columns (space_columns).  A replace() or compiled() copy
+    starts both empty, so generators are replaced, never changed in place."""
+
     rep_id: str
     params: dict
     generators: dict  # name -> OperatorExpr, insertion order is canonical
@@ -99,6 +104,8 @@ class RepSpec:
     alt_forms: list = field(default_factory=list)
     default_cutoff: int = None  # invariant-space degree + 2, else 8
     modes: ModeSystem = field(init=False)  # the generators' mode system
+    _products: dict = field(init=False, repr=False, compare=False)  # word -> WeylElement
+    _space: tuple = field(init=False, repr=False, compare=False)  # (keys, index, {name: columns})
 
     def __post_init__(self):
         self.modes = next(iter(self.generators.values())).modes
@@ -107,6 +114,8 @@ class RepSpec:
         if self.default_cutoff is None:
             inv = self.invariant_space
             self.default_cutoff = inv.max_degree + 2 if inv else 8
+        self._products = {}
+        self._space = None
 
     def generator(self, name: str) -> OperatorExpr:
         try:
@@ -115,8 +124,39 @@ class RepSpec:
             raise CatalogueError("unknown generator %r; have %s"
                                  % (name, ", ".join(self.generators)))
 
+    def formed_product(self, word: tuple):
+        """The stored normal form of a generator word, a tuple of names, or
+        None where no word sum has formed it yet."""
+        return self._products.get(word)
+
+    def _product(self, word: tuple) -> WeylElement:
+        """The normal form of a generator word, a tuple of names; formed
+        once, one multiplication onto its stored prefix, and kept."""
+        product = self._products.get(word)
+        if product is None:
+            if not word:
+                product = WeylElement.one(self.modes)
+            elif len(word) == 1:
+                product = self.generator(word[0]).as_weyl()
+            else:
+                product = self._product(word[:-1]) * self.generator(word[-1]).as_weyl()
+            self._products[word] = product
+        return product
+
+    def word_sum(self, terms) -> WeylElement:
+        """The normal form of a weighted sum of generator words; polynomial
+        reps only."""
+        out = {}
+        for coeff, word in terms:
+            for mono, c in self._product(tuple(word)).terms.items():
+                accumulate(out, mono, c * coeff)
+        return WeylElement(self.modes, out)
+
     def word_expr(self, terms) -> OperatorExpr:
-        """Operator for a weighted sum of generator words."""
+        """Operator for a weighted sum of generator words: on a polynomial
+        rep the Poly of word_sum, else a tree over the generators."""
+        if self.is_polynomial():
+            return Poly(self.word_sum(terms))
         parts = []
         for coeff, names in terms:
             factor = identity_op(self.modes) if not names else None
@@ -142,6 +182,37 @@ class RepSpec:
         gens = {name: g if isinstance(g, Compiled) else Compiled(g)
                 for name, g in self.generators.items()}
         return replace(self, generators=gens)
+
+    def space_columns(self, name: str):
+        """One generator on the invariant-space basis, by basis position,
+        formed once.
+
+        Returns (keys, cols, escape): keys is the space's basis, cols[j] =
+        {i: c} the image of keys[j], and escape is "" or the witness for the
+        first component that leaves the space, where the columns stop.
+        """
+        g = self.generator(name)
+        if self._space is None:
+            keys = self.invariant_space.basis(self.modes)
+            self._space = keys, {key: i for i, key in enumerate(keys)}, {}
+        keys, index, formed = self._space
+        if name not in formed:
+            formed[name] = self._columns_on_space(name, g, keys, index)
+        cols, escape = formed[name]
+        return keys, cols, escape
+
+    def _columns_on_space(self, name, g, keys, index):
+        cols = []
+        for key in keys:
+            col = {}
+            for skey, c in g.apply({key: 1}).items():
+                i = index.get(skey)
+                if i is None:
+                    return cols, "%s maps %s outside the space (component %s)" % (
+                        name, _state_str(*key, self.modes), _state_str(*skey, self.modes))
+                col[i] = c
+            cols.append(col)
+        return cols, ""
 
 
 # -- small helpers -----------------------------------------------------------
@@ -479,29 +550,27 @@ def _build_sl2_standard(params):
     return _sl2("sl2_standard", params, None)
 
 
+def _shifted_sl2_forms(modes, d, n, thdth):
+    """The displayed closed forms of the shift-transformed sl2 triple,
+    (b/d - 1) b e^{-da} (1 - n + thdth - e^{-da}),
+    (b/d)(1 - e^{-da}) + thdth/2 - n/2 and (e^{da} - 1)/d; thdth is
+    osp22's th dth, and zero for sl2."""
+    b = Poly(WeylElement.b(modes))
+    one = identity_op(modes)
+    eminus = ExpA(modes, 1, -d)
+    half = rat(1, 2)
+    return (Product([b * b.scale(inverse(d)) - b, eminus,
+                     Sum([one.scale(1 - n) + thdth, Scale(-1, eminus)])]),
+            Sum([Product([b.scale(inverse(d)), Sum([one, Scale(-1, eminus)])]),
+                 thdth.scale(half) - one.scale(n * half)]),
+            Scale(inverse(d), Sum([ExpA(modes, 1, d), Scale(-1, one)])))
+
+
 def _build_sl2_translated(params):
     rep = _sl2("sl2_translated", params, [params["delta"]])
-    modes = rep.modes
-    d = rat(params["delta"])
-    n = rat(params["n"])
-    b = Poly(WeylElement.b(modes))
-    # displayed closed forms: (b/d - 1) b e^{-da} (1-n-e^{-da});
-    # (b/d)(1-e^{-da}) - n/2;  (e^{da}-1)/d
-    eminus = ExpA(modes, 1, -d)
-    disp_jp = Product([
-        b * b.scale(inverse(d)) - b,
-        eminus,
-        Sum([identity_op(modes).scale(1 - n), Scale(-1, eminus)]),
-    ])
-    disp_j0 = Sum([
-        Product([b.scale(inverse(d)),
-                 Sum([identity_op(modes), Scale(-1, eminus)])]),
-        identity_op(modes).scale(-n / 2),
-    ])
-    disp_jm = Scale(inverse(d), Sum([ExpA(modes, 1, d),
-                                     Scale(-1, identity_op(modes))]))
-    rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
-                     AltForm("J-", disp_jm)]
+    forms = _shifted_sl2_forms(rep.modes, rat(params["delta"]), rat(params["n"]),
+                               Poly(WeylElement.zero(rep.modes)))
+    rep.alt_forms = [AltForm(name, f) for name, f in zip(("J+", "J0", "J-"), forms)]
     return rep
 
 
@@ -673,13 +742,8 @@ def _build_osp22_translated(params):
     eminus = ExpA(modes, 1, -d)
     eplus = ExpA(modes, 1, d)
     # displayed closed forms of the shift-transformed family
-    disp = {
-        "T+": Product([b * b.scale(inverse(d)) - b, eminus,
-                       Sum([one.scale(1 - n) + thdth, Scale(-1, eminus)])]),
-        "T0": Sum([Product([b.scale(inverse(d)),
-                            Sum([one, Scale(-1, eminus)])]),
-                   thdth.scale(half) - one.scale(n * half)]),
-        "T-": Scale(inverse(d), Sum([eplus, Scale(-1, one)])),
+    disp = dict(zip(("T+", "T0", "T-"), _shifted_sl2_forms(modes, d, n, thdth)))
+    disp.update({
         "J": one.scale(-half) - thdth.scale(half),
         "Q1": dth,
         "Q2": Product([b, eminus, dth]),
@@ -687,7 +751,7 @@ def _build_osp22_translated(params):
                      Sum([b * th - th.scale(n),
                           Scale(-1, Product([b * th, eminus]))])),
         "Qb2": Scale(inverse(d), Sum([th, Scale(-1, Product([th, eplus]))])),
-    }
+    })
     rep.alt_forms = [AltForm(name, expr) for name, expr in disp.items()]
     return rep
 
@@ -696,14 +760,13 @@ def _build_osp22_metaplectic(params):
     modes = ModeSystem(1, 1)
     A, B = WeylElement.a(modes), WeylElement.b(modes)
     TH, DTH = WeylElement.theta(modes, 1), WeylElement.dtheta(modes, 1)
-    half = rat(1, 2)
-    quarter = rat(1, 4)
     inv_s2 = SQRT2.inverse()
+    sl2 = metaplectic_triple(Poly(A), Poly(B))
     gens = {
-        "T+": Poly((A ** 2).scale(half)),
-        "T0": Poly((A * B + B * A).scale(-quarter)),
-        "T-": Poly((B ** 2).scale(half)),
-        "J": Poly(WeylElement.scalar(modes, quarter) - (TH * DTH).scale(half)),
+        "T+": sl2["J+"],
+        "T0": sl2["J0"],
+        "T-": sl2["J-"],
+        "J": Poly(WeylElement.scalar(modes, rat(1, 4)) - (TH * DTH).scale(rat(1, 2))),
         "Q1": Poly((B * DTH).scale(-inv_s2)),
         "Q2": Poly((A * DTH).scale(inv_s2)),
         "Qb1": Poly((A * TH).scale(inv_s2)),

@@ -106,6 +106,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# --realization choice -> realize kind
+REALIZATIONS = {"diff": "differential", "fd": "fd", "jackson": "jackson"}
+
+
 def cmd_matrix(args) -> int:
     rep = build(args.rep, parse_params(args.params))
     cutoff = args.cutoff
@@ -115,8 +119,7 @@ def cmd_matrix(args) -> int:
         gen = rep.generator(args.gen)
         mat = to_matrix(gen, cutoff)
     else:
-        kind = {"diff": "differential", "fd": "fd", "jackson": "jackson"}[args.realization]
-        gens = realize_generators(rep, kind)
+        gens = realize_generators(rep, REALIZATIONS[args.realization])
         if args.gen not in gens:
             raise UsageError("unknown generator %r; have %s"
                              % (args.gen, ", ".join(gens)))
@@ -189,8 +192,7 @@ def cmd_report_all(args) -> int:
 
 def cmd_cross(args) -> int:
     rep = build(args.rep, parse_params(args.params))
-    kind = {"diff": "differential", "fd": "fd", "jackson": "jackson"}[args.realization]
-    results = cross_check(rep, kind, args.cutoff)
+    results = cross_check(rep, REALIZATIONS[args.realization], args.cutoff)
     if args.format == "json":
         _emit([c.to_json() for c in results], args)
     else:
@@ -231,8 +233,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     common(p)
     p.add_argument("--gen", required=True, help="generator name, e.g. J0")
-    p.add_argument("--realization", choices=["fock", "diff", "fd", "jackson"],
-                   default="fock")
+    p.add_argument("--realization", choices=["fock", *REALIZATIONS], default="fock")
     p.add_argument("--decimal", action="store_true",
                    help="add an approximate rendering (never used in checks)")
     p.set_defaults(func=cmd_matrix)
@@ -246,8 +247,7 @@ def make_parser() -> argparse.ArgumentParser:
                                      "with the abstract matrices")
     p.add_argument("rep")
     common(p)
-    p.add_argument("--realization", choices=["diff", "fd", "jackson"],
-                   required=True)
+    p.add_argument("--realization", choices=list(REALIZATIONS), required=True)
     p.set_defaults(func=cmd_cross)
 
     p = sub.add_parser("report-all", help="verify the whole catalogue grid")

@@ -10,10 +10,15 @@ On a polynomial family a relation line, a Casimir commutator [C,g] and an
 alt form are operator identities between polynomials, decided by comparing
 normal forms: equal normal forms act alike on every state.  Where the forms
 differ, check_identity probes the states up to the cutoff, and the probe
-only looks for a witness.  full_verify forms the normal-ordered product of
-each generator word once (WordProducts) and the relation, Casimir and
-symbolic closure checks all read it.  Extended families, whose generators
-are not polynomials, are probed as operator trees.
+only looks for a witness.  Extended families, whose generators are not
+polynomials, are probed as operator trees.
+
+Every check takes the rep and, where it probes, the cutoff.  What several
+checks share is memoised on the rep: the normal-ordered product of each
+generator word (RepSpec.word_sum), which the relation, Casimir and symbolic
+closure checks read, and each generator's invariant-space columns
+(RepSpec.space_columns), which the invariant-space and Burnside checks read.
+full_verify runs every check on one compiled copy, so they share its memos.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalogue import RepSpec
-from .fock import Poly, _state_str, basis_states, check_identity, vector_str
+from .fock import _state_str, basis_states, check_identity, vector_str
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, commutator as w_comm, anticommutator as w_acomm
@@ -112,49 +117,6 @@ class VerificationReport:
 # -- relations ---------------------------------------------------------------
 
 
-class WordProducts(dict):
-    """Normal-ordered products of a polynomial rep's generator words.
-
-    Keyed by the word, a tuple of generator names.  Looking a word up forms
-    its product on first use, one multiplication onto its stored prefix, and
-    keeps it; get() reads without forming.  One instance serves the checks of
-    one full_verify call and goes with it.
-    """
-
-    def __init__(self, rep: RepSpec):
-        super().__init__()
-        self.rep = rep
-
-    def __missing__(self, word):
-        if not word:
-            product = WeylElement.one(self.rep.modes)
-        elif len(word) == 1:
-            product = self.rep.generator(word[0]).as_weyl()
-        else:
-            product = self[word[:-1]] * self.rep.generator(word[-1]).as_weyl()
-        self[word] = product
-        return product
-
-    def combination(self, terms) -> WeylElement:
-        """The normal form of a weighted sum of generator words, as
-        RepSpec.word_expr(terms) would fold it."""
-        out = {}
-        for coeff, word in terms:
-            for mono, c in self[tuple(word)].terms.items():
-                accumulate(out, mono, c * coeff)
-        return WeylElement(self.rep.modes, out)
-
-
-def _word_exprs(rep: RepSpec, words):
-    """terms -> operator: on a polynomial rep the Poly of the normal form
-    from words (a fresh WordProducts when None), else rep.word_expr."""
-    if not rep.is_polynomial():
-        return rep.word_expr
-    if words is None:
-        words = WordProducts(rep)
-    return lambda terms: Poly(words.combination(terms))
-
-
 def _mismatch(lhs, rhs, cutoff: int):
     """check_identity's report where lhs and rhs differ on its probe range,
     else None.  Two polynomials with equal normal forms are the same
@@ -166,21 +128,19 @@ def _mismatch(lhs, rhs, cutoff: int):
     return None if report.equal else report
 
 
-def check_relations(rep: RepSpec, cutoff: int = None, words=None) -> list:
+def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     """One result per relation line; FAIL carries the first witness.
 
-    On a polynomial rep a relation whose sides have equal normal forms (from
-    words, a WordProducts) holds without a probe.  Any other relation is
-    probed on every state of degree up to the cutoff less the larger raise
-    of its sides, and FAILs only where a state separates the sides.  The
-    cutoff is floored so that probe range never collapses to the vacuum
-    alone (relation words raise by at most twice the largest generator
-    raise).
+    On a polynomial rep a relation whose sides have equal normal forms holds
+    without a probe.  Any other relation is probed on every state of degree
+    up to the cutoff less the larger raise of its sides, and FAILs only
+    where a state separates the sides.  The cutoff is floored so that probe
+    range never collapses to the vacuum alone (relation words raise by at
+    most twice the largest generator raise).
     """
     if cutoff is None:
         cutoff = rep.default_cutoff
     cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
-    word_expr = _word_exprs(rep, words)
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -190,7 +150,7 @@ def check_relations(rep: RepSpec, cutoff: int = None, words=None) -> list:
         names = []
         for rel in rels:
             names.append(rel.name)
-            report = _mismatch(word_expr(rel.lhs), word_expr(rel.rhs), cutoff)
+            report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
             if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
         results.append(CheckResult(
@@ -201,16 +161,13 @@ def check_relations(rep: RepSpec, cutoff: int = None, words=None) -> list:
     return results
 
 
-def check_relations_symbolic(rep: RepSpec, words=None) -> CheckResult:
-    """Exact canonical-form identity check, polynomial families only; words
-    is a WordProducts to read the products from."""
+def check_relations_symbolic(rep: RepSpec) -> CheckResult:
+    """Exact canonical-form identity check, polynomial families only."""
     if not rep.is_polynomial():
         return CheckResult("relations_symbolic", "PASS", "skipped: extended generators")
-    if words is None:
-        words = WordProducts(rep)
     failures = []
     for rel in rep.relations:
-        diff = words.combination(rel.lhs) - words.combination(rel.rhs)
+        diff = rep.word_sum(rel.lhs) - rep.word_sum(rel.rhs)
         if not diff.is_zero():
             failures.append("%s: residual %s" % (rel.name, diff))
     return CheckResult("relations_symbolic", "FAIL" if failures else "PASS",
@@ -301,22 +258,19 @@ def closure(rep: RepSpec, cutoff: int = None):
     return sc, CheckResult("closure", "PASS", detail)
 
 
-def closure_symbolic(rep: RepSpec, words=None):
-    """Second, independent closure path over canonical normal-ordered forms.
+def closure_symbolic(rep: RepSpec):
+    """Second, independent closure path over canonical normal-ordered forms,
+    polynomial families only.
 
-    A product x_i x_j already in words (a WordProducts) is read from it;
-    every other product is formed here and not kept.
+    A product x_i x_j that a word sum already formed is read from the rep
+    (formed_product); every other product is formed here and not kept.
     """
-    if not rep.is_polynomial():
-        return None, CheckResult("closure_symbolic", "PASS",
-                                 "skipped: extended generators")
     names = list(rep.generators)
     gens = [rep.generators[n].as_weyl() for n in names]
     parities = [rep.parities[n] for n in names]
-    known = {} if words is None else words
 
     def product(i, j):
-        found = known.get((names[i], names[j]))
+        found = rep.formed_product((names[i], names[j]))
         return gens[i] * gens[j] if found is None else found
 
     span = EchelonSpan()
@@ -454,21 +408,20 @@ def killing_form(sc: StructureConstants):
 # -- Casimir ------------------------------------------------------------------------
 
 
-def casimir_check(rep: RepSpec, cutoff: int = None, words=None):
+def casimir_check(rep: RepSpec, cutoff: int = None):
     """Centrality, exact scalar action, and the claimed-value comparison.
 
     Returns (measured_scalar_or_None, [CheckResult...], claim_result).  The
     claim comparison is a catalogue discrepancy report (MATCH/DIFFERS), not
     a verification failure: the engine's measured value is authoritative.
-    On a polynomial rep C's normal form is summed from words (a
-    WordProducts), and [C,g] = 0 holds without a probe where C g and g C
-    have equal normal forms; otherwise the states up to the cutoff are
-    probed for a witness.
+    On a polynomial rep C is the Poly of its normal form (rep.word_expr),
+    and [C,g] = 0 holds without a probe where C g and g C have equal normal
+    forms; otherwise the states up to the cutoff are probed for a witness.
     """
     if rep.casimir is None:
         return None, [], None
     cutoff = rep.default_cutoff if cutoff is None else cutoff
-    expr = _word_exprs(rep, words)(rep.casimir.terms)
+    expr = rep.word_expr(rep.casimir.terms)
     failures = []
     for name, g in rep.generators.items():
         report = _mismatch(expr * g, g * expr, cutoff)
@@ -518,42 +471,16 @@ def casimir_check(rep: RepSpec, cutoff: int = None, words=None):
 # -- invariant subspace ---------------------------------------------------------------
 
 
-def _space_columns(rep: RepSpec, names):
-    """Each named generator on the invariant-space basis, by basis position.
-
-    Returns (keys, cols, escape): cols[n][j] = {i: c} is the image of basis
-    state j under names[n], and escape is "" or the witness for the first
-    component that leaves the space, where the columns stop.
-    """
-    keys = rep.invariant_space.basis(rep.modes)
-    index = {key: i for i, key in enumerate(keys)}
-    cols = []
-    for name in names:
-        g = rep.generator(name)
-        g_cols = []
-        for key in keys:
-            col = {}
-            for skey, c in g.apply({key: 1}).items():
-                i = index.get(skey)
-                if i is None:
-                    return keys, cols, "%s maps %s outside the space (component %s)" % (
-                        name, _state_str(*key, rep.modes), _state_str(*skey, rep.modes))
-                col[i] = c
-            g_cols.append(col)
-        cols.append(g_cols)
-    return keys, cols, ""
-
-
-def invariant_subspace(rep: RepSpec, columns=None):
+def invariant_subspace(rep: RepSpec):
     """The claimed invariant space is closed under every generator and has
-    the claimed dimension; columns is _space_columns(rep, rep.generators)
-    when the caller already has it."""
+    the claimed dimension."""
     if rep.invariant_space is None:
         return None, CheckResult("invariant_subspace", "PASS", "no claim")
     space = rep.invariant_space
-    keys, _, escape = columns or _space_columns(rep, rep.generators)
-    if escape:
-        return None, CheckResult("invariant_subspace", "FAIL", space.description, escape)
+    for name in rep.generators:
+        keys, _, escape = rep.space_columns(name)
+        if escape:
+            return None, CheckResult("invariant_subspace", "FAIL", space.description, escape)
     dim = len(keys)
     status = "PASS" if dim == space.expected_dim else "FAIL"
     detail = "dimension %d (expected %d): %s" % (dim, space.expected_dim,
@@ -562,11 +489,12 @@ def invariant_subspace(rep: RepSpec, columns=None):
 
 
 def restricted_matrix(rep: RepSpec, gen_name: str):
-    """Dense matrix of one generator on the invariant-space basis."""
-    keys, cols, escape = _space_columns(rep, [gen_name])
+    """Dense matrix of one generator on the invariant-space basis; raises
+    ValueError where that generator leaves the space."""
+    keys, cols, escape = rep.space_columns(gen_name)
     if escape:
         raise ValueError(escape)
-    return _dense(cols[0], len(keys))
+    return _dense(cols, len(keys))
 
 
 def _dense(cols, d):
@@ -580,11 +508,10 @@ def _dense(cols, d):
 # -- Burnside irreducibility --------------------------------------------------------
 
 
-def burnside_irreducibility(rep: RepSpec, columns=None):
+def burnside_irreducibility(rep: RepSpec):
     """Irreducible iff the generated unital algebra has dimension d^2.
 
-    columns is _space_columns(rep, rep.generators) when the caller already
-    has it; a generator mapping out of the space raises ValueError.
+    A generator mapping out of the space raises ValueError.
 
     "irreducible" is Norton's spin certificate (the MeatAxe criterion) mod
     p = 2^61 - 1, sqrt2 sent to a square root of 2.  theta = g - lam I for
@@ -600,9 +527,12 @@ def burnside_irreducibility(rep: RepSpec, columns=None):
     """
     if rep.invariant_space is None:
         return None, CheckResult("irreducibility", "PASS", "no claim")
-    keys, cols, escape = columns or _space_columns(rep, rep.generators)
-    if escape:
-        raise ValueError(escape)
+    cols = []
+    for name in rep.generators:
+        keys, g_cols, escape = rep.space_columns(name)
+        if escape:
+            raise ValueError(escape)
+        cols.append(g_cols)
     d = len(keys)
     if _norton_certifies(cols, d):
         algebra_dim = d * d
@@ -737,8 +667,11 @@ def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
     normative construction wins by design and the mismatch is preserved as
     data.  A polynomial alt form of a polynomial generator MATCHes without a
     probe when the normal forms are equal; any other pair is probed on the
-    states up to the cutoff and DIFFERS only where a state separates them.
+    states up to the cutoff, floored at 6, and DIFFERS only where a state
+    separates them.  (Fewer states can miss the witness of a displayed
+    closed form that differs.)
     """
+    cutoff = max(cutoff, 6)
     out = []
     for alt in rep.alt_forms:
         report = _mismatch(rep.generator(alt.generator), alt.expr, cutoff)
@@ -756,10 +689,9 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     rep = rep.compiled()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     report = VerificationReport(rep.rep_id, rep.params, cutoff)
-    words = WordProducts(rep) if rep.is_polynomial() else None
     if rep.relations:
-        report.checks.extend(check_relations(rep, cutoff, words))
-        report.checks.append(check_relations_symbolic(rep, words))
+        report.checks.extend(check_relations(rep, cutoff))
+        report.checks.append(check_relations_symbolic(rep))
     if rep.claims.closes:
         sc, closure_result = closure(rep, cutoff)
         report.checks.append(closure_result)
@@ -770,7 +702,7 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
                 "killing_rank", "PASS",
                 "rank %d of %d" % (rank, len(sc.names))))
         if rep.is_polynomial():
-            sym_sc, sym_result = closure_symbolic(rep, words)
+            sym_sc, sym_result = closure_symbolic(rep)
             report.checks.append(sym_result)
             if sc is not None and sym_sc is not None:
                 agree = structure_constants_agree(sc, sym_sc)
@@ -778,17 +710,16 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
                     "closure_paths_agree", "PASS" if agree else "FAIL",
                     "matrix and symbolic structure constants",
                     "" if agree else "paths disagree"))
-    report.alt_forms.extend(check_alt_forms(rep))
-    _, casimir_results, casimir_claim = casimir_check(rep, cutoff, words)
+    report.alt_forms.extend(check_alt_forms(rep, cutoff))
+    _, casimir_results, casimir_claim = casimir_check(rep, cutoff)
     report.checks.extend(casimir_results)
     if casimir_claim is not None:
         report.alt_forms.append(casimir_claim)
-    columns = None if rep.invariant_space is None else _space_columns(rep, rep.generators)
-    _, inv_result = invariant_subspace(rep, columns)
+    _, inv_result = invariant_subspace(rep)
     report.checks.append(inv_result)
     if rep.invariant_space is not None and inv_result.passed \
             and rep.claims.irreducible is not None:
-        _, burn = burnside_irreducibility(rep, columns)
+        _, burn = burnside_irreducibility(rep)
         report.checks.append(burn)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return report

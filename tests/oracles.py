@@ -6,14 +6,15 @@ adjacent swap at a time, straight from the defining relations, and are
 deliberately naive.  The Jacobi oracle walks all m^3 index triples, and
 the Killing oracle every middle index of every pair.  The probe oracles
 decide every relation, Casimir commutator and alt form by applying both
-sides to each state up to the cutoff, with no normal-form shortcut.
+sides to each state up to the cutoff, with no normal-form shortcut, and
+fold their generator words themselves, reading no memo of the rep.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
 from math import isqrt
 
-from fockrep.fock import check_identity
+from fockrep.fock import Poly, check_identity, identity_op
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
 from fockrep.verify import AltFormResult, CheckResult, StructureConstants
 from fockrep.weyl import ModeSystem, WeylElement, accumulate
@@ -211,9 +212,26 @@ def loop_killing(sc: StructureConstants) -> list:
 # -- probe oracles: relations, [C,g] and alt forms decided state by state -----------
 
 
+def fold_words(rep, terms):
+    """Oracle for RepSpec.word_expr: each word multiplied out factor by
+    factor from rep.generator, scaled, and the parts added, with no memo."""
+    parts = []
+    for coeff, names in terms:
+        factor = identity_op(rep.modes) if not names else None
+        for g in names:
+            factor = rep.generator(g) if factor is None else factor * rep.generator(g)
+        parts.append(factor.scale(coeff))
+    if not parts:
+        return Poly(WeylElement.zero(rep.modes))
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total
+
+
 def probe_relations(rep, cutoff=None) -> list:
-    """Oracle for verify.check_relations: each relation's sides built as
-    operator trees by RepSpec.word_expr and compared by check_identity."""
+    """Oracle for verify.check_relations: each relation's sides built by
+    fold_words and compared by check_identity."""
     if cutoff is None:
         cutoff = rep.default_cutoff
     cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
@@ -224,7 +242,7 @@ def probe_relations(rep, cutoff=None) -> list:
     for label, rels in grouped.items():
         failures = []
         for rel in rels:
-            report = check_identity(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
+            report = check_identity(fold_words(rep, rel.lhs), fold_words(rep, rel.rhs), cutoff)
             if not report.equal:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
         results.append(CheckResult("relation %s" % label, "FAIL" if failures else "PASS",
@@ -236,7 +254,7 @@ def probe_casimir_commutes(rep, cutoff=None) -> CheckResult:
     """Oracle for verify.casimir_check's casimir_commutes: C g against g C
     on every probe state, for each generator g."""
     cutoff = rep.default_cutoff if cutoff is None else cutoff
-    expr = rep.word_expr(rep.casimir.terms)
+    expr = fold_words(rep, rep.casimir.terms)
     failures = []
     for name, g in rep.generators.items():
         report = check_identity(expr * g, g * expr, cutoff)

@@ -6,13 +6,14 @@ from collections import Counter
 import pytest
 
 from fockrep import verify, weyl
-from fockrep.catalogue import Claims, InvariantSpace, RepSpec, build
+from fockrep.catalogue import CatalogueError, Claims, InvariantSpace, RepSpec, build
 from fockrep.fock import Compiled, Poly
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
 from fockrep.verify import (burnside_irreducibility, casimir_check,
-                            charpoly_equivalence, check_alt_forms, check_relations, closure,
+                            charpoly_equivalence, check_alt_forms, check_relations,
+                            check_relations_symbolic, closure,
                             closure_symbolic, full_verify, invariant_subspace,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
@@ -510,12 +511,16 @@ def _bumps(rep):
             yield dataclasses.replace(rep, generators=gens)
 
 
+def _relation_words(rep):
+    return {tuple(word) for rel in rep.relations for _, word in rel.lhs + rel.rhs}
+
+
 def test_normal_form_decisions_match_the_probe_oracles():
     # relations, [C,g] and alt forms decided in normal form give the probe
     # oracle's status, detail and witness: on each polynomial --grid small
     # instance and each +1 bump of five polynomial families at n <= 2, both
-    # called directly and, as full_verify calls them, on the compiled rep
-    # with one shared WordProducts; sl2_oscillator's bumps break alt forms
+    # called directly and, as full_verify calls them, on one compiled rep
+    # whose word products they share; sl2_oscillator's bumps break alt forms
     reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid(small=True))
             if rep.is_polynomial()]
     for rid, params in ([("sl2_standard", {"n": n}) for n in range(3)]
@@ -529,13 +534,17 @@ def test_normal_form_decisions_match_the_probe_oracles():
         relations, alt_forms = probe_relations(rep), probe_alt_forms(rep)
         commutes = probe_casimir_commutes(rep) if rep.casimir else None
         compiled = rep.compiled()
-        words = verify.WordProducts(compiled)
         assert check_relations(rep) == relations
-        assert check_relations(compiled, None, words) == relations
+        assert check_relations(compiled) == relations
+        # with no relations nothing is formed: every product starts from a
+        # one-letter word
+        words = _relation_words(rep) or {()} | {(name,) for name in rep.generators}
+        formed = bool(rep.relations)
+        assert all((compiled.formed_product(word) is not None) == formed for word in words)
         assert check_alt_forms(rep) == alt_forms == check_alt_forms(compiled)
         if commutes is not None:
             assert casimir_check(rep)[1][0] == commutes
-            assert casimir_check(compiled, None, words)[1][0] == commutes
+            assert casimir_check(compiled)[1][0] == commutes
             seen["casimir_commutes " + commutes.status] += 1
         seen.update("relation " + r.status for r in relations)
         seen.update("alt " + a.status for a in alt_forms)
@@ -590,26 +599,95 @@ def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
 
 
 def test_full_verify_builds_the_space_columns_once(monkeypatch):
-    calls = []
-    space_columns = verify._space_columns
+    formed = []
+    columns_on_space = RepSpec._columns_on_space
 
-    def counting(rep, names):
-        calls.append(list(names))
-        return space_columns(rep, names)
+    def counting(rep, name, g, keys, index):
+        formed.append((name, columns_on_space(rep, name, g, keys, index)))
+        return formed[-1][1]
 
     rep = build("sl2_standard", {"n": 3})
-    monkeypatch.setattr(verify, "_space_columns", counting)
+    monkeypatch.setattr(RepSpec, "_columns_on_space", counting)
     report = full_verify(rep)
     assert report.check("invariant_subspace").passed and report.check("irreducibility").passed
-    assert calls == [list(rep.generators)]
+    assert [name for name, _ in formed] == list(rep.generators)
+    assert all(len(cols) == 4 and not escape for _, (cols, escape) in formed)
+
+
+def test_word_sum_keeps_each_prefix_product():
+    rep = build("sl2_standard", {"n": 3})
+    jp, jm, j0 = (rep.generator(name).as_weyl() for name in ("J+", "J-", "J0"))
+    assert rep.word_sum([(2, ("J+", "J-", "J0")), (1, ())]) == (jp * jm * j0).scale(2) + \
+        WeylElement.one(rep.modes)
+    assert rep.formed_product(("J+", "J-")) == jp * jm
+    assert rep.formed_product(("J+", "J-", "J0")) == jp * jm * j0
+    assert rep.formed_product(("J-",)) is None
+
+
+def test_copies_start_with_empty_memos():
+    rep = build("sl2_standard", {"n": 3})
+    assert check_relations_symbolic(rep).passed and invariant_subspace(rep)[1].passed
+    words = _relation_words(rep)
+    assert all(rep.formed_product(word) is not None for word in words)
+    assert rep._space is not None
+    for copy in (dataclasses.replace(rep, generators=dict(rep.generators)), rep.compiled()):
+        assert all(copy.formed_product(word) is None for word in words)
+        assert copy._space is None
+
+
+def _leaving_the_space(rep):
+    """rep with b^4 added to J+, which then maps b^n out of span(1, ..., b^n)."""
+    gens = dict(rep.generators)
+    gens["J+"] = gens["J+"] + Poly(WeylElement.b(rep.modes) ** 4)
+    return dataclasses.replace(rep, generators=gens)
+
+
+def test_a_bumped_copy_fails_after_its_parent_filled_the_memos():
+    rep = build("sl2_standard", {"n": 3})
+    assert all(r.passed for r in check_relations(rep))
+    assert check_relations_symbolic(rep).passed
+    assert all(r.passed for r in casimir_check(rep)[1])
+    assert invariant_subspace(rep)[1].passed
+    bad = _leaving_the_space(rep)
+    assert check_relations(bad)[0].witness.startswith("[J0,J+] = J+: mismatch")
+    assert not check_relations_symbolic(bad).passed
+    assert not casimir_check(bad)[1][0].passed
+    assert invariant_subspace(bad)[1].witness.startswith("J+ maps")
+    assert not full_verify(bad).passed
+
+
+def test_restricted_matrix_raises_on_a_generator_leaving_the_space():
+    rep = build("sl2_standard", {"n": 3})
+    assert len(restricted_matrix(rep, "J+")) == 4
+    bad = _leaving_the_space(rep)
+    with pytest.raises(ValueError, match="J\\+ maps"):
+        restricted_matrix(bad, "J+")
+    # J0 still maps the space into itself, whichever generator escapes
+    assert restricted_matrix(bad, "J0") == restricted_matrix(rep, "J0")
+    with pytest.raises(CatalogueError):
+        restricted_matrix(rep, "K")
+
+
+def test_full_verify_probes_alt_forms_at_its_cutoff(monkeypatch):
+    rep = build("sl2_translated", {"n": 3, "delta": 1})
+    alt_exprs = {id(alt.expr) for alt in rep.alt_forms}
+    cutoffs = []
+    check_identity = verify.check_identity
+
+    def recording(lhs, rhs, cutoff):
+        if id(rhs) in alt_exprs:
+            cutoffs.append(cutoff)
+        return check_identity(lhs, rhs, cutoff)
+
+    monkeypatch.setattr(verify, "check_identity", recording)
+    report = full_verify(rep, 12)
+    assert [a.status for a in report.alt_forms] == ["DIFFERS", "MATCH", "MATCH", "DIFFERS"]
+    assert cutoffs == [12, 12, 12]
 
 
 def test_burnside_raises_on_a_generator_leaving_the_space():
-    rep = build("sl2_standard", {"n": 3})
-    gens = dict(rep.generators)
-    gens["J+"] = gens["J+"] + Poly(WeylElement.b(rep.modes) ** 4)
     with pytest.raises(ValueError, match="J\\+ maps"):
-        burnside_irreducibility(dataclasses.replace(rep, generators=gens))
+        burnside_irreducibility(_leaving_the_space(build("sl2_standard", {"n": 3})))
 
 
 def test_symbolic_closure_squares_an_odd_generator():
