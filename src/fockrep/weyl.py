@@ -15,8 +15,12 @@ Production reordering uses the closed form
 per bosonic mode, expanded only on the contracting modes of a monomial
 pair (where m and k are both nonzero; every other mode just adds its
 exponents), and transposition-counted Koszul signs for fermions, skipped
-when the right monomial has none.  The independent single-swap rewriter
-lives in the test suite as an oracle.
+when the right monomial has none.  A super-bracket is one kernel,
+bracket(x, y, anti): u v and v u share their juxtaposed term (the one with
+no contraction) up to the Koszul sign, so each monomial pair contributes
+only its contraction terms in both orders and that term doubled or not at
+all.  The independent single-swap rewriter lives in the test suite as an
+oracle.
 
 Fermionic sign convention: moving any fermionic generator past another
 (distinct) one contributes one factor -1 per adjacent transposition.
@@ -61,6 +65,11 @@ def monomial_raise(mono: Monomial) -> int:
     """Degree change caused by the monomial acting on a Fock state."""
     b_pow, a_pow, th, dth = mono
     return sum(b_pow) - sum(a_pow) + th.bit_count() - dth.bit_count()
+
+
+def monomial_parity(mono: Monomial) -> int:
+    """0 for an even number of fermion factors, 1 for an odd one."""
+    return (mono[2].bit_count() + mono[3].bit_count()) & 1
 
 
 def monomial_lower(mono: Monomial) -> int:
@@ -187,8 +196,8 @@ class WeylElement:
     def parity(self):
         """0 (even), 1 (odd), or None when terms have mixed fermionic degree."""
         result = None
-        for (_, _, th, dth) in self.terms:
-            par = (th.bit_count() + dth.bit_count()) & 1
+        for mono in self.terms:
+            par = monomial_parity(mono)
             if result is None:
                 result = par
             elif result != par:
@@ -221,37 +230,95 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
     _check_modes(x, y)
     p = x.modes.bosonic
     terms: dict = {}
-    for (bp1, ap1, th1, dth1), c1 in x.terms.items():
-        for (bp2, ap2, th2, dth2), c2 in y.terms.items():
-            # fermionic part: fold y's generators into x's normal-ordered word
-            if th2 or dth2:
-                ferm = _ferm_multiply(th1, dth1, th2, dth2)
-                if not ferm:
-                    continue
-            else:
-                ferm = (((th1, dth1), 1),)
-            # bosonic part: a1^m b2^k reorders by the closed form only on the
-            # contracting modes, where m and k are both nonzero
-            prods = [(tuple(u + v for u, v in zip(bp1, bp2)),
-                      tuple(u + v for u, v in zip(ap1, ap2)), c1 * c2)]
-            for i in range(p):
-                m, k = ap1[i], bp2[i]
-                if m and k:
-                    prods = [(b[:i] + (b[i] - j,) + b[i + 1:],
-                              a[:i] + (a[i] - j,) + a[i + 1:],
-                              c * (comb(m, j) * comb(k, j) * factorial(j)) if j else c)
-                             for b, a, c in prods for j in range(min(m, k) + 1)]
-            for bp, ap, c in prods:
-                for (th, dth), sign in ferm:
-                    accumulate(terms, (bp, ap, th, dth), c if sign == 1 else -c)
+    for u, c1 in x.terms.items():
+        for v, c2 in y.terms.items():
+            _expand(terms, u, v, c1 * c2, p)
     return WeylElement(x.modes, terms)
+
+
+def bracket(x: WeylElement, y: WeylElement, anti: bool) -> WeylElement:
+    """x y + y x when anti, else x y - y x, formed from the terms that survive.
+
+    Of u v and v u, for monomials u of x and v of y, only the contraction
+    terms can differ; their juxtaposed terms (no contraction) agree up to the
+    Koszul sign (-1)^(|u| |v|) of the fermion parities.  So each pair gives
+    its contraction terms in both orders, and its juxtaposed term doubled
+    where that sign keeps it (|u| |v| differs from anti); a pair with
+    neither is skipped before any arithmetic.
+    """
+    _check_modes(x, y)
+    p = x.modes.bosonic
+    terms: dict = {}
+    right = [(v, c2, monomial_parity(v)) for v, c2 in y.terms.items()]
+    for u, c1 in x.terms.items():
+        pu = monomial_parity(u)
+        for v, c2, pv in right:
+            keep = (pu & pv) != anti
+            uv, vu = _contracts(u, v), _contracts(v, u)
+            if not (keep or uv or vu):
+                continue
+            c = c1 * c2
+            if keep or uv:
+                _expand(terms, u, v, c, p, 2 if keep else 0)
+            if vu:
+                _expand(terms, v, u, c if anti else -c, p, 0)
+    return WeylElement(x.modes, terms)
+
+
+def _contracts(u: Monomial, v: Monomial) -> bool:
+    """True when the product u v has a contraction term: some a_i of u meets
+    a b_i of v, or some dth_j of u a th_j of v."""
+    return bool(u[3] & v[2]) or any(map(min, u[1], v[0]))
+
+
+def _expand(out: dict, u: Monomial, v: Monomial, c, p: int, juxtaposed=1):
+    """out += c u v for monomials u, v: every contraction term of the
+    normal-ordered product, and its juxtaposed term times `juxtaposed`
+    (1 in a product, 0 or 2 in a bracket)."""
+    bp1, ap1, th1, dth1 = u
+    bp2, ap2, th2, dth2 = v
+    # fermionic part: fold v's generators into u's normal-ordered word; the
+    # juxtaposed word, where there is one, comes last
+    if th2 or dth2:
+        ferm = _ferm_multiply(th1, dth1, th2, dth2)
+        if not ferm:
+            return
+    else:
+        ferm = (((th1, dth1), 1),)
+    # bosonic part: a1^m b2^k reorders by the closed form only on the
+    # contracting modes, where m and k are both nonzero; the juxtaposed term
+    # (j = 0 on every mode) comes first
+    prods = [(tuple(s + t for s, t in zip(bp1, bp2)),
+              tuple(s + t for s, t in zip(ap1, ap2)), c)]
+    for i in range(p):
+        m, k = ap1[i], bp2[i]
+        if m and k:
+            prods = [(b[:i] + (b[i] - j,) + b[i + 1:],
+                      a[:i] + (a[i] - j,) + a[i + 1:],
+                      c * (comb(m, j) * comb(k, j) * factorial(j)) if j else c)
+                     for b, a, c in prods for j in range(min(m, k) + 1)]
+    # where u and v share a th or a dth the juxtaposed term is 0, and every
+    # term is a contraction term
+    if juxtaposed != 1 and not (th1 & th2 or dth1 & dth2):
+        (bp, ap, c0), prods = prods[0], prods[1:]
+        *rest, ((th, dth), sign) = ferm
+        if juxtaposed:
+            accumulate(out, (bp, ap, th, dth), c0 * (juxtaposed * sign))
+        for (th, dth), sign in rest:
+            accumulate(out, (bp, ap, th, dth), c0 if sign == 1 else -c0)
+    for bp, ap, c in prods:
+        for (th, dth), sign in ferm:
+            accumulate(out, (bp, ap, th, dth), c if sign == 1 else -c)
 
 
 def _ferm_multiply(th1: int, dth1: int, th2: int, dth2: int):
     """Multiply two normal-ordered fermionic words; list of ((th, dth), sign).
 
     Folds the generators of the right factor (th block ascending, then dth
-    block ascending) into the left word one at a time.
+    block ascending) into the left word one at a time.  Each th branches
+    into its contraction first and its juxtaposition second, so the word
+    with no contraction, where there is one, comes last (_expand reads it
+    there).
     """
     words = [((th1, dth1), 1)]
     m = th2
@@ -287,11 +354,11 @@ def _ferm_multiply(th1: int, dth1: int, th2: int, dth2: int):
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return multiply(x, y) - multiply(y, x)
+    return bracket(x, y, False)
 
 
 def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return multiply(x, y) + multiply(y, x)
+    return bracket(x, y, True)
 
 
 def super_bracket(x: WeylElement, y: WeylElement) -> WeylElement:

@@ -3,8 +3,9 @@
 The production algebra reorders with closed-form binomial sums and
 transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
-deliberately naive.  The Jacobi oracle walks all m^3 index triples, and
-the Killing oracle every middle index of every pair.  The probe oracles
+deliberately naive.  The Jacobi oracle walks all m^3 index triples, the
+Killing oracle every middle index of every pair, and the closure oracle
+every compiled column of every pair on every probe state.  The probe oracles
 decide every relation, Casimir commutator and alt form by applying both
 sides to each state up to the cutoff, with no normal-form shortcut, and
 fold their generator words themselves, reading no memo of the rep.
@@ -14,9 +15,11 @@ Scalar, kept as the reference for the native int/Rational/Scalar mix.
 
 from math import isqrt
 
-from fockrep.fock import Poly, check_identity, identity_op
+from fockrep.fock import Poly, _state_str, basis_states, check_identity, identity_op
+from fockrep.linalg import EchelonSpan
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
-from fockrep.verify import AltFormResult, CheckResult, StructureConstants
+from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
+                            _pairwise_lowering)
 from fockrep.weyl import ModeSystem, WeylElement, accumulate
 
 # atoms: ('b', i), ('a', i), ('th', j), ('dth', j)
@@ -207,6 +210,62 @@ def loop_killing(sc: StructureConstants) -> list:
             K[i][j] = total
             K[j][i] = total
     return K
+
+
+def dense_closure(rep, cutoff=None):
+    """Oracle for verify.closure: every bracket of the m(m+1)/2 pairs i <= j
+    summed on every probe state from both products' compiled columns, empty
+    ones included, on the same probe range and span."""
+    rep = rep.compiled()
+    names = list(rep.generators)
+    gens = [rep.generators[n] for n in names]
+    parities = [rep.parities[n] for n in names]
+    cutoff = rep.default_cutoff if cutoff is None else cutoff
+    pairlow = _pairwise_lowering(rep)
+    if rep.is_polynomial():
+        probe = max(pairlow, 1)
+    else:
+        probe = max(cutoff - 2 * rep.max_generator_raise(), pairlow, 1)
+    states = basis_states(rep.modes, probe)
+    span = EchelonSpan()
+    dependent = []
+    for name, g in zip(names, gens):
+        vec = {(idx, key): c for idx, state in enumerate(states)
+               for key, c in g.column(state).items()}
+        if not span.insert(vec):
+            dependent.append(name)
+    table = {}
+    m = len(gens)
+    for i in range(m):
+        col_i = gens[i].column
+        for j in range(i, m):
+            col_j = gens[j].column
+            anti = parities[i] == 1 and parities[j] == 1
+            vec = {}
+            for idx, state in enumerate(states):
+                for key, d in col_j(state).items():
+                    for out, c in col_i(key).items():
+                        accumulate(vec, (idx, out), c * d)
+                for key, d in col_i(state).items():
+                    if not anti:
+                        d = -d
+                    for out, c in col_j(key).items():
+                        accumulate(vec, (idx, out), c * d)
+            coeffs, residual = span.express(vec)
+            if coeffs is None:
+                key = min(residual)
+                witness = ("%s on state %s leaves the span"
+                           % (_bracket_name(names[i], names[j], anti),
+                              _state_str(*states[key[0]], rep.modes)))
+                return None, CheckResult("closure", "FAIL", "probe degree %d" % probe, witness)
+            table[(i, j)] = coeffs
+            if i != j:
+                table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
+    sc = StructureConstants(names, parities, table, span.dim, dependent)
+    detail = "span dimension %d over %d generators, probe degree %d" % (span.dim, m, probe)
+    if dependent:
+        detail += "; dependent: %s" % ", ".join(dependent)
+    return sc, CheckResult("closure", "PASS", detail)
 
 
 # -- probe oracles: relations, [C,g] and alt forms decided state by state -----------

@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
 
 from fockrep import verify, weyl
 from fockrep.catalogue import CatalogueError, Claims, InvariantSpace, RepSpec, build
-from fockrep.fock import Compiled, Poly
+from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
@@ -18,8 +19,8 @@ from fockrep.verify import (burnside_irreducibility, casimir_check,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import (loop_jacobi, loop_killing, probe_alt_forms, probe_casimir_commutes,
-                     probe_relations)
+from oracles import (dense_closure, loop_jacobi, loop_killing, probe_alt_forms,
+                     probe_casimir_commutes, probe_relations)
 
 
 def _index(sc, name):
@@ -690,13 +691,119 @@ def test_burnside_raises_on_a_generator_leaving_the_space():
         burnside_irreducibility(_leaving_the_space(build("sl2_standard", {"n": 3})))
 
 
-def test_symbolic_closure_squares_an_odd_generator():
-    # {X,X} = 2 X^2 is the one diagonal bracket not zero by antisymmetry:
-    # X = th + dth squares to 1
+def _odd_square():
+    """X = th + dth, which squares to 1, and E = 1: {X,X} = 2 X^2 is the one
+    diagonal bracket not zero by antisymmetry."""
     modes = ModeSystem(0, 1)
     x = WeylElement.theta(modes) + WeylElement.dtheta(modes)
-    rep = RepSpec("odd_square", {}, {"X": Poly(x), "E": Poly(WeylElement.one(modes))},
-                  parities={"X": 1, "E": 0})
+    return RepSpec("odd_square", {}, {"X": Poly(x), "E": Poly(WeylElement.one(modes))},
+                   parities={"X": 1, "E": 0})
+
+
+def test_symbolic_closure_squares_an_odd_generator():
+    rep = _odd_square()
     sym, result = closure_symbolic(rep)
     assert result.passed and sym.table[(0, 0)] == {1: 2} and sym.table[(1, 1)] == {}
     assert structure_constants_agree(sym, closure(rep)[0])
+
+
+def test_closure_matches_the_dense_oracle():
+    # constants, status, detail and FAIL witness: on every --grid small
+    # instance, every +1 bump of sl2_standard and osp22 at n <= 2, and an
+    # odd generator whose square is not zero
+    reps = [build(rid, params) for rid, params in acceptance_grid(small=True)]
+    reps.append(_odd_square())
+    for rid in ("sl2_standard", "osp22"):
+        for n in range(3):
+            reps.extend(_bumps(build(rid, {"n": n})))
+    seen = Counter()
+    for rep in reps:
+        expected = dense_closure(rep)
+        assert closure(rep) == expected
+        seen[expected[1].status] += 1
+    assert seen["PASS"] > 17 and seen["FAIL"] > 10
+
+
+def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
+    # each generator's column is read on the probe states and on the states
+    # the brackets reach, not once per pair and probe state
+    rep = build("gl_super", {"k": 3, "r": 2, "n": 1})
+    sc, result = closure(rep)
+    assert result.passed
+    probe = int(re.search(r"probe degree (\d+)", result.detail).group(1))
+    gens = list(rep.compiled().generators.values())
+    states = basis_states(rep.modes, probe)
+    images = {key for g in gens for state in states for key in g.column(state)}
+    calls = Counter()
+    column = Compiled.column
+
+    def counting(self, key):
+        calls[key] += 1
+        return column(self, key)
+
+    monkeypatch.setattr(Compiled, "column", counting)
+    assert closure(rep) == (sc, result)
+    m = len(gens)
+    assert sum(calls.values()) <= m * (len(states) + len(images)) < m * m * len(states)
+
+
+def _extended_with_casimir():
+    for rid, params in acceptance_grid(small=True):
+        rep = build(rid, params)
+        if not rep.is_polynomial() and rep.casimir is not None:
+            yield rid, params
+
+
+@pytest.mark.parametrize("rid, params", list(_extended_with_casimir()) + [
+    ("sl2q", {"alpha": 1, "q": 2, "delta": rat(1, 3)}),
+])
+def test_extended_casimir_commutes_matches_the_probe_oracle(rid, params):
+    # status, detail and witness: on every extended --grid small instance
+    # with a Casimir and a shift-transformed sl2q, and on each of their
+    # generators bumped by one Fock monomial (the unit, b or a); as the
+    # check runs alone and as full_verify runs it, on a compiled copy
+    rep = build(rid, params)
+    modes = rep.modes
+    reps = [rep]
+    for name, g in rep.generators.items():
+        for mono in (WeylElement.one(modes), WeylElement.b(modes), WeylElement.a(modes)):
+            gens = dict(rep.generators)
+            gens[name] = g + Poly(mono)
+            reps.append(dataclasses.replace(rep, generators=gens))
+    statuses = set()
+    for bumped in reps:
+        expected = probe_casimir_commutes(bumped)
+        assert casimir_check(bumped)[1][0] == expected
+        assert casimir_check(bumped.compiled())[1][0] == expected
+        statuses.add(expected.status)
+    assert statuses == {"PASS", "FAIL"}
+
+
+class _Recording(OperatorExpr):
+    """inner, recording every state it is applied to."""
+
+    def __init__(self, inner, seen):
+        self.modes, self.inner, self.seen = inner.modes, inner, seen
+
+    def max_raise(self):
+        return self.inner.max_raise()
+
+    def apply(self, terms):
+        self.seen.extend(terms)
+        return self.inner.apply(terms)
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2q", {"alpha": 2, "q": 2, "delta": 1}),
+    ("sl2_translated", {"n": 2, "delta": 1}),
+])
+def test_an_extended_casimir_is_applied_once_per_state(monkeypatch, rid, params):
+    # C g, g C and the scalar probe all read one image of each state
+    rep = build(rid, params)
+    seen = []
+    word_expr = RepSpec.word_expr
+    monkeypatch.setattr(RepSpec, "word_expr",
+                        lambda self, terms: _Recording(word_expr(self, terms), seen))
+    _, (commutes, value), _ = casimir_check(rep)
+    assert commutes.passed and value.passed
+    assert seen and len(seen) == len(set(seen))

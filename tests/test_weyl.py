@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockrep.catalogue import build
+from fockrep.grids import acceptance_grid
 from fockrep.scalars import SQRT2, Scalar, rat
-from fockrep.weyl import (ModeSystem, WeylElement, anticommutator, commutator,
+from fockrep.weyl import (ModeSystem, WeylElement, anticommutator, bracket, commutator,
                           multiply, super_bracket)
 
 from oracles import swap_multiply
@@ -182,6 +184,51 @@ def _factor_pairs(draw):
 def test_multiply_matches_swap_oracle_on_sums(pair):
     x, y = pair
     assert multiply(x, y) == swap_multiply(x, y)
+
+
+def _swap_bracket(x, y, anti):
+    xy, yx = swap_multiply(x, y), swap_multiply(y, x)
+    return xy + yx if anti else xy - yx
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_pairs(), st.booleans())
+def test_bracket_matches_swap_oracle_on_sums(pair, anti):
+    # mixed-parity sums: a pair whose juxtaposed terms do not cancel (an
+    # even monomial against an odd one in an anticommutator, two odd ones
+    # in a commutator) keeps it doubled
+    x, y = pair
+    assert bracket(x, y, anti) == _swap_bracket(x, y, anti)
+
+
+def test_bracket_doubles_a_juxtaposed_term_the_sign_keeps():
+    # an odd generator carrying an even monomial, as a negative-control bump
+    # makes it: {b + th, dth} keeps 2 b dth; and {x, x} = 2 for x = th + dth
+    ms = ModeSystem(1, 1)
+    th, dth, b1 = WeylElement.theta(ms), WeylElement.dtheta(ms), WeylElement.b(ms)
+    x = b1 + th
+    assert bracket(x, dth, True) == _swap_bracket(x, dth, True) == \
+        (b1 * dth).scale(2) + WeylElement.one(ms)
+    assert bracket(x, dth, False) == _swap_bracket(x, dth, False)
+    x = th + dth
+    assert bracket(x, x, True) == _swap_bracket(x, x, True) == WeylElement.scalar(ms, 2)
+    assert bracket(x, x, False).is_zero()
+
+
+def test_bracket_matches_swap_oracle_on_the_small_grid():
+    # both kinds on every generator pair of every polynomial --grid small
+    # instance
+    for rep_id, params in acceptance_grid(small=True):
+        rep = build(rep_id, params)
+        if not rep.is_polynomial():
+            continue
+        gens = [g.as_weyl() for g in rep.generators.values()]
+        products = {(i, j): swap_multiply(x, y)
+                    for i, x in enumerate(gens) for j, y in enumerate(gens)}
+        for (i, j), xy in products.items():
+            yx = products[(j, i)]
+            assert bracket(gens[i], gens[j], True) == xy + yx
+            assert bracket(gens[i], gens[j], False) == xy - yx
 
 
 @settings(max_examples=60, deadline=None)
