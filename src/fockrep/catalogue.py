@@ -89,9 +89,10 @@ class AltForm:
 @dataclass
 class RepSpec:
     """A catalogued representation.  It memoises what several checks share:
-    each generator word's normal form (formed_product) and each generator's
-    invariant-space columns (space_columns).  A replace() or compiled() copy
-    starts both empty, so generators are replaced, never changed in place."""
+    each generator word's normal form (formed_product), each generator's
+    invariant-space columns (space_columns) and a check's result (memo).  A
+    replace() or compiled() copy starts them empty, so generators are
+    replaced, never changed in place."""
 
     rep_id: str
     params: dict
@@ -106,6 +107,7 @@ class RepSpec:
     modes: ModeSystem = field(init=False)  # the generators' mode system
     _products: dict = field(init=False, repr=False, compare=False)  # word -> WeylElement
     _space: tuple = field(init=False, repr=False, compare=False)  # (keys, index, {name: columns})
+    _memos: dict = field(init=False, repr=False, compare=False)  # key -> make()
 
     def __post_init__(self):
         self.modes = next(iter(self.generators.values())).modes
@@ -116,6 +118,7 @@ class RepSpec:
             self.default_cutoff = inv.max_degree + 2 if inv else 8
         self._products = {}
         self._space = None
+        self._memos = {}
 
     def generator(self, name: str) -> OperatorExpr:
         try:
@@ -142,6 +145,12 @@ class RepSpec:
                 product = self._product(word[:-1]) * self.generator(word[-1]).as_weyl()
             self._products[word] = product
         return product
+
+    def memo(self, key, make):
+        """make(), called once per key on this copy and kept."""
+        if key not in self._memos:
+            self._memos[key] = make()
+        return self._memos[key]
 
     def word_sum(self, terms) -> WeylElement:
         """The normal form of a weighted sum of generator words; polynomial

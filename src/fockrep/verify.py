@@ -28,7 +28,7 @@ full_verify runs every check on one compiled copy, so they share its memos.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .catalogue import RepSpec
 from .fock import Compiled, _state_str, basis_states, check_identity, vector_str
@@ -97,6 +97,10 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def add(self, result):
+        """File one result of a CHECKS entry: a check or an alt form line."""
+        (self.checks if isinstance(result, CheckResult) else self.alt_forms).append(result)
 
     def check(self, name: str):
         for c in self.checks:
@@ -167,8 +171,6 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
 
 def check_relations_symbolic(rep: RepSpec) -> CheckResult:
     """Exact canonical-form identity check, polynomial families only."""
-    if not rep.is_polynomial():
-        return CheckResult("relations_symbolic", "PASS", "skipped: extended generators")
     failures = []
     for rel in rep.relations:
         diff = rep.word_sum(rel.lhs) - rep.word_sum(rel.rhs)
@@ -429,7 +431,8 @@ def killing_form(sc: StructureConstants):
 
 
 def casimir_check(rep: RepSpec, cutoff: int = None):
-    """Centrality, exact scalar action, and the claimed-value comparison.
+    """Centrality, exact scalar action, and the claimed-value comparison,
+    on a rep that carries a Casimir.
 
     Returns (measured_scalar_or_None, [CheckResult...], claim_result).  The
     claim comparison is a catalogue discrepancy report (MATCH/DIFFERS), not
@@ -440,8 +443,6 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     extended rep C is compiled, so its image of each state, which C g, g C
     and the scalar probe all read, is formed once.
     """
-    if rep.casimir is None:
-        return None, [], None
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     expr = rep.word_expr(rep.casimir.terms)
     polynomial = rep.is_polynomial()
@@ -500,9 +501,7 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
 
 def invariant_subspace(rep: RepSpec):
     """The claimed invariant space is closed under every generator and has
-    the claimed dimension."""
-    if rep.invariant_space is None:
-        return None, CheckResult("invariant_subspace", "PASS", "no claim")
+    the claimed dimension; reps that claim a space only."""
     space = rep.invariant_space
     for name in rep.generators:
         keys, _, escape = rep.space_columns(name)
@@ -536,7 +535,8 @@ def _dense(cols, d):
 
 
 def burnside_irreducibility(rep: RepSpec):
-    """Irreducible iff the generated unital algebra has dimension d^2.
+    """Irreducible iff the generated unital algebra has dimension d^2, on
+    the claimed invariant space.
 
     A generator mapping out of the space raises ValueError.
 
@@ -552,8 +552,6 @@ def burnside_irreducibility(rep: RepSpec):
     Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
     every dimension below d^2 come only from that span.
     """
-    if rep.invariant_space is None:
-        return None, CheckResult("irreducibility", "PASS", "no claim")
     cols = []
     for name in rep.generators:
         keys, g_cols, escape = rep.space_columns(name)
@@ -708,46 +706,85 @@ def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
     return out
 
 
-# -- orchestration ------------------------------------------------------------------------
+# -- the check table ------------------------------------------------------------------------
+
+
+def _once(rep, check):
+    """check(rep), formed once on the report's copy."""
+    return rep.memo(check, lambda: check(rep))
+
+
+def _closed(rep) -> bool:
+    """Closure is claimed and the matrix path found structure constants."""
+    return rep.claims.closes and _once(rep, closure)[0] is not None
+
+
+def _symbolic(rep) -> bool:
+    return rep.claims.closes and rep.is_polynomial()
+
+
+def _killing_rank(rep):
+    sc = _once(rep, closure)[0]
+    return CheckResult("killing_rank", "PASS",
+                       "rank %d of %d" % (killing_form(sc)[1], len(sc.names)))
+
+
+def _paths_agree(rep):
+    agree = structure_constants_agree(_once(rep, closure)[0],
+                                      _once(rep, closure_symbolic)[0])
+    return CheckResult("closure_paths_agree", "PASS" if agree else "FAIL",
+                       "matrix and symbolic structure constants",
+                       "" if agree else "paths disagree")
+
+
+def _casimir(rep, cutoff):
+    _, results, claim = casimir_check(rep, cutoff)
+    return results + [claim] if claim else results
+
+
+# Every check of a report, in report order: (name, when, run).  when(rep) is
+# true to run the entry, a string to record a skip with that reason, or
+# false for no line; run(rep, cutoff) gives its results.  Each body names
+# its check as a module global when it runs, so a verify.<check> patched
+# later is the one called.
+CHECKS = [
+    ("relations", lambda rep: bool(rep.relations),
+     lambda rep, cutoff: check_relations(rep, cutoff)),
+    ("relations_symbolic",
+     lambda rep: bool(rep.relations) and (rep.is_polynomial() or "skipped: extended generators"),
+     lambda rep, cutoff: [check_relations_symbolic(rep)]),
+    ("closure", lambda rep: rep.claims.closes, lambda rep, cutoff: [_once(rep, closure)[1]]),
+    ("jacobi", _closed, lambda rep, cutoff: [jacobi(_once(rep, closure)[0])]),
+    ("killing_rank", _closed, lambda rep, cutoff: [_killing_rank(rep)]),
+    ("closure_symbolic", _symbolic, lambda rep, cutoff: [_once(rep, closure_symbolic)[1]]),
+    ("closure_paths_agree",
+     lambda rep: _symbolic(rep) and _closed(rep) and _once(rep, closure_symbolic)[0] is not None,
+     lambda rep, cutoff: [_paths_agree(rep)]),
+    ("alt_forms", lambda rep: True, lambda rep, cutoff: check_alt_forms(rep, cutoff)),
+    ("casimir", lambda rep: rep.casimir is not None, lambda rep, cutoff: _casimir(rep, cutoff)),
+    ("invariant_subspace", lambda rep: rep.invariant_space is not None or "no claim",
+     lambda rep, cutoff: [_once(rep, invariant_subspace)[1]]),
+    ("irreducibility", lambda rep: rep.invariant_space is not None and
+     rep.claims.irreducible is not None and _once(rep, invariant_subspace)[1].passed,
+     lambda rep, cutoff: [burnside_irreducibility(rep)[1]]),
+]
 
 
 def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
+    """Walk CHECKS on one compiled copy of rep whose default cutoff is the
+    report's, so the entries share its memos: each of closure, symbolic
+    closure and the invariant space is formed once."""
     start = time.monotonic()
-    rep = rep.compiled()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
+    rep = replace(rep.compiled(), default_cutoff=cutoff)
     report = VerificationReport(rep.rep_id, rep.params, cutoff)
-    if rep.relations:
-        report.checks.extend(check_relations(rep, cutoff))
-        report.checks.append(check_relations_symbolic(rep))
-    if rep.claims.closes:
-        sc, closure_result = closure(rep, cutoff)
-        report.checks.append(closure_result)
-        if sc is not None:
-            report.checks.append(jacobi(sc))
-            _, rank = killing_form(sc)
-            report.checks.append(CheckResult(
-                "killing_rank", "PASS",
-                "rank %d of %d" % (rank, len(sc.names))))
-        if rep.is_polynomial():
-            sym_sc, sym_result = closure_symbolic(rep)
-            report.checks.append(sym_result)
-            if sc is not None and sym_sc is not None:
-                agree = structure_constants_agree(sc, sym_sc)
-                report.checks.append(CheckResult(
-                    "closure_paths_agree", "PASS" if agree else "FAIL",
-                    "matrix and symbolic structure constants",
-                    "" if agree else "paths disagree"))
-    report.alt_forms.extend(check_alt_forms(rep, cutoff))
-    _, casimir_results, casimir_claim = casimir_check(rep, cutoff)
-    report.checks.extend(casimir_results)
-    if casimir_claim is not None:
-        report.alt_forms.append(casimir_claim)
-    _, inv_result = invariant_subspace(rep)
-    report.checks.append(inv_result)
-    if rep.invariant_space is not None and inv_result.passed \
-            and rep.claims.irreducible is not None:
-        _, burn = burnside_irreducibility(rep)
-        report.checks.append(burn)
+    for name, when, run in CHECKS:
+        go = when(rep)
+        if isinstance(go, str):
+            report.add(CheckResult(name, "PASS", go))
+        elif go:
+            for result in run(rep, cutoff):
+                report.add(result)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return report
 

@@ -498,7 +498,10 @@ def test_checks_agree_on_compiled_generators(rep_id, params):
     compiled = rep.compiled()
     assert check_relations(compiled) == check_relations(rep)
     assert closure(compiled) == closure(rep)
-    assert casimir_check(compiled) == casimir_check(rep)
+    if rep.casimir is None:  # the check table gives it no Casimir line
+        assert full_verify(rep).check("casimir_commutes") is None
+    else:
+        assert casimir_check(compiled) == casimir_check(rep)
     assert invariant_subspace(compiled) == invariant_subspace(rep)
 
 
