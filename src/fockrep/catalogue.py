@@ -108,6 +108,7 @@ class RepSpec:
     _products: dict = field(init=False, repr=False, compare=False)  # word -> WeylElement
     _space: tuple = field(init=False, repr=False, compare=False)  # (keys, index, {name: columns})
     _memos: dict = field(init=False, repr=False, compare=False)  # key -> make()
+    _polynomial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.modes = next(iter(self.generators.values())).modes
@@ -119,6 +120,7 @@ class RepSpec:
         self._products = {}
         self._space = None
         self._memos = {}
+        self._polynomial = all(g.as_weyl() is not None for g in self.generators.values())
 
     def generator(self, name: str) -> OperatorExpr:
         try:
@@ -180,7 +182,7 @@ class RepSpec:
         return total
 
     def is_polynomial(self) -> bool:
-        return all(g.as_weyl() is not None for g in self.generators.values())
+        return self._polynomial
 
     def max_generator_raise(self) -> int:
         return max(max(0, g.max_raise()) for g in self.generators.values())

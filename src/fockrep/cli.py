@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
-domain error.  All output is exact and deterministic; --decimal renders
-scalars approximately for reading but is never used by any check, and
---timing adds wall-clock times, the one part of a report that varies.
+Exit codes: 0 no check failed (a SKIP passes), 1 a verification check
+failed, 2 usage or domain error.  All output is exact and deterministic;
+--decimal renders scalars approximately for reading but is never used by
+any check, and --timing adds wall-clock times, the one part of a report
+that varies.
 """
 
 from __future__ import annotations
@@ -81,15 +82,18 @@ def cmd_list(args) -> int:
 def _report_lines(report, timing=False):
     lines = ["%s %s" % (report.rep_id,
                         " ".join("%s=%s" % kv for kv in sorted(report.params.items())))]
-    for c in report.checks:
-        lines.append("  %-4s %s%s" % (c.status, c.name,
-                                      "  [%s]" % c.detail if c.detail else ""))
+    for c, ms in zip(report.checks, report.check_ms):
+        lines.append("  %-4s %s%s%s" % (c.status, c.name,
+                                        "  [%s]" % c.detail if c.detail else "",
+                                        "  (%s ms)" % ms if timing else ""))
         if c.witness:
             lines.append("       witness: %s" % c.witness)
     for a in report.alt_forms:
         lines.append("  %-7s alt form %s%s"
                      % (a.status, a.generator,
                         "  [%s]" % a.detail if a.detail else ""))
+    if report.killing_rank is not None:
+        lines.append("  killing rank %d of %d" % report.killing_rank)
     lines.append("result: %s" % ("PASS" if report.passed else "FAIL"))
     if timing:
         lines.append("elapsed: %d ms" % report.elapsed_ms)

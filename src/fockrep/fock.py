@@ -294,9 +294,8 @@ class QSpectral(OperatorExpr):
             for (alpha, beta), c in terms.items():
                 accumulate(out, (alpha, beta), c * self.q ** alpha[i])
             return out
-        def scale_newton(coeffs):
-            return [c * self.q ** k for k, c in enumerate(coeffs)]
-        return _map_mode_coeffs(terms, i, self.delta, scale_newton)
+        return _map_mode_coeffs(terms, i, self.delta,
+                                lambda coeffs: [c * self.q ** k for k, c in enumerate(coeffs)])
 
 
 class LeftDivB(OperatorExpr):
@@ -511,12 +510,8 @@ def _map_mode_coeffs(terms: dict, i: int, delta, newton_map) -> dict:
     """Group terms by everything except mode i, transform through the
     Newton (falling-factorial) basis, apply newton_map there, transform back."""
 
-    def transform(coeffs):
-        newton = _monomial_to_newton(coeffs, delta)
-        newton = newton_map(newton)
-        return _newton_to_monomial(newton, delta)
-
-    return _map_mode_coeff_lists(terms, i, transform)
+    return _map_mode_coeff_lists(terms, i, lambda coeffs: _newton_to_monomial(
+        newton_map(_monomial_to_newton(coeffs, delta)), delta))
 
 
 def _map_mode_coeff_lists(terms: dict, i: int, func) -> dict:

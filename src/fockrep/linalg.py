@@ -144,10 +144,7 @@ def mat_scale(x, c):
 
 
 def mat_trace(x):
-    t = 0
-    for i in range(len(x)):
-        t = t + x[i][i]
-    return t
+    return sum((x[i][i] for i in range(len(x))), 0)
 
 
 def charpoly(a) -> list:

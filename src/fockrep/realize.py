@@ -15,11 +15,10 @@ shared graded basis, against the abstract Fock matrices of the catalogue.
 from __future__ import annotations
 
 import dataclasses
-from math import comb
 
 from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family,
                         glk_family, sl2q_triple, sl3_octet)
-from .fock import (LeftDivB, MatrixRep, OperatorExpr, Poly, Product, Scale, Sum,
+from .fock import (ExpA, LeftDivB, MatrixRep, OperatorExpr, Poly, Product, Scale, Sum,
                    identity_op, to_matrix)
 from .qheis import q_number_op
 from .scalars import exact, inverse, rat
@@ -75,28 +74,9 @@ class MultX(OperatorExpr):
         return out
 
 
-class ShiftX(OperatorExpr):
-    """f(x) -> f(x + d) in one variable, by exact binomial expansion."""
-
-    def __init__(self, modes: ModeSystem, i: int, delta):
-        self.modes = modes
-        self.i = i - 1
-        self.delta = exact(delta)
-
-    def max_raise(self):
-        return 0
-
-    def apply(self, terms):
-        out = {}
-        powers = [1]
-        for (e, s), c in terms.items():
-            k = e[self.i]
-            while len(powers) <= k:
-                powers.append(powers[-1] * self.delta)
-            for j in range(k + 1):
-                coeff = c * comb(k, j) * powers[j] if j else c
-                accumulate(out, (e[:self.i] + (k - j,) + e[self.i + 1:], s), coeff)
-        return out
+# f(x) -> f(x + d) in one variable, by exact binomial expansion: on the
+# monomials x^k it is the Fock operator e^{d a}, b^k |0> -> (b + d)^k |0>.
+ShiftX = ExpA
 
 
 class Dplus(OperatorExpr):
@@ -162,24 +142,6 @@ SIGMA_ZERO = ((1, 0), (0, -1))
 SIGMA_ID = ((1, 0), (0, 1))
 
 
-def _kron(mats):
-    """Kronecker product of 2x2 integer matrices; first factor most significant."""
-    out = [[1]]
-    for m in mats:
-        size = 2 * len(out)
-        new = [[0] * size for _ in range(size)]
-        for i in range(len(out)):
-            for j in range(len(out)):
-                v = out[i][j]
-                if v:
-                    for a in range(2):
-                        for bcol in range(2):
-                            if m[a][bcol]:
-                                new[i * 2 + a][j * 2 + bcol] = v * m[a][bcol]
-        out = new
-    return out
-
-
 class CliffordMatrices:
     """Exact 2^r x 2^r matrices for the fermionic pairs via Pauli products.
 
@@ -189,29 +151,19 @@ class CliffordMatrices:
     """
 
     def __init__(self, r: int):
-        self.r = r
-        self.dim = 1 << r
-        self.a_f = [self._slot(i, SIGMA_PLUS) for i in range(1, r + 1)]
-        self.b_f = [self._slot(i, SIGMA_MINUS) for i in range(1, r + 1)]
+        self.a_f = [self._slot(i, SIGMA_PLUS, r) for i in range(1, r + 1)]
+        self.b_f = [self._slot(i, SIGMA_MINUS, r) for i in range(1, r + 1)]
 
-    def _slot(self, i: int, middle):
-        mats = [SIGMA_ZERO] * (i - 1) + [middle] + [SIGMA_ID] * (self.r - i)
-        dense = _kron(mats)
-        entries = {}
-        for row in range(self.dim):
-            for col in range(self.dim):
-                v = dense[row][col]
-                if v:
-                    entries[(self._to_mask(row), self._to_mask(col))] = v
+    @staticmethod
+    def _slot(i: int, middle, r: int) -> dict:
+        """The Kronecker product with middle in slot i, as {(row, col): v}:
+        slot j's factor acts on bit j-1 of the masks."""
+        entries = {(0, 0): 1}
+        for j, m in enumerate([SIGMA_ZERO] * (i - 1) + [middle] + [SIGMA_ID] * (r - i)):
+            entries = {(row | x << j, col | y << j): v * m[x][y]
+                       for (row, col), v in entries.items()
+                       for x in range(2) for y in range(2) if m[x][y]}
         return entries
-
-    def _to_mask(self, kron_index: int) -> int:
-        # kron slot j (1-based) is digit 2^(r-j); occupation of level j is bit j-1
-        mask = 0
-        for j in range(1, self.r + 1):
-            if (kron_index >> (self.r - j)) & 1:
-                mask |= 1 << (j - 1)
-        return mask
 
     @staticmethod
     def matmul(x: dict, y: dict) -> dict:

@@ -17,12 +17,13 @@ the probe only looks for a witness.  Extended families, whose generators
 are not polynomials, are probed as operator trees, with the Casimir
 compiled so that each state's image under it is formed once.
 
-Every check takes the rep and, where it probes, the cutoff.  What several
-checks share is memoised on the rep: the normal-ordered product of each
-generator word (RepSpec.word_sum), which the relation, Casimir and symbolic
-closure checks read, and each generator's invariant-space columns
-(RepSpec.space_columns), which the invariant-space and Burnside checks read.
-full_verify runs every check on one compiled copy, so they share its memos.
+full_verify walks CHECKS, one ordered table that alone decides whether a
+check runs, is skipped (a SKIP line with the reason) or gives no line, and
+times each entry.  It walks one compiled copy of the rep, whose memos the
+entries share: each generator word's normal-ordered product
+(RepSpec.word_sum), each generator's invariant-space columns
+(RepSpec.space_columns), and the closure, symbolic closure and
+invariant-space results (RepSpec.memo), so each runs once per report.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .weyl import WeylElement, accumulate, bracket
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "PASS" | "FAIL"
+    status: str  # "PASS" | "FAIL" | "SKIP" (not run: detail says why)
     detail: str = ""
     witness: str = ""
 
     @property
     def passed(self):
-        return self.status == "PASS"
+        """Did not fail: a SKIP passes."""
+        return self.status != "FAIL"
 
     def to_json(self):
         out = {"name": self.name, "status": self.status}
@@ -92,15 +94,24 @@ class VerificationReport:
     cutoff: int
     checks: list = field(default_factory=list)
     alt_forms: list = field(default_factory=list)
+    killing_rank: tuple = None  # (rank, generators) where closure passed
+    check_ms: list = field(default_factory=list)  # per check, its CHECKS entry's time
     elapsed_ms: int = 0
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, result):
-        """File one result of a CHECKS entry: a check or an alt form line."""
-        (self.checks if isinstance(result, CheckResult) else self.alt_forms).append(result)
+    def add(self, result, elapsed_ms):
+        """File one result of a CHECKS entry: a check line, timed with its
+        entry; an alt form line; or the Killing rank."""
+        if isinstance(result, CheckResult):
+            self.checks.append(result)
+            self.check_ms.append(elapsed_ms)
+        elif isinstance(result, AltFormResult):
+            self.alt_forms.append(result)
+        else:
+            self.killing_rank = result
 
     def check(self, name: str):
         for c in self.checks:
@@ -113,8 +124,11 @@ class VerificationReport:
             "rep": self.rep_id,
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "cutoff": self.cutoff,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [dict(c.to_json(), **({"elapsed_ms": ms} if with_timing else {}))
+                       for c, ms in zip(self.checks, self.check_ms)],
         }
+        if self.killing_rank is not None:
+            out["killing_rank"] = dict(zip(("rank", "of"), self.killing_rank))
         if self.alt_forms:
             out["alt_forms"] = [a.to_json() for a in self.alt_forms]
         if with_timing:
@@ -146,9 +160,8 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     range never collapses to the vacuum alone (relation words raise by at
     most twice the largest generator raise).
     """
-    if cutoff is None:
-        cutoff = rep.default_cutoff
-    cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
+    cutoff = max(rep.default_cutoff if cutoff is None else cutoff,
+                 3 + 2 * rep.max_generator_raise())
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -184,14 +197,9 @@ def check_relations_symbolic(rep: RepSpec) -> CheckResult:
 
 
 def _pairwise_lowering(rep: RepSpec) -> int:
-    lows = []
-    for g in rep.generators.values():
-        w = g.as_weyl()
-        lows.append(w.max_lower() if w is not None else 0)
-    if not lows:
-        return 1
-    top = sorted(lows)[-2:]
-    return sum(top)
+    lows = sorted(0 if g.as_weyl() is None else g.as_weyl().max_lower()
+                  for g in rep.generators.values())
+    return sum(lows[-2:]) if lows else 1
 
 
 def closure(rep: RepSpec, cutoff: int = None):
@@ -723,12 +731,6 @@ def _symbolic(rep) -> bool:
     return rep.claims.closes and rep.is_polynomial()
 
 
-def _killing_rank(rep):
-    sc = _once(rep, closure)[0]
-    return CheckResult("killing_rank", "PASS",
-                       "rank %d of %d" % (killing_form(sc)[1], len(sc.names)))
-
-
 def _paths_agree(rep):
     agree = structure_constants_agree(_once(rep, closure)[0],
                                       _once(rep, closure_symbolic)[0])
@@ -755,7 +757,8 @@ CHECKS = [
      lambda rep, cutoff: [check_relations_symbolic(rep)]),
     ("closure", lambda rep: rep.claims.closes, lambda rep, cutoff: [_once(rep, closure)[1]]),
     ("jacobi", _closed, lambda rep, cutoff: [jacobi(_once(rep, closure)[0])]),
-    ("killing_rank", _closed, lambda rep, cutoff: [_killing_rank(rep)]),
+    ("killing_rank", _closed,  # (rank, generators): report data, not a check
+     lambda rep, cutoff: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
     ("closure_symbolic", _symbolic, lambda rep, cutoff: [_once(rep, closure_symbolic)[1]]),
     ("closure_paths_agree",
      lambda rep: _symbolic(rep) and _closed(rep) and _once(rep, closure_symbolic)[0] is not None,
@@ -779,12 +782,13 @@ def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     rep = replace(rep.compiled(), default_cutoff=cutoff)
     report = VerificationReport(rep.rep_id, rep.params, cutoff)
     for name, when, run in CHECKS:
+        begun = time.perf_counter()
         go = when(rep)
-        if isinstance(go, str):
-            report.add(CheckResult(name, "PASS", go))
-        elif go:
-            for result in run(rep, cutoff):
-                report.add(result)
+        results = ([CheckResult(name, "SKIP", go)] if isinstance(go, str)
+                   else run(rep, cutoff) if go else [])
+        elapsed_ms = round((time.perf_counter() - begun) * 1000, 3)
+        for result in results:
+            report.add(result, elapsed_ms)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return report
 

@@ -201,7 +201,7 @@ def test_report_all_small_json_is_pinned(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "small", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "88dc6f8dc3e995ba8a44efeb45cccbefb7452ff993ece1543b3042dd1b797c46")
+        "4d74021353a256f46b5b660a4da6e888cd0ea861a1f4eb8159da79e54e2ccd77")
 
 
 def test_report_all_full_json_is_pinned(capsys):
@@ -210,7 +210,7 @@ def test_report_all_full_json_is_pinned(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "full", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b9e304d62d20c8970b0ad2cc637efa3359e1a483c9082e5306ccf9d8c9689bde")
+        "c45df2d3d06c0c457eb8bc00fe9d3a27d3f368de66d55d62bc76f3bec6015bfe")
 
 
 def test_pretty_report_all_is_byte_identical_across_runs(capsys):
@@ -227,10 +227,36 @@ def test_timing_flag(capsys):
     assert len(runs) == 16 and all(re.search(r"checks, \d+ ms\)$", l) for l in runs)
     code, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing")
     assert code == 0 and re.search(r"^elapsed: \d+ ms$", out, re.M)
+    check_lines = [l for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
+    assert len(check_lines) == 12
+    assert all(re.search(r"  \(\d+(\.\d+)? ms\)$", l) for l in check_lines)
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing", "--format", "json")
-    assert isinstance(json.loads(out)["elapsed_ms"], int)
+    report = json.loads(out)
+    assert isinstance(report["elapsed_ms"], int)
+    assert len(report["checks"]) == 12
+    assert all(isinstance(c["elapsed_ms"], (int, float)) and c["elapsed_ms"] >= 0
+               for c in report["checks"])
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--format", "json")
-    assert "elapsed_ms" not in json.loads(out)
+    report = json.loads(out)
+    assert "elapsed_ms" not in report
+    assert not any("elapsed_ms" in c for c in report["checks"])
+    _, out, _ = run(capsys, "verify", "sl2_standard", "n=2")
+    assert " ms)" not in out and "elapsed" not in out
+
+
+def test_verify_says_skip_for_a_check_that_did_not_run(capsys):
+    code, out, _ = run(capsys, "verify", "sl2q", "alpha=1", "q=2", "delta=1/3")
+    assert code == 0
+    assert "  SKIP relations_symbolic  [skipped: extended generators]" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "sl2_standard", "n=1/2")
+    assert code == 0 and out.splitlines()[-1] == "result: PASS"
+    assert "  SKIP invariant_subspace  [no claim]" in out.splitlines()
+    assert not re.search(r"^  \S+ +killing_rank", out, re.M)
+    assert "  killing rank 3 of 3" in out.splitlines()
+    _, out, _ = run(capsys, "verify", "sl2_standard", "n=1/2", "--format", "json")
+    report = json.loads(out)
+    assert report["killing_rank"] == {"rank": 3, "of": 3}
+    assert "killing_rank" not in [c["name"] for c in report["checks"]]
 
 
 # the bytes `fockrep matrix` printed when every entry went through a Scalar

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
-from fockrep.verify import (burnside_irreducibility, casimir_check,
+from fockrep.verify import (CheckResult, burnside_irreducibility, casimir_check,
                             charpoly_equivalence, check_alt_forms, check_relations,
                             check_relations_symbolic, closure,
                             closure_symbolic, full_verify, invariant_subspace,
@@ -146,7 +148,7 @@ def test_negative_control_reports_are_pinned():
                     reports.append(full_verify(bad).to_json())
     assert len(reports) == 70
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "247db1a3ed130a947aeb90a634fa0f173f2c9c1b19ab40e438a09be82ac8d89e"
+    assert digest == "d8c5eaf6a522592fa45df612068fc1aa65391785bd8c78998668d1e049c06328"
 
 
 def test_killing_form_sl2_with_trace_oracle():
@@ -600,6 +602,61 @@ def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
     assert len(probes) == 5 and not any(probes)
     assert report.check("relation L06").witness == (
         "{Q2,Qb1} = T+: mismatch on |0>: lhs -4 b |0>, rhs -2 b |0>")
+
+
+def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
+    # the traced benchmark replaces each (owner, attribute) of its SPANS; a
+    # renamed or moved function would leave its span reading zero
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in spans.SPANS
+               if not callable(owner.__dict__.get(attr))]
+    assert not missing
+
+
+def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
+    # the table reaches each check as a verify global when it runs, and the
+    # Jacobi, Killing and paths-agree entries share one closure
+    calls = Counter()
+
+    def counting(name):
+        check = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    for name in ("closure", "closure_symbolic", "jacobi", "killing_form"):
+        monkeypatch.setattr(verify, name, counting(name))
+    report = full_verify(build("sl2_standard", {"n": 2}))
+    assert report.passed and report.killing_rank == (3, 3)
+    assert calls == {"closure": 1, "closure_symbolic": 1, "jacobi": 1, "killing_form": 1}
+
+
+def test_every_check_table_entry_runs_on_the_full_grid(monkeypatch):
+    # every entry gives a line somewhere, and every line of a report comes
+    # from an entry: its run, or a SKIP under its name
+    entries = [name for name, _, _ in verify.CHECKS]
+    ran, produced = Counter(), set()
+
+    def recording(name, run):
+        def wrapper(rep, cutoff):
+            results = run(rep, cutoff)
+            ran[name] += 1
+            produced.update(r.name for r in results if isinstance(r, CheckResult))
+            return results
+        return wrapper
+
+    monkeypatch.setattr(verify, "CHECKS", [(name, when, recording(name, run))
+                                           for name, when, run in verify.CHECKS])
+    lines = set()
+    for rep_id, params in acceptance_grid():
+        lines.update((c.status, c.name) for c in full_verify(build(rep_id, params)).checks)
+    assert set(ran) == set(entries)
+    assert {name for status, name in lines if status != "SKIP"} <= produced
+    assert {name for status, name in lines if status == "SKIP"} == {
+        "relations_symbolic", "invariant_subspace"}
 
 
 def test_full_verify_builds_the_space_columns_once(monkeypatch):
