@@ -186,7 +186,7 @@ def cmd_report_all(args) -> int:
             lines.append("%-5s %s %s  (%d checks%s)"
                          % ("PASS" if r.passed else "FAIL", r.rep_id,
                             " ".join("%s=%s" % kv for kv in sorted(r.params.items())),
-                            len(r.checks),
+                            sum(c.status != "SKIP" for c in r.checks),
                             ", %d ms" % r.elapsed_ms if args.timing else ""))
         lines.append("total: %d runs, %s" % (len(reports),
                                              "all PASS" if all_pass else "FAILURES"))

@@ -5,7 +5,8 @@ combination of states b^alpha th^beta |0> with a_i|0> = 0 and dth_j|0> = 0;
 {} is the zero vector.  An operator's apply maps such a dict to a dict; a
 dict given to or returned by apply is never written into, since Identity
 returns its input and Compiled a cached column.  Operators are expression
-trees: normal-ordered polynomials (Poly), terminating exponentials e^{g a_i}
+trees: normal-ordered polynomials (Poly, which acts through a per-monomial
+action table built on its first apply), terminating exponentials e^{g a_i}
 (ExpA), spectral q-powers q^{N} diagonal in the falling-factorial basis
 (QSpectral), formal left division by b_i + shift (LeftDivB), the identity
 (Identity), Sum/Product/Scale, and Compiled, which remembers each basis
@@ -25,7 +26,7 @@ to_matrix reads its row index from the same memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, perm
 
 from .scalars import exact, to_json
 from .weyl import (ModeSystem, WeylElement, _mask_to_list, _mono_str, _terms_str,
@@ -172,17 +173,22 @@ def _as_expr(x, modes) -> OperatorExpr:
 
 
 class Poly(OperatorExpr):
-    __slots__ = ("modes", "weyl", "_terms")
+    """A normal-ordered polynomial, acting through a per-monomial table.
+
+    The table is built on the first apply (most Polys are folded by
+    arithmetic and never applied; an all-zero Poly's empty table counts as
+    built).  Per monomial it holds the lowering pairs (i, e) with e > 0, the
+    nonzero net shifts (i, bp[i] - ap[i]), the fermion steps (bit, need) in
+    the order they act, rightmost dth first (need = bit) and then th
+    (need = 0), and the coefficient.
+    """
+
+    __slots__ = ("modes", "weyl", "_table")
 
     def __init__(self, weyl: WeylElement):
         self.modes = weyl.modes
         self.weyl = weyl
-        # precomputed per-monomial data: (bp, ap, th_desc, dth_desc, coeff)
-        self._terms = [
-            (bp, ap, sorted(_mask_to_list(th), reverse=True),
-             sorted(_mask_to_list(dth), reverse=True), c)
-            for (bp, ap, th, dth), c in weyl.terms.items()
-        ]
+        self._table = None
 
     def as_weyl(self):
         return self.weyl
@@ -190,51 +196,49 @@ class Poly(OperatorExpr):
     def max_raise(self):
         return self.weyl.max_raise()
 
+    def _build(self) -> list:
+        table = self._table = []
+        for (bp, ap, th, dth), c in self.weyl.terms.items():
+            dth_bits, th_bits = ([1 << (j - 1) for j in reversed(_mask_to_list(mask))]
+                                 for mask in (dth, th))
+            table.append((tuple((i, e) for i, e in enumerate(ap) if e),
+                          tuple((i, k - e) for i, (k, e) in enumerate(zip(bp, ap)) if k != e),
+                          tuple((bit, bit) for bit in dth_bits) + tuple((bit, 0) for bit in th_bits),
+                          c))
+        return table
+
     def apply(self, terms: dict) -> dict:
+        table = self._table
+        if table is None:
+            table = self._build()
         out: dict = {}
-        p = self.modes.bosonic
         for (alpha, beta), cv in terms.items():
-            for bp, ap, th_desc, dth_desc, cm in self._terms:
-                sign = 1
-                bmask = beta
-                dead = False
-                for j in dth_desc:  # rightmost dth acts first
-                    bit = 1 << (j - 1)
-                    if not bmask & bit:
-                        dead = True
-                        break
-                    if (bmask & (bit - 1)).bit_count() & 1:
-                        sign = -sign
-                    bmask ^= bit
-                if dead:
-                    continue
+            for lowers, shifts, steps, cm in table:
+                # factor: the falling factorials times the fermion sign; a
+                # break (a short exponent, a blocked fermion step) kills the term
                 factor = 1
-                for i in range(p):
-                    e, k = ap[i], alpha[i]
-                    if e > k:
-                        dead = True
+                for i, e in lowers:
+                    if e > alpha[i]:
                         break
-                    for t in range(e):  # falling factorial k (k-1) ...
-                        factor *= k - t
-                if dead:
-                    continue
-                for j in th_desc:
-                    bit = 1 << (j - 1)
-                    if bmask & bit:
-                        dead = True
-                        break
-                    if (bmask & (bit - 1)).bit_count() & 1:
-                        sign = -sign
-                    bmask |= bit
-                if dead:
-                    continue
-                new_alpha = tuple(alpha[i] - ap[i] + bp[i] for i in range(p))
-                c = cv * cm
-                if factor != 1:
-                    c = c * factor
-                if sign < 0:
-                    c = -c
-                accumulate(out, (new_alpha, bmask), c)
+                    factor *= perm(alpha[i], e)
+                else:
+                    bmask = beta
+                    for bit, need in steps:
+                        if bmask & bit != need:
+                            break
+                        if (bmask & (bit - 1)).bit_count() & 1:
+                            factor = -factor
+                        bmask ^= bit
+                    else:
+                        if shifts:
+                            new = list(alpha)
+                            for i, d in shifts:
+                                new[i] += d
+                            key = (tuple(new), bmask)
+                        else:
+                            key = (alpha, bmask)
+                        c = cv * cm
+                        accumulate(out, key, c if factor == 1 else c * factor)
         return out
 
 

@@ -117,13 +117,14 @@ class JacksonX(OperatorExpr):
         self.q = rat(q)
         if self.q == 1:
             raise ValueError("q = 1 not allowed")
+        self.inv = inverse(self.q - 1)
 
     def max_raise(self):
         return -1
 
     def apply(self, terms):
         out = {}
-        inv = inverse(self.q - 1)
+        inv = self.inv
         for (e, s), c in terms.items():
             k = e[self.i]
             if k == 0:

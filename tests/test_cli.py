@@ -259,6 +259,15 @@ def test_verify_says_skip_for_a_check_that_did_not_run(capsys):
     assert "killing_rank" not in [c["name"] for c in report["checks"]]
 
 
+def test_report_all_counts_only_the_checks_that_ran(capsys):
+    code, out, _ = run(capsys, "report-all", "--grid", "small")
+    assert code == 0
+    assert "PASS  sl2_translated delta=1/2 n=3  (9 checks)" in out.splitlines()
+    _, out, _ = run(capsys, "verify", "sl2_translated", "n=3", "delta=1/2")
+    statuses = [l.split()[0] for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
+    assert len(statuses) == 10 and statuses.count("SKIP") == 1
+
+
 # the bytes `fockrep matrix` printed when every entry went through a Scalar
 # JSON round trip: native entries must render the same
 @pytest.mark.parametrize("argv, digest", [

@@ -12,7 +12,7 @@ from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, Poly, Prod
                           identity_op, state_sort_key, to_matrix, vector_str)
 from fockrep.linalg import mat_mul
 from fockrep.verify import casimir_check, closure, invariant_subspace
-from fockrep.weyl import ModeSystem, WeylElement, accumulate
+from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
 
 B1 = ModeSystem(1, 0)
 B2 = ModeSystem(2, 0)
@@ -71,6 +71,50 @@ def test_normal_ordered_action_is_multiplicative():
         for key in basis_states(ms, 4):
             v = {key: 1}
             assert Poly(x * y).apply(v) == Poly(x).apply(Poly(y).apply(v))
+
+
+def _random_element(rng, ms):
+    """A sum of up to four random monomials, exponents and fermion sets
+    drawn independently, each with a coefficient 1, -2, 3/5 or 1 + sqrt2."""
+    def mask():
+        return [j for j in range(1, ms.fermionic + 1) if rng.random() < 0.5]
+
+    w = WeylElement.zero(ms)
+    for _ in range(rng.randint(1, 4)):
+        w = w + WeylElement.monomial(
+            ms, [rng.randint(0, 2) for _ in range(ms.bosonic)],
+            [rng.randint(0, 2) for _ in range(ms.bosonic)], mask(), mask(),
+            rng.choice([1, -2, rat(3, 5), Scalar(1, 1)]))
+    return w
+
+
+def _image_by_multiplying(w, key):
+    """w b^alpha th^beta |0> by the normal form of the product in the algebra:
+    a term with an a or a dth kills the vacuum, every other one is a state."""
+    (alpha, beta), ms = key, w.modes
+    monomial = WeylElement.monomial(ms, alpha, (), [j for j in range(1, ms.fermionic + 1)
+                                                    if beta >> (j - 1) & 1])
+    return {(bp, th): c for (bp, ap, th, dth), c in multiply(w, monomial).terms.items()
+            if not any(ap) and not dth}
+
+
+@pytest.mark.parametrize("ms", [B1, ModeSystem(2, 1), ModeSystem(3, 2), ModeSystem(1, 3)],
+                         ids=["1+0", "2+1", "3+2", "1+3"])
+def test_poly_apply_matches_the_product_in_the_algebra(ms):
+    # an oracle for Poly.apply that shares none of its code: the image of
+    # a state is read off the normal-ordered product with the state's monomial
+    rng = random.Random(20)
+    keys = basis_states(ms, 3)
+    for _ in range(200):
+        w = _random_element(rng, ms)
+        op = Poly(w)
+        images = {key: _image_by_multiplying(w, key) for key in keys}
+        for key in keys:
+            assert op.apply({key: 1}) == images[key], (str(w), key)
+        picked = rng.sample(keys, 3)
+        coeffs = [rat(-1, 2), 3, SQRT2]
+        assert op.apply(lincomb(*((c, {k: 1}) for c, k in zip(coeffs, picked)))) == \
+            lincomb(*((c, images[k]) for c, k in zip(coeffs, picked)))
 
 
 def test_expa_shift_action():
