@@ -2,8 +2,8 @@
 representations on Fock spaces, with machine verification of every
 catalogued claim.
 
-Everything is computed over the exact field Q(sqrt2); a passing check is
-an identity of exact scalars, never a tolerance.
+Everything is computed over the exact field Q(sqrt2), never with a
+tolerance; verify says what each passing check rests on.
 """
 
 from .catalogue import build, list_catalogue

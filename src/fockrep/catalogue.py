@@ -1,20 +1,20 @@
 """The representation catalogue.
 
-Each entry packages a named generator set (as operator expressions over a
-mode system) together with everything the verifier needs: the expected
-relation table where one exists, a Casimir descriptor, the invariant
-subspace, structural claims, and secondary closed-form expressions.
-
-Each pair-generic family has one generator formula in FORMULAS, written
-over a Kit of canonical pairs.  The catalogue calls it with the Fock pairs,
-and shift-transformed families with the transformed canonical pair
+Each family is one record, a Family in FAMILIES: its parameter signature
+and checks, its mode system, its one generator formula written over a Kit
+of canonical pairs, the kit the catalogue builds it over, the steps of its
+finite-difference realization where it has one, and its claims as
+functions of the parameters: the relation table, parities, Casimir,
+invariant space, irreducibility, alt forms and probe cutoff.  build reads
+the record, and so does realize, which calls the same formula over its own
+pairs.  A translated family is its formula over the transformed canonical
+pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
-which makes the algebra relations hold by construction; the realizations
-call the same formula with their own pairs.  The explicitly displayed
-closed forms are attached as alt_forms: checkable claims whose mismatches
-are reported, never patched into the generators.
+which makes the algebra relations hold by construction.  The explicitly
+displayed closed forms are attached as alt_forms: checkable claims whose
+mismatches are reported, never patched into the generators.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _require_int(x: Rational, name: str) -> int:
     return int(x)
 
 
-# -- base generator formulas (generic over the pair implementation) -----------
+# -- generator formulas, each written over a Kit of canonical pairs -------------
 
 
 def _unshared(x):
@@ -281,28 +281,22 @@ def sl2_triple(a, b, n: Rational):
     }
 
 
-SL2_RELATIONS = [
-    RelationClaim("[J0,J+] = J+", comm("J0", "J+"), gen("J+")),
-    RelationClaim("[J0,J-] = -J-", comm("J0", "J-"), gen("J-", -1)),
-    RelationClaim("[J+,J-] = -2J0", comm("J+", "J-"), gen("J0", -2)),
-]
+def metaplectic_triple(a, b):
+    half = rat(1, 2)
+    quarter = rat(-1, 4)
+    return {
+        "J+": (a * a).scale(half),
+        "J0": (a * b + b * a).scale(quarter),
+        "J-": (b * b).scale(half),
+    }
 
 
-SL2_CASIMIR_TERMS = [(rat(1, 2), ("J+", "J-")), (rat(1, 2), ("J-", "J+")),
-                     (-1, ("J0", "J0"))]
-
-
-def sl2_casimir(n: Rational) -> CasimirSpec:
-    # claimed value as catalogued; the measured value is -(n/2)(n/2+1)
-    nn = rat(n)
-    return CasimirSpec(list(SL2_CASIMIR_TERMS), -(nn / 2) * (nn / 2 + rat(1, 2)))
-
-
-def sl3_octet(a1, a2, b1, b2, n: Rational, number=None, share=_unshared):
-    """number[i], when given, stands for b_i a_i inside J1+, J2+ and J0;
-    share is the kit's (see Kit), applied to the factor J1+ and J2+ share."""
-    n1, n2 = number or (b1 * a1, b2 * a2)
-    num = share(n1 + n2 - rat(n))
+def sl3_octet(kit, p):
+    """kit.number[i], when given, stands for b_i a_i inside J1+, J2+ and J0;
+    kit.share is applied to the factor J1+ and J2+ share."""
+    (a1, a2), (b1, b2), n = kit.a, kit.b, p["n"]
+    n1, n2 = kit.number or (b1 * a1, b2 * a2)
+    num = kit.share(n1 + n2 - rat(n))
     return {
         "J1+": b1 * num,
         "J2+": b2 * num,
@@ -315,15 +309,16 @@ def sl3_octet(a1, a2, b1, b2, n: Rational, number=None, share=_unshared):
     }
 
 
-def glk_family(a, b, n: Rational, number=None, share=_unshared):
+def glk_family(kit, p):
     """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
 
-    number[i], when given, stands for b[i] a[i] inside J0; share is the
-    kit's (see Kit), applied to J0, which every J_i+ contains.
+    kit.number[i], when given, stands for b[i] a[i] inside J0; kit.share is
+    applied to J0, which every J_i+ contains.
     """
+    a, b = kit.a, kit.b
     k = len(a) + 1
-    number = number or [b[i] * a[i] for i in range(k - 1)]
-    j0 = share(rat(n) - sum(number[1:], number[0]))
+    number = kit.number or [b[i] * a[i] for i in range(k - 1)]
+    j0 = kit.share(rat(p["n"]) - sum(number[1:], number[0]))
     gens = {}
     for i in range(k - 1):
         gens["J%d-" % (i + 2)] = a[i]
@@ -336,22 +331,22 @@ def glk_family(a, b, n: Rational, number=None, share=_unshared):
     return gens
 
 
-def gl_super_family(a, b, th, dth, n: Rational, one, number=None, share=_unshared):
-    """gl(k+1,r+1) generators over any element implementation.
+def gl_super_family(kit, p):
+    """gl(k+1,r+1) generators over k bosonic and r fermionic pairs.
 
-    a, b: k bosonic pairs; th, dth: r fermionic pairs; one: the identity
-    element; number[i], when given, stands for b[i] a[i] inside T0; share
-    is the kit's (see Kit), applied to T0, which every T_i+ and Qb_j+
-    contains.  Returns the generators in canonical order.
+    kit.number[i], when given, stands for b[i] a[i] inside T0; kit.share is
+    applied to T0, which every T_i+ and Qb_j+ contains.  Returns the
+    generators in canonical order.
     """
+    a, b, th, dth = kit.a, kit.b, kit.th, kit.dth
     k, r = len(a), len(th)
-    number = number or [b[i] * a[i] for i in range(k)]
-    t0 = one.scale(rat(n))
+    number = kit.number or [b[i] * a[i] for i in range(k)]
+    t0 = kit.one.scale(rat(p["n"]))
     for i in range(k):
         t0 = t0 - number[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
-    t0 = share(t0)
+    t0 = kit.share(t0)
     gens = {}
     for i in range(k):
         gens["T%d-" % (i + 1)] = a[i]
@@ -388,26 +383,113 @@ def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
     }
 
 
-def metaplectic_triple(a, b):
+def osp22_octet(kit, p):
+    """osp(2,2) over one bosonic and one fermionic pair: the sl2 triple
+    plus th dth terms, J, and the four odd charges."""
+    a, b, th, dth, n = kit.a[0], kit.b[0], kit.th[0], kit.dth[0], p["n"]
     half = rat(1, 2)
-    quarter = rat(-1, 4)
-    return {
-        "J+": (a * a).scale(half),
-        "J0": (a * b + b * a).scale(quarter),
-        "J-": (b * b).scale(half),
-    }
-
-
-def osp22_octet(a, b, th_dth, n: Rational):
-    """th_dth is the even element th*dth of the single fermionic mode."""
-    half = rat(1, 2)
+    thdth = th * dth
     sl2 = sl2_triple(a, b, n)
     return {
-        "T+": sl2["J+"] + b * th_dth,
-        "T0": sl2["J0"] + th_dth.scale(half),
+        "T+": sl2["J+"] + b * thdth,
+        "T0": sl2["J0"] + thdth.scale(half),
         "T-": a,
-        "J": th_dth.scale(-half) - rat(n) * half,
+        "J": thdth.scale(-half) - rat(n) * half,
+        "Q1": dth,
+        "Q2": b * dth,
+        "Qb1": b * a * th - th.scale(rat(n)),
+        "Qb2": -(a * th),
     }
+
+
+def _clifford(kit, p):
+    th, dth = kit.th[0], kit.dth[0]
+    acl = th + dth                        # squares to 1
+    bcl = kit.one - (th * dth).scale(2)   # squares to 1, anticommutes with acl
+    return {"J1": acl, "J2": bcl, "J3": acl * bcl}
+
+
+def _vector_field(kit, p):
+    (a1, a2), (b1, b2) = kit.a, kit.b
+    return {"J1": b1 * a2, "J2": b2 * a1, "J3": b1 * a1 - b2 * a2}
+
+
+def _sl3_seven(kit, p):
+    a1, a2, a3 = kit.a
+    b1, b2, b3 = kit.b
+    mm, nn = rat(p["m"]), rat(p["n"])
+    return {
+        "J1+": (b1 * b3 - b2) * a1 - b2 * b3 * a2 - b3 * b3 * a3 + b3.scale(nn),
+        "J2+": b1 * (b1 * b3 - b2) * a1 - b2 * b2 * a2 - b2 * b3 * a3
+               - (b1 * b3).scale(mm) + b2.scale(nn + mm),
+        "J1-": a2,
+        "J2-": a3,
+        "J0_32": a1 + b3 * a2,
+        "J0_23": -(b1 * b1 * a1) + b2 * a3 + b1.scale(mm),
+        "J0_1": -(b1 * a1) + b2 * a2 + (b3 * a3).scale(2) - nn * kit.one,
+        "J0_2": (b1 * a1).scale(2) + b2 * a2 - b3 * a3 - mm * kit.one,
+    }
+
+
+def _gl2_ideal(p) -> list:
+    """The abelian ideal C^(r+1) of gl2_semidirect, J5 .. J(5+r)."""
+    return ["J%d" % (5 + k) for k in range(int(p["r"]) + 1)]
+
+
+def _gl2_relations(p) -> list:
+    ideal = _gl2_ideal(p)
+    return [RelationClaim("[%s,%s] = 0" % (x, y), comm(x, y), zero_rhs(), "ideal")
+            for i, x in enumerate(ideal) for y in ideal[i + 1:]]
+
+
+def _gl2_semidirect(kit, p):
+    (a1, a2), (b1, b2) = kit.a, kit.b
+    r, n = int(p["r"]), p["n"]
+    gens = {
+        "J1": a1,
+        "J2": b1 * a1 - rat(n) / 3,
+        "J3": b2 * a2 - rat(n) / (3 * r),
+        "J4": b1 * b1 * a1 + (b1 * b2 * a2).scale(r) - b1.scale(rat(n)),
+    }
+    for k, name in enumerate(_gl2_ideal(p)):
+        gens[name] = (b1 ** k) * a2
+    return gens
+
+
+def _osp22_metaplectic(kit, p):
+    a, b, th, dth = kit.a[0], kit.b[0], kit.th[0], kit.dth[0]
+    inv_s2 = SQRT2.inverse()
+    sl2 = metaplectic_triple(a, b)
+    return {
+        "T+": sl2["J+"],
+        "T0": sl2["J0"],
+        "T-": sl2["J-"],
+        "J": kit.one.scale(rat(1, 4)) - (th * dth).scale(rat(1, 2)),
+        "Q1": (b * dth).scale(-inv_s2),
+        "Q2": (a * dth).scale(inv_s2),
+        "Qb1": (a * th).scale(inv_s2),
+        "Qb2": (b * th).scale(inv_s2),
+    }
+
+
+# -- relation tables and Casimirs ---------------------------------------------------
+
+
+SL2_RELATIONS = [
+    RelationClaim("[J0,J+] = J+", comm("J0", "J+"), gen("J+")),
+    RelationClaim("[J0,J-] = -J-", comm("J0", "J-"), gen("J-", -1)),
+    RelationClaim("[J+,J-] = -2J0", comm("J+", "J-"), gen("J0", -2)),
+]
+
+
+SL2_CASIMIR_TERMS = [(rat(1, 2), ("J+", "J-")), (rat(1, 2), ("J-", "J+")),
+                     (-1, ("J0", "J0"))]
+
+
+def _sl2_casimir(p) -> CasimirSpec:
+    # claimed value as catalogued; the measured value is -(n/2)(n/2+1)
+    nn = rat(p["n"])
+    return CasimirSpec(list(SL2_CASIMIR_TERMS), -(nn / 2) * (nn / 2 + rat(1, 2)))
 
 
 OSP22_RELATIONS = [
@@ -449,10 +531,40 @@ OSP22_RELATIONS = [
     RelationClaim("[Qb2,J] = Qb2/2", comm("Qb2", "J"), gen("Qb2", rat(1, 2)), "L16"),
 ]
 
-OSP22_TABLE_LINES = 16
+OSP22_PARITIES = {"T+": 0, "T0": 0, "T-": 0, "J": 0,
+                  "Q1": 1, "Q2": 1, "Qb1": 1, "Qb2": 1}
 
 
-# -- transformed canonical pair ------------------------------------------------
+def _sl2q_relations(p) -> list:
+    # relation table after the rational rescaling (j+ = J+, j- = q^-alpha J-,
+    # j0 = c0 J0); the freedom j± -> c^{±1} j± makes this equivalent to the
+    # half-power normalization
+    al, q = int(p["alpha"]), p["q"]
+    c0 = (q ** (-al) / (q + 1)) * (q_number(2 * al + 2, q) / q_number(al + 1, q))
+    return [
+        RelationClaim("j0 j+ - q j+ j0 = j+",
+                      [(c0, ("J0", "J+")), (-(q * c0), ("J+", "J0"))],
+                      gen("J+"), "q1"),
+        RelationClaim("q^2 j+ j- - j- j+ = -(q+1) j0",
+                      [(q ** (2 - al), ("J+", "J-")), (-(q ** (-al)), ("J-", "J+"))],
+                      [(-(q + 1) * c0, ("J0",))], "q2"),
+        RelationClaim("q j0 j- - j- j0 = -j-",
+                      [(q * c0, ("J0", "J-")), (-c0, ("J-", "J0"))],
+                      gen("J-", -1), "q3"),
+    ]
+
+
+def _sl2q_casimir(p) -> CasimirSpec:
+    al, q = int(p["alpha"]), p["q"]
+    ahat = q_alpha_hat(al, q)
+    return CasimirSpec(
+        [(q, ("J+", "J-")), (-1, ("J0", "J0")),
+         (q_number(al + 1, q) - 2 * ahat, ("J0",))],
+        ahat * (ahat - q_number(al + 1, q)),
+        name="q-C2")
+
+
+# -- kits: the canonical pairs a formula is evaluated over ------------------------
 
 
 def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
@@ -472,7 +584,9 @@ class Kit:
     in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
     the identity.  share is what a formula stores in place of an
     intermediate that several of its generators contain; on a plain kit it
-    returns the intermediate itself."""
+    returns the intermediate itself.  number[i], where given, is what a
+    formula puts in place of the number operator b[i] a[i] (the fd
+    displays' x D-)."""
 
     a: list
     b: list
@@ -480,6 +594,7 @@ class Kit:
     dth: list
     one: object
     share: object = _unshared
+    number: list = None
 
     def compiled(self) -> "Kit":
         """A copy whose bosonic pairs are fock.Compiled, and whose share
@@ -507,58 +622,32 @@ def fock_kit(modes: ModeSystem, deltas=None) -> Kit:
                identity_op(modes))
 
 
-def _osp22_gens(a, b, th, dth, n: Rational):
-    thdth = th * dth
-    gens = osp22_octet(a, b, thdth, n)
-    gens["Q1"] = dth
-    gens["Q2"] = b * dth
-    gens["Qb1"] = b * a * th - th.scale(rat(n))
-    gens["Qb2"] = -(a * th)
-    order = ["T+", "T0", "T-", "J", "Q1", "Q2", "Qb1", "Qb2"]
-    return {name: gens[name] for name in order}
+def _fock_pairs(modes, p) -> Kit:
+    return fock_kit(modes)
 
 
-# The one generator formula of each pair-generic family, formula(kit, params),
-# keyed by the family that has a finite-difference realization.  The base
-# families (sl2_standard, sl3_fock, osp22) use the same formula over the
-# plain Fock kit.
-FORMULAS = {
-    "sl2_translated": lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"]),
-    "sl2_metaplectic": lambda kit, p: metaplectic_triple(kit.a[0], kit.b[0]),
-    "sl3_translated": lambda kit, p: sl3_octet(kit.a[0], kit.a[1], kit.b[0], kit.b[1],
-                                               p["n"], share=kit.share),
-    "glk": lambda kit, p: glk_family(kit.a, kit.b, p["n"], share=kit.share),
-    "gl_super": lambda kit, p: gl_super_family(kit.a, kit.b, kit.th, kit.dth, p["n"],
-                                               kit.one, share=kit.share),
-    "osp22_translated": lambda kit, p: _osp22_gens(kit.a[0], kit.b[0], kit.th[0],
-                                                   kit.dth[0], p["n"]),
-}
+def _steps(*names):
+    """(modes, p) -> the per-mode steps given by the named parameters."""
+    return lambda modes, p: [p[name] for name in names]
 
 
-# -- the sixteen builders ---------------------------------------------------------
+def _unit_steps(modes, p) -> list:
+    return [rat(1)] * modes.bosonic
 
 
-def _degree_space(n: int, weights, expected: int, desc: str) -> InvariantSpace:
-    """States whose weighted bosonic degree plus fermionic degree is <= n."""
-    def pred(alpha, beta):
-        return sum(w * k for w, k in zip(weights, alpha)) + beta.bit_count() <= n
-
-    return InvariantSpace(pred, n, expected, desc)
+def _shifted(steps):
+    """(modes, p) -> the shift-transformed Fock pairs at the given steps."""
+    return lambda modes, p: fock_kit(modes, steps(modes, p))
 
 
-def _sl2(rep_id, params, deltas):
-    """sl2_standard, sl2_translated and sl2_oscillator: the sl2 formula over
-    the plain or the shift-transformed pair."""
-    ni = _finite(params["n"])
-    inv = None if ni is None else _degree_space(ni, (1,), ni + 1, "span(1, b, ..., b^n)")
-    gens = FORMULAS["sl2_translated"](fock_kit(ModeSystem(1, 0), deltas), params)
-    return RepSpec(rep_id, params, gens, list(SL2_RELATIONS),
-                   casimir=sl2_casimir(params["n"]), invariant_space=inv,
-                   claims=Claims(irreducible=True if inv else None))
+def q_kit(modes, p) -> Kit:
+    """sl2q's q-deformed pair (qheis.q_pair) at p's delta, spectral when p
+    has none."""
+    atil, btil = q_pair(modes, 1, p["q"], p.get("delta", 0))
+    return Kit([atil], [btil], [], [], identity_op(modes))
 
 
-def _build_sl2_standard(params):
-    return _sl2("sl2_standard", params, None)
+# -- displayed closed forms -------------------------------------------------------------
 
 
 def _shifted_sl2_forms(modes, d, n, thdth):
@@ -577,174 +666,32 @@ def _shifted_sl2_forms(modes, d, n, thdth):
             Scale(inverse(d), Sum([ExpA(modes, 1, d), Scale(-1, one)])))
 
 
-def _build_sl2_translated(params):
-    rep = _sl2("sl2_translated", params, [params["delta"]])
-    forms = _shifted_sl2_forms(rep.modes, rat(params["delta"]), rat(params["n"]),
-                               Poly(WeylElement.zero(rep.modes)))
-    rep.alt_forms = [AltForm(name, f) for name, f in zip(("J+", "J0", "J-"), forms)]
-    return rep
+def _sl2_translated_forms(modes, p) -> list:
+    forms = _shifted_sl2_forms(modes, p["delta"], p["n"], Poly(WeylElement.zero(modes)))
+    return [AltForm(name, f) for name, f in zip(("J+", "J0", "J-"), forms)]
 
 
-def _build_sl2_oscillator(params):
+def _oscillator_forms(modes, p) -> list:
     # Normative: the oscillator pair is itself canonical, so after rewriting
     # in that pair the generators act on the standard Fock space as the base
     # triple.  The displayed cubic forms are recorded in the original pair,
     # here expressed through the inverse rewriting a -> (a-b)/s2, b -> (a+b)/s2.
-    rep = _sl2("sl2_oscillator", params, None)
-    n = params["n"]
+    n = p["n"]
     inv_s2 = SQRT2.inverse()
-    A, B = WeylElement.a(rep.modes), WeylElement.b(rep.modes)
+    A, B = WeylElement.a(modes), WeylElement.b(modes)
     aa = (A - B).scale(inv_s2)  # original lowering operator
     bb = (A + B).scale(inv_s2)  # original raising operator
     two_n1 = 2 * rat(n) + 1
     disp_jp = Poly((bb ** 3 + aa ** 3 - bb * (bb + aa) * aa
                     - (bb - aa).scale(two_n1) - bb.scale(2)).scale(inv_s2 ** 3))
-    disp_j0 = Poly((bb ** 2 - aa ** 2 - WeylElement.scalar(rep.modes, rat(n) + 1))
+    disp_j0 = Poly((bb ** 2 - aa ** 2 - WeylElement.scalar(modes, rat(n) + 1))
                    .scale(rat(1, 2)))
     disp_jm = Poly((bb + aa).scale(inv_s2))
-    rep.alt_forms = [AltForm("J+", disp_jp), AltForm("J0", disp_j0),
-                     AltForm("J-", disp_jm)]
-    return rep
+    return [AltForm("J+", disp_jp), AltForm("J0", disp_j0), AltForm("J-", disp_jm)]
 
 
-def _build_sl2_metaplectic(params):
-    gens = FORMULAS["sl2_metaplectic"](fock_kit(ModeSystem(1, 0)), params)
-    return RepSpec(
-        "sl2_metaplectic", params, gens, list(SL2_RELATIONS),
-        casimir=CasimirSpec(list(SL2_CASIMIR_TERMS), rat(3, 16)))
-
-
-def _build_sl2_clifford(params):
-    modes = ModeSystem(0, 1)
-    th = WeylElement.theta(modes, 1)
-    dth = WeylElement.dtheta(modes, 1)
-    acl = th + dth                                  # squares to 1
-    bcl = WeylElement.one(modes) - (th * dth).scale(2)  # squares to 1, anticommutes
-    gens = {"J1": Poly(acl), "J2": Poly(bcl), "J3": Poly(acl * bcl)}
-    return RepSpec("sl2_clifford", params, gens, default_cutoff=2)
-
-
-def _build_sl2_vector_field(params):
-    kit = fock_kit(ModeSystem(2, 0))
-    (a1, a2), (b1, b2) = kit.a, kit.b
-    gens = {"J1": b1 * a2, "J2": b2 * a1, "J3": b1 * a1 - b2 * a2}
-    return RepSpec(
-        "sl2_vector_field", params, gens,
-        invariant_space=_degree_space(1, (1, 1), 3, "span(1, b1, b2)"),
-        claims=Claims(irreducible=False), default_cutoff=4)
-
-
-def _sl3(rep_id, params, deltas):
-    """sl3_fock and sl3_translated: the sl3 formula over the plain or the
-    per-mode shift-transformed pairs."""
-    ni = _finite(params["n"])
-    inv = None if ni is None else _degree_space(ni, (1, 1), (ni + 1) * (ni + 2) // 2,
-                                                "span(b1^n1 b2^n2 : n1+n2 <= n)")
-    gens = FORMULAS["sl3_translated"](fock_kit(ModeSystem(2, 0), deltas), params)
-    return RepSpec(rep_id, params, gens, invariant_space=inv)
-
-
-def _build_sl3_fock(params):
-    return _sl3("sl3_fock", params, None)
-
-
-def _build_sl3_translated(params):
-    return _sl3("sl3_translated", params, [params["delta1"], params["delta2"]])
-
-
-def _build_sl3_seven(params):
-    m, n = params["m"], params["n"]
-    modes = ModeSystem(3, 0)
-    kit = fock_kit(modes)
-    a1, a2, a3 = kit.a
-    b1, b2, b3 = kit.b
-    mm, nn = rat(m), rat(n)
-    gens = {
-        "J1+": (b1 * b3 - b2) * a1 - b2 * b3 * a2 - b3 * b3 * a3 + b3.scale(nn),
-        "J2+": b1 * (b1 * b3 - b2) * a1 - b2 * b2 * a2 - b2 * b3 * a3
-               - (b1 * b3).scale(mm) + b2.scale(nn + mm),
-        "J1-": a2,
-        "J2-": a3,
-        "J0_32": a1 + b3 * a2,
-        "J0_23": -(b1 * b1 * a1) + b2 * a3 + b1.scale(mm),
-        "J0_1": -(b1 * a1) + b2 * a2 + (b3 * a3).scale(2) - nn * identity_op(modes),
-        "J0_2": (b1 * a1).scale(2) + b2 * a2 - b3 * a3 - mm * identity_op(modes),
-    }
-    return RepSpec("sl3_seven", params, gens, default_cutoff=6)
-
-
-def _build_gl2_semidirect(params):
-    r = _require_int(params["r"], "r")
-    n = params["n"]
-    if r < 1:
-        raise CatalogueError("r must be a positive integer")
-    kit = fock_kit(ModeSystem(2, 0))
-    (a1, a2), (b1, b2) = kit.a, kit.b
-    gens = {
-        "J1": a1,
-        "J2": b1 * a1 - rat(n) / 3,
-        "J3": b2 * a2 - rat(n) / (3 * r),
-        "J4": b1 * b1 * a1 + (b1 * b2 * a2).scale(r) - b1.scale(rat(n)),
-    }
-    ideal = []
-    for k in range(r + 1):
-        name = "J%d" % (5 + k)
-        gens[name] = (b1 ** k) * a2
-        ideal.append(name)
-    relations = [
-        RelationClaim("[%s,%s] = 0" % (x, y), comm(x, y), zero_rhs(), "ideal")
-        for i, x in enumerate(ideal) for y in ideal[i + 1:]
-    ]
-    ni = _finite(n)
-    inv = None
-    if ni is not None:
-        expected = sum(1 for n2 in range(ni // r + 1) for n1 in range(ni - r * n2 + 1))
-        inv = _degree_space(ni, (1, r), expected, "span(b1^n1 b2^n2 : n1 + r n2 <= n)")
-    return RepSpec(
-        "gl2_semidirect", params, gens, relations,
-        invariant_space=inv,
-        claims=Claims(abelian_ideal=ideal),
-        default_cutoff=(ni + 2 * r if inv else 8))
-
-
-def _build_glk(params):
-    k = _require_int(params["k"], "k")
-    if k < 2:
-        raise CatalogueError("k must be an integer >= 2")
-    gens = FORMULAS["glk"](fock_kit(ModeSystem(k - 1, 0)), params)
-    ni = _finite(params["n"])
-    inv = None if ni is None else _degree_space(ni, (1,) * (k - 1), comb(ni + k - 1, k - 1),
-                                                "span(b2^n2 ... bk^nk : sum <= n)")
-    return RepSpec(
-        "glk", params, gens,
-        invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None))
-
-
-OSP22_PARITIES = {"T+": 0, "T0": 0, "T-": 0, "J": 0,
-                  "Q1": 1, "Q2": 1, "Qb1": 1, "Qb2": 1}
-
-
-def _osp22(rep_id, params, deltas):
-    """osp22 and osp22_translated: the osp(2,2) formula over the plain or the
-    shift-transformed bosonic pair."""
-    ni = _finite(params["n"])
-    inv = None if ni is None else _degree_space(
-        ni, (1,), 2 * ni + 1, "span(b^k : k <= n) + span(b^k th : k <= n-1)")
-    gens = FORMULAS["osp22_translated"](fock_kit(ModeSystem(1, 1), deltas), params)
-    return RepSpec(rep_id, params, gens, list(OSP22_RELATIONS), dict(OSP22_PARITIES),
-                   invariant_space=inv)
-
-
-def _build_osp22(params):
-    return _osp22("osp22", params, None)
-
-
-def _build_osp22_translated(params):
-    rep = _osp22("osp22_translated", params, [params["delta"]])
-    modes = rep.modes
-    d = rat(params["delta"])
-    n = rat(params["n"])
+def _osp22_translated_forms(modes, p) -> list:
+    d, n = p["delta"], p["n"]
     half = rat(1, 2)
     b = Poly(WeylElement.b(modes))
     th, dth = Poly(WeylElement.theta(modes, 1)), Poly(WeylElement.dtheta(modes, 1))
@@ -752,7 +699,6 @@ def _build_osp22_translated(params):
     thdth = th * dth
     eminus = ExpA(modes, 1, -d)
     eplus = ExpA(modes, 1, d)
-    # displayed closed forms of the shift-transformed family
     disp = dict(zip(("T+", "T0", "T-"), _shifted_sl2_forms(modes, d, n, thdth)))
     disp.update({
         "J": one.scale(-half) - thdth.scale(half),
@@ -763,151 +709,206 @@ def _build_osp22_translated(params):
                           Scale(-1, Product([b * th, eminus]))])),
         "Qb2": Scale(inverse(d), Sum([th, Scale(-1, Product([th, eplus]))])),
     })
-    rep.alt_forms = [AltForm(name, expr) for name, expr in disp.items()]
-    return rep
+    return [AltForm(name, expr) for name, expr in disp.items()]
 
 
-def _build_osp22_metaplectic(params):
-    modes = ModeSystem(1, 1)
-    A, B = WeylElement.a(modes), WeylElement.b(modes)
-    TH, DTH = WeylElement.theta(modes, 1), WeylElement.dtheta(modes, 1)
-    inv_s2 = SQRT2.inverse()
-    sl2 = metaplectic_triple(Poly(A), Poly(B))
-    gens = {
-        "T+": sl2["J+"],
-        "T0": sl2["J0"],
-        "T-": sl2["J-"],
-        "J": Poly(WeylElement.scalar(modes, rat(1, 4)) - (TH * DTH).scale(rat(1, 2))),
-        "Q1": Poly((B * DTH).scale(-inv_s2)),
-        "Q2": Poly((A * DTH).scale(inv_s2)),
-        "Qb1": Poly((A * TH).scale(inv_s2)),
-        "Qb2": Poly((B * TH).scale(inv_s2)),
-    }
-    return RepSpec("osp22_metaplectic", params, gens, list(OSP22_RELATIONS),
-                   dict(OSP22_PARITIES))
+def _sl2q_forms(modes, p) -> list:
+    # the displayed transformed lowering operator carries a 1/(b+delta)
+    # prefactor; equal to the normative one via (b+d)^-1 e^{da} = e^{da} b^-1
+    delta = p.get("delta", 0)
+    if delta == 0:
+        return []
+    return [AltForm("J-", Product([LeftDivB(modes, 1, delta), ExpA(modes, 1, delta),
+                                   q_number_op(modes, 1, p["q"], delta)]))]
 
 
-def _build_gl_super(params):
-    k = _require_int(params["k"], "k")
-    r = _require_int(params["r"], "r")
-    if k < 1 or r < 1:
-        raise CatalogueError("k and r must be positive integers")
-    gens = FORMULAS["gl_super"](fock_kit(ModeSystem(k, r)), params)
-    ni = _finite(params["n"])
-    inv = None
-    if ni is not None:
-        expected = sum(comb(r, f) * comb(ni - f + k, k) for f in range(min(r, ni) + 1))
-        inv = _degree_space(ni, (1,) * k, expected,
-                            "span(b^alpha th^beta : |alpha|+|beta| <= n)")
-    return RepSpec(
-        "gl_super", params, gens,
-        parities={name: g.as_weyl().parity() for name, g in gens.items()},
-        invariant_space=inv,
-        claims=Claims(irreducible=True if inv else None))
+# -- parameter checks and invariant spaces ----------------------------------------------
 
 
-def _build_sl2q(params):
-    alpha = params["alpha"]
-    q = rat(params["q"])
-    delta = rat(params.get("delta", 0))
-    if q == 1:
-        raise CatalogueError("q = 1 not allowed (undeformed case)")
-    if q <= 0:
-        raise CatalogueError("q must be a positive rational != 1")
-    al = _require_int(alpha, "alpha")
-    if al == -1:
-        raise CatalogueError("alpha = -1 makes {2 alpha + 2} vanish")
-    modes = ModeSystem(1, 0)
-    atil, btil = q_pair(modes, 1, q, delta)
-    ahat = q_alpha_hat(al, q)
-    gens = sl2q_triple(atil, btil, al, q, identity_op(modes))
-    # relation table after the rational rescaling (j+ = J+, j- = q^-alpha J-,
-    # j0 = c0 J0); the freedom j± -> c^{±1} j± makes this equivalent to the
-    # half-power normalization
-    c0 = (q ** (-al) / (q + 1)) * (q_number(2 * al + 2, q) / q_number(al + 1, q))
-    relations = [
-        RelationClaim("j0 j+ - q j+ j0 = j+",
-                      [(c0, ("J0", "J+")), (-(q * c0), ("J+", "J0"))],
-                      gen("J+"), "q1"),
-        RelationClaim("q^2 j+ j- - j- j+ = -(q+1) j0",
-                      [(q ** (2 - al), ("J+", "J-")), (-(q ** (-al)), ("J-", "J+"))],
-                      [(-(q + 1) * c0, ("J0",))], "q2"),
-        RelationClaim("q j0 j- - j- j0 = -j-",
-                      [(q * c0, ("J0", "J-")), (-c0, ("J-", "J0"))],
-                      gen("J-", -1), "q3"),
-    ]
-    casimir = CasimirSpec(
-        [(q, ("J+", "J-")), (-1, ("J0", "J0")),
-         (q_number(al + 1, q) - 2 * ahat, ("J0",))],
-        ahat * (ahat - q_number(al + 1, q)),
-        name="q-C2")
-    inv = None
-    if al >= 0:
-        inv = _degree_space(al, (1,), al + 1, "span(1, btilde, ..., btilde^n)|0>")
-    alt = []
-    if delta != 0:
-        # the displayed transformed lowering operator carries a 1/(b+delta)
-        # prefactor; equal to the normative one via (b+d)^-1 e^{da} = e^{da} b^-1
-        alt.append(AltForm("J-", Product([LeftDivB(modes, 1, delta), ExpA(modes, 1, delta),
-                                          q_number_op(modes, 1, q, delta)])))
-    return RepSpec(
-        "sl2q", params, gens, relations,
-        casimir=casimir, invariant_space=inv,
-        claims=Claims(closes=False, irreducible=True if inv else None),
-        alt_forms=alt)
+def _require(ok: bool, message: str):
+    if not ok:
+        raise CatalogueError(message)
 
 
-# -- registry -------------------------------------------------------------------
+def _check_sl2q(p):
+    _require(p["q"] != 1, "q = 1 not allowed (undeformed case)")
+    _require(p["q"] > 0, "q must be a positive rational != 1")
+    _require(_require_int(p["alpha"], "alpha") != -1, "alpha = -1 makes {2 alpha + 2} vanish")
 
 
-_CATALOGUE = {
-    "sl2_standard": (_build_sl2_standard, ("n",), "sl2, polynomial family"),
-    "sl2_translated": (_build_sl2_translated, ("n", "delta"), "sl2, shift-transform family"),
-    "sl2_oscillator": (_build_sl2_oscillator, ("n",), "sl2, oscillator family"),
-    "sl2_metaplectic": (_build_sl2_metaplectic, (), "sl2, metaplectic family"),
-    "sl2_clifford": (_build_sl2_clifford, (), "sl2 from the rank-2 Clifford algebra"),
-    "sl2_vector_field": (_build_sl2_vector_field, (), "sl2 by vector fields, reducible"),
-    "sl3_fock": (_build_sl3_fock, ("n",), "sl3, polynomial family"),
-    "sl3_translated": (_build_sl3_translated, ("n", "delta1", "delta2"),
-                       "sl3, per-mode shift-transform family"),
-    "sl3_seven": (_build_sl3_seven, ("m", "n"), "sl3 in flag coordinates, 3 modes"),
-    "gl2_semidirect": (_build_gl2_semidirect, ("r", "n"),
-                       "gl2 semidirect abelian ideal C^(r+1)"),
-    "glk": (_build_glk, ("k", "n"), "gl_k, minimal Fock realization"),
-    "osp22": (_build_osp22, ("n",), "osp(2,2) superalgebra, polynomial family"),
-    "osp22_translated": (_build_osp22_translated, ("n", "delta"),
-                         "osp(2,2) superalgebra, shift-transform family"),
-    "osp22_metaplectic": (_build_osp22_metaplectic, (), "osp(2,2) superalgebra, super-metaplectic"),
-    "gl_super": (_build_gl_super, ("k", "r", "n"), "gl(k+1,r+1) superalgebra"),
-    "sl2q": (_build_sl2q, ("alpha", "q", "delta?"), "quantum sl2 (q-deformed)"),
+def _degree_space(n: int, weights, expected: int, desc: str) -> InvariantSpace:
+    """States whose weighted bosonic degree plus fermionic degree is <= n."""
+    def pred(alpha, beta):
+        return sum(w * k for w, k in zip(weights, alpha)) + beta.bit_count() <= n
+
+    return InvariantSpace(pred, n, expected, desc)
+
+
+def _gl2_space(d, p):
+    r = int(p["r"])
+    return ((1, r), sum(1 for n2 in range(d // r + 1) for n1 in range(d - r * n2 + 1)),
+            "span(b1^n1 b2^n2 : n1 + r n2 <= n)")
+
+
+def _gl2_cutoff(p):
+    d = _finite(p["n"])
+    return None if d is None else d + 2 * int(p["r"])
+
+
+def _glk_space(d, p):
+    k = int(p["k"])
+    return (1,) * (k - 1), comb(d + k - 1, k - 1), "span(b2^n2 ... bk^nk : sum <= n)"
+
+
+def _gl_super_space(d, p):
+    k, r = int(p["k"]), int(p["r"])
+    return ((1,) * k, sum(comb(r, f) * comb(d - f + k, k) for f in range(min(r, d) + 1)),
+            "span(b^alpha th^beta : |alpha|+|beta| <= n)")
+
+
+# -- the sixteen family records ------------------------------------------------------------
+
+
+def _none(*args):
+    return None
+
+
+def _empty(*args):
+    return []
+
+
+def _modes(bosonic: int, fermionic: int = 0):
+    return lambda p: ModeSystem(bosonic, fermionic)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalogued family, read by build, list_catalogue and realize.  p
+    is the dict of exact parameters.  A family with a space claims the
+    states of weighted degree <= degree(p) as an invariant space where that
+    bound is a nonnegative integer, and claims irreducibility there when
+    irreducible is set."""
+
+    signature: tuple  # parameter names; an optional one ends in "?"
+    description: str
+    modes: object  # p -> ModeSystem
+    formula: object  # (kit, p) -> {name: generator}, in canonical order
+    kit: object = _fock_pairs  # (modes, p) -> the Kit the catalogue builds over
+    fd_steps: object = None  # (modes, p) -> per-mode fd steps; None: no fd realization
+    check: object = _none  # p -> None, or CatalogueError
+    relations: object = _empty  # p -> [RelationClaim]
+    parities: object = _none  # generators -> {name: 0 | 1}; None: all even
+    casimir: object = _none  # p -> CasimirSpec or None
+    degree: object = lambda p: p["n"]  # p -> the invariant space's degree bound
+    space: object = None  # (degree, p) -> (weights, dimension, description)
+    irreducible: bool = None  # claimed on the invariant space, where there is one
+    closes: bool = True  # claimed: the brackets close on the generators' span
+    ideal: object = _empty  # p -> names of an abelian ideal
+    alt_forms: object = _empty  # (modes, p) -> [AltForm]
+    cutoff: object = _none  # p -> default probe cutoff; None: RepSpec's
+
+
+_DELTA = _steps("delta")
+_DELTAS = _steps("delta1", "delta2")
+_SL2 = dict(modes=_modes(1), formula=lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"]),
+            relations=lambda p: SL2_RELATIONS, casimir=_sl2_casimir, irreducible=True,
+            space=lambda d, p: ((1,), d + 1, "span(1, b, ..., b^n)"))
+_SL3 = dict(modes=_modes(2), formula=sl3_octet,
+            space=lambda d, p: ((1, 1), (d + 1) * (d + 2) // 2, "span(b1^n1 b2^n2 : n1+n2 <= n)"))
+_OSP22_TABLE = dict(modes=_modes(1, 1), relations=lambda p: OSP22_RELATIONS,
+                    parities=lambda gens: dict(OSP22_PARITIES))
+_OSP22 = dict(_OSP22_TABLE, formula=osp22_octet,
+              space=lambda d, p: ((1,), 2 * d + 1,
+                                  "span(b^k : k <= n) + span(b^k th : k <= n-1)"))
+
+FAMILIES = {
+    "sl2_standard": Family(("n",), "sl2, polynomial family", **_SL2),
+    "sl2_translated": Family(("n", "delta"), "sl2, shift-transform family", **_SL2,
+                             kit=_shifted(_DELTA), fd_steps=_DELTA,
+                             alt_forms=_sl2_translated_forms),
+    "sl2_oscillator": Family(("n",), "sl2, oscillator family", **_SL2,
+                             alt_forms=_oscillator_forms),
+    "sl2_metaplectic": Family(
+        (), "sl2, metaplectic family", _modes(1),
+        lambda kit, p: metaplectic_triple(kit.a[0], kit.b[0]), fd_steps=_unit_steps,
+        relations=lambda p: SL2_RELATIONS,
+        casimir=lambda p: CasimirSpec(list(SL2_CASIMIR_TERMS), rat(3, 16))),
+    "sl2_clifford": Family((), "sl2 from the rank-2 Clifford algebra", _modes(0, 1), _clifford,
+                           cutoff=lambda p: 2),
+    "sl2_vector_field": Family(
+        (), "sl2 by vector fields, reducible", _modes(2), _vector_field,
+        degree=lambda p: 1, space=lambda d, p: ((1, 1), 3, "span(1, b1, b2)"),
+        irreducible=False, cutoff=lambda p: 4),
+    "sl3_fock": Family(("n",), "sl3, polynomial family", **_SL3),
+    "sl3_translated": Family(("n", "delta1", "delta2"), "sl3, per-mode shift-transform family",
+                             **_SL3, kit=_shifted(_DELTAS), fd_steps=_DELTAS),
+    "sl3_seven": Family(("m", "n"), "sl3 in flag coordinates, 3 modes", _modes(3), _sl3_seven,
+                        cutoff=lambda p: 6),
+    "gl2_semidirect": Family(
+        ("r", "n"), "gl2 semidirect abelian ideal C^(r+1)", _modes(2), _gl2_semidirect,
+        check=lambda p: _require(_require_int(p["r"], "r") >= 1,
+                                 "r must be a positive integer"),
+        relations=_gl2_relations, space=_gl2_space, ideal=_gl2_ideal, cutoff=_gl2_cutoff),
+    "glk": Family(
+        ("k", "n"), "gl_k, minimal Fock realization",
+        lambda p: ModeSystem(int(p["k"]) - 1, 0), glk_family, fd_steps=_unit_steps,
+        check=lambda p: _require(_require_int(p["k"], "k") >= 2, "k must be an integer >= 2"),
+        space=_glk_space, irreducible=True),
+    "osp22": Family(("n",), "osp(2,2) superalgebra, polynomial family", **_OSP22),
+    "osp22_translated": Family(("n", "delta"), "osp(2,2) superalgebra, shift-transform family",
+                               **_OSP22, kit=_shifted(_DELTA), fd_steps=_DELTA,
+                               alt_forms=_osp22_translated_forms),
+    "osp22_metaplectic": Family(
+        (), "osp(2,2) superalgebra, super-metaplectic", formula=_osp22_metaplectic,
+        **_OSP22_TABLE),
+    "gl_super": Family(
+        ("k", "r", "n"), "gl(k+1,r+1) superalgebra",
+        lambda p: ModeSystem(int(p["k"]), int(p["r"])), gl_super_family, fd_steps=_unit_steps,
+        check=lambda p: _require(min(_require_int(p["k"], "k"), _require_int(p["r"], "r")) >= 1,
+                                 "k and r must be positive integers"),
+        parities=lambda gens: {name: g.as_weyl().parity() for name, g in gens.items()},
+        space=_gl_super_space, irreducible=True),
+    "sl2q": Family(
+        ("alpha", "q", "delta?"), "quantum sl2 (q-deformed)", _modes(1),
+        lambda kit, p: sl2q_triple(kit.a[0], kit.b[0], int(p["alpha"]), p["q"], kit.one),
+        kit=q_kit, check=_check_sl2q, relations=_sl2q_relations, casimir=_sl2q_casimir,
+        degree=lambda p: p["alpha"],
+        space=lambda d, p: ((1,), d + 1, "span(1, btilde, ..., btilde^n)|0>"),
+        irreducible=True, closes=False, alt_forms=_sl2q_forms),
 }
 
 
-def catalogue_ids():
-    return list(_CATALOGUE)
+def family(rep_id: str) -> Family:
+    try:
+        return FAMILIES[rep_id]
+    except KeyError:
+        raise CatalogueError("unknown representation id %r" % rep_id) from None
 
 
 def list_catalogue():
     """(id, parameter signature, family description) for all sixteen entries."""
-    out = []
-    for rep_id, (_, sig, desc) in _CATALOGUE.items():
-        out.append((rep_id, ", ".join(sig), desc))
-    return out
+    return [(rep_id, ", ".join(f.signature), f.description) for rep_id, f in FAMILIES.items()]
 
 
 def build(rep_id: str, params: dict = None) -> RepSpec:
-    """Construct a catalogued representation with exact rational parameters."""
-    if rep_id not in _CATALOGUE:
-        raise CatalogueError("unknown representation id %r" % rep_id)
-    builder, sig, _ = _CATALOGUE[rep_id]
+    """Construct a catalogued representation with exact rational parameters:
+    the family's formula over its kit, with the claims its record makes."""
+    record = family(rep_id)
     params = {key: rat(value) for key, value in (params or {}).items()}
-    for name in sig:
-        optional = name.endswith("?")
-        key = name.rstrip("?")
-        if key not in params and not optional:
-            raise CatalogueError("missing parameter %r for %s" % (key, rep_id))
-    allowed = {name.rstrip("?") for name in sig}
+    for name in record.signature:
+        if not name.endswith("?") and name not in params:
+            raise CatalogueError("missing parameter %r for %s" % (name, rep_id))
+    allowed = {name.rstrip("?") for name in record.signature}
     for key in params:
         if key not in allowed:
             raise CatalogueError("unexpected parameter %r for %s" % (key, rep_id))
-    return builder(params)
+    record.check(params)
+    modes = record.modes(params)
+    gens = record.formula(record.kit(modes, params), params)
+    degree = _finite(record.degree(params)) if record.space else None
+    inv = None if degree is None else _degree_space(degree, *record.space(degree, params))
+    return RepSpec(rep_id, params, gens, list(record.relations(params)),
+                   record.parities(gens), record.casimir(params), inv,
+                   Claims(record.closes, record.irreducible if inv else None,
+                          record.ideal(params)),
+                   record.alt_forms(modes, params), record.cutoff(params))

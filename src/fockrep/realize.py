@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .catalogue import (FORMULAS, Kit, RepSpec, build, fock_kit, gl_super_family,
-                        glk_family, sl2q_triple, sl3_octet)
+from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
 from .fock import (ExpA, LeftDivB, MatrixRep, OperatorExpr, Poly, Product, Scale, Sum,
                    identity_op, to_matrix)
 from .qheis import q_number_op
@@ -274,21 +273,32 @@ def fd_kit(modes: ModeSystem, deltas) -> Kit:
                identity_op(modes))
 
 
-def _fd_formula(rep: RepSpec):
-    formula = FORMULAS.get(rep.rep_id)
-    if formula is None:
+def _fd_family(rep: RepSpec, deltas=None):
+    """The rep's family record and the steps of its fd realization: deltas,
+    else the record's."""
+    record = family(rep.rep_id)
+    if record.fd_steps is None:
         raise RealizeError("no finite-difference realization for %s" % rep.rep_id)
-    return formula
+    return record, deltas or record.fd_steps(rep.modes, rep.params)
+
+
+def _jackson_family(rep: RepSpec):
+    """The rep's family record, whose formula the Jackson pair can realize:
+    the one built over the q-pair."""
+    record = family(rep.rep_id)
+    if record.kit is not q_kit:
+        raise RealizeError("the Jackson realization applies to sl2q only")
+    return record
 
 
 def realize_generators(rep: RepSpec, kind: str, deltas=None):
     """Named operators realizing the family in the requested function space.
 
     kind 'differential': generic relabeling of polynomial generators.
-    kind 'fd': the family's catalogue formula over the compiled fd_kit
-    (deltas from the rep's parameters; uniform delta for glk, gl_super and
-    the metaplectic family).
-    kind 'jackson': the Jackson-derivative pair for the deformed family.
+    kind 'fd': the family's formula over the compiled fd_kit, at the steps
+    its record gives (or deltas).
+    kind 'jackson': the q-pair family's formula over the Jackson pair
+    (JacksonX, MultX).
     """
     modes = rep.modes
     if kind == "differential":
@@ -298,27 +308,14 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
         return {name: weyl_to_differential(g.as_weyl(), cliff)
                 for name, g in rep.generators.items()}
     if kind == "fd":
-        formula = _fd_formula(rep)
-        return formula(fd_kit(modes, deltas or fd_deltas(rep)).compiled(), rep.params)
+        record, steps = _fd_family(rep, deltas)
+        return record.formula(fd_kit(modes, steps).compiled(), rep.params)
     if kind == "jackson":
-        if rep.rep_id != "sl2q":
-            raise RealizeError("the Jackson realization applies to sl2q only")
-        q = rat(rep.params["q"])
-        alpha = int(rep.params["alpha"])
-        return sl2q_triple(JacksonX(modes, 1, q), MultX(modes, 1), alpha, q,
-                           identity_op(modes))
+        record = _jackson_family(rep)
+        kit = Kit([JacksonX(modes, 1, rep.params["q"])], [MultX(modes, 1)], [], [],
+                  identity_op(modes))
+        return record.formula(kit, rep.params)
     raise RealizeError("unknown realization kind %r" % kind)
-
-
-def fd_deltas(rep: RepSpec) -> list:
-    """Per-mode shift steps used by the fd realization of this family."""
-    p = rep.modes.bosonic
-    params = rep.params
-    if "delta" in params:
-        return [rat(params["delta"])] * p
-    if "delta1" in params:
-        return [rat(params["delta%d" % (i + 1)]) for i in range(p)]
-    return [rat(1)] * p  # families whose catalogue form carries no delta
 
 
 def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
@@ -327,22 +324,22 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     The differential relabeling compares against the representation itself.
     The fd realization puts the fd pairs into the family's formula, and the
     fd pair is the coordinate image of the shift-transformed pair, so the
-    counterpart is the same formula over the shift kit with the same deltas.
+    counterpart is the same formula over the shift kit with the same steps.
     Both kits are compiled, so each pair's and each shared intermediate's
     image of a basis state is computed once per call and shared by every
-    generator.  The Jackson pair realizes the spectral sl2q, so its
-    counterpart is the delta = 0 build whatever the rep's delta.
+    generator.  The Jackson pair realizes the spectral q-pair, so its
+    counterpart is the formula over q_kit given q alone, whatever the rep's
+    step.
     """
     if kind == "differential":
         return rep
     if kind == "jackson":
-        if rep.params.get("delta"):
-            return build("sl2q", {**rep.params, "delta": rat(0)})
-        return rep
+        kit = q_kit(rep.modes, {"q": rep.params["q"]})
+        return dataclasses.replace(rep, generators=_jackson_family(rep).formula(kit, rep.params))
     if kind == "fd":
-        formula = _fd_formula(rep)
-        kit = fock_kit(rep.modes, deltas or fd_deltas(rep)).compiled()
-        return dataclasses.replace(rep, generators=formula(kit, rep.params))
+        record, steps = _fd_family(rep, deltas)
+        kit = fock_kit(rep.modes, steps).compiled()
+        return dataclasses.replace(rep, generators=record.formula(kit, rep.params))
     raise ValueError(kind)
 
 
@@ -373,15 +370,16 @@ def cross_check(rep: RepSpec, kind: str, cutoff: int = None, deltas=None) -> lis
 
 
 def fd_displayed_forms(rep: RepSpec, deltas=None):
-    """The explicitly displayed fd closed forms, as secondary checkable claims."""
+    """The explicitly displayed fd closed forms, as secondary checkable claims.
+    Where the display is the family's formula with x D- in place of b a, it
+    is that formula over the fd kit with number = x D-."""
     rid = rep.rep_id
     n = rep.params.get("n")
     modes = rep.modes
-    deltas = deltas or fd_deltas(rep)
+    record, deltas = _fd_family(rep, deltas)
     kit = fd_kit(modes, deltas)
     x = [MultX(modes, i + 1) for i in range(modes.bosonic)]
     dm = [Dminus(modes, i + 1, deltas[i]) for i in range(modes.bosonic)]
-    # the displayed number operator x D- where the formula has b a
     number = [x[i] * dm[i] for i in range(modes.bosonic)]
     if rid == "sl2_translated":
         return _fd_sl2_displayed(modes, n, deltas[0])
@@ -395,12 +393,6 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
             "J-": (x[0] * (x[0] - d) * (identity_op(modes) + dm[0].scale(-(d + d))
                                         + (dm[0] ** 2).scale(-(d * d)))).scale(half),
         }
-    if rid == "sl3_translated":
-        return sl3_octet(kit.a[0], kit.a[1], kit.b[0], kit.b[1], n, number)
-    if rid == "glk":
-        return glk_family(kit.a, kit.b, n, number)
-    if rid == "gl_super":
-        return gl_super_family(kit.a, kit.b, kit.th, kit.dth, n, kit.one, number)
     if rid == "osp22_translated":
         proj_up = Cliff(modes, {(0, 0): 1})    # spinor level empty
         proj_dn = Cliff(modes, {(1, 1): 1})    # spinor level occupied
@@ -420,7 +412,7 @@ def fd_displayed_forms(rep: RepSpec, deltas=None):
             "Qb1": (number[0] - nn) * sm,
             "Qb2": -kit.a[0] * sm,
         }
-    raise RealizeError("no displayed fd forms for %s" % rid)
+    return record.formula(dataclasses.replace(kit, number=number), rep.params)
 
 
 def _fd_sl2_displayed(modes, n, d):

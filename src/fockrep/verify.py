@@ -1,21 +1,26 @@
 """Machine verification of catalogue claims.
 
-Every check is exact: a PASS is an identity over Q(sqrt2), a FAIL carries a
-concrete witness (a basis state or index pair with both values).  Closure
-is checked at matrix level uniformly, with a symbolic second path over
-normal-ordered canonical forms for purely polynomial families; the two
-paths are independent implementations.  The matrix path sums each bracket
+Every check is exact arithmetic over Q(sqrt2), and a FAIL carries a
+concrete witness (a basis state or index pair with both values); where a
+PASS rests on a finite probe, see below.  Closure is checked at matrix
+level uniformly, with a symbolic second path over normal-ordered canonical
+forms for purely polynomial families; the two paths are independent
+implementations.  The matrix path sums each bracket
 over the generators' nonzero compiled columns and never calls weyl; the
 symbolic path, the constants re-check and the Casimir centrality check form
 each bracket with weyl.bracket.
 
 On a polynomial family a relation line, a Casimir commutator [C,g] and an
-alt form are operator identities between polynomials, decided in normal
-form: equal normal forms, or a zero bracket, act alike on every state.
-Where they differ, check_identity probes the states up to the cutoff, and
-the probe only looks for a witness.  Extended families, whose generators
-are not polynomials, are probed as operator trees, with the Casimir
-compiled so that each state's image under it is formed once.
+alt form are operator identities between polynomials.  Equal normal forms,
+or a zero bracket, act alike on every state and PASS (MATCH) with no
+probe.  Where the normal forms differ, check_identity probes the states up
+to the cutoff: a separating state gives FAIL (DIFFERS) with its witness,
+and where no probed state separates the two sides the line reads PASS
+(MATCH), though the sides differ as operators.  Such a verdict is a finite
+probe, not a proof; deciding it from the residual alone is ROADMAP item 1.
+Extended families, whose generators are not polynomials, are probed as
+operator trees, with the Casimir compiled so that each state's image under
+it is formed once.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and

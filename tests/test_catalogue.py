@@ -1,17 +1,23 @@
 import pytest
 
-from fockrep.catalogue import (CatalogueError, OSP22_TABLE_LINES, build,
-                               catalogue_ids, list_catalogue)
+from fockrep.catalogue import CatalogueError, build, list_catalogue
 from fockrep.fock import check_identity
+from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
 from fockrep.verify import check_alt_forms
+
+
+REGISTRY = ["sl2_standard", "sl2_translated", "sl2_oscillator", "sl2_metaplectic",
+            "sl2_clifford", "sl2_vector_field", "sl3_fock", "sl3_translated", "sl3_seven",
+            "gl2_semidirect", "glk", "osp22", "osp22_translated", "osp22_metaplectic",
+            "gl_super", "sl2q"]
 
 
 def test_catalogue_has_sixteen_entries():
     entries = list_catalogue()
     assert len(entries) == 16
     ids = [e[0] for e in entries]
-    assert ids == catalogue_ids()
+    assert ids == REGISTRY
     by_id = {rid: (sig, desc) for rid, sig, desc in entries}
     assert by_id["sl2_metaplectic"][0] == ""  # zero parameters
     assert "gl_super" in by_id and by_id["gl_super"][0] == "k, r, n"
@@ -36,6 +42,25 @@ def test_unknown_id_and_param_validation():
         build("glk", {"k": 1, "n": 1})
     with pytest.raises(CatalogueError):
         build("gl2_semidirect", {"r": 0, "n": 1})
+
+
+_SMALL = dict(acceptance_grid(small=True))
+
+
+@pytest.mark.parametrize("rep_id, sig", [entry[:2] for entry in list_catalogue()],
+                         ids=[entry[0] for entry in list_catalogue()])
+def test_every_signature_is_enforced(rep_id, sig):
+    # a valid instance builds; dropping any required parameter, or adding
+    # an unknown one, is a CatalogueError
+    params = _SMALL[rep_id]
+    assert build(rep_id, params).rep_id == rep_id
+    names = [name for name in sig.split(", ") if name]
+    for name in names:
+        if not name.endswith("?"):
+            with pytest.raises(CatalogueError, match="missing parameter %r" % name):
+                build(rep_id, {k: v for k, v in params.items() if k != name})
+    with pytest.raises(CatalogueError, match="unexpected parameter 'bogus'"):
+        build(rep_id, {**params, "bogus": 1})
 
 
 def test_generator_counts():
@@ -64,7 +89,7 @@ def test_invariant_space_examples():
 def test_osp22_table_has_sixteen_lines():
     rep = build("osp22", {"n": 2})
     lines = {rel.line for rel in rep.relations}
-    assert len(lines) == OSP22_TABLE_LINES == 16
+    assert len(lines) == 16
 
 
 def test_word_expr_unknown_generator():

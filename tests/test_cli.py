@@ -39,6 +39,14 @@ def test_list_has_sixteen(capsys):
     assert len(entries) == 16
 
 
+def test_list_json_is_pinned(capsys):
+    # every id, parameter signature and description, byte for byte
+    code, out, _ = run(capsys, "list", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0812b18ed3ef97377a57ff8842d72a224704367a35e098d0513b7fb75b510957"
+
+
 def test_list_filter_super(capsys):
     code, out, _ = run(capsys, "list", "--filter", "super", "--format", "json")
     assert code == 0
@@ -63,14 +71,16 @@ def test_verify_usage_errors_exit_two(capsys):
 
 def test_verify_failure_exit_one(capsys, monkeypatch):
     # a deliberately corrupted catalogue entry must drive exit code 1
-    def broken(params):
-        rep = catalogue.build("sl2_standard", {"n": rat(2)})
-        gens = dict(rep.generators)
-        gens["J0"] = gens["J0"] + Poly(WeylElement.one(rep.modes))
-        return dataclasses.replace(rep, rep_id="broken_demo", generators=gens)
+    standard = catalogue.FAMILIES["sl2_standard"]
 
-    monkeypatch.setitem(catalogue._CATALOGUE, "broken_demo", (broken, (), "test"))
-    code, out, _ = run(capsys, "verify", "broken_demo")
+    def broken(kit, params):
+        gens = standard.formula(kit, params)
+        gens["J0"] = gens["J0"] + Poly(WeylElement.one(kit.one.modes))
+        return gens
+
+    monkeypatch.setitem(catalogue.FAMILIES, "broken_demo",
+                        dataclasses.replace(standard, formula=broken))
+    code, out, _ = run(capsys, "verify", "broken_demo", "n=2")
     assert code == 1
     assert "FAIL" in out and "witness" in out
 

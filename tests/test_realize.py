@@ -7,13 +7,13 @@ from collections import Counter
 import pytest
 
 from fockrep import realize
-from fockrep.catalogue import FORMULAS, build, fock_kit
+from fockrep.catalogue import FAMILIES, build, fock_kit
 from fockrep.fock import (Compiled, OperatorExpr, Poly, basis_states, check_identity,
                           identity_op, state_degree, to_matrix)
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
                              abstract_counterpart, check_fd_displayed, cross_check,
-                             fd_deltas, fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
+                             fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
                              realize_generators, weyl_to_differential)
 from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement
@@ -194,8 +194,8 @@ def test_compiled_kits_give_the_same_matrices():
     cutoff = 4
     for rid, params in FD_FAMILIES:
         rep = build(rid, params)
-        deltas = fd_deltas(rep)
-        formula = FORMULAS[rid]
+        deltas = FAMILIES[rid].fd_steps(rep.modes, rep.params)
+        formula = FAMILIES[rid].formula
         for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
             compiled = kit.compiled()
             assert all(isinstance(x, Compiled) for x in compiled.a + compiled.b)
@@ -253,10 +253,10 @@ SHARED_INTERMEDIATE = [
 def test_compiled_kits_share_each_formulas_intermediate():
     for rid, params, names in SHARED_INTERMEDIATE:
         rep = build(rid, params)
-        deltas = fd_deltas(rep)
+        deltas = FAMILIES[rid].fd_steps(rep.modes, rep.params)
         for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
             compiled = kit.compiled()
-            gens = FORMULAS[rid](compiled, rep.params)
+            gens = FAMILIES[rid].formula(compiled, rep.params)
             pairs = {id(x) for x in compiled.a + compiled.b}
             shared = {name: {id(node): node for node in _nodes(gens[name])
                              if isinstance(node, Compiled) and id(node) not in pairs}
@@ -271,11 +271,11 @@ def test_compiled_kits_share_each_formulas_intermediate():
             calls = node.inner.calls
             assert calls and max(calls.values()) == 1, rid
             # over the plain kit the formula has no Compiled node
-            plain = FORMULAS[rid](kit, rep.params)
+            plain = FAMILIES[rid].formula(kit, rep.params)
             assert not any(isinstance(node, Compiled)
                            for op in plain.values() for node in _nodes(op)), rid
         # a polynomial intermediate is not wrapped and still folds
-        gens = FORMULAS[rid](fock_kit(rep.modes).compiled(), rep.params)
+        gens = FAMILIES[rid].formula(fock_kit(rep.modes).compiled(), rep.params)
         assert all(gens[name].as_weyl() is not None and not isinstance(gens[name], Compiled)
                    for name in names), rid
 
@@ -421,8 +421,9 @@ def test_realization_coverage_on_the_grid():
     # the (instance, kind) pairs the cross checks run over stay exactly these
     from fockrep.grids import acceptance_grid
 
-    assert set(FORMULAS) == {"sl2_translated", "sl2_metaplectic", "sl3_translated",
-                             "glk", "gl_super", "osp22_translated"}
+    fd_families = {rid for rid, record in FAMILIES.items() if record.fd_steps}
+    assert fd_families == {"sl2_translated", "sl2_metaplectic", "sl3_translated",
+                           "glk", "gl_super", "osp22_translated"}
     accepted = {"differential": 0, "fd": 0, "jackson": 0}
     for rep_id, params in acceptance_grid():
         rep = build(rep_id, params)
@@ -433,5 +434,5 @@ def test_realization_coverage_on_the_grid():
                 continue
             accepted[kind] += 1
             assert all(isinstance(op, OperatorExpr) for op in gens.values())
-            assert kind != "fd" or rep_id in FORMULAS
+            assert kind != "fd" or rep_id in fd_families
     assert accepted == {"differential": 100, "fd": 91, "jackson": 36}

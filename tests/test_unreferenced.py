@@ -28,7 +28,6 @@ TEST_API = {
     "q_pair_fd": "criterion 8 checks the displayed finite-difference q-pair",
     "check_fd_displayed": "test_realize checks the displayed fd closed forms",
     "super_bracket": "test_catalogue and test_weyl check graded brackets",
-    "catalogue_ids": "test_catalogue checks the registry order",
     "is_rational": "test_linalg and test_verify check where sqrt2 enters",
     "atil": "criterion 7 checks q-normal ordering from QWeylElement.atil",
     "btil": "criterion 7 checks q-normal ordering from QWeylElement.btil",
