@@ -26,7 +26,7 @@ from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
                    Scale, Sum, _state_str, basis_states, identity_op)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
-from .weyl import ModeSystem, WeylElement, accumulate
+from .weyl import ModeSystem, WeylElement, accumulate, bracket
 
 
 class CatalogueError(ValueError):
@@ -89,10 +89,11 @@ class AltForm:
 @dataclass
 class RepSpec:
     """A catalogued representation.  It memoises what several checks share:
-    each generator word's normal form (formed_product), each generator's
-    invariant-space columns (space_columns) and a check's result (memo).  A
-    replace() or compiled() copy starts them empty, so generators are
-    replaced, never changed in place."""
+    each generator bracket (bracket), each weighted word sum and the prefix
+    products of its words that are not bracket halves (word_sum), each
+    generator's invariant-space columns (space_columns) and a check's result
+    (memo).  A replace() or compiled() copy starts them empty, so generators
+    are replaced, never changed in place."""
 
     rep_id: str
     params: dict
@@ -106,6 +107,7 @@ class RepSpec:
     default_cutoff: int = None  # invariant-space degree + 2, else 8
     modes: ModeSystem = field(init=False)  # the generators' mode system
     _products: dict = field(init=False, repr=False, compare=False)  # word -> WeylElement
+    _brackets: dict = field(init=False, repr=False, compare=False)  # (x, y, anti) -> WeylElement
     _space: tuple = field(init=False, repr=False, compare=False)  # (keys, index, {name: columns})
     _memos: dict = field(init=False, repr=False, compare=False)  # key -> make()
     _polynomial: bool = field(init=False, repr=False, compare=False)
@@ -118,6 +120,7 @@ class RepSpec:
             inv = self.invariant_space
             self.default_cutoff = inv.max_degree + 2 if inv else 8
         self._products = {}
+        self._brackets = {}
         self._space = None
         self._memos = {}
         self._polynomial = all(g.as_weyl() is not None for g in self.generators.values())
@@ -128,11 +131,6 @@ class RepSpec:
         except KeyError:
             raise CatalogueError("unknown generator %r; have %s"
                                  % (name, ", ".join(self.generators)))
-
-    def formed_product(self, word: tuple):
-        """The stored normal form of a generator word, a tuple of names, or
-        None where no word sum has formed it yet."""
-        return self._products.get(word)
 
     def _product(self, word: tuple) -> WeylElement:
         """The normal form of a generator word, a tuple of names; formed
@@ -154,12 +152,39 @@ class RepSpec:
             self._memos[key] = make()
         return self._memos[key]
 
+    def bracket(self, x: str, y: str, anti: bool) -> WeylElement:
+        """{x, y} when anti, else [x, y], of the generators named x and y:
+        formed once by weyl.bracket and kept under the unordered pair, so
+        [y, x] is read as the stored [x, y] negated."""
+        swapped = (y, x, anti) in self._brackets
+        key = (y, x, anti) if swapped else (x, y, anti)
+        b = self._brackets.get(key)
+        if b is None:
+            b = self._brackets[key] = bracket(self.generator(x).as_weyl(),
+                                              self.generator(y).as_weyl(), anti)
+        return -b if swapped and not anti else b
+
     def word_sum(self, terms) -> WeylElement:
-        """The normal form of a weighted sum of generator words; polynomial
-        reps only."""
+        """The normal form of a weighted sum of generator words, formed once
+        per sum; polynomial reps only.  Adjacent terms c x y and c y x are
+        read as c {x, y}, and c x y and -c y x as c [x, y], from the bracket
+        memo; every other word is its prefix product."""
+        terms = tuple((c, tuple(word)) for c, word in terms)
+        return self.memo(terms, lambda: self._word_sum(terms))
+
+    def _word_sum(self, terms) -> WeylElement:
         out = {}
-        for coeff, word in terms:
-            for mono, c in self._product(tuple(word)).terms.items():
+        i = 0
+        while i < len(terms):
+            coeff, word = terms[i]
+            c2, word2 = terms[i + 1] if i + 1 < len(terms) else (None, None)
+            if len(word) == 2 and word2 == word[::-1] and c2 in (coeff, -coeff):
+                part = self.bracket(word[0], word[1], c2 == coeff)
+                i += 2
+            else:
+                part = self._product(word)
+                i += 1
+            for mono, c in part.terms.items():
                 accumulate(out, mono, c * coeff)
         return WeylElement(self.modes, out)
 

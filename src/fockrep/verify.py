@@ -25,10 +25,11 @@ it is formed once.
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
 times each entry.  It walks one compiled copy of the rep, whose memos the
-entries share: each generator word's normal-ordered product
-(RepSpec.word_sum), each generator's invariant-space columns
-(RepSpec.space_columns), and the closure, symbolic closure and
-invariant-space results (RepSpec.memo), so each runs once per report.
+entries share, so each is formed once per report: each generator bracket
+(RepSpec.bracket), which the relation sides and the symbolic closure read;
+each relation side and the Casimir (RepSpec.word_sum); each generator's
+invariant-space columns (RepSpec.space_columns); and the closure, symbolic
+closure and invariant-space results (RepSpec.memo).
 """
 
 from __future__ import annotations
@@ -188,12 +189,14 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
 
 
 def check_relations_symbolic(rep: RepSpec) -> CheckResult:
-    """Exact canonical-form identity check, polynomial families only."""
+    """Exact canonical-form identity check, polynomial families only: the
+    two stored sides of each relation are compared, and a residual is
+    formed only where they differ."""
     failures = []
     for rel in rep.relations:
-        diff = rep.word_sum(rel.lhs) - rep.word_sum(rel.rhs)
-        if not diff.is_zero():
-            failures.append("%s: residual %s" % (rel.name, diff))
+        lhs, rhs = rep.word_sum(rel.lhs), rep.word_sum(rel.rhs)
+        if lhs != rhs:
+            failures.append("%s: residual %s" % (rel.name, lhs - rhs))
     return CheckResult("relations_symbolic", "FAIL" if failures else "PASS",
                        "%d relations" % len(rep.relations), "; ".join(failures))
 
@@ -297,10 +300,8 @@ def closure_symbolic(rep: RepSpec):
     """Second, independent closure path over canonical normal-ordered forms,
     polynomial families only.
 
-    A bracket whose two products x_i x_j and x_j x_i a word sum already
-    formed is their sum or difference, read from the rep (formed_product);
-    every other bracket is formed by weyl.bracket from the terms that
-    survive, and not kept.
+    Each bracket is read from the rep's bracket memo (RepSpec.bracket), so
+    one a relation side already formed is not formed again.
     """
     names = list(rep.generators)
     gens = [rep.generators[n].as_weyl() for n in names]
@@ -318,13 +319,7 @@ def closure_symbolic(rep: RepSpec):
             if i == j and not anti:
                 table[(i, i)] = {}  # [x, x] = 0
                 continue
-            xy = rep.formed_product((names[i], names[j]))
-            yx = rep.formed_product((names[j], names[i]))
-            if xy is None or yx is None:
-                b = bracket(gens[i], gens[j], anti)
-            else:
-                b = xy + yx if anti else xy - yx
-            coeffs, residual = span.express(dict(b.terms))
+            coeffs, residual = span.express(rep.bracket(names[i], names[j], anti).terms)
             if coeffs is None:
                 return None, CheckResult(
                     "closure_symbolic", "FAIL", "",

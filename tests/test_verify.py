@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fockrep import verify, weyl
+from fockrep import catalogue, verify, weyl
 from fockrep.catalogue import CatalogueError, Claims, InvariantSpace, RepSpec, build
 from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states
 from fockrep.grids import acceptance_grid
@@ -22,7 +22,7 @@ from fockrep.verify import (CheckResult, burnside_irreducibility, casimir_check,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import (dense_closure, loop_jacobi, loop_killing, probe_alt_forms,
-                     probe_casimir_commutes, probe_relations)
+                     probe_casimir_commutes, probe_relations, swap_multiply)
 
 
 def _index(sc, name):
@@ -542,11 +542,12 @@ def test_normal_form_decisions_match_the_probe_oracles():
         compiled = rep.compiled()
         assert check_relations(rep) == relations
         assert check_relations(compiled) == relations
-        # with no relations nothing is formed: every product starts from a
-        # one-letter word
-        words = _relation_words(rep) or {()} | {(name,) for name in rep.generators}
-        formed = bool(rep.relations)
-        assert all((compiled.formed_product(word) is not None) == formed for word in words)
+        # each two-letter relation word is read as a bracket of the memo,
+        # none is multiplied out, and with no relations nothing is formed
+        assert {frozenset(key[:2]) for key in compiled._brackets} == {
+            frozenset(word) for word in _relation_words(rep) if len(word) == 2}
+        assert all(len(word) < 2 for word in compiled._products)
+        assert rep.relations or not compiled._products
         assert check_alt_forms(rep) == alt_forms == check_alt_forms(compiled)
         if commutes is not None:
             assert casimir_check(rep)[1][0] == commutes
@@ -560,32 +561,46 @@ def test_normal_form_decisions_match_the_probe_oracles():
 
 
 def _count_products_and_probes(monkeypatch):
-    """Count weyl.multiply calls by their (x, y) operands, and record each
-    report verify's check_identity gives."""
-    products, probes = Counter(), []
-    multiply, check_identity = weyl.multiply, verify.check_identity
+    """Count weyl.multiply calls by their (x, y) operands and weyl.bracket
+    calls, as the bracket memo and verify make them, by their unordered
+    operands and anti; record each report verify's check_identity gives."""
+    products, brackets, probes = Counter(), Counter(), []
+    multiply, bracket, check_identity = weyl.multiply, weyl.bracket, verify.check_identity
 
     def counting_multiply(x, y):
         products[(x, y)] += 1
         return multiply(x, y)
+
+    def counting_bracket(x, y, anti):
+        brackets[(frozenset((x, y)), anti)] += 1
+        return bracket(x, y, anti)
 
     def recording_check_identity(lhs, rhs, cutoff):
         probes.append(check_identity(lhs, rhs, cutoff))
         return probes[-1]
 
     monkeypatch.setattr(weyl, "multiply", counting_multiply)
+    monkeypatch.setattr(catalogue, "bracket", counting_bracket)
+    monkeypatch.setattr(verify, "bracket", counting_bracket)
     monkeypatch.setattr(verify, "check_identity", recording_check_identity)
-    return products, probes
+    return products, brackets, probes
 
 
 @pytest.mark.parametrize("rep_id", ["osp22", "sl2_standard"])
 def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypatch, rep_id):
+    # each bracket is formed once, whichever of the relations, the Casimir
+    # and the symbolic closure reads it first; the only generator product
+    # multiplied out is sl2's Casimir term J0 J0, which is no bracket half
+    multiplied = {"osp22": set(), "sl2_standard": {("J0", "J0")}}[rep_id]
     rep = build(rep_id, {"n": 2})
-    products, probes = _count_products_and_probes(monkeypatch)
+    names = {g.as_weyl(): name for name, g in rep.generators.items()}
+    products, brackets, probes = _count_products_and_probes(monkeypatch)
     report = full_verify(rep)
     assert report.passed and report.check("relations_symbolic").passed
     assert not probes
-    assert products and max(products.values()) == 1
+    assert brackets and max(brackets.values()) == 1
+    assert {(names[x], names[y]) for x, y in products if x in names and y in names} == multiplied
+    assert all(count == 1 for count in products.values())
 
 
 def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
@@ -594,7 +609,7 @@ def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
     gens = dict(rep.generators)
     gens["Q2"] = Poly(w + WeylElement(rep.modes, {min(w.terms): 1}))
     bad = dataclasses.replace(rep, generators=gens)
-    _, probes = _count_products_and_probes(monkeypatch)
+    _, _, probes = _count_products_and_probes(monkeypatch)
     report = full_verify(bad)
     failing = [c.name for c in report.checks if not c.passed]
     assert failing[:6] == ["relation L06", "relation L07", "relation L08",
@@ -675,25 +690,83 @@ def test_full_verify_builds_the_space_columns_once(monkeypatch):
     assert all(len(cols) == 4 and not escape for _, (cols, escape) in formed)
 
 
-def test_word_sum_keeps_each_prefix_product():
+def test_word_sum_keeps_each_prefix_product(monkeypatch):
+    # three-letter words that share the prefix J+ J- multiply it out once,
+    # within one sum and across sums
     rep = build("sl2_standard", {"n": 3})
     jp, jm, j0 = (rep.generator(name).as_weyl() for name in ("J+", "J-", "J0"))
-    assert rep.word_sum([(2, ("J+", "J-", "J0")), (1, ())]) == (jp * jm * j0).scale(2) + \
-        WeylElement.one(rep.modes)
-    assert rep.formed_product(("J+", "J-")) == jp * jm
-    assert rep.formed_product(("J+", "J-", "J0")) == jp * jm * j0
-    assert rep.formed_product(("J-",)) is None
+    first = (jp * jm * j0).scale(2) + WeylElement.one(rep.modes) + jp * jm * jp
+    second = jp * jm * jm
+    products, _, _ = _count_products_and_probes(monkeypatch)
+    assert rep.word_sum([(2, ("J+", "J-", "J0")), (1, ()), (1, ("J+", "J-", "J+"))]) == first
+    assert sum(products.values()) == 3 and products[(jp, jm)] == 1
+    assert rep.word_sum([(1, ("J+", "J-", "J-"))]) == second
+    assert sum(products.values()) == 4
 
 
 def test_copies_start_with_empty_memos():
     rep = build("sl2_standard", {"n": 3})
     assert check_relations_symbolic(rep).passed and invariant_subspace(rep)[1].passed
-    words = _relation_words(rep)
-    assert all(rep.formed_product(word) is not None for word in words)
-    assert rep._space is not None
+    assert {frozenset(key[:2]) for key in rep._brackets} == {
+        frozenset(word) for word in _relation_words(rep) if len(word) == 2}
+    assert rep._products and rep._memos and rep._space is not None
     for copy in (dataclasses.replace(rep, generators=dict(rep.generators)), rep.compiled()):
-        assert all(copy.formed_product(word) is None for word in words)
+        assert not copy._brackets and not copy._products and not copy._memos
         assert copy._space is None
+
+
+def _swap_word_sum(rep, terms, formed):
+    """Oracle for RepSpec.word_sum: each word multiplied out factor by factor
+    with oracles.swap_multiply, scaled, and the parts added; formed keeps
+    each product by its factors, across reps."""
+    total = WeylElement.zero(rep.modes)
+    for c, word in terms:
+        factors = tuple(rep.generator(name).as_weyl() for name in word)
+        if factors not in formed:
+            product = WeylElement.one(rep.modes)
+            for f in factors:
+                product = swap_multiply(product, f)
+            formed[factors] = product
+        total = total + formed[factors].scale(c)
+    return total
+
+
+def test_word_sum_matches_the_swap_oracle():
+    # every relation side and Casimir of each polynomial --grid small
+    # instance and of each of its +1 bumps
+    formed = {}
+    sums = 0
+    for rid, params in acceptance_grid(small=True):
+        base = build(rid, params)
+        if not base.is_polynomial():
+            continue
+        for rep in [base, *_bumps(base)]:
+            sides = [side for rel in rep.relations for side in (rel.lhs, rel.rhs)]
+            for terms in sides + ([rep.casimir.terms] if rep.casimir else []):
+                assert rep.word_sum(terms) == _swap_word_sum(rep, terms, formed)
+                sums += 1
+    assert sums == 1855
+    # hand-made sums on one rep, so that a pair in the second order reads
+    # the bracket the first order formed: commutator and anticommutator
+    # pairs of even, odd and mixed generators; (x, x); pairs whose
+    # coefficients do not match, or split by another term; three-letter words
+    rep = build("osp22", {"n": 2})
+    cases = []
+    for x, y in [("T+", "T-"), ("T0", "Q1"), ("Q1", "Qb1"), ("Qb2", "Q2")]:
+        for c in (1, -2, rat(3, 5), 1 + SQRT2):
+            for d in (c, -c):
+                cases += [[(c, (x, y)), (d, (y, x))], [(c, (y, x)), (d, (x, y))]]
+    for x in ("T0", "Q1"):
+        cases += [[(c, (x, x)), (d, (x, x))] for c in (1, rat(3, 5)) for d in (c, -c)]
+    cases += [
+        [(1, ("T+", "T-")), (2, ("T-", "T+"))],
+        [(1, ("Q1", "Qb1")), (-1, ("Q1", "Qb1"))],
+        [(1, ("Q1", "T+")), (5, ("J",)), (-1, ("T+", "Q1"))],
+        [(3, ("Q1", "T+", "Qb1")), (-3, ("Qb1", "T+", "Q1"))],
+        [(1, ("T+", "Q2", "Qb1")), (1, ("T-",)), (1, ())],
+    ]
+    for terms in cases:
+        assert rep.word_sum(terms) == _swap_word_sum(rep, terms, formed), terms
 
 
 def _leaving_the_space(rep):
