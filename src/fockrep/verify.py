@@ -10,17 +10,13 @@ over the generators' nonzero compiled columns and never calls weyl; the
 symbolic path, the constants re-check and the Casimir centrality check form
 each bracket with weyl.bracket.
 
-On a polynomial family a relation line, a Casimir commutator [C,g] and an
-alt form are operator identities between polynomials.  Equal normal forms,
-or a zero bracket, act alike on every state and PASS (MATCH) with no
-probe.  Where the normal forms differ, check_identity probes the states up
-to the cutoff: a separating state gives FAIL (DIFFERS) with its witness,
-and where no probed state separates the two sides the line reads PASS
-(MATCH), though the sides differ as operators.  Such a verdict is a finite
-probe, not a proof; deciding it from the residual alone is ROADMAP item 1.
+On a polynomial family a relation line, a Casimir commutator [C,g] and a
+polynomial alt form are decided exactly by their residual lhs - rhs in
+normal form: zero PASSes (MATCH), anything else FAILs (DIFFERS) with both
+sides' images on the first state the residual does not kill (_mismatch).
 Extended families, whose generators are not polynomials, are probed as
-operator trees, with the Casimir compiled so that each state's image under
-it is formed once.
+operator trees on the states up to the cutoff, a finite probe and not a
+proof, with the Casimir compiled so each state's image is formed once.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
@@ -38,7 +34,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .catalogue import RepSpec
-from .fock import Compiled, _state_str, basis_states, check_identity, vector_str
+from .fock import (Compiled, IdentityReport, Product, _state_str, basis_states,
+                   check_identity, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, bracket
@@ -145,60 +142,65 @@ class VerificationReport:
 # -- relations ---------------------------------------------------------------
 
 
-def _mismatch(lhs, rhs, cutoff: int):
-    """check_identity's report where lhs and rhs differ on its probe range,
-    else None.  Two polynomials with equal normal forms are the same
-    operator, so they are decided without a probe."""
-    w = lhs.as_weyl()
-    if w is not None and w == rhs.as_weyl():
+def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
+    """None where lhs and rhs are the same operator, else an IdentityReport
+    on a state that separates them.
+
+    Polynomial sides are decided by their residual D = lhs - rhs in normal
+    form, given or formed here.  A monomial kills each state that lacks its
+    lowering part and sends that part to its own raising part, so D is
+    nonzero on the graded-lex least lowering part of its monomials, the
+    first state D does not kill.  Other sides are probed by check_identity.
+    """
+    if residual is None:
+        w, v = lhs.as_weyl(), rhs.as_weyl()
+        if w is None or v is None:
+            report = check_identity(lhs, rhs, cutoff)
+            return None if report.equal else report
+        residual = w - v
+    if residual.is_zero():
         return None
-    report = check_identity(lhs, rhs, cutoff)
-    return None if report.equal else report
+    key = min(((m[1], m[3]) for m in residual.terms), key=state_sort_key)
+    return IdentityReport(False, state_degree(key), key, lhs.apply({key: 1}),
+                          rhs.apply({key: 1}))
 
 
 def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     """One result per relation line; FAIL carries the first witness.
 
-    On a polynomial rep a relation whose sides have equal normal forms holds
-    without a probe.  Any other relation is probed on every state of degree
-    up to the cutoff less the larger raise of its sides, and FAILs only
-    where a state separates the sides.  The cutoff is floored so that probe
-    range never collapses to the vacuum alone (relation words raise by at
-    most twice the largest generator raise).
+    On a polynomial rep this is check_relations_symbolic.  On an extended
+    rep a relation whose sides are not both polynomials is probed on the
+    states of degree up to the cutoff less the larger raise of its sides.
+    That cutoff is floored at 3 + 2 * the largest generator raise, so the
+    probe range never collapses to the vacuum.
     """
-    cutoff = max(rep.default_cutoff if cutoff is None else cutoff,
-                 3 + 2 * rep.max_generator_raise())
+    if rep.is_polynomial():
+        return check_relations_symbolic(rep)
+    return _relation_lines(rep, max(rep.default_cutoff if cutoff is None else cutoff,
+                                    3 + 2 * rep.max_generator_raise()))
+
+
+def check_relations_symbolic(rep: RepSpec) -> list:
+    """The relation lines of a polynomial rep, each relation decided by the
+    residual of its two sides' normal forms (RepSpec.word_sum), with no
+    probe: check_relations' polynomial branch."""
+    return _relation_lines(rep, None)
+
+
+def _relation_lines(rep: RepSpec, cutoff) -> list:
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
     results = []
     for label, rels in grouped.items():
         failures = []
-        names = []
         for rel in rels:
-            names.append(rel.name)
             report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
             if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
-        results.append(CheckResult(
-            "relation %s" % label,
-            "FAIL" if failures else "PASS",
-            "; ".join(names),
-            "; ".join(failures)))
+        results.append(CheckResult("relation %s" % label, "FAIL" if failures else "PASS",
+                                   "; ".join(rel.name for rel in rels), "; ".join(failures)))
     return results
-
-
-def check_relations_symbolic(rep: RepSpec) -> CheckResult:
-    """Exact canonical-form identity check, polynomial families only: the
-    two stored sides of each relation are compared, and a residual is
-    formed only where they differ."""
-    failures = []
-    for rel in rep.relations:
-        lhs, rhs = rep.word_sum(rel.lhs), rep.word_sum(rel.rhs)
-        if lhs != rhs:
-            failures.append("%s: residual %s" % (rel.name, lhs - rhs))
-    return CheckResult("relations_symbolic", "FAIL" if failures else "PASS",
-                       "%d relations" % len(rep.relations), "; ".join(failures))
 
 
 # -- closure and structure constants ----------------------------------------------
@@ -446,10 +448,10 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     claim comparison is a catalogue discrepancy report (MATCH/DIFFERS), not
     a verification failure: the engine's measured value is authoritative.
     On a polynomial rep C is the Poly of its normal form (rep.word_expr),
-    and [C,g] = 0 holds without a probe where weyl.bracket gives 0;
-    otherwise the states up to the cutoff are probed for a witness.  On an
-    extended rep C is compiled, so its image of each state, which C g, g C
-    and the scalar probe all read, is formed once.
+    and each [C,g] is decided by its residual weyl.bracket(C, g).  On an
+    extended rep [C,g] is probed up to the cutoff, and C is compiled, so
+    its image of each state, which C g, g C and the scalar probe read, is
+    formed once.
     """
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     expr = rep.word_expr(rep.casimir.terms)
@@ -458,10 +460,9 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
         expr = Compiled(expr)
     failures = []
     for name, g in rep.generators.items():
-        if polynomial and bracket(expr.as_weyl(), g.as_weyl(), False).is_zero():
-            continue
-        report = check_identity(expr * g, g * expr, cutoff)
-        if not report.equal:
+        report = _mismatch(Product([expr, g]), Product([g, expr]), cutoff,
+                           bracket(expr.as_weyl(), g.as_weyl(), False) if polynomial else None)
+        if report is not None:
             failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
     commutes = CheckResult("casimir_commutes", "FAIL" if failures else "PASS",
                            "against %d generators" % len(rep.generators),
@@ -698,11 +699,10 @@ def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
 
     A DIFFERS entry is a reported catalogue discrepancy, not a failure: the
     normative construction wins by design and the mismatch is preserved as
-    data.  A polynomial alt form of a polynomial generator MATCHes without a
-    probe when the normal forms are equal; any other pair is probed on the
-    states up to the cutoff, floored at 6, and DIFFERS only where a state
-    separates them.  (Fewer states can miss the witness of a displayed
-    closed form that differs.)
+    data.  A polynomial alt form of a polynomial generator is decided by
+    its residual.  Any other pair is probed on the states up to the cutoff,
+    floored at 6, since fewer states can miss the witness of a displayed
+    closed form that differs.
     """
     cutoff = max(cutoff, 6)
     out = []
@@ -752,9 +752,6 @@ def _casimir(rep, cutoff):
 CHECKS = [
     ("relations", lambda rep: bool(rep.relations),
      lambda rep, cutoff: check_relations(rep, cutoff)),
-    ("relations_symbolic",
-     lambda rep: bool(rep.relations) and (rep.is_polynomial() or "skipped: extended generators"),
-     lambda rep, cutoff: [check_relations_symbolic(rep)]),
     ("closure", lambda rep: rep.claims.closes, lambda rep, cutoff: [_once(rep, closure)[1]]),
     ("jacobi", _closed, lambda rep, cutoff: [jacobi(_once(rep, closure)[0])]),
     ("killing_rank", _closed,  # (rank, generators): report data, not a check

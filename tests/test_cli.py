@@ -211,7 +211,7 @@ def test_report_all_small_json_is_pinned(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "small", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "4d74021353a256f46b5b660a4da6e888cd0ea861a1f4eb8159da79e54e2ccd77")
+        "53acb11ef2c1b405dc6cb0f87a1cd6f4e119d9ddd77d279719b1f903e3bcb2f8")
 
 
 def test_report_all_full_json_is_pinned(capsys):
@@ -220,7 +220,7 @@ def test_report_all_full_json_is_pinned(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "full", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c45df2d3d06c0c457eb8bc00fe9d3a27d3f368de66d55d62bc76f3bec6015bfe")
+        "cbb1f691afc81778301dac697a91b0e3ad5441d50dda7b2670412fbfdedfeff9")
 
 
 def test_pretty_report_all_is_byte_identical_across_runs(capsys):
@@ -238,12 +238,12 @@ def test_timing_flag(capsys):
     code, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing")
     assert code == 0 and re.search(r"^elapsed: \d+ ms$", out, re.M)
     check_lines = [l for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
-    assert len(check_lines) == 12
+    assert len(check_lines) == 11
     assert all(re.search(r"  \(\d+(\.\d+)? ms\)$", l) for l in check_lines)
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing", "--format", "json")
     report = json.loads(out)
     assert isinstance(report["elapsed_ms"], int)
-    assert len(report["checks"]) == 12
+    assert len(report["checks"]) == 11
     assert all(isinstance(c["elapsed_ms"], (int, float)) and c["elapsed_ms"] >= 0
                for c in report["checks"])
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--format", "json")
@@ -255,9 +255,9 @@ def test_timing_flag(capsys):
 
 
 def test_verify_says_skip_for_a_check_that_did_not_run(capsys):
-    code, out, _ = run(capsys, "verify", "sl2q", "alpha=1", "q=2", "delta=1/3")
+    code, out, _ = run(capsys, "verify", "sl2_clifford")
     assert code == 0
-    assert "  SKIP relations_symbolic  [skipped: extended generators]" in out.splitlines()
+    assert "  SKIP invariant_subspace  [no claim]" in out.splitlines()
     code, out, _ = run(capsys, "verify", "sl2_standard", "n=1/2")
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert "  SKIP invariant_subspace  [no claim]" in out.splitlines()
@@ -272,8 +272,8 @@ def test_verify_says_skip_for_a_check_that_did_not_run(capsys):
 def test_report_all_counts_only_the_checks_that_ran(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "small")
     assert code == 0
-    assert "PASS  sl2_translated delta=1/2 n=3  (9 checks)" in out.splitlines()
-    _, out, _ = run(capsys, "verify", "sl2_translated", "n=3", "delta=1/2")
+    assert "PASS  sl2_metaplectic   (9 checks)" in out.splitlines()
+    _, out, _ = run(capsys, "verify", "sl2_metaplectic")
     statuses = [l.split()[0] for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
     assert len(statuses) == 10 and statuses.count("SKIP") == 1
 

@@ -7,17 +7,18 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockrep import catalogue, verify, weyl
-from fockrep.catalogue import CatalogueError, Claims, InvariantSpace, RepSpec, build
-from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states
+from fockrep.catalogue import AltForm, CatalogueError, Claims, InvariantSpace, RepSpec, build
+from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states, state_degree
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
-from fockrep.verify import (CheckResult, burnside_irreducibility, casimir_check,
-                            charpoly_equivalence, check_alt_forms, check_relations,
-                            check_relations_symbolic, closure,
-                            closure_symbolic, full_verify, invariant_subspace,
+from fockrep.verify import (AltFormResult, CheckResult, burnside_irreducibility,
+                            casimir_check, charpoly_equivalence, check_alt_forms,
+                            check_relations, closure, closure_symbolic,
+                            full_verify, invariant_subspace,
                             jacobi, killing_form, restricted_matrix,
                             structure_constants_agree)
 from fockrep.weyl import ModeSystem, WeylElement
@@ -148,7 +149,7 @@ def test_negative_control_reports_are_pinned():
                     reports.append(full_verify(bad).to_json())
     assert len(reports) == 70
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "d8c5eaf6a522592fa45df612068fc1aa65391785bd8c78998668d1e049c06328"
+    assert digest == "cc8129332d9439742a3e28d794e0931a3355f4a9ce0499d678f2faa2018af25c"
 
 
 def test_killing_form_sl2_with_trace_oracle():
@@ -521,19 +522,26 @@ def _relation_words(rep):
     return {tuple(word) for rel in rep.relations for _, word in rel.lhs + rel.rhs}
 
 
+def _polynomial_small_grid():
+    return [rep for rep in (build(rid, params) for rid, params in acceptance_grid(small=True))
+            if rep.is_polynomial()]
+
+
+_BUMPED_FAMILIES = ([("sl2_standard", {"n": n}) for n in range(3)]
+                    + [("osp22", {"n": n}) for n in range(3)]
+                    + [("osp22_metaplectic", {})]
+                    + [("gl2_semidirect", {"r": 2, "n": n}) for n in range(3)]
+                    + [("sl2_oscillator", {"n": n}) for n in range(3)])
+
+
 def test_normal_form_decisions_match_the_probe_oracles():
     # relations, [C,g] and alt forms decided in normal form give the probe
     # oracle's status, detail and witness: on each polynomial --grid small
     # instance and each +1 bump of five polynomial families at n <= 2, both
     # called directly and, as full_verify calls them, on one compiled rep
     # whose word products they share; sl2_oscillator's bumps break alt forms
-    reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid(small=True))
-            if rep.is_polynomial()]
-    for rid, params in ([("sl2_standard", {"n": n}) for n in range(3)]
-                        + [("osp22", {"n": n}) for n in range(3)]
-                        + [("osp22_metaplectic", {})]
-                        + [("gl2_semidirect", {"r": 2, "n": n}) for n in range(3)]
-                        + [("sl2_oscillator", {"n": n}) for n in range(3)]):
+    reps = _polynomial_small_grid()
+    for rid, params in _BUMPED_FAMILIES:
         reps.extend(_bumps(build(rid, params)))
     seen = Counter()
     for rep in reps:
@@ -596,14 +604,16 @@ def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypa
     names = {g.as_weyl(): name for name, g in rep.generators.items()}
     products, brackets, probes = _count_products_and_probes(monkeypatch)
     report = full_verify(rep)
-    assert report.passed and report.check("relations_symbolic").passed
+    assert report.passed and report.check("closure_symbolic").passed
+    assert [c.status for c in report.checks if c.name.startswith("relation ")] == [
+        "PASS"] * len({rel.line or rel.name for rel in rep.relations})
     assert not probes
     assert brackets and max(brackets.values()) == 1
     assert {(names[x], names[y]) for x, y in products if x in names and y in names} == multiplied
     assert all(count == 1 for count in products.values())
 
 
-def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
+def test_a_bumped_generator_is_decided_without_a_probe(monkeypatch):
     rep = build("osp22", {"n": 2})
     w = rep.generators["Q2"].as_weyl()
     gens = dict(rep.generators)
@@ -612,11 +622,101 @@ def test_a_bumped_generator_is_still_probed_for_its_witness(monkeypatch):
     _, _, probes = _count_products_and_probes(monkeypatch)
     report = full_verify(bad)
     failing = [c.name for c in report.checks if not c.passed]
-    assert failing[:6] == ["relation L06", "relation L07", "relation L08",
-                           "relation L11", "relation L12", "relations_symbolic"]
-    assert len(probes) == 5 and not any(probes)
+    assert failing == ["relation L06", "relation L07", "relation L08",
+                       "relation L11", "relation L12"]
+    assert not probes
     assert report.check("relation L06").witness == (
         "{Q2,Qb1} = T+: mismatch on |0>: lhs -4 b |0>, rhs -2 b |0>")
+
+
+def test_full_verify_never_probes_a_polynomial_rep(monkeypatch):
+    # each polynomial --grid small instance, each of its +1 bumps and each
+    # bump the normal-form oracle test walks: every relation line, [C,g]
+    # and alt form is decided from its residual
+    def no_probe(lhs, rhs, cutoff):
+        raise AssertionError("check_identity called on a polynomial rep")
+
+    monkeypatch.setattr(verify, "check_identity", no_probe)
+    bases = _polynomial_small_grid()
+    reps = bases + [rep for base in bases + [build(rid, params) for rid, params in _BUMPED_FAMILIES]
+                    for rep in _bumps(base)]
+    assert len(reps) == 258
+    for rep in reps:
+        full_verify(rep)
+
+
+def test_a_residual_beyond_the_probe_range_fails_a_relation_and_the_casimir():
+    # sl2_standard n=2 with a^5 added to J+: the residuals of [J0,J+] = J+,
+    # [C,J+] and [C,J0] lower by 5 or 6, past the probe range of the cutoff
+    rep = build("sl2_standard", {"n": 2})
+    gens = dict(rep.generators)
+    gens["J+"] = gens["J+"] + Poly(WeylElement.a(rep.modes) ** 5)
+    bad = dataclasses.replace(rep, generators=gens)
+    relations, commutes = check_relations(bad), casimir_check(bad)[1][0]
+    assert [r.status for r in relations] == ["FAIL", "PASS", "PASS"]
+    assert relations[0].witness == (
+        "[J0,J+] = J+: mismatch on b^5 |0>: lhs -600 |0> + 3 b^6 |0>, rhs 120 |0> + 3 b^6 |0>")
+    assert commutes.witness == (
+        "[C,J+]: mismatch on b^5 |0>: lhs 1920 |0> - 6 b^6 |0>, rhs -240 |0> - 6 b^6 |0>; "
+        "[C,J0]: mismatch on b^6 |0>: lhs 3600 |0> - 10 b^6 |0>, rhs -720 |0> - 10 b^6 |0>")
+    # the default probe misses every one of these; a probe that reaches
+    # the derived states finds them first
+    assert all(r.passed for r in probe_relations(bad)) and probe_casimir_commutes(bad).passed
+    assert probe_relations(bad, 12) == relations and probe_casimir_commutes(bad, 12) == commutes
+    assert not full_verify(bad).check("relation [J0,J+] = J+").passed
+
+
+@pytest.mark.parametrize("n, witness", [
+    (0, "[C,J+]: mismatch on b^3 |0>: lhs 72 |0>, rhs 0; "
+        "[C,J0]: mismatch on b^4 |0>: lhs 96 |0>, rhs 0"),
+    (1, "[C,J+]: mismatch on b^3 |0>: lhs 48 |0> - 3/2 b^4 |0>, rhs -3/2 b^4 |0>; "
+        "[C,J0]: mismatch on b^4 |0>: lhs 84 |0> - 21/8 b^4 |0>, rhs -12 |0> - 21/8 b^4 |0>"),
+])
+def test_a_casimir_term_lowering_past_the_probe_fails_centrality(n, witness):
+    # J-^4 added to the Casimir: [C,J+] = 12a^3 + 8ba^4 at n = 0, whose
+    # probe stops below degree 3
+    rep = build("sl2_standard", {"n": n})
+    casimir = dataclasses.replace(rep.casimir, terms=[*rep.casimir.terms, (1, ("J-",) * 4)])
+    bad = dataclasses.replace(rep, casimir=casimir)
+    commutes = casimir_check(bad)[1][0]
+    assert commutes.witness == witness
+    assert probe_casimir_commutes(bad).passed and probe_casimir_commutes(bad, 12) == commutes
+    assert [c.name for c in full_verify(bad).checks if not c.passed] == ["casimir_commutes"]
+
+
+def test_a_polynomial_alt_form_lowering_past_the_probe_differs():
+    rep = build("sl2_standard", {"n": 2})
+    jp = rep.generator("J+").as_weyl()
+    bad = dataclasses.replace(rep, alt_forms=[
+        AltForm("J+", Poly(jp + WeylElement.a(rep.modes) ** 7))])
+    differs = AltFormResult("J+", "DIFFERS",
+                            "mismatch on b^7 |0>: lhs 5 b^8 |0>, rhs 5040 |0> + 5 b^8 |0>")
+    assert check_alt_forms(bad) == [differs] == probe_alt_forms(bad, 12)
+    assert probe_alt_forms(bad)[0].status == "MATCH"
+
+
+_MS = ModeSystem(2, 2)
+_monomials = st.tuples(st.tuples(*[st.integers(0, 2)] * 2), st.tuples(*[st.integers(0, 2)] * 2),
+                       st.integers(0, 3), st.integers(0, 3))
+_coefficients = st.sampled_from([1, -2, rat(3, 5), 1 + SQRT2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_monomials, _coefficients, min_size=1, max_size=5),
+       st.integers(0, 8))
+def test_the_residual_names_the_first_separating_state(terms, cutoff):
+    # D nonzero in normal form: the state the verifier derives from D is
+    # one D does not kill, and the first a probe reaching it would find
+    d = WeylElement(_MS, terms)
+    zero = Poly(WeylElement.zero(_MS))
+    report = verify._mismatch(Poly(d), zero, cutoff)
+    key = report.witness_state
+    assert report.lhs_value == Poly(d).apply({key: 1}) != {} and report.rhs_value == {}
+    probe = verify.check_identity(Poly(d), zero, cutoff)
+    if state_degree(key) <= max(probe.tested_degree, 0):
+        assert probe.witness_state == key and probe.lhs_value == report.lhs_value
+    else:
+        assert probe.equal
 
 
 def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
@@ -670,8 +770,7 @@ def test_every_check_table_entry_runs_on_the_full_grid(monkeypatch):
         lines.update((c.status, c.name) for c in full_verify(build(rep_id, params)).checks)
     assert set(ran) == set(entries)
     assert {name for status, name in lines if status != "SKIP"} <= produced
-    assert {name for status, name in lines if status == "SKIP"} == {
-        "relations_symbolic", "invariant_subspace"}
+    assert {name for status, name in lines if status == "SKIP"} == {"invariant_subspace"}
 
 
 def test_full_verify_builds_the_space_columns_once(monkeypatch):
@@ -706,7 +805,7 @@ def test_word_sum_keeps_each_prefix_product(monkeypatch):
 
 def test_copies_start_with_empty_memos():
     rep = build("sl2_standard", {"n": 3})
-    assert check_relations_symbolic(rep).passed and invariant_subspace(rep)[1].passed
+    assert all(r.passed for r in check_relations(rep)) and invariant_subspace(rep)[1].passed
     assert {frozenset(key[:2]) for key in rep._brackets} == {
         frozenset(word) for word in _relation_words(rep) if len(word) == 2}
     assert rep._products and rep._memos and rep._space is not None
@@ -779,12 +878,12 @@ def _leaving_the_space(rep):
 def test_a_bumped_copy_fails_after_its_parent_filled_the_memos():
     rep = build("sl2_standard", {"n": 3})
     assert all(r.passed for r in check_relations(rep))
-    assert check_relations_symbolic(rep).passed
+    assert closure_symbolic(rep)[1].passed
     assert all(r.passed for r in casimir_check(rep)[1])
     assert invariant_subspace(rep)[1].passed
     bad = _leaving_the_space(rep)
     assert check_relations(bad)[0].witness.startswith("[J0,J+] = J+: mismatch")
-    assert not check_relations_symbolic(bad).passed
+    assert closure_symbolic(bad)[1].witness == "[J+,J0] has residual -3 b^4"
     assert not casimir_check(bad)[1][0].passed
     assert invariant_subspace(bad)[1].witness.startswith("J+ maps")
     assert not full_verify(bad).passed
