@@ -148,9 +148,10 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
 
     Polynomial sides are decided by their residual D = lhs - rhs in normal
     form, given or formed here.  A monomial kills each state that lacks its
-    lowering part and sends that part to its own raising part, so D is
-    nonzero on the graded-lex least lowering part of its monomials, the
-    first state D does not kill.  Other sides are probed by check_identity.
+    lowering part and sends that part to a multiple of its raising part, so
+    on the graded-lex least lowering part of D's monomials only those with
+    that lowering part act, with distinct images: it is the first state D
+    does not kill.  Other sides are probed by check_identity.
     """
     if residual is None:
         w, v = lhs.as_weyl(), rhs.as_weyl()
