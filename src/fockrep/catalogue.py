@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
-                   Scale, Sum, _state_str, basis_states, identity_op)
+                   Scale, Sum, _state_str, basis_states, compile_shared, identity_op)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
 from .weyl import ModeSystem, WeylElement, accumulate, bracket
@@ -92,8 +92,10 @@ class RepSpec:
     each generator bracket (bracket), each weighted word sum and the prefix
     products of its words that are not bracket halves (word_sum), each
     generator's invariant-space columns (space_columns) and a check's result
-    (memo).  A replace() or compiled() copy starts them empty, so generators
-    are replaced, never changed in place."""
+    (memo).  A replace() copy starts them empty, and so does the compiled()
+    copy of a rep that is not yet compiled; an already compiled rep is its
+    own compiled() and keeps them.  Generators are replaced, never changed
+    in place."""
 
     rep_id: str
     params: dict
@@ -213,10 +215,18 @@ class RepSpec:
         return max(max(0, g.max_raise()) for g in self.generators.values())
 
     def compiled(self) -> "RepSpec":
-        """A copy whose generators are fock.Compiled: every check run on it
-        computes each generator's image of a basis state at most once."""
+        """A copy whose generators are fock.Compiled, and whose extended
+        nodes that two or more places share are compiled once for all of
+        them (fock.compile_shared): every check run on it computes each
+        generator's, and each shared node's, image of a basis state at most
+        once.  A rep whose generators are all Compiled is its own compiled
+        copy, memos included; a generator that is already Compiled comes
+        back as itself."""
+        if all(isinstance(g, Compiled) for g in self.generators.values()):
+            return self
+        shared = compile_shared(list(self.generators.values()))
         gens = {name: g if isinstance(g, Compiled) else Compiled(g)
-                for name, g in self.generators.items()}
+                for name, g in zip(self.generators, shared)}
         return replace(self, generators=gens)
 
     def space_columns(self, name: str):

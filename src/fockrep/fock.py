@@ -10,7 +10,11 @@ action table built on its first apply), terminating exponentials e^{g a_i}
 (ExpA), spectral q-powers q^{N} diagonal in the falling-factorial basis
 (QSpectral), formal left division by b_i + shift (LeftDivB), the identity
 (Identity), Sum/Product/Scale, and Compiled, which remembers each basis
-state's image (its column); other modules add leaves of their own.
+state's image (its column) and its inner node's raise bound; other modules
+add leaves of their own.  compile_shared compiles, once for all its places,
+each extended node that two or more places of a set of trees share, found
+by identity, so a shift pair or q-pair that several generators contain
+forms its image of a basis state once.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -243,32 +247,39 @@ class Poly(OperatorExpr):
 
 
 class ExpA(OperatorExpr):
-    """e^{gamma a_i}: acts as b_i^k |0> -> (b_i + gamma)^k |0>."""
+    """e^{gamma a_i}: acts as b_i^k |0> -> (b_i + gamma)^k |0>, through the
+    coefficient row gamma^j C(k, j), j = 0..k, formed once per exponent k."""
 
-    __slots__ = ("modes", "mode", "gamma", "_powers")
+    __slots__ = ("modes", "mode", "gamma", "_rows")
 
     def __init__(self, modes: ModeSystem, mode: int, gamma):
         self.modes = modes
         self.mode = mode  # 1-based
         self.gamma = exact(gamma)
-        self._powers = [1]
+        self._rows = {}  # k -> [gamma^j C(k, j) for j = 0..k]
 
     def max_raise(self):
         return 0
 
-    def _pow(self, j):
-        while len(self._powers) <= j:
-            self._powers.append(self._powers[-1] * self.gamma)
-        return self._powers[j]
+    def _row(self, k):
+        row = self._rows.get(k)
+        if row is None:
+            row, power = [1], 1
+            for j in range(1, k + 1):
+                power = power * self.gamma
+                row.append(exact(power * comb(k, j)))
+            self._rows[k] = row
+        return row
 
     def apply(self, terms: dict) -> dict:
         i = self.mode - 1
         out: dict = {}
         for (alpha, beta), c in terms.items():
             k = alpha[i]
+            row = self._row(k)
             for j in range(k + 1):
-                coeff = c * self._pow(j) * comb(k, j) if j else c
-                accumulate(out, (alpha[:i] + (k - j,) + alpha[i + 1:], beta), coeff)
+                accumulate(out, (alpha[:i] + (k - j,) + alpha[i + 1:], beta),
+                           c * row[j] if j else c)
         return out
 
 
@@ -430,7 +441,8 @@ def identity_op(modes) -> Identity:
 
 
 class Compiled(OperatorExpr):
-    """inner, with the image of each basis state computed once, on first use.
+    """inner, with the image of each basis state computed once, on first use,
+    and inner's raise bound asked once.
 
     Exact: a column is inner's exact image of one basis state and apply is
     linear, so no cutoff enters the cache.  inner must be defined on every
@@ -439,15 +451,18 @@ class Compiled(OperatorExpr):
     nothing writes into a vector that apply is given or returns.
     """
 
-    __slots__ = ("modes", "inner", "_cols")
+    __slots__ = ("modes", "inner", "_cols", "_raise")
 
     def __init__(self, inner: OperatorExpr):
         self.modes = inner.modes
         self.inner = inner
         self._cols = {}  # state key -> inner.apply({key: 1})
+        self._raise = None
 
     def max_raise(self):
-        return self.inner.max_raise()
+        if self._raise is None:
+            self._raise = self.inner.max_raise()
+        return self._raise
 
     def as_weyl(self):
         return self.inner.as_weyl()
@@ -469,6 +484,58 @@ class Compiled(OperatorExpr):
             for skey, d in self.column(key).items():
                 accumulate(out, skey, d * c)
         return out
+
+
+def _children(node) -> tuple:
+    if isinstance(node, Sum):
+        return tuple(node.parts)
+    if isinstance(node, Product):
+        return tuple(node.factors)
+    if isinstance(node, (Scale, Compiled)):
+        return (node.inner,)
+    return ()
+
+
+def compile_shared(roots) -> list:
+    """roots, with each node that occurs in two or more places among their
+    trees, by identity, replaced by one Compiled copy shared by all its
+    places, so its image of a basis state is formed once for all of them.
+
+    The walk goes through Sum parts, Product factors and the inner node of
+    Scale and Compiled.  A polynomial (which still folds), a Compiled node
+    and a bare LeftDivB (not defined on every basis state) are not wrapped.
+    A node above a wrapped one is rebuilt; every other node, a Compiled
+    one included, comes back as itself.
+    """
+    places = {}  # id -> occurrences; a node's children are counted once
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in places:
+            places[key] += 1
+        else:
+            places[key] = 1
+            stack.extend(_children(node))
+    done = {}
+
+    def rebuild(node):
+        key = id(node)
+        if key not in done:
+            new = node
+            kids = () if isinstance(node, Compiled) else _children(node)
+            new_kids = [rebuild(kid) for kid in kids]
+            if any(new_kid is not kid for new_kid, kid in zip(new_kids, kids)):
+                new = (Sum(new_kids) if isinstance(node, Sum)
+                       else Product(new_kids) if isinstance(node, Product)
+                       else Scale(node.coeff, new_kids[0]))
+            if (places[key] > 1 and node.as_weyl() is None
+                    and not isinstance(node, (Compiled, LeftDivB))):
+                new = Compiled(new)
+            done[key] = new
+        return done[key]
+
+    return [rebuild(root) for root in roots]
 
 
 # -- falling-factorial transform ----------------------------------------------

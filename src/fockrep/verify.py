@@ -25,7 +25,9 @@ entries share, so each is formed once per report: each generator bracket
 (RepSpec.bracket), which the relation sides and the symbolic closure read;
 each relation side and the Casimir (RepSpec.word_sum); each generator's
 invariant-space columns (RepSpec.space_columns); and the closure, symbolic
-closure and invariant-space results (RepSpec.memo).
+closure and invariant-space results (RepSpec.memo).  Closure and Burnside
+compile the rep they are given; RepSpec.compiled of a compiled rep is that
+rep, so inside full_verify they read the report's copy and its memos.
 """
 
 from __future__ import annotations
@@ -561,7 +563,11 @@ def burnside_irreducibility(rep: RepSpec):
     the algebra has dimension d^2; a full spin mod p is a full exact spin.
     Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
     every dimension below d^2 come only from that span.
+
+    The columns come from rep.compiled(), inside full_verify rep itself,
+    so the invariant-space check's columns are not formed again.
     """
+    rep = rep.compiled()
     cols = []
     for name in rep.generators:
         keys, g_cols, escape = rep.space_columns(name)

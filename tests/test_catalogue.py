@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from fockrep.catalogue import CatalogueError, build, list_catalogue
-from fockrep.fock import check_identity
+from fockrep.fock import Compiled, Poly, check_identity, to_matrix
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
 from fockrep.verify import check_alt_forms
+from fockrep.weyl import WeylElement
 
 
 REGISTRY = ["sl2_standard", "sl2_translated", "sl2_oscillator", "sl2_metaplectic",
@@ -200,3 +203,73 @@ def test_substituted_pairs_are_canonical():
     report = check_identity(jp * jm - jm * jp,
                             rep.word_expr([(Scalar(-2), ("J0",))]), 6)
     assert report.equal
+
+
+# -- the compiled copy ---------------------------------------------------------
+
+
+def _reached(op):
+    """Every node of op's tree, through Sum parts, Product factors and the
+    inner node of Scale and Compiled, once per place it occurs."""
+    yield op
+    for child in getattr(op, "parts", ()) or getattr(op, "factors", ()):
+        yield from _reached(child)
+    if getattr(op, "inner", None) is not None:
+        yield from _reached(op.inner)
+
+
+def _extended_small_grid():
+    return [(rid, params) for rid, params in acceptance_grid(small=True)
+            if not build(rid, params).is_polynomial()]
+
+
+@pytest.mark.parametrize("rid, params", _extended_small_grid() + [
+    ("sl2q", {"alpha": 2, "q": 2, "delta": 1}),
+])
+def test_compiled_generators_give_the_raw_matrices(rid, params):
+    rep = build(rid, params)
+    compiled = rep.compiled()
+    assert list(compiled.generators) == list(rep.generators)
+    for name, g in rep.generators.items():
+        got, want = (to_matrix(op, rep.default_cutoff) for op in (compiled.generators[name], g))
+        assert (got.cols, got.overflow_columns) == (want.cols, want.overflow_columns), name
+
+
+def test_compiled_translated_sl2_shares_one_ahat_and_one_bhat():
+    # J- is ahat, and J0 = bhat ahat - n/2: every place of the shift pair in
+    # the three generators reaches the same Compiled node
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
+    ahat = rep.generator("J-")
+    bhat = rep.generator("J0").parts[0].factors[0]
+    compiled = rep.compiled()
+    for pair, names in ((ahat, ("J+", "J0", "J-")), (bhat, ("J+", "J0"))):
+        found = set()
+        for name in names:
+            nodes = list(_reached(compiled.generators[name]))
+            wrappers = [node for node in nodes
+                        if isinstance(node, Compiled) and node.inner is pair]
+            # the pair occurs only as the inner node of its wrapper
+            assert wrappers and sum(node is pair for node in nodes) == len(wrappers), name
+            found.update(map(id, wrappers))
+        assert len(found) == 1
+    assert compiled.generators["J-"].inner is ahat
+
+
+def test_compiled_is_its_own_compiled_copy():
+    rep = build("sl2q", {"alpha": 2, "q": 2, "delta": 1})
+    compiled = rep.compiled()
+    assert compiled is not rep and compiled.compiled() is compiled
+    # a generator that is already Compiled comes back as itself
+    jm = Compiled(rep.generator("J-"))
+    mixed = dataclasses.replace(rep, generators=dict(rep.generators, **{"J-": jm}))
+    again = mixed.compiled()
+    assert again is not mixed and again.generators["J-"] is jm
+    assert all(isinstance(g, Compiled) for g in again.generators.values())
+    assert again.compiled() is again
+    # a polynomial rep's generators are each wrapped, and still fold
+    poly = build("sl2_standard", {"n": 2}).compiled()
+    assert all(isinstance(g, Compiled) and isinstance(g.inner, Poly)
+               for g in poly.generators.values())
+    assert poly.is_polynomial() and poly.compiled() is poly
+    assert (poly.generator("J+") * poly.generator("J-")).as_weyl() == (
+        poly.generator("J+").as_weyl() * poly.generator("J-").as_weyl())

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fockrep import fock
 from fockrep.catalogue import build, shift_pair
 from fockrep.scalars import SQRT2, Scalar, exact, rat
-from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, Poly, Product,
-                          QSpectral, Scale, Sum, basis_states, check_identity,
-                          identity_op, state_sort_key, to_matrix, vector_str)
+from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, OperatorExpr, Poly,
+                          Product, QSpectral, Scale, Sum, basis_states, check_identity,
+                          compile_shared, identity_op, state_sort_key, to_matrix, vector_str)
 from fockrep.linalg import mat_mul
 from fockrep.verify import casimir_check, closure, invariant_subspace
 from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
@@ -117,6 +117,12 @@ def test_poly_apply_matches_the_product_in_the_algebra(ms):
             lincomb(*((c, images[k]) for c, k in zip(coeffs, picked)))
 
 
+def _shifted_power(k, gamma):
+    """(b + gamma)^k |0>, multiplied out by weyl."""
+    power = (WeylElement.b(B1) + WeylElement.scalar(B1, gamma)) ** k
+    return {(bp, th): c for (bp, ap, th, dth), c in power.terms.items()}
+
+
 def test_expa_shift_action():
     # e^{-d a} b^k |0> = (b - d)^k |0>
     delta = rat(1, 2)
@@ -128,6 +134,17 @@ def test_expa_shift_action():
         ((0,), 0): Scalar(rat(1, 4)),
     }
     assert got == expected
+    # e^{gamma a} b^k |0> = (b + gamma)^k |0> for k <= 10, against weyl's
+    # products; every exponent twice, so the second reads the kept row
+    for gamma in (1, rat(1, 2), rat(-1, 3), Scalar(rat(1, 2), 1)):
+        e = ExpA(B1, 1, gamma)
+        for k in list(range(11)) * 2:
+            assert e.apply(b_state(k)) == _shifted_power(k, gamma), (gamma, k)
+        # a vector of several states, with Fraction coefficients
+        coeffs = {3: rat(2, 3), 0: rat(-5, 7), 7: rat(1, 4), 10: 3}
+        vec = {((k,), 0): c for k, c in coeffs.items()}
+        assert e.apply(vec) == lincomb(*((c, _shifted_power(k, gamma))
+                                         for k, c in coeffs.items())), gamma
 
 
 def test_bhat_builds_falling_factorials():
@@ -410,6 +427,53 @@ def test_compiled_equals_the_tree_walk(ms, kind, data):
     for key in vec:
         unit = {key: 1}
         assert compiled.apply(unit) == op.apply(unit)
+
+
+class _CountingRaise(OperatorExpr):
+    """inner, counting how often its raise bound is asked."""
+
+    def __init__(self, inner):
+        self.modes, self.inner, self.asked = inner.modes, inner, 0
+
+    def max_raise(self):
+        self.asked += 1
+        return self.inner.max_raise()
+
+    def apply(self, terms):
+        return self.inner.apply(terms)
+
+
+def test_compiled_asks_its_inner_raise_bound_once():
+    for op in _compile_cases(B2).values():
+        counting = _CountingRaise(op)
+        compiled = Compiled(counting)
+        assert [compiled.max_raise() for _ in range(3)] == [op.max_raise()] * 3
+        assert Sum([compiled, compiled]).max_raise() == op.max_raise()
+        assert counting.asked == 1
+
+
+def test_compile_shared_never_wraps_a_bare_left_division():
+    # (b + 1)^-1 applied to (b + 1) v: the product is defined on every state,
+    # but the division alone is not (b^k is not a multiple of b + 1), so a
+    # shared LeftDivB stays bare while a shared extended node is compiled
+    div = LeftDivB(B1, 1, 1)
+    plus = Poly(WeylElement.b(B1) + WeylElement.one(B1))
+    shift = ExpA(B1, 1, rat(1, 2))
+    roots = [Product([div, plus]), Product([plus, div, plus, shift]), Sum([shift, div])]
+    first, second, third = compile_shared(roots)
+    assert first is roots[0]  # nothing below it is wrapped
+    assert second.factors[:3] == roots[1].factors[:3] and third.parts[1] is div
+    assert isinstance(second.factors[3], Compiled) and second.factors[3] is third.parts[0]
+    assert second.factors[3].inner is shift
+    for op, raw in zip((first, second), roots):
+        assert to_matrix(op, 5).cols == to_matrix(raw, 5).cols
+    with pytest.raises(NotLeftDivisible):
+        Compiled(div).apply(b_state(2))
+    # a LeftDivB inside a shared node is compiled with it
+    atilde = Product([LeftDivB(B1, 1), QSpectral(B1, 1, 2)])
+    wrapped, again = compile_shared([atilde, Sum([atilde, plus])])
+    assert isinstance(wrapped, Compiled) and wrapped.inner is atilde
+    assert again.parts[0] is wrapped
 
 
 def test_compiled_images_survive_their_consumers():

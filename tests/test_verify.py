@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from fockrep import catalogue, verify, weyl
 from fockrep.catalogue import AltForm, CatalogueError, Claims, InvariantSpace, RepSpec, build
-from fockrep.fock import Compiled, OperatorExpr, Poly, basis_states, state_degree
+from fockrep.fock import (Compiled, ExpA, OperatorExpr, Poly, Scale, basis_states,
+                          state_degree)
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
@@ -534,20 +535,80 @@ _BUMPED_FAMILIES = ([("sl2_standard", {"n": n}) for n in range(3)]
                     + [("sl2_oscillator", {"n": n}) for n in range(3)])
 
 
+def _lowering_degree(mono) -> int:
+    return sum(mono[1]) + mono[3].bit_count()
+
+
+def _swap_identities(rep, formed):
+    """The oracle's normal forms of each identity a polynomial rep's checks
+    decide, by swap_multiply: (kind, line, lhs, rhs) per relation (its
+    report line's label), per Casimir commutator C g = g C (g's name) and
+    per alt form (its generator)."""
+    out = [("relation", "relation %s" % (rel.line or rel.name),
+            _swap_word_sum(rep, rel.lhs, formed), _swap_word_sum(rep, rel.rhs, formed))
+           for rel in rep.relations]
+    if rep.casimir:
+        c = _swap_word_sum(rep, rep.casimir.terms, formed)
+        out += [("casimir", name, swap_multiply(c, g.as_weyl()), swap_multiply(g.as_weyl(), c))
+                for name, g in rep.generators.items()]
+    out += [("alt", alt.generator, rep.generator(alt.generator).as_weyl(), alt.expr.as_weyl())
+            for alt in rep.alt_forms]
+    return out
+
+
+def _beyond_the_probe():
+    """sl2_standard mutants whose residuals lower past the default probe: J+
+    plus a^5 (a relation and [C,J+], [C,J0]), J-^4 added to the Casimir at
+    n = 0 and 1, and a J+ alt form plus a^7."""
+    rep = build("sl2_standard", {"n": 2})
+    bumped = dict(rep.generators, **{"J+": rep.generator("J+") + Poly(
+        WeylElement.a(rep.modes) ** 5)})
+    alt = AltForm("J+", Poly(rep.generator("J+").as_weyl() + WeylElement.a(rep.modes) ** 7))
+    reps = [dataclasses.replace(rep, generators=bumped),
+            dataclasses.replace(rep, alt_forms=[alt])]
+    for n in (0, 1):
+        base = build("sl2_standard", {"n": n})
+        reps.append(dataclasses.replace(base, casimir=dataclasses.replace(
+            base.casimir, terms=[*base.casimir.terms, (1, ("J-",) * 4)])))
+    return reps
+
+
 def test_normal_form_decisions_match_the_probe_oracles():
-    # relations, [C,g] and alt forms decided in normal form give the probe
-    # oracle's status, detail and witness: on each polynomial --grid small
-    # instance and each +1 bump of five polynomial families at n <= 2, both
-    # called directly and, as full_verify calls them, on one compiled rep
-    # whose word products they share; sl2_oscillator's bumps break alt forms
+    # relations, [C,g] and alt forms decided in normal form: each verdict is
+    # the swap_multiply residual's (zero or not), and the line, detail and
+    # witness are the probe oracle's at a cutoff whose range reaches every
+    # residual's first separating state.  On each polynomial --grid small
+    # instance, each +1 bump of five polynomial families at n <= 2 and four
+    # mutants past the default probe; both called directly and, as
+    # full_verify calls them, on one compiled rep whose word products they
+    # share; sl2_oscillator's bumps break alt forms
     reps = _polynomial_small_grid()
     for rid, params in _BUMPED_FAMILIES:
         reps.extend(_bumps(build(rid, params)))
-    seen = Counter()
+    reps.extend(_beyond_the_probe())
+    seen, formed = Counter(), {}
     for rep in reps:
-        relations, alt_forms = probe_relations(rep), probe_alt_forms(rep)
-        commutes = probe_casimir_commutes(rep) if rep.casimir else None
+        verdicts = {"relation": {}, "casimir": {}, "alt": {}}  # kind -> {line: differs}
+        reach = rep.default_cutoff
+        for kind, line, lhs, rhs in _swap_identities(rep, formed):
+            residual = lhs - rhs
+            verdicts[kind][line] = verdicts[kind].get(line, False) or not residual.is_zero()
+            if not residual.is_zero():
+                # the first separating state lowers no further than D's
+                # monomials, and a probe tests up to cutoff less the raise
+                reach = max(reach, max(map(_lowering_degree, residual.terms))
+                            + max(0, lhs.max_raise(), rhs.max_raise()))
+        relations, alt_forms = probe_relations(rep, reach), probe_alt_forms(rep, reach)
+        commutes = probe_casimir_commutes(rep, reach) if rep.casimir else None
         compiled = rep.compiled()
+        assert [(r.name, r.status) for r in check_relations(rep)] == [
+            (line, "FAIL" if differs else "PASS") for line, differs in verdicts["relation"].items()]
+        assert [(a.generator, a.status) for a in check_alt_forms(rep)] == [
+            (name, "DIFFERS" if differs else "MATCH") for name, differs in verdicts["alt"].items()]
+        if commutes is not None:
+            assert {name for name in rep.generators
+                    if "[C,%s]: " % name in casimir_check(rep)[1][0].witness} == {
+                name for name, differs in verdicts["casimir"].items() if differs}
         assert check_relations(rep) == relations
         assert check_relations(compiled) == relations
         # each two-letter relation word is read as a bracket of the memo,
@@ -563,9 +624,15 @@ def test_normal_form_decisions_match_the_probe_oracles():
             seen["casimir_commutes " + commutes.status] += 1
         seen.update("relation " + r.status for r in relations)
         seen.update("alt " + a.status for a in alt_forms)
-    assert len(reps) == 116
+        if reach > rep.default_cutoff and (
+                probe_relations(rep) != relations or probe_alt_forms(rep) != alt_forms
+                or commutes is not None and probe_casimir_commutes(rep) != commutes):
+            seen["beyond the default probe"] += 1
+    assert len(reps) == 120
     assert set(seen) == {"relation PASS", "relation FAIL", "casimir_commutes PASS",
-                         "casimir_commutes FAIL", "alt MATCH", "alt DIFFERS"}
+                         "casimir_commutes FAIL", "alt MATCH", "alt DIFFERS",
+                         "beyond the default probe"}
+    assert seen["beyond the default probe"] == 4
 
 
 def _count_products_and_probes(monkeypatch):
@@ -1039,3 +1106,39 @@ def test_an_extended_casimir_is_applied_once_per_state(monkeypatch, rid, params)
     _, (commutes, value), _ = casimir_check(rep)
     assert commutes.passed and value.passed
     assert seen and len(seen) == len(set(seen))
+
+
+def _record_expa_nodes(rep) -> list:
+    """Put a _Recording around every ExpA node of rep's generator trees, in
+    place, one per node however many places it has; returns their lists."""
+    recorders = {}
+
+    def wrap(node):
+        if isinstance(node, ExpA):
+            if id(node) not in recorders:
+                recorders[id(node)] = _Recording(node, [])
+            return recorders[id(node)]
+        for kids in (getattr(node, "parts", None), getattr(node, "factors", None)):
+            if kids is not None:
+                kids[:] = map(wrap, kids)
+        if isinstance(node, (Scale, Compiled)):
+            node.inner = wrap(node.inner)
+        return node
+
+    for name, g in rep.generators.items():
+        rep.generators[name] = wrap(g)
+    return [recorder.seen for recorder in recorders.values()]
+
+
+@pytest.mark.parametrize("rid, params", [
+    (rid, params) for rid, params in acceptance_grid(small=True) if rid.endswith("_translated")])
+def test_full_verify_meets_each_state_once_per_exponential(rid, params):
+    # each shift pair is compiled once for every generator that contains
+    # it, so its e^{da} and e^{-da} meet each basis state once per report.
+    # (sl2q's e^{da} sits inside its q-pair's lowering operator, after the
+    # division by b, so it meets the images of q^N, not basis states.)
+    rep = build(rid, params)
+    seen = _record_expa_nodes(rep)
+    assert len(seen) == 2 * rep.modes.bosonic
+    assert full_verify(rep).passed
+    assert all(states and len(states) == len(set(states)) for states in seen)
