@@ -8,8 +8,13 @@ arithmetic.  Finite-difference operators act through exact binomial
 expansions of f(x +- d); there is no grid or sampling anywhere, so the
 action is exact at every degree.
 
-Cross-checks compare the matrices produced here, column by column on the
-shared graded basis, against the abstract Fock matrices of the catalogue.
+Every realization is the family's own generator formula over a kit of
+function-space pairs: (d/dx, x) for the differential kind, the fd pair for
+fd and the Jackson pair for jackson, with Pauli-Kronecker matrices for the
+fermionic modes.  Cross-checks compare each realized generator with its
+abstract Fock counterpart state by state on the shared graded basis; the
+matrices of both are formed only where the images differ, to give the
+verdict and its witness.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from __future__ import annotations
 import dataclasses
 
 from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
-from .fock import (ExpA, LeftDivB, MatrixRep, OperatorExpr, Poly, Product, Scale, Sum,
-                   identity_op, to_matrix)
+from .fock import (ExpA, LeftDivB, MatrixRep, OperatorExpr, basis_states, identity_op,
+                   to_matrix)
 from .qheis import q_number_op
 from .scalars import exact, inverse, rat
 from .verify import CheckResult, AltFormResult
-from .weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
+from .weyl import ModeSystem, accumulate
 
 
 class RealizeError(ValueError):
@@ -165,19 +170,6 @@ class CliffordMatrices:
                        for x in range(2) for y in range(2) if m[x][y]}
         return entries
 
-    @staticmethod
-    def matmul(x: dict, y: dict) -> dict:
-        out = {}
-        for (i, k), v in x.items():
-            for (k2, j), w in y.items():
-                if k == k2:
-                    accumulate(out, (i, j), v * w)
-        return out
-
-    @staticmethod
-    def identity(r: int) -> dict:
-        return {(s, s): 1 for s in range(1 << r)}
-
 
 class Cliff(OperatorExpr):
     """Multiplication by a fixed spinor-space matrix."""
@@ -201,39 +193,31 @@ class Cliff(OperatorExpr):
         return out
 
 
-# -- generic differential relabeling ----------------------------------------------
-
-
-def weyl_to_differential(w: WeylElement, cliff: CliffordMatrices = None) -> OperatorExpr:
-    """b_i -> x_i, a_i -> d/dx_i, th/dth -> Pauli matrices, exactly."""
-    modes = w.modes
-    r = modes.fermionic
-    if cliff is None and r:
-        cliff = CliffordMatrices(r)
-    parts = []
-    for (bp, ap, th, dth), c in w.sorted_terms():
-        factors = []
-        for i, k in enumerate(bp):
-            factors.extend([MultX(modes, i + 1)] * k)
-        for i, k in enumerate(ap):
-            factors.extend([Partial(modes, i + 1)] * k)
-        if th or dth:
-            mat = CliffordMatrices.identity(r)
-            for j in _mask_to_list(th):
-                mat = CliffordMatrices.matmul(mat, cliff.b_f[j - 1])
-            for j in _mask_to_list(dth):
-                mat = CliffordMatrices.matmul(mat, cliff.a_f[j - 1])
-            factors.append(Cliff(modes, mat))
-        parts.append(Scale(c, Product(factors) if factors else identity_op(modes)))
-    return Sum(parts) if parts else Poly(WeylElement.zero(modes))
-
-
 # -- matrices on the shared graded basis ----------------------------------------------
 
 
 def poly_to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
     """The realized side of a cross check, on the shared graded basis."""
     return to_matrix(op, cutoff)
+
+
+def _difference(realized: OperatorExpr, abstract: OperatorExpr, cutoff: int) -> str:
+    """"" when the two operators agree on the shared graded basis up to
+    cutoff; otherwise the first difference of their matrices.
+
+    The basis states are walked once and each image compared whole.  Equal
+    images give equal columns and the same overflow flag, so the matrices
+    are formed only at the first state whose images differ, and their
+    verdict decides: a difference confined to the out-of-basis part of
+    columns that overflow on both sides still passes."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    for key in basis_states(realized.modes, cutoff):
+        vec = {key: 1}
+        if realized.apply(vec) != abstract.apply(vec):
+            return _first_difference(poly_to_matrix(realized, cutoff),
+                                     to_matrix(abstract, cutoff))
+    return ""
 
 
 def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
@@ -263,14 +247,27 @@ def fd_pair(modes: ModeSystem, i: int, delta) -> tuple:
             MultX(modes, i) * (identity_op(modes) + Dminus(modes, i, delta).scale(-delta)))
 
 
-def fd_kit(modes: ModeSystem, deltas) -> Kit:
-    """The finite-difference pairs per bosonic mode and the Pauli-Kronecker
+def _function_kit(modes: ModeSystem, pairs) -> Kit:
+    """The given (a, b) pair per bosonic mode and the Pauli-Kronecker
     matrices per fermionic mode."""
-    pairs = [fd_pair(modes, i + 1, deltas[i]) for i in range(modes.bosonic)]
     cliff = CliffordMatrices(modes.fermionic)
     return Kit([a for a, _ in pairs], [b for _, b in pairs],
                [Cliff(modes, m) for m in cliff.b_f], [Cliff(modes, m) for m in cliff.a_f],
                identity_op(modes))
+
+
+def differential_kit(modes: ModeSystem) -> Kit:
+    """a = d/dx_i and b = x_i per bosonic mode, th and dth the
+    Pauli-Kronecker matrices per fermionic mode."""
+    return _function_kit(modes, [(Partial(modes, i), MultX(modes, i))
+                                 for i in range(1, modes.bosonic + 1)])
+
+
+def fd_kit(modes: ModeSystem, deltas) -> Kit:
+    """The finite-difference pairs per bosonic mode and the Pauli-Kronecker
+    matrices per fermionic mode."""
+    return _function_kit(modes, [fd_pair(modes, i + 1, deltas[i])
+                                 for i in range(modes.bosonic)])
 
 
 def _fd_family(rep: RepSpec, deltas=None):
@@ -294,7 +291,9 @@ def _jackson_family(rep: RepSpec):
 def realize_generators(rep: RepSpec, kind: str, deltas=None):
     """Named operators realizing the family in the requested function space.
 
-    kind 'differential': generic relabeling of polynomial generators.
+    kind 'differential': a polynomial family's formula over the compiled
+    differential_kit (d/dx, x and the Pauli-Kronecker matrices); it reads
+    neither the rep's generators nor their normal form.
     kind 'fd': the family's formula over the compiled fd_kit, at the steps
     its record gives (or deltas).
     kind 'jackson': the q-pair family's formula over the Jackson pair
@@ -304,9 +303,7 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
     if kind == "differential":
         if not rep.is_polynomial():
             raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
-        cliff = CliffordMatrices(modes.fermionic) if modes.fermionic else None
-        return {name: weyl_to_differential(g.as_weyl(), cliff)
-                for name, g in rep.generators.items()}
+        return family(rep.rep_id).formula(differential_kit(modes).compiled(), rep.params)
     if kind == "fd":
         record, steps = _fd_family(rep, deltas)
         return record.formula(fd_kit(modes, steps).compiled(), rep.params)
@@ -321,9 +318,10 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
 def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     """The catalogue family whose Fock matrices the realization must equal.
 
-    The differential relabeling compares against the representation itself.
-    The fd realization puts the fd pairs into the family's formula, and the
-    fd pair is the coordinate image of the shift-transformed pair, so the
+    The differential realization puts (d/dx, x) into the formula the rep
+    itself is built from, so it compares against the representation.  The
+    fd realization puts the fd pairs into the family's formula, and the fd
+    pair is the coordinate image of the shift-transformed pair, so the
     counterpart is the same formula over the shift kit with the same steps.
     Both kits are compiled, so each pair's and each shared intermediate's
     image of a basis state is computed once per call and shared by every
@@ -346,23 +344,21 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
 def cross_check(rep: RepSpec, kind: str, cutoff: int = None, deltas=None) -> list:
     """Realized matrices must equal the abstract Fock matrices exactly.
 
-    Columns are compared on the shared graded basis; overflow column sets
-    must agree and are excluded from entry comparison only when flagged on
-    both sides.
+    Each generator is compared state by state on the shared graded basis
+    (_difference); overflow column sets must agree and are excluded from
+    entry comparison only when flagged on both sides.
     """
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     realized = realize_generators(rep, kind, deltas)
     abstract = abstract_counterpart(rep, kind, deltas)
+    passed = "dim %d, cutoff %d" % (len(basis_states(rep.modes, cutoff)), cutoff)
     results = []
     for name, op in realized.items():
-        mat_r = poly_to_matrix(op, cutoff)
-        mat_a = to_matrix(abstract.generator(name), cutoff)
-        diff = _first_difference(mat_r, mat_a)
+        diff = _difference(op, abstract.generator(name), cutoff)
         if diff:
             results.append(CheckResult("cross %s %s" % (kind, name), "FAIL", "", diff))
         else:
-            results.append(CheckResult("cross %s %s" % (kind, name), "PASS",
-                                       "dim %d, cutoff %d" % (mat_r.dim, cutoff)))
+            results.append(CheckResult("cross %s %s" % (kind, name), "PASS", passed))
     return results
 
 
@@ -435,9 +431,7 @@ def check_fd_displayed(rep: RepSpec, cutoff: int = None, deltas=None) -> list:
     displayed = fd_displayed_forms(rep, deltas)
     out = []
     for name, disp in displayed.items():
-        mat_d = poly_to_matrix(disp, cutoff)
-        mat_n = poly_to_matrix(normative[name], cutoff)
-        same = not _first_difference(mat_d, mat_n)
+        same = not _difference(disp, normative[name], cutoff)
         out.append(AltFormResult(name, "MATCH" if same else "DIFFERS",
                                  "" if same else "displayed fd form differs"))
     return out

@@ -8,19 +8,24 @@ Killing oracle every middle index of every pair, and the closure oracle
 every compiled column of every pair on every probe state.  The probe oracles
 decide every relation, Casimir commutator and alt form by applying both
 sides to each state up to the cutoff, with no normal-form shortcut, and
-fold their generator words themselves, reading no memo of the rep.
+fold their generator words themselves, reading no memo of the rep.  The
+differential oracle relabels a normal-ordered element monomial by monomial
+into function-space leaves, where the library puts the family's formula
+over its differential kit.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
 from math import isqrt
 
-from fockrep.fock import Poly, _state_str, basis_states, check_identity, identity_op
+from fockrep.fock import (OperatorExpr, Poly, Product, Scale, Sum, _state_str, basis_states, check_identity,
+                          identity_op)
+from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial
 from fockrep.linalg import EchelonSpan
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
-from fockrep.weyl import ModeSystem, WeylElement, accumulate
+from fockrep.weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
 
 # atoms: ('b', i), ('a', i), ('th', j), ('dth', j)
 
@@ -331,6 +336,48 @@ def probe_alt_forms(rep, cutoff=6) -> list:
         out.append(AltFormResult(alt.generator, "MATCH" if report.equal else "DIFFERS",
                                  "" if report.equal else report.describe(rep.modes)))
     return out
+
+
+# -- the differential oracle: a normal form relabeled leaf by leaf -------------------
+
+
+def clifford_matmul(x: dict, y: dict) -> dict:
+    """The product of two spinor-space matrices given as {(row, col): v}."""
+    out = {}
+    for (i, k), v in x.items():
+        for (k2, j), w in y.items():
+            if k == k2:
+                accumulate(out, (i, j), v * w)
+    return out
+
+
+def clifford_identity(r: int) -> dict:
+    return {(s, s): 1 for s in range(1 << r)}
+
+
+def weyl_to_differential(w: WeylElement) -> OperatorExpr:
+    """Oracle for realize_generators(rep, "differential"): each monomial
+    b^p a^q th^s dth^t of w relabeled as x^p (d/dx)^q times the Pauli
+    product of th^s dth^t, scaled, and the monomials summed."""
+    modes = w.modes
+    r = modes.fermionic
+    cliff = CliffordMatrices(r)
+    parts = []
+    for (bp, ap, th, dth), c in w.sorted_terms():
+        factors = []
+        for i, k in enumerate(bp):
+            factors.extend([MultX(modes, i + 1)] * k)
+        for i, k in enumerate(ap):
+            factors.extend([Partial(modes, i + 1)] * k)
+        if th or dth:
+            mat = clifford_identity(r)
+            for j in _mask_to_list(th):
+                mat = clifford_matmul(mat, cliff.b_f[j - 1])
+            for j in _mask_to_list(dth):
+                mat = clifford_matmul(mat, cliff.a_f[j - 1])
+            factors.append(Cliff(modes, mat))
+        parts.append(Scale(c, Product(factors) if factors else identity_op(modes)))
+    return Sum(parts) if parts else Poly(WeylElement.zero(modes))
 
 
 # -- the coefficient oracle: every number a Scalar ----------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from fockrep import realize
+from fockrep import fock, realize
 from fockrep.catalogue import FAMILIES, build, fock_kit
 from fockrep.fock import (Compiled, OperatorExpr, Poly, basis_states, check_identity,
                           identity_op, state_degree, to_matrix)
@@ -14,9 +14,10 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
                              abstract_counterpart, check_fd_displayed, cross_check,
                              fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
-                             realize_generators, weyl_to_differential)
+                             realize_generators)
 from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement
+from oracles import clifford_identity, clifford_matmul, weyl_to_differential
 
 B1 = ModeSystem(1, 0)
 
@@ -118,10 +119,10 @@ def test_leaf_max_raise_bounds_image_degree():
         for i in range(1, modes.bosonic + 1):
             leaves += [MultX(modes, i), Partial(modes, i), ShiftX(modes, i, rat(1, 2)),
                        Dplus(modes, i, rat(-1, 3)), JacksonX(modes, i, rat(3, 5))]
-        leaves.append(Cliff(modes, CliffordMatrices.identity(modes.fermionic)))
+        leaves.append(Cliff(modes, clifford_identity(modes.fermionic)))
         if modes.fermionic:
             leaves += [Cliff(modes, cl.a_f[0]), Cliff(modes, cl.b_f[0]),
-                       Cliff(modes, CliffordMatrices.matmul(cl.b_f[0], cl.a_f[0]))]
+                       Cliff(modes, clifford_matmul(cl.b_f[0], cl.a_f[0]))]
         for leaf in leaves:
             bound = leaf.max_raise()
             attained = False
@@ -131,6 +132,99 @@ def test_leaf_max_raise_bounds_image_degree():
                     (modes, type(leaf).__name__, key)
                 attained = attained or state_degree(key) + bound in degrees
             assert attained, (modes, type(leaf).__name__)
+
+
+def test_differential_cross_check_fails_on_a_bumped_rep_generator():
+    # the realization is the family's formula, so a rep generator bumped by
+    # (1/3) b a no longer equals its realized counterpart
+    for rid, params, name in [("sl2_standard", {"n": 2}, "J0"), ("osp22", {"n": 2}, "Q2"),
+                              ("gl_super", {"k": 2, "r": 1, "n": 2}, "T0_12")]:
+        rep = build(rid, params)
+        gens = dict(rep.generators)
+        gens[name] = gens[name] + Poly(WeylElement.monomial(rep.modes, (1,), (1,),
+                                                            coeff=rat(1, 3)))
+        results = cross_check(dataclasses.replace(rep, generators=gens), "differential")
+        failed = [c for c in results if not c.passed]
+        assert [c.name for c in failed] == ["cross differential %s" % name], rid
+        assert re.match(r"column \d+ differs: realized ", failed[0].witness), rid
+
+
+def _count_to_matrix(monkeypatch) -> list:
+    """Wrap fock.to_matrix wherever realize reaches it; returns the call log."""
+    calls = []
+
+    def counted(op, cutoff, inner=to_matrix):
+        calls.append(op)
+        return inner(op, cutoff)
+
+    monkeypatch.setattr(fock, "to_matrix", counted)
+    monkeypatch.setattr(realize, "to_matrix", counted)
+    return calls
+
+
+def test_cross_check_decides_overflow_columns_by_their_matrices(monkeypatch):
+    # J+ overflows on b^cutoff on both sides, and the bump only adds to the
+    # out-of-basis part of that column: no compared entry changes, so PASS.
+    # J0 keeps the degree, and the same bump makes its b^cutoff column
+    # overflow on the realized side only: FAIL.
+    rep = build("sl2_standard", {"n": 2})
+    cutoff = rep.default_cutoff
+    bump = Poly(WeylElement.monomial(rep.modes, (cutoff + 1,), (cutoff,), coeff=rat(1, 3)))
+    gens = realize_generators(rep, "differential")
+    gens["J+"] = gens["J+"] + bump
+    gens["J0"] = gens["J0"] + bump
+    monkeypatch.setattr(realize, "realize_generators",
+                        lambda rep, kind, deltas=None: gens)
+    calls = _count_to_matrix(monkeypatch)
+    failed = [c for c in cross_check(rep, "differential") if not c.passed]
+    assert [c.name for c in failed] == ["cross differential J0"]
+    assert failed[0].witness == "overflow columns differ: [%d] vs []" % cutoff
+    # both differ on b^cutoff, so both sides' matrices were formed for each
+    assert len(calls) == 4
+
+
+def test_passing_cross_checks_form_no_matrix(monkeypatch):
+    calls = _count_to_matrix(monkeypatch)
+    for rid, params, kind in [("sl2_standard", {"n": 3}, "differential"),
+                              ("gl_super", {"k": 2, "r": 1, "n": 2}, "differential"),
+                              ("osp22_translated", {"n": 2, "delta": rat(1)}, "fd"),
+                              ("sl2q", {"alpha": 2, "q": rat(3, 5)}, "jackson")]:
+        results = cross_check(build(rid, params), kind)
+        assert results and all(c.passed for c in results), (rid, kind)
+    res = check_fd_displayed(build("sl2_translated", {"n": 0, "delta": rat(1)}))
+    assert all(a.status == "MATCH" for a in res)
+    assert calls == []
+
+
+def test_cross_check_refuses_a_negative_cutoff():
+    # an empty basis would pass every line unchecked
+    for rid, params, kind in [("sl2_standard", {"n": 2}, "differential"),
+                              ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, "fd"),
+                              ("sl2q", {"alpha": 1, "q": rat(2)}, "jackson")]:
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            cross_check(build(rid, params), kind, -1)
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        check_fd_displayed(build("sl2_translated", {"n": 2, "delta": rat(1, 2)}), -1)
+
+
+def test_differential_formula_matches_the_relabeled_normal_form():
+    # the reference the differential check used before it was the family's
+    # formula: each generator's normal form relabeled monomial by monomial
+    from fockrep.grids import acceptance_grid
+
+    checked = set()
+    for rep_id, params in acceptance_grid(small=True):
+        rep = build(rep_id, params)
+        if not rep.is_polynomial():
+            continue
+        cutoff = rep.default_cutoff
+        for name, op in realize_generators(rep, "differential").items():
+            got = to_matrix(op, cutoff)
+            want = to_matrix(weyl_to_differential(rep.generator(name).as_weyl()), cutoff)
+            assert got.cols == want.cols and \
+                got.overflow_columns == want.overflow_columns, (rep_id, name)
+        checked.add(rep_id)
+    assert len(checked) == 12
 
 
 def test_differential_realization_passes_check_identity():
