@@ -18,10 +18,10 @@ Scalar, kept as the reference for the native int/Rational/Scalar mix.
 
 from math import isqrt
 
-from fockrep.fock import (OperatorExpr, Poly, Product, Scale, Sum, _state_str, basis_states, check_identity,
-                          identity_op)
-from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial
+from fockrep.fock import (OperatorExpr, Poly, Product, Scale, Sum, _state_str, basis_states,
+                          check_identity, identity_op)
 from fockrep.linalg import EchelonSpan
+from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
