@@ -1,0 +1,124 @@
+"""Pinned report output: one ledger and one sha256 per corpus, in tests/pins/.
+
+A corpus is a list of verification reports in a fixed order: the full and
+the small acceptance grid, as `fockrep report-all --grid ... --format json`
+prints them, and the 70 negative controls (each +1 single-monomial bump of
+sl2_standard and osp22, n = 0..3), as json.dumps(reports, sort_keys=True).
+
+The ledger has one tab-separated line per report line, in report order:
+the report's index and label (rep and params), then the line's name,
+status, detail and witness, with empty trailing fields dropped.  Check
+lines come first, then the alt forms (`alt form <generator>`), then the
+Killing rank (`killing rank`, status `<rank> of <generators>`).  The digest is the sha256 of the corpus's exact
+bytes, so it still proves byte-identity of format, key order and whitespace,
+while the ledger says which lines moved.
+
+    PYTHONPATH=src python tests/pinning.py [corpus ...]
+
+rewrites the ledgers and digests of the named corpora (all by default) from
+the engine; the git diff of the ledgers is then the report-by-report diff of
+what moved.
+"""
+
+import contextlib
+import dataclasses
+import difflib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from fockrep.catalogue import build
+from fockrep.cli import main
+from fockrep.fock import Poly
+from fockrep.verify import full_verify
+from fockrep.weyl import WeylElement
+
+PINS = Path(__file__).resolve().parent / "pins"
+SHOWN = 12  # moved ledger lines printed on a mismatch
+
+
+def _cli(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+
+def negative_control_reports() -> list:
+    """The report JSON of every +1 single-monomial bump of sl2_standard and
+    osp22 generators, n = 0..3."""
+    reports = []
+    for rep_id in ("sl2_standard", "osp22"):
+        for n in range(4):
+            rep = build(rep_id, {"n": n})
+            for name, g in rep.generators.items():
+                w = g.as_weyl()
+                for mono in list(w.terms):
+                    gens = dict(rep.generators)
+                    gens[name] = Poly(w + WeylElement(rep.modes, {mono: 1}))
+                    reports.append(full_verify(dataclasses.replace(rep, generators=gens)).to_json())
+    return reports
+
+
+CORPORA = {
+    "full_grid": lambda: _cli("report-all", "--grid", "full", "--format", "json"),
+    "small_grid": lambda: _cli("report-all", "--grid", "small", "--format", "json"),
+    "negative_controls": lambda: json.dumps(negative_control_reports(), sort_keys=True),
+}
+
+
+def ledger(text: str) -> list:
+    """The ledger lines of a corpus's bytes."""
+    lines = []
+    for idx, report in enumerate(json.loads(text)):
+        label = " ".join([report["rep"]] + ["%s=%s" % kv for kv in report["params"].items()])
+        rows = [(c["name"], c["status"], c.get("detail", ""), c.get("witness", ""))
+                for c in report["checks"]]
+        rows += [("alt form " + a["generator"], a["status"], a["detail"], "")
+                 for a in report.get("alt_forms", ())]
+        if "killing_rank" in report:
+            rows.append(("killing rank", "%(rank)d of %(of)d" % report["killing_rank"], "", ""))
+        for row in rows:
+            fields = [str(idx), label, *row]
+            if any("\t" in f or "\n" in f for f in fields):
+                raise ValueError("a ledger field holds a tab or a newline: %r" % (fields,))
+            lines.append("\t".join(fields).rstrip("\t"))
+    return lines
+
+
+def _paths(corpus):
+    return PINS / (corpus + ".ledger"), PINS / (corpus + ".sha256")
+
+
+def check_pinned(corpus: str, text: str):
+    """Raise AssertionError unless text has the pinned ledger and digest;
+    the message prints the first moved ledger lines, old (-) and new (+)."""
+    ledger_path, digest_path = _paths(corpus)
+    old = ledger_path.read_text().splitlines()
+    new = ledger(text)
+    if old != new:
+        moved = [line for line in difflib.unified_diff(old, new, n=0, lineterm="")
+                 if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+        raise AssertionError(
+            "%s: %d ledger lines moved (rewrite with tests/pinning.py); first ones:\n%s"
+            % (corpus, len(moved), "\n".join(moved[:SHOWN])))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    pinned = digest_path.read_text().strip()
+    if digest != pinned:
+        raise AssertionError("%s: same ledger, other bytes: sha256 %s, pinned %s"
+                             % (corpus, digest, pinned))
+
+
+def rewrite(corpus: str):
+    text = CORPORA[corpus]()
+    ledger_path, digest_path = _paths(corpus)
+    PINS.mkdir(exist_ok=True)
+    ledger_path.write_text("".join(line + "\n" for line in ledger(text)))
+    digest_path.write_text(hashlib.sha256(text.encode()).hexdigest() + "\n")
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or CORPORA:
+        rewrite(name)

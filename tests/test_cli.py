@@ -17,6 +17,7 @@ from fockrep.cli import main, parse_params
 from fockrep.fock import Poly
 from fockrep.scalars import rat
 from fockrep.weyl import WeylElement
+from pinning import check_pinned, ledger
 
 
 def run(capsys, *argv):
@@ -207,11 +208,11 @@ def test_report_all_small(capsys):
 
 
 def test_report_all_small_json_is_pinned(capsys):
-    # byte-identity oracle: any change to what a report says shows here
+    # byte-identity oracle: any change to what a report says shows here,
+    # line by line in tests/pins/small_grid.ledger
     code, out, _ = run(capsys, "report-all", "--grid", "small", "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "53acb11ef2c1b405dc6cb0f87a1cd6f4e119d9ddd77d279719b1f903e3bcb2f8")
+    check_pinned("small_grid", out)
 
 
 def test_report_all_full_json_is_pinned(capsys):
@@ -219,8 +220,24 @@ def test_report_all_full_json_is_pinned(capsys):
     # PASS detail shows here
     code, out, _ = run(capsys, "report-all", "--grid", "full", "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cbb1f691afc81778301dac697a91b0e3ad5441d50dda7b2670412fbfdedfeff9")
+    check_pinned("full_grid", out)
+
+
+def test_a_flipped_verdict_moves_exactly_its_ledger_line(capsys):
+    # a pin mismatch prints the moved line, old and new, and nothing else;
+    # a byte change that moves no line is caught by the digest
+    _, out, _ = run(capsys, "report-all", "--grid", "small", "--format", "json")
+    reports = json.loads(out)
+    line = reports[3]["checks"][1]
+    assert line["status"] == "PASS"
+    line["status"] = "FAIL"
+    old = [entry for entry in ledger(out) if entry.startswith("3\t")][1]
+    with pytest.raises(AssertionError) as caught:
+        check_pinned("small_grid", json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    assert str(caught.value).splitlines()[1:] == ["-" + old,
+                                                  "+" + old.replace("\tPASS", "\tFAIL", 1)]
+    with pytest.raises(AssertionError, match="same ledger, other bytes"):
+        check_pinned("small_grid", out.replace("\n", "\n ", 1))
 
 
 def test_pretty_report_all_is_byte_identical_across_runs(capsys):

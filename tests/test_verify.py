@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import importlib
 import json
 import re
@@ -25,6 +24,7 @@ from fockrep.verify import (AltFormResult, CheckResult, burnside_irreducibility,
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import (dense_closure, loop_jacobi, loop_killing, probe_alt_forms,
                      probe_casimir_commutes, probe_relations, swap_multiply)
+from pinning import check_pinned, negative_control_reports
 
 
 def _index(sc, name):
@@ -136,21 +136,11 @@ def test_jacobi_matches_loop_oracle_on_every_perturbation(rid, params):
 
 def test_negative_control_reports_are_pinned():
     # every single-monomial +1 bump of sl2_standard and osp22, n = 0..3:
-    # pins the FAIL witnesses of closure, Jacobi and the relations
-    reports = []
-    for rep_id in ("sl2_standard", "osp22"):
-        for n in range(4):
-            rep = build(rep_id, {"n": n})
-            for name, g in rep.generators.items():
-                w = g.as_weyl()
-                for mono in list(w.terms):
-                    gens = dict(rep.generators)
-                    gens[name] = Poly(w + WeylElement(rep.modes, {mono: 1}))
-                    bad = dataclasses.replace(rep, generators=gens)
-                    reports.append(full_verify(bad).to_json())
+    # pins the FAIL witnesses of closure, Jacobi and the relations, line by
+    # line in tests/pins/negative_controls.ledger
+    reports = negative_control_reports()
     assert len(reports) == 70
-    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "cc8129332d9439742a3e28d794e0931a3355f4a9ce0499d678f2faa2018af25c"
+    check_pinned("negative_controls", json.dumps(reports, sort_keys=True))
 
 
 def test_killing_form_sl2_with_trace_oracle():
