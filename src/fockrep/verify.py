@@ -2,21 +2,22 @@
 
 Every check is exact arithmetic over Q(sqrt2), and a FAIL carries a
 concrete witness (a basis state or index pair with both values); where a
-PASS rests on a finite probe, see below.  Closure is checked at matrix
-level uniformly, with a symbolic second path over normal-ordered canonical
-forms for purely polynomial families; the two paths are independent
-implementations.  The matrix path sums each bracket
-over the generators' nonzero compiled columns and never calls weyl; the
-symbolic path, the constants re-check and the Casimir centrality check form
-each bracket with weyl.bracket.
+PASS rests on a finite probe, see below.
 
 On a polynomial family a relation line, a Casimir commutator [C,g] and a
 polynomial alt form are decided exactly by their residual lhs - rhs in
 normal form: zero PASSes (MATCH), anything else FAILs (DIFFERS) with both
 sides' images on the first state the residual does not kill (_mismatch).
+Closure there is decided once, in normal form too (closure_symbolic): each
+bracket is expressed in the span of the generators, and one that leaves it
+FAILs with its residual and that residual's first unkilled state.
 Extended families, whose generators are not polynomials, are probed as
 operator trees on the states up to the cutoff, a finite probe and not a
-proof, with the Casimir compiled so each state's image is formed once.
+proof, with the Casimir compiled so each state's image is formed once;
+their closure is a matrix probe that sums each bracket over the
+generators' nonzero compiled columns and never calls weyl.  The symbolic
+closure, the constants re-check and the Casimir centrality check form each
+bracket with weyl.bracket.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
@@ -24,8 +25,8 @@ times each entry.  It walks one compiled copy of the rep, whose memos the
 entries share, so each is formed once per report: each generator bracket
 (RepSpec.bracket), which the relation sides and the symbolic closure read;
 each relation side and the Casimir (RepSpec.word_sum); each generator's
-invariant-space columns (RepSpec.space_columns); and the closure, symbolic
-closure and invariant-space results (RepSpec.memo).  Closure and Burnside
+invariant-space columns (RepSpec.space_columns); and the closure and
+invariant-space results (RepSpec.memo).  The matrix closure and Burnside
 compile the rep they are given; RepSpec.compiled of a compiled rep is that
 rep, so inside full_verify they read the report's copy and its memos.
 """
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .catalogue import RepSpec
-from .fock import (Compiled, IdentityReport, Product, _state_str, basis_states,
+from .fock import (Compiled, IdentityReport, Poly, Product, _state_str, basis_states,
                    check_identity, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
@@ -149,11 +150,8 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
     on a state that separates them.
 
     Polynomial sides are decided by their residual D = lhs - rhs in normal
-    form, given or formed here.  A monomial kills each state that lacks its
-    lowering part and sends that part to a multiple of its raising part, so
-    on the graded-lex least lowering part of D's monomials only those with
-    that lowering part act, with distinct images: it is the first state D
-    does not kill.  Other sides are probed by check_identity.
+    form, given or formed here, on the first state D does not kill
+    (_first_unkilled).  Other sides are probed by check_identity.
     """
     if residual is None:
         w, v = lhs.as_weyl(), rhs.as_weyl()
@@ -163,9 +161,21 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
         residual = w - v
     if residual.is_zero():
         return None
-    key = min(((m[1], m[3]) for m in residual.terms), key=state_sort_key)
+    key = _first_unkilled(residual)
     return IdentityReport(False, state_degree(key), key, lhs.apply({key: 1}),
                           rhs.apply({key: 1}))
+
+
+def _first_unkilled(residual: WeylElement):
+    """The first basis state, in graded-lex order, that a nonzero normal
+    form does not kill.
+
+    A monomial kills each state that lacks its lowering part and sends that
+    part to a multiple of its raising part, so on the least lowering part
+    of the monomials only those with that lowering part act, with distinct
+    images.
+    """
+    return min(((m[1], m[3]) for m in residual.terms), key=state_sort_key)
 
 
 def check_relations(rep: RepSpec, cutoff: int = None) -> list:
@@ -216,41 +226,31 @@ def _pairwise_lowering(rep: RepSpec) -> int:
 
 
 def closure(rep: RepSpec, cutoff: int = None):
-    """Extract structure constants from all pairwise super-brackets.
+    """Structure constants from all pairwise super-brackets, as a
+    StructureConstants table and the `closure` line.
 
-    Probes the action on basis states: for polynomial families, vanishing on
-    every state of degree up to the combined lowering degree of a generator
-    pair is an exact abstract identity, so the extracted constants are not
-    truncation artifacts.  Extended families are probed on the overflow-free
-    range of the stated cutoff.  An operator is the stacked vector of its
-    images of the probe states, keyed (state index, image state).  Each
-    generator's nonzero columns on the probe states are listed once, and
-    the generators acting nonzero on an image state are found once, when a
-    bracket first reaches that state; each bracket vector sums only these
-    nonzero entries.
+    On a polynomial rep this is closure_symbolic.  An extended rep is
+    probed on the overflow-free range of the stated cutoff, floored at the
+    combined lowering degree of a generator pair.  An operator is the
+    stacked vector of its images of the probe states, keyed (state index,
+    image state).  Each generator's nonzero columns on the probe states are
+    listed once, and the generators acting nonzero on an image state are
+    found once, when a bracket first reaches that state; each bracket
+    vector sums only these nonzero entries.
     """
+    if rep.is_polynomial():
+        return closure_symbolic(rep)
     rep = rep.compiled()
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
     cutoff = rep.default_cutoff if cutoff is None else cutoff
-    pairlow = _pairwise_lowering(rep)
-    if rep.is_polynomial():
-        probe = max(pairlow, 1)
-    else:
-        probe = max(cutoff - 2 * rep.max_generator_raise(), pairlow, 1)
+    probe = max(cutoff - 2 * rep.max_generator_raise(), _pairwise_lowering(rep), 1)
     states = basis_states(rep.modes, probe)
 
-    span = EchelonSpan()
-    dependent = []
-    on_probes = []  # per generator, its nonzero columns: (state index, column)
-    for name, g in zip(names, gens):
-        cols = [(idx, col) for idx, col in enumerate(map(g.column, states)) if col]
-        on_probes.append(cols)
-        if not span.insert({(idx, key): c for idx, col in cols for key, c in col.items()}):
-            dependent.append(name)
-    span_dim = span.dim
-
+    # per generator, its nonzero columns on the probe states: (state index, column)
+    on_probes = [[(idx, col) for idx, col in enumerate(map(g.column, states)) if col]
+                 for g in gens]
     acting = {}  # image state -> {generator index: its nonzero column there}
 
     def add_product(vec, i, j, sign):
@@ -268,75 +268,81 @@ def closure(rep: RepSpec, cutoff: int = None):
                     for out, c in col_i.items():
                         accumulate(vec, (idx, out), c * d)
 
+    def bracket_vector(i, j, anti):
+        vec = {}
+        if i == j:
+            add_product(vec, i, i, 2)  # {x, x} = 2 x x
+        else:
+            add_product(vec, i, j, 1)
+            add_product(vec, j, i, 1 if anti else -1)
+        return vec
+
+    def witness(i, j, anti, residual):
+        return ("%s on state %s leaves the span"
+                % (_bracket_name(names[i], names[j], anti),
+                   _state_str(*states[min(residual)[0]], rep.modes)))
+
+    return _constants(names, parities,
+                      [{(idx, key): c for idx, col in cols for key, c in col.items()}
+                       for cols in on_probes],
+                      bracket_vector, witness, "probe degree %d" % probe)
+
+
+def closure_symbolic(rep: RepSpec):
+    """closure's polynomial branch, exact on the whole Fock space: each
+    bracket's normal form, read from the rep's bracket memo
+    (RepSpec.bracket), is expressed in the span of the generators' normal
+    forms.  A bracket outside it FAILs with its residual and the first
+    state the residual does not kill (_first_unkilled), where the bracket
+    and the combination of generators the span offers act differently.
+    """
+    names = list(rep.generators)
+    parities = [rep.parities[n] for n in names]
+
+    def witness(i, j, anti, residual):
+        residual = WeylElement(rep.modes, residual)
+        key = _first_unkilled(residual)
+        return ("%s has residual %s, which sends %s to %s"
+                % (_bracket_name(names[i], names[j], anti), residual,
+                   _state_str(*key, rep.modes),
+                   vector_str(Poly(residual).apply({key: 1}), rep.modes)))
+
+    return _constants(names, parities,
+                      [dict(rep.generators[n].as_weyl().terms) for n in names],
+                      lambda i, j, anti: rep.bracket(names[i], names[j], anti).terms,
+                      witness, "")
+
+
+def _constants(names, parities, vectors, bracket_vector, witness, probed):
+    """The table and `closure` line of both closure paths: each bracket
+    {x_i, x_j} or [x_i, x_j], i <= j, as bracket_vector(i, j, anti) gives
+    it, expressed in the span of the generators' vectors.  The first
+    bracket outside the span FAILs with witness(i, j, anti, residual).
+    probed is the matrix path's probe degree for the detail, or empty."""
+    span = EchelonSpan()
+    dependent = [name for name, vec in zip(names, vectors) if not span.insert(vec)]
     table = {}
-    m = len(gens)
+    m = len(names)
     for i in range(m):
         for j in range(i, m):
             anti = parities[i] == 1 and parities[j] == 1
             if i == j and not anti:
                 table[(i, i)] = {}  # [x, x] = 0
                 continue
-            vec = {}
-            if i == j:
-                add_product(vec, i, i, 2)  # {x, x} = 2 x x
-            else:
-                add_product(vec, i, j, 1)
-                add_product(vec, j, i, 1 if anti else -1)
-            coeffs, residual = span.express(vec)
+            coeffs, residual = span.express(bracket_vector(i, j, anti))
             if coeffs is None:
-                key = min(residual)
-                witness = ("%s on state %s leaves the span"
-                           % (_bracket_name(names[i], names[j], anti),
-                              _state_str(*states[key[0]], rep.modes)))
-                return None, CheckResult("closure", "FAIL",
-                                         "probe degree %d" % probe, witness)
-            table[(i, j)] = coeffs
-            if i != j:
-                table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
-    sc = StructureConstants(names, parities, table, span_dim, dependent)
-    detail = "span dimension %d over %d generators, probe degree %d" % (
-        span_dim, m, probe)
-    if dependent:
-        detail += "; dependent: %s" % ", ".join(dependent)
-    return sc, CheckResult("closure", "PASS", detail)
-
-
-def closure_symbolic(rep: RepSpec):
-    """Second, independent closure path over canonical normal-ordered forms,
-    polynomial families only.
-
-    Each bracket is read from the rep's bracket memo (RepSpec.bracket), so
-    one a relation side already formed is not formed again.
-    """
-    names = list(rep.generators)
-    gens = [rep.generators[n].as_weyl() for n in names]
-    parities = [rep.parities[n] for n in names]
-
-    span = EchelonSpan()
-    dependent = []
-    for idx, g in enumerate(gens):
-        if not span.insert(dict(g.terms)):
-            dependent.append(names[idx])
-    table = {}
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            anti = parities[i] == 1 and parities[j] == 1
-            if i == j and not anti:
-                table[(i, i)] = {}  # [x, x] = 0
-                continue
-            coeffs, residual = span.express(rep.bracket(names[i], names[j], anti).terms)
-            if coeffs is None:
-                return None, CheckResult(
-                    "closure_symbolic", "FAIL", "",
-                    "%s has residual %s"
-                    % (_bracket_name(names[i], names[j], anti),
-                       WeylElement(rep.modes, residual)))
+                return None, CheckResult("closure", "FAIL", probed,
+                                         witness(i, j, anti, residual))
             table[(i, j)] = coeffs
             if i != j:
                 table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
     sc = StructureConstants(names, parities, table, span.dim, dependent)
-    return sc, CheckResult("closure_symbolic", "PASS",
-                           "span dimension %d" % span.dim)
+    detail = "span dimension %d over %d generators" % (span.dim, m)
+    if probed:
+        detail += ", " + probed
+    if dependent:
+        detail += "; dependent: %s" % ", ".join(dependent)
+    return sc, CheckResult("closure", "PASS", detail)
 
 
 def verify_constants(rep: RepSpec, sc: StructureConstants) -> CheckResult:
@@ -360,13 +366,6 @@ def verify_constants(rep: RepSpec, sc: StructureConstants) -> CheckResult:
                 "%s != claimed combination; residual %s"
                 % (_bracket_name(names[i], names[j], anti), residual))
     return CheckResult("constants", "PASS", "%d brackets" % len(sc.table))
-
-
-def structure_constants_agree(a: StructureConstants, b: StructureConstants) -> bool:
-    if a.names != b.names:
-        return False
-    keys = set(a.table) | set(b.table)
-    return all(a.table.get(k, {}) == b.table.get(k, {}) for k in keys)
 
 
 # -- Jacobi -----------------------------------------------------------------------
@@ -734,18 +733,6 @@ def _closed(rep) -> bool:
     return rep.claims.closes and _once(rep, closure)[0] is not None
 
 
-def _symbolic(rep) -> bool:
-    return rep.claims.closes and rep.is_polynomial()
-
-
-def _paths_agree(rep):
-    agree = structure_constants_agree(_once(rep, closure)[0],
-                                      _once(rep, closure_symbolic)[0])
-    return CheckResult("closure_paths_agree", "PASS" if agree else "FAIL",
-                       "matrix and symbolic structure constants",
-                       "" if agree else "paths disagree")
-
-
 def _casimir(rep, cutoff):
     _, results, claim = casimir_check(rep, cutoff)
     return results + [claim] if claim else results
@@ -755,7 +742,9 @@ def _casimir(rep, cutoff):
 # true to run the entry, a string to record a skip with that reason, or
 # false for no line; run(rep, cutoff) gives its results.  Each body names
 # its check as a module global when it runs, so a verify.<check> patched
-# later is the one called.
+# later is the one called.  Closure is one entry and one line per rep, the
+# symbolic decision on a polynomial rep and the matrix probe on an extended
+# one; Jacobi and the Killing rank read its table.
 CHECKS = [
     ("relations", lambda rep: bool(rep.relations),
      lambda rep, cutoff: check_relations(rep, cutoff)),
@@ -763,10 +752,6 @@ CHECKS = [
     ("jacobi", _closed, lambda rep, cutoff: [jacobi(_once(rep, closure)[0])]),
     ("killing_rank", _closed,  # (rank, generators): report data, not a check
      lambda rep, cutoff: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
-    ("closure_symbolic", _symbolic, lambda rep, cutoff: [_once(rep, closure_symbolic)[1]]),
-    ("closure_paths_agree",
-     lambda rep: _symbolic(rep) and _closed(rep) and _once(rep, closure_symbolic)[0] is not None,
-     lambda rep, cutoff: [_paths_agree(rep)]),
     ("alt_forms", lambda rep: True, lambda rep, cutoff: check_alt_forms(rep, cutoff)),
     ("casimir", lambda rep: rep.casimir is not None, lambda rep, cutoff: _casimir(rep, cutoff)),
     ("invariant_subspace", lambda rep: rep.invariant_space is not None or "no claim",
@@ -779,8 +764,8 @@ CHECKS = [
 
 def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
     """Walk CHECKS on one compiled copy of rep whose default cutoff is the
-    report's, so the entries share its memos: each of closure, symbolic
-    closure and the invariant space is formed once."""
+    report's, so the entries share its memos: closure, whichever path
+    decides it, and the invariant space are each formed once."""
     start = time.monotonic()
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     rep = replace(rep.compiled(), default_cutoff=cutoff)

@@ -220,7 +220,10 @@ def loop_killing(sc: StructureConstants) -> list:
 def dense_closure(rep, cutoff=None):
     """Oracle for verify.closure: every bracket of the m(m+1)/2 pairs i <= j
     summed on every probe state from both products' compiled columns, empty
-    ones included, on the same probe range and span."""
+    ones included.  An extended rep is probed on the matrix path's range;
+    a polynomial rep, which verify decides in normal form, up to the
+    combined lowering degree of a generator pair, where vanishing on every
+    probe state is an exact identity."""
     rep = rep.compiled()
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]

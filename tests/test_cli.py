@@ -255,12 +255,12 @@ def test_timing_flag(capsys):
     code, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing")
     assert code == 0 and re.search(r"^elapsed: \d+ ms$", out, re.M)
     check_lines = [l for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
-    assert len(check_lines) == 11
+    assert len(check_lines) == 9
     assert all(re.search(r"  \(\d+(\.\d+)? ms\)$", l) for l in check_lines)
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--timing", "--format", "json")
     report = json.loads(out)
     assert isinstance(report["elapsed_ms"], int)
-    assert len(report["checks"]) == 11
+    assert len(report["checks"]) == 9
     assert all(isinstance(c["elapsed_ms"], (int, float)) and c["elapsed_ms"] >= 0
                for c in report["checks"])
     _, out, _ = run(capsys, "verify", "sl2_standard", "n=2", "--format", "json")
@@ -289,10 +289,10 @@ def test_verify_says_skip_for_a_check_that_did_not_run(capsys):
 def test_report_all_counts_only_the_checks_that_ran(capsys):
     code, out, _ = run(capsys, "report-all", "--grid", "small")
     assert code == 0
-    assert "PASS  sl2_metaplectic   (9 checks)" in out.splitlines()
+    assert "PASS  sl2_metaplectic   (7 checks)" in out.splitlines()
     _, out, _ = run(capsys, "verify", "sl2_metaplectic")
     statuses = [l.split()[0] for l in out.splitlines() if re.match(r"  (PASS|FAIL|SKIP) ", l)]
-    assert len(statuses) == 10 and statuses.count("SKIP") == 1
+    assert len(statuses) == 8 and statuses.count("SKIP") == 1
 
 
 # the bytes `fockrep matrix` printed when every entry went through a Scalar
