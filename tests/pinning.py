@@ -1,22 +1,30 @@
-"""Pinned report output: one ledger and one sha256 per corpus, in tests/pins/.
+"""Pinned output: one ledger and one sha256 per corpus, in tests/pins/.
 
-A corpus is a list of verification reports in a fixed order: the full and
-the small acceptance grid, as `fockrep report-all --grid ... --format json`
-prints them, and the 70 negative controls (each +1 single-monomial bump of
-sl2_standard and osp22, n = 0..3), as json.dumps(reports, sort_keys=True).
+A report corpus is a list of verification reports in a fixed order: the
+full and the small acceptance grid, as `fockrep report-all --grid ...
+--format json` prints them, and the 70 negative controls (each +1
+single-monomial bump of sl2_standard and osp22, n = 0..3), as
+json.dumps(reports, sort_keys=True).  Two more corpora pin the catalogue
+listing, as `fockrep list --format json` prints it, and the cross-check
+results of every accepted (grid instance, realization) pair
+(cross_check_results).
 
-The ledger has one tab-separated line per report line, in report order:
+A ledger has one tab-separated line per entry, in corpus order, with empty
+trailing fields dropped.  In a report corpus an entry is a report line:
 the report's index and label (rep and params), then the line's name,
-status, detail and witness, with empty trailing fields dropped.  Check
-lines come first, then the alt forms (`alt form <generator>`), then the
-Killing rank (`killing rank`, status `<rank> of <generators>`).  The digest is the sha256 of the corpus's exact
-bytes, so it still proves byte-identity of format, key order and whitespace,
-while the ledger says which lines moved.
+status, detail and witness.  Check lines come first, then the alt forms
+(`alt form <generator>`), then the Killing rank (`killing rank`, status
+`<rank> of <generators>`).  In the listing an entry is a family: its id,
+parameter signature and description.  In the cross results it is one
+CheckResult: the pair's index and label (rep, params and realization), then
+the result's name, status, detail and witness.  The digest is the sha256 of
+the corpus's exact bytes, so it still proves byte-identity of format, key
+order and whitespace, while the ledger says which lines moved.
 
     PYTHONPATH=src python tests/pinning.py [corpus ...]
 
 rewrites the ledgers and digests of the named corpora (all by default) from
-the engine; the git diff of the ledgers is then the report-by-report diff of
+the engine; the git diff of the ledgers is then the entry-by-entry diff of
 what moved.
 """
 
@@ -32,6 +40,8 @@ from pathlib import Path
 from fockrep.catalogue import build
 from fockrep.cli import main
 from fockrep.fock import Poly
+from fockrep.grids import acceptance_grid
+from fockrep.realize import RealizeError, cross_check, realize_generators
 from fockrep.verify import full_verify
 from fockrep.weyl import WeylElement
 
@@ -62,15 +72,31 @@ def negative_control_reports() -> list:
     return reports
 
 
-CORPORA = {
-    "full_grid": lambda: _cli("report-all", "--grid", "full", "--format", "json"),
-    "small_grid": lambda: _cli("report-all", "--grid", "small", "--format", "json"),
-    "negative_controls": lambda: json.dumps(negative_control_reports(), sort_keys=True),
-}
+def cross_check_results() -> list:
+    """[rep, sorted [param, value] pairs, realization, [CheckResult as a dict]]
+    for every (grid instance, realization) pair that realize accepts, in
+    grid order."""
+    lists = []
+    for rep_id, params in acceptance_grid():
+        rep = build(rep_id, params)
+        for kind in ("differential", "fd", "jackson"):
+            try:
+                realize_generators(rep, kind)
+            except RealizeError:
+                continue
+            lists.append([rep_id, sorted([k, str(v)] for k, v in params.items()), kind,
+                          [dataclasses.asdict(r) for r in cross_check(rep, kind)]])
+    return lists
+
+
+def _line(fields) -> str:
+    if any("\t" in f or "\n" in f for f in fields):
+        raise ValueError("a ledger field holds a tab or a newline: %r" % (fields,))
+    return "\t".join(fields).rstrip("\t")
 
 
 def ledger(text: str) -> list:
-    """The ledger lines of a corpus's bytes."""
+    """The ledger lines of a report corpus's bytes."""
     lines = []
     for idx, report in enumerate(json.loads(text)):
         label = " ".join([report["rep"]] + ["%s=%s" % kv for kv in report["params"].items()])
@@ -80,12 +106,34 @@ def ledger(text: str) -> list:
                  for a in report.get("alt_forms", ())]
         if "killing_rank" in report:
             rows.append(("killing rank", "%(rank)d of %(of)d" % report["killing_rank"], "", ""))
-        for row in rows:
-            fields = [str(idx), label, *row]
-            if any("\t" in f or "\n" in f for f in fields):
-                raise ValueError("a ledger field holds a tab or a newline: %r" % (fields,))
-            lines.append("\t".join(fields).rstrip("\t"))
+        lines.extend(_line([str(idx), label, *row]) for row in rows)
     return lines
+
+
+def list_ledger(text: str) -> list:
+    """The ledger lines of the listing's bytes, one per family."""
+    return [_line([e["id"], e["params"], e["family"]]) for e in json.loads(text)]
+
+
+def cross_ledger(text: str) -> list:
+    """The ledger lines of the cross results' bytes, one per CheckResult."""
+    lines = []
+    for idx, (rep_id, params, kind, results) in enumerate(json.loads(text)):
+        label = " ".join([rep_id] + ["%s=%s" % tuple(kv) for kv in params] + [kind])
+        lines.extend(_line([str(idx), label, r["name"], r["status"], r["detail"], r["witness"]])
+                     for r in results)
+    return lines
+
+
+# corpus -> (its bytes, from the engine; the ledger of such bytes)
+CORPORA = {
+    "full_grid": (lambda: _cli("report-all", "--grid", "full", "--format", "json"), ledger),
+    "small_grid": (lambda: _cli("report-all", "--grid", "small", "--format", "json"), ledger),
+    "negative_controls": (lambda: json.dumps(negative_control_reports(), sort_keys=True),
+                          ledger),
+    "list": (lambda: _cli("list", "--format", "json"), list_ledger),
+    "cross_results": (lambda: json.dumps(cross_check_results(), sort_keys=True), cross_ledger),
+}
 
 
 def _paths(corpus):
@@ -97,7 +145,7 @@ def check_pinned(corpus: str, text: str):
     the message prints the first moved ledger lines, old (-) and new (+)."""
     ledger_path, digest_path = _paths(corpus)
     old = ledger_path.read_text().splitlines()
-    new = ledger(text)
+    new = CORPORA[corpus][1](text)
     if old != new:
         moved = [line for line in difflib.unified_diff(old, new, n=0, lineterm="")
                  if line[:1] in "-+" and line[:3] not in ("---", "+++")]
@@ -112,10 +160,11 @@ def check_pinned(corpus: str, text: str):
 
 
 def rewrite(corpus: str):
-    text = CORPORA[corpus]()
+    make, ledger_of = CORPORA[corpus]
+    text = make()
     ledger_path, digest_path = _paths(corpus)
     PINS.mkdir(exist_ok=True)
-    ledger_path.write_text("".join(line + "\n" for line in ledger(text)))
+    ledger_path.write_text("".join(line + "\n" for line in ledger_of(text)))
     digest_path.write_text(hashlib.sha256(text.encode()).hexdigest() + "\n")
 
 

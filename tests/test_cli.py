@@ -44,8 +44,7 @@ def test_list_json_is_pinned(capsys):
     # every id, parameter signature and description, byte for byte
     code, out, _ = run(capsys, "list", "--format", "json")
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "0812b18ed3ef97377a57ff8842d72a224704367a35e098d0513b7fb75b510957"
+    check_pinned("list", out)
 
 
 def test_list_filter_super(capsys):

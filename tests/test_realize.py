@@ -18,6 +18,7 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
 from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import clifford_identity, clifford_matmul, weyl_to_differential
+from pinning import check_pinned, cross_check_results
 
 B1 = ModeSystem(1, 0)
 
@@ -463,21 +464,9 @@ def test_jackson_node_examples():
 
 def test_cross_check_results_are_pinned():
     # every cross check of the grid, verdicts and witnesses, byte for byte
-    from fockrep.grids import acceptance_grid
-
-    lists = []
-    for rep_id, params in acceptance_grid():
-        rep = build(rep_id, params)
-        for kind in ("differential", "fd", "jackson"):
-            try:
-                realize_generators(rep, kind)
-            except RealizeError:
-                continue
-            lists.append([rep_id, sorted([k, str(v)] for k, v in params.items()), kind,
-                          [dataclasses.asdict(r) for r in cross_check(rep, kind)]])
+    lists = cross_check_results()
     assert len(lists) == 227
-    digest = hashlib.sha256(json.dumps(lists, sort_keys=True).encode()).hexdigest()
-    assert digest == "4a64d114bd00abbd60291edd477437e497bb4d77963d0503f9893738e1545da2"
+    check_pinned("cross_results", json.dumps(lists, sort_keys=True))
 
 
 def _matrix_record(mat):
