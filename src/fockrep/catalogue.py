@@ -12,7 +12,10 @@ pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
-which makes the algebra relations hold by construction.  The explicitly
+which is canonical, so the algebra relations hold by construction.  That
+is what the report uses: shift_pair marks the pair with a and b, and a
+translated rep's relations and [C,g] are decided over its generators'
+preimages in normal form (verify.check_relations).  The explicitly
 displayed closed forms are attached as alt_forms: checkable claims whose
 mismatches are reported, never patched into the generators.
 """
@@ -603,13 +606,29 @@ def _sl2q_casimir(p) -> CasimirSpec:
 
 
 def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
-    """(ahat, bhat) = ((e^{d a}-1)/d, b e^{-d a}) for one bosonic mode."""
+    """(ahat, bhat) = ((e^{d a}-1)/d, b e^{-d a}) for one bosonic mode,
+    marked (fock.OperatorExpr.marked) with a and b of that mode.
+
+    The pair is canonical.  e^{g a} b = (b + g) e^{g a}, so
+    [e^{g a}, b] = g e^{g a}; and ahat and e^{-d a} are both series in a,
+    so they commute.  Hence
+        [ahat, bhat] = [ahat, b] e^{-d a} = (1/d) d e^{d a} e^{-d a} = 1,
+    ahat kills |0>, and the pair commutes with the other modes' pairs and
+    with the fermions, as each of its nodes acts on its own mode only.  So
+    a -> ahat, b -> bhat, fermions and scalars kept, is an algebra map
+    (Roman, The Umbral Calculus, 1984: ahat is the delta operator of the
+    d-falling factorials), and an identity among polynomials in a, b holds
+    for the same polynomials in ahat, bhat on the whole Fock space.
+    fock.preimages reads a formula over the pair back to its polynomial
+    through these marks.
+    """
     delta = rat(delta)
     if delta == 0:
         raise CatalogueError("delta = 0 degenerates the shift transform")
     ahat = Scale(inverse(delta),
                  Sum([ExpA(modes, mode, delta), Scale(-1, identity_op(modes))]))
     bhat = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -delta)])
+    ahat.marked, bhat.marked = WeylElement.a(modes, mode), WeylElement.b(modes, mode)
     return ahat, bhat
 
 

@@ -14,7 +14,9 @@ state's image (its column) and its inner node's raise bound; other modules
 add leaves of their own.  compile_shared compiles, once for all its places,
 each extended node that two or more places of a set of trees share, found
 by identity, so a shift pair or q-pair that several generators contain
-forms its image of a basis state once.
+forms its image of a basis state once.  A node may carry a mark, the Weyl
+generator it stands for (OperatorExpr.marked), and preimages reads a tree
+of marked nodes, scalars and fermions back to its polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -104,9 +106,15 @@ def _compositions_upto(p: int, total: int):
 
 
 class OperatorExpr:
-    """Base class; subclasses implement apply and max_raise."""
+    """Base class; subclasses implement apply and max_raise.
+
+    marked is None except on a node that stands for one generator of a
+    canonical pair other than the Fock one (catalogue.shift_pair): there it
+    is the WeylElement, a_i or b_i, that the node is the image of.  The mark
+    is an attribute of the node itself, so it adds no level to apply."""
 
     modes: ModeSystem
+    marked = None
 
     def apply(self, terms: dict) -> dict:
         raise NotImplementedError
@@ -536,6 +544,51 @@ def compile_shared(roots) -> list:
         return done[key]
 
     return [rebuild(root) for root in roots]
+
+
+def preimages(roots) -> tuple:
+    """Each root read back through the marks: a marked node as its mark, a
+    polynomial free of bosonic exponents (scalars and fermions) as itself,
+    and Sum, Product, Scale and Compiled as the sum, product, multiple and
+    inner node's preimage.  When the marked nodes obey the canonical
+    relations their marks do, this is an algebra map, so a root is the
+    image of its preimage.
+
+    Returns (pre, marked): pre[k] is roots[k]'s preimage, a WeylElement, or
+    None where any node of its tree has none (a polynomial with a bosonic
+    exponent, which is the Fock pair's a or b and not a marked one's, or
+    any other node); marked lists (node, mark) once per marked node met, the
+    node being the Compiled one around it where there is one.
+    """
+    marked = {}  # id of a marked node -> (that node, or its Compiled, mark)
+
+    def walk(node):
+        if isinstance(node, Compiled):
+            if node.inner.marked is not None:
+                marked.setdefault(id(node.inner), (node, node.inner.marked))
+            return walk(node.inner)
+        if node.marked is not None:
+            marked.setdefault(id(node), (node, node.marked))
+            return node.marked
+        if isinstance(node, Poly):
+            w = node.weyl
+            return None if any(any(bp) or any(ap) for bp, ap, _, _ in w.terms) else w
+        if isinstance(node, (Sum, Product)):
+            parts = []
+            for kid in _children(node):
+                parts.append(walk(kid))
+                if parts[-1] is None:
+                    return None
+            out = parts[0]
+            for w in parts[1:]:
+                out = out + w if isinstance(node, Sum) else out * w
+            return out
+        if isinstance(node, Scale):
+            w = walk(node.inner)
+            return None if w is None else w.scale(node.coeff)
+        return None
+
+    return [walk(root) for root in roots], list(marked.values())
 
 
 # -- falling-factorial transform ----------------------------------------------

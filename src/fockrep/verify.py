@@ -11,13 +11,18 @@ sides' images on the first state the residual does not kill (_mismatch).
 Closure there is decided once, in normal form too (closure_symbolic): each
 bracket is expressed in the span of the generators, and one that leaves it
 FAILs with its residual and that residual's first unkilled state.
-Extended families, whose generators are not polynomials, are probed as
-operator trees on the states up to the cutoff, a finite probe and not a
-proof, with the Casimir compiled so each state's image is formed once;
-their closure is a matrix probe that sums each bracket over the
-generators' nonzero compiled columns and never calls weyl.  The symbolic
-closure, the constants re-check and the Casimir centrality check form each
-bracket with weyl.bracket.
+A shift-translated family's generators are polynomials in its marked
+shift pair, scalars and fermions, and read back to preimage polynomials
+(_preimages); its relation lines and [C,g] are decided by their residuals
+over those, exact on the whole Fock space where zero, after one probe per
+report of the marked pair's own brackets.  Every other identity of an
+extended family, and one whose residual is not zero, is probed as operator
+trees on the states up to the cutoff, a finite probe and not a proof, with
+the Casimir compiled so each state's image is formed once; so every line,
+FAIL texts included, is the probe's.  Extended closure is a matrix probe
+that sums each bracket over the generators' nonzero compiled columns and
+never calls weyl.  The symbolic closure, the constants re-check and the
+Casimir centrality check form each bracket with weyl.bracket.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
@@ -26,9 +31,10 @@ entries share, so each is formed once per report: each generator bracket
 (RepSpec.bracket), which the relation sides and the symbolic closure read;
 each relation side and the Casimir (RepSpec.word_sum); each generator's
 invariant-space columns (RepSpec.space_columns); and the closure and
-invariant-space results (RepSpec.memo).  The matrix closure and Burnside
-compile the rep they are given; RepSpec.compiled of a compiled rep is that
-rep, so inside full_verify they read the report's copy and its memos.
+invariant-space results and the preimage rep (RepSpec.memo).  The matrix
+closure and Burnside compile the rep they are given; RepSpec.compiled of a
+compiled rep is that rep, so inside full_verify they read the report's
+copy and its memos.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .catalogue import RepSpec
-from .fock import (Compiled, IdentityReport, Poly, Product, _state_str, basis_states,
-                   check_identity, state_degree, state_sort_key, vector_str)
+from .fock import (Compiled, IdentityReport, Poly, Product, Sum, _state_str, basis_states,
+                   check_identity, preimages, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, bracket
@@ -182,15 +188,16 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     """One result per relation line; FAIL carries the first witness.
 
     On a polynomial rep this is check_relations_symbolic.  On an extended
-    rep a relation whose sides are not both polynomials is probed on the
-    states of degree up to the cutoff less the larger raise of its sides.
-    That cutoff is floored at 3 + 2 * the largest generator raise, so the
-    probe range never collapses to the vacuum.
+    rep with preimages (_preimages), a relation whose preimage residual is
+    zero holds on the whole Fock space and PASSes with no probe.  Any other
+    relation of an extended rep is probed on the states of degree up to
+    the cutoff less the larger raise of its sides.  That cutoff is floored
+    at 3 + 2 * the largest generator raise, so the probe range never
+    collapses to the vacuum.
     """
     if rep.is_polynomial():
         return check_relations_symbolic(rep)
-    return _relation_lines(rep, max(rep.default_cutoff if cutoff is None else cutoff,
-                                    3 + 2 * rep.max_generator_raise()))
+    return _relation_lines(rep, _probe_cutoff(rep, cutoff), _preimages(rep))
 
 
 def check_relations_symbolic(rep: RepSpec) -> list:
@@ -200,7 +207,41 @@ def check_relations_symbolic(rep: RepSpec) -> list:
     return _relation_lines(rep, None)
 
 
-def _relation_lines(rep: RepSpec, cutoff) -> list:
+def _probe_cutoff(rep: RepSpec, cutoff) -> int:
+    """The relation probe's cutoff: the given one or the rep's, floored."""
+    return max(rep.default_cutoff if cutoff is None else cutoff,
+               3 + 2 * rep.max_generator_raise())
+
+
+def _preimages(rep: RepSpec):
+    """The polynomial rep over the preimages of an extended rep's
+    generators (fock.preimages), kept on rep, or None.
+
+    Every generator must have a preimage, and each two marked nodes x, y
+    must satisfy [x, y] = [pre x, pre y] on the relation probe range: one
+    probe per pair and report, which a pair built with a wrong step fails.
+    Then an identity whose preimage residual is zero holds for the
+    generators on the whole Fock space, as the marks' algebra map sends
+    it there (catalogue.shift_pair)."""
+    return rep.memo(_preimages, lambda: _pulled_back(rep))
+
+
+def _pulled_back(rep: RepSpec):
+    pre, marked = preimages(list(rep.generators.values()))
+    if any(w is None for w in pre):
+        return None
+    cutoff = _probe_cutoff(rep, None)
+    for i, (x, v) in enumerate(marked):
+        for y, w in marked[i + 1:]:
+            if not check_identity(Product([x, y]),
+                                  Sum([Product([y, x]), Poly(bracket(v, w, False))]), cutoff):
+                return None
+    return replace(rep, generators={name: Poly(w) for name, w in zip(rep.generators, pre)})
+
+
+def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
+    """The relation lines, each relation decided by _mismatch, except that
+    one whose residual over pre's word sums is zero PASSes unprobed."""
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -208,6 +249,8 @@ def _relation_lines(rep: RepSpec, cutoff) -> list:
     for label, rels in grouped.items():
         failures = []
         for rel in rels:
+            if pre is not None and (pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)).is_zero():
+                continue
             report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
             if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
@@ -451,19 +494,26 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     a verification failure: the engine's measured value is authoritative.
     On a polynomial rep C is the Poly of its normal form (rep.word_expr),
     and each [C,g] is decided by its residual weyl.bracket(C, g).  On an
-    extended rep [C,g] is probed up to the cutoff, and C is compiled, so
-    its image of each state, which C g, g C and the scalar probe read, is
-    formed once.
+    extended rep with preimages (_preimages) a [C,g] whose preimage
+    residual is zero holds on the whole Fock space, unprobed; any other
+    [C,g] of an extended rep is probed up to the cutoff.  There C is
+    compiled, so its image of each state, which C g, g C and the scalar
+    probe read, is formed once.
     """
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     expr = rep.word_expr(rep.casimir.terms)
     polynomial = rep.is_polynomial()
+    pre = rep if polynomial else _preimages(rep)
     if not polynomial:
         expr = Compiled(expr)
+    c_pre = None if pre is None else pre.word_sum(rep.casimir.terms)
     failures = []
     for name, g in rep.generators.items():
+        residual = None if pre is None else bracket(c_pre, pre.generator(name).as_weyl(), False)
+        if residual is not None and residual.is_zero():
+            continue
         report = _mismatch(Product([expr, g]), Product([g, expr]), cutoff,
-                           bracket(expr.as_weyl(), g.as_weyl(), False) if polynomial else None)
+                           residual if polynomial else None)
         if report is not None:
             failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
     commutes = CheckResult("casimir_commutes", "FAIL" if failures else "PASS",

@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from fockrep.catalogue import CatalogueError, build, list_catalogue
-from fockrep.fock import Compiled, Poly, check_identity, to_matrix
+from fockrep.catalogue import CatalogueError, build, fock_kit, list_catalogue, shift_pair
+from fockrep.fock import Compiled, Poly, basis_states, check_identity, preimages, to_matrix
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
 from fockrep.verify import check_alt_forms
-from fockrep.weyl import WeylElement
+from fockrep.weyl import ModeSystem, WeylElement
 
 
 REGISTRY = ["sl2_standard", "sl2_translated", "sl2_oscillator", "sl2_metaplectic",
@@ -203,6 +203,67 @@ def test_substituted_pairs_are_canonical():
     report = check_identity(jp * jm - jm * jp,
                             rep.word_expr([(Scalar(-2), ("J0",))]), 6)
     assert report.equal
+
+
+def _bracket_on(x, y, key) -> dict:
+    """[x, y] applied to the basis state key."""
+    return (x * y - y * x).apply({key: 1})
+
+
+@pytest.mark.parametrize("delta", [rat(1), rat(1, 2), rat(-1, 3), rat(7, 5)])
+def test_the_shift_pair_is_canonical_and_marked_with_a_and_b(delta):
+    # [ahat, bhat] = 1 on every state of degree <= 12: the lemma behind
+    # deciding a translated rep's relations over a and b
+    modes = ModeSystem(1, 0)
+    ahat, bhat = shift_pair(modes, 1, delta)
+    assert (ahat.marked, bhat.marked) == (WeylElement.a(modes), WeylElement.b(modes))
+    for key in basis_states(modes, 12):
+        assert _bracket_on(ahat, bhat, key) == {key: 1}, key
+    assert ahat.apply({((0,), 0): 1}) == {}
+
+
+@pytest.mark.parametrize("deltas", [
+    (params["delta1"], params["delta2"]) for rid, params in acceptance_grid()
+    if rid == "sl3_translated" and params["n"] == 0])
+def test_two_shift_pairs_commute_across_modes(deltas):
+    # sl3_translated's two steps: [ahat_i, bhat_j] = delta_ij, and the two
+    # lowering and the two raising nodes commute, on every state of degree <= 8
+    modes = ModeSystem(2, 0)
+    kit = fock_kit(modes, list(deltas))
+    nodes = kit.a + kit.b
+    marks = [WeylElement.a(modes, 1), WeylElement.a(modes, 2),
+             WeylElement.b(modes, 1), WeylElement.b(modes, 2)]
+    assert [x.marked for x in nodes] == marks
+    for key in basis_states(modes, 8):
+        for i, x in enumerate(nodes):
+            for j, y in enumerate(nodes):
+                want = {key: 1} if j == i + 2 else {key: -1} if i == j + 2 else {}
+                assert _bracket_on(x, y, key) == want, (key, i, j)
+
+
+@pytest.mark.parametrize("rid, base", [("sl2_translated", "sl2_standard"),
+                                       ("osp22_translated", "osp22"),
+                                       ("sl3_translated", "sl3_fock")])
+def test_translated_generators_read_back_to_the_base_family(rid, base):
+    # through the marks, each translated generator is its base family's
+    # normal form, on the built rep and on its compiled copy, whose marked
+    # nodes are found compiled
+    for params in (params for r, params in acceptance_grid() if r == rid):
+        rep = build(rid, params)
+        want = [g.as_weyl() for g in build(base, {"n": params["n"]}).generators.values()]
+        for copy in (rep, rep.compiled()):
+            pre, marked = preimages(list(copy.generators.values()))
+            assert pre == want, params
+            assert len(marked) == 2 * rep.modes.bosonic
+            assert all(isinstance(node, Compiled) == (copy is not rep) for node, _ in marked)
+
+
+def test_a_node_off_the_marks_has_no_preimage():
+    rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
+    b = Poly(WeylElement.b(rep.modes))
+    pre, _ = preimages([rep.generator("J-") + b, rep.generator("J0") + rat(1, 2),
+                        build("sl2q", {"alpha": 2, "q": 2, "delta": 1}).generator("J-")])
+    assert pre == [None, WeylElement.b(rep.modes) * WeylElement.a(rep.modes) - rat(1, 2), None]
 
 
 # -- the compiled copy ---------------------------------------------------------

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep import catalogue, verify, weyl
+from fockrep import catalogue, fock, verify, weyl
 from fockrep.catalogue import AltForm, CatalogueError, Claims, InvariantSpace, RepSpec, build
-from fockrep.fock import (Compiled, ExpA, OperatorExpr, Poly, Scale, _state_str,
-                          basis_states, state_degree, vector_str)
+from fockrep.fock import (Compiled, ExpA, OperatorExpr, Poly, Product, Scale, Sum, _state_str,
+                          basis_states, identity_op, preimages, state_degree, vector_str)
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
 from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
@@ -1196,3 +1196,193 @@ def test_full_verify_meets_each_state_once_per_exponential(rid, params):
     assert len(seen) == 2 * rep.modes.bosonic
     assert full_verify(rep).passed
     assert all(states and len(states) == len(set(states)) for states in seen)
+
+
+# -- shift-translated reps: relations and [C,g] over the pair's preimages ------------
+
+
+def _probe_path(monkeypatch, rep):
+    """The relation lines and casimir_commutes line of the probe path:
+    check_relations and casimir_check with no preimage rep."""
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_preimages", lambda rep: None)
+        return (check_relations(rep),
+                casimir_check(rep)[1][0] if rep.casimir else None)
+
+
+def test_transported_lines_equal_the_probe_lines(monkeypatch):
+    # on every full-grid translated instance with relations, each relation
+    # line and [C,g] is decided over the preimages, and the lines are the
+    # probe path's, byte for byte
+    reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid()
+                            if rid.endswith("_translated")) if rep.relations]
+    assert len(reps) == 36 and sum(rep.casimir is not None for rep in reps) == 18
+    for rep in reps:
+        compiled = rep.compiled()
+        assert verify._preimages(compiled) is not None
+        relations, commutes = _probe_path(monkeypatch, compiled)
+        assert check_relations(compiled) == relations == verify._relation_lines(
+            compiled, verify._probe_cutoff(compiled, None))
+        assert all(r.passed for r in relations)
+        if rep.casimir:
+            assert casimir_check(compiled)[1][0] == commutes == probe_casimir_commutes(rep)
+
+
+_CHECK_IDENTITY = fock.check_identity
+
+
+def _record_identity_probes(monkeypatch) -> list:
+    """Record, from now on, the (lhs, rhs) of every check_identity call
+    made through fock's or verify's name for it."""
+    calls = []
+
+    def recording(lhs, rhs, cutoff):
+        calls.append((lhs, rhs))
+        return _CHECK_IDENTITY(lhs, rhs, cutoff)
+
+    monkeypatch.setattr(fock, "check_identity", recording)
+    monkeypatch.setattr(verify, "check_identity", recording)
+    return calls
+
+
+def _other_probes(rep, calls) -> list:
+    """The calls that are neither an extended alt form's probe nor a pair
+    probe (x y against y x + [pre x, pre y], x and y marked and compiled);
+    the calls hold at most one pair probe."""
+    alt_exprs = {id(alt.expr) for alt in rep.alt_forms}
+    pair = [lhs for lhs, _ in calls if isinstance(lhs, Product) and all(
+        isinstance(f, Compiled) and f.inner.marked is not None for f in lhs.factors)]
+    assert len(pair) <= 1
+    return [(lhs, rhs) for lhs, rhs in calls if id(rhs) not in alt_exprs and lhs not in pair]
+
+
+def _extended_relations(rep, relations) -> int:
+    """How many of the relations have a side that is no polynomial: those
+    the probe path probes."""
+    return sum(rep.word_expr(rel.lhs).as_weyl() is None or rep.word_expr(rel.rhs).as_weyl() is None
+               for rel in relations)
+
+
+def _extended_alt_forms(rep) -> int:
+    return sum(alt.expr.as_weyl() is None or rep.generator(alt.generator).as_weyl() is None
+               for alt in rep.alt_forms)
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("osp22_translated", {"n": 2, "delta": rat(1, 2)}),
+    ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
+])
+def test_a_passing_translated_report_probes_only_the_shift_pair(monkeypatch, rid, params):
+    # no relation word and no [C,g] word is probed: check_identity sees the
+    # one pair probe and the (extended) alt forms, nothing else
+    rep = build(rid, params)
+    calls = _record_identity_probes(monkeypatch)
+    report = full_verify(rep)
+    assert report.passed and rep.relations
+    assert not _other_probes(rep, calls)
+    assert len(calls) == 1 + _extended_alt_forms(rep)
+
+
+def _osp22_translated(**gens):
+    rep = build("osp22_translated", {"n": 2, "delta": rat(1, 2)})
+    return dataclasses.replace(rep, generators={
+        name: gens.get(name, lambda g: g)(g) for name, g in rep.generators.items()})
+
+
+def _decided_as_the_probe_does(monkeypatch, bad):
+    """full_verify(bad)'s relation lines, after checking they are the probe
+    path's, witnesses included, and the check_identity calls full_verify
+    made."""
+    probe = _probe_path(monkeypatch, bad.compiled())[0]
+    calls = _record_identity_probes(monkeypatch)
+    lines = [c for c in full_verify(bad).checks if c.name.startswith("relation ")]
+    assert lines == probe
+    return lines, calls
+
+
+def test_a_bosonic_polynomial_bump_has_no_preimage_and_is_probed(monkeypatch):
+    # b and a^5 are the Fock pair's, not the shift pair's: no preimage, so
+    # every line is probed and FAILs where the probe does
+    modes = ModeSystem(1, 1)
+    for bad, failing in [
+        (_osp22_translated(**{"T+": lambda g: Sum([g, Poly(WeylElement.b(modes))])}),
+         ["L01", "L03", "L06", "L11", "L13"]),
+        (_osp22_translated(Q2=lambda g: g + Poly(WeylElement.a(modes) ** 5)),
+         ["L06", "L07", "L08", "L09", "L11", "L15", "L16"]),
+    ]:
+        assert verify._preimages(bad.compiled()) is None
+        lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
+        assert [c.name for c in lines if not c.passed] == ["relation " + x for x in failing]
+        assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
+        assert all(c.witness for c in lines if not c.passed)
+
+
+def test_a_fermion_bump_is_decided_through_its_preimage(monkeypatch):
+    # J + th dth/3 reads back to its preimage; exactly the relations with a
+    # nonzero preimage residual are probed, and they FAIL where the probe does
+    modes = ModeSystem(1, 1)
+    thdth = Poly(WeylElement.theta(modes) * WeylElement.dtheta(modes)).scale(rat(1, 3))
+    bad = _osp22_translated(J=lambda g: g + thdth)
+    pre = verify._preimages(bad.compiled())
+    assert pre is not None
+    nonzero = [rel for rel in bad.relations
+               if not (pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)).is_zero()]
+    assert {rel.line for rel in nonzero} == {"L07", "L16"}
+    lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
+    assert [c.name for c in lines if not c.passed] == ["relation L07", "relation L16"]
+    assert len(_other_probes(bad, calls)) == _extended_relations(bad, nonzero) > 0
+
+
+def test_a_bump_beyond_the_probe_range_keeps_the_probe_verdict(monkeypatch):
+    # a^9 (no preimage) and ahat^9 (a nonzero preimage residual) both lower
+    # past the probe range, so the probe decides, and it still PASSes
+    rep = _osp22_translated()
+    for bump in (Poly(WeylElement.a(rep.modes) ** 9), rep.generator("T-") ** 9):
+        bad = dataclasses.replace(rep, generators=dict(
+            rep.generators, **{"T+": rep.generator("T+") + bump}))
+        assert (verify._preimages(bad.compiled()) is None) == (bump.as_weyl() is not None)
+        lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
+        assert all(c.passed for c in lines)
+        assert _other_probes(bad, calls)
+
+
+def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
+    # bhat = b e^{-2 delta a}, marked as b: [ahat, bhat] = e^{-delta a} != 1.
+    # Its preimages are osp22's generators, whose relations all hold, so
+    # only the pair probe keeps the report from a false PASS
+    rep = _osp22_translated()
+    modes, delta = rep.modes, rep.params["delta"]
+    ahat, _ = catalogue.shift_pair(modes, 1, delta)
+    bhat = Product([Poly(WeylElement.b(modes)), ExpA(modes, 1, -2 * delta)])
+    bhat.marked = WeylElement.b(modes)
+    kit = catalogue.Kit([ahat], [bhat], [Poly(WeylElement.theta(modes))],
+                        [Poly(WeylElement.dtheta(modes))], identity_op(modes))
+    bad = dataclasses.replace(rep, generators=catalogue.family(rep.rep_id).formula(
+        kit, rep.params))
+    pre, _ = preimages(list(bad.generators.values()))
+    assert pre == [g.as_weyl() for g in build("osp22", {"n": 2}).generators.values()]
+    assert verify._preimages(bad.compiled()) is None
+    lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
+    assert not all(c.passed for c in lines)
+    assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
+
+
+def test_a_casimir_bump_through_the_pair_fails_as_the_probe_does(monkeypatch):
+    # sl2_translated with J+ + ahat: the bump reads back to J+ + a, so each
+    # [C,g] with a nonzero preimage residual is probed, and the line is the
+    # probe path's FAIL; the one with a zero residual is not probed
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
+    bad = dataclasses.replace(rep, generators=dict(
+        rep.generators, **{"J+": rep.generator("J+") + rep.generator("J-")}))
+    compiled = bad.compiled()
+    pre = verify._preimages(compiled)
+    c = pre.word_sum(bad.casimir.terms)
+    nonzero = [name for name in bad.generators
+               if not weyl.bracket(c, pre.generator(name).as_weyl(), False).is_zero()]
+    assert nonzero and nonzero != list(bad.generators)
+    commutes = _probe_path(monkeypatch, compiled)[1]
+    calls = _record_identity_probes(monkeypatch)
+    assert casimir_check(compiled)[1][0] == commutes
+    assert not commutes.passed
+    assert [name for name in bad.generators if "[C,%s]: " % name in commutes.witness] == nonzero
+    assert len(calls) == len(nonzero)
