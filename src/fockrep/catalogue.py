@@ -7,8 +7,10 @@ finite-difference realization where it has one, and its claims as
 functions of the parameters: the relation table, parities, Casimir,
 invariant space, irreducibility, alt forms and probe cutoff.  build reads
 the record, and so does realize, which calls the same formula over its own
-pairs.  A translated family is its formula over the transformed canonical
-pair
+pairs.  A node is shared where it is made: a Kit stores each pair node,
+and a formula the one intermediate several generators contain, through
+fock.shared.  A translated family is its formula over the transformed
+canonical pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
-                   Scale, Sum, _state_str, basis_states, compile_shared, identity_op)
+                   Scale, Sum, _state_str, basis_states, identity_op, shared)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
 from .weyl import ModeSystem, WeylElement, accumulate, bracket
@@ -98,7 +100,10 @@ class RepSpec:
     (memo).  A replace() copy starts them empty, and so does the compiled()
     copy of a rep that is not yet compiled; an already compiled rep is its
     own compiled() and keeps them.  Generators are replaced, never changed
-    in place."""
+    in place.  A generator built over a Kit holds the kit's shared pair and
+    intermediate nodes (fock.shared); their exact column caches belong to
+    the generators, not to a report, so every copy and report reads and
+    extends the same ones."""
 
     rep_id: str
     params: dict
@@ -218,19 +223,16 @@ class RepSpec:
         return max(max(0, g.max_raise()) for g in self.generators.values())
 
     def compiled(self) -> "RepSpec":
-        """A copy whose generators are fock.Compiled, and whose extended
-        nodes that two or more places share are compiled once for all of
-        them (fock.compile_shared): every check run on it computes each
-        generator's, and each shared node's, image of a basis state at most
-        once.  A rep whose generators are all Compiled is its own compiled
-        copy, memos included; a generator that is already Compiled comes
-        back as itself."""
+        """A copy whose generators are fock.Compiled, so every check run on
+        it computes each generator's image of a basis state at most once.
+        A rep whose generators are all Compiled is its own compiled copy,
+        memos included; a generator that is already Compiled comes back as
+        itself."""
         if all(isinstance(g, Compiled) for g in self.generators.values()):
             return self
-        shared = compile_shared(list(self.generators.values()))
-        gens = {name: g if isinstance(g, Compiled) else Compiled(g)
-                for name, g in zip(self.generators, shared)}
-        return replace(self, generators=gens)
+        return replace(self, generators={
+            name: g if isinstance(g, Compiled) else Compiled(g)
+            for name, g in self.generators.items()})
 
     def space_columns(self, name: str):
         """One generator on the invariant-space basis, by basis position,
@@ -302,14 +304,6 @@ def _require_int(x: Rational, name: str) -> int:
 # -- generator formulas, each written over a Kit of canonical pairs -------------
 
 
-def _unshared(x):
-    return x
-
-
-def _compiled_unless_polynomial(x):
-    return x if x.as_weyl() is not None else Compiled(x)
-
-
 def sl2_triple(a, b, n: Rational):
     half_n = rat(n) / 2
     return {
@@ -331,10 +325,10 @@ def metaplectic_triple(a, b):
 
 def sl3_octet(kit, p):
     """kit.number[i], when given, stands for b_i a_i inside J1+, J2+ and J0;
-    kit.share is applied to the factor J1+ and J2+ share."""
+    the factor J1+ and J2+ contain is shared (fock.shared)."""
     (a1, a2), (b1, b2), n = kit.a, kit.b, p["n"]
     n1, n2 = kit.number or (b1 * a1, b2 * a2)
-    num = kit.share(n1 + n2 - rat(n))
+    num = shared(n1 + n2 - rat(n))
     return {
         "J1+": b1 * num,
         "J2+": b2 * num,
@@ -350,13 +344,13 @@ def sl3_octet(kit, p):
 def glk_family(kit, p):
     """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
 
-    kit.number[i], when given, stands for b[i] a[i] inside J0; kit.share is
-    applied to J0, which every J_i+ contains.
+    kit.number[i], when given, stands for b[i] a[i] inside J0; J0, which
+    every J_i+ contains, is shared (fock.shared).
     """
     a, b = kit.a, kit.b
     k = len(a) + 1
     number = kit.number or [b[i] * a[i] for i in range(k - 1)]
-    j0 = kit.share(rat(p["n"]) - sum(number[1:], number[0]))
+    j0 = shared(rat(p["n"]) - sum(number[1:], number[0]))
     gens = {}
     for i in range(k - 1):
         gens["J%d-" % (i + 2)] = a[i]
@@ -372,8 +366,8 @@ def glk_family(kit, p):
 def gl_super_family(kit, p):
     """gl(k+1,r+1) generators over k bosonic and r fermionic pairs.
 
-    kit.number[i], when given, stands for b[i] a[i] inside T0; kit.share is
-    applied to T0, which every T_i+ and Qb_j+ contains.  Returns the
+    kit.number[i], when given, stands for b[i] a[i] inside T0; T0, which
+    every T_i+ and Qb_j+ contains, is shared (fock.shared).  Returns the
     generators in canonical order.
     """
     a, b, th, dth = kit.a, kit.b, kit.th, kit.dth
@@ -384,7 +378,7 @@ def gl_super_family(kit, p):
         t0 = t0 - number[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
-    t0 = kit.share(t0)
+    t0 = shared(t0)
     gens = {}
     for i in range(k):
         gens["T%d-" % (i + 1)] = a[i]
@@ -636,29 +630,25 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
 class Kit:
     """One implementation of the canonical pairs a family formula is written
     in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
-    the identity.  share is what a formula stores in place of an
-    intermediate that several of its generators contain; on a plain kit it
-    returns the intermediate itself.  number[i], where given, is what a
-    formula puts in place of the number operator b[i] a[i] (the fd
-    displays' x D-)."""
+    the identity.  number[i], where given, is what a formula puts in place
+    of the number operator b[i] a[i] (the fd displays' x D-).
+
+    Each a[i] and b[i] is stored shared (fock.shared): a polynomial as it
+    is, so polynomials still fold, and any other pair node Compiled, so
+    every generator of a formula over the kit forms that node's image of a
+    basis state once.  The cached columns live as long as the generators
+    that hold them, a catalogue rep's beyond one report."""
 
     a: list
     b: list
     th: list
     dth: list
     one: object
-    share: object = _unshared
     number: list = None
 
-    def compiled(self) -> "Kit":
-        """A copy whose bosonic pairs are fock.Compiled, and whose share
-        compiles each formula's non-polynomial intermediate, so every
-        generator of a formula over it shares each pair's and each
-        intermediate's image of a basis state.  th, dth and one stay as they
-        are, and share leaves a polynomial as it is, so polynomials still
-        fold."""
-        return replace(self, a=[Compiled(x) for x in self.a],
-                       b=[Compiled(x) for x in self.b], share=_compiled_unless_polynomial)
+    def __post_init__(self):
+        self.a = [shared(x) for x in self.a]
+        self.b = [shared(x) for x in self.b]
 
 
 def fock_kit(modes: ModeSystem, deltas=None) -> Kit:

@@ -213,10 +213,9 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact verification of the Fock-space representation catalogue")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, params=True):
-        if params:
-            p.add_argument("params", nargs="*", metavar="name=rational",
-                           help="exact parameters, e.g. n=3 delta=1/2")
+    def common(p):
+        p.add_argument("params", nargs="*", metavar="name=rational",
+                       help="exact parameters, e.g. n=3 delta=1/2")
         p.add_argument("--cutoff", type=cutoff_arg, default=None)
         p.add_argument("--format", choices=["json", "pretty"], default="pretty")
         p.add_argument("--out", default=None, help="write output to a file")

@@ -11,12 +11,12 @@ action table built on its first apply), terminating exponentials e^{g a_i}
 (QSpectral), formal left division by b_i + shift (LeftDivB), the identity
 (Identity), Sum/Product/Scale, and Compiled, which remembers each basis
 state's image (its column) and its inner node's raise bound; other modules
-add leaves of their own.  compile_shared compiles, once for all its places,
-each extended node that two or more places of a set of trees share, found
-by identity, so a shift pair or q-pair that several generators contain
-forms its image of a basis state once.  A node may carry a mark, the Weyl
-generator it stands for (OperatorExpr.marked), and preimages reads a tree
-of marked nodes, scalars and fermions back to its polynomial.
+add leaves of their own.  A node is shared where it is made: shared gives
+the Compiled node that a kit pair or a formula's intermediate is stored as,
+so every generator holding it forms its image of a basis state once.  A
+node may carry a mark, the Weyl generator it stands for
+(OperatorExpr.marked), and preimages reads a tree of marked nodes, scalars
+and fermions back to its polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -494,56 +494,16 @@ class Compiled(OperatorExpr):
         return out
 
 
-def _children(node) -> tuple:
-    if isinstance(node, Sum):
-        return tuple(node.parts)
-    if isinstance(node, Product):
-        return tuple(node.factors)
-    if isinstance(node, (Scale, Compiled)):
-        return (node.inner,)
-    return ()
+def shared(x: OperatorExpr) -> OperatorExpr:
+    """x as a node that several generators can hold: Compiled, so its image
+    of a basis state is formed once for all of them, unless x is already
+    Compiled or is a polynomial, which must still fold.
 
-
-def compile_shared(roots) -> list:
-    """roots, with each node that occurs in two or more places among their
-    trees, by identity, replaced by one Compiled copy shared by all its
-    places, so its image of a basis state is formed once for all of them.
-
-    The walk goes through Sum parts, Product factors and the inner node of
-    Scale and Compiled.  A polynomial (which still folds), a Compiled node
-    and a bare LeftDivB (not defined on every basis state) are not wrapped.
-    A node above a wrapped one is rebuilt; every other node, a Compiled
-    one included, comes back as itself.
+    x must be defined on every basis state: a Compiled node splits a vector
+    into basis states, so a bare LeftDivB with a shift (b_i + 1 divides
+    b_i^2 + b_i but not b_i^2) must never be given here.
     """
-    places = {}  # id -> occurrences; a node's children are counted once
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in places:
-            places[key] += 1
-        else:
-            places[key] = 1
-            stack.extend(_children(node))
-    done = {}
-
-    def rebuild(node):
-        key = id(node)
-        if key not in done:
-            new = node
-            kids = () if isinstance(node, Compiled) else _children(node)
-            new_kids = [rebuild(kid) for kid in kids]
-            if any(new_kid is not kid for new_kid, kid in zip(new_kids, kids)):
-                new = (Sum(new_kids) if isinstance(node, Sum)
-                       else Product(new_kids) if isinstance(node, Product)
-                       else Scale(node.coeff, new_kids[0]))
-            if (places[key] > 1 and node.as_weyl() is None
-                    and not isinstance(node, (Compiled, LeftDivB))):
-                new = Compiled(new)
-            done[key] = new
-        return done[key]
-
-    return [rebuild(root) for root in roots]
+    return x if isinstance(x, Compiled) or x.as_weyl() is not None else Compiled(x)
 
 
 def preimages(roots) -> tuple:
@@ -575,7 +535,7 @@ def preimages(roots) -> tuple:
             return None if any(any(bp) or any(ap) for bp, ap, _, _ in w.terms) else w
         if isinstance(node, (Sum, Product)):
             parts = []
-            for kid in _children(node):
+            for kid in node.parts if isinstance(node, Sum) else node.factors:
                 parts.append(walk(kid))
                 if parts[-1] is None:
                     return None

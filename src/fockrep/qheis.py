@@ -2,8 +2,8 @@
 
 Abstract level: QWeylElement holds q-normal-ordered polynomials in a pair
 with  atil btil - q btil atil = 1,  canonical monomials btil^k atil^m.
-Fock level: the embeddings return operator expressions acting on the
-ordinary one-mode Fock space, either spectrally (q^{b a} built directly)
+Fock level: q_pair embeds the pair as operator expressions acting on the
+Fock space of one mode, either spectrally (q^{b a} built directly)
 or through the shift transform and its falling-factorial eigenbasis.
 """
 
@@ -206,27 +206,3 @@ def q_pair(modes: ModeSystem, mode: int, q: Rational, delta: Rational):
         atilde = Product([ExpA(modes, mode, delta), LeftDivB(modes, mode), qpart])
         btilde = Product([Poly(WeylElement.b(modes, mode)), ExpA(modes, mode, -delta)])
     return atilde, btilde
-
-
-def embed(q, variant: str = "spectral", delta=None):
-    """Operator pair (atilde, btilde) on the one-mode Fock space.
-
-    variant 'spectral':    atilde = (1/b)(q^{ba} - 1)/(q - 1),  btilde = b
-    variant 'transformed': the same construction over the shift-transformed
-    pair, diagonal in the delta falling-factorial basis.
-    """
-    q = rat(q)
-    if q == 1:
-        raise QDomainError("q = 1 not allowed")
-    modes = ModeSystem(1, 0)
-    if variant == "spectral":
-        dlt = rat(0)
-    elif variant == "transformed":
-        if delta is None:
-            raise QDomainError("transformed embedding needs delta")
-        dlt = rat(delta)
-        if dlt == 0:
-            raise QDomainError("delta = 0 for the transformed embedding")
-    else:
-        raise QDomainError("unknown embedding variant %r" % variant)
-    return q_pair(modes, 1, q, dlt)

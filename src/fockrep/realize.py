@@ -291,11 +291,11 @@ def _jackson_family(rep: RepSpec):
 def realize_generators(rep: RepSpec, kind: str, deltas=None):
     """Named operators realizing the family in the requested function space.
 
-    kind 'differential': a polynomial family's formula over the compiled
+    kind 'differential': a polynomial family's formula over the
     differential_kit (d/dx, x and the Pauli-Kronecker matrices); it reads
     neither the rep's generators nor their normal form.
-    kind 'fd': the family's formula over the compiled fd_kit, at the steps
-    its record gives (or deltas).
+    kind 'fd': the family's formula over the fd_kit, at the steps its
+    record gives (or deltas).
     kind 'jackson': the q-pair family's formula over the Jackson pair
     (JacksonX, MultX).
     """
@@ -303,10 +303,10 @@ def realize_generators(rep: RepSpec, kind: str, deltas=None):
     if kind == "differential":
         if not rep.is_polynomial():
             raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
-        return family(rep.rep_id).formula(differential_kit(modes).compiled(), rep.params)
+        return family(rep.rep_id).formula(differential_kit(modes), rep.params)
     if kind == "fd":
         record, steps = _fd_family(rep, deltas)
-        return record.formula(fd_kit(modes, steps).compiled(), rep.params)
+        return record.formula(fd_kit(modes, steps), rep.params)
     if kind == "jackson":
         record = _jackson_family(rep)
         kit = Kit([JacksonX(modes, 1, rep.params["q"])], [MultX(modes, 1)], [], [],
@@ -323,11 +323,10 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
     fd realization puts the fd pairs into the family's formula, and the fd
     pair is the coordinate image of the shift-transformed pair, so the
     counterpart is the same formula over the shift kit with the same steps.
-    Both kits are compiled, so each pair's and each shared intermediate's
-    image of a basis state is computed once per call and shared by every
-    generator.  The Jackson pair realizes the spectral q-pair, so its
-    counterpart is the formula over q_kit given q alone, whatever the rep's
-    step.
+    As over every Kit, each pair's and each shared intermediate's image of
+    a basis state is computed once per call and shared by every generator.
+    The Jackson pair realizes the spectral q-pair, so its counterpart is
+    the formula over q_kit given q alone, whatever the rep's step.
     """
     if kind == "differential":
         return rep
@@ -336,7 +335,7 @@ def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
         return dataclasses.replace(rep, generators=_jackson_family(rep).formula(kit, rep.params))
     if kind == "fd":
         record, steps = _fd_family(rep, deltas)
-        kit = fock_kit(rep.modes, steps).compiled()
+        kit = fock_kit(rep.modes, steps)
         return dataclasses.replace(rep, generators=record.formula(kit, rep.params))
     raise ValueError(kind)
 

@@ -14,12 +14,15 @@ FAILs with its residual and that residual's first unkilled state.
 A shift-translated family's generators are polynomials in its marked
 shift pair, scalars and fermions, and read back to preimage polynomials
 (_preimages); its relation lines and [C,g] are decided by their residuals
-over those, exact on the whole Fock space where zero, after one probe per
-report of the marked pair's own brackets.  Every other identity of an
-extended family, and one whose residual is not zero, is probed as operator
-trees on the states up to the cutoff, a finite probe and not a proof, with
-the Casimir compiled so each state's image is formed once; so every line,
-FAIL texts included, is the probe's.  Extended closure is a matrix probe
+over those, after one probe per report of the marked pair's own brackets.
+A zero residual holds on the whole Fock space.  A nonzero one FAILs on the
+first state, in graded order, on which the two sides differ, which the
+pair's unit-triangular change of basis makes the residual's first
+unkilled state, as on a polynomial family; where a probe finds a witness
+it is that state, so the line is the probe's.  Every other identity of an
+extended family is probed as operator trees on the states up to the
+cutoff, a finite probe and not a proof, with the Casimir compiled so each
+state's image is formed once.  Extended closure is a matrix probe
 that sums each bracket over the generators' nonzero compiled columns and
 never calls weyl.  The symbolic closure, the constants re-check and the
 Casimir centrality check form each bracket with weyl.bracket.
@@ -153,11 +156,18 @@ class VerificationReport:
 
 def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
     """None where lhs and rhs are the same operator, else an IdentityReport
-    on a state that separates them.
+    on the first state, in graded order, that separates them.
 
     Polynomial sides are decided by their residual D = lhs - rhs in normal
-    form, given or formed here, on the first state D does not kill
-    (_first_unkilled).  Other sides are probed by check_identity.
+    form, given or formed here, on the first state u that D does not kill
+    (_first_unkilled).  The residual given may instead be that of the
+    sides' preimages (_preimages).  Then lhs - rhs = S D S^-1 for the
+    marked pairs' change of basis S, S b^k|0> = bhat^k|0>, which is
+    unit-triangular: S^-1 v is v plus states of lower degree, so every
+    state before u in graded order is still killed and u is not, and u is
+    again the witness a probe would name.  Where the sides agree on u after
+    all, the marks are no such algebra map, and the probe decides.  Sides
+    with no residual are probed by check_identity.
     """
     if residual is None:
         w, v = lhs.as_weyl(), rhs.as_weyl()
@@ -168,8 +178,10 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
     if residual.is_zero():
         return None
     key = _first_unkilled(residual)
-    return IdentityReport(False, state_degree(key), key, lhs.apply({key: 1}),
-                          rhs.apply({key: 1}))
+    left, right = lhs.apply({key: 1}), rhs.apply({key: 1})
+    if left == right:
+        return _mismatch(lhs, rhs, cutoff)
+    return IdentityReport(False, state_degree(key), key, left, right)
 
 
 def _first_unkilled(residual: WeylElement):
@@ -188,12 +200,13 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     """One result per relation line; FAIL carries the first witness.
 
     On a polynomial rep this is check_relations_symbolic.  On an extended
-    rep with preimages (_preimages), a relation whose preimage residual is
-    zero holds on the whole Fock space and PASSes with no probe.  Any other
-    relation of an extended rep is probed on the states of degree up to
-    the cutoff less the larger raise of its sides.  That cutoff is floored
-    at 3 + 2 * the largest generator raise, so the probe range never
-    collapses to the vacuum.
+    rep with preimages (_preimages), each relation is decided, with no
+    probe, by its preimage residual: zero holds on the whole Fock space,
+    and anything else FAILs on the first state its sides separate
+    (_mismatch).  A relation of any other extended rep is probed on the
+    states of degree up to the cutoff less the larger raise of its sides.
+    That cutoff is floored at 3 + 2 * the largest generator raise, so the
+    probe range never collapses to the vacuum.
     """
     if rep.is_polynomial():
         return check_relations_symbolic(rep)
@@ -240,8 +253,8 @@ def _pulled_back(rep: RepSpec):
 
 
 def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
-    """The relation lines, each relation decided by _mismatch, except that
-    one whose residual over pre's word sums is zero PASSes unprobed."""
+    """The relation lines, each relation decided by _mismatch: by its
+    residual over pre's word sums where pre is given."""
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -249,9 +262,8 @@ def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
     for label, rels in grouped.items():
         failures = []
         for rel in rels:
-            if pre is not None and (pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)).is_zero():
-                continue
-            report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff)
+            residual = None if pre is None else pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)
+            report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff, residual)
             if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
         results.append(CheckResult("relation %s" % label, "FAIL" if failures else "PASS",
@@ -494,11 +506,11 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     a verification failure: the engine's measured value is authoritative.
     On a polynomial rep C is the Poly of its normal form (rep.word_expr),
     and each [C,g] is decided by its residual weyl.bracket(C, g).  On an
-    extended rep with preimages (_preimages) a [C,g] whose preimage
-    residual is zero holds on the whole Fock space, unprobed; any other
-    [C,g] of an extended rep is probed up to the cutoff.  There C is
-    compiled, so its image of each state, which C g, g C and the scalar
-    probe read, is formed once.
+    extended rep with preimages (_preimages) each [C,g] is decided, with no
+    probe, by its preimage residual, as a relation is (check_relations);
+    every [C,g] of any other extended rep is probed up to the cutoff.  On
+    an extended rep C is compiled, so its image of each state, which C g,
+    g C, a witness and the scalar probe read, is formed once.
     """
     cutoff = rep.default_cutoff if cutoff is None else cutoff
     expr = rep.word_expr(rep.casimir.terms)
@@ -510,10 +522,7 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     failures = []
     for name, g in rep.generators.items():
         residual = None if pre is None else bracket(c_pre, pre.generator(name).as_weyl(), False)
-        if residual is not None and residual.is_zero():
-            continue
-        report = _mismatch(Product([expr, g]), Product([g, expr]), cutoff,
-                           residual if polynomial else None)
+        report = _mismatch(Product([expr, g]), Product([g, expr]), cutoff, residual)
         if report is not None:
             failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
     commutes = CheckResult("casimir_commutes", "FAIL" if failures else "PASS",

@@ -353,24 +353,6 @@ def _ferm_multiply(th1: int, dth1: int, th2: int, dth2: int):
     return words
 
 
-def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return bracket(x, y, False)
-
-
-def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    return bracket(x, y, True)
-
-
-def super_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Anticommutator when both arguments are odd, commutator otherwise."""
-    px, py = x.parity(), y.parity()
-    if px is None or py is None:
-        raise ValueError("super bracket needs arguments of definite parity")
-    if px == 1 and py == 1:
-        return anticommutator(x, y)
-    return commutator(x, y)
-
-
 # -- helpers ------------------------------------------------------------------------
 
 

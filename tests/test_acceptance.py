@@ -19,7 +19,7 @@ from fockrep.catalogue import build
 from fockrep.fock import (Poly, Product, Scale, Sum, basis_states, check_identity,
                           identity_op)
 from fockrep.grids import DELTAS, KR_PAIRS, KS, NS, QS, RS, acceptance_grid
-from fockrep.qheis import embed, q_alpha_hat, q_number
+from fockrep.qheis import q_alpha_hat, q_number, q_pair
 from fockrep.realize import (JacksonX, cross_check, poly_to_matrix, q_pair_fd,
                              realize_generators)
 from fockrep.scalars import Scalar, rat
@@ -348,12 +348,12 @@ def test_criterion_8_embeddings():
     failures = []
     modes = ModeSystem(1, 0)
     for q in QS:
-        at, bt = embed(q)
+        at, bt = q_pair(modes, 1, q, 0)
         rel = Sum([Product([at, bt]), Scale(Scalar(-q), Product([bt, at]))])
         if not check_identity(rel, identity_op(modes), 8).equal:
             failures.append(("spectral", str(q)))
         for d in DELTAS:
-            at, bt = embed(q, "transformed", d)
+            at, bt = q_pair(modes, 1, q, d)
             rel = Sum([Product([at, bt]), Scale(Scalar(-q), Product([bt, at]))])
             if not check_identity(rel, identity_op(modes), 8).equal:
                 failures.append(("transformed", str(q), str(d)))
@@ -364,7 +364,7 @@ def test_criterion_8_embeddings():
                 if relf.apply(f) != f:
                     failures.append(("fd pair", str(q), str(d), k))
                     break
-        spectral_at, _ = embed(q)
+        spectral_at, _ = q_pair(modes, 1, q, 0)
         if to_matrix(spectral_at, 8).cols != \
                 poly_to_matrix(JacksonX(modes, 1, q), 8).cols:
             failures.append(("jackson vs spectral", str(q)))

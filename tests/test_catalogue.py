@@ -150,14 +150,14 @@ def test_deformed_transformed_display_matches():
 
 
 def test_super_bracket_on_odd_charges():
-    from fockrep.weyl import super_bracket
+    from fockrep.weyl import bracket
 
     rep = build("osp22", {"n": 3})
     w = {name: rep.generator(name).as_weyl() for name in rep.generators}
-    assert super_bracket(w["Q1"], w["Qb2"]) == -w["T-"]
-    assert super_bracket(w["Q2"], w["Qb1"]) == w["T+"]
-    assert super_bracket(w["Q1"], w["Q1"]).is_zero()
-    assert super_bracket(w["Q1"], w["Q2"]).is_zero()
+    assert bracket(w["Q1"], w["Qb2"], True) == -w["T-"]
+    assert bracket(w["Q2"], w["Qb1"], True) == w["T+"]
+    assert bracket(w["Q1"], w["Q1"], True).is_zero()
+    assert bracket(w["Q1"], w["Q2"], True).is_zero()
 
 
 def test_casimir_claims_recorded():
@@ -233,7 +233,9 @@ def test_two_shift_pairs_commute_across_modes(deltas):
     nodes = kit.a + kit.b
     marks = [WeylElement.a(modes, 1), WeylElement.a(modes, 2),
              WeylElement.b(modes, 1), WeylElement.b(modes, 2)]
-    assert [x.marked for x in nodes] == marks
+    # the kit holds each marked pair node Compiled, the mark on its inner node
+    assert all(isinstance(x, Compiled) and x.marked is None for x in nodes)
+    assert [x.inner.marked for x in nodes] == marks
     for key in basis_states(modes, 8):
         for i, x in enumerate(nodes):
             for j, y in enumerate(nodes):
@@ -246,16 +248,20 @@ def test_two_shift_pairs_commute_across_modes(deltas):
                                        ("sl3_translated", "sl3_fock")])
 def test_translated_generators_read_back_to_the_base_family(rid, base):
     # through the marks, each translated generator is its base family's
-    # normal form, on the built rep and on its compiled copy, whose marked
-    # nodes are found compiled
+    # normal form, on the built rep and on its compiled copy; the marked
+    # nodes are found as the kit's Compiled pair nodes on both
     for params in (params for r, params in acceptance_grid() if r == rid):
         rep = build(rid, params)
         want = [g.as_weyl() for g in build(base, {"n": params["n"]}).generators.values()]
+        found = []
         for copy in (rep, rep.compiled()):
             pre, marked = preimages(list(copy.generators.values()))
             assert pre == want, params
             assert len(marked) == 2 * rep.modes.bosonic
-            assert all(isinstance(node, Compiled) == (copy is not rep) for node, _ in marked)
+            assert all(isinstance(node, Compiled) and node.inner.marked is mark
+                       for node, mark in marked)
+            found.append([node for node, _ in marked])
+        assert found[0] == found[1]
 
 
 def test_a_node_off_the_marks_has_no_preimage():
@@ -298,22 +304,25 @@ def test_compiled_generators_give_the_raw_matrices(rid, params):
 
 def test_compiled_translated_sl2_shares_one_ahat_and_one_bhat():
     # J- is ahat, and J0 = bhat ahat - n/2: every place of the shift pair in
-    # the three generators reaches the same Compiled node
+    # the three generators reaches the same Compiled node, on the built rep
+    # and on its compiled copy, which wraps J+ and J0 but keeps J- as it is
     rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
     ahat = rep.generator("J-")
     bhat = rep.generator("J0").parts[0].factors[0]
+    assert isinstance(ahat, Compiled) and isinstance(bhat, Compiled)
     compiled = rep.compiled()
-    for pair, names in ((ahat, ("J+", "J0", "J-")), (bhat, ("J+", "J0"))):
-        found = set()
-        for name in names:
-            nodes = list(_reached(compiled.generators[name]))
-            wrappers = [node for node in nodes
-                        if isinstance(node, Compiled) and node.inner is pair]
-            # the pair occurs only as the inner node of its wrapper
-            assert wrappers and sum(node is pair for node in nodes) == len(wrappers), name
-            found.update(map(id, wrappers))
-        assert len(found) == 1
-    assert compiled.generators["J-"].inner is ahat
+    assert compiled.generators["J-"] is ahat
+    for copy in (rep, compiled):
+        for pair, names in ((ahat.inner, ("J+", "J0", "J-")), (bhat.inner, ("J+", "J0"))):
+            found = set()
+            for name in names:
+                nodes = list(_reached(copy.generators[name]))
+                wrappers = [node for node in nodes
+                            if isinstance(node, Compiled) and node.inner is pair]
+                # the pair occurs only as the inner node of its wrapper
+                assert wrappers and sum(node is pair for node in nodes) == len(wrappers), name
+                found.update(map(id, wrappers))
+            assert found == {id(ahat if pair is ahat.inner else bhat)}
 
 
 def test_compiled_is_its_own_compiled_copy():

@@ -9,8 +9,9 @@ from fockrep.catalogue import build, shift_pair
 from fockrep.scalars import SQRT2, Scalar, exact, rat
 from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, OperatorExpr, Poly,
                           Product, QSpectral, Scale, Sum, basis_states, check_identity,
-                          compile_shared, identity_op, state_sort_key, to_matrix, vector_str)
+                          identity_op, shared, state_sort_key, to_matrix, vector_str)
 from fockrep.linalg import mat_mul
+from fockrep.qheis import q_pair
 from fockrep.verify import casimir_check, closure, invariant_subspace
 from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
 
@@ -452,28 +453,28 @@ def test_compiled_asks_its_inner_raise_bound_once():
         assert counting.asked == 1
 
 
-def test_compile_shared_never_wraps_a_bare_left_division():
-    # (b + 1)^-1 applied to (b + 1) v: the product is defined on every state,
-    # but the division alone is not (b^k is not a multiple of b + 1), so a
-    # shared LeftDivB stays bare while a shared extended node is compiled
-    div = LeftDivB(B1, 1, 1)
+def test_shared_compiles_an_extended_node_and_lets_a_polynomial_fold():
     plus = Poly(WeylElement.b(B1) + WeylElement.one(B1))
     shift = ExpA(B1, 1, rat(1, 2))
-    roots = [Product([div, plus]), Product([plus, div, plus, shift]), Sum([shift, div])]
-    first, second, third = compile_shared(roots)
-    assert first is roots[0]  # nothing below it is wrapped
-    assert second.factors[:3] == roots[1].factors[:3] and third.parts[1] is div
-    assert isinstance(second.factors[3], Compiled) and second.factors[3] is third.parts[0]
-    assert second.factors[3].inner is shift
-    for op, raw in zip((first, second), roots):
-        assert to_matrix(op, 5).cols == to_matrix(raw, 5).cols
+    assert shared(plus) is plus and (shared(plus) * plus).as_weyl() is not None
+    wrapped = shared(shift)
+    assert isinstance(wrapped, Compiled) and wrapped.inner is shift
+    assert shared(wrapped) is wrapped
+    # (b + 1)^-1 applied to (b + 1) v: the product is defined on every
+    # state, and compiles to its own matrix
+    div = LeftDivB(B1, 1, 1)
+    product = Product([div, plus])
+    assert to_matrix(shared(product), 5).cols == to_matrix(product, 5).cols
+    # but the division alone is not (b^2 is not a multiple of b + 1): a
+    # Compiled node splits a vector into basis states, so it fails where
+    # the bare node does not, which is why shared must never be given one
+    assert div.apply(plus.apply(b_state(1))) == b_state(1)
     with pytest.raises(NotLeftDivisible):
-        Compiled(div).apply(b_state(2))
-    # a LeftDivB inside a shared node is compiled with it
-    atilde = Product([LeftDivB(B1, 1), QSpectral(B1, 1, 2)])
-    wrapped, again = compile_shared([atilde, Sum([atilde, plus])])
-    assert isinstance(wrapped, Compiled) and wrapped.inner is atilde
-    assert again.parts[0] is wrapped
+        Compiled(div).apply(plus.apply(b_state(1)))
+    # the q-pair's lowering node holds a LeftDivB by b, defined on its image
+    for delta in (0, rat(1, 2)):
+        atilde, _ = q_pair(B1, 1, rat(2), delta)
+        assert to_matrix(shared(atilde), 5).cols == to_matrix(atilde, 5).cols
 
 
 def test_compiled_images_survive_their_consumers():

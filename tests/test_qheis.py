@@ -4,8 +4,8 @@ import pytest
 
 from fockrep.fock import Product, Scale, Sum, check_identity, identity_op, to_matrix
 from fockrep.catalogue import sl2q_triple
-from fockrep.qheis import (QDomainError, QWeylElement, _reorder, embed,
-                           q_alpha_hat, q_multiply, q_number)
+from fockrep.qheis import (QDomainError, QWeylElement, _reorder, q_alpha_hat, q_multiply,
+                           q_number, q_pair)
 from fockrep.realize import JacksonX
 from fockrep.scalars import Scalar, rat
 from fockrep.weyl import ModeSystem, WeylElement, multiply
@@ -13,6 +13,7 @@ from fockrep.weyl import ModeSystem, WeylElement, multiply
 from oracles import q_swap_multiply
 
 QS = (rat(2), rat(1, 2), rat(3, 5))
+B1 = ModeSystem(1, 0)
 
 
 def qmono(q, k, m, c=1):
@@ -118,7 +119,7 @@ def test_jackson_on_monomials():
 
 
 def test_spectral_embedding_action():
-    at, _ = embed(rat(2))
+    at, _ = q_pair(B1, 1, rat(2), 0)
     assert at.apply({((3,), 0): 1}) == {((2,), 0): 7}
 
 
@@ -130,33 +131,24 @@ def _q_relation_holds(at, bt, q, cutoff=8):
 
 def test_embeddings_satisfy_deformed_relation():
     for q in QS:
-        at, bt = embed(q)
+        at, bt = q_pair(B1, 1, q, 0)
         assert _q_relation_holds(at, bt, q)
         for delta in (rat(1), rat(1, 2), rat(-1, 3)):
-            at, bt = embed(q, "transformed", delta)
+            at, bt = q_pair(B1, 1, q, delta)
             assert _q_relation_holds(at, bt, q)
-
-
-def test_embed_domain_errors():
-    with pytest.raises(QDomainError):
-        embed(rat(1))
-    with pytest.raises(QDomainError):
-        embed(rat(2), "transformed", rat(0))
-    with pytest.raises(QDomainError):
-        embed(rat(2), "nonsense")
 
 
 def test_both_embeddings_leave_degree_n_space_invariant():
     for q in QS:
         for n in range(4):
-            for variant, delta in (("spectral", None), ("transformed", rat(1, 2))):
+            for delta in (0, rat(1, 2)):
                 modes = ModeSystem(1, 0)
-                gens = sl2q_triple(*embed(q, variant, delta), n, q, identity_op(modes))
+                gens = sl2q_triple(*q_pair(modes, 1, q, delta), n, q, identity_op(modes))
                 for name, g in gens.items():
                     for k in range(n + 1):
                         image = g.apply({((k,), 0): 1})
                         assert all(alpha[0] <= n for alpha, _ in image), \
-                            (q, n, variant, name, k)
+                            (q, n, delta, name, k)
 
 
 def test_jackson_matches_spectral_matrices():
@@ -164,7 +156,7 @@ def test_jackson_matches_spectral_matrices():
 
     modes = ModeSystem(1, 0)
     for q in QS:
-        at, _ = embed(q)
+        at, _ = q_pair(B1, 1, q, 0)
         spectral = to_matrix(at, 8)
         jackson = poly_to_matrix(JacksonX(modes, 1, q), 8)
         assert spectral.basis == jackson.basis

@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from fockrep import fock, realize
+from fockrep import catalogue, fock, realize
 from fockrep.catalogue import FAMILIES, build, fock_kit
-from fockrep.fock import (Compiled, OperatorExpr, Poly, basis_states, check_identity,
-                          identity_op, state_degree, to_matrix)
+from fockrep.fock import (Compiled, OperatorExpr, Poly, Product, Scale, Sum, basis_states,
+                          check_identity, identity_op, state_degree, to_matrix)
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
                              abstract_counterpart, check_fd_displayed, cross_check,
@@ -283,25 +283,6 @@ def _same_matrices(left: dict, right: dict, cutoff: int) -> bool:
     return True
 
 
-def test_compiled_kits_give_the_same_matrices():
-    # Kit.compiled caches each pair's columns; the generators' matrices
-    # over it equal those over the plain kit, on both sides of the fd check
-    cutoff = 4
-    for rid, params in FD_FAMILIES:
-        rep = build(rid, params)
-        deltas = FAMILIES[rid].fd_steps(rep.modes, rep.params)
-        formula = FAMILIES[rid].formula
-        for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
-            compiled = kit.compiled()
-            assert all(isinstance(x, Compiled) for x in compiled.a + compiled.b)
-            assert _same_matrices(formula(compiled, rep.params),
-                                  formula(kit, rep.params), cutoff), rid
-        if rid.endswith("_translated"):
-            # the counterpart is the catalogue's own formula over the same kit
-            counterpart = abstract_counterpart(rep, "fd")
-            assert _same_matrices(counterpart.generators, rep.generators, cutoff), rid
-
-
 def _nodes(op):
     yield op
     for child in getattr(op, "parts", ()) or getattr(op, "factors", ()):
@@ -310,15 +291,55 @@ def _nodes(op):
         yield from _nodes(op.inner)
 
 
-def test_cross_check_leaves_the_catalogue_rep_uncompiled():
+def _raw(op):
+    """op's tree with every Compiled node replaced by its raw inner tree."""
+    if isinstance(op, Compiled):
+        return _raw(op.inner)
+    if isinstance(op, Sum):
+        return Sum([_raw(part) for part in op.parts])
+    if isinstance(op, Product):
+        return Product([_raw(factor) for factor in op.factors])
+    if isinstance(op, Scale):
+        return Scale(op.coeff, _raw(op.inner))
+    return op
+
+
+def test_compiled_kits_give_the_same_matrices():
+    # a Kit caches each pair's columns; the generators' matrices over it
+    # equal those of the same trees with no Compiled node, on both sides of
+    # the fd check
+    cutoff = 4
+    for rid, params in FD_FAMILIES:
+        rep = build(rid, params)
+        deltas = FAMILIES[rid].fd_steps(rep.modes, rep.params)
+        formula = FAMILIES[rid].formula
+        for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
+            assert all(isinstance(x, Compiled) for x in kit.a + kit.b)
+            gens = formula(kit, rep.params)
+            raw = {name: _raw(op) for name, op in gens.items()}
+            assert not any(isinstance(node, Compiled)
+                           for op in raw.values() for node in _nodes(op))
+            assert _same_matrices(gens, raw, cutoff), rid
+        if rid.endswith("_translated"):
+            # the counterpart is the catalogue's own formula over the same kit
+            counterpart = abstract_counterpart(rep, "fd")
+            assert _same_matrices(counterpart.generators, rep.generators, cutoff), rid
+
+
+def test_cross_check_leaves_the_catalogue_rep_alone():
+    # the rep's generators are the same objects, holding the same Compiled
+    # nodes (its kit's), before and after
     for rid, params in FD_FAMILIES:
         rep = build(rid, params)
         before = dict(rep.generators)
+        held = {name: [id(node) for node in _nodes(op) if isinstance(node, Compiled)]
+                for name, op in rep.generators.items()}
         assert all(c.passed for c in cross_check(rep, "fd", 4)), rid
         assert rep.generators.keys() == before.keys()
         for name, op in rep.generators.items():
             assert op is before[name], (rid, name)
-            assert not any(isinstance(node, Compiled) for node in _nodes(op)), (rid, name)
+            assert [id(node) for node in _nodes(op)
+                    if isinstance(node, Compiled)] == held[name], (rid, name)
 
 
 class _CountingApply(OperatorExpr):
@@ -350,9 +371,8 @@ def test_compiled_kits_share_each_formulas_intermediate():
         rep = build(rid, params)
         deltas = FAMILIES[rid].fd_steps(rep.modes, rep.params)
         for kit in (fd_kit(rep.modes, deltas), fock_kit(rep.modes, deltas)):
-            compiled = kit.compiled()
-            gens = FAMILIES[rid].formula(compiled, rep.params)
-            pairs = {id(x) for x in compiled.a + compiled.b}
+            gens = FAMILIES[rid].formula(kit, rep.params)
+            pairs = {id(x) for x in kit.a + kit.b}
             shared = {name: {id(node): node for node in _nodes(gens[name])
                              if isinstance(node, Compiled) and id(node) not in pairs}
                       for name in names}
@@ -365,14 +385,79 @@ def test_compiled_kits_share_each_formulas_intermediate():
                 to_matrix(op, rep.default_cutoff)
             calls = node.inner.calls
             assert calls and max(calls.values()) == 1, rid
-            # over the plain kit the formula has no Compiled node
-            plain = FAMILIES[rid].formula(kit, rep.params)
-            assert not any(isinstance(node, Compiled)
-                           for op in plain.values() for node in _nodes(op)), rid
         # a polynomial intermediate is not wrapped and still folds
-        gens = FAMILIES[rid].formula(fock_kit(rep.modes).compiled(), rep.params)
+        gens = FAMILIES[rid].formula(fock_kit(rep.modes), rep.params)
         assert all(gens[name].as_weyl() is not None and not isinstance(gens[name], Compiled)
                    for name in names), rid
+
+
+def _recording_shared(monkeypatch) -> dict:
+    """Record, from now on, each Compiled node that catalogue.shared hands
+    out: every pair node of a Kit made and every intermediate a formula
+    shares, by id."""
+    made = {}
+
+    def recording(x):
+        node = fock.shared(x)
+        if isinstance(node, Compiled):
+            made[id(node)] = node
+        return node
+
+    monkeypatch.setattr(catalogue, "shared", recording)
+    return made
+
+
+def _held_once(gens: dict, node: Compiled) -> list:
+    """The generators whose trees hold node, after checking that each holds
+    node's inner tree only inside node."""
+    users = []
+    for name, op in gens.items():
+        nodes = list(_nodes(op))
+        wrapped = sum(x is node for x in nodes)
+        assert sum(x is node.inner for x in nodes) == wrapped, name
+        assert not any(isinstance(x, Compiled) and x is not node and x.inner is node.inner
+                       for x in nodes), name
+        if wrapped:
+            users.append(name)
+    return users
+
+
+# (rid, params, realization or None for the catalogue rep, the shared
+# nodes it makes: non-polynomial pair nodes and intermediates)
+SHARING = [
+    ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, None, 2),
+    ("sl3_translated", {"n": 1, "delta1": rat(1), "delta2": rat(-1, 3)}, None, 5),
+    ("osp22_translated", {"n": 2, "delta": rat(1)}, None, 2),
+    ("sl2q", {"alpha": 2, "q": rat(2)}, None, 1),
+    ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}, None, 2),
+    ("sl2q", {"alpha": 2, "q": rat(2)}, "jackson", 2),
+    ("sl2_standard", {"n": 2}, "differential", 2),
+    ("sl3_fock", {"n": 2}, "differential", 5),
+    ("glk", {"k": 3, "n": 1}, "differential", 5),
+    ("gl_super", {"k": 2, "r": 1, "n": 1}, "differential", 5),
+    ("osp22", {"n": 2}, "differential", 2),
+] + [(rid, params, kind, {"sl2_translated": 2, "sl2_metaplectic": 2, "sl3_translated": 5,
+                          "glk": 5, "gl_super": 5, "osp22_translated": 2}[rid])
+     for rid, params in FD_FAMILIES for kind in ("fd", "fd counterpart")]
+
+
+@pytest.mark.parametrize("rid, params, kind, count", SHARING)
+def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, rid, params, kind, count):
+    # on the catalogue rep, each realized kind and the fd counterpart, each
+    # kit pair node and each formula intermediate is one Compiled node,
+    # held by every generator that uses it and never bare
+    made = _recording_shared(monkeypatch)
+    rep = build(rid, params)
+    if kind is None:
+        sets = [rep.generators, rep.compiled().generators]  # a report keeps them
+    else:
+        made.clear()
+        sets = [abstract_counterpart(rep, "fd").generators if kind == "fd counterpart"
+                else realize_generators(rep, kind)]
+    assert len(made) == count
+    for gens in sets:
+        for node in made.values():
+            assert _held_once(gens, node), (rid, kind)
 
 
 def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):

@@ -24,10 +24,8 @@ TEST_API = {
     "charpoly_equivalence": "criterion 6 compares restricted characteristic polynomials",
     "verify_constants": "criterion 9 re-verifies perturbed structure constants",
     "perturbed": "criterion 9 corrupts one structure constant at a time",
-    "embed": "criterion 8 checks the spectral and transformed q-pairs",
     "q_pair_fd": "criterion 8 checks the displayed finite-difference q-pair",
     "check_fd_displayed": "test_realize checks the displayed fd closed forms",
-    "super_bracket": "test_catalogue and test_weyl check graded brackets",
     "is_rational": "test_linalg and test_verify check where sqrt2 enters",
     "atil": "criterion 7 checks q-normal ordering from QWeylElement.atil",
     "btil": "criterion 7 checks q-normal ordering from QWeylElement.btil",

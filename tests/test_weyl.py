@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fockrep.catalogue import build
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import SQRT2, Scalar, rat
-from fockrep.weyl import (ModeSystem, WeylElement, anticommutator, bracket, commutator,
-                          multiply, super_bracket)
+from fockrep.weyl import ModeSystem, WeylElement, bracket, multiply
 
 from oracles import swap_multiply
 
@@ -27,7 +26,7 @@ def a(ms=B1, i=1):
 def test_defining_relation():
     # a b = b a + 1
     assert a() * b() == b() * a() + WeylElement.one(B1)
-    assert commutator(a(), b()) == WeylElement.one(B1)
+    assert bracket(a(), b(), False) == WeylElement.one(B1)
 
 
 def test_a2_b2():
@@ -41,7 +40,7 @@ def test_a2_b2():
 def test_distinct_bosonic_modes_commute():
     x = WeylElement.a(B2, 1)
     y = WeylElement.b(B2, 2)
-    assert commutator(x, y).is_zero()
+    assert bracket(x, y, False).is_zero()
 
 
 def test_fermionic_nilpotence_and_car():
@@ -49,11 +48,11 @@ def test_fermionic_nilpotence_and_car():
     dth = WeylElement.dtheta(SUPER, 1)
     assert (th * th).is_zero()
     assert dth * th == WeylElement.one(SUPER) - th * dth
-    assert anticommutator(dth, th) == WeylElement.one(SUPER)
+    assert bracket(dth, th, True) == WeylElement.one(SUPER)
     # distinct modes anticommute
     th2 = WeylElement.theta(SUPER, 2)
-    assert anticommutator(th, th2).is_zero()
-    assert anticommutator(WeylElement.dtheta(SUPER, 1), th2).is_zero()
+    assert bracket(th, th2, True).is_zero()
+    assert bracket(WeylElement.dtheta(SUPER, 1), th2, True).is_zero()
 
 
 def test_sl2_standard_relation():
@@ -61,13 +60,19 @@ def test_sl2_standard_relation():
     jp = b() ** 2 * a() - b().scale(n)
     j0 = b() * a() - WeylElement.scalar(B1, Scalar(n) * rat(1, 2))
     jm = a()
-    assert commutator(j0, jp) == jp
-    assert commutator(j0, jm) == -jm
-    assert commutator(jp, jm) == j0.scale(-2)
+    assert bracket(j0, jp, False) == jp
+    assert bracket(j0, jm, False) == -jm
+    assert bracket(jp, jm, False) == j0.scale(-2)
 
 
 def test_anticommutator_trivial():
-    assert anticommutator(a(), a()) == (a() ** 2).scale(2)
+    assert bracket(a(), a(), True) == (a() ** 2).scale(2)
+    th = WeylElement.theta(SUPER, 1)
+    dth = WeylElement.dtheta(SUPER, 1)
+    even = WeylElement.b(SUPER) * WeylElement.a(SUPER)
+    assert bracket(th, dth, True) == th * dth + dth * th == WeylElement.one(SUPER)
+    assert bracket(even, th, False) == even * th - th * even
+    assert bracket(th, th, True) == (th * th).scale(2)
 
 
 def test_parity():
@@ -76,17 +81,6 @@ def test_parity():
     assert x.parity() == 1
     mixed = WeylElement.one(SUPER) + WeylElement.theta(SUPER, 1)
     assert mixed.parity() is None
-    with pytest.raises(ValueError):
-        super_bracket(mixed, mixed)
-
-
-def test_super_bracket_selects_kind():
-    th = WeylElement.theta(SUPER, 1)
-    dth = WeylElement.dtheta(SUPER, 1)
-    even = WeylElement.b(SUPER) * WeylElement.a(SUPER)
-    assert super_bracket(th, dth) == anticommutator(th, dth)
-    assert super_bracket(even, th) == commutator(even, th)
-    assert super_bracket(th, th) == (th * th).scale(2)
 
 
 def test_mode_mismatch_raises():
@@ -240,9 +234,9 @@ def test_associativity(x, y, z):
 @settings(max_examples=40, deadline=None)
 @given(_elements(B2), _elements(B2), _elements(B2))
 def test_jacobi_identity_even(x, y, z):
-    total = (commutator(commutator(x, y), z)
-             + commutator(commutator(y, z), x)
-             + commutator(commutator(z, x), y))
+    total = (bracket(bracket(x, y, False), z, False)
+             + bracket(bracket(y, z, False), x, False)
+             + bracket(bracket(z, x, False), y, False))
     assert total.is_zero()
 
 
@@ -274,9 +268,13 @@ def test_super_jacobi():
         sign_xz = -1 if (px * pz) % 2 else 1
         sign_yx = -1 if (py * px) % 2 else 1
         sign_zy = -1 if (pz * py) % 2 else 1
-        total = (super_bracket(super_bracket(x, y), z).scale(sign_xz)
-                 + super_bracket(super_bracket(y, z), x).scale(sign_yx)
-                 + super_bracket(super_bracket(z, x), y).scale(sign_zy))
+        # the graded bracket: {u, v} for two odd elements, else [u, v]
+        def graded(u, v):
+            return bracket(u, v, u.parity() == v.parity() == 1)
+
+        total = (graded(graded(x, y), z).scale(sign_xz)
+                 + graded(graded(y, z), x).scale(sign_yx)
+                 + graded(graded(z, x), y).scale(sign_zy))
         assert total.is_zero(), (parities, total)
 
 
@@ -285,7 +283,7 @@ def test_oscillator_pair_is_canonical():
     s2inv = SQRT2.inverse()
     ahat = (b() + a()).scale(s2inv)
     bhat = (b() - a()).scale(s2inv)
-    assert commutator(ahat, bhat) == WeylElement.one(B1)
+    assert bracket(ahat, bhat, False) == WeylElement.one(B1)
 
 
 def test_str_rendering():
