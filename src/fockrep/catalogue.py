@@ -80,7 +80,6 @@ class InvariantSpace:
 class Claims:
     closes: bool = True
     irreducible: bool = None  # True / False / None (no claim)
-    abelian_ideal: list = field(default_factory=list)
 
 
 @dataclass
@@ -324,10 +323,10 @@ def metaplectic_triple(a, b):
 
 
 def sl3_octet(kit, p):
-    """kit.number[i], when given, stands for b_i a_i inside J1+, J2+ and J0;
-    the factor J1+ and J2+ contain is shared (fock.shared)."""
+    """sl3 over two pairs; the factor J1+ and J2+ contain is shared
+    (fock.shared)."""
     (a1, a2), (b1, b2), n = kit.a, kit.b, p["n"]
-    n1, n2 = kit.number or (b1 * a1, b2 * a2)
+    n1, n2 = b1 * a1, b2 * a2
     num = shared(n1 + n2 - rat(n))
     return {
         "J1+": b1 * num,
@@ -344,12 +343,11 @@ def sl3_octet(kit, p):
 def glk_family(kit, p):
     """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
 
-    kit.number[i], when given, stands for b[i] a[i] inside J0; J0, which
-    every J_i+ contains, is shared (fock.shared).
+    J0, which every J_i+ contains, is shared (fock.shared).
     """
     a, b = kit.a, kit.b
     k = len(a) + 1
-    number = kit.number or [b[i] * a[i] for i in range(k - 1)]
+    number = [b[i] * a[i] for i in range(k - 1)]
     j0 = shared(rat(p["n"]) - sum(number[1:], number[0]))
     gens = {}
     for i in range(k - 1):
@@ -366,16 +364,14 @@ def glk_family(kit, p):
 def gl_super_family(kit, p):
     """gl(k+1,r+1) generators over k bosonic and r fermionic pairs.
 
-    kit.number[i], when given, stands for b[i] a[i] inside T0; T0, which
-    every T_i+ and Qb_j+ contains, is shared (fock.shared).  Returns the
-    generators in canonical order.
+    T0, which every T_i+ and Qb_j+ contains, is shared (fock.shared).
+    Returns the generators in canonical order.
     """
     a, b, th, dth = kit.a, kit.b, kit.th, kit.dth
     k, r = len(a), len(th)
-    number = kit.number or [b[i] * a[i] for i in range(k)]
     t0 = kit.one.scale(rat(p["n"]))
     for i in range(k):
-        t0 = t0 - number[i]
+        t0 = t0 - b[i] * a[i]
     for j in range(r):
         t0 = t0 - th[j] * dth[j]
     t0 = shared(t0)
@@ -630,8 +626,7 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
 class Kit:
     """One implementation of the canonical pairs a family formula is written
     in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
-    the identity.  number[i], where given, is what a formula puts in place
-    of the number operator b[i] a[i] (the fd displays' x D-).
+    the identity.
 
     Each a[i] and b[i] is stored shared (fock.shared): a polynomial as it
     is, so polynomials still fold, and any other pair node Compiled, so
@@ -644,7 +639,6 @@ class Kit:
     th: list
     dth: list
     one: object
-    number: list = None
 
     def __post_init__(self):
         self.a = [shared(x) for x in self.a]
@@ -847,7 +841,6 @@ class Family:
     space: object = None  # (degree, p) -> (weights, dimension, description)
     irreducible: bool = None  # claimed on the invariant space, where there is one
     closes: bool = True  # claimed: the brackets close on the generators' span
-    ideal: object = _empty  # p -> names of an abelian ideal
     alt_forms: object = _empty  # (modes, p) -> [AltForm]
     cutoff: object = _none  # p -> default probe cutoff; None: RepSpec's
 
@@ -892,7 +885,7 @@ FAMILIES = {
         ("r", "n"), "gl2 semidirect abelian ideal C^(r+1)", _modes(2), _gl2_semidirect,
         check=lambda p: _require(_require_int(p["r"], "r") >= 1,
                                  "r must be a positive integer"),
-        relations=_gl2_relations, space=_gl2_space, ideal=_gl2_ideal, cutoff=_gl2_cutoff),
+        relations=_gl2_relations, space=_gl2_space, cutoff=_gl2_cutoff),
     "glk": Family(
         ("k", "n"), "gl_k, minimal Fock realization",
         lambda p: ModeSystem(int(p["k"]) - 1, 0), glk_family, fd_steps=_unit_steps,
@@ -953,6 +946,5 @@ def build(rep_id: str, params: dict = None) -> RepSpec:
     inv = None if degree is None else _degree_space(degree, *record.space(degree, params))
     return RepSpec(rep_id, params, gens, list(record.relations(params)),
                    record.parities(gens), record.casimir(params), inv,
-                   Claims(record.closes, record.irreducible if inv else None,
-                          record.ideal(params)),
+                   Claims(record.closes, record.irreducible if inv else None),
                    record.alt_forms(modes, params), record.cutoff(params))

@@ -1,4 +1,6 @@
-"""Exact linear algebra over Q(sqrt2), and spans over the prime field F_p.
+"""Exact linear algebra over Q(sqrt2), and spans over the prime field F_p:
+the echelon spans that closure, the Killing rank and Burnside use, and the
+dense identity and product of Burnside's exact fallback.
 
 Sparse vectors are dicts key -> coefficient (key -> int for F_p) with mutually
 comparable keys.
@@ -134,31 +136,3 @@ def mat_mul(x, y):
                 if yk[j]:
                     oi[j] = oi[j] + xik * yk[j]
     return out
-
-def mat_add(x, y):
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def mat_scale(x, c):
-    return [[a * c for a in row] for row in x]
-
-
-def mat_trace(x):
-    return sum((x[i][i] for i in range(len(x))), 0)
-
-
-def charpoly(a) -> list:
-    """Characteristic polynomial det(tI - A) by Faddeev-LeVerrier.
-
-    Returns [1, c1, ..., cd] with p(t) = t^d + c1 t^(d-1) + ... + cd;
-    the only divisions are by integers, through inverse, so exact over the
-    field (a bare int / int would be a float).
-    """
-    d = len(a)
-    coeffs = [1]
-    m = None
-    for k in range(1, d + 1):
-        m = a if m is None else mat_mul(a, mat_add(m, mat_scale(mat_identity(d), coeffs[-1])))
-        ck = exact(-(mat_trace(m) * inverse(k)))
-        coeffs.append(ck)
-    return coeffs

@@ -185,10 +185,6 @@ def inverse(x):
     return exact(1 / rat(x))
 
 
-def is_rational(x) -> bool:
-    return type(x) is not Scalar or not x.irr
-
-
 def to_json(x) -> dict:
     """{"r": rational part} plus "s2": irrational part when it is nonzero."""
     a, b = _parts(x)

@@ -24,8 +24,8 @@ extended family is probed as operator trees on the states up to the
 cutoff, a finite probe and not a proof, with the Casimir compiled so each
 state's image is formed once.  Extended closure is a matrix probe
 that sums each bracket over the generators' nonzero compiled columns and
-never calls weyl.  The symbolic closure, the constants re-check and the
-Casimir centrality check form each bracket with weyl.bracket.
+never calls weyl.  The symbolic closure and the Casimir centrality check
+form each bracket with weyl.bracket.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from .catalogue import RepSpec
 from .fock import (Compiled, IdentityReport, Poly, Product, Sum, _state_str, basis_states,
                    check_identity, preimages, state_degree, state_sort_key, vector_str)
-from .linalg import EchelonSpan, ModPSpan, charpoly, mat_identity, mat_mul
+from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, bracket
 
@@ -92,14 +92,6 @@ class StructureConstants:
     table: dict  # (i, j) -> {k: coefficient}
     span_dim: int
     dependent: list = field(default_factory=list)
-
-    def perturbed(self, i: int, j: int, k: int, delta=1) -> "StructureConstants":
-        """Copy with c_{ij}^k shifted; used by negative-control tests."""
-        table = {key: dict(val) for key, val in self.table.items()}
-        entry = table.setdefault((i, j), {})
-        entry[k] = entry.get(k, 0) + delta
-        return StructureConstants(self.names, self.parities, table,
-                                  self.span_dim, self.dependent)
 
 
 @dataclass
@@ -392,35 +384,12 @@ def _constants(names, parities, vectors, bracket_vector, witness, probed):
             if i != j:
                 table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
     sc = StructureConstants(names, parities, table, span.dim, dependent)
-    detail = "span dimension %d over %d generators" % (span.dim, m)
+    detail = "span dimension %d over %d generators" % (sc.span_dim, m)
     if probed:
         detail += ", " + probed
-    if dependent:
-        detail += "; dependent: %s" % ", ".join(dependent)
+    if sc.dependent:
+        detail += "; dependent: %s" % ", ".join(sc.dependent)
     return sc, CheckResult("closure", "PASS", detail)
-
-
-def verify_constants(rep: RepSpec, sc: StructureConstants) -> CheckResult:
-    """Re-verify that every bracket equals its claimed generator combination.
-
-    This is the defining property of a structure-constant table, so any
-    corrupted entry fails here with the offending pair and exact residual.
-    Polynomial generators only (symbolic canonical forms).
-    """
-    names = sc.names
-    gens = [rep.generators[n].as_weyl() for n in names]
-    for (i, j), coeffs in sc.table.items():
-        anti = sc.parities[i] == 1 and sc.parities[j] == 1
-        combo = WeylElement.zero(rep.modes)
-        for k, c in coeffs.items():
-            combo = combo + gens[k].scale(c)
-        residual = bracket(gens[i], gens[j], anti) - combo
-        if not residual.is_zero():
-            return CheckResult(
-                "constants", "FAIL", "",
-                "%s != claimed combination; residual %s"
-                % (_bracket_name(names[i], names[j], anti), residual))
-    return CheckResult("constants", "PASS", "%d brackets" % len(sc.table))
 
 
 # -- Jacobi -----------------------------------------------------------------------
@@ -508,7 +477,8 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     and each [C,g] is decided by its residual weyl.bracket(C, g).  On an
     extended rep with preimages (_preimages) each [C,g] is decided, with no
     probe, by its preimage residual, as a relation is (check_relations);
-    every [C,g] of any other extended rep is probed up to the cutoff.  On
+    every [C,g] of any other extended rep is probed up to the cutoff,
+    floored as a relation probe's is (_probe_cutoff).  On
     an extended rep C is compiled, so its image of each state, which C g,
     g C, a witness and the scalar probe read, is formed once.
     """
@@ -519,10 +489,11 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     if not polynomial:
         expr = Compiled(expr)
     c_pre = None if pre is None else pre.word_sum(rep.casimir.terms)
+    probe = _probe_cutoff(rep, cutoff)
     failures = []
     for name, g in rep.generators.items():
         residual = None if pre is None else bracket(c_pre, pre.generator(name).as_weyl(), False)
-        report = _mismatch(Product([expr, g]), Product([g, expr]), cutoff, residual)
+        report = _mismatch(Product([expr, g]), Product([g, expr]), probe, residual)
         if report is not None:
             failures.append("[C,%s]: %s" % (name, report.describe(rep.modes)))
     commutes = CheckResult("casimir_commutes", "FAIL" if failures else "PASS",
@@ -582,15 +553,6 @@ def invariant_subspace(rep: RepSpec):
     detail = "dimension %d (expected %d): %s" % (dim, space.expected_dim,
                                                  space.description)
     return dim, CheckResult("invariant_subspace", status, detail)
-
-
-def restricted_matrix(rep: RepSpec, gen_name: str):
-    """Dense matrix of one generator on the invariant-space basis; raises
-    ValueError where that generator leaves the space."""
-    keys, cols, escape = rep.space_columns(gen_name)
-    if escape:
-        raise ValueError(escape)
-    return _dense(cols, len(keys))
 
 
 def _dense(cols, d):
@@ -732,28 +694,6 @@ def _exact_algebra_dim(mats, d) -> int:
                 break
         frontier = new
     return span.dim
-
-
-# -- characteristic-polynomial equivalence -------------------------------------------
-
-
-def charpoly_equivalence(rep_a: RepSpec, rep_b: RepSpec, gen_name: str):
-    """Equal restricted characteristic polynomials of same-named generators."""
-    if rep_a.invariant_space is None or rep_b.invariant_space is None:
-        raise ValueError("both representations need invariant spaces")
-    da = len(rep_a.invariant_space.basis(rep_a.modes))
-    db = len(rep_b.invariant_space.basis(rep_b.modes))
-    if da != db:
-        raise ValueError("dimension mismatch: %d vs %d" % (da, db))
-    pa = charpoly(restricted_matrix(rep_a, gen_name))
-    pb = charpoly(restricted_matrix(rep_b, gen_name))
-    if pa == pb:
-        return CheckResult("charpoly %s" % gen_name, "PASS",
-                           "degree %d, coefficients agree" % da)
-    diff = next(i for i in range(len(pa)) if pa[i] != pb[i])
-    return CheckResult("charpoly %s" % gen_name, "FAIL", "",
-                       "coefficient of t^%d: %s vs %s"
-                       % (da - diff, pa[diff], pb[diff]))
 
 
 # -- alt forms --------------------------------------------------------------------------

@@ -5,13 +5,15 @@ transposition-counted signs.  These oracles instead rewrite words one
 adjacent swap at a time, straight from the defining relations, and are
 deliberately naive.  The Jacobi oracle walks all m^3 index triples, the
 Killing oracle every middle index of every pair, and the closure oracle
-every compiled column of every pair on every probe state.  The probe oracles
-decide every relation, Casimir commutator and alt form by applying both
-sides to each state up to the cutoff, with no normal-form shortcut, and
-fold their generator words themselves, reading no memo of the rep.  The
-differential oracle relabels a normal-ordered element monomial by monomial
-into function-space leaves, where the library puts the family's formula
-over its differential kit.
+every compiled column of every pair on every probe state.  The constants
+re-check forms each bracket from swap_multiply products, and a generator's
+characteristic polynomial on its invariant space is sympy's.  The probe
+oracles decide every relation, Casimir commutator and alt form by applying
+both sides to each state up to the cutoff, with no normal-form shortcut,
+and fold their generator words themselves, reading no memo of the rep.
+The differential oracle relabels a normal-ordered element monomial by
+monomial into function-space leaves, where the library puts the family's
+formula over its differential kit.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
@@ -22,7 +24,7 @@ from fockrep.fock import (OperatorExpr, Poly, Product, Scale, Sum, _state_str, b
                           check_identity, identity_op)
 from fockrep.linalg import EchelonSpan
 from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial
-from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational
+from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
 from fockrep.weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
@@ -274,6 +276,54 @@ def dense_closure(rep, cutoff=None):
     if dependent:
         detail += "; dependent: %s" % ", ".join(dependent)
     return sc, CheckResult("closure", "PASS", detail)
+
+
+def perturbed(sc: StructureConstants, i: int, j: int, k: int, delta=1) -> StructureConstants:
+    """A copy of sc with c_{ij}^k shifted by delta: a corrupted table for the
+    negative controls."""
+    table = {key: dict(val) for key, val in sc.table.items()}
+    entry = table.setdefault((i, j), {})
+    entry[k] = entry.get(k, 0) + delta
+    return StructureConstants(sc.names, sc.parities, table, sc.span_dim, sc.dependent)
+
+
+def verify_constants(rep, sc: StructureConstants) -> CheckResult:
+    """Re-verify a structure-constant table of a polynomial rep: every
+    bracket, formed from swap_multiply products rather than weyl.bracket,
+    must equal its claimed combination of the generators.  A corrupted
+    entry FAILs with the offending pair and the exact residual."""
+    gens = [rep.generator(name).as_weyl() for name in sc.names]
+    for (i, j), coeffs in sc.table.items():
+        anti = sc.parities[i] == 1 and sc.parities[j] == 1
+        xy, yx = swap_multiply(gens[i], gens[j]), swap_multiply(gens[j], gens[i])
+        residual = xy + yx if anti else xy - yx
+        for k, c in coeffs.items():
+            residual = residual - gens[k].scale(c)
+        if not residual.is_zero():
+            return CheckResult("constants", "FAIL", "",
+                               "%s != claimed combination; residual %s"
+                               % (_bracket_name(sc.names[i], sc.names[j], anti), residual))
+    return CheckResult("constants", "PASS", "%d brackets" % len(sc.table))
+
+
+def space_charpoly(rep, name: str) -> list:
+    """sympy's characteristic polynomial, coefficients from the leading one
+    down, of one generator on the claimed invariant space, read from its
+    columns there (RepSpec.space_columns)."""
+    import sympy
+
+    def number(x):
+        if isinstance(x, Scalar):
+            return number(x.rat) + number(x.irr) * sympy.sqrt(2)
+        return sympy.Rational(int(x.numerator), int(x.denominator))
+
+    keys, cols, escape = rep.space_columns(name)
+    assert not escape, escape
+    mat = sympy.zeros(len(keys), len(keys))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            mat[i, j] = number(c)
+    return mat.charpoly().all_coeffs()
 
 
 # -- probe oracles: relations, [C,g] and alt forms decided state by state -----------

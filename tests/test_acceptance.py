@@ -15,20 +15,20 @@ import dataclasses
 import itertools
 import time
 
-from fockrep.catalogue import build
+from fockrep.catalogue import build, shift_pair
 from fockrep.fock import (Poly, Product, Scale, Sum, basis_states, check_identity,
                           identity_op)
 from fockrep.grids import DELTAS, KR_PAIRS, KS, NS, QS, RS, acceptance_grid
 from fockrep.qheis import q_alpha_hat, q_number, q_pair
-from fockrep.realize import (JacksonX, cross_check, poly_to_matrix, q_pair_fd,
-                             realize_generators)
+from fockrep.realize import JacksonX, cross_check, poly_to_matrix, realize_generators
 from fockrep.scalars import Scalar, rat
-from fockrep.verify import (burnside_irreducibility, casimir_check,
-                            charpoly_equivalence, closure, full_verify,
-                            invariant_subspace, jacobi, verify_constants)
-from fockrep.weyl import ModeSystem, WeylElement, multiply
+from fockrep.verify import (burnside_irreducibility, casimir_check, closure, full_verify,
+                            invariant_subspace, jacobi)
+from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
 
-from oracles import q_swap_multiply, swap_multiply
+from oracles import (perturbed, q_swap_multiply, space_charpoly, swap_multiply,
+                     verify_constants)
+from test_realize import q_pair_fd
 
 
 def _conclude(tag, label, failures):
@@ -225,6 +225,32 @@ def test_criterion_5_burnside():
 # -- 6. cross-realization equality ----------------------------------------------------------------
 
 
+def _intertwiner_failures(base, moved, deltas):
+    """(generator, state) wherever g_moved S v != S g_base v on a basis
+    state v of base's invariant space, for S b^alpha th^beta|0> =
+    prod_i bhat_i^alpha_i th^beta|0>, bhat_i the shift pair's at deltas[i]."""
+    bhats = [shift_pair(base.modes, i + 1, d)[1] for i, d in enumerate(deltas)]
+
+    def S(vec):
+        out = {}
+        for (alpha, beta), c in vec.items():
+            image = {((0,) * len(alpha), beta): c}
+            for bhat, k in zip(bhats, alpha):
+                for _ in range(k):
+                    image = bhat.apply(image)
+            for key, v in image.items():
+                accumulate(out, key, v)
+        return out
+
+    failures = []
+    for key in base.invariant_space.basis(base.modes):
+        s_v = S({key: 1})
+        for name, g in base.generators.items():
+            if moved.generator(name).apply(s_v) != S(g.apply({key: 1})):
+                failures.append((name, key))
+    return failures
+
+
 def test_criterion_6_cross_realizations():
     failures = []
 
@@ -263,31 +289,34 @@ def test_criterion_6_cross_realizations():
                         ("gl_super", {"k": rat(2), "r": rat(2), "n": rat(2)})]:
         expect_pass(cross_check(build(rid, params), "differential"),
                     ("diff", rid))
-    # characteristic-polynomial equivalence, base vs transformed, n <= 4
+    # base vs transformed on the invariant space, n <= 4: equal (sympy)
+    # characteristic polynomials of the named generators, and one
+    # intertwiner S for every generator of each translated family
+    def equivalent(tag, base, moved, gens, deltas=None):
+        for gen in gens:
+            if space_charpoly(base, gen) != space_charpoly(moved, gen):
+                failures.append(("charpoly",) + tag + (gen,))
+        if deltas is not None:
+            failures.extend(("intertwiner",) + tag + (miss,)
+                            for miss in _intertwiner_failures(base, moved, deltas))
+
     for n in range(5):
         base = build("sl2_standard", {"n": rat(n)})
         for d in DELTAS:
             moved = build("sl2_translated", {"n": rat(n), "delta": d})
-            for gen in ("J+", "J0", "J-"):
-                if not charpoly_equivalence(base, moved, gen).passed:
-                    failures.append(("charpoly sl2", n, str(d), gen))
-        osc = build("sl2_oscillator", {"n": rat(n)})
-        if not charpoly_equivalence(base, osc, "J0").passed:
-            failures.append(("charpoly oscillator", n))
+            equivalent(("sl2", n, str(d)), base, moved, ("J+", "J0", "J-"), [d])
+        equivalent(("oscillator", n), base, build("sl2_oscillator", {"n": rat(n)}), ("J0",))
     for n in range(4):
-        base = build("sl3_fock", {"n": rat(n)})
-        moved = build("sl3_translated", {"n": rat(n), "delta1": rat(1, 2),
-                                         "delta2": rat(-1, 3)})
-        for gen in ("J0_1", "J1+", "J2-"):
-            if not charpoly_equivalence(base, moved, gen).passed:
-                failures.append(("charpoly sl3", n, gen))
-        baseo = build("osp22", {"n": rat(n)})
-        movedo = build("osp22_translated", {"n": rat(n), "delta": rat(1, 2)})
-        for gen in ("T0", "T+", "J"):
-            if not charpoly_equivalence(baseo, movedo, gen).passed:
-                failures.append(("charpoly osp22", n, gen))
+        deltas = [rat(1, 2), rat(-1, 3)]
+        moved = build("sl3_translated", {"n": rat(n), "delta1": deltas[0],
+                                         "delta2": deltas[1]})
+        equivalent(("sl3", n), build("sl3_fock", {"n": rat(n)}), moved,
+                   ("J0_1", "J1+", "J2-"), deltas)
+        moved = build("osp22_translated", {"n": rat(n), "delta": rat(1, 2)})
+        equivalent(("osp22", n), build("osp22", {"n": rat(n)}), moved,
+                   ("T0", "T+", "J"), [rat(1, 2)])
     _conclude("6", "fd and differential matrices equal abstract matrices; "
-                   "charpoly equivalence", failures)
+                   "charpoly equivalence and the shift intertwiner", failures)
 
 
 # -- 7. oracle equivalence ------------------------------------------------------------------------
@@ -383,14 +412,14 @@ def test_criterion_9_negative_controls():
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                bad = sc.perturbed(i, j, k)
+                bad = perturbed(sc, i, j, k)
                 result = verify_constants(rep, bad)
                 if result.passed or not result.witness:
                     failures.append(("constants", sc.names[i], sc.names[j],
                                      sc.names[k]))
     # a corrupted mixed entry must also break the Jacobi identity itself
-    bad = sc.perturbed(sc.names.index("J0"), sc.names.index("J+"),
-                       sc.names.index("J-"))
+    bad = perturbed(sc, sc.names.index("J0"), sc.names.index("J+"),
+                    sc.names.index("J-"))
     if jacobi(bad).passed:
         failures.append(("jacobi survives corruption",))
     for rid, params in [("sl2_standard", {"n": rat(2)}), ("osp22", {"n": rat(2)})]:

@@ -1,13 +1,13 @@
-"""Independent oracle: sympy's ranks and characteristic polynomials over
-F_p, QQ and QQ(sqrt2) against the engine's own linear algebra."""
+"""Independent oracle: sympy's ranks over F_p, QQ and QQ(sqrt2) against the
+engine's own linear algebra."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep.linalg import EchelonSpan, ModPSpan, charpoly
-from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, is_rational, rat, reduce_mod_p
+from fockrep.linalg import EchelonSpan, ModPSpan
+from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, rat, reduce_mod_p
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF, QQ  # noqa: E402
@@ -53,7 +53,7 @@ def _sympy_rational(q):
 def _sympy_element(domain, x):
     a, b = (x.rat, x.irr) if isinstance(x, Scalar) else (x, 0)
     if domain is QQ:
-        assert is_rational(x)
+        assert type(x) is not Scalar
         return _sympy_rational(a)
     return (domain.convert(_sympy_rational(a))
             + domain.convert(_sympy_rational(b)) * SQRT2_IN_FIELD)
@@ -80,7 +80,7 @@ def test_mod_p_span_rank_matches_sympy_gf():
 
 @pytest.mark.parametrize("domain, entry", [(QQ, _rational_entry),
                                            (QQ_SQRT2, _scalar_entry)])
-def test_echelon_rank_and_charpoly_match_sympy(domain, entry):
+def test_echelon_rank_matches_sympy(domain, entry):
     rng = random.Random(11)
     for _ in range(12):
         n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -91,11 +91,6 @@ def test_echelon_rank_and_charpoly_match_sympy(domain, entry):
         dm = DomainMatrix([[_sympy_element(domain, x) for x in row] for row in rows],
                           (n_rows, n_cols), domain)
         assert span.dim == dm.rank()
-    for d in range(1, 5):
-        a = [[entry(rng) for _ in range(d)] for _ in range(d)]
-        dm = DomainMatrix([[_sympy_element(domain, x) for x in row] for row in a],
-                          (d, d), domain)
-        assert [_sympy_element(domain, c) for c in charpoly(a)] == dm.charpoly()
 
 
 def test_reduce_mod_p_is_a_ring_map():
@@ -109,15 +104,6 @@ def test_reduce_mod_p_is_a_ring_map():
     assert reduce_mod_p(Scalar(rat(1, MOD_P))) is None
     assert reduce_mod_p(Scalar(0, rat(3, 2 * MOD_P))) is None
     assert reduce_mod_p(Scalar(MOD_P)) == 0
-
-
-def test_charpoly_of_an_integer_matrix_has_no_float():
-    # int / int is a float: the Faddeev-LeVerrier divisions must stay exact
-    coeffs = charpoly([[1, 2], [3, 4]])
-    assert coeffs == [1, -5, -2]
-    assert not any(isinstance(c, float) for c in coeffs)
-    assert charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
-    assert charpoly([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, -6, 11, -6]
 
 
 _span_entries = st.builds(lambda p, q, s: exact(rat(p, q) + s * SQRT2),

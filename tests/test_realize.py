@@ -8,14 +8,14 @@ import pytest
 
 from fockrep import catalogue, fock, realize
 from fockrep.catalogue import FAMILIES, build, fock_kit
-from fockrep.fock import (Compiled, OperatorExpr, Poly, Product, Scale, Sum, basis_states,
-                          check_identity, identity_op, state_degree, to_matrix)
+from fockrep.fock import (Compiled, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
+                          basis_states, check_identity, identity_op, state_degree, to_matrix)
+from fockrep.qheis import q_number_op
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
-                             abstract_counterpart, check_fd_displayed, cross_check,
-                             fd_kit, fd_pair, poly_to_matrix, q_pair_fd,
-                             realize_generators)
-from fockrep.scalars import Scalar, rat
+                             abstract_counterpart, cross_check,
+                             fd_kit, fd_pair, poly_to_matrix, realize_generators)
+from fockrep.scalars import Scalar, inverse, rat
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import clifford_identity, clifford_matmul, weyl_to_differential
 from pinning import check_pinned, cross_check_results
@@ -192,8 +192,6 @@ def test_passing_cross_checks_form_no_matrix(monkeypatch):
                               ("sl2q", {"alpha": 2, "q": rat(3, 5)}, "jackson")]:
         results = cross_check(build(rid, params), kind)
         assert results and all(c.passed for c in results), (rid, kind)
-    res = check_fd_displayed(build("sl2_translated", {"n": 0, "delta": rat(1)}))
-    assert all(a.status == "MATCH" for a in res)
     assert calls == []
 
 
@@ -204,8 +202,6 @@ def test_cross_check_refuses_a_negative_cutoff():
                               ("sl2q", {"alpha": 1, "q": rat(2)}, "jackson")]:
         with pytest.raises(ValueError, match="cutoff must be nonnegative"):
             cross_check(build(rid, params), kind, -1)
-    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-        check_fd_displayed(build("sl2_translated", {"n": 2, "delta": rat(1, 2)}), -1)
 
 
 def test_differential_formula_matches_the_relabeled_normal_form():
@@ -505,27 +501,113 @@ def test_vector_field_preserves_homogeneous_degree():
             assert all(sum(exps) == sum(e) for (exps, _) in image), (name, e)
 
 
+# -- the paper's displayed finite-difference forms, as test data -------------------
+
+
+def _sl2_display(modes, n, d):
+    """The displayed fd closed forms of the shift-transformed sl2 triple."""
+    nn = rat(n)
+    x, dm = MultX(modes, 1), Dminus(modes, 1, d)
+    return {
+        "J+": (x * (identity_op(modes) + x.scale(-inverse(d)))
+               * ((dm ** 2).scale(d * d) + dm.scale(-((nn + 1) * d)) + nn)),
+        "J0": x * dm - nn / 2,
+        "J-": Dplus(modes, 1, d),
+    }
+
+
+def _metaplectic_display(modes, p, d):
+    x, dm = MultX(modes, 1), Dminus(modes, 1, d)
+    half = rat(1, 2)
+    return {
+        "J+": (Dplus(modes, 1, d) ** 2).scale(half),
+        "J0": (x * dm - half).scale(-half),
+        # displayed with the minus sign on the d^2 D-^2 term
+        "J-": (x * (x - d) * (identity_op(modes) + dm.scale(-(d + d))
+                              + (dm ** 2).scale(-(d * d)))).scale(half),
+    }
+
+
+def _osp22_display(modes, p, d):
+    nn, half = rat(p["n"]), rat(1, 2)
+    kit = fd_kit(modes, [d])
+    number = MultX(modes, 1) * Dminus(modes, 1, d)
+    proj_up = Cliff(modes, {(0, 0): 1})    # spinor level empty
+    proj_dn = Cliff(modes, {(1, 1): 1})    # spinor level occupied
+    sp, sm = kit.dth[0], kit.th[0]
+    return {
+        "T+": (_sl2_display(modes, nn, d)["J+"] * proj_up
+               + _sl2_display(modes, nn - 1, d)["J+"] * proj_dn),
+        "T0": (number - nn * half) * proj_up + (number - (nn - 1) * half) * proj_dn,
+        "T-": kit.a[0],
+        "J": proj_up.scale(-(nn * half)) + proj_dn.scale(-((nn + 1) * half)),
+        "Q1": sp,
+        "Q2": kit.b[0] * sp,
+        "Qb1": (number - nn) * sm,
+        "Qb2": -kit.a[0] * sm,
+    }
+
+
+FD_DISPLAYS = {
+    "sl2_translated": lambda modes, p, d: _sl2_display(modes, p["n"], d),
+    "sl2_metaplectic": _metaplectic_display,
+    "osp22_translated": _osp22_display,
+}
+
+
+def q_pair_fd(q, delta):
+    """The displayed transformed q-pair in finite-difference form:
+    atil = (x + d)^{-1} (1 + d D+) (q^{x D-} - 1)/(q - 1), btil = x(1 - d D-)."""
+    modes = ModeSystem(1, 0)
+    d = rat(delta)
+    a, btil = fd_pair(modes, 1, d)
+    atil = (LeftDivB(modes, 1, d) * (a.scale(d) + identity_op(modes))
+            * q_number_op(modes, 1, q, delta))
+    return atil, btil
+
+
+def _display_verdicts(rid, params, d=None) -> dict:
+    """MATCH or DIFFERS per displayed fd form of the family at params, each
+    compared with the fd realization, at step d or the record's, as a cross
+    check compares (realize._difference)."""
+    rep = build(rid, params)
+    (d,) = [d] if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
+    normative = realize_generators(rep, "fd", [d])
+    return {name: "DIFFERS" if realize._difference(op, normative[name], rep.default_cutoff)
+            else "MATCH"
+            for name, op in FD_DISPLAYS[rid](rep.modes, rep.params, d).items()}
+
+
 def test_fd_displayed_discrepancies_pinned():
     # raising display broken for n != 0; metaplectic J0 and J- sign typos;
     # every other displayed fd form agrees with the substitution build
-    res = check_fd_displayed(build("sl2_translated", {"n": 3, "delta": rat(1, 2)}))
-    assert {a.generator: a.status for a in res} == \
+    assert _display_verdicts("sl2_translated", {"n": 3, "delta": rat(1, 2)}) == \
         {"J+": "DIFFERS", "J0": "MATCH", "J-": "MATCH"}
-    res = check_fd_displayed(build("sl2_translated", {"n": 0, "delta": rat(1)}))
-    assert all(a.status == "MATCH" for a in res)
-    res = check_fd_displayed(build("sl2_metaplectic", {}), None, [rat(1, 2)])
-    assert {a.generator: a.status for a in res} == \
+    assert set(_display_verdicts("sl2_translated", {"n": 0, "delta": rat(1)}).values()) == \
+        {"MATCH"}
+    assert _display_verdicts("sl2_metaplectic", {}, rat(1, 2)) == \
         {"J+": "MATCH", "J0": "DIFFERS", "J-": "DIFFERS"}
-    res = check_fd_displayed(build("osp22_translated", {"n": 2, "delta": rat(1)}))
-    assert {a.generator: a.status for a in res} == \
+    assert _display_verdicts("osp22_translated", {"n": 2, "delta": rat(1)}) == \
         {"T+": "DIFFERS", "T0": "MATCH", "T-": "MATCH", "J": "MATCH",
          "Q1": "MATCH", "Q2": "MATCH", "Qb1": "MATCH", "Qb2": "MATCH"}
+
+
+def test_fd_number_operator_is_x_dminus():
+    # b a f = x (D+ f)(x - d) = x D- f on the fd pair, so the displays that
+    # write x D- for b a (sl3_translated, glk, gl_super) are the family's
+    # formula over the fd kit; checked at each step those displays use
     for rid, params, deltas in [
             ("sl3_translated", {"n": 2, "delta1": rat(1), "delta2": rat(1, 2)}, None),
             ("glk", {"k": 3, "n": 2}, [rat(1), rat(1, 2)]),
             ("gl_super", {"k": 2, "r": 1, "n": 2}, [rat(1), rat(1)])]:
-        res = check_fd_displayed(build(rid, params), None, deltas)
-        assert all(a.status == "MATCH" for a in res), rid
+        rep = build(rid, params)
+        deltas = deltas or FAMILIES[rid].fd_steps(rep.modes, rep.params)
+        kit = fd_kit(rep.modes, deltas)
+        for i, d in enumerate(deltas):
+            number = MultX(rep.modes, i + 1) * Dminus(rep.modes, i + 1, d)
+            for key in basis_states(rep.modes, rep.default_cutoff):
+                assert (kit.b[i] * kit.a[i]).apply({key: 1}) == number.apply({key: 1}), \
+                    (rid, i, key)
 
 
 def test_fd_q_pair_relation():

@@ -1,35 +1,35 @@
-"""Every function and class defined in the library is named by the library
-or by the benchmark, and every dataclass field is read there; code and data
-that only the tests use are not kept.
+"""Every function and class defined in the library is reached by code the
+library or the benchmark runs, and every dataclass field is read there;
+code and data that only the tests use are not kept.
 
-A method counts as used only where it is named as an attribute (x.name): a
-variable or function of the same name does not keep it.  A function or
-class outside a class body counts as used through a bare name, an import,
-or an attribute of its own module (verify.jacobi): a method of the same
-name does not keep it.  A dataclass field counts as read only where it is
-read as an attribute (x.field); a constructor keyword or an assignment does
-not keep it.  As with methods, any read of its name keeps a field, so a
-dead field named like a live one (a RepSpec.description beside the read
-InvariantSpace.description) is not caught."""
+A function or class outside a class body counts as used only where it is
+reachable: from the library's module-level code (CHECKS, FAMILIES, the
+package exports, `python -m fockrep`), from cli.main, from anything in
+perfbench/, or from a TEST_API entry, through the top-level definitions
+those name.  A name is resolved to its defining module through the
+imports of the file that uses it, and an attribute of a library module
+(verify.jacobi) to that module's definition; a local variable named like
+a definition keeps it, so the graph may over-reach, never under-reach.
+A method counts as used only where it is named as an attribute (x.name)
+by the library or the benchmark.  A dataclass field counts as read only
+where it is read as an attribute (x.field); a constructor keyword or an
+assignment does not keep it.  As with methods, any read of its name keeps
+a field, so a dead field named like a live one (a RepSpec.description
+beside the read InvariantSpace.description) is not caught."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "fockrep").glob("*.py"))
-USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = {path.stem for path in LIBRARY}
 
 # public API that only the tests call, with what needs it
 TEST_API = {
-    "charpoly_equivalence": "criterion 6 compares restricted characteristic polynomials",
-    "verify_constants": "criterion 9 re-verifies perturbed structure constants",
-    "perturbed": "criterion 9 corrupts one structure constant at a time",
-    "q_pair_fd": "criterion 8 checks the displayed finite-difference q-pair",
-    "check_fd_displayed": "test_realize checks the displayed fd closed forms",
-    "is_rational": "test_linalg and test_verify check where sqrt2 enters",
-    "atil": "criterion 7 checks q-normal ordering from QWeylElement.atil",
-    "btil": "criterion 7 checks q-normal ordering from QWeylElement.btil",
-    "abelian_ideal": "test_killing_vanishes_on_abelian_ideal reads Claims.abelian_ideal",
+    "QWeylElement": "criterion 7, until item 5(b)",
+    "atil": "criterion 7, until item 5(b)",
+    "btil": "criterion 7, until item 5(b)",
 }
 
 
@@ -37,39 +37,96 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
+def _imports(tree) -> dict:
+    """alias -> (module, name) for every name the file imports from a
+    library module, anywhere in the file."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            if module in MODULES:
+                for alias in node.names:
+                    out[alias.asname or alias.name] = (module, alias.name)
+    return out
+
+
+def _named(nodes, module, imports) -> set:
+    """(module, name) for every name the nodes use: a bare name, defined in
+    module or imported, or an attribute of a library module."""
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(imports.get(node.id, (module, node.id)))
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                if owner in MODULES:
+                    out.add((owner, node.attr))
+    return out
+
+
+def _graph():
+    """(definitions, roots): each top-level function or class as (module,
+    name) -> the (module, name) its body names; and what module-level code,
+    cli.main and the benchmark name."""
+    definitions, roots = {}, {("cli", "main")}
+    for path in LIBRARY:
+        tree = _parse(path)
+        imports = _imports(tree)
+        rest = []
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions[(path.stem, stmt.name)] = _named([stmt], path.stem, imports)
+            elif path.stem == "__init__" or not isinstance(stmt, ast.ImportFrom):
+                rest.append(stmt)  # the package exports are its imports
+        roots |= _named(rest, path.stem, imports)
+    for path in BENCHMARK:
+        tree = _parse(path)
+        roots |= _named([tree], None, _imports(tree))
+    return definitions, roots
+
+
+def _reachable(extra_roots=()) -> set:
+    """The top-level definitions reachable from the roots and extra_roots;
+    a name a module re-exports resolves to its defining module."""
+    definitions, roots = _graph()
+    imports = {path.stem: _imports(_parse(path)) for path in LIBRARY}
+
+    def resolve(ref):
+        while ref not in definitions and ref[1] in imports.get(ref[0], {}):
+            ref = imports[ref[0]][ref[1]]
+        return ref
+
+    seen, stack = set(), [resolve(ref) for ref in list(roots) + list(extra_roots)]
+    while stack:
+        ref = stack.pop()
+        if ref in definitions and ref not in seen:
+            seen.add(ref)
+            stack.extend(resolve(r) for r in definitions[ref])
+    return seen
+
+
 def _uses():
-    """(attributes, names, module_attributes, reads): every attribute the
-    library and benchmark name; every bare and imported name they use; every
-    (module, name) for an attribute of a library module (verify.jacobi,
-    fockrep.verify.jacobi); and every attribute they read."""
-    modules = {path.stem for path in LIBRARY}
-    attributes, names, module_attributes, reads = set(), set(), set(), set()
-    for path in USERS:
+    """(attributes, reads): every attribute the library and benchmark name,
+    and every attribute they read."""
+    attributes, reads = set(), set()
+    for path in LIBRARY + BENCHMARK:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     reads.add(node.attr)
-                owner = node.value
-                owner = getattr(owner, "id", None) or getattr(owner, "attr", None)
-                if owner in modules:
-                    module_attributes.add((owner, node.attr))
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
-    return attributes, names, module_attributes, reads
+    return attributes, reads
 
 
-def _definitions():
-    """(file name, node, is_method) for every function and class."""
+def _methods():
+    """(file name, node) for every function defined in a class body."""
     for path in LIBRARY:
-        tree = _parse(path)
-        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for f in cls.body if isinstance(f, ast.FunctionDef)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path.name, node, id(node) in methods
+        for cls in ast.walk(_parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                for f in cls.body:
+                    if isinstance(f, ast.FunctionDef):
+                        yield path.name, f
 
 
 def _is_dataclass(decorator) -> bool:
@@ -87,25 +144,24 @@ def _fields():
                         yield path.name, stmt.lineno, stmt.target.id
 
 
-def _used_definitions() -> set:
-    """The definitions the library or benchmark use, by (file name, line)."""
-    attributes, names, module_attributes, _ = _uses()
-    return {(fname, node.lineno) for fname, node, is_method in _definitions()
-            if (node.name in attributes if is_method else
-                node.name in names or (fname[:-len(".py")], node.name) in module_attributes)}
+def _test_api_roots():
+    definitions = _graph()[0]
+    return [ref for ref in definitions if ref[1] in TEST_API]
 
 
 def test_every_library_definition_is_named_outside_the_tests():
-    used = _used_definitions()
-    unreferenced = ["%s:%d %s" % (fname, node.lineno, node.name)
-                    for fname, node, _ in _definitions()
-                    if not (node.name.startswith("__") and node.name.endswith("__"))
-                    and (fname, node.lineno) not in used and node.name not in TEST_API]
-    assert not unreferenced, "defined but never named: %s" % ", ".join(unreferenced)
+    reached = _reachable(_test_api_roots())
+    unreached = ["%s.py %s" % ref for ref in _graph()[0] if ref not in reached]
+    attributes = _uses()[0]
+    unnamed = ["%s:%d %s" % (fname, f.lineno, f.name) for fname, f in _methods()
+               if not (f.name.startswith("__") and f.name.endswith("__"))
+               and f.name not in attributes and f.name not in TEST_API]
+    assert not unreached, "reached only by the tests: %s" % ", ".join(sorted(unreached))
+    assert not unnamed, "methods never named: %s" % ", ".join(unnamed)
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
-    reads = _uses()[3]
+    reads = _uses()[1]
     unread = ["%s:%d %s" % field for field in _fields()
               if field[2] not in reads and field[2] not in TEST_API]
     assert not unread, "dataclass fields never read: %s" % ", ".join(unread)
@@ -113,11 +169,11 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 
 def test_test_api_entries_are_defined_and_otherwise_unused():
     # an entry goes once the library starts using it or deletes it
-    used = _used_definitions()
-    reads = _uses()[3]
-    entries = [(fname, node.lineno, node.name) for fname, node, _ in _definitions()
-               if node.name in TEST_API]
-    fields = [field for field in _fields() if field[2] in TEST_API]
-    assert {name for _, _, name in entries + fields} == set(TEST_API)
-    assert not [name for fname, line, name in entries if (fname, line) in used]
-    assert not [name for _, _, name in fields if name in reads]
+    attributes, reads = _uses()
+    top = _test_api_roots()
+    methods = [f.name for _, f in _methods() if f.name in TEST_API]
+    fields = [name for _, _, name in _fields() if name in TEST_API]
+    assert {name for _, name in top} | set(methods) | set(fields) == set(TEST_API)
+    assert not set(top) & _reachable()
+    assert not set(methods) & attributes
+    assert not set(fields) & reads

@@ -13,16 +13,16 @@ from fockrep.catalogue import AltForm, CatalogueError, Claims, InvariantSpace, R
 from fockrep.fock import (Compiled, ExpA, OperatorExpr, Poly, Product, Scale, Sum, _state_str,
                           basis_states, identity_op, preimages, state_degree, vector_str)
 from fockrep.grids import acceptance_grid
-from fockrep.linalg import EchelonSpan, charpoly, mat_mul, mat_trace
-from fockrep.scalars import MOD_P, SQRT2, Scalar, is_rational, rat
+from fockrep.linalg import EchelonSpan, mat_mul
+from fockrep.scalars import MOD_P, SQRT2, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, burnside_irreducibility,
-                            casimir_check, charpoly_equivalence, check_alt_forms,
-                            check_relations, closure, closure_symbolic,
-                            full_verify, invariant_subspace,
-                            jacobi, killing_form, restricted_matrix)
+                            casimir_check, check_alt_forms, check_relations, closure,
+                            closure_symbolic, full_verify, invariant_subspace,
+                            jacobi, killing_form)
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import (dense_closure, loop_jacobi, loop_killing, probe_alt_forms,
-                     probe_casimir_commutes, probe_relations, swap_multiply)
+from oracles import (dense_closure, loop_jacobi, loop_killing, perturbed, probe_alt_forms,
+                     probe_casimir_commutes, probe_relations, space_charpoly,
+                     swap_multiply, verify_constants)
 from pinning import check_pinned, negative_control_reports
 
 
@@ -73,7 +73,7 @@ def test_gl2_semidirect_ideal_brackets_vanish():
     rep = build("gl2_semidirect", {"r": 2, "n": 2})
     sc, result = closure(rep)
     assert result.passed
-    ideal = rep.claims.abelian_ideal
+    ideal = catalogue._gl2_ideal(rep.params)
     assert ideal == ["J5", "J6", "J7"]
     for x in ideal:
         for y in ideal:
@@ -91,11 +91,24 @@ def test_closure_failure_has_witness():
     assert sc is None and not result.passed and result.witness
 
 
+def test_closure_tables_pass_an_independent_bracket():
+    # every closing polynomial --grid small table, each bracket re-formed
+    # from swap_multiply products rather than weyl.bracket
+    checked = 0
+    for rep_id, params in acceptance_grid(small=True):
+        rep = build(rep_id, params)
+        sc = closure(rep)[0] if rep.is_polynomial() else None
+        if sc is not None:
+            assert verify_constants(rep, sc).passed, (rep_id, params)
+            checked += 1
+    assert checked == 12
+
+
 def test_anticommutator_witnesses_use_braces():
     rep = build("osp22", {"n": 2})
     sc, _ = closure(rep)
     q1 = _index(sc, "Q1")
-    result = verify.verify_constants(rep, sc.perturbed(q1, q1, 0))
+    result = verify_constants(rep, perturbed(sc, q1, q1, 0))
     assert not result.passed and result.witness.startswith("{Q1,Q1} != ")
     # without T- both closure paths fail first on an anticommutator: the
     # symbolic one on osp22, the matrix probe on osp22_translated
@@ -108,13 +121,13 @@ def test_anticommutator_witnesses_use_braces():
     sl2 = build("sl2_standard", {"n": 2})
     sc, _ = closure(sl2)
     i0 = _index(sc, "J0")
-    result = verify.verify_constants(sl2, sc.perturbed(i0, i0, 0))
+    result = verify_constants(sl2, perturbed(sc, i0, i0, 0))
     assert result.witness.startswith("[J0,J0] != ")
 
 
 def test_jacobi_negative_control():
     sc, _ = closure(build("sl2_standard", {"n": 2}))
-    bad = sc.perturbed(_index(sc, "J0"), _index(sc, "J+"), _index(sc, "J-"))
+    bad = perturbed(sc, _index(sc, "J0"), _index(sc, "J+"), _index(sc, "J-"))
     result = jacobi(bad)
     assert not result.passed and "triple" in result.witness
 
@@ -128,7 +141,7 @@ def test_jacobi_matches_loop_oracle_on_every_perturbation(rid, params):
     # not the corruption keeps the table antisymmetric
     sc, _ = closure(build(rid, params))
     m = len(sc.names)
-    tables = [sc] + [sc.perturbed(i, j, k)
+    tables = [sc] + [perturbed(sc, i, j, k)
                      for i in range(m) for j in range(m) for k in range(m)]
     failing = 0
     for table in tables:
@@ -166,7 +179,8 @@ def test_killing_form_sl2_with_trace_oracle():
         ads.append(ad)
     for i in range(m):
         for j in range(m):
-            assert K[i][j] == mat_trace(mat_mul(ads[i], ads[j]))
+            product = mat_mul(ads[i], ads[j])
+            assert K[i][j] == sum(product[k][k] for k in range(m))
 
 
 def test_killing_form_matches_loop_oracle():
@@ -182,9 +196,9 @@ def test_killing_form_matches_loop_oracle():
         tables = [sc]
         if rep_id in ("sl2_standard", "osp22", "sl2_clifford"):
             m = len(sc.names)
-            tables += [sc.perturbed(i, j, k) for i in range(m) for j in range(m)
+            tables += [perturbed(sc, i, j, k) for i in range(m) for j in range(m)
                        for k in range(m)]
-            tables += [sc.perturbed(i, j, k, -c) for (i, j), row in sc.table.items()
+            tables += [perturbed(sc, i, j, k, -c) for (i, j), row in sc.table.items()
                        for k, c in row.items()]
         for table in tables:
             assert killing_form(table)[0] == loop_killing(table), (rep_id, params)
@@ -195,7 +209,7 @@ def test_killing_vanishes_on_abelian_ideal():
     rep = build("gl2_semidirect", {"r": 2, "n": 2})
     sc, _ = closure(rep)
     K, _ = killing_form(sc)
-    for x in rep.claims.abelian_ideal:
+    for x in catalogue._gl2_ideal(rep.params):
         i = _index(sc, x)
         for j in range(len(sc.names)):
             assert not K[i][j]
@@ -351,7 +365,7 @@ def test_burnside_dual_spin_is_needed():
 
 def test_burnside_certificate_with_sqrt2_entries(exact_spans):
     rep = _scaled(build("sl2_standard", {"n": 3}), "J+", SQRT2)
-    assert any(not is_rational(x) for row in restricted_matrix(rep, "J+") for x in row)
+    assert any(type(c) is Scalar for col in rep.space_columns("J+")[1] for c in col.values())
     verdict, result = burnside_irreducibility(rep)
     assert verdict == ("irreducible", 16) and result.passed
     assert not exact_spans  # certified mod p, no exact span
@@ -374,25 +388,17 @@ def test_burnside_falls_back_when_p_is_unlucky(exact_spans):
 
 
 def test_charpoly_equivalence():
+    # on the invariant space (sympy's characteristic polynomials)
     a = build("sl2_standard", {"n": 3})
     b = build("sl2_translated", {"n": 3, "delta": rat(1)})
-    assert charpoly_equivalence(a, b, "J0").passed
-    assert charpoly_equivalence(a, a, "J+").passed
     c = build("sl2_oscillator", {"n": 3})
-    assert charpoly_equivalence(a, c, "J0").passed
+    assert space_charpoly(a, "J0") == space_charpoly(b, "J0") == space_charpoly(c, "J0")
     # explicit spectrum: J0 eigenvalues k - 3/2 for k = 0..3
-    coeffs = charpoly(restricted_matrix(a, "J0"))
     expected = [1]
     for k in range(4):
-        root = Scalar(rat(k) - rat(3, 2))
-        nxt = [0] * (len(expected) + 1)
-        for idx, cc in enumerate(expected):
-            nxt[idx] = nxt[idx] + cc
-            nxt[idx + 1] = nxt[idx + 1] - cc * root
-        expected = nxt
-    assert coeffs == expected
-    with pytest.raises(ValueError):
-        charpoly_equivalence(a, build("sl2_standard", {"n": 4}), "J0")
+        root = rat(k) - rat(3, 2)
+        expected = [x - root * y for x, y in zip(expected + [0], [0] + expected)]
+    assert space_charpoly(a, "J0") == expected
 
 
 def test_relation_negative_control():
@@ -749,6 +755,22 @@ def test_a_casimir_term_lowering_past_the_probe_fails_centrality(n, witness):
     assert [c.name for c in full_verify(bad).checks if not c.passed] == ["casimir_commutes"]
 
 
+def test_a_low_cutoff_keeps_the_casimir_probe_floor():
+    # sl2q has no preimages, so its [C,g] are probed; the probe floors its
+    # cutoff as a relation probe does (3 + 2 * the largest raise), so a
+    # cutoff of 0-2 no longer shrinks it to the vacuum and misses b a^2
+    # added to J+
+    rep = build("sl2q", {"alpha": 2, "q": 2})
+    gens = dict(rep.generators)
+    gens["J+"] = gens["J+"] + Poly(WeylElement.b(rep.modes) * WeylElement.a(rep.modes) ** 2)
+    bad = dataclasses.replace(rep, generators=gens)
+    commutes = casimir_check(bad)[1][0]
+    assert commutes.witness.startswith("[C,J+]: mismatch on b^3 |0>: ")
+    for cutoff in (0, 1, 2):
+        assert casimir_check(bad, cutoff)[1][0] == commutes, cutoff
+        assert casimir_check(rep, cutoff)[1][0].passed, cutoff
+
+
 def test_a_polynomial_alt_form_lowering_past_the_probe_differs():
     rep = build("sl2_standard", {"n": 2})
     jp = rep.generator("J+").as_weyl()
@@ -984,16 +1006,16 @@ def test_a_polynomial_closure_fail_names_the_residual_and_a_state():
         Poly(residual).apply({states[0]: 1}), bad.modes))
 
 
-def test_restricted_matrix_raises_on_a_generator_leaving_the_space():
+def test_space_columns_name_a_generator_leaving_the_space():
     rep = build("sl2_standard", {"n": 3})
-    assert len(restricted_matrix(rep, "J+")) == 4
+    keys, cols, escape = rep.space_columns("J+")
+    assert len(keys) == len(cols) == 4 and not escape
     bad = _leaving_the_space(rep)
-    with pytest.raises(ValueError, match="J\\+ maps"):
-        restricted_matrix(bad, "J+")
+    assert re.match("J\\+ maps ", bad.space_columns("J+")[2])
     # J0 still maps the space into itself, whichever generator escapes
-    assert restricted_matrix(bad, "J0") == restricted_matrix(rep, "J0")
+    assert bad.space_columns("J0") == rep.space_columns("J0")
     with pytest.raises(CatalogueError):
-        restricted_matrix(rep, "K")
+        rep.space_columns("K")
 
 
 def test_full_verify_probes_alt_forms_at_its_cutoff(monkeypatch):
