@@ -13,18 +13,20 @@ both sides to each state up to the cutoff, with no normal-form shortcut,
 and fold their generator words themselves, reading no memo of the rep.
 The differential oracle relabels a normal-ordered element monomial by
 monomial into function-space leaves, where the library puts the family's
-formula over its differential kit.
+formula over its differential kit.  q_pair_fd transcribes the paper's
+displayed finite-difference q-pair, which criterion 8 and test_realize check.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
 from math import isqrt
 
-from fockrep.fock import (OperatorExpr, Poly, Product, Scale, Sum, _state_str, basis_states,
-                          check_identity, identity_op)
+from fockrep.fock import (LeftDivB, OperatorExpr, Poly, Product, Scale, Sum, _state_str,
+                          basis_states, check_identity, identity_op)
 from fockrep.linalg import EchelonSpan
-from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial
-from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar
+from fockrep.qheis import q_number_op
+from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial, fd_pair
+from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
 from fockrep.weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
@@ -312,18 +314,23 @@ def space_charpoly(rep, name: str) -> list:
     columns there (RepSpec.space_columns)."""
     import sympy
 
-    def number(x):
-        if isinstance(x, Scalar):
-            return number(x.rat) + number(x.irr) * sympy.sqrt(2)
-        return sympy.Rational(int(x.numerator), int(x.denominator))
-
     keys, cols, escape = rep.space_columns(name)
     assert not escape, escape
     mat = sympy.zeros(len(keys), len(keys))
     for j, col in enumerate(cols):
         for i, c in col.items():
-            mat[i, j] = number(c)
+            mat[i, j] = to_sympy(c)
     return mat.charpoly().all_coeffs()
+
+
+def to_sympy(x):
+    """An engine coefficient (int, Rational or Scalar a + b sqrt2) as a
+    sympy number."""
+    import sympy
+
+    if isinstance(x, Scalar):
+        return to_sympy(x.rat) + to_sympy(x.irr) * sympy.sqrt(2)
+    return sympy.Rational(int(x.numerator), int(x.denominator))
 
 
 # -- probe oracles: relations, [C,g] and alt forms decided state by state -----------
@@ -369,8 +376,10 @@ def probe_relations(rep, cutoff=None) -> list:
 
 def probe_casimir_commutes(rep, cutoff=None) -> CheckResult:
     """Oracle for verify.casimir_check's casimir_commutes: C g against g C
-    on every probe state, for each generator g."""
+    on every probe state, for each generator g, the cutoff floored as
+    probe_relations floors it."""
     cutoff = rep.default_cutoff if cutoff is None else cutoff
+    cutoff = max(cutoff, 3 + 2 * rep.max_generator_raise())
     expr = fold_words(rep, rep.casimir.terms)
     failures = []
     for name, g in rep.generators.items():
@@ -431,6 +440,20 @@ def weyl_to_differential(w: WeylElement) -> OperatorExpr:
             factors.append(Cliff(modes, mat))
         parts.append(Scale(c, Product(factors) if factors else identity_op(modes)))
     return Sum(parts) if parts else Poly(WeylElement.zero(modes))
+
+
+# -- the paper's displayed fd q-pair, read by criterion 8 and test_realize ----------
+
+
+def q_pair_fd(q, delta):
+    """The displayed transformed q-pair in finite-difference form:
+    atil = (x + d)^{-1} (1 + d D+) (q^{x D-} - 1)/(q - 1), btil = x(1 - d D-)."""
+    modes = ModeSystem(1, 0)
+    d = rat(delta)
+    a, btil = fd_pair(modes, 1, d)
+    atil = (LeftDivB(modes, 1, d) * (a.scale(d) + identity_op(modes))
+            * q_number_op(modes, 1, q, delta))
+    return atil, btil
 
 
 # -- the coefficient oracle: every number a Scalar ----------------------------------

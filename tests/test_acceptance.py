@@ -26,9 +26,8 @@ from fockrep.verify import (burnside_irreducibility, casimir_check, closure, ful
                             invariant_subspace, jacobi)
 from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
 
-from oracles import (perturbed, q_swap_multiply, space_charpoly, swap_multiply,
+from oracles import (perturbed, q_pair_fd, q_swap_multiply, space_charpoly, swap_multiply,
                      verify_constants)
-from test_realize import q_pair_fd
 
 
 def _conclude(tag, label, failures):

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from fockrep.linalg import EchelonSpan, ModPSpan
 from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, rat, reduce_mod_p
+from oracles import to_sympy
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF, QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 QQ_SQRT2 = QQ.algebraic_field(sympy.sqrt(2))
-SQRT2_IN_FIELD = QQ_SQRT2.from_sympy(sympy.sqrt(2))
 
 
 def _random_rows(rng, n_rows, n_cols, entry):
@@ -46,17 +46,9 @@ def _scalar_entry(rng):
                   rat(rng.randint(-2, 2), rng.randint(1, 3)))
 
 
-def _sympy_rational(q):
-    return QQ(int(q.numerator), int(q.denominator))
-
-
 def _sympy_element(domain, x):
-    a, b = (x.rat, x.irr) if isinstance(x, Scalar) else (x, 0)
-    if domain is QQ:
-        assert type(x) is not Scalar
-        return _sympy_rational(a)
-    return (domain.convert(_sympy_rational(a))
-            + domain.convert(_sympy_rational(b)) * SQRT2_IN_FIELD)
+    assert domain is not QQ or type(x) is not Scalar
+    return domain.from_sympy(to_sympy(x))
 
 
 def test_mod_p_span_rank_matches_sympy_gf():

@@ -8,16 +8,15 @@ import pytest
 
 from fockrep import catalogue, fock, realize
 from fockrep.catalogue import FAMILIES, build, fock_kit
-from fockrep.fock import (Compiled, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
+from fockrep.fock import (Compiled, OperatorExpr, Poly, Product, Scale, Sum,
                           basis_states, check_identity, identity_op, state_degree, to_matrix)
-from fockrep.qheis import q_number_op
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
                              abstract_counterpart, cross_check,
                              fd_kit, fd_pair, poly_to_matrix, realize_generators)
 from fockrep.scalars import Scalar, inverse, rat
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import clifford_identity, clifford_matmul, weyl_to_differential
+from oracles import clifford_identity, clifford_matmul, q_pair_fd, weyl_to_differential
 from pinning import check_pinned, cross_check_results
 
 B1 = ModeSystem(1, 0)
@@ -553,17 +552,6 @@ FD_DISPLAYS = {
     "sl2_metaplectic": _metaplectic_display,
     "osp22_translated": _osp22_display,
 }
-
-
-def q_pair_fd(q, delta):
-    """The displayed transformed q-pair in finite-difference form:
-    atil = (x + d)^{-1} (1 + d D+) (q^{x D-} - 1)/(q - 1), btil = x(1 - d D-)."""
-    modes = ModeSystem(1, 0)
-    d = rat(delta)
-    a, btil = fd_pair(modes, 1, d)
-    atil = (LeftDivB(modes, 1, d) * (a.scale(d) + identity_op(modes))
-            * q_number_op(modes, 1, q, delta))
-    return atil, btil
 
 
 def _display_verdicts(rid, params, d=None) -> dict:

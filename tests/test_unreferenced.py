@@ -2,7 +2,7 @@
 library or the benchmark runs, and every dataclass field is read there;
 code and data that only the tests use are not kept.
 
-A function or class outside a class body counts as used only where it is
+A function or class at module level counts as used only where it is
 reachable: from the library's module-level code (CHECKS, FAMILIES, the
 package exports, `python -m fockrep`), from cli.main, from anything in
 perfbench/, or from a TEST_API entry, through the top-level definitions
@@ -11,13 +11,16 @@ imports of the file that uses it, and an attribute of a library module
 (verify.jacobi) to that module's definition; a local variable named like
 a definition keeps it, so the graph may over-reach, never under-reach.
 A method counts as used only where it is named as an attribute (x.name)
-by the library or the benchmark.  A dataclass field counts as read only
-where it is read as an attribute (x.field); a constructor keyword or an
-assignment does not keep it.  As with methods, any read of its name keeps
-a field, so a dead field named like a live one (a RepSpec.description
-beside the read InvariantSpace.description) is not caught."""
+by the library or the benchmark, and any other definition (a function
+inside a function, a class inside a class) only where its name is used
+as a bare name there.  A dataclass field counts as read only where it is
+read as an attribute (x.field); a constructor keyword or an assignment
+does not keep it.  As with methods, any read of its name keeps a field,
+so a dead field named like a live one (a RepSpec.description beside the
+read InvariantSpace.description) is not caught."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +36,7 @@ TEST_API = {
 }
 
 
+@cache
 def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
@@ -65,32 +69,34 @@ def _named(nodes, module, imports) -> set:
     return out
 
 
+@cache
 def _graph():
-    """(definitions, roots): each top-level function or class as (module,
-    name) -> the (module, name) its body names; and what module-level code,
-    cli.main and the benchmark name."""
-    definitions, roots = {}, {("cli", "main")}
+    """(definitions, roots, imports): each top-level function or class as
+    (module, name) -> the (module, name) its body names; what module-level
+    code, cli.main and the benchmark name; and each library module's
+    imports (_imports)."""
+    definitions, roots, imports = {}, {("cli", "main")}, {}
     for path in LIBRARY:
         tree = _parse(path)
-        imports = _imports(tree)
+        imports[path.stem] = _imports(tree)
         rest = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                definitions[(path.stem, stmt.name)] = _named([stmt], path.stem, imports)
+                definitions[(path.stem, stmt.name)] = _named([stmt], path.stem,
+                                                             imports[path.stem])
             elif path.stem == "__init__" or not isinstance(stmt, ast.ImportFrom):
                 rest.append(stmt)  # the package exports are its imports
-        roots |= _named(rest, path.stem, imports)
+        roots |= _named(rest, path.stem, imports[path.stem])
     for path in BENCHMARK:
         tree = _parse(path)
         roots |= _named([tree], None, _imports(tree))
-    return definitions, roots
+    return definitions, roots, imports
 
 
 def _reachable(extra_roots=()) -> set:
     """The top-level definitions reachable from the roots and extra_roots;
     a name a module re-exports resolves to its defining module."""
-    definitions, roots = _graph()
-    imports = {path.stem: _imports(_parse(path)) for path in LIBRARY}
+    definitions, roots, imports = _graph()
 
     def resolve(ref):
         while ref not in definitions and ref[1] in imports.get(ref[0], {}):
@@ -107,26 +113,31 @@ def _reachable(extra_roots=()) -> set:
 
 
 def _uses():
-    """(attributes, reads): every attribute the library and benchmark name,
-    and every attribute they read."""
-    attributes, reads = set(), set()
+    """(attributes, reads, names): every attribute the library and benchmark
+    name, every attribute they read, and every bare name they use."""
+    attributes, reads, names = set(), set(), set()
     for path in LIBRARY + BENCHMARK:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     reads.add(node.attr)
-    return attributes, reads
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return attributes, reads, names
 
 
-def _methods():
-    """(file name, node) for every function defined in a class body."""
+def _inner():
+    """(file name, node, is_method) for every function and class below
+    module level: a function in a class body is a method."""
     for path in LIBRARY:
-        for cls in ast.walk(_parse(path)):
-            if isinstance(cls, ast.ClassDef):
-                for f in cls.body:
-                    if isinstance(f, ast.FunctionDef):
-                        yield path.name, f
+        tree = _parse(path)
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        top = {id(stmt) for stmt in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and id(node) not in top:
+                yield path.name, node, id(node) in methods
 
 
 def _is_dataclass(decorator) -> bool:
@@ -145,19 +156,20 @@ def _fields():
 
 
 def _test_api_roots():
-    definitions = _graph()[0]
-    return [ref for ref in definitions if ref[1] in TEST_API]
+    return [ref for ref in _graph()[0] if ref[1] in TEST_API]
 
 
 def test_every_library_definition_is_named_outside_the_tests():
     reached = _reachable(_test_api_roots())
     unreached = ["%s.py %s" % ref for ref in _graph()[0] if ref not in reached]
-    attributes = _uses()[0]
-    unnamed = ["%s:%d %s" % (fname, f.lineno, f.name) for fname, f in _methods()
-               if not (f.name.startswith("__") and f.name.endswith("__"))
-               and f.name not in attributes and f.name not in TEST_API]
+    attributes, _, names = _uses()
+    unnamed = ["%s:%d %s" % (fname, node.lineno, node.name)
+               for fname, node, is_method in _inner()
+               if not (node.name.startswith("__") and node.name.endswith("__"))
+               and node.name not in (attributes if is_method else names)
+               and node.name not in TEST_API]
     assert not unreached, "reached only by the tests: %s" % ", ".join(sorted(unreached))
-    assert not unnamed, "methods never named: %s" % ", ".join(unnamed)
+    assert not unnamed, "defined but never named: %s" % ", ".join(unnamed)
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
@@ -169,9 +181,10 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 
 def test_test_api_entries_are_defined_and_otherwise_unused():
     # an entry goes once the library starts using it or deletes it
-    attributes, reads = _uses()
+    attributes, reads, _ = _uses()
     top = _test_api_roots()
-    methods = [f.name for _, f in _methods() if f.name in TEST_API]
+    methods = [node.name for _, node, is_method in _inner() if is_method
+               and node.name in TEST_API]
     fields = [name for _, _, name in _fields() if name in TEST_API]
     assert {name for _, name in top} | set(methods) | set(fields) == set(TEST_API)
     assert not set(top) & _reachable()
