@@ -3,7 +3,11 @@
 A coefficient is a Python int when it is an integer, a Rational when it is
 a non-integral rational, and a Scalar p + q*sqrt(2) only while its
 irrational part q is nonzero.  Rational is gmpy2.mpq when available
-(install the `fast` extra), fractions.Fraction otherwise; both are
+(install the `fast` extra), else fockrep's own subclass of
+fractions.Fraction, which multiplies, adds, subtracts, negates and compares
+with an int or another Rational directly, without Fraction's generic
+operator dispatch; its values are Fraction instances, and their strings
+and hashes are Fraction's.  Both are
 arbitrary precision and always reduced.  So the engine multiplies and adds
 native numbers, and only the few families that build sqrt2 pay for the
 Scalar wrapper.  weyl.accumulate brings sums back to this form: an
@@ -18,12 +22,125 @@ because int / int is a float: division goes through inverse.
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 
 try:
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
+    class Rational(Fraction):
+        """A Fraction whose +, -, *, == and unary - with an int or a
+        Rational skip Fraction's operator dispatch and its constructor.
+
+        The formulas are Fraction's (Knuth, TAOCP 4.5.1): operands are
+        reduced with positive denominators, so each result is too, and it
+        is built by setting Fraction's two slots.  Every other operand and
+        operator is left to Fraction; a rational result comes back as a
+        Rational, so +, -, *, /, **, unary - and abs keep the type, and
+        nothing here turns a Rational into an int (exact does that).
+        """
+
+        __slots__ = ()
+
+        def __add__(a, b):
+            if type(b) is int:
+                return _new(a._numerator + b * a._denominator, a._denominator)
+            if type(b) is Rational:
+                return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+            return _as_rational(Fraction.__add__(a, b))
+
+        def __radd__(a, b):
+            if type(b) is int:
+                return _new(a._numerator + b * a._denominator, a._denominator)
+            return _as_rational(Fraction.__radd__(a, b))
+
+        def __sub__(a, b):
+            if type(b) is int:
+                return _new(a._numerator - b * a._denominator, a._denominator)
+            if type(b) is Rational:
+                return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+            return _as_rational(Fraction.__sub__(a, b))
+
+        def __rsub__(a, b):
+            if type(b) is int:
+                return _new(b * a._denominator - a._numerator, a._denominator)
+            return _as_rational(Fraction.__rsub__(a, b))
+
+        def __mul__(a, b):
+            if type(b) is int:
+                return _times_int(a, b)
+            if type(b) is Rational:
+                na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+                g = gcd(na, db)
+                if g > 1:
+                    na //= g
+                    db //= g
+                g = gcd(nb, da)
+                if g > 1:
+                    nb //= g
+                    da //= g
+                return _new(na * nb, da * db)
+            return _as_rational(Fraction.__mul__(a, b))
+
+        def __rmul__(a, b):
+            if type(b) is int:
+                return _times_int(a, b)
+            return _as_rational(Fraction.__rmul__(a, b))
+
+        def __neg__(a):
+            return _new(-a._numerator, a._denominator)
+
+        def __eq__(a, b):
+            if type(b) is int:
+                return a._numerator == b and a._denominator == 1
+            if type(b) is Rational:
+                return a._numerator == b._numerator and a._denominator == b._denominator
+            return Fraction.__eq__(a, b)
+
+        # defining __eq__ would otherwise set __hash__ to None
+        __hash__ = Fraction.__hash__
+
+        def __truediv__(a, b):
+            return _as_rational(Fraction.__truediv__(a, b))
+
+        def __rtruediv__(a, b):
+            return _as_rational(Fraction.__rtruediv__(a, b))
+
+        def __pow__(a, b):
+            return _as_rational(Fraction.__pow__(a, b))
+
+        def __abs__(a):
+            return _new(abs(a._numerator), a._denominator)
+
+    def _new(n: int, d: int) -> Rational:
+        """n/d, already reduced with d > 0, without Fraction.__new__."""
+        r = object.__new__(Rational)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def _as_rational(x):
+        """A Fraction result as a Rational; a float, a complex or
+        NotImplemented as it is."""
+        return _new(x._numerator, x._denominator) if type(x) is Fraction else x
+
+    def _sum(na: int, da: int, nb: int, db: int) -> Rational:
+        g = gcd(da, db)
+        if g == 1:
+            return _new(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _new(t, s * db)
+        return _new(t // g2, s * (db // g2))
+
+    def _times_int(a: Rational, b: int) -> Rational:
+        da = a._denominator
+        g = gcd(b, da)
+        if g > 1:
+            return _new(a._numerator * (b // g), da // g)
+        return _new(a._numerator * b, da)
 
 _RATIONAL = type(Rational(0))
 
@@ -75,7 +192,9 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    _COERCIBLE = (int, _RATIONAL)
+    # ints, Rationals and, where Rational is a Fraction, a plain Fraction
+    # from outside
+    _COERCIBLE = (int, Fraction if issubclass(_RATIONAL, Fraction) else _RATIONAL)
 
     def __add__(self, other):
         if type(other) is Scalar:

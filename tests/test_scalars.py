@@ -1,8 +1,9 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fockrep.scalars import (SQRT2, Rational, Scalar, exact, inverse, rat, reduce_mod_p,
                              to_decimal, to_json)
@@ -228,3 +229,124 @@ def test_native_arithmetic_matches_the_scalar_oracle(x, y, n):
         _agrees(inverse(x) ** -n, ox ** n)
         if isinstance(x, Scalar):
             _agrees(x ** n, ox ** n)
+
+
+# -- Rational: Fraction's values, always reduced, and never an int ---------------
+
+_numerators = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60),
+                        st.integers(-10**40, 10**40))
+_denominators = st.one_of(st.integers(1, 12), st.integers(-12, -1), st.integers(1, 10**30))
+_fractions = st.builds(Fraction, _numerators, _denominators)
+
+
+def _is_reduced_rational(x, want: Fraction):
+    assert type(x) is Rational, (type(x), want)
+    num, den = int(x.numerator), int(x.denominator)
+    assert (num, den) == (want.numerator, want.denominator)
+    assert den > 0 and gcd(num, den) == 1
+    assert x == want and want == x
+    assert str(x) == str(want) and hash(x) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fractions, st.one_of(_fractions, _numerators), st.integers(-4, 4))
+def test_rational_matches_fraction(fx, fy, n):
+    x = rat(fx)
+    y = fy if type(fy) is int else rat(fy)
+    fy = Fraction(fy)
+    _is_reduced_rational(x, fx)
+    if type(y) is not int:
+        _is_reduced_rational(y, fy)
+    # integral results too stay Rationals: only exact makes ints
+    for got, want in ((x + y, fx + fy), (y + x, fy + fx), (x - y, fx - fy), (y - x, fy - fx),
+                      (x * y, fx * fy), (y * x, fy * fx), (-x, -fx), (abs(x), abs(fx))):
+        _is_reduced_rational(got, want)
+    if fy:
+        _is_reduced_rational(x / y, fx / fy)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if fx:
+        _is_reduced_rational(y / x, fy / fx)
+        _is_reduced_rational(x ** n, fx ** n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
+        if n < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+        else:
+            _is_reduced_rational(x ** n, fx ** n)
+    assert (x == y) == (fx == fy) and (y == x) == (fx == fy) and (x != y) == (fx != fy)
+    assert (x < y) == (fx < fy) and (y < x) == (fy < fx) and (x <= y) == (fx <= fy)
+    assert bool(x) == bool(fx) and int(x) == int(fx)
+    assert len({x, fx}) == 1
+
+
+def test_rational_leaves_other_operands_to_their_types():
+    half = rat(1, 2)
+    # a Scalar on the right gets its reflected operator
+    assert half * SQRT2 == Scalar(0, half) and half + SQRT2 == Scalar(half, 1)
+    assert half - SQRT2 == Scalar(half, -1) and half == Scalar(half)
+    # a float gives a float, as with Fraction; the library itself never makes one
+    assert half * 0.5 == 0.25 and type(half + 0.5) is float
+    with pytest.raises(TypeError):
+        half * "x"
+
+
+def _plainest(x, want: Fraction):
+    assert x == want
+    assert type(x) is (int if want.denominator == 1 else Rational), (x, want)
+
+
+@given(st.lists(parts, min_size=1, max_size=8))
+def test_exact_and_accumulate_give_the_plainest_type(cs):
+    out, total = {}, Fraction(0)
+    for c, d in zip(cs, cs[1:] + cs[:1]):
+        f, g = Fraction(c), Fraction(d)
+        for got, want in ((c + d, f + g), (c - d, f - g), (c * d, f * g)):
+            _plainest(exact(got), want)
+            _plainest(exact(Scalar(got)), want)
+        # a sqrt2 part that cancels leaves the rational part in its plainest type
+        sums = {}
+        accumulate(sums, "s", Scalar(c, 1))
+        accumulate(sums, "s", Scalar(d, -1))
+        if f + g:
+            _plainest(sums["s"], f + g)
+        else:
+            assert not sums
+        total += f
+        accumulate(out, "k", c)
+        if total:
+            _plainest(out["k"], total)
+        else:
+            assert "k" not in out
+
+
+@pytest.mark.skipif(not issubclass(Rational, Fraction),
+                    reason="gmpy2's mpq, like the parent's backend with gmpy2, "
+                           "does not coerce a Fraction into a Scalar")
+def test_a_plain_fraction_still_works():
+    f = Fraction(1, 2)
+    s = Scalar(1, 1)
+    for got, want in ((s + f, Scalar(rat(3, 2), 1)), (f + s, Scalar(rat(3, 2), 1)),
+                      (s - f, Scalar(rat(1, 2), 1)), (f - s, Scalar(rat(-1, 2), -1)),
+                      (s * f, Scalar(f, f)), (f * s, Scalar(f, f)), (s / Fraction(2), Scalar(f, f))):
+        assert type(got) is Scalar and got == want
+        assert {type(got.rat), type(got.irr)} <= {int, Rational}
+    assert Scalar(f) == f and f == Scalar(f) and hash(Scalar(f)) == hash(f)
+    assert type(Scalar(f).rat) is Rational and type(Scalar(Fraction(4, 2)).rat) is int
+    assert type(exact(f)) is Rational and exact(f) == f
+    assert type(exact(Fraction(-6, 3))) is int and exact(Fraction(-6, 3)) == -2
+    assert type(rat(f)) is Rational and rat(f) == f and rat(f, 3) == Fraction(1, 6)
+    assert type(inverse(Fraction(3, 2))) is Rational and inverse(Fraction(1, 2)) == 2
+    # beside a Rational, either side, the value, string and hash are Fraction's,
+    # and the result is a Rational
+    third = rat(1, 3)
+    for got, want in ((f + third, Fraction(5, 6)), (third + f, Fraction(5, 6)),
+                      (f - third, Fraction(1, 6)), (third - f, Fraction(-1, 6)),
+                      (f * third, Fraction(1, 6)), (third * f, Fraction(1, 6)),
+                      (f / third, Fraction(3, 2)), (third / f, Fraction(2, 3))):
+        assert type(got) is Rational
+        assert got == want and str(got) == str(want) and hash(got) == hash(want)
+    assert f == rat(1, 2) and rat(1, 2) == f and {f: 1}[rat(1, 2)] == 1
