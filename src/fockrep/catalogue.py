@@ -92,13 +92,15 @@ class AltForm:
 
 @dataclass
 class RepSpec:
-    """A catalogued representation.  It memoises what several checks share:
-    each generator bracket (bracket), each weighted word sum and the prefix
-    products of its words that are not bracket halves (word_sum), each
-    generator's invariant-space columns (space_columns) and a check's result
-    (memo).  A replace() copy starts them empty, and so does the compiled()
+    """A catalogued representation; every check probes at its
+    default_cutoff.  It memoises what several checks share in one table
+    (memo), under keys that cannot collide: each generator bracket under
+    (x, y, anti), each word sum under its (coefficient, word) pairs and each
+    nonempty prefix product of its words under the word, the invariant-space
+    columns under RepSpec.space_columns and a check's result under the
+    check.  A replace() copy starts it empty, and so does the compiled()
     copy of a rep that is not yet compiled; an already compiled rep is its
-    own compiled() and keeps them.  Generators are replaced, never changed
+    own compiled() and keeps it.  Generators are replaced, never changed
     in place.  A generator built over a Kit holds the kit's shared pair and
     intermediate nodes (fock.shared); their exact column caches belong to
     the generators, not to a report, so every copy and report reads and
@@ -115,9 +117,6 @@ class RepSpec:
     alt_forms: list = field(default_factory=list)
     default_cutoff: int = None  # invariant-space degree + 2, else 8
     modes: ModeSystem = field(init=False)  # the generators' mode system
-    _products: dict = field(init=False, repr=False, compare=False)  # word -> WeylElement
-    _brackets: dict = field(init=False, repr=False, compare=False)  # (x, y, anti) -> WeylElement
-    _space: tuple = field(init=False, repr=False, compare=False)  # (keys, index, {name: columns})
     _memos: dict = field(init=False, repr=False, compare=False)  # key -> make()
     _polynomial: bool = field(init=False, repr=False, compare=False)
 
@@ -128,9 +127,6 @@ class RepSpec:
         if self.default_cutoff is None:
             inv = self.invariant_space
             self.default_cutoff = inv.max_degree + 2 if inv else 8
-        self._products = {}
-        self._brackets = {}
-        self._space = None
         self._memos = {}
         self._polynomial = all(g.as_weyl() is not None for g in self.generators.values())
 
@@ -143,16 +139,17 @@ class RepSpec:
 
     def _product(self, word: tuple) -> WeylElement:
         """The normal form of a generator word, a tuple of names; formed
-        once, one multiplication onto its stored prefix, and kept."""
-        product = self._products.get(word)
+        once, one multiplication onto its stored prefix, and kept.  The empty
+        word is the identity, not kept: () keys the empty word sum."""
+        if not word:
+            return WeylElement.one(self.modes)
+        product = self._memos.get(word)
         if product is None:
-            if not word:
-                product = WeylElement.one(self.modes)
-            elif len(word) == 1:
+            if len(word) == 1:
                 product = self.generator(word[0]).as_weyl()
             else:
                 product = self._product(word[:-1]) * self.generator(word[-1]).as_weyl()
-            self._products[word] = product
+            self._memos[word] = product
         return product
 
     def memo(self, key, make):
@@ -165,12 +162,12 @@ class RepSpec:
         """{x, y} when anti, else [x, y], of the generators named x and y:
         formed once by weyl.bracket and kept under the unordered pair, so
         [y, x] is read as the stored [x, y] negated."""
-        swapped = (y, x, anti) in self._brackets
+        swapped = (y, x, anti) in self._memos
         key = (y, x, anti) if swapped else (x, y, anti)
-        b = self._brackets.get(key)
+        b = self._memos.get(key)
         if b is None:
-            b = self._brackets[key] = bracket(self.generator(x).as_weyl(),
-                                              self.generator(y).as_weyl(), anti)
+            b = self._memos[key] = bracket(self.generator(x).as_weyl(),
+                                           self.generator(y).as_weyl(), anti)
         return -b if swapped and not anti else b
 
     def word_sum(self, terms) -> WeylElement:
@@ -242,10 +239,12 @@ class RepSpec:
         first component that leaves the space, where the columns stop.
         """
         g = self.generator(name)
-        if self._space is None:
+
+        def basis():  # (keys, index, {name: columns})
             keys = self.invariant_space.basis(self.modes)
-            self._space = keys, {key: i for i, key in enumerate(keys)}, {}
-        keys, index, formed = self._space
+            return keys, {key: i for i, key in enumerate(keys)}, {}
+
+        keys, index, formed = self.memo(RepSpec.space_columns, basis)
         if name not in formed:
             formed[name] = self._columns_on_space(name, g, keys, index)
         cols, escape = formed[name]

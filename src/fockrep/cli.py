@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .catalogue import CatalogueError, build, list_catalogue
 from .fock import to_matrix
@@ -100,9 +101,15 @@ def _report_lines(report, timing=False):
     return "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def _built(args):
+    """The rep the command names, at --cutoff where one is given: the one
+    cutoff its checks read."""
     rep = build(args.rep, parse_params(args.params))
-    report = full_verify(rep, args.cutoff)
+    return rep if args.cutoff is None else replace(rep, default_cutoff=args.cutoff)
+
+
+def cmd_verify(args) -> int:
+    report = full_verify(_built(args))
     if args.format == "json":
         _emit(report.to_json(args.timing), args)
     else:
@@ -147,10 +154,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_casimir(args) -> int:
-    rep = build(args.rep, parse_params(args.params))
+    rep = _built(args)
     if rep.casimir is None:
         raise UsageError("%s carries no Casimir descriptor" % args.rep)
-    measured, checks, claim = casimir_check(rep.compiled(), args.cutoff)
+    measured, checks, claim = casimir_check(rep.compiled())
     payload = {
         "rep": args.rep,
         "params": {k: str(v) for k, v in sorted(rep.params.items())},
@@ -195,8 +202,7 @@ def cmd_report_all(args) -> int:
 
 
 def cmd_cross(args) -> int:
-    rep = build(args.rep, parse_params(args.params))
-    results = cross_check(rep, REALIZATIONS[args.realization], args.cutoff)
+    results = cross_check(_built(args), REALIZATIONS[args.realization])
     if args.format == "json":
         _emit([c.to_json() for c in results], args)
     else:

@@ -256,9 +256,12 @@ def _function_kit(modes: ModeSystem, pairs) -> Kit:
                identity_op(modes))
 
 
-def differential_kit(modes: ModeSystem) -> Kit:
+def differential_kit(rep: RepSpec) -> Kit:
     """a = d/dx_i and b = x_i per bosonic mode, th and dth the
-    Pauli-Kronecker matrices per fermionic mode."""
+    Pauli-Kronecker matrices per fermionic mode; polynomial reps only."""
+    if not rep.is_polynomial():
+        raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
+    modes = rep.modes
     return _function_kit(modes, [(Partial(modes, i), MultX(modes, i))
                                  for i in range(1, modes.bosonic + 1)])
 
@@ -270,86 +273,68 @@ def fd_kit(modes: ModeSystem, deltas) -> Kit:
                                  for i in range(modes.bosonic)])
 
 
-def _fd_family(rep: RepSpec, deltas=None):
-    """The rep's family record and the steps of its fd realization: deltas,
-    else the record's."""
-    record = family(rep.rep_id)
-    if record.fd_steps is None:
+def _fd_steps(rep: RepSpec) -> list:
+    """The steps of the rep's fd realization, from its family record."""
+    steps = family(rep.rep_id).fd_steps
+    if steps is None:
         raise RealizeError("no finite-difference realization for %s" % rep.rep_id)
-    return record, deltas or record.fd_steps(rep.modes, rep.params)
+    return steps(rep.modes, rep.params)
 
 
-def _jackson_family(rep: RepSpec):
-    """The rep's family record, whose formula the Jackson pair can realize:
-    the one built over the q-pair."""
-    record = family(rep.rep_id)
-    if record.kit is not q_kit:
+def _jackson_q(rep: RepSpec):
+    """q of a family built over the q-pair, the one formula the Jackson
+    pair (JacksonX, MultX) can realize."""
+    if family(rep.rep_id).kit is not q_kit:
         raise RealizeError("the Jackson realization applies to sl2q only")
-    return record
+    return rep.params["q"]
 
 
-def realize_generators(rep: RepSpec, kind: str, deltas=None):
-    """Named operators realizing the family in the requested function space.
-
-    kind 'differential': a polynomial family's formula over the
-    differential_kit (d/dx, x and the Pauli-Kronecker matrices); it reads
-    neither the rep's generators nor their normal form.
-    kind 'fd': the family's formula over the fd_kit, at the steps its
-    record gives (or deltas).
-    kind 'jackson': the q-pair family's formula over the Jackson pair
-    (JacksonX, MultX).
-    """
-    modes = rep.modes
-    if kind == "differential":
-        if not rep.is_polynomial():
-            raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
-        return family(rep.rep_id).formula(differential_kit(modes), rep.params)
-    if kind == "fd":
-        record, steps = _fd_family(rep, deltas)
-        return record.formula(fd_kit(modes, steps), rep.params)
-    if kind == "jackson":
-        record = _jackson_family(rep)
-        kit = Kit([JacksonX(modes, 1, rep.params["q"])], [MultX(modes, 1)], [], [],
-                  identity_op(modes))
-        return record.formula(kit, rep.params)
-    raise RealizeError("unknown realization kind %r" % kind)
+# kind -> (realized, counterpart): each (rep) -> the Kit that side puts into
+# the family's formula, raising RealizeError where the kind does not apply;
+# a counterpart of None is the rep itself, which the differential kind
+# realizes.  The fd pair is the coordinate image of the shift-transformed
+# pair, so the fd counterpart is the formula over the shift kit at the same
+# steps.  The Jackson pair realizes the spectral q-pair, so its counterpart
+# is the formula over q_kit given q alone, whatever the rep's step.
+KINDS = {
+    "differential": (differential_kit, None),
+    "fd": (lambda rep: fd_kit(rep.modes, _fd_steps(rep)),
+           lambda rep: fock_kit(rep.modes, _fd_steps(rep))),
+    "jackson": (lambda rep: Kit([JacksonX(rep.modes, 1, _jackson_q(rep))], [MultX(rep.modes, 1)],
+                                [], [], identity_op(rep.modes)),
+                lambda rep: q_kit(rep.modes, {"q": _jackson_q(rep)})),
+}
 
 
-def abstract_counterpart(rep: RepSpec, kind: str, deltas=None) -> RepSpec:
-    """The catalogue family whose Fock matrices the realization must equal.
+def realize_generators(rep: RepSpec, kind: str):
+    """The family's formula over the kind's realized kit (KINDS): named
+    operators on the function space, built without reading the rep's
+    generators."""
+    return family(rep.rep_id).formula(KINDS[kind][0](rep), rep.params)
 
-    The differential realization puts (d/dx, x) into the formula the rep
-    itself is built from, so it compares against the representation.  The
-    fd realization puts the fd pairs into the family's formula, and the fd
-    pair is the coordinate image of the shift-transformed pair, so the
-    counterpart is the same formula over the shift kit with the same steps.
-    As over every Kit, each pair's and each shared intermediate's image of
-    a basis state is computed once per call and shared by every generator.
-    The Jackson pair realizes the spectral q-pair, so its counterpart is
-    the formula over q_kit given q alone, whatever the rep's step.
-    """
-    if kind == "differential":
+
+def abstract_counterpart(rep: RepSpec, kind: str) -> RepSpec:
+    """The catalogue family whose Fock matrices the realization must equal:
+    the rep itself, or the family's formula over the kind's counterpart kit
+    (KINDS)."""
+    counterpart = KINDS[kind][1]
+    if counterpart is None:
         return rep
-    if kind == "jackson":
-        kit = q_kit(rep.modes, {"q": rep.params["q"]})
-        return dataclasses.replace(rep, generators=_jackson_family(rep).formula(kit, rep.params))
-    if kind == "fd":
-        record, steps = _fd_family(rep, deltas)
-        kit = fock_kit(rep.modes, steps)
-        return dataclasses.replace(rep, generators=record.formula(kit, rep.params))
-    raise ValueError(kind)
+    return dataclasses.replace(
+        rep, generators=family(rep.rep_id).formula(counterpart(rep), rep.params))
 
 
-def cross_check(rep: RepSpec, kind: str, cutoff: int = None, deltas=None) -> list:
-    """Realized matrices must equal the abstract Fock matrices exactly.
+def cross_check(rep: RepSpec, kind: str) -> list:
+    """Realized matrices must equal the abstract Fock matrices exactly, up
+    to the rep's cutoff.
 
     Each generator is compared state by state on the shared graded basis
     (_difference); overflow column sets must agree and are excluded from
     entry comparison only when flagged on both sides.
     """
-    cutoff = rep.default_cutoff if cutoff is None else cutoff
-    realized = realize_generators(rep, kind, deltas)
-    abstract = abstract_counterpart(rep, kind, deltas)
+    cutoff = rep.default_cutoff
+    realized = realize_generators(rep, kind)
+    abstract = abstract_counterpart(rep, kind)
     passed = "dim %d, cutoff %d" % (len(basis_states(rep.modes, cutoff)), cutoff)
     results = []
     for name, op in realized.items():

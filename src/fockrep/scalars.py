@@ -313,12 +313,13 @@ def to_json(x) -> dict:
     return out
 
 
-def to_decimal(x, digits: int = 12) -> str:
-    """Approximate rendering for the CLI --decimal flag; never used in checks."""
+def to_decimal(x) -> str:
+    """Approximate rendering, to 12 places, for the CLI --decimal flag;
+    never used in checks."""
     a, b = _parts(x)
-    scale = 10 ** digits
+    scale = 10 ** 12
     num = a * scale * scale + b * isqrt(2 * scale * scale * scale * scale)
-    return "%.*f" % (digits, int(num) / scale / scale)
+    return "%.12f" % (int(num) / scale / scale)
 
 
 # -- reduction modulo a prime -----------------------------------------------------

@@ -27,17 +27,20 @@ that sums each bracket over the generators' nonzero compiled columns and
 never calls weyl.  The symbolic closure and the Casimir centrality check
 form each bracket with weyl.bracket.
 
+Every check takes only the rep and probes at its default_cutoff, as does
+the shift-pair guard (_preimages); another cutoff is another rep.
+
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
-times each entry.  It walks one compiled copy of the rep, whose memos the
-entries share, so each is formed once per report: each generator bracket
-(RepSpec.bracket), which the relation sides and the symbolic closure read;
-each relation side and the Casimir (RepSpec.word_sum); each generator's
-invariant-space columns (RepSpec.space_columns); and the closure and
-invariant-space results and the preimage rep (RepSpec.memo).  The matrix
+times each entry.  It walks one compiled copy of the rep, whose memo the
+entries share, so each of these is formed once per report: each generator
+bracket (RepSpec.bracket), which the relation sides and the symbolic
+closure read; each relation side and the Casimir (RepSpec.word_sum); each
+generator's invariant-space columns (RepSpec.space_columns); and the
+closure and invariant-space results and the preimage rep.  The matrix
 closure and Burnside compile the rep they are given; RepSpec.compiled of a
 compiled rep is that rep, so inside full_verify they read the report's
-copy and its memos.
+copy and its memo.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def _first_unkilled(residual: WeylElement):
     return min(((m[1], m[3]) for m in residual.terms), key=state_sort_key)
 
 
-def check_relations(rep: RepSpec, cutoff: int = None) -> list:
+def check_relations(rep: RepSpec) -> list:
     """One result per relation line; FAIL carries the first witness.
 
     On a polynomial rep this is check_relations_symbolic.  On an extended
@@ -196,13 +199,12 @@ def check_relations(rep: RepSpec, cutoff: int = None) -> list:
     probe, by its preimage residual: zero holds on the whole Fock space,
     and anything else FAILs on the first state its sides separate
     (_mismatch).  A relation of any other extended rep is probed on the
-    states of degree up to the cutoff less the larger raise of its sides.
-    That cutoff is floored at 3 + 2 * the largest generator raise, so the
-    probe range never collapses to the vacuum.
+    states of degree up to the rep's probe cutoff (_probe_cutoff) less the
+    larger raise of its sides.
     """
     if rep.is_polynomial():
         return check_relations_symbolic(rep)
-    return _relation_lines(rep, _probe_cutoff(rep, cutoff), _preimages(rep))
+    return _relation_lines(rep, _probe_cutoff(rep), _preimages(rep))
 
 
 def check_relations_symbolic(rep: RepSpec) -> list:
@@ -212,10 +214,10 @@ def check_relations_symbolic(rep: RepSpec) -> list:
     return _relation_lines(rep, None)
 
 
-def _probe_cutoff(rep: RepSpec, cutoff) -> int:
-    """The relation probe's cutoff: the given one or the rep's, floored."""
-    return max(rep.default_cutoff if cutoff is None else cutoff,
-               3 + 2 * rep.max_generator_raise())
+def _probe_cutoff(rep: RepSpec) -> int:
+    """The relation probe's cutoff: the rep's, floored so the probe range
+    never collapses to the vacuum."""
+    return max(rep.default_cutoff, 3 + 2 * rep.max_generator_raise())
 
 
 def _preimages(rep: RepSpec):
@@ -235,7 +237,7 @@ def _pulled_back(rep: RepSpec):
     pre, marked = preimages(list(rep.generators.values()))
     if any(w is None for w in pre):
         return None
-    cutoff = _probe_cutoff(rep, None)
+    cutoff = _probe_cutoff(rep)
     for i, (x, v) in enumerate(marked):
         for y, w in marked[i + 1:]:
             if not check_identity(Product([x, y]),
@@ -272,12 +274,12 @@ def _pairwise_lowering(rep: RepSpec) -> int:
     return sum(lows[-2:]) if lows else 1
 
 
-def closure(rep: RepSpec, cutoff: int = None):
+def closure(rep: RepSpec):
     """Structure constants from all pairwise super-brackets, as a
     StructureConstants table and the `closure` line.
 
     On a polynomial rep this is closure_symbolic.  An extended rep is
-    probed on the overflow-free range of the stated cutoff, floored at the
+    probed on the overflow-free range of the rep's cutoff, floored at the
     combined lowering degree of a generator pair.  An operator is the
     stacked vector of its images of the probe states, keyed (state index,
     image state).  Each generator's nonzero columns on the probe states are
@@ -291,8 +293,7 @@ def closure(rep: RepSpec, cutoff: int = None):
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
-    cutoff = rep.default_cutoff if cutoff is None else cutoff
-    probe = max(cutoff - 2 * rep.max_generator_raise(), _pairwise_lowering(rep), 1)
+    probe = max(rep.default_cutoff - 2 * rep.max_generator_raise(), _pairwise_lowering(rep), 1)
     states = basis_states(rep.modes, probe)
 
     # per generator, its nonzero columns on the probe states: (state index, column)
@@ -466,7 +467,7 @@ def killing_form(sc: StructureConstants):
 # -- Casimir ------------------------------------------------------------------------
 
 
-def casimir_check(rep: RepSpec, cutoff: int = None):
+def casimir_check(rep: RepSpec):
     """Centrality, exact scalar action, and the claimed-value comparison,
     on a rep that carries a Casimir.
 
@@ -477,19 +478,18 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     and each [C,g] is decided by its residual weyl.bracket(C, g).  On an
     extended rep with preimages (_preimages) each [C,g] is decided, with no
     probe, by its preimage residual, as a relation is (check_relations);
-    every [C,g] of any other extended rep is probed up to the cutoff,
-    floored as a relation probe's is (_probe_cutoff).  On
+    every [C,g] of any other extended rep is probed up to the rep's probe
+    cutoff (_probe_cutoff).  On
     an extended rep C is compiled, so its image of each state, which C g,
     g C, a witness and the scalar probe read, is formed once.
     """
-    cutoff = rep.default_cutoff if cutoff is None else cutoff
     expr = rep.word_expr(rep.casimir.terms)
     polynomial = rep.is_polynomial()
     pre = rep if polynomial else _preimages(rep)
     if not polynomial:
         expr = Compiled(expr)
     c_pre = None if pre is None else pre.word_sum(rep.casimir.terms)
-    probe = _probe_cutoff(rep, cutoff)
+    probe = _probe_cutoff(rep)
     failures = []
     for name, g in rep.generators.items():
         residual = None if pre is None else bracket(c_pre, pre.generator(name).as_weyl(), False)
@@ -503,7 +503,8 @@ def casimir_check(rep: RepSpec, cutoff: int = None):
     if rep.invariant_space is not None:
         probe_keys = rep.invariant_space.basis(rep.modes)
     else:
-        probe_keys = basis_states(rep.modes, max(cutoff - max(0, expr.max_raise()), 0))
+        probe_keys = basis_states(rep.modes,
+                                 max(rep.default_cutoff - max(0, expr.max_raise()), 0))
     measured = None
     value_failures = []
     for key in probe_keys:
@@ -699,17 +700,17 @@ def _exact_algebra_dim(mats, d) -> int:
 # -- alt forms --------------------------------------------------------------------------
 
 
-def check_alt_forms(rep: RepSpec, cutoff: int = 6) -> list:
+def check_alt_forms(rep: RepSpec) -> list:
     """Compare recorded closed forms with the normative generators.
 
     A DIFFERS entry is a reported catalogue discrepancy, not a failure: the
     normative construction wins by design and the mismatch is preserved as
     data.  A polynomial alt form of a polynomial generator is decided by
-    its residual.  Any other pair is probed on the states up to the cutoff,
-    floored at 6, since fewer states can miss the witness of a displayed
-    closed form that differs.
+    its residual.  Any other pair is probed on the states up to the rep's
+    cutoff, floored at 6, since fewer states can miss the witness of a
+    displayed closed form that differs.
     """
-    cutoff = max(cutoff, 6)
+    cutoff = max(rep.default_cutoff, 6)
     out = []
     for alt in rep.alt_forms:
         report = _mismatch(rep.generator(alt.generator), alt.expr, cutoff)
@@ -732,48 +733,46 @@ def _closed(rep) -> bool:
     return rep.claims.closes and _once(rep, closure)[0] is not None
 
 
-def _casimir(rep, cutoff):
-    _, results, claim = casimir_check(rep, cutoff)
+def _casimir(rep):
+    _, results, claim = casimir_check(rep)
     return results + [claim] if claim else results
 
 
 # Every check of a report, in report order: (name, when, run).  when(rep) is
 # true to run the entry, a string to record a skip with that reason, or
-# false for no line; run(rep, cutoff) gives its results.  Each body names
-# its check as a module global when it runs, so a verify.<check> patched
-# later is the one called.  Closure is one entry and one line per rep, the
-# symbolic decision on a polynomial rep and the matrix probe on an extended
-# one; Jacobi and the Killing rank read its table.
+# false for no line; run(rep) gives its results.  Each body names its check
+# as a module global when it runs, so a verify.<check> patched later is the
+# one called.  Closure is one entry and one line per rep, the symbolic
+# decision on a polynomial rep and the matrix probe on an extended one;
+# Jacobi and the Killing rank read its table.
 CHECKS = [
-    ("relations", lambda rep: bool(rep.relations),
-     lambda rep, cutoff: check_relations(rep, cutoff)),
-    ("closure", lambda rep: rep.claims.closes, lambda rep, cutoff: [_once(rep, closure)[1]]),
-    ("jacobi", _closed, lambda rep, cutoff: [jacobi(_once(rep, closure)[0])]),
+    ("relations", lambda rep: bool(rep.relations), lambda rep: check_relations(rep)),
+    ("closure", lambda rep: rep.claims.closes, lambda rep: [_once(rep, closure)[1]]),
+    ("jacobi", _closed, lambda rep: [jacobi(_once(rep, closure)[0])]),
     ("killing_rank", _closed,  # (rank, generators): report data, not a check
-     lambda rep, cutoff: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
-    ("alt_forms", lambda rep: True, lambda rep, cutoff: check_alt_forms(rep, cutoff)),
-    ("casimir", lambda rep: rep.casimir is not None, lambda rep, cutoff: _casimir(rep, cutoff)),
+     lambda rep: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
+    ("alt_forms", lambda rep: True, lambda rep: check_alt_forms(rep)),
+    ("casimir", lambda rep: rep.casimir is not None, lambda rep: _casimir(rep)),
     ("invariant_subspace", lambda rep: rep.invariant_space is not None or "no claim",
-     lambda rep, cutoff: [_once(rep, invariant_subspace)[1]]),
+     lambda rep: [_once(rep, invariant_subspace)[1]]),
     ("irreducibility", lambda rep: rep.invariant_space is not None and
      rep.claims.irreducible is not None and _once(rep, invariant_subspace)[1].passed,
-     lambda rep, cutoff: [burnside_irreducibility(rep)[1]]),
+     lambda rep: [burnside_irreducibility(rep)[1]]),
 ]
 
 
-def full_verify(rep: RepSpec, cutoff: int = None) -> VerificationReport:
-    """Walk CHECKS on one compiled copy of rep whose default cutoff is the
-    report's, so the entries share its memos: closure, whichever path
-    decides it, and the invariant space are each formed once."""
+def full_verify(rep: RepSpec) -> VerificationReport:
+    """Walk CHECKS on a fresh compiled copy of rep, so the entries share
+    its memo: closure, whichever path decides it, and the invariant space
+    are each formed once per report."""
     start = time.monotonic()
-    cutoff = rep.default_cutoff if cutoff is None else cutoff
-    rep = replace(rep.compiled(), default_cutoff=cutoff)
-    report = VerificationReport(rep.rep_id, rep.params, cutoff)
+    rep = replace(rep.compiled())
+    report = VerificationReport(rep.rep_id, rep.params, rep.default_cutoff)
     for name, when, run in CHECKS:
         begun = time.perf_counter()
         go = when(rep)
         results = ([CheckResult(name, "SKIP", go)] if isinstance(go, str)
-                   else run(rep, cutoff) if go else [])
+                   else run(rep) if go else [])
         elapsed_ms = round((time.perf_counter() - begun) * 1000, 3)
         for result in results:
             report.add(result, elapsed_ms)

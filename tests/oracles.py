@@ -15,17 +15,20 @@ The differential oracle relabels a normal-ordered element monomial by
 monomial into function-space leaves, where the library puts the family's
 formula over its differential kit.  q_pair_fd transcribes the paper's
 displayed finite-difference q-pair, which criterion 8 and test_realize check.
+fd_cross_check builds the fd kits at steps other than a family record's, so
+the fd cross check runs at those steps without the library taking them.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
 
 from math import isqrt
 
+from fockrep.catalogue import FAMILIES, fock_kit
 from fockrep.fock import (LeftDivB, OperatorExpr, Poly, Product, Scale, Sum, _state_str,
                           basis_states, check_identity, identity_op)
 from fockrep.linalg import EchelonSpan
 from fockrep.qheis import q_number_op
-from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial, fd_pair
+from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial, _difference, fd_kit, fd_pair
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
@@ -440,6 +443,20 @@ def weyl_to_differential(w: WeylElement) -> OperatorExpr:
             factors.append(Cliff(modes, mat))
         parts.append(Scale(c, Product(factors) if factors else identity_op(modes)))
     return Sum(parts) if parts else Poly(WeylElement.zero(modes))
+
+
+def fd_cross_check(rep, deltas) -> list:
+    """realize.cross_check(rep, "fd") at the per-mode steps deltas in place
+    of the family record's: the family's formula over fd_kit and over the
+    shift kit, both at deltas, compared generator by generator up to the
+    rep's cutoff as cross_check compares them (realize._difference)."""
+    formula = FAMILIES[rep.rep_id].formula
+    abstract = formula(fock_kit(rep.modes, deltas), rep.params)
+    results = []
+    for name, op in formula(fd_kit(rep.modes, deltas), rep.params).items():
+        diff = _difference(op, abstract[name], rep.default_cutoff)
+        results.append(CheckResult("cross fd %s" % name, "FAIL" if diff else "PASS", "", diff))
+    return results
 
 
 # -- the paper's displayed fd q-pair, read by criterion 8 and test_realize ----------

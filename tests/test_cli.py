@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from fockrep import catalogue
 from fockrep.cli import main, parse_params
 from fockrep.fock import Poly
+from fockrep.realize import cross_check
 from fockrep.scalars import rat
+from fockrep.verify import casimir_check, full_verify
 from fockrep.weyl import WeylElement
 from pinning import check_pinned, ledger
 
@@ -197,6 +199,32 @@ def test_negative_cutoff_exits_two(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--cutoff" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sl2_translated", "n=2", "delta=1/2", "--cutoff", "12"],
+    ["casimir", "sl2q", "alpha=2", "q=2", "--cutoff", "0"],
+    ["cross", "sl2q", "alpha=2", "q=2", "--realization", "jackson", "--cutoff", "6"],
+])
+def test_cutoff_flag_is_the_reps_cutoff(capsys, argv):
+    # --cutoff N prints the bytes of the library run on the rep built with
+    # default_cutoff N, the one cutoff every check reads
+    command, rep_id = argv[:2]
+    rep = dataclasses.replace(catalogue.build(rep_id, parse_params([a for a in argv if "=" in a])),
+                              default_cutoff=int(argv[-1]))
+    if command == "verify":
+        payload = full_verify(rep).to_json()
+    elif command == "casimir":
+        measured, checks, claim = casimir_check(rep.compiled())
+        payload = {"rep": rep_id, "params": {k: str(v) for k, v in sorted(rep.params.items())},
+                   "name": rep.casimir.name, "claimed": str(rep.casimir.claimed),
+                   "measured": str(measured), "checks": [c.to_json() for c in checks],
+                   "claim_status": claim.status}
+    else:
+        payload = [c.to_json() for c in cross_check(rep, "jackson")]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_all_small(capsys):

@@ -16,7 +16,8 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              fd_kit, fd_pair, poly_to_matrix, realize_generators)
 from fockrep.scalars import Scalar, inverse, rat
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import clifford_identity, clifford_matmul, q_pair_fd, weyl_to_differential
+from oracles import (clifford_identity, clifford_matmul, fd_cross_check, q_pair_fd,
+                     weyl_to_differential)
 from pinning import check_pinned, cross_check_results
 
 B1 = ModeSystem(1, 0)
@@ -173,8 +174,7 @@ def test_cross_check_decides_overflow_columns_by_their_matrices(monkeypatch):
     gens = realize_generators(rep, "differential")
     gens["J+"] = gens["J+"] + bump
     gens["J0"] = gens["J0"] + bump
-    monkeypatch.setattr(realize, "realize_generators",
-                        lambda rep, kind, deltas=None: gens)
+    monkeypatch.setattr(realize, "realize_generators", lambda rep, kind: gens)
     calls = _count_to_matrix(monkeypatch)
     failed = [c for c in cross_check(rep, "differential") if not c.passed]
     assert [c.name for c in failed] == ["cross differential J0"]
@@ -200,7 +200,7 @@ def test_cross_check_refuses_a_negative_cutoff():
                               ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, "fd"),
                               ("sl2q", {"alpha": 1, "q": rat(2)}, "jackson")]:
         with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-            cross_check(build(rid, params), kind, -1)
+            cross_check(dataclasses.replace(build(rid, params), default_cutoff=-1), kind)
 
 
 def test_differential_formula_matches_the_relabeled_normal_form():
@@ -253,7 +253,15 @@ def test_fd_cross_checks():
         ("osp22_translated", {"n": 2, "delta": rat(1)}, [rat(-1, 3)]),
     ]
     for rid, params, deltas in cases:
-        results = cross_check(build(rid, params), "fd", None, deltas)
+        rep = build(rid, params)
+        if deltas is None:
+            # at the record's own steps the helper compares as cross_check does
+            results = cross_check(rep, "fd")
+            steps = FAMILIES[rid].fd_steps(rep.modes, rep.params)
+            assert [(c.name, c.status, c.witness) for c in fd_cross_check(rep, steps)] == \
+                [(c.name, c.status, c.witness) for c in results], rid
+        else:
+            results = fd_cross_check(rep, deltas)
         assert all(c.passed for c in results), (rid, [c.witness for c in results
                                                       if not c.passed])
 
@@ -329,7 +337,8 @@ def test_cross_check_leaves_the_catalogue_rep_alone():
         before = dict(rep.generators)
         held = {name: [id(node) for node in _nodes(op) if isinstance(node, Compiled)]
                 for name, op in rep.generators.items()}
-        assert all(c.passed for c in cross_check(rep, "fd", 4)), rid
+        assert all(c.passed for c in cross_check(dataclasses.replace(rep, default_cutoff=4),
+                                                 "fd")), rid
         assert rep.generators.keys() == before.keys()
         for name, op in rep.generators.items():
             assert op is before[name], (rid, name)
@@ -464,9 +473,8 @@ def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):
         gens = realize_generators(rep, "fd")
         bump = Poly(WeylElement.monomial(rep.modes, (1,), (1,), coeff=rat(1, 3)))
         gens[name] = gens[name] + bump
-        monkeypatch.setattr(realize, "realize_generators",
-                            lambda rep, kind, deltas=None, gens=gens: gens)
-        results = cross_check(rep, "fd", 4)
+        monkeypatch.setattr(realize, "realize_generators", lambda rep, kind, gens=gens: gens)
+        results = cross_check(dataclasses.replace(rep, default_cutoff=4), "fd")
         failed = [c for c in results if not c.passed]
         assert [c.name for c in failed] == ["cross fd %s" % name], rid
         assert re.match(r"column \d+ differs: realized ", failed[0].witness), rid
@@ -475,7 +483,8 @@ def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):
 
 def test_jackson_cross_check():
     for q in (rat(2), rat(1, 2), rat(3, 5)):
-        results = cross_check(build("sl2q", {"alpha": 2, "q": q}), "jackson", 6)
+        rep = dataclasses.replace(build("sl2q", {"alpha": 2, "q": q}), default_cutoff=6)
+        results = cross_check(rep, "jackson")
         assert all(c.passed for c in results)
 
 
@@ -560,7 +569,7 @@ def _display_verdicts(rid, params, d=None) -> dict:
     check compares (realize._difference)."""
     rep = build(rid, params)
     (d,) = [d] if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
-    normative = realize_generators(rep, "fd", [d])
+    normative = FAMILIES[rid].formula(fd_kit(rep.modes, [d]), rep.params)
     return {name: "DIFFERS" if realize._difference(op, normative[name], rep.default_cutoff)
             else "MATCH"
             for name, op in FD_DISPLAYS[rid](rep.modes, rep.params, d).items()}

@@ -17,7 +17,14 @@ as a bare name there.  A dataclass field counts as read only where it is
 read as an attribute (x.field); a constructor keyword or an assignment
 does not keep it.  As with methods, any read of its name keeps a field,
 so a dead field named like a live one (a RepSpec.description beside the
-read InvariantSpace.description) is not caught."""
+read InvariantSpace.description) is not caught.
+
+Every parameter with a default of a module-level library function is
+passed by some call in the library or the benchmark, by keyword, by
+position or through * or **: a default no caller overrides is a constant,
+not a knob.  A call counts wherever its callee is named like the function,
+bare or as an attribute, so here too the check may over-reach, never
+under-reach."""
 
 import ast
 from functools import cache
@@ -190,3 +197,40 @@ def test_test_api_entries_are_defined_and_otherwise_unused():
     assert not set(top) & _reachable()
     assert not set(methods) & attributes
     assert not set(fields) & reads
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, position) for every parameter with a
+    default of a module-level library function; position is its index
+    among the positional parameters, None for a keyword-only one."""
+    for path in LIBRARY:
+        for stmt in _parse(path).body:
+            if isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for position in range(first, len(positional)):
+                    yield path.stem, stmt.name, positional[position].arg, position
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield path.stem, stmt.name, arg.arg, None
+
+
+def _passes(call, parameter, position) -> bool:
+    """The call gives the parameter a value."""
+    return (any(kw.arg in (parameter, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = {}  # callee name -> the calls naming it
+    for path in LIBRARY + BENCHMARK:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = ["%s.%s %s" % (module, name, parameter)
+                for module, name, parameter, position in _defaulted_parameters()
+                if not any(_passes(call, parameter, position) for call in calls.get(name, ()))]
+    assert not unpassed, "defaulted parameters no call passes: %s" % ", ".join(unpassed)

@@ -527,6 +527,20 @@ def _relation_words(rep):
     return {tuple(word) for rel in rep.relations for _, word in rel.lhs + rel.rhs}
 
 
+def _memo_brackets(rep) -> set:
+    """The unordered generator pairs whose bracket rep's memo holds, under
+    its (x, y, anti) keys (RepSpec.bracket)."""
+    return {frozenset(key[:2]) for key in rep._memos
+            if isinstance(key, tuple) and len(key) == 3 and isinstance(key[2], bool)}
+
+
+def _memo_products(rep) -> list:
+    """The generator words whose product rep's memo holds, under the word
+    itself (RepSpec._product)."""
+    return [key for key in rep._memos
+            if isinstance(key, tuple) and key and all(isinstance(x, str) for x in key)]
+
+
 def _polynomial_small_grid():
     return [rep for rep in (build(rid, params) for rid, params in acceptance_grid(small=True))
             if rep.is_polynomial()]
@@ -618,10 +632,10 @@ def test_normal_form_decisions_match_the_probe_oracles():
         assert check_relations(compiled) == relations
         # each two-letter relation word is read as a bracket of the memo,
         # none is multiplied out, and with no relations nothing is formed
-        assert {frozenset(key[:2]) for key in compiled._brackets} == {
+        assert _memo_brackets(compiled) == {
             frozenset(word) for word in _relation_words(rep) if len(word) == 2}
-        assert all(len(word) < 2 for word in compiled._products)
-        assert rep.relations or not compiled._products
+        assert all(len(word) < 2 for word in _memo_products(compiled))
+        assert rep.relations or not _memo_products(compiled)
         assert check_alt_forms(rep) == alt_forms == check_alt_forms(compiled)
         if commutes is not None:
             assert casimir_check(rep)[1][0] == commutes
@@ -770,8 +784,8 @@ def test_a_low_cutoff_keeps_the_casimir_probe_floor():
     commutes = casimir_check(bad)[1][0]
     assert commutes.witness.startswith("[C,J+]: mismatch on b^3 |0>: ")
     for cutoff in (0, 1, 2):
-        assert casimir_check(bad, cutoff)[1][0] == commutes, cutoff
-        assert casimir_check(rep, cutoff)[1][0].passed, cutoff
+        assert casimir_check(dataclasses.replace(bad, default_cutoff=cutoff))[1][0] == commutes
+        assert casimir_check(dataclasses.replace(rep, default_cutoff=cutoff))[1][0].passed
 
 
 def test_a_polynomial_alt_form_lowering_past_the_probe_differs():
@@ -852,8 +866,8 @@ def test_every_check_table_entry_runs_on_the_full_grid(monkeypatch):
     ran, produced = set(), set()
 
     def recording(name, run):
-        def wrapper(rep, cutoff):
-            results = run(rep, cutoff)
+        def wrapper(rep):
+            results = run(rep)
             ran.add(name)
             produced.update(r.name for r in results if isinstance(r, CheckResult))
             return results
@@ -902,12 +916,11 @@ def test_word_sum_keeps_each_prefix_product(monkeypatch):
 def test_copies_start_with_empty_memos():
     rep = build("sl2_standard", {"n": 3})
     assert all(r.passed for r in check_relations(rep)) and invariant_subspace(rep)[1].passed
-    assert {frozenset(key[:2]) for key in rep._brackets} == {
+    assert _memo_brackets(rep) == {
         frozenset(word) for word in _relation_words(rep) if len(word) == 2}
-    assert rep._products and rep._memos and rep._space is not None
+    assert _memo_products(rep) and RepSpec.space_columns in rep._memos
     for copy in (dataclasses.replace(rep, generators=dict(rep.generators)), rep.compiled()):
-        assert not copy._brackets and not copy._products and not copy._memos
-        assert copy._space is None
+        assert not copy._memos
 
 
 def _swap_word_sum(rep, terms, formed):
@@ -1033,7 +1046,7 @@ def test_full_verify_probes_alt_forms_at_its_cutoff(monkeypatch):
         return check_identity(lhs, rhs, cutoff)
 
     monkeypatch.setattr(verify, "check_identity", recording)
-    report = full_verify(rep, 12)
+    report = full_verify(dataclasses.replace(rep, default_cutoff=12))
     assert [a.status for a in report.alt_forms] == ["DIFFERS", "MATCH", "MATCH", "DIFFERS"]
     assert cutoffs == [12, 12, 12]
 
@@ -1158,7 +1171,8 @@ def test_extended_casimir_commutes_matches_the_probe_oracle(rid, params):
         assert casimir_check(bumped)[1][0] == expected
         assert casimir_check(bumped.compiled())[1][0] == expected
         # a cutoff of 0 is floored alike on both sides
-        assert casimir_check(bumped, 0)[1][0] == probe_casimir_commutes(bumped, 0)
+        assert casimir_check(dataclasses.replace(bumped, default_cutoff=0))[1][0] == \
+            probe_casimir_commutes(bumped, 0)
         statuses.add(expected.status)
     assert statuses == {"PASS", "FAIL"}
 
@@ -1253,10 +1267,58 @@ def test_transported_lines_equal_the_probe_lines(monkeypatch):
         assert verify._preimages(compiled) is not None
         relations, commutes = _probe_path(monkeypatch, compiled)
         assert check_relations(compiled) == relations == verify._relation_lines(
-            compiled, verify._probe_cutoff(compiled, None))
+            compiled, verify._probe_cutoff(compiled))
         assert all(r.passed for r in relations)
         if rep.casimir:
             assert casimir_check(compiled)[1][0] == commutes == probe_casimir_commutes(rep)
+
+
+def test_check_relations_guards_the_pair_at_the_probe_cutoff_of_its_copy(monkeypatch):
+    # the shift-pair guard (_preimages) and the relation lines read one
+    # cutoff, the copy's: each probe the guard makes is at _probe_cutoff of
+    # the copy check_relations is given, floored or not
+    rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
+    guarded = set()
+    for cutoff in (0, 11):
+        copy = dataclasses.replace(rep, default_cutoff=cutoff)
+        cutoffs = []
+
+        def recording(lhs, rhs, cutoff):
+            cutoffs.append(cutoff)
+            return _CHECK_IDENTITY(lhs, rhs, cutoff)
+
+        monkeypatch.setattr(verify, "check_identity", recording)
+        assert all(r.passed for r in check_relations(copy))
+        assert cutoffs and set(cutoffs) == {verify._probe_cutoff(copy)}, cutoff
+        guarded.add(verify._probe_cutoff(copy))
+    assert guarded == {3 + 2 * rep.max_generator_raise(), 11}
+
+
+def _sl3_translated_with_fock_a1():
+    """sl3_translated n=2 delta1=1 delta2=1/2 with the Fock a1, not the
+    shift pair's ahat1, added to J1+."""
+    rep = build("sl3_translated", {"n": 2, "delta1": 1, "delta2": rat(1, 2)})
+    gens = dict(rep.generators)
+    gens["J1+"] = gens["J1+"] + Poly(WeylElement.a(rep.modes, 1))
+    return dataclasses.replace(rep, generators=gens)
+
+
+def test_translated_closure_fails_a_fock_a1_at_cutoff_6():
+    # the matrix probe reaches degree 2 at cutoff 6, and [J1+,J2+] leaves
+    # the span there: a witness on a probe state, so a true failure
+    report = full_verify(dataclasses.replace(_sl3_translated_with_fock_a1(), default_cutoff=6))
+    assert report.check("closure") == CheckResult(
+        "closure", "FAIL", "probe degree 2", "[J1+,J2+] on state b1^2 |0> leaves the span")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5(a): at the default cutoff 4 the matrix probe reaches degree 1 "
+    "only, so closure reads PASS (and Jacobi PASS 512 triples) on a rep whose "
+    "closure fails at cutoff 6"))
+def test_translated_closure_fails_a_fock_a1_at_the_default_cutoff():
+    bad = _sl3_translated_with_fock_a1()
+    assert bad.default_cutoff == 4
+    assert not full_verify(bad).check("closure").passed
 
 
 _CHECK_IDENTITY = fock.check_identity
