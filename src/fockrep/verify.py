@@ -11,6 +11,8 @@ sides' images on the first state the residual does not kill (_mismatch).
 Closure there is decided once, in normal form too (closure_symbolic): each
 bracket is expressed in the span of the generators, and one that leaves it
 FAILs with its residual and that residual's first unkilled state.
+Graded Jacobi on that exact table is a theorem where its grading premise
+holds (_jacobi_line), and is summed over the table's triples otherwise.
 A shift-translated family's generators are polynomials in its marked
 shift pair, scalars and fermions, and read back to preimage polynomials
 (_preimages); its relation lines and [C,g] are decided by their residuals
@@ -437,13 +439,43 @@ def jacobi(sc: StructureConstants) -> CheckResult:
     return CheckResult("jacobi", "PASS", "%d triples" % (m ** 3))
 
 
+def _jacobi_line(rep: RepSpec) -> CheckResult:
+    """The `jacobi` line: implied on a polynomial rep whose grading premise
+    holds, else jacobi over the closure table.
+
+    A polynomial rep's closure table is exact: each bracket is the
+    super-commutator, for the declared parities, of elements of the
+    associative Weyl-Clifford algebra, and its coordinates in the span of
+    the generators are unique.  Where that super-commutator is the one of
+    an algebra grading, each generator homogeneous of its declared degree,
+    graded Jacobi holds for the elements, so the table's sums are the
+    coordinates of zero (Kac, Adv. Math. 26, 1977).  Two gradings qualify:
+    every generator declared even (ordinary commutators), or every declared
+    parity the fermion parity of its generator's normal form.  Any other
+    declaration, a mixed-parity or flipped generator, is summed."""
+    grading = None
+    if rep.is_polynomial():
+        if not any(rep.parities.values()):
+            grading = "ungraded"
+        elif all(rep.parities[name] == g.as_weyl().parity()
+                 for name, g in rep.generators.items()):
+            grading = "graded by fermion parity"
+    if grading is None:
+        return jacobi(_once(rep, closure)[0])
+    return CheckResult("jacobi", "PASS", "implied: exact closure, " + grading)
+
+
 # -- Killing form -------------------------------------------------------------------
 
 
 def killing_form(sc: StructureConstants):
-    """K(x_i, x_j) = tr(ad x_i ad x_j), summed over the entries of ad x_i:
-    ad[i][(k, mid)] = c_{i,mid}^k, matched with ad[j][(mid, k)]."""
+    """K(x_i, x_j) = str(ad x_i ad x_j), the supertrace: the diagonal entry
+    k of ad x_i ad x_j, summed over the entries of ad x_i as
+    ad[i][(k, mid)] = c_{i,mid}^k matched with ad[j][(mid, k)], carries
+    (-1)^(p_k).  K is supersymmetric, K[j][i] = (-1)^(p_i p_j) K[i][j];
+    on an all-even table that is the trace and a symmetric K."""
     m = len(sc.names)
+    p = sc.parities
     ad = [{} for _ in range(m)]
     for (i, mid), coeffs in sc.table.items():
         for k, c in coeffs.items():
@@ -456,8 +488,9 @@ def killing_form(sc: StructureConstants):
             for (k, mid), c in ad[i].items():
                 v = ad_j.get((mid, k))
                 if v is not None:
-                    total = total + c * v
-            K[i][j] = K[j][i] = total
+                    total = total - c * v if p[k] else total + c * v
+            K[i][j] = total
+            K[j][i] = -total if p[i] and p[j] else total
     span = EchelonSpan()
     for row in K:
         span.insert({idx: v for idx, v in enumerate(row) if v})
@@ -744,11 +777,12 @@ def _casimir(rep):
 # as a module global when it runs, so a verify.<check> patched later is the
 # one called.  Closure is one entry and one line per rep, the symbolic
 # decision on a polynomial rep and the matrix probe on an extended one;
-# Jacobi and the Killing rank read its table.
+# the Killing rank reads its table, and so does Jacobi where the table's
+# grading does not imply it (_jacobi_line).
 CHECKS = [
     ("relations", lambda rep: bool(rep.relations), lambda rep: check_relations(rep)),
     ("closure", lambda rep: rep.claims.closes, lambda rep: [_once(rep, closure)[1]]),
-    ("jacobi", _closed, lambda rep: [jacobi(_once(rep, closure)[0])]),
+    ("jacobi", _closed, lambda rep: [_jacobi_line(rep)]),
     ("killing_rank", _closed,  # (rank, generators): report data, not a check
      lambda rep: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
     ("alt_forms", lambda rep: True, lambda rep: check_alt_forms(rep)),

@@ -205,9 +205,12 @@ def loop_jacobi(sc: StructureConstants) -> CheckResult:
 
 
 def loop_killing(sc: StructureConstants) -> list:
-    """Oracle for verify.killing_form's K: for each pair i <= j, every
-    middle index in order, with the table looked up entry by entry."""
+    """Oracle for verify.killing_form's K, the supertrace form: for each pair
+    i <= j, every middle index in order, with the table looked up entry by
+    entry and each diagonal index k of ad x_i ad x_j signed (-1)^(p_k);
+    K[j][i] is K[i][j] times (-1)^(p_i p_j)."""
     m = len(sc.names)
+    p = sc.parities
     K = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -218,9 +221,9 @@ def loop_killing(sc: StructureConstants) -> list:
                     cj = sc.table.get((j, k), {})
                     v = cj.get(mid)
                     if v is not None:
-                        total = total + cik * v
+                        total = total + (-1) ** p[k] * cik * v
             K[i][j] = total
-            K[j][i] = total
+            K[j][i] = (-1) ** (p[i] * p[j]) * total
     return K
 
 

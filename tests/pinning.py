@@ -4,10 +4,11 @@ A report corpus is a list of verification reports in a fixed order: the
 full and the small acceptance grid, as `fockrep report-all --grid ...
 --format json` prints them, and the 70 negative controls (each +1
 single-monomial bump of sl2_standard and osp22, n = 0..3), as
-json.dumps(reports, sort_keys=True).  Two more corpora pin the catalogue
-listing, as `fockrep list --format json` prints it, and the cross-check
+json.dumps(reports, sort_keys=True).  Three more corpora pin the catalogue
+listing, as `fockrep list --format json` prints it, the cross-check
 results of every accepted (grid instance, realization) pair
-(cross_check_results).
+(cross_check_results), and the matrices both sides of each such cross
+check compare on the small grid (cross_check_matrices).
 
 A ledger has one tab-separated line per entry, in corpus order, with empty
 trailing fields dropped.  In a report corpus an entry is a report line:
@@ -17,9 +18,15 @@ status, detail and witness.  Check lines come first, then the alt forms
 `<rank> of <generators>`).  In the listing an entry is a family: its id,
 parameter signature and description.  In the cross results it is one
 CheckResult: the pair's index and label (rep, params and realization), then
-the result's name, status, detail and witness.  The digest is the sha256 of
-the corpus's exact bytes, so it still proves byte-identity of format, key
-order and whitespace, while the ledger says which lines moved.
+the result's name, status, detail and witness.  In the matrices it is one
+nonzero row of one side's matrix: the record's index and label (rep,
+params, realization and generator), the side (`realized` or `abstract`),
+the row's basis state, and its entries as `state=value` in column order; a
+side with overflow columns adds a line `overflow` naming them.  A basis
+state (alpha|beta) lists the bosonic occupations and the fermionic mask.
+The digest is the sha256 of the corpus's exact bytes, so it still proves
+byte-identity of format, key order and whitespace, while the ledger says
+which lines moved.
 
     PYTHONPATH=src python tests/pinning.py [corpus ...]
 
@@ -39,9 +46,9 @@ from pathlib import Path
 
 from fockrep.catalogue import build
 from fockrep.cli import main
-from fockrep.fock import Poly
+from fockrep.fock import Poly, to_matrix
 from fockrep.grids import acceptance_grid
-from fockrep.realize import RealizeError, cross_check, realize_generators
+from fockrep.realize import RealizeError, abstract_counterpart, cross_check, realize_generators
 from fockrep.verify import full_verify
 from fockrep.weyl import WeylElement
 
@@ -89,6 +96,34 @@ def cross_check_results() -> list:
     return lists
 
 
+def _matrix_record(mat):
+    return [[[list(alpha), beta] for alpha, beta in mat.basis],
+            [sorted([row, str(c)] for row, c in col.items()) for col in mat.cols],
+            list(mat.overflow_columns)]
+
+
+def cross_check_matrices() -> list:
+    """[rep, sorted [param, value] pairs, realization, generator, realized
+    matrix, abstract matrix] for every generator of every (small-grid
+    instance, realization) pair that realize accepts, each matrix as [basis,
+    sorted sparse columns, overflow columns] at the rep's cutoff."""
+    records = []
+    for rep_id, params in acceptance_grid(small=True):
+        rep = build(rep_id, params)
+        for kind in ("differential", "fd", "jackson"):
+            try:
+                realized = realize_generators(rep, kind)
+            except RealizeError:
+                continue
+            abstract = abstract_counterpart(rep, kind)
+            for name, op in realized.items():
+                records.append([rep_id, sorted([k, str(v)] for k, v in params.items()), kind,
+                                name, _matrix_record(to_matrix(op, rep.default_cutoff)),
+                                _matrix_record(to_matrix(abstract.generator(name),
+                                                         rep.default_cutoff))])
+    return records
+
+
 def _line(fields) -> str:
     if any("\t" in f or "\n" in f for f in fields):
         raise ValueError("a ledger field holds a tab or a newline: %r" % (fields,))
@@ -125,6 +160,29 @@ def cross_ledger(text: str) -> list:
     return lines
 
 
+def _basis_state(state) -> str:
+    alpha, beta = state
+    return "(%s|%s)" % (",".join(map(str, alpha)), beta)
+
+
+def matrix_ledger(text: str) -> list:
+    """The ledger lines of the matrices' bytes, one per nonzero matrix row."""
+    lines = []
+    for idx, (rep_id, params, kind, name, *sides) in enumerate(json.loads(text)):
+        label = " ".join([rep_id] + ["%s=%s" % tuple(kv) for kv in params] + [kind, name])
+        for side, (basis, cols, overflow) in zip(("realized", "abstract"), sides):
+            rows = {}
+            for j, col in enumerate(cols):
+                for i, c in col:
+                    rows.setdefault(i, []).append("%s=%s" % (_basis_state(basis[j]), c))
+            lines.extend(_line([str(idx), label, side, _basis_state(basis[i]), " ".join(row)])
+                         for i, row in sorted(rows.items()))
+            if overflow:
+                lines.append(_line([str(idx), label, side, "overflow",
+                                    " ".join(_basis_state(basis[j]) for j in overflow)]))
+    return lines
+
+
 # corpus -> (its bytes, from the engine; the ledger of such bytes)
 CORPORA = {
     "full_grid": (lambda: _cli("report-all", "--grid", "full", "--format", "json"), ledger),
@@ -133,6 +191,7 @@ CORPORA = {
                           ledger),
     "list": (lambda: _cli("list", "--format", "json"), list_ledger),
     "cross_results": (lambda: json.dumps(cross_check_results(), sort_keys=True), cross_ledger),
+    "matrices": (lambda: json.dumps(cross_check_matrices(), sort_keys=True), matrix_ledger),
 }
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import re
 from collections import Counter
@@ -18,7 +17,7 @@ from fockrep.scalars import Scalar, inverse, rat
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import (clifford_identity, clifford_matmul, fd_cross_check, q_pair_fd,
                      weyl_to_differential)
-from pinning import check_pinned, cross_check_results
+from pinning import check_pinned, cross_check_matrices, cross_check_results
 
 B1 = ModeSystem(1, 0)
 
@@ -633,35 +632,13 @@ def test_cross_check_results_are_pinned():
     check_pinned("cross_results", json.dumps(lists, sort_keys=True))
 
 
-def _matrix_record(mat):
-    return [[[list(alpha), beta] for alpha, beta in mat.basis],
-            [sorted([row, str(c)] for row, c in col.items()) for col in mat.cols],
-            list(mat.overflow_columns)]
-
-
 def test_cross_check_matrices_are_pinned():
     # both sides of a cross check share one basis, so verdicts alone would
-    # not show a misordered or truncated basis: pin the matrices themselves
-    from fockrep.grids import acceptance_grid
-
-    records = []
-    for rep_id, params in acceptance_grid(small=True):
-        rep = build(rep_id, params)
-        for kind in ("differential", "fd", "jackson"):
-            try:
-                realized = realize_generators(rep, kind)
-            except RealizeError:
-                continue
-            abstract = abstract_counterpart(rep, kind)
-            for name, op in realized.items():
-                records.append([rep_id, sorted([k, str(v)] for k, v in params.items()),
-                                kind, name,
-                                _matrix_record(to_matrix(op, rep.default_cutoff)),
-                                _matrix_record(to_matrix(abstract.generator(name),
-                                                         rep.default_cutoff))])
+    # not show a misordered or truncated basis: pin the matrices themselves,
+    # row by row in tests/pins/matrices.ledger
+    records = cross_check_matrices()
     assert len(records) == 129 and len({(r[0], r[2]) for r in records}) == 19
-    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    assert digest == "740c9660673ddeda693c7a097c99a19aaa4de7ac17edf539f0a4f79d3cf6c254"
+    check_pinned("matrices", json.dumps(records, sort_keys=True))
 
 
 def test_realization_coverage_on_the_grid():

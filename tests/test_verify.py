@@ -151,6 +151,51 @@ def test_jacobi_matches_loop_oracle_on_every_perturbation(rid, params):
     assert jacobi(sc).passed and failing
 
 
+def test_jacobi_is_implied_exactly_on_the_polynomial_grid_tables():
+    # the implied line rests on weyl.bracket being a super-commutator, so the
+    # triple sum must PASS on every polynomial grid table; the report reads
+    # the implied line on exactly those reps and sums the probed tables
+    gradings, triples, summed = Counter(), 0, 0
+    for rep_id, params in acceptance_grid():
+        rep = build(rep_id, params)
+        line = full_verify(rep).check("jacobi")
+        if line is None:
+            continue
+        m = len(rep.generators)
+        if rep.is_polynomial():
+            sc, _ = closure(rep)
+            assert jacobi(sc) == CheckResult("jacobi", "PASS", "%d triples" % m ** 3), rep_id
+            assert line.status == "PASS" and line.detail.startswith("implied: exact closure, ")
+            gradings[line.detail[len("implied: exact closure, "):]] += 1
+            triples += m ** 3
+        else:
+            assert line == CheckResult("jacobi", "PASS", "%d triples" % m ** 3), rep_id
+            summed += 1
+    assert gradings == {"ungraded": 69, "graded by fermion parity": 31}
+    assert triples == 430_097 and summed == 54
+
+
+def test_a_flipped_parity_falls_back_to_the_triple_sum():
+    # gl_super's J0_11 (th dth) is even; declared odd, its table still
+    # closes, the premise fails, and the line is the triple sum's FAIL
+    rep = build("gl_super", {"k": 2, "r": 1, "n": 1})
+    bad = dataclasses.replace(rep, parities=dict(rep.parities, J0_11=1))
+    report = full_verify(bad)
+    assert report.check("closure").passed
+    line = report.check("jacobi")
+    assert line.witness == "triple (Qb1-,Qb1-,Qb1+): coefficient of Qb1- is -4, not 0"
+    assert line == loop_jacobi(closure(bad)[0])
+
+
+def test_an_all_even_declaration_implies_ungraded_jacobi():
+    # sl2_clifford declares every generator even though J1 = th + dth is odd:
+    # its table is of ordinary commutators, an ungraded sl2
+    rep = build("sl2_clifford", {})
+    assert rep.generators["J1"].as_weyl().parity() == 1
+    assert full_verify(rep).check("jacobi") == CheckResult(
+        "jacobi", "PASS", "implied: exact closure, ungraded")
+
+
 def test_negative_control_reports_are_pinned():
     # every single-monomial +1 bump of sl2_standard and osp22, n = 0..3:
     # pins the FAIL witnesses of closure, Jacobi and the relations, line by
@@ -219,6 +264,39 @@ def test_killing_rank_clifford():
     sc, _ = closure(build("sl2_clifford", {}))
     _, rank = killing_form(sc)
     assert rank == 3
+
+
+def test_killing_ranks_use_the_supertrace():
+    # the Killing form of a superalgebra is str(ad x ad y): osp(2|2) = sl(2|1)
+    # has a nondegenerate one, and gl(k+1|r)'s radical is the identity alone;
+    # glk has no odd generator and keeps its trace form
+    for rid, params, rank in [
+            ("osp22", {"n": 3}, 8), ("osp22_metaplectic", {}, 8),
+            ("osp22_translated", {"n": 2, "delta": 1}, 8),
+            ("gl_super", {"k": 1, "r": 1, "n": 1}, 8),
+            ("gl_super", {"k": 2, "r": 1, "n": 1}, 15),
+            ("gl_super", {"k": 3, "r": 2, "n": 1}, 35), ("glk", {"k": 3, "n": 2}, 8)]:
+        rep = build(rid, params)
+        assert full_verify(rep).killing_rank == (rank, len(rep.generators)), (rid, params)
+
+
+def test_killing_form_is_the_dense_supertrace():
+    # independent oracle on exact super tables: dense ad matrices, their
+    # product, and the diagonal signed by the parity of its index, for
+    # every ordered pair, so the supersymmetric lower half is checked too
+    for rid, params in [("osp22", {"n": 2}), ("gl_super", {"k": 1, "r": 1, "n": 1})]:
+        sc, _ = closure(build(rid, params))
+        K, _ = killing_form(sc)
+        m = len(sc.names)
+        ads = [[[sc.table.get((i, j), {}).get(k, 0) for j in range(m)] for k in range(m)]
+               for i in range(m)]
+        for i in range(m):
+            for j in range(m):
+                product = mat_mul(ads[i], ads[j])
+                assert K[i][j] == sum((-1) ** sc.parities[k] * product[k][k]
+                                      for k in range(m)), (rid, i, j)
+        assert any(K[i][j] for i in range(m) for j in range(m)
+                   if sc.parities[i] and sc.parities[j])
 
 
 def test_casimir_measures_scalar():
@@ -837,7 +915,8 @@ def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
     # the table reaches each check as a verify global when it runs, and the
     # Jacobi and Killing entries share one closure: on a polynomial rep the
     # symbolic one, called once inside closure, on an extended rep the
-    # matrix probe alone
+    # matrix probe alone; on a polynomial rep whose grading holds Jacobi is
+    # implied and never summed, on an extended rep it is summed once
     calls = Counter()
 
     def counting(name):
@@ -852,10 +931,12 @@ def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
         monkeypatch.setattr(verify, name, counting(name))
     report = full_verify(build("sl2_standard", {"n": 2}))
     assert report.passed and report.killing_rank == (3, 3)
-    assert calls == {"closure": 1, "closure_symbolic": 1, "jacobi": 1, "killing_form": 1}
+    assert report.check("jacobi").detail == "implied: exact closure, ungraded"
+    assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
     calls.clear()
     report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
     assert report.passed and report.killing_rank == (3, 3)
+    assert report.check("jacobi").detail == "27 triples"
     assert calls == {"closure": 1, "jacobi": 1, "killing_form": 1}
 
 
