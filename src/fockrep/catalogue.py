@@ -24,11 +24,11 @@ mismatches are reported, never patched into the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 
-from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product,
-                   Scale, Sum, _state_str, basis_states, identity_op, shared)
+from .fock import (ExpA, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
+                   _state_str, basis_states, identity_op, shared)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
 from .weyl import ModeSystem, WeylElement, accumulate, bracket
@@ -98,13 +98,14 @@ class RepSpec:
     (x, y, anti), each word sum under its (coefficient, word) pairs and each
     nonempty prefix product of its words under the word, the invariant-space
     columns under RepSpec.space_columns and a check's result under the
-    check.  A replace() copy starts it empty, and so does the compiled()
-    copy of a rep that is not yet compiled; an already compiled rep is its
-    own compiled() and keeps it.  Generators are replaced, never changed
-    in place.  A generator built over a Kit holds the kit's shared pair and
-    intermediate nodes (fock.shared); their exact column caches belong to
-    the generators, not to a report, so every copy and report reads and
-    extends the same ones."""
+    check.  A replace() copy starts it empty.  Each generator is stored
+    shared (fock.shared), as a Kit stores its pairs: a polynomial as its
+    Poly, anything else as one Compiled node, which every replace() copy
+    and every report of the rep holds.  Generators are replaced, never
+    changed in place.  A generator built over a Kit also holds the kit's
+    shared pair and intermediate nodes; their exact column caches, and the
+    generators' own, belong to the nodes, not to a report, so every copy
+    and report reads and extends the same ones."""
 
     rep_id: str
     params: dict
@@ -121,6 +122,7 @@ class RepSpec:
     _polynomial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.generators = {name: shared(g) for name, g in self.generators.items()}
         self.modes = next(iter(self.generators.values())).modes
         if self.parities is None:
             self.parities = {name: 0 for name in self.generators}
@@ -217,18 +219,6 @@ class RepSpec:
 
     def max_generator_raise(self) -> int:
         return max(max(0, g.max_raise()) for g in self.generators.values())
-
-    def compiled(self) -> "RepSpec":
-        """A copy whose generators are fock.Compiled, so every check run on
-        it computes each generator's image of a basis state at most once.
-        A rep whose generators are all Compiled is its own compiled copy,
-        memos included; a generator that is already Compiled comes back as
-        itself."""
-        if all(isinstance(g, Compiled) for g in self.generators.values()):
-            return self
-        return replace(self, generators={
-            name: g if isinstance(g, Compiled) else Compiled(g)
-            for name, g in self.generators.items()})
 
     def space_columns(self, name: str):
         """One generator on the invariant-space basis, by basis position,

@@ -141,9 +141,10 @@ def cmd_matrix(args) -> int:
     payload["realization"] = args.realization
     entries = [[mat.entry(i, j) for j in range(mat.dim)] for i in range(mat.dim)]
     if args.decimal:
-        payload["matrix_decimal"] = [[to_decimal(c) for c in row] for row in entries]
+        entries = payload["matrix_decimal"] = [[to_decimal(c) for c in row] for row in entries]
     if args.format == "pretty":
-        rows = [" ".join(str(c).rjust(8) for c in row) for row in entries]
+        width = 16 if args.decimal else 8
+        rows = [" ".join(str(c).rjust(width) for c in row) for row in entries]
         head = "%s of %s, cutoff %d, dim %d" % (args.gen, args.rep, mat.cutoff, mat.dim)
         if mat.overflow_columns:
             head += ", overflow columns %s" % mat.overflow_columns
@@ -157,7 +158,7 @@ def cmd_casimir(args) -> int:
     rep = _built(args)
     if rep.casimir is None:
         raise UsageError("%s carries no Casimir descriptor" % args.rep)
-    measured, checks, claim = casimir_check(rep.compiled())
+    measured, checks, claim = casimir_check(rep)
     payload = {
         "rep": args.rep,
         "params": {k: str(v) for k, v in sorted(rep.params.items())},
@@ -244,7 +245,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True, help="generator name, e.g. J0")
     p.add_argument("--realization", choices=["fock", *REALIZATIONS], default="fock")
     p.add_argument("--decimal", action="store_true",
-                   help="add an approximate rendering (never used in checks)")
+                   help="render entries approximately: pretty output prints them, JSON "
+                        "adds matrix_decimal (never used in checks)")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("casimir", help="measure the Casimir scalar exactly")
@@ -271,7 +273,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        # the params positional ends at the first option, so a name=value
+        # after an option is left over: it is a parameter all the same
+        args, extra = parser.parse_known_args(argv)
+        for token in extra:
+            if token.startswith("-") or "=" not in token or not hasattr(args, "params"):
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
+        if extra:
+            args.params = args.params + extra
         return args.func(args)
     except (CatalogueError, QDomainError, RealizeError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -12,11 +12,11 @@ action table built on its first apply), terminating exponentials e^{g a_i}
 (Identity), Sum/Product/Scale, and Compiled, which remembers each basis
 state's image (its column) and its inner node's raise bound; other modules
 add leaves of their own.  A node is shared where it is made: shared gives
-the Compiled node that a kit pair or a formula's intermediate is stored as,
-so every generator holding it forms its image of a basis state once.  A
-node may carry a mark, the Weyl generator it stands for
-(OperatorExpr.marked), and preimages reads a tree of marked nodes, scalars
-and fermions back to its polynomial.
+the Compiled node that a kit pair, a formula's intermediate, a rep's
+generator or an extended Casimir is stored as, so everything holding it
+forms its image of a basis state once.  A node may carry a mark, the Weyl
+generator it stands for (OperatorExpr.marked), and preimages reads a tree
+of marked nodes, scalars and fermions back to its polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -497,7 +497,11 @@ class Compiled(OperatorExpr):
 def shared(x: OperatorExpr) -> OperatorExpr:
     """x as a node that several generators can hold: Compiled, so its image
     of a basis state is formed once for all of them, unless x is already
-    Compiled or is a polynomial, which must still fold.
+    Compiled or is a polynomial, which must still fold.  It is the one place
+    a Compiled node is made.  Its callers: catalogue.Kit for each pair
+    node, the sl3_octet, glk_family and gl_super_family formulas for the
+    factor their generators share, catalogue.RepSpec for each generator, and
+    verify.casimir_check for an extended rep's Casimir.
 
     x must be defined on every basis state: a Compiled node splits a vector
     into basis states, so a bare LeftDivB with a shift (b_i + 1 divides

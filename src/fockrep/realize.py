@@ -21,8 +21,6 @@ realization.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
 from .fock import ExpA, MatrixRep, OperatorExpr, basis_states, identity_op, to_matrix
 from .scalars import exact, inverse, rat
@@ -313,15 +311,14 @@ def realize_generators(rep: RepSpec, kind: str):
     return family(rep.rep_id).formula(KINDS[kind][0](rep), rep.params)
 
 
-def abstract_counterpart(rep: RepSpec, kind: str) -> RepSpec:
-    """The catalogue family whose Fock matrices the realization must equal:
-    the rep itself, or the family's formula over the kind's counterpart kit
-    (KINDS)."""
+def abstract_counterpart(rep: RepSpec, kind: str) -> dict:
+    """The named generators whose Fock matrices the realization must equal:
+    the rep's own, or the family's formula over the kind's counterpart kit
+    (KINDS), which cross_check walks once and no rep stores."""
     counterpart = KINDS[kind][1]
     if counterpart is None:
-        return rep
-    return dataclasses.replace(
-        rep, generators=family(rep.rep_id).formula(counterpart(rep), rep.params))
+        return rep.generators
+    return family(rep.rep_id).formula(counterpart(rep), rep.params)
 
 
 def cross_check(rep: RepSpec, kind: str) -> list:
@@ -338,7 +335,7 @@ def cross_check(rep: RepSpec, kind: str) -> list:
     passed = "dim %d, cutoff %d" % (len(basis_states(rep.modes, cutoff)), cutoff)
     results = []
     for name, op in realized.items():
-        diff = _difference(op, abstract.generator(name), cutoff)
+        diff = _difference(op, abstract[name], cutoff)
         if diff:
             results.append(CheckResult("cross %s %s" % (kind, name), "FAIL", "", diff))
         else:

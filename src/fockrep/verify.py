@@ -23,26 +23,27 @@ pair's unit-triangular change of basis makes the residual's first
 unkilled state, as on a polynomial family; where a probe finds a witness
 it is that state, so the line is the probe's.  Every other identity of an
 extended family is probed as operator trees on the states up to the
-cutoff, a finite probe and not a proof, with the Casimir compiled so each
-state's image is formed once.  Extended closure is a matrix probe
-that sums each bracket over the generators' nonzero compiled columns and
-never calls weyl.  The symbolic closure and the Casimir centrality check
-form each bracket with weyl.bracket.
+cutoff, a finite probe and not a proof, with the Casimir stored shared
+(fock.shared) so each state's image is formed once.  Extended closure is
+a matrix probe that sums each bracket over the generators' nonzero
+columns and never calls weyl.  The symbolic closure and the Casimir
+centrality check form each bracket with weyl.bracket.
 
 Every check takes only the rep and probes at its default_cutoff, as does
 the shift-pair guard (_preimages); another cutoff is another rep.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
-times each entry.  It walks one compiled copy of the rep, whose memo the
-entries share, so each of these is formed once per report: each generator
-bracket (RepSpec.bracket), which the relation sides and the symbolic
-closure read; each relation side and the Casimir (RepSpec.word_sum); each
-generator's invariant-space columns (RepSpec.space_columns); and the
-closure and invariant-space results and the preimage rep.  The matrix
-closure and Burnside compile the rep they are given; RepSpec.compiled of a
-compiled rep is that rep, so inside full_verify they read the report's
-copy and its memo.
+times each entry.  It walks one fresh replace() copy of the rep, whose
+memo the entries share, so each of these is formed once per report: each
+generator bracket (RepSpec.bracket), which the relation sides and the
+symbolic closure read; each relation side and the Casimir
+(RepSpec.word_sum); each generator's invariant-space columns
+(RepSpec.space_columns), which Burnside reads too; and the closure and
+invariant-space results and the preimage rep.  A rep stores each
+non-polynomial generator as one Compiled node (fock.shared), which the
+copy holds too, so a generator's image of a basis state is formed once
+for every check, report and copy of the rep.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .catalogue import RepSpec
-from .fock import (Compiled, IdentityReport, Poly, Product, Sum, _state_str, basis_states,
-                   check_identity, preimages, state_degree, state_sort_key, vector_str)
+from .fock import (IdentityReport, Poly, Product, Sum, _state_str, basis_states, check_identity,
+                   preimages, shared, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, bracket
@@ -291,7 +292,6 @@ def closure(rep: RepSpec):
     """
     if rep.is_polynomial():
         return closure_symbolic(rep)
-    rep = rep.compiled()
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -299,8 +299,8 @@ def closure(rep: RepSpec):
     states = basis_states(rep.modes, probe)
 
     # per generator, its nonzero columns on the probe states: (state index, column)
-    on_probes = [[(idx, col) for idx, col in enumerate(map(g.column, states)) if col]
-                 for g in gens]
+    on_probes = [[(idx, col) for idx, col in enumerate(g.apply({key: 1}) for key in states)
+                  if col] for g in gens]
     acting = {}  # image state -> {generator index: its nonzero column there}
 
     def add_product(vec, i, j, sign):
@@ -310,7 +310,7 @@ def closure(rep: RepSpec):
                 act = acting.get(key)
                 if act is None:
                     act = acting[key] = {k: col for k, col in
-                                         enumerate([g.column(key) for g in gens]) if col}
+                                         enumerate([g.apply({key: 1}) for g in gens]) if col}
                 col_i = act.get(i)
                 if col_i is not None:
                     if sign != 1:
@@ -512,15 +512,12 @@ def casimir_check(rep: RepSpec):
     extended rep with preimages (_preimages) each [C,g] is decided, with no
     probe, by its preimage residual, as a relation is (check_relations);
     every [C,g] of any other extended rep is probed up to the rep's probe
-    cutoff (_probe_cutoff).  On
-    an extended rep C is compiled, so its image of each state, which C g,
-    g C, a witness and the scalar probe read, is formed once.
+    cutoff (_probe_cutoff).  On an extended rep C is stored shared
+    (fock.shared), so its image of each state, which C g, g C, a witness
+    and the scalar probe read, is formed once.
     """
-    expr = rep.word_expr(rep.casimir.terms)
-    polynomial = rep.is_polynomial()
-    pre = rep if polynomial else _preimages(rep)
-    if not polynomial:
-        expr = Compiled(expr)
+    expr = shared(rep.word_expr(rep.casimir.terms))
+    pre = rep if rep.is_polynomial() else _preimages(rep)
     c_pre = None if pre is None else pre.word_sum(rep.casimir.terms)
     probe = _probe_cutoff(rep)
     failures = []
@@ -618,10 +615,10 @@ def burnside_irreducibility(rep: RepSpec):
     Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
     every dimension below d^2 come only from that span.
 
-    The columns come from rep.compiled(), inside full_verify rep itself,
-    so the invariant-space check's columns are not formed again.
+    The columns are the rep's invariant-space columns
+    (RepSpec.space_columns), so inside full_verify the invariant-space
+    check's columns are not formed again.
     """
-    rep = rep.compiled()
     cols = []
     for name in rep.generators:
         keys, g_cols, escape = rep.space_columns(name)
@@ -796,11 +793,11 @@ CHECKS = [
 
 
 def full_verify(rep: RepSpec) -> VerificationReport:
-    """Walk CHECKS on a fresh compiled copy of rep, so the entries share
-    its memo: closure, whichever path decides it, and the invariant space
-    are each formed once per report."""
+    """Walk CHECKS on a fresh copy of rep, so the entries share its memo:
+    closure, whichever path decides it, and the invariant space are each
+    formed once per report."""
     start = time.monotonic()
-    rep = replace(rep.compiled())
+    rep = replace(rep)
     report = VerificationReport(rep.rep_id, rep.params, rep.default_cutoff)
     for name, when, run in CHECKS:
         begun = time.perf_counter()

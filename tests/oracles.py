@@ -227,14 +227,18 @@ def loop_killing(sc: StructureConstants) -> list:
     return K
 
 
+def _column(g):
+    """key -> g's image of the basis state key."""
+    return lambda key: g.apply({key: 1})
+
+
 def dense_closure(rep, cutoff=None):
     """Oracle for verify.closure: every bracket of the m(m+1)/2 pairs i <= j
-    summed on every probe state from both products' compiled columns, empty
-    ones included.  An extended rep is probed on the matrix path's range;
-    a polynomial rep, which verify decides in normal form, up to the
-    combined lowering degree of a generator pair, where vanishing on every
-    probe state is an exact identity."""
-    rep = rep.compiled()
+    summed on every probe state from both products' images of basis states
+    (apply({state: 1})), empty ones included.  An extended rep is probed on
+    the matrix path's range; a polynomial rep, which verify decides in
+    normal form, up to the combined lowering degree of a generator pair,
+    where vanishing on every probe state is an exact identity."""
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -249,15 +253,15 @@ def dense_closure(rep, cutoff=None):
     dependent = []
     for name, g in zip(names, gens):
         vec = {(idx, key): c for idx, state in enumerate(states)
-               for key, c in g.column(state).items()}
+               for key, c in g.apply({state: 1}).items()}
         if not span.insert(vec):
             dependent.append(name)
     table = {}
     m = len(gens)
     for i in range(m):
-        col_i = gens[i].column
+        col_i = _column(gens[i])
         for j in range(i, m):
-            col_j = gens[j].column
+            col_j = _column(gens[j])
             anti = parities[i] == 1 and parities[j] == 1
             vec = {}
             for idx, state in enumerate(states):

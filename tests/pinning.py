@@ -119,7 +119,7 @@ def cross_check_matrices() -> list:
             for name, op in realized.items():
                 records.append([rep_id, sorted([k, str(v)] for k, v in params.items()), kind,
                                 name, _matrix_record(to_matrix(op, rep.default_cutoff)),
-                                _matrix_record(to_matrix(abstract.generator(name),
+                                _matrix_record(to_matrix(abstract[name],
                                                          rep.default_cutoff))])
     return records
 

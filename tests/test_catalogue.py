@@ -6,7 +6,7 @@ from fockrep.catalogue import CatalogueError, build, fock_kit, list_catalogue, s
 from fockrep.fock import Compiled, Poly, basis_states, check_identity, preimages, to_matrix
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
-from fockrep.verify import check_alt_forms
+from fockrep.verify import check_alt_forms, full_verify
 from fockrep.weyl import ModeSystem, WeylElement
 
 
@@ -248,13 +248,13 @@ def test_two_shift_pairs_commute_across_modes(deltas):
                                        ("sl3_translated", "sl3_fock")])
 def test_translated_generators_read_back_to_the_base_family(rid, base):
     # through the marks, each translated generator is its base family's
-    # normal form, on the built rep and on its compiled copy; the marked
-    # nodes are found as the kit's Compiled pair nodes on both
+    # normal form, on the built rep and on a copy; the marked nodes are
+    # found as the kit's Compiled pair nodes on both
     for params in (params for r, params in acceptance_grid() if r == rid):
         rep = build(rid, params)
         want = [g.as_weyl() for g in build(base, {"n": params["n"]}).generators.values()]
         found = []
-        for copy in (rep, rep.compiled()):
+        for copy in (rep, dataclasses.replace(rep)):
             pre, marked = preimages(list(copy.generators.values()))
             assert pre == want, params
             assert len(marked) == 2 * rep.modes.bosonic
@@ -272,7 +272,7 @@ def test_a_node_off_the_marks_has_no_preimage():
     assert pre == [None, WeylElement.b(rep.modes) * WeylElement.a(rep.modes) - rat(1, 2), None]
 
 
-# -- the compiled copy ---------------------------------------------------------
+# -- stored generators ---------------------------------------------------------
 
 
 def _reached(op):
@@ -294,25 +294,24 @@ def _extended_small_grid():
     ("sl2q", {"alpha": 2, "q": 2, "delta": 1}),
 ])
 def test_compiled_generators_give_the_raw_matrices(rid, params):
+    # each stored Compiled generator has the matrix of its raw inner tree
     rep = build(rid, params)
-    compiled = rep.compiled()
-    assert list(compiled.generators) == list(rep.generators)
     for name, g in rep.generators.items():
-        got, want = (to_matrix(op, rep.default_cutoff) for op in (compiled.generators[name], g))
+        raw = g.inner if isinstance(g, Compiled) else g
+        got, want = (to_matrix(op, rep.default_cutoff) for op in (g, raw))
         assert (got.cols, got.overflow_columns) == (want.cols, want.overflow_columns), name
 
 
 def test_compiled_translated_sl2_shares_one_ahat_and_one_bhat():
     # J- is ahat, and J0 = bhat ahat - n/2: every place of the shift pair in
-    # the three generators reaches the same Compiled node, on the built rep
-    # and on its compiled copy, which wraps J+ and J0 but keeps J- as it is
+    # the three generators reaches the same Compiled node, on the built rep,
+    # which stores J+ and J0 Compiled and J- as the kit's node, and on a copy
     rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
     ahat = rep.generator("J-")
-    bhat = rep.generator("J0").parts[0].factors[0]
+    bhat = rep.generator("J0").inner.parts[0].factors[0]
     assert isinstance(ahat, Compiled) and isinstance(bhat, Compiled)
-    compiled = rep.compiled()
-    assert compiled.generators["J-"] is ahat
-    for copy in (rep, compiled):
+    assert dataclasses.replace(rep).generators["J-"] is ahat
+    for copy in (rep, dataclasses.replace(rep)):
         for pair, names in ((ahat.inner, ("J+", "J0", "J-")), (bhat.inner, ("J+", "J0"))):
             found = set()
             for name in names:
@@ -325,21 +324,41 @@ def test_compiled_translated_sl2_shares_one_ahat_and_one_bhat():
             assert found == {id(ahat if pair is ahat.inner else bhat)}
 
 
-def test_compiled_is_its_own_compiled_copy():
-    rep = build("sl2q", {"alpha": 2, "q": 2, "delta": 1})
-    compiled = rep.compiled()
-    assert compiled is not rep and compiled.compiled() is compiled
-    # a generator that is already Compiled comes back as itself
-    jm = Compiled(rep.generator("J-"))
-    mixed = dataclasses.replace(rep, generators=dict(rep.generators, **{"J-": jm}))
-    again = mixed.compiled()
-    assert again is not mixed and again.generators["J-"] is jm
-    assert all(isinstance(g, Compiled) for g in again.generators.values())
-    assert again.compiled() is again
-    # a polynomial rep's generators are each wrapped, and still fold
-    poly = build("sl2_standard", {"n": 2}).compiled()
-    assert all(isinstance(g, Compiled) and isinstance(g.inner, Poly)
-               for g in poly.generators.values())
-    assert poly.is_polynomial() and poly.compiled() is poly
+def test_a_rep_stores_each_extended_generator_compiled_and_each_polynomial_as_its_poly():
+    # on every grid instance; a stored polynomial still folds
+    for rid, params in acceptance_grid():
+        for name, g in build(rid, params).generators.items():
+            assert isinstance(g, Compiled if g.as_weyl() is None else Poly), (rid, name)
+    poly = build("sl2_standard", {"n": 2})
     assert (poly.generator("J+") * poly.generator("J-")).as_weyl() == (
         poly.generator("J+").as_weyl() * poly.generator("J-").as_weyl())
+
+
+def test_a_copy_holds_the_same_generators_with_an_empty_memo():
+    # osp22_translated holds both kinds: Q1 = dth is a Poly
+    rep = build("osp22_translated", {"n": 2, "delta": rat(1, 2)})
+    assert {type(g) for g in rep.generators.values()} == {Compiled, Poly}
+    rep.memo("key", object)
+    copy = dataclasses.replace(rep)
+    assert not copy._memos and rep._memos
+    assert list(copy.generators) == list(rep.generators)
+    assert all(copy.generators[name] is g for name, g in rep.generators.items())
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2q", {"alpha": 2, "q": 2, "delta": 1}),
+    ("osp22_translated", {"n": 2, "delta": rat(1, 2)}),
+    ("sl3_translated", {"n": 1, "delta1": 1, "delta2": rat(1, 2)}),
+])
+def test_a_second_report_forms_no_column(rid, params):
+    # a report reads each image of a basis state from the Compiled nodes the
+    # rep holds, so a second report of the same rep reads the same bytes
+    # and forms no column in any of them
+    rep = build(rid, params)
+    first = full_verify(rep).to_json()
+    nodes = {id(node): node for g in rep.generators.values() for node in _reached(g)
+             if isinstance(node, Compiled)}
+    formed = {key: set(node._cols) for key, node in nodes.items()}
+    assert all(formed.values())
+    assert full_verify(rep).to_json() == first
+    assert {key: set(node._cols) for key, node in nodes.items()} == formed

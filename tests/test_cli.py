@@ -215,7 +215,7 @@ def test_cutoff_flag_is_the_reps_cutoff(capsys, argv):
     if command == "verify":
         payload = full_verify(rep).to_json()
     elif command == "casimir":
-        measured, checks, claim = casimir_check(rep.compiled())
+        measured, checks, claim = casimir_check(rep)
         payload = {"rep": rep_id, "params": {k: str(v) for k, v in sorted(rep.params.items())},
                    "name": rep.casimir.name, "claimed": str(rep.casimir.claimed),
                    "measured": str(measured), "checks": [c.to_json() for c in checks],
@@ -335,11 +335,41 @@ def test_report_all_counts_only_the_checks_that_ran(capsys):
      "94480af3eaff5e4ccc8bbfbd08fe45de6139062059524610f73f4f1a59cf6e59"),
     (["sl2_standard", "n=2", "--gen", "J+", "--decimal", "--format", "json"],
      "062c736cd03dd9b70e66633f08d45521ea3a563405cbb81de5715d4cff28181b"),
+    # --decimal prints the approximate entries in pretty output
+    (["osp22_metaplectic", "--gen", "Q2", "--decimal"],
+     "eeb4d63b5d2278c139809fb79b88c7b93ba7a0e52d5a70c23a2c4be08d8d4e50"),
 ])
 def test_matrix_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "matrix", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, params, options", [
+    ("verify", ["sl2_standard", "n=2"], ["--cutoff", "3"]),
+    ("matrix", ["osp22", "n=2"], ["--gen", "Q1", "--cutoff", "3"]),
+    ("cross", ["sl2_translated", "n=3", "delta=1/2"], ["--realization", "fd"]),
+])
+def test_parameters_may_follow_an_option(capsys, command, params, options):
+    # the params positional ends at the first option; a name=value after
+    # one is a parameter all the same, and every order prints the same bytes
+    rep, *pairs = params
+    first = run(capsys, command, rep, *pairs, *options)
+    assert first[0] == 0 and first[1]
+    assert run(capsys, command, rep, *options, *pairs) == first
+    assert run(capsys, command, rep, pairs[0], *options, *pairs[1:]) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sl2_standard", "--bogus", "n=2"],
+    ["verify", "sl2_standard", "--cutoff", "3", "oops"],
+    ["list", "n=2"],
+])
+def test_a_leftover_that_is_no_parameter_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
 
 
 def test_unavailable_realization_exits_two(capsys):

@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -477,6 +479,22 @@ def test_shared_compiles_an_extended_node_and_lets_a_polynomial_fold():
         assert to_matrix(shared(atilde), 5).cols == to_matrix(atilde, 5).cols
 
 
+def _compiled_calls(tree) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "Compiled" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_shared_makes_a_compiled_node():
+    # a Compiled(...) call anywhere in the library is the one inside fock.shared
+    library = Path(fock.__file__).parent
+    calls = {path.stem: _compiled_calls(ast.parse(path.read_text()))
+             for path in sorted(library.glob("*.py"))}
+    shared_def, = (node for node in ast.parse(Path(fock.__file__).read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "shared")
+    assert len(_compiled_calls(shared_def)) == 1
+    assert {stem: len(found) for stem, found in calls.items() if found} == {"fock": 1}
+
+
 def test_compiled_images_survive_their_consumers():
     # a unit state's image is the cached column itself, so every consumer
     # must build a new vector instead of writing into it
@@ -498,7 +516,7 @@ def test_compiled_images_survive_their_consumers():
 def test_compiled_columns_survive_the_checks():
     # closure, casimir_check and invariant_subspace read the generators'
     # cached columns; every column must be as it was made
-    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)}).compiled()
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
     keys = basis_states(rep.modes, rep.default_cutoff + 2 * rep.max_generator_raise())
     before = {(name, key): dict(g.column(key))
               for name, g in rep.generators.items() for key in keys}

@@ -325,7 +325,7 @@ def test_compiled_kits_give_the_same_matrices():
         if rid.endswith("_translated"):
             # the counterpart is the catalogue's own formula over the same kit
             counterpart = abstract_counterpart(rep, "fd")
-            assert _same_matrices(counterpart.generators, rep.generators, cutoff), rid
+            assert _same_matrices(counterpart, rep.generators, cutoff), rid
 
 
 def test_cross_check_leaves_the_catalogue_rep_alone():
@@ -394,20 +394,23 @@ def test_compiled_kits_share_each_formulas_intermediate():
                    for name in names), rid
 
 
-def _recording_shared(monkeypatch) -> dict:
-    """Record, from now on, each Compiled node that catalogue.shared hands
-    out: every pair node of a Kit made and every intermediate a formula
-    shares, by id."""
-    made = {}
+def _recording_shared(monkeypatch) -> list:
+    """Record, from now on, each node that catalogue.shared hands out, in
+    order: every pair node of a Kit made, every intermediate a formula
+    shares and every generator a RepSpec stores."""
+    handed = []
 
     def recording(x):
         node = fock.shared(x)
-        if isinstance(node, Compiled):
-            made[id(node)] = node
+        handed.append(node)
         return node
 
     monkeypatch.setattr(catalogue, "shared", recording)
-    return made
+    return handed
+
+
+def _compiled_by_id(nodes) -> dict:
+    return {id(node): node for node in nodes if isinstance(node, Compiled)}
 
 
 def _held_once(gens: dict, node: Compiled) -> list:
@@ -449,14 +452,19 @@ def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, rid, param
     # on the catalogue rep, each realized kind and the fd counterpart, each
     # kit pair node and each formula intermediate is one Compiled node,
     # held by every generator that uses it and never bare
-    made = _recording_shared(monkeypatch)
+    handed = _recording_shared(monkeypatch)
     rep = build(rid, params)
     if kind is None:
-        sets = [rep.generators, rep.compiled().generators]  # a report keeps them
+        # build's last shared calls store the rep's generators, one each
+        m = len(rep.generators)
+        assert all(x is g for x, g in zip(handed[-m:], rep.generators.values()))
+        made = _compiled_by_id(handed[:-m])
+        sets = [rep.generators, dataclasses.replace(rep).generators]  # a report keeps them
     else:
-        made.clear()
-        sets = [abstract_counterpart(rep, "fd").generators if kind == "fd counterpart"
+        handed.clear()
+        sets = [abstract_counterpart(rep, "fd") if kind == "fd counterpart"
                 else realize_generators(rep, kind)]
+        made = _compiled_by_id(handed)
     assert len(made) == count
     for gens in sets:
         for node in made.values():

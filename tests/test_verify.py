@@ -547,18 +547,15 @@ def test_structure_constants_graded_antisymmetry():
 
 
 def test_full_verify_leaves_the_callers_generators_alone():
-    # J- is the q-pair's lowering node, which the kit holds Compiled; the
-    # report wraps the other generators in its own copy only
+    # the rep stores each generator Compiled (J- is the q-pair's lowering
+    # node, which the kit holds so), and the report reads the same nodes
+    # through its own copy
     rep = build("sl2q", {"alpha": 1, "q": 2, "delta": rat(1, 3)})
     before = dict(rep.generators)
     assert full_verify(rep).passed
     assert list(rep.generators) == list(before)
     assert all(rep.generators[name] is g for name, g in before.items())
-    assert [name for name, g in rep.generators.items() if isinstance(g, Compiled)] == ["J-"]
-    compiled = rep.compiled()
-    assert all(isinstance(g, Compiled) for g in compiled.generators.values())
-    again = compiled.compiled()
-    assert all(again.generators[name] is g for name, g in compiled.generators.items())
+    assert all(isinstance(g, Compiled) for g in rep.generators.values())
 
 
 def test_closure_leaves_the_callers_generators_alone():
@@ -569,9 +566,9 @@ def test_closure_leaves_the_callers_generators_alone():
         assert result.passed
         assert rep.generators == before
         assert all(rep.generators[name] is g for name, g in before.items())
-        # only the shift pair's lowering node J- = ahat is Compiled, by its kit
-        assert [name for name, g in rep.generators.items()
-                if isinstance(g, Compiled)] == ["J-"] * rep.rep_id.endswith("_translated")
+        # each extended generator is stored Compiled and each polynomial one a Poly
+        stored = Compiled if rep.rep_id.endswith("_translated") else Poly
+        assert all(type(g) is stored for g in rep.generators.values())
 
 
 @pytest.mark.parametrize("rep_id, params", [
@@ -580,15 +577,19 @@ def test_closure_leaves_the_callers_generators_alone():
     ("sl3_translated", {"n": 2, "delta1": 1, "delta2": rat(1, 2)}),
 ])
 def test_checks_agree_on_compiled_generators(rep_id, params):
+    # the checks read the same on generators whose column caches a report
+    # has filled as on a fresh build's empty ones
     rep = build(rep_id, params)
-    compiled = rep.compiled()
-    assert check_relations(compiled) == check_relations(rep)
-    assert closure(compiled) == closure(rep)
+    full_verify(rep)
+    warm = dataclasses.replace(rep)
+    cold = build(rep_id, params)
+    assert check_relations(warm) == check_relations(cold)
+    assert closure(warm) == closure(cold)
     if rep.casimir is None:  # the check table gives it no Casimir line
         assert full_verify(rep).check("casimir_commutes") is None
     else:
-        assert casimir_check(compiled) == casimir_check(rep)
-    assert invariant_subspace(compiled) == invariant_subspace(rep)
+        assert casimir_check(warm) == casimir_check(cold)
+    assert invariant_subspace(warm) == invariant_subspace(cold)
 
 
 def _bumps(rep):
@@ -677,7 +678,7 @@ def test_normal_form_decisions_match_the_probe_oracles():
     # instance, each +1 bump of five polynomial families at n <= 2 and four
     # mutants past the default cutoff, two of them past the floored probe
     # too (a^5 in J+, a^7 in an alt form); both called directly and, as
-    # full_verify calls them, on one compiled rep whose word products they
+    # full_verify calls them, on one fresh copy whose word products they
     # share; sl2_oscillator's bumps break alt forms
     reps = _polynomial_small_grid()
     for rid, params in _BUMPED_FAMILIES:
@@ -697,7 +698,7 @@ def test_normal_form_decisions_match_the_probe_oracles():
                             + max(0, lhs.max_raise(), rhs.max_raise()))
         relations, alt_forms = probe_relations(rep, reach), probe_alt_forms(rep, reach)
         commutes = probe_casimir_commutes(rep, reach) if rep.casimir else None
-        compiled = rep.compiled()
+        copy = dataclasses.replace(rep)
         assert [(r.name, r.status) for r in check_relations(rep)] == [
             (line, "FAIL" if differs else "PASS") for line, differs in verdicts["relation"].items()]
         assert [(a.generator, a.status) for a in check_alt_forms(rep)] == [
@@ -707,17 +708,17 @@ def test_normal_form_decisions_match_the_probe_oracles():
                     if "[C,%s]: " % name in casimir_check(rep)[1][0].witness} == {
                 name for name, differs in verdicts["casimir"].items() if differs}
         assert check_relations(rep) == relations
-        assert check_relations(compiled) == relations
+        assert check_relations(copy) == relations
         # each two-letter relation word is read as a bracket of the memo,
         # none is multiplied out, and with no relations nothing is formed
-        assert _memo_brackets(compiled) == {
+        assert _memo_brackets(copy) == {
             frozenset(word) for word in _relation_words(rep) if len(word) == 2}
-        assert all(len(word) < 2 for word in _memo_products(compiled))
-        assert rep.relations or not _memo_products(compiled)
-        assert check_alt_forms(rep) == alt_forms == check_alt_forms(compiled)
+        assert all(len(word) < 2 for word in _memo_products(copy))
+        assert rep.relations or not _memo_products(copy)
+        assert check_alt_forms(rep) == alt_forms == check_alt_forms(copy)
         if commutes is not None:
             assert casimir_check(rep)[1][0] == commutes
-            assert casimir_check(compiled)[1][0] == commutes
+            assert casimir_check(copy)[1][0] == commutes
             seen["casimir_commutes " + commutes.status] += 1
         seen.update("relation " + r.status for r in relations)
         seen.update("alt " + a.status for a in alt_forms)
@@ -1000,7 +1001,8 @@ def test_copies_start_with_empty_memos():
     assert _memo_brackets(rep) == {
         frozenset(word) for word in _relation_words(rep) if len(word) == 2}
     assert _memo_products(rep) and RepSpec.space_columns in rep._memos
-    for copy in (dataclasses.replace(rep, generators=dict(rep.generators)), rep.compiled()):
+    for copy in (dataclasses.replace(rep),
+                 dataclasses.replace(rep, generators=dict(rep.generators))):
         assert not copy._memos
 
 
@@ -1201,15 +1203,17 @@ def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
     # each generator's column is read on the probe states and on the states
     # the brackets reach, not once per pair and probe state; the matrix
     # probe runs on extended reps only
-    rep = build("osp22_translated", {"n": 2, "delta": 1}).compiled()
+    # (osp22_translated's Q1 and Qb1 are stored as their Poly)
+    rep = build("osp22_translated", {"n": 2, "delta": 1})
     sc, result = closure(rep)
     assert result.passed
     probe = int(re.search(r"probe degree (\d+)", result.detail).group(1))
     gens = list(rep.generators.values())
+    assert any(isinstance(g, Poly) for g in gens)
     states = basis_states(rep.modes, probe)
-    images = {key for g in gens for state in states for key in g.column(state)}
+    images = {key for g in gens for state in states for key in g.apply({state: 1})}
     calls = Counter()
-    column = Compiled.column
+    column, poly_apply = Compiled.column, Poly.apply
 
     def counting(self, key):
         # the generators' own columns; a shared inner node's are not closure's
@@ -1217,7 +1221,13 @@ def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
             calls[key] += 1
         return column(self, key)
 
+    def counting_poly(self, terms):
+        if any(self is g for g in gens):
+            calls.update(terms)
+        return poly_apply(self, terms)
+
     monkeypatch.setattr(Compiled, "column", counting)
+    monkeypatch.setattr(Poly, "apply", counting_poly)
     assert closure(rep) == (sc, result)
     m = len(gens)
     assert 0 < sum(calls.values()) <= m * (len(states) + len(images)) < m * m * len(states)
@@ -1237,7 +1247,7 @@ def test_extended_casimir_commutes_matches_the_probe_oracle(rid, params):
     # status, detail and witness: on every extended --grid small instance
     # with a Casimir and a shift-transformed sl2q, and on each of their
     # generators bumped by one Fock monomial (the unit, b or a); as the
-    # check runs alone and as full_verify runs it, on a compiled copy
+    # check runs alone and as full_verify runs it, on a fresh copy
     rep = build(rid, params)
     modes = rep.modes
     reps = [rep]
@@ -1250,7 +1260,7 @@ def test_extended_casimir_commutes_matches_the_probe_oracle(rid, params):
     for bumped in reps:
         expected = probe_casimir_commutes(bumped)
         assert casimir_check(bumped)[1][0] == expected
-        assert casimir_check(bumped.compiled())[1][0] == expected
+        assert casimir_check(dataclasses.replace(bumped))[1][0] == expected
         # a cutoff of 0 is floored alike on both sides
         assert casimir_check(dataclasses.replace(bumped, default_cutoff=0))[1][0] == \
             probe_casimir_commutes(bumped, 0)
@@ -1344,14 +1354,14 @@ def test_transported_lines_equal_the_probe_lines(monkeypatch):
                             if rid.endswith("_translated")) if rep.relations]
     assert len(reps) == 36 and sum(rep.casimir is not None for rep in reps) == 18
     for rep in reps:
-        compiled = rep.compiled()
-        assert verify._preimages(compiled) is not None
-        relations, commutes = _probe_path(monkeypatch, compiled)
-        assert check_relations(compiled) == relations == verify._relation_lines(
-            compiled, verify._probe_cutoff(compiled))
+        copy = dataclasses.replace(rep)
+        assert verify._preimages(copy) is not None
+        relations, commutes = _probe_path(monkeypatch, copy)
+        assert check_relations(copy) == relations == verify._relation_lines(
+            copy, verify._probe_cutoff(copy))
         assert all(r.passed for r in relations)
         if rep.casimir:
-            assert casimir_check(compiled)[1][0] == commutes == probe_casimir_commutes(rep)
+            assert casimir_check(copy)[1][0] == commutes == probe_casimir_commutes(rep)
 
 
 def test_check_relations_guards_the_pair_at_the_probe_cutoff_of_its_copy(monkeypatch):
@@ -1467,7 +1477,7 @@ def _decided_as_the_probe_does(monkeypatch, bad):
     """full_verify(bad)'s relation lines, after checking they are the probe
     path's, witnesses included, and the check_identity calls full_verify
     made."""
-    probe = _probe_path(monkeypatch, bad.compiled())[0]
+    probe = _probe_path(monkeypatch, dataclasses.replace(bad))[0]
     calls = _record_identity_probes(monkeypatch)
     lines = [c for c in full_verify(bad).checks if c.name.startswith("relation ")]
     assert lines == probe
@@ -1484,7 +1494,7 @@ def test_a_bosonic_polynomial_bump_has_no_preimage_and_is_probed(monkeypatch):
         (_osp22_translated(Q2=lambda g: g + Poly(WeylElement.a(modes) ** 5)),
          ["L06", "L07", "L08", "L09", "L11", "L15", "L16"]),
     ]:
-        assert verify._preimages(bad.compiled()) is None
+        assert verify._preimages(dataclasses.replace(bad)) is None
         lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
         assert [c.name for c in lines if not c.passed] == ["relation " + x for x in failing]
         assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
@@ -1498,7 +1508,7 @@ def test_a_fermion_bump_is_decided_through_its_preimage(monkeypatch):
     modes = ModeSystem(1, 1)
     thdth = Poly(WeylElement.theta(modes) * WeylElement.dtheta(modes)).scale(rat(1, 3))
     bad = _osp22_translated(J=lambda g: g + thdth)
-    pre = verify._preimages(bad.compiled())
+    pre = verify._preimages(dataclasses.replace(bad))
     assert pre is not None
     nonzero = [rel for rel in bad.relations
                if not (pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)).is_zero()]
@@ -1516,7 +1526,7 @@ def test_a_bump_beyond_the_probe_range_fails_through_its_preimage(monkeypatch):
     bump = Poly(WeylElement.a(rep.modes) ** 9)
     bad = dataclasses.replace(rep, generators=dict(
         rep.generators, **{"T+": rep.generator("T+") + bump}))
-    assert verify._preimages(bad.compiled()) is None
+    assert verify._preimages(dataclasses.replace(bad)) is None
     lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
     assert all(c.passed for c in lines)
     assert _other_probes(bad, calls)
@@ -1524,7 +1534,7 @@ def test_a_bump_beyond_the_probe_range_fails_through_its_preimage(monkeypatch):
 
     bad = dataclasses.replace(rep, generators=dict(
         rep.generators, **{"T+": rep.generator("T+") + rep.generator("T-") ** 9}))
-    assert verify._preimages(bad.compiled()) is not None
+    assert verify._preimages(dataclasses.replace(bad)) is not None
     calls = _record_identity_probes(monkeypatch)
     report = full_verify(bad)
     failing = [c for c in report.checks if c.name.startswith("relation ") and not c.passed]
@@ -1573,7 +1583,7 @@ def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
         kit, rep.params))
     pre, _ = preimages(list(bad.generators.values()))
     assert pre == [g.as_weyl() for g in build("osp22", {"n": 2}).generators.values()]
-    assert verify._preimages(bad.compiled()) is None
+    assert verify._preimages(dataclasses.replace(bad)) is None
     lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
     assert not all(c.passed for c in lines)
     assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
@@ -1586,15 +1596,15 @@ def test_a_casimir_bump_through_the_pair_fails_as_the_probe_does(monkeypatch):
     rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
     bad = dataclasses.replace(rep, generators=dict(
         rep.generators, **{"J+": rep.generator("J+") + rep.generator("J-")}))
-    compiled = bad.compiled()
-    pre = verify._preimages(compiled)
+    copy = dataclasses.replace(bad)
+    pre = verify._preimages(copy)
     c = pre.word_sum(bad.casimir.terms)
     nonzero = [name for name in bad.generators
                if not weyl.bracket(c, pre.generator(name).as_weyl(), False).is_zero()]
     assert nonzero and nonzero != list(bad.generators)
-    commutes = _probe_path(monkeypatch, compiled)[1]
+    commutes = _probe_path(monkeypatch, copy)[1]
     calls = _record_identity_probes(monkeypatch)
-    assert casimir_check(compiled)[1][0] == commutes
+    assert casimir_check(copy)[1][0] == commutes
     assert not commutes.passed
     assert [name for name in bad.generators if "[C,%s]: " % name in commutes.witness] == nonzero
     assert not calls
