@@ -37,7 +37,9 @@ def parse_params(pairs) -> dict:
             raise UsageError("parameter %s given more than once" % name)
         try:
             params[name] = rat(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise UsageError("bad rational %r for %s: zero denominator" % (value, name))
+        except ValueError as exc:
             raise UsageError("bad rational %r for %s: %s" % (value, name, exc))
     return params
 

@@ -27,7 +27,8 @@ cutoff, a finite probe and not a proof, with the Casimir stored shared
 (fock.shared) so each state's image is formed once.  Extended closure is
 a matrix probe that sums each bracket over the generators' nonzero
 columns and never calls weyl.  The symbolic closure and the Casimir
-centrality check form each bracket with weyl.bracket.
+centrality check form each bracket with weyl.bracket, which reads each
+monomial pair's bracket from weyl's process-wide pair table.
 
 Every check takes only the rep and probes at its default_cutoff, as does
 the shift-pair guard (_preimages); another cutoff is another rep.

@@ -15,12 +15,11 @@ Production reordering uses the closed form
 per bosonic mode, expanded only on the contracting modes of a monomial
 pair (where m and k are both nonzero; every other mode just adds its
 exponents), and transposition-counted Koszul signs for fermions, skipped
-when the right monomial has none.  A super-bracket is one kernel,
-bracket(x, y, anti): u v and v u share their juxtaposed term (the one with
-no contraction) up to the Koszul sign, so each monomial pair contributes
-only its contraction terms in both orders and that term doubled or not at
-all.  The independent single-swap rewriter lives in the test suite as an
-oracle.
+when the right monomial has none.  Each monomial pair's product, commutator
+or anticommutator is normal-ordered once per process, with unit
+coefficient, into one cached pair table (_pair); multiply and
+bracket(x, y, anti) scale its entries by the terms' coefficients.  The
+independent single-swap rewriter lives in the test suite as an oracle.
 
 Fermionic sign convention: moving any fermionic generator past another
 (distinct) one contributes one factor -1 per adjacent transposition.
@@ -29,6 +28,7 @@ Fermionic sign convention: moving any fermionic generator past another
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 
 from .scalars import exact, inverse
@@ -227,58 +227,51 @@ class WeylElement:
 
 def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
     """Normal-ordered product."""
-    _check_modes(x, y)
-    p = x.modes.bosonic
-    terms: dict = {}
-    for u, c1 in x.terms.items():
-        for v, c2 in y.terms.items():
-            _expand(terms, u, v, c1 * c2, p)
-    return WeylElement(x.modes, terms)
+    return _combine(x, y, None)
 
 
 def bracket(x: WeylElement, y: WeylElement, anti: bool) -> WeylElement:
-    """x y + y x when anti, else x y - y x, formed from the terms that survive.
+    """x y + y x when anti, else x y - y x: each monomial pair's bracket is
+    read from the pair table (_pair), where the terms of u v and v u that
+    cancel are already gone, so a pair whose bracket is zero costs no
+    arithmetic."""
+    return _combine(x, y, anti)
 
-    Of u v and v u, for monomials u of x and v of y, only the contraction
-    terms can differ; their juxtaposed terms (no contraction) agree up to the
-    Koszul sign (-1)^(|u| |v|) of the fermion parities.  So each pair gives
-    its contraction terms in both orders, and its juxtaposed term doubled
-    where that sign keeps it (|u| |v| differs from anti); a pair with
-    neither is skipped before any arithmetic.
-    """
+
+def _combine(x: WeylElement, y: WeylElement, kind) -> WeylElement:
+    """The sum of c1 c2 _pair(u, v, kind) over the terms c1 u of x and c2 v
+    of y."""
     _check_modes(x, y)
-    p = x.modes.bosonic
     terms: dict = {}
-    right = [(v, c2, monomial_parity(v)) for v, c2 in y.terms.items()]
     for u, c1 in x.terms.items():
-        pu = monomial_parity(u)
-        for v, c2, pv in right:
-            keep = (pu & pv) != anti
-            uv, vu = _contracts(u, v), _contracts(v, u)
-            if not (keep or uv or vu):
-                continue
-            c = c1 * c2
-            if keep or uv:
-                _expand(terms, u, v, c, p, 2 if keep else 0)
-            if vu:
-                _expand(terms, v, u, c if anti else -c, p, 0)
+        for v, c2 in y.terms.items():
+            table = _pair(u, v, kind)
+            if table:
+                c = c1 * c2
+                for mono, d in table:
+                    accumulate(terms, mono, c if d == 1 else c * d)
     return WeylElement(x.modes, terms)
 
 
-def _contracts(u: Monomial, v: Monomial) -> bool:
-    """True when the product u v has a contraction term: some a_i of u meets
-    a b_i of v, or some dth_j of u a th_j of v."""
-    return bool(u[3] & v[2]) or any(map(min, u[1], v[0]))
+@cache
+def _pair(u: Monomial, v: Monomial, kind) -> tuple:
+    """The normal form of u v (kind None), u v - v u (False) or u v + v u
+    (True) for monomials u, v, with unit coefficient: a tuple of
+    (monomial, int), each int nonzero.  Formed once per process: p is
+    len(u[0]) and the fermion masks alone fix the signs, so (u, v, kind) is
+    the whole key."""
+    out: dict = {}
+    _expand(out, u, v, 1)
+    if kind is not None:
+        _expand(out, v, u, 1 if kind else -1)
+    return tuple(out.items())
 
 
-def _expand(out: dict, u: Monomial, v: Monomial, c, p: int, juxtaposed=1):
-    """out += c u v for monomials u, v: every contraction term of the
-    normal-ordered product, and its juxtaposed term times `juxtaposed`
-    (1 in a product, 0 or 2 in a bracket)."""
+def _expand(out: dict, u: Monomial, v: Monomial, c: int):
+    """out += c u v, normal-ordered, for monomials u, v and an int c."""
     bp1, ap1, th1, dth1 = u
     bp2, ap2, th2, dth2 = v
-    # fermionic part: fold v's generators into u's normal-ordered word; the
-    # juxtaposed word, where there is one, comes last
+    # fermionic part: fold v's generators into u's normal-ordered word
     if th2 or dth2:
         ferm = _ferm_multiply(th1, dth1, th2, dth2)
         if not ferm:
@@ -286,39 +279,27 @@ def _expand(out: dict, u: Monomial, v: Monomial, c, p: int, juxtaposed=1):
     else:
         ferm = (((th1, dth1), 1),)
     # bosonic part: a1^m b2^k reorders by the closed form only on the
-    # contracting modes, where m and k are both nonzero; the juxtaposed term
-    # (j = 0 on every mode) comes first
+    # contracting modes, where m and k are both nonzero
     prods = [(tuple(s + t for s, t in zip(bp1, bp2)),
               tuple(s + t for s, t in zip(ap1, ap2)), c)]
-    for i in range(p):
-        m, k = ap1[i], bp2[i]
+    for i, (m, k) in enumerate(zip(ap1, bp2)):
         if m and k:
             prods = [(b[:i] + (b[i] - j,) + b[i + 1:],
                       a[:i] + (a[i] - j,) + a[i + 1:],
-                      c * (comb(m, j) * comb(k, j) * factorial(j)) if j else c)
+                      c * comb(m, j) * comb(k, j) * factorial(j))
                      for b, a, c in prods for j in range(min(m, k) + 1)]
-    # where u and v share a th or a dth the juxtaposed term is 0, and every
-    # term is a contraction term
-    if juxtaposed != 1 and not (th1 & th2 or dth1 & dth2):
-        (bp, ap, c0), prods = prods[0], prods[1:]
-        *rest, ((th, dth), sign) = ferm
-        if juxtaposed:
-            accumulate(out, (bp, ap, th, dth), c0 * (juxtaposed * sign))
-        for (th, dth), sign in rest:
-            accumulate(out, (bp, ap, th, dth), c0 if sign == 1 else -c0)
     for bp, ap, c in prods:
         for (th, dth), sign in ferm:
-            accumulate(out, (bp, ap, th, dth), c if sign == 1 else -c)
+            accumulate(out, (bp, ap, th, dth), c * sign)
 
 
 def _ferm_multiply(th1: int, dth1: int, th2: int, dth2: int):
     """Multiply two normal-ordered fermionic words; list of ((th, dth), sign).
 
     Folds the generators of the right factor (th block ascending, then dth
-    block ascending) into the left word one at a time.  Each th branches
-    into its contraction first and its juxtaposition second, so the word
-    with no contraction, where there is one, comes last (_expand reads it
-    there).
+    block ascending) into the left word one at a time; a th of the right
+    factor meeting a dth of the word branches into its contraction and its
+    juxtaposition.
     """
     words = [((th1, dth1), 1)]
     m = th2

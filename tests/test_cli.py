@@ -158,6 +158,12 @@ def test_repeated_parameter_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "more than once" in err
 
 
+def test_a_zero_denominator_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "osp22_translated", "n=1", "delta=1/0")
+    assert code == 2 and out == ""
+    assert err == "error: bad rational '1/0' for delta: zero denominator\n"
+
+
 def test_casimir_command(capsys):
     code, out, _ = run(capsys, "casimir", "sl2_metaplectic", "--format", "json")
     assert code == 0

@@ -1,14 +1,18 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockrep import weyl
 from fockrep.catalogue import build
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import SQRT2, Scalar, rat
+from fockrep.verify import full_verify
 from fockrep.weyl import ModeSystem, WeylElement, bracket, multiply
 
 from oracles import swap_multiply
+from pinning import check_pinned
 
 B1 = ModeSystem(1, 0)
 B2 = ModeSystem(2, 0)
@@ -207,6 +211,52 @@ def test_bracket_doubles_a_juxtaposed_term_the_sign_keeps():
     x = th + dth
     assert bracket(x, x, True) == _swap_bracket(x, x, True) == WeylElement.scalar(ms, 2)
     assert bracket(x, x, False).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factor_pairs(), st.permutations([None, False, True]),
+       st.lists(st.sampled_from([1, -2, rat(1, 2), SQRT2, SQRT2 + 1]), min_size=2, max_size=2))
+def test_the_pair_table_holds_unit_terms_of_each_kind(pair, kinds, scales):
+    # a cold table, filled in a drawn order of product, commutator and
+    # anticommutator and read again under another coefficient: each result
+    # is the oracle's, and every entry is a tuple of (monomial, nonzero int),
+    # one per (u, v, kind), so no entry keeps a caller's coefficient or a
+    # Scalar, and no kind reads another kind's entry
+    x, y = pair
+    weyl._pair.cache_clear()
+    for s in scales:
+        xs = x.scale(s)
+        for kind in kinds:
+            if kind is None:
+                assert multiply(xs, y) == swap_multiply(xs, y)
+            else:
+                assert bracket(xs, y, kind) == _swap_bracket(xs, y, kind)
+    keys = [(u, v, kind) for u in x.terms for v in y.terms for kind in kinds]
+    filled = weyl._pair.cache_info()
+    assert filled.currsize == filled.misses == len(keys)
+    p = x.modes.bosonic
+    for key in keys:
+        for mono, d in weyl._pair(*key):
+            assert type(d) is int and d
+            assert len(mono) == 4 and len(mono[0]) == len(mono[1]) == p
+    assert weyl._pair.cache_info().misses == filled.misses
+
+
+def test_a_cold_and_a_warm_pair_table_give_the_same_reports():
+    # the pair table outlives every rep: the small grid reported from an
+    # empty table, and again on freshly built reps from the full one, gives
+    # the pinned bytes both times, and the second pass forms no pair
+    def reports():
+        return json.dumps([full_verify(build(rep_id, params)).to_json()
+                           for rep_id, params in acceptance_grid(small=True)],
+                          indent=2, sort_keys=True) + "\n"
+
+    weyl._pair.cache_clear()
+    cold = reports()
+    filled = weyl._pair.cache_info()
+    assert reports() == cold
+    assert weyl._pair.cache_info().misses == filled.misses
+    check_pinned("small_grid", cold)
 
 
 def test_bracket_matches_swap_oracle_on_the_small_grid():
