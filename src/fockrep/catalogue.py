@@ -9,8 +9,8 @@ invariant space, irreducibility, alt forms and probe cutoff.  build reads
 the record, and so does realize, which calls the same formula over its own
 pairs.  A node is shared where it is made: a Kit stores each pair node,
 and a formula the one intermediate several generators contain, through
-fock.shared.  A translated family is its formula over the transformed
-canonical pair
+fock.shared; one kit per key is made for the process.  A translated
+family is its formula over the transformed canonical pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
@@ -25,6 +25,7 @@ mismatches are reported, never patched into the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .fock import (ExpA, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
@@ -105,7 +106,8 @@ class RepSpec:
     changed in place.  A generator built over a Kit also holds the kit's
     shared pair and intermediate nodes; their exact column caches, and the
     generators' own, belong to the nodes, not to a report, so every copy
-    and report reads and extends the same ones."""
+    and report reads and extends the same ones, and every rep over the
+    same kit the same pair columns."""
 
     rep_id: str
     params: dict
@@ -611,7 +613,7 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
     return ahat, bhat
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kit:
     """One implementation of the canonical pairs a family formula is written
     in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
@@ -620,23 +622,32 @@ class Kit:
     Each a[i] and b[i] is stored shared (fock.shared): a polynomial as it
     is, so polynomials still fold, and any other pair node Compiled, so
     every generator of a formula over the kit forms that node's image of a
-    basis state once.  The cached columns live as long as the generators
-    that hold them, a catalogue rep's beyond one report."""
+    basis state once.  Each kit constructor (fock_kit, q_kit and realize's
+    kits) is a process-wide memo keyed by what its pairs depend on, so one
+    kit per key lives for the process and every rep, realization and report
+    over it reads and extends the same cached columns: a pair node's image
+    of a basis state depends on its mode and step alone.  A kit is frozen
+    and holds tuples, so no formula can change what the others hold."""
 
-    a: list
-    b: list
-    th: list
-    dth: list
+    a: tuple
+    b: tuple
+    th: tuple
+    dth: tuple
     one: object
 
     def __post_init__(self):
-        self.a = [shared(x) for x in self.a]
-        self.b = [shared(x) for x in self.b]
+        put = object.__setattr__  # the fields are frozen
+        put(self, "a", tuple(map(shared, self.a)))
+        put(self, "b", tuple(map(shared, self.b)))
+        put(self, "th", tuple(self.th))
+        put(self, "dth", tuple(self.dth))
 
 
-def fock_kit(modes: ModeSystem, deltas=None) -> Kit:
+@cache
+def fock_kit(modes: ModeSystem, deltas: tuple = None) -> Kit:
     """The Fock pairs of `modes`; with per-mode `deltas`, the bosonic pairs
-    are the shift-transformed ones."""
+    are the shift-transformed ones.  One kit per (modes, deltas) per
+    process."""
     if deltas is None:
         pairs = [(Poly(WeylElement.a(modes, i)), Poly(WeylElement.b(modes, i)))
                  for i in range(1, modes.bosonic + 1)]
@@ -655,11 +666,11 @@ def _fock_pairs(modes, p) -> Kit:
 
 def _steps(*names):
     """(modes, p) -> the per-mode steps given by the named parameters."""
-    return lambda modes, p: [p[name] for name in names]
+    return lambda modes, p: tuple(p[name] for name in names)
 
 
-def _unit_steps(modes, p) -> list:
-    return [rat(1)] * modes.bosonic
+def _unit_steps(modes, p) -> tuple:
+    return (rat(1),) * modes.bosonic
 
 
 def _shifted(steps):
@@ -670,7 +681,13 @@ def _shifted(steps):
 def q_kit(modes, p) -> Kit:
     """sl2q's q-deformed pair (qheis.q_pair) at p's delta, spectral when p
     has none."""
-    atil, btil = q_pair(modes, 1, p["q"], p.get("delta", 0))
+    return _q_kit(modes, p["q"], p.get("delta", 0))
+
+
+@cache
+def _q_kit(modes, q, delta) -> Kit:
+    """q_kit's one kit per (modes, q, delta) per process."""
+    atil, btil = q_pair(modes, 1, q, delta)
     return Kit([atil], [btil], [], [], identity_op(modes))
 
 
@@ -821,7 +838,7 @@ class Family:
     modes: object  # p -> ModeSystem
     formula: object  # (kit, p) -> {name: generator}, in canonical order
     kit: object = _fock_pairs  # (modes, p) -> the Kit the catalogue builds over
-    fd_steps: object = None  # (modes, p) -> per-mode fd steps; None: no fd realization
+    fd_steps: object = None  # (modes, p) -> per-mode fd steps, a tuple; None: no fd realization
     check: object = _none  # p -> None, or CatalogueError
     relations: object = _empty  # p -> [RelationClaim]
     parities: object = _none  # generators -> {name: 0 | 1}; None: all even

@@ -39,8 +39,8 @@ def parse_params(pairs) -> dict:
             params[name] = rat(value.strip())
         except ZeroDivisionError:
             raise UsageError("bad rational %r for %s: zero denominator" % (value, name))
-        except ValueError as exc:
-            raise UsageError("bad rational %r for %s: %s" % (value, name, exc))
+        except ValueError:
+            raise UsageError("bad rational %r for %s: expected an integer or p/q" % (value, name))
     return params
 
 

@@ -14,9 +14,12 @@ state's image (its column) and its inner node's raise bound; other modules
 add leaves of their own.  A node is shared where it is made: shared gives
 the Compiled node that a kit pair, a formula's intermediate, a rep's
 generator or an extended Casimir is stored as, so everything holding it
-forms its image of a basis state once.  A node may carry a mark, the Weyl
-generator it stands for (OperatorExpr.marked), and preimages reads a tree
-of marked nodes, scalars and fermions back to its polynomial.
+forms its image of a basis state once.  A kit is made once per key for
+the process (catalogue.Kit), so its pair nodes and their columns are held
+by every rep and realization over the same pairs.  A node may carry a
+mark, the Weyl generator it stands for (OperatorExpr.marked), and
+preimages reads a tree of marked nodes, scalars and fermions back to its
+polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a

@@ -11,15 +11,20 @@ action is exact at every degree.
 Every realization is the family's own generator formula over a kit of
 function-space pairs: (d/dx, x) for the differential kind, the fd pair for
 fd and the Jackson pair for jackson, with Pauli-Kronecker matrices for the
-fermionic modes.  Cross-checks compare each realized generator with its
-abstract Fock counterpart state by state on the shared graded basis; the
-matrices of both are formed only where the images differ, to give the
-verdict and its witness.  The paper's displayed fd closed forms are not
-built here: the tests hold them as data and compare them with the fd
-realization.
+fermionic modes.  Each kit is made once per key for the process
+(differential_kit per modes, fd_kit per modes and steps, jackson_kit per
+modes and q), so every rep and realization over the same pairs reads and
+extends the same cached columns.  Cross-checks compare each realized
+generator with its abstract Fock counterpart state by state on the shared
+graded basis; the matrices of both are formed only where the images
+differ, to give the verdict and its witness.  The paper's displayed fd
+closed forms are not built here: the tests hold them as data and compare
+them with the fd realization.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
 from .fock import ExpA, MatrixRep, OperatorExpr, basis_states, identity_op, to_matrix
@@ -254,24 +259,36 @@ def _function_kit(modes: ModeSystem, pairs) -> Kit:
                identity_op(modes))
 
 
-def differential_kit(rep: RepSpec) -> Kit:
-    """a = d/dx_i and b = x_i per bosonic mode, th and dth the
-    Pauli-Kronecker matrices per fermionic mode; polynomial reps only."""
+def _polynomial_modes(rep: RepSpec) -> ModeSystem:
+    """The modes of a polynomial rep, the only kind with a differential form."""
     if not rep.is_polynomial():
         raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
-    modes = rep.modes
+    return rep.modes
+
+
+@cache
+def differential_kit(modes: ModeSystem) -> Kit:
+    """a = d/dx_i and b = x_i per bosonic mode, th and dth the
+    Pauli-Kronecker matrices per fermionic mode; one kit per modes."""
     return _function_kit(modes, [(Partial(modes, i), MultX(modes, i))
                                  for i in range(1, modes.bosonic + 1)])
 
 
-def fd_kit(modes: ModeSystem, deltas) -> Kit:
+@cache
+def fd_kit(modes: ModeSystem, deltas: tuple) -> Kit:
     """The finite-difference pairs per bosonic mode and the Pauli-Kronecker
-    matrices per fermionic mode."""
+    matrices per fermionic mode; one kit per (modes, deltas)."""
     return _function_kit(modes, [fd_pair(modes, i + 1, deltas[i])
                                  for i in range(modes.bosonic)])
 
 
-def _fd_steps(rep: RepSpec) -> list:
+@cache
+def jackson_kit(modes: ModeSystem, q) -> Kit:
+    """The Jackson pair (JacksonX, MultX) of the one mode; one kit per (modes, q)."""
+    return Kit([JacksonX(modes, 1, q)], [MultX(modes, 1)], [], [], identity_op(modes))
+
+
+def _fd_steps(rep: RepSpec) -> tuple:
     """The steps of the rep's fd realization, from its family record."""
     steps = family(rep.rep_id).fd_steps
     if steps is None:
@@ -290,16 +307,17 @@ def _jackson_q(rep: RepSpec):
 # kind -> (realized, counterpart): each (rep) -> the Kit that side puts into
 # the family's formula, raising RealizeError where the kind does not apply;
 # a counterpart of None is the rep itself, which the differential kind
-# realizes.  The fd pair is the coordinate image of the shift-transformed
+# realizes.  Each kit comes from its process-wide memo, one per key, so
+# every rep and realization over the same pairs reads the same cached
+# columns.  The fd pair is the coordinate image of the shift-transformed
 # pair, so the fd counterpart is the formula over the shift kit at the same
 # steps.  The Jackson pair realizes the spectral q-pair, so its counterpart
 # is the formula over q_kit given q alone, whatever the rep's step.
 KINDS = {
-    "differential": (differential_kit, None),
+    "differential": (lambda rep: differential_kit(_polynomial_modes(rep)), None),
     "fd": (lambda rep: fd_kit(rep.modes, _fd_steps(rep)),
            lambda rep: fock_kit(rep.modes, _fd_steps(rep))),
-    "jackson": (lambda rep: Kit([JacksonX(rep.modes, 1, _jackson_q(rep))], [MultX(rep.modes, 1)],
-                                [], [], identity_op(rep.modes)),
+    "jackson": (lambda rep: jackson_kit(rep.modes, _jackson_q(rep)),
                 lambda rep: q_kit(rep.modes, {"q": _jackson_q(rep)})),
 }
 

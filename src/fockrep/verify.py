@@ -44,7 +44,9 @@ symbolic closure read; each relation side and the Casimir
 invariant-space results and the preimage rep.  A rep stores each
 non-polynomial generator as one Compiled node (fock.shared), which the
 copy holds too, so a generator's image of a basis state is formed once
-for every check, report and copy of the rep.
+for every check, report and copy of the rep.  The pair nodes under it
+belong to its kit, one per key for the process (catalogue.Kit), so theirs
+are formed once for every rep built over the same pairs.
 """
 
 from __future__ import annotations

@@ -458,6 +458,7 @@ def fd_cross_check(rep, deltas) -> list:
     shift kit, both at deltas, compared generator by generator up to the
     rep's cutoff as cross_check compares them (realize._difference)."""
     formula = FAMILIES[rep.rep_id].formula
+    deltas = tuple(deltas)  # a kit is memoised on its steps
     abstract = formula(fock_kit(rep.modes, deltas), rep.params)
     results = []
     for name, op in formula(fd_kit(rep.modes, deltas), rep.params).items():

@@ -229,7 +229,7 @@ def test_two_shift_pairs_commute_across_modes(deltas):
     # sl3_translated's two steps: [ahat_i, bhat_j] = delta_ij, and the two
     # lowering and the two raising nodes commute, on every state of degree <= 8
     modes = ModeSystem(2, 0)
-    kit = fock_kit(modes, list(deltas))
+    kit = fock_kit(modes, deltas)
     nodes = kit.a + kit.b
     marks = [WeylElement.a(modes, 1), WeylElement.a(modes, 2),
              WeylElement.b(modes, 1), WeylElement.b(modes, 2)]

@@ -164,6 +164,13 @@ def test_a_zero_denominator_exits_two(capsys):
     assert err == "error: bad rational '1/0' for delta: zero denominator\n"
 
 
+@pytest.mark.parametrize("value", ["x", "nan"])
+def test_a_malformed_rational_names_the_expected_form(capsys, value):
+    code, out, err = run(capsys, "verify", "osp22_translated", "n=1", "delta=" + value)
+    assert code == 2 and out == ""
+    assert err == "error: bad rational %r for delta: expected an integer or p/q\n" % value
+
+
 def test_casimir_command(capsys):
     code, out, _ = run(capsys, "casimir", "sl2_metaplectic", "--format", "json")
     assert code == 0

@@ -9,11 +9,13 @@ from fockrep import catalogue, fock, realize
 from fockrep.catalogue import FAMILIES, build, fock_kit
 from fockrep.fock import (Compiled, OperatorExpr, Poly, Product, Scale, Sum,
                           basis_states, check_identity, identity_op, state_degree, to_matrix)
+from fockrep.grids import acceptance_grid
 from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
                              MultX, Partial, RealizeError, ShiftX,
                              abstract_counterpart, cross_check,
                              fd_kit, fd_pair, poly_to_matrix, realize_generators)
 from fockrep.scalars import Scalar, inverse, rat
+from fockrep.verify import full_verify
 from fockrep.weyl import ModeSystem, WeylElement
 from oracles import (clifford_identity, clifford_matmul, fd_cross_check, q_pair_fd,
                      weyl_to_differential)
@@ -205,8 +207,6 @@ def test_cross_check_refuses_a_negative_cutoff():
 def test_differential_formula_matches_the_relabeled_normal_form():
     # the reference the differential check used before it was the family's
     # formula: each generator's normal form relabeled monomial by monomial
-    from fockrep.grids import acceptance_grid
-
     checked = set()
     for rep_id, params in acceptance_grid(small=True):
         rep = build(rep_id, params)
@@ -448,10 +448,12 @@ SHARING = [
 
 
 @pytest.mark.parametrize("rid, params, kind, count", SHARING)
-def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, rid, params, kind, count):
+def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, fresh_kits, rid, params,
+                                                         kind, count):
     # on the catalogue rep, each realized kind and the fd counterpart, each
     # kit pair node and each formula intermediate is one Compiled node,
-    # held by every generator that uses it and never bare
+    # held by every generator that uses it and never bare; the kits start
+    # unmade, so the recorder sees each kit's pair nodes made
     handed = _recording_shared(monkeypatch)
     rep = build(rid, params)
     if kind is None:
@@ -461,6 +463,7 @@ def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, rid, param
         made = _compiled_by_id(handed[:-m])
         sets = [rep.generators, dataclasses.replace(rep).generators]  # a report keeps them
     else:
+        fresh_kits()  # a translated rep's fd counterpart is its own kit
         handed.clear()
         sets = [abstract_counterpart(rep, "fd") if kind == "fd counterpart"
                 else realize_generators(rep, kind)]
@@ -469,6 +472,77 @@ def test_each_pair_and_intermediate_is_one_compiled_node(monkeypatch, rid, param
     for gens in sets:
         for node in made.values():
             assert _held_once(gens, node), (rid, kind)
+
+
+def _held_compiled(gens: dict) -> set:
+    return {id(node) for op in gens.values() for node in _nodes(op) if isinstance(node, Compiled)}
+
+
+def test_one_kit_per_key_is_shared_by_every_build(fresh_kits):
+    # two builds over the same (modes, steps) hold the identical pair nodes,
+    # the memo's kit's, and nothing else in common; other steps, other nodes
+    half = rat(1, 2)
+    one, four = (build("sl2_translated", {"n": n, "delta": half}) for n in (1, 4))
+    kit = fock_kit(one.modes, (half,))
+    assert _held_compiled(one.generators) & _held_compiled(four.generators) == \
+        {id(x) for x in kit.a + kit.b}
+    other = build("sl2_translated", {"n": 1, "delta": rat(1)})
+    assert not _held_compiled(one.generators) & _held_compiled(other.generators)
+    one, four = (build("gl_super", {"k": 1, "r": 1, "n": n}) for n in (1, 4))
+    fd_one, fd_four = realize_generators(one, "fd"), realize_generators(four, "fd")
+    kit, other = fd_kit(one.modes, (rat(1),)), fd_kit(one.modes, (half,))
+    assert _held_compiled(fd_one) & _held_compiled(fd_four) == {id(x) for x in kit.a + kit.b}
+    assert not {id(x) for x in kit.a + kit.b} & {id(x) for x in other.a + other.b}
+
+
+def test_a_cold_and_a_warm_kit_give_the_same_reports(fresh_kits):
+    # the small grid's reports and its cross results, from unmade kits and
+    # again on freshly built reps over the kits the first pass made, are the
+    # same bytes, and the reports are the pinned ones
+    def passes():
+        reports, crosses = [], []
+        for rep_id, params in acceptance_grid(small=True):
+            reports.append(full_verify(build(rep_id, params)).to_json())
+            for kind in realize.KINDS:
+                try:
+                    crosses.append([dataclasses.asdict(r)
+                                    for r in cross_check(build(rep_id, params), kind)])
+                except RealizeError:
+                    continue
+        return (json.dumps(reports, indent=2, sort_keys=True) + "\n",
+                json.dumps(crosses, sort_keys=True))
+
+    cold = passes()
+    assert fd_kit.cache_info().currsize and fock_kit.cache_info().currsize
+    made = [memo.cache_info().misses for memo in (fock_kit, fd_kit)]
+    assert passes() == cold
+    assert [memo.cache_info().misses for memo in (fock_kit, fd_kit)] == made
+    check_pinned("small_grid", cold[0])
+
+
+def test_a_bump_over_a_shared_kit_does_not_leak():
+    # a generator bumped over the memo's kit is a new tree: the next build
+    # of the rep, and its next fd realization, still pass
+    bump = Poly(WeylElement.monomial(B1, (1,), (1,), coeff=rat(1, 3)))
+    params = {"n": 2, "delta": rat(1, 2)}
+    rep = build("sl2_translated", params)
+    gens = dict(rep.generators)
+    gens["J0"] = gens["J0"] + bump
+    assert not full_verify(dataclasses.replace(rep, generators=gens)).passed
+    fd = realize_generators(rep, "fd")
+    fd["J0"] = fd["J0"] + bump
+    assert realize._difference(fd["J0"], rep.generators["J0"], rep.default_cutoff)
+    again = build("sl2_translated", params)
+    assert full_verify(again).passed
+    assert all(c.passed for c in cross_check(again, "fd"))
+
+
+def test_a_kit_is_frozen():
+    kit = fd_kit(B1, (rat(1),))
+    assert all(isinstance(nodes, tuple) for nodes in (kit.a, kit.b, kit.th, kit.dth))
+    for name in ("a", "b", "th", "dth", "one"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kit, name, ())
 
 
 def test_cross_check_fails_on_a_bumped_fd_generator(monkeypatch):
@@ -545,7 +619,7 @@ def _metaplectic_display(modes, p, d):
 
 def _osp22_display(modes, p, d):
     nn, half = rat(p["n"]), rat(1, 2)
-    kit = fd_kit(modes, [d])
+    kit = fd_kit(modes, (d,))
     number = MultX(modes, 1) * Dminus(modes, 1, d)
     proj_up = Cliff(modes, {(0, 0): 1})    # spinor level empty
     proj_dn = Cliff(modes, {(1, 1): 1})    # spinor level occupied
@@ -575,8 +649,8 @@ def _display_verdicts(rid, params, d=None) -> dict:
     compared with the fd realization, at step d or the record's, as a cross
     check compares (realize._difference)."""
     rep = build(rid, params)
-    (d,) = [d] if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
-    normative = FAMILIES[rid].formula(fd_kit(rep.modes, [d]), rep.params)
+    (d,) = (d,) if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
+    normative = FAMILIES[rid].formula(fd_kit(rep.modes, (d,)), rep.params)
     return {name: "DIFFERS" if realize._difference(op, normative[name], rep.default_cutoff)
             else "MATCH"
             for name, op in FD_DISPLAYS[rid](rep.modes, rep.params, d).items()}
@@ -602,8 +676,8 @@ def test_fd_number_operator_is_x_dminus():
     # formula over the fd kit; checked at each step those displays use
     for rid, params, deltas in [
             ("sl3_translated", {"n": 2, "delta1": rat(1), "delta2": rat(1, 2)}, None),
-            ("glk", {"k": 3, "n": 2}, [rat(1), rat(1, 2)]),
-            ("gl_super", {"k": 2, "r": 1, "n": 2}, [rat(1), rat(1)])]:
+            ("glk", {"k": 3, "n": 2}, (rat(1), rat(1, 2))),
+            ("gl_super", {"k": 2, "r": 1, "n": 2}, (rat(1), rat(1)))]:
         rep = build(rid, params)
         deltas = deltas or FAMILIES[rid].fd_steps(rep.modes, rep.params)
         kit = fd_kit(rep.modes, deltas)
@@ -651,8 +725,6 @@ def test_cross_check_matrices_are_pinned():
 
 def test_realization_coverage_on_the_grid():
     # the (instance, kind) pairs the cross checks run over stay exactly these
-    from fockrep.grids import acceptance_grid
-
     fd_families = {rid for rid, record in FAMILIES.items() if record.fd_steps}
     assert fd_families == {"sl2_translated", "sl2_metaplectic", "sl3_translated",
                            "glk", "gl_super", "osp22_translated"}

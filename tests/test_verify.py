@@ -1320,6 +1320,7 @@ def _record_expa_nodes(rep) -> list:
     return [recorder.seen for recorder in recorders.values()]
 
 
+@pytest.mark.usefixtures("fresh_kits")  # the wrapping is in place, on the kit's nodes
 @pytest.mark.parametrize("rid, params", [
     (rid, params) for rid, params in acceptance_grid(small=True) if rid.endswith("_translated")])
 def test_full_verify_meets_each_state_once_per_exponential(rid, params):
