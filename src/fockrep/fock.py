@@ -525,11 +525,20 @@ def preimages(roots) -> tuple:
     None where any node of its tree has none (a polynomial with a bosonic
     exponent, which is the Fock pair's a or b and not a marked one's, or
     any other node); marked lists (node, mark) once per marked node met, the
-    node being the Compiled one around it where there is one.
+    node being the Compiled one around it where there is one.  Each node is
+    read once per call, so an intermediate that several roots share (a
+    formula's shared factor) is read once for all of them.
     """
     marked = {}  # id of a marked node -> (that node, or its Compiled, mark)
+    read = {}  # id of a node met -> its preimage
 
     def walk(node):
+        key = id(node)
+        if key not in read:
+            read[key] = _read(node)
+        return read[key]
+
+    def _read(node):
         if isinstance(node, Compiled):
             if node.inner.marked is not None:
                 marked.setdefault(id(node.inner), (node, node.inner.marked))

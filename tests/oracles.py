@@ -15,8 +15,10 @@ The differential oracle relabels a normal-ordered element monomial by
 monomial into function-space leaves, where the library puts the family's
 formula over its differential kit.  q_pair_fd transcribes the paper's
 displayed finite-difference q-pair, which criterion 8 and test_realize check.
-fd_cross_check builds the fd kits at steps other than a family record's, so
-the fd cross check runs at those steps without the library taking them.
+walk_cross_check decides every cross check line by the state walk alone, the
+reference for cross_check's kit theorem; given fd steps, it builds the fd
+kits at steps other than a family record's, so the fd cross check runs at
+those steps without the library taking them.
 OracleScalar is the earlier coefficient type, in which every number was a
 Scalar, kept as the reference for the native int/Rational/Scalar mix.
 """
@@ -28,7 +30,8 @@ from fockrep.fock import (LeftDivB, OperatorExpr, Poly, Product, Scale, Sum, _st
                           basis_states, check_identity, identity_op)
 from fockrep.linalg import EchelonSpan
 from fockrep.qheis import q_number_op
-from fockrep.realize import Cliff, CliffordMatrices, MultX, Partial, _difference, fd_kit, fd_pair
+from fockrep.realize import (Cliff, CliffordMatrices, MultX, Partial, _difference,
+                             abstract_counterpart, fd_kit, fd_pair, realize_generators)
 from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
@@ -452,18 +455,27 @@ def weyl_to_differential(w: WeylElement) -> OperatorExpr:
     return Sum(parts) if parts else Poly(WeylElement.zero(modes))
 
 
-def fd_cross_check(rep, deltas) -> list:
-    """realize.cross_check(rep, "fd") at the per-mode steps deltas in place
-    of the family record's: the family's formula over fd_kit and over the
-    shift kit, both at deltas, compared generator by generator up to the
-    rep's cutoff as cross_check compares them (realize._difference)."""
-    formula = FAMILIES[rep.rep_id].formula
-    deltas = tuple(deltas)  # a kit is memoised on its steps
-    abstract = formula(fock_kit(rep.modes, deltas), rep.params)
+def walk_cross_check(rep, kind, deltas=None) -> list:
+    """realize.cross_check(rep, kind) with every generator decided by the
+    state walk alone (realize._difference), which cross_check falls back to
+    where the kit theorem does not decide a generator.  With per-mode steps
+    deltas, the fd check at those steps in place of the family record's:
+    the family's formula over fd_kit and over the shift kit, both at
+    deltas."""
+    if deltas is None:
+        realized, abstract = realize_generators(rep, kind), abstract_counterpart(rep, kind)
+    else:
+        formula = FAMILIES[rep.rep_id].formula
+        deltas = tuple(deltas)  # a kit is memoised on its steps
+        realized = formula(fd_kit(rep.modes, deltas), rep.params)
+        abstract = formula(fock_kit(rep.modes, deltas), rep.params)
+    cutoff = rep.default_cutoff
+    passed = "dim %d, cutoff %d" % (len(basis_states(rep.modes, cutoff)), cutoff)
     results = []
-    for name, op in formula(fd_kit(rep.modes, deltas), rep.params).items():
-        diff = _difference(op, abstract[name], rep.default_cutoff)
-        results.append(CheckResult("cross fd %s" % name, "FAIL" if diff else "PASS", "", diff))
+    for name, op in realized.items():
+        diff = _difference(op, abstract[name], cutoff)
+        results.append(CheckResult("cross %s %s" % (kind, name), "FAIL" if diff else "PASS",
+                                   "" if diff else passed, diff))
     return results
 
 

@@ -26,8 +26,8 @@ from fockrep.verify import (burnside_irreducibility, casimir_check, closure, ful
                             invariant_subspace, jacobi)
 from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
 
-from oracles import (fd_cross_check, perturbed, q_pair_fd, q_swap_multiply, space_charpoly,
-                     swap_multiply, verify_constants)
+from oracles import (perturbed, q_pair_fd, q_swap_multiply, space_charpoly,
+                     swap_multiply, verify_constants, walk_cross_check)
 
 
 def _conclude(tag, label, failures):
@@ -274,12 +274,12 @@ def test_criterion_6_cross_realizations():
                         ("fd osp22", n, str(d)))
     for k in KS:
         deltas = [DELTAS[i % len(DELTAS)] for i in range(k - 1)]
-        expect_pass(fd_cross_check(build("glk", {"k": rat(k), "n": rat(2)}), deltas),
+        expect_pass(walk_cross_check(build("glk", {"k": rat(k), "n": rat(2)}), "fd", deltas),
                     ("fd glk", k))
-    expect_pass(fd_cross_check(build("gl_super", {"k": rat(2), "r": rat(1), "n": rat(2)}),
-                               [rat(1), rat(1, 2)]), "fd gl_super")
-    expect_pass(fd_cross_check(dataclasses.replace(build("sl2_metaplectic", {}),
-                                                   default_cutoff=6), [rat(1, 2)]),
+    expect_pass(walk_cross_check(build("gl_super", {"k": rat(2), "r": rat(1), "n": rat(2)}),
+                                 "fd", [rat(1), rat(1, 2)]), "fd gl_super")
+    expect_pass(walk_cross_check(dataclasses.replace(build("sl2_metaplectic", {}),
+                                                     default_cutoff=6), "fd", [rat(1, 2)]),
                 "fd metaplectic")
     for rid, params in [("sl2_standard", {"n": rat(3)}),
                         ("sl3_fock", {"n": rat(2)}),

@@ -17,7 +17,7 @@ from fockrep.realize import (Cliff, CliffordMatrices, Dminus, Dplus, JacksonX,
 from fockrep.scalars import Scalar, inverse, rat
 from fockrep.verify import full_verify
 from fockrep.weyl import ModeSystem, WeylElement
-from oracles import (clifford_identity, clifford_matmul, fd_cross_check, q_pair_fd,
+from oracles import (clifford_identity, clifford_matmul, q_pair_fd, walk_cross_check,
                      weyl_to_differential)
 from pinning import check_pinned, cross_check_matrices, cross_check_results
 
@@ -195,6 +195,103 @@ def test_passing_cross_checks_form_no_matrix(monkeypatch):
     assert calls == []
 
 
+def _grid_pairs():
+    """Every (grid instance, kind) pair that realize accepts, as (rep, kind)."""
+    for rep_id, params in acceptance_grid():
+        rep = build(rep_id, params)
+        for kind in realize.KINDS:
+            try:
+                realize_generators(rep, kind)
+            except RealizeError:
+                continue
+            yield rep, kind
+
+
+def test_cross_check_equals_the_walk_on_the_grid():
+    # the kit theorem decides a line only as the state walk would: on all
+    # 227 pairs every line's name, status, detail and witness are the walk's
+    pairs = 0
+    for rep, kind in _grid_pairs():
+        assert cross_check(rep, kind) == walk_cross_check(rep, kind), (rep.rep_id, kind)
+        pairs += 1
+    assert pairs == 227
+
+
+def test_passing_kit_theorem_lines_walk_no_state(monkeypatch):
+    # every differential and fd line of the grid passes by the kit theorem,
+    # with no call to the state walk; the Jackson pair has no marks, so each
+    # of its 108 generators is walked
+    calls = Counter()
+
+    def counted(realized, abstract, cutoff, inner=realize._difference):
+        calls[kind] += 1
+        return inner(realized, abstract, cutoff)
+
+    monkeypatch.setattr(realize, "_difference", counted)
+    for rep, kind in _grid_pairs():
+        results = cross_check(rep, kind)
+        assert kind == "jackson" or all(c.passed for c in results), (rep.rep_id, kind)
+    assert calls == {"jackson": 108}
+
+
+def _same_as_the_walk(cases) -> list:
+    """cross_check of each (rep id, params, kind) case, asserted equal to the
+    walk line by line; returns the names of the lines that FAIL."""
+    failed = []
+    for rid, params, kind in cases:
+        rep = build(rid, params)
+        results = cross_check(rep, kind)
+        assert results == walk_cross_check(rep, kind), (rid, kind)
+        failed += [c.name for c in results if not c.passed]
+    return failed
+
+
+def test_a_leaf_off_above_the_cutoff_is_walked(monkeypatch, fresh_kits):
+    # d/dx doubled on the states of degree cutoff + 1 alone: J0's a b takes
+    # a state of degree cutoff there, inside J0's D = cutoff + 1, so the kit
+    # theorem must not pass it; the walk FAILs it
+    rep = build("sl2_metaplectic", {})
+    off = rep.default_cutoff + 1
+
+    class OffPartial(Partial):
+        def apply(self, terms):
+            return super().apply({key: c * 2 if state_degree(key) == off else c
+                                  for key, c in terms.items()})
+
+    monkeypatch.setattr(realize, "Partial", OffPartial)
+    assert _same_as_the_walk([("sl2_metaplectic", {}, "differential")]) == \
+        ["cross differential J0"]
+
+
+def test_a_flipped_clifford_sign_is_walked(monkeypatch, fresh_kits):
+    # one entry of the last dth matrix negated, in every function kit
+    class Flipped(CliffordMatrices):
+        def __init__(self, r):
+            super().__init__(r)
+            if r:
+                (entry, v), *rest = self.a_f[-1].items()
+                self.a_f[-1] = {entry: -v, **dict(rest)}
+
+    monkeypatch.setattr(realize, "CliffordMatrices", Flipped)
+    failed = _same_as_the_walk([("osp22", {"n": 2}, "differential"),
+                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "differential"),
+                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "fd"),
+                                ("osp22_translated", {"n": 2, "delta": rat(1)}, "fd")])
+    assert "cross differential Q1" in failed and "cross fd Qb1-" in failed
+
+
+def test_an_fd_pair_at_the_wrong_step_is_walked(monkeypatch, fresh_kits):
+    # D+ built at twice the pair's step, b left as it is
+    def wrong_step(modes, i, delta, pair=realize.fd_pair):
+        return (Dplus(modes, i, 2 * delta), pair(modes, i, delta)[1])
+
+    monkeypatch.setattr(realize, "fd_pair", wrong_step)
+    failed = _same_as_the_walk([("sl2_translated", {"n": 2, "delta": rat(1, 2)}, "fd"),
+                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "fd"),
+                                ("osp22_translated", {"n": 2, "delta": rat(1)}, "fd")])
+    assert "cross fd J-" in failed and "cross fd T1-" in failed
+
+
 def test_cross_check_refuses_a_negative_cutoff():
     # an empty basis would pass every line unchecked
     for rid, params, kind in [("sl2_standard", {"n": 2}, "differential"),
@@ -254,13 +351,12 @@ def test_fd_cross_checks():
     for rid, params, deltas in cases:
         rep = build(rid, params)
         if deltas is None:
-            # at the record's own steps the helper compares as cross_check does
+            # at the record's own steps the walk, given them, gives cross_check's lines
             results = cross_check(rep, "fd")
             steps = FAMILIES[rid].fd_steps(rep.modes, rep.params)
-            assert [(c.name, c.status, c.witness) for c in fd_cross_check(rep, steps)] == \
-                [(c.name, c.status, c.witness) for c in results], rid
+            assert walk_cross_check(rep, "fd", steps) == results, rid
         else:
-            results = fd_cross_check(rep, deltas)
+            results = walk_cross_check(rep, "fd", deltas)
         assert all(c.passed for c in results), (rid, [c.witness for c in results
                                                       if not c.passed])
 
@@ -646,8 +742,8 @@ FD_DISPLAYS = {
 
 def _display_verdicts(rid, params, d=None) -> dict:
     """MATCH or DIFFERS per displayed fd form of the family at params, each
-    compared with the fd realization, at step d or the record's, as a cross
-    check compares (realize._difference)."""
+    compared with the fd realization, at step d or the record's, by the
+    state walk a cross check falls back to (realize._difference)."""
     rep = build(rid, params)
     (d,) = (d,) if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
     normative = FAMILIES[rid].formula(fd_kit(rep.modes, (d,)), rep.params)
