@@ -5,21 +5,22 @@ combination of states b^alpha th^beta |0> with a_i|0> = 0 and dth_j|0> = 0;
 {} is the zero vector.  An operator's apply maps such a dict to a dict; a
 dict given to or returned by apply is never written into, since Identity
 returns its input and Compiled a cached column.  Operators are expression
-trees: normal-ordered polynomials (Poly, which acts through a per-monomial
-action table built on its first apply), terminating exponentials e^{g a_i}
-(ExpA), spectral q-powers q^{N} diagonal in the falling-factorial basis
-(QSpectral), formal left division by b_i + shift (LeftDivB), the identity
-(Identity), Sum/Product/Scale, and Compiled, which remembers each basis
-state's image (its column) and its inner node's raise bound; other modules
-add leaves of their own.  A node is shared where it is made: shared gives
-the Compiled node that a kit pair, a formula's intermediate, a rep's
-generator or an extended Casimir is stored as, so everything holding it
-forms its image of a basis state once.  A kit is made once per key for
-the process (catalogue.Kit), so its pair nodes and their columns are held
-by every rep and realization over the same pairs.  A node may carry a
-mark, the Weyl generator it stands for (OperatorExpr.marked), and
-preimages reads a tree of marked nodes, scalars and fermions back to its
-polynomial.
+trees: normal-ordered polynomials (Poly, read through weyl.act),
+terminating exponentials e^{g a_i} (ExpA), spectral q-powers q^{N} diagonal
+in the falling-factorial basis (QSpectral), formal left division by b_i +
+shift (LeftDivB), the identity (Identity), Sum/Product/Scale, and Compiled,
+which remembers each basis state's image (its column) and its inner node's
+raise bound; other modules add leaves of their own.  A node is shared where
+it is made: shared gives the Compiled node that a kit pair, a formula's
+intermediate, a rep's generator or an extended Casimir is stored as, so
+everything holding it forms its image of a basis state once.  A kit is made
+once per key for the process (catalogue.Kit), so its pair nodes and their
+columns are held by every rep and realization over the same pairs.  Those
+columns are the only cache a node keeps; a table keyed by data alone
+(weyl.act, _binomial_row, the bases) is kept once for the process.  A node
+may carry a mark, the Weyl generator it stands for (OperatorExpr.marked),
+and preimages reads a tree of marked nodes, scalars and fermions back to
+its polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -35,11 +36,12 @@ to_matrix reads its row index from the same memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, perm
+from functools import cache
+from math import comb
 
 from .scalars import exact, to_json
 from .weyl import (ModeSystem, WeylElement, _mask_to_list, _mono_str, _terms_str,
-                   accumulate)
+                   accumulate, act)
 
 
 class NotLeftDivisible(ValueError):
@@ -188,22 +190,15 @@ def _as_expr(x, modes) -> OperatorExpr:
 
 
 class Poly(OperatorExpr):
-    """A normal-ordered polynomial, acting through a per-monomial table.
+    """A normal-ordered polynomial.  It applies as the sum over input states
+    and monomials of what weyl.act says the monomial sends the state to, as
+    weyl's products read weyl._pair, so it keeps no table of its own."""
 
-    The table is built on the first apply (most Polys are folded by
-    arithmetic and never applied; an all-zero Poly's empty table counts as
-    built).  Per monomial it holds the lowering pairs (i, e) with e > 0, the
-    nonzero net shifts (i, bp[i] - ap[i]), the fermion steps (bit, need) in
-    the order they act, rightmost dth first (need = bit) and then th
-    (need = 0), and the coefficient.
-    """
-
-    __slots__ = ("modes", "weyl", "_table")
+    __slots__ = ("modes", "weyl")
 
     def __init__(self, weyl: WeylElement):
         self.modes = weyl.modes
         self.weyl = weyl
-        self._table = None
 
     def as_weyl(self):
         return self.weyl
@@ -211,83 +206,50 @@ class Poly(OperatorExpr):
     def max_raise(self):
         return self.weyl.max_raise()
 
-    def _build(self) -> list:
-        table = self._table = []
-        for (bp, ap, th, dth), c in self.weyl.terms.items():
-            dth_bits, th_bits = ([1 << (j - 1) for j in reversed(_mask_to_list(mask))]
-                                 for mask in (dth, th))
-            table.append((tuple((i, e) for i, e in enumerate(ap) if e),
-                          tuple((i, k - e) for i, (k, e) in enumerate(zip(bp, ap)) if k != e),
-                          tuple((bit, bit) for bit in dth_bits) + tuple((bit, 0) for bit in th_bits),
-                          c))
-        return table
-
     def apply(self, terms: dict) -> dict:
-        table = self._table
-        if table is None:
-            table = self._build()
+        monos = self.weyl.terms.items()
         out: dict = {}
-        for (alpha, beta), cv in terms.items():
-            for lowers, shifts, steps, cm in table:
-                # factor: the falling factorials times the fermion sign; a
-                # break (a short exponent, a blocked fermion step) kills the term
-                factor = 1
-                for i, e in lowers:
-                    if e > alpha[i]:
-                        break
-                    factor *= perm(alpha[i], e)
-                else:
-                    bmask = beta
-                    for bit, need in steps:
-                        if bmask & bit != need:
-                            break
-                        if (bmask & (bit - 1)).bit_count() & 1:
-                            factor = -factor
-                        bmask ^= bit
-                    else:
-                        if shifts:
-                            new = list(alpha)
-                            for i, d in shifts:
-                                new[i] += d
-                            key = (tuple(new), bmask)
-                        else:
-                            key = (alpha, bmask)
-                        c = cv * cm
-                        accumulate(out, key, c if factor == 1 else c * factor)
+        for state, cv in terms.items():
+            for mono, cm in monos:
+                image = act(mono, state)
+                if image is not None:
+                    key, factor = image
+                    c = cv * cm
+                    accumulate(out, key, c if factor == 1 else c * factor)
         return out
+
+
+@cache
+def _binomial_row(gamma, k) -> tuple:
+    """(gamma^j C(k, j) for j = 0..k), the coefficients of (b + gamma)^k |0>;
+    formed once per process for every ExpA with this gamma."""
+    row, power = [1], 1
+    for j in range(1, k + 1):
+        power = power * gamma
+        row.append(exact(power * comb(k, j)))
+    return tuple(row)
 
 
 class ExpA(OperatorExpr):
     """e^{gamma a_i}: acts as b_i^k |0> -> (b_i + gamma)^k |0>, through the
-    coefficient row gamma^j C(k, j), j = 0..k, formed once per exponent k."""
+    coefficient row _binomial_row(gamma, k)."""
 
-    __slots__ = ("modes", "mode", "gamma", "_rows")
+    __slots__ = ("modes", "mode", "gamma")
 
     def __init__(self, modes: ModeSystem, mode: int, gamma):
         self.modes = modes
         self.mode = mode  # 1-based
         self.gamma = exact(gamma)
-        self._rows = {}  # k -> [gamma^j C(k, j) for j = 0..k]
 
     def max_raise(self):
         return 0
-
-    def _row(self, k):
-        row = self._rows.get(k)
-        if row is None:
-            row, power = [1], 1
-            for j in range(1, k + 1):
-                power = power * self.gamma
-                row.append(exact(power * comb(k, j)))
-            self._rows[k] = row
-        return row
 
     def apply(self, terms: dict) -> dict:
         i = self.mode - 1
         out: dict = {}
         for (alpha, beta), c in terms.items():
             k = alpha[i]
-            row = self._row(k)
+            row = _binomial_row(self.gamma, k)
             for j in range(k + 1):
                 accumulate(out, (alpha[:i] + (k - j,) + alpha[i + 1:], beta),
                            c * row[j] if j else c)

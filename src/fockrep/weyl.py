@@ -18,8 +18,9 @@ exponents), and transposition-counted Koszul signs for fermions, skipped
 when the right monomial has none.  Each monomial pair's product, commutator
 or anticommutator is normal-ordered once per process, with unit
 coefficient, into one cached pair table (_pair); multiply and
-bracket(x, y, anti) scale its entries by the terms' coefficients.  The
-independent single-swap rewriter lives in the test suite as an oracle.
+bracket(x, y, anti) scale its entries by the terms' coefficients, and
+act keeps, per monomial and Fock state, the one term alive on the vacuum.
+The independent single-swap rewriter lives in the test suite as an oracle.
 
 Fermionic sign convention: moving any fermionic generator past another
 (distinct) one contributes one factor -1 per adjacent transposition.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .scalars import exact, inverse
 
@@ -265,6 +266,35 @@ def _pair(u: Monomial, v: Monomial, kind) -> tuple:
     if kind is not None:
         _expand(out, v, u, 1 if kind else -1)
     return tuple(out.items())
+
+
+@cache
+def act(mono: Monomial, state) -> tuple | None:
+    """The monomial's image of the Fock basis state b^alpha th^beta |0>,
+    state = (alpha, beta_mask): None or the one (state, nonzero int), the
+    term of mono b^alpha th^beta free of a and dth.  That is _expand's full
+    contraction, perm(alpha_i, e_i) per a_i^e_i, times the dth-free word of
+    _ferm_multiply(th, dth, beta, 0), of which there is at most one, since
+    each dth must contract with its th.  Formed once per process and keyed
+    by data, as _pair is."""
+    bp, ap, th, dth = mono
+    alpha, beta = state
+    factor = 1
+    for k, e in zip(alpha, ap):
+        if e:
+            if e > k:
+                return None
+            factor *= perm(k, e)
+    if th or dth:
+        for (beta, d), sign in _ferm_multiply(th, dth, beta, 0):
+            if not d:
+                break
+        else:
+            return None
+        factor *= sign
+    if bp != ap:
+        alpha = tuple([k - e + b for k, e, b in zip(alpha, ap, bp)])
+    return (alpha, beta), factor
 
 
 def _expand(out: dict, u: Monomial, v: Monomial, c: int):

@@ -15,7 +15,9 @@ from fockrep.fock import (Compiled, ExpA, LeftDivB, NotLeftDivisible, OperatorEx
 from fockrep.linalg import mat_mul
 from fockrep.qheis import q_pair
 from fockrep.verify import casimir_check, closure, invariant_subspace
-from fockrep.weyl import ModeSystem, WeylElement, accumulate, multiply
+from fockrep.weyl import ModeSystem, WeylElement, accumulate, act
+
+from oracles import swap_multiply
 
 B1 = ModeSystem(1, 0)
 B2 = ModeSystem(2, 0)
@@ -92,27 +94,41 @@ def _random_element(rng, ms):
 
 
 def _image_by_multiplying(w, key):
-    """w b^alpha th^beta |0> by the normal form of the product in the algebra:
-    a term with an a or a dth kills the vacuum, every other one is a state."""
+    """w b^alpha th^beta |0> by the oracle's single-swap normal form of the
+    product in the algebra: a term with an a or a dth kills the vacuum,
+    every other one is a state."""
     (alpha, beta), ms = key, w.modes
     monomial = WeylElement.monomial(ms, alpha, (), [j for j in range(1, ms.fermionic + 1)
                                                     if beta >> (j - 1) & 1])
-    return {(bp, th): c for (bp, ap, th, dth), c in multiply(w, monomial).terms.items()
+    return {(bp, th): c for (bp, ap, th, dth), c in swap_multiply(w, monomial).terms.items()
             if not any(ap) and not dth}
 
 
 @pytest.mark.parametrize("ms", [B1, ModeSystem(2, 1), ModeSystem(3, 2), ModeSystem(1, 3)],
                          ids=["1+0", "2+1", "3+2", "1+3"])
 def test_poly_apply_matches_the_product_in_the_algebra(ms):
-    # an oracle for Poly.apply that shares none of its code: the image of
-    # a state is read off the normal-ordered product with the state's monomial
+    # an oracle for Poly.apply and weyl.act that shares none of their code:
+    # each monomial's image of a state is read off the single-swap normal
+    # form of its product with the state's monomial, and it is the one
+    # term that act gives, or nothing where act gives None
     rng = random.Random(20)
     keys = basis_states(ms, 3)
     for _ in range(200):
         w = _random_element(rng, ms)
         op = Poly(w)
-        images = {key: _image_by_multiplying(w, key) for key in keys}
+        images = {}
         for key in keys:
+            parts = []
+            for mono, c in w.terms.items():
+                image = _image_by_multiplying(WeylElement(ms, {mono: 1}), key)
+                hit = act(mono, key)
+                if hit is None:
+                    assert image == {}, (mono, key)
+                else:
+                    assert type(hit[1]) is int and hit[1], (mono, key)
+                    assert image == {hit[0]: hit[1]}, (mono, key)
+                parts.append((c, image))
+            images[key] = lincomb(*parts)
             assert op.apply({key: 1}) == images[key], (str(w), key)
         picked = rng.sample(keys, 3)
         coeffs = [rat(-1, 2), 3, SQRT2]

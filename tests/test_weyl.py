@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep import weyl
+from fockrep import fock, weyl
 from fockrep.catalogue import build
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import SQRT2, Scalar, rat
@@ -243,20 +243,25 @@ def test_the_pair_table_holds_unit_terms_of_each_kind(pair, kinds, scales):
 
 
 def test_a_cold_and_a_warm_pair_table_give_the_same_reports():
-    # the pair table outlives every rep: the small grid reported from an
-    # empty table, and again on freshly built reps from the full one, gives
-    # the pinned bytes both times, and the second pass forms no pair
+    # the pair table, the action table and ExpA's binomial rows outlive
+    # every rep: the small grid reported from empty tables, and again on
+    # freshly built reps from the full ones, gives the pinned bytes both
+    # times, and the second pass adds no entry to any of the three
     def reports():
         return json.dumps([full_verify(build(rep_id, params)).to_json()
                            for rep_id, params in acceptance_grid(small=True)],
                           indent=2, sort_keys=True) + "\n"
 
-    weyl._pair.cache_clear()
+    tables = (weyl._pair, weyl.act, fock._binomial_row)
+    for table in tables:
+        table.cache_clear()
     cold = reports()
-    filled = weyl._pair.cache_info()
-    assert reports() == cold
-    assert weyl._pair.cache_info().misses == filled.misses
+    filled = [table.cache_info().misses for table in tables]
+    assert all(filled)
+    warm = reports()
+    assert [table.cache_info().misses for table in tables] == filled
     check_pinned("small_grid", cold)
+    check_pinned("small_grid", warm)
 
 
 def test_bracket_matches_swap_oracle_on_the_small_grid():
