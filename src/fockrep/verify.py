@@ -15,20 +15,25 @@ Graded Jacobi on that exact table is a theorem where its grading premise
 holds (_jacobi_line), and is summed over the table's triples otherwise.
 A shift-translated family's generators are polynomials in its marked
 shift pair, scalars and fermions, and read back to preimage polynomials
-(_preimages); its relation lines and [C,g] are decided by their residuals
-over those, after one probe per report of the marked pair's own brackets.
-A zero residual holds on the whole Fock space.  A nonzero one FAILs on the
-first state, in graded order, on which the two sides differ, which the
-pair's unit-triangular change of basis makes the residual's first
-unkilled state, as on a polynomial family; where a probe finds a witness
-it is that state, so the line is the probe's.  Every other identity of an
-extended family is probed as operator trees on the states up to the
-cutoff, a finite probe and not a proof, with the Casimir stored shared
-(fock.shared) so each state's image is formed once.  Extended closure is
-a matrix probe that sums each bracket over the generators' nonzero
-columns and never calls weyl.  The symbolic closure and the Casimir
-centrality check form each bracket with weyl.bracket, which reads each
-monomial pair's bracket from weyl's process-wide pair table.
+(_preimages), once the marked nodes' own brackets pass a guard probe that
+compares each state once per pair of nodes per process (_commutation).
+Its relation lines, [C,g] and closure are decided in normal form over
+those, as on a polynomial family: the marks' map is an injective algebra
+map, so a zero residual holds on the whole Fock space, the closure table
+is the generators' own, and Jacobi on it is implied.  A nonzero residual
+FAILs on the first state, in graded order, on which the two sides differ,
+which the pair's unit-triangular change of basis makes the residual's
+first unkilled state, as on a polynomial family; where a probe finds a
+witness it is that state, so the line is the probe's.  A closure FAIL
+names that state's image under the generators' bracket less its span
+combination.  Every other identity of an extended family is probed as
+operator trees on the states up to the cutoff, a finite probe and not a
+proof, with the Casimir stored shared (fock.shared) so each state's image
+is formed once.  Closure of an extended rep with no preimages is a matrix
+probe that sums each bracket over the generators' nonzero columns and
+never calls weyl.  The symbolic closure and the Casimir centrality check
+form each bracket with weyl.bracket, which reads each monomial pair's
+bracket from weyl's process-wide pair table.
 
 Every check takes only the rep and probes at its default_cutoff, as does
 the shift-pair guard (_preimages); another cutoff is another rep.
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .catalogue import RepSpec
 from .fock import (IdentityReport, Poly, Product, Sum, _state_str, basis_states, check_identity,
@@ -231,11 +237,11 @@ def _preimages(rep: RepSpec):
     generators (fock.preimages), kept on rep, or None.
 
     Every generator must have a preimage, and each two marked nodes x, y
-    must satisfy [x, y] = [pre x, pre y] on the relation probe range: one
-    probe per pair and report, which a pair built with a wrong step fails.
-    Then an identity whose preimage residual is zero holds for the
-    generators on the whole Fock space, as the marks' algebra map sends
-    it there (catalogue.shift_pair)."""
+    must satisfy [x, y] = [pre x, pre y] on the relation probe range, which
+    a pair built with a wrong step fails (_commutes).  Then an identity
+    whose preimage residual is zero holds for the generators on the whole
+    Fock space, as the marks' algebra map sends it there
+    (catalogue.shift_pair)."""
     return rep.memo(_preimages, lambda: _pulled_back(rep))
 
 
@@ -246,15 +252,44 @@ def _pulled_back(rep: RepSpec):
     cutoff = _probe_cutoff(rep)
     for i, (x, v) in enumerate(marked):
         for y, w in marked[i + 1:]:
-            if not check_identity(Product([x, y]),
-                                  Sum([Product([y, x]), Poly(bracket(v, w, False))]), cutoff):
+            if not _commutes(x, v, y, w, cutoff):
                 return None
     return replace(rep, generators={name: Poly(w) for name, w in zip(rep.generators, pre)})
 
 
+@cache
+def _commutation(pair: frozenset) -> list:
+    """[d, holds]: the two marked nodes of pair satisfy [x, y] = [pre x,
+    pre y] on every basis state of degree <= d; holds is False once a state
+    of degree d + 1 tells the sides apart.  One record per pair of marked
+    nodes per process, as the nodes are their kit's (catalogue.Kit), so
+    each state is compared once however many reps and reports read the
+    pair (as realize._agreement records a pair of kits)."""
+    return [-1, True]
+
+
+def _commutes(x, v, y, w, cutoff: int) -> bool:
+    """Whether [x, y] = [v, w] on every basis state up to cutoff less the
+    raise of either side, as check_identity would find; only the states
+    above the pair's record (_commutation) are compared."""
+    lhs, rhs = Product([x, y]), Sum([Product([y, x]), Poly(bracket(v, w, False))])
+    degree = max(cutoff - max(0, lhs.max_raise(), rhs.max_raise()), 0)
+    record = _commutation(frozenset((x, y)))
+    through, holds = record
+    if degree > through and holds:
+        for key in basis_states(x.modes, degree):
+            d = state_degree(key)
+            if d > through and lhs.apply({key: 1}) != rhs.apply({key: 1}):
+                record[:] = d - 1, False
+                return False
+        record[0] = degree
+    return degree <= record[0]
+
+
 def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
     """The relation lines, each relation decided by _mismatch: by its
-    residual over pre's word sums where pre is given."""
+    residual over pre's word sums where pre is given, so the sides'
+    operator trees are formed only for a nonzero residual."""
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -263,6 +298,8 @@ def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
         failures = []
         for rel in rels:
             residual = None if pre is None else pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)
+            if residual is not None and residual.is_zero():
+                continue  # holds: no operator tree is needed
             report = _mismatch(rep.word_expr(rel.lhs), rep.word_expr(rel.rhs), cutoff, residual)
             if report is not None:
                 failures.append("%s: %s" % (rel.name, report.describe(rep.modes)))
@@ -284,17 +321,30 @@ def closure(rep: RepSpec):
     """Structure constants from all pairwise super-brackets, as a
     StructureConstants table and the `closure` line.
 
-    On a polynomial rep this is closure_symbolic.  An extended rep is
-    probed on the overflow-free range of the rep's cutoff, floored at the
-    combined lowering degree of a generator pair.  An operator is the
-    stacked vector of its images of the probe states, keyed (state index,
-    image state).  Each generator's nonzero columns on the probe states are
-    listed once, and the generators acting nonzero on an image state are
-    found once, when a bracket first reaches that state; each bracket
-    vector sums only these nonzero entries.
+    On a polynomial rep this is closure_symbolic, and on an extended rep
+    with preimages (_preimages) it is closure_symbolic on the preimage rep.
+    That table is exact and is the generators' own: the marks' map a ->
+    ahat, b -> bhat is an injective algebra map, so each bracket of the
+    generators is the image of its preimages' bracket, and its coordinates
+    in the generators' span are unique.  A bracket outside the span FAILs
+    on the generators themselves (closure_symbolic), or, where they show no
+    witness, as the matrix probe decides.
+
+    Any other extended rep is probed on the overflow-free range of the
+    rep's cutoff, floored at the combined lowering degree of a generator
+    pair.  An operator is the stacked vector of its images of the probe
+    states, keyed (state index, image state).  Each generator's nonzero
+    columns on the probe states are listed once, and the generators acting
+    nonzero on an image state are found once, when a bracket first reaches
+    that state; each bracket vector sums only these nonzero entries.
     """
     if rep.is_polynomial():
         return closure_symbolic(rep)
+    pre = _preimages(rep)
+    if pre is not None:
+        sc, line = pre.memo(closure, lambda: closure_symbolic(pre, rep))
+        if sc is not None or line.witness:
+            return sc, line
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -341,27 +391,47 @@ def closure(rep: RepSpec):
                       bracket_vector, witness, "probe degree %d" % probe)
 
 
-def closure_symbolic(rep: RepSpec):
+def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
     """closure's polynomial branch, exact on the whole Fock space: each
     bracket's normal form, read from the rep's bracket memo
     (RepSpec.bracket), is expressed in the span of the generators' normal
     forms.  A bracket outside it FAILs with its residual and the first
-    state the residual does not kill (_first_unkilled), where the bracket
+    state u the residual does not kill (_first_unkilled), where the bracket
     and the combination of generators the span offers act differently.
+
+    Given actual, an extended rep whose preimage rep (_preimages) this is,
+    the witness is the image of u under actual's bracket less that
+    combination, as operator trees: the marks' change of basis is unit-triangular, so u is
+    again the first state the trees do not kill (_mismatch).  Where they
+    kill it after all, the line's witness is empty.
     """
     names = list(rep.generators)
     parities = [rep.parities[n] for n in names]
+    vectors = [dict(rep.generators[n].as_weyl().terms) for n in names]
 
     def witness(i, j, anti, residual):
+        bracket_name = _bracket_name(names[i], names[j], anti)
         residual = WeylElement(rep.modes, residual)
         key = _first_unkilled(residual)
-        return ("%s has residual %s, which sends %s to %s"
-                % (_bracket_name(names[i], names[j], anti), residual,
-                   _state_str(*key, rep.modes),
-                   vector_str(Poly(residual).apply({key: 1}), rep.modes)))
+        if actual is None:
+            return ("%s has residual %s, which sends %s to %s"
+                    % (bracket_name, residual, _state_str(*key, rep.modes),
+                       vector_str(Poly(residual).apply({key: 1}), rep.modes)))
+        span = EchelonSpan()
+        for vec in vectors:
+            span.insert(vec)
+        inside = (rep.bracket(names[i], names[j], anti) - residual).terms
+        words = ([(2, (names[i], names[i]))] if i == j else
+                 [(1, (names[i], names[j])), (1 if anti else -1, (names[j], names[i]))])
+        words += [(-c, (names[k],)) for k, c in span.express(inside)[0].items()]
+        image = actual.word_expr(words).apply({key: 1})
+        if not image:
+            return ""
+        return ("%s less its span combination sends %s to %s (preimage residual %s)"
+                % (bracket_name, _state_str(*key, rep.modes), vector_str(image, rep.modes),
+                   residual))
 
-    return _constants(names, parities,
-                      [dict(rep.generators[n].as_weyl().terms) for n in names],
+    return _constants(names, parities, vectors,
                       lambda i, j, anti: rep.bracket(names[i], names[j], anti).terms,
                       witness, "")
 
@@ -443,25 +513,28 @@ def jacobi(sc: StructureConstants) -> CheckResult:
 
 
 def _jacobi_line(rep: RepSpec) -> CheckResult:
-    """The `jacobi` line: implied on a polynomial rep whose grading premise
-    holds, else jacobi over the closure table.
+    """The `jacobi` line: implied where closure is exact and the grading
+    premise holds, else jacobi over the closure table.
 
-    A polynomial rep's closure table is exact: each bracket is the
-    super-commutator, for the declared parities, of elements of the
-    associative Weyl-Clifford algebra, and its coordinates in the span of
-    the generators are unique.  Where that super-commutator is the one of
-    an algebra grading, each generator homogeneous of its declared degree,
-    graded Jacobi holds for the elements, so the table's sums are the
-    coordinates of zero (Kac, Adv. Math. 26, 1977).  Two gradings qualify:
-    every generator declared even (ordinary commutators), or every declared
-    parity the fermion parity of its generator's normal form.  Any other
-    declaration, a mixed-parity or flipped generator, is summed."""
+    Closure is exact on a polynomial rep and on an extended rep decided
+    over its preimage rep (closure), and the premise is read from that
+    polynomial rep.  Its closure table is exact: each bracket is the super-commutator, for the declared parities,
+    of elements of the associative Weyl-Clifford algebra, and its
+    coordinates in the span of the generators are unique.  Where that
+    super-commutator is the one of an algebra grading, each generator
+    homogeneous of its declared degree, graded Jacobi holds for the
+    elements, so the table's sums are the coordinates of zero (Kac, Adv.
+    Math. 26, 1977).  Two gradings qualify: every generator declared even
+    (ordinary commutators), or every declared parity the fermion parity of
+    its generator's normal form.  Any other declaration, a mixed-parity or
+    flipped generator, and a probed table are summed."""
+    pre = rep if rep.is_polynomial() else _preimages(rep)
     grading = None
-    if rep.is_polynomial():
-        if not any(rep.parities.values()):
+    if pre is not None and _once(pre, closure)[0] is not None:
+        if not any(pre.parities.values()):
             grading = "ungraded"
-        elif all(rep.parities[name] == g.as_weyl().parity()
-                 for name, g in rep.generators.items()):
+        elif all(pre.parities[name] == g.as_weyl().parity()
+                 for name, g in pre.generators.items()):
             grading = "graded by fermion parity"
     if grading is None:
         return jacobi(_once(rep, closure)[0])
@@ -762,7 +835,7 @@ def _once(rep, check):
 
 
 def _closed(rep) -> bool:
-    """Closure is claimed and the matrix path found structure constants."""
+    """Closure is claimed and found structure constants."""
     return rep.claims.closes and _once(rep, closure)[0] is not None
 
 
@@ -776,9 +849,9 @@ def _casimir(rep):
 # false for no line; run(rep) gives its results.  Each body names its check
 # as a module global when it runs, so a verify.<check> patched later is the
 # one called.  Closure is one entry and one line per rep, the symbolic
-# decision on a polynomial rep and the matrix probe on an extended one;
-# the Killing rank reads its table, and so does Jacobi where the table's
-# grading does not imply it (_jacobi_line).
+# decision on a polynomial rep or an extended rep's preimages and the
+# matrix probe on any other; the Killing rank reads its table, and so does
+# Jacobi where the table's grading does not imply it (_jacobi_line).
 CHECKS = [
     ("relations", lambda rep: bool(rep.relations), lambda rep: check_relations(rep)),
     ("closure", lambda rep: rep.claims.closes, lambda rep: [_once(rep, closure)[1]]),

@@ -273,10 +273,12 @@ def act(mono: Monomial, state) -> tuple | None:
     """The monomial's image of the Fock basis state b^alpha th^beta |0>,
     state = (alpha, beta_mask): None or the one (state, nonzero int), the
     term of mono b^alpha th^beta free of a and dth.  That is _expand's full
-    contraction, perm(alpha_i, e_i) per a_i^e_i, times the dth-free word of
-    _ferm_multiply(th, dth, beta, 0), of which there is at most one, since
-    each dth must contract with its th.  Formed once per process and keyed
-    by data, as _pair is."""
+    contraction, perm(alpha_i, e_i) per a_i^e_i, times the one dth-free
+    word of _ferm_multiply(th, dth, beta, 0), formed directly: each dth
+    must contract with its th of beta, as no later th can, so folding
+    beta's th in ascending order takes the contraction branch where the
+    word holds that dth and the juxtaposition otherwise, with their signs.
+    Formed once per process and keyed by data, as _pair is."""
     bp, ap, th, dth = mono
     alpha, beta = state
     factor = 1
@@ -285,16 +287,25 @@ def act(mono: Monomial, state) -> tuple | None:
             if e > k:
                 return None
             factor *= perm(k, e)
-    if th or dth:
-        for (beta, d), sign in _ferm_multiply(th, dth, beta, 0):
-            if not d:
-                break
+    if dth & ~beta:
+        return None
+    m = beta
+    while m:
+        bit = m & -m
+        m ^= bit
+        if dth & bit:  # dth_m th_m -> 1, past the dth indices above m
+            swaps = (dth // (bit << 1)).bit_count()
+            dth ^= bit
+        elif th & bit:
+            return None  # th_m^2 = 0
         else:
-            return None
-        factor *= sign
+            swaps = dth.bit_count() + (th // (bit << 1)).bit_count()
+            th |= bit
+        if swaps % 2:
+            factor = -factor
     if bp != ap:
         alpha = tuple([k - e + b for k, e, b in zip(alpha, ap, bp)])
-    return (alpha, beta), factor
+    return (alpha, th), factor
 
 
 def _expand(out: dict, u: Monomial, v: Monomial, c: int):

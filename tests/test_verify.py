@@ -153,26 +153,25 @@ def test_jacobi_matches_loop_oracle_on_every_perturbation(rid, params):
 
 def test_jacobi_is_implied_exactly_on_the_polynomial_grid_tables():
     # the implied line rests on weyl.bracket being a super-commutator, so the
-    # triple sum must PASS on every polynomial grid table; the report reads
-    # the implied line on exactly those reps and sums the probed tables
-    gradings, triples, summed = Counter(), 0, 0
+    # triple sum must PASS on every polynomial grid table, a translated rep's
+    # being its preimage rep's; the report reads the implied line on every
+    # grid rep with a jacobi line and sums no table
+    gradings, triples = Counter(), 0
     for rep_id, params in acceptance_grid():
         rep = build(rep_id, params)
         line = full_verify(rep).check("jacobi")
         if line is None:
             continue
         m = len(rep.generators)
-        if rep.is_polynomial():
-            sc, _ = closure(rep)
-            assert jacobi(sc) == CheckResult("jacobi", "PASS", "%d triples" % m ** 3), rep_id
-            assert line.status == "PASS" and line.detail.startswith("implied: exact closure, ")
-            gradings[line.detail[len("implied: exact closure, "):]] += 1
-            triples += m ** 3
-        else:
-            assert line == CheckResult("jacobi", "PASS", "%d triples" % m ** 3), rep_id
-            summed += 1
-    assert gradings == {"ungraded": 69, "graded by fermion parity": 31}
-    assert triples == 430_097 and summed == 54
+        pre = rep if rep.is_polynomial() else verify._preimages(dataclasses.replace(rep))
+        sc, _ = closure(pre)
+        assert jacobi(sc) == CheckResult("jacobi", "PASS", "%d triples" % m ** 3), rep_id
+        assert line.status == "PASS" and line.detail.startswith("implied: exact closure, ")
+        gradings[rep.is_polynomial(), line.detail[len("implied: exact closure, "):]] += 1
+        triples += m ** 3
+    assert gradings == {(True, "ungraded"): 69, (True, "graded by fermion parity"): 31,
+                        (False, "ungraded"): 36, (False, "graded by fermion parity"): 18}
+    assert triples == 430_097 + 18 * 27 + 36 * 512
 
 
 def test_a_flipped_parity_falls_back_to_the_triple_sum():
@@ -914,10 +913,11 @@ def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
 
 def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
     # the table reaches each check as a verify global when it runs, and the
-    # Jacobi and Killing entries share one closure: on a polynomial rep the
-    # symbolic one, called once inside closure, on an extended rep the
-    # matrix probe alone; on a polynomial rep whose grading holds Jacobi is
-    # implied and never summed, on an extended rep it is summed once
+    # Jacobi and Killing entries share one closure: on a polynomial rep and
+    # a translated one the symbolic one, called once inside closure (on the
+    # preimage rep), on an extended rep with no preimages the matrix probe
+    # alone; where the symbolic table's grading holds Jacobi is implied and
+    # never summed, on a probed table it is summed once
     calls = Counter()
 
     def counting(name):
@@ -936,6 +936,13 @@ def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
     assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
     calls.clear()
     report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
+    assert report.passed and report.killing_rank == (3, 3)
+    assert report.check("jacobi").detail == "implied: exact closure, ungraded"
+    assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
+    calls.clear()
+    with monkeypatch.context() as patched:  # no preimages: the matrix probe
+        patched.setattr(verify, "_preimages", lambda rep: None)
+        report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
     assert report.passed and report.killing_rank == (3, 3)
     assert report.check("jacobi").detail == "27 triples"
     assert calls == {"closure": 1, "jacobi": 1, "killing_form": 1}
@@ -1158,7 +1165,9 @@ def test_symbolic_closure_squares_an_odd_generator():
 def test_closure_matches_the_dense_oracle():
     # constants, status, detail and FAIL witness of the matrix probe: on
     # every extended --grid small instance, and on each with a generator
-    # bumped by the unit, b or a
+    # bumped by the unit, b or a.  A rep with preimages is decided over
+    # them: the oracle's table and status, its detail less the probe
+    # degree, and a FAIL on the oracle's bracket
     reps = []
     for rid, params in acceptance_grid(small=True):
         rep = build(rid, params)
@@ -1172,10 +1181,18 @@ def test_closure_matches_the_dense_oracle():
                     rep.generators, **{name: g + Poly(mono)})))
     seen = Counter()
     for rep in reps:
-        expected = dense_closure(rep)
-        assert closure(rep) == expected
-        seen[expected[1].status] += 1
-    assert seen["PASS"] > 5 and seen["FAIL"] > 10
+        expected, oracle = dense_closure(rep)
+        sc, result = closure(rep)
+        decided = verify._preimages(dataclasses.replace(rep)) is not None
+        if decided:
+            assert sc == expected and result.status == oracle.status
+            assert result.detail == re.sub(r"(, )?probe degree \d+", "", oracle.detail)
+            assert result.witness.split(" ")[:1] == oracle.witness.split(" ")[:1]
+        else:
+            assert (sc, result) == (expected, oracle)
+        seen[oracle.status, decided] += 1
+    assert seen["PASS", False] > 5 and seen["FAIL", False] > 10
+    assert seen["PASS", True] == 3 and seen["FAIL", True] > 10
 
 
 def test_closure_agrees_with_the_dense_oracle_on_every_polynomial_rep():
@@ -1203,7 +1220,9 @@ def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
     # each generator's column is read on the probe states and on the states
     # the brackets reach, not once per pair and probe state; the matrix
     # probe runs on extended reps only
-    # (osp22_translated's Q1 and Qb1 are stored as their Poly)
+    # (osp22_translated's Q1 and Qb1 are stored as their Poly; with no
+    # preimages it is probed)
+    monkeypatch.setattr(verify, "_preimages", lambda rep: None)
     rep = build("osp22_translated", {"n": 2, "delta": 1})
     sc, result = closure(rep)
     assert result.passed
@@ -1365,25 +1384,51 @@ def test_transported_lines_equal_the_probe_lines(monkeypatch):
             assert casimir_check(copy)[1][0] == commutes == probe_casimir_commutes(rep)
 
 
+def _record_pair_probes(monkeypatch) -> list:
+    """Record, from now on, each state the shift-pair guard compares
+    (verify._commutes): (the ids of the pair, state) for each basis state
+    verify applies a product of two marked nodes to, x y and y x alike."""
+    seen = []
+
+    class Recording(Product):
+        __slots__ = ()
+
+        def apply(self, terms):
+            if all(isinstance(f, Compiled) and f.inner.marked is not None for f in self.factors):
+                seen.extend((frozenset(map(id, self.factors)), key) for key in terms)
+            return super().apply(terms)
+
+    monkeypatch.setattr(verify, "Product", Recording)
+    return seen
+
+
+def _marked_pairs(rep) -> set:
+    """The ids of each two marked nodes of rep's generators."""
+    _, marked = preimages(list(rep.generators.values()))
+    return {frozenset((id(x), id(y))) for i, (x, _) in enumerate(marked) for y, _ in marked[i + 1:]}
+
+
+@pytest.mark.usefixtures("fresh_kits")  # the guard's record starts cold
 def test_check_relations_guards_the_pair_at_the_probe_cutoff_of_its_copy(monkeypatch):
-    # the shift-pair guard (_preimages) and the relation lines read one
-    # cutoff, the copy's: each probe the guard makes is at _probe_cutoff of
-    # the copy check_relations is given, floored or not
+    # the shift-pair guard (_preimages) reads the probe cutoff of the copy
+    # check_relations is given, floored or not, and its record per pair of
+    # marked nodes (_commutation) compares each state once per process: a
+    # cold record probes every state of the range, a second copy at the same
+    # cutoff none, and a higher cutoff only the states above the old range
     rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
-    guarded = set()
-    for cutoff in (0, 11):
-        copy = dataclasses.replace(rep, default_cutoff=cutoff)
-        cutoffs = []
-
-        def recording(lhs, rhs, cutoff):
-            cutoffs.append(cutoff)
-            return _CHECK_IDENTITY(lhs, rhs, cutoff)
-
-        monkeypatch.setattr(verify, "check_identity", recording)
-        assert all(r.passed for r in check_relations(copy))
-        assert cutoffs and set(cutoffs) == {verify._probe_cutoff(copy)}, cutoff
-        guarded.add(verify._probe_cutoff(copy))
-    assert guarded == {3 + 2 * rep.max_generator_raise(), 11}
+    (x, _), (y, _) = preimages(list(rep.generators.values()))[1]
+    reach = x.max_raise() + y.max_raise()  # of x y, y x and [pre x, pre y] = 1
+    floored = 3 + 2 * rep.max_generator_raise() - reach
+    probes = _record_pair_probes(monkeypatch)
+    ranges = []
+    for cutoff in (0, 0, 11):
+        del probes[:]
+        assert all(r.passed for r in check_relations(dataclasses.replace(rep, default_cutoff=cutoff)))
+        assert {pair for pair, _ in probes} <= _marked_pairs(rep)
+        assert len(probes) == 2 * len(set(probes))  # each state once, by x y and by y x
+        ranges.append(sorted(state_degree(key) for _, key in set(probes)))
+    assert ranges == [list(range(floored + 1)), [], list(range(floored + 1, 11 - reach + 1))]
+    assert verify._commutation(frozenset((x, y))) == [11 - reach, True]
 
 
 def _sl3_translated_with_fock_a1():
@@ -1432,14 +1477,9 @@ def _record_identity_probes(monkeypatch) -> list:
 
 
 def _other_probes(rep, calls) -> list:
-    """The calls that are neither an extended alt form's probe nor a pair
-    probe (x y against y x + [pre x, pre y], x and y marked and compiled);
-    the calls hold at most one pair probe."""
+    """The calls that are not an extended alt form's probe."""
     alt_exprs = {id(alt.expr) for alt in rep.alt_forms}
-    pair = [lhs for lhs, _ in calls if isinstance(lhs, Product) and all(
-        isinstance(f, Compiled) and f.inner.marked is not None for f in lhs.factors)]
-    assert len(pair) <= 1
-    return [(lhs, rhs) for lhs, rhs in calls if id(rhs) not in alt_exprs and lhs not in pair]
+    return [(lhs, rhs) for lhs, rhs in calls if id(rhs) not in alt_exprs]
 
 
 def _extended_relations(rep, relations) -> int:
@@ -1454,19 +1494,27 @@ def _extended_alt_forms(rep) -> int:
                for alt in rep.alt_forms)
 
 
+@pytest.mark.usefixtures("fresh_kits")  # the guard's record starts cold
 @pytest.mark.parametrize("rid, params", [
     ("osp22_translated", {"n": 2, "delta": rat(1, 2)}),
     ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
 ])
 def test_a_passing_translated_report_probes_only_the_shift_pair(monkeypatch, rid, params):
     # no relation word and no [C,g] word is probed: check_identity sees the
-    # one pair probe and the (extended) alt forms, nothing else
+    # (extended) alt forms alone, and the guard compares each marked pair
+    # on each state of its range once; a second report probes no pair
     rep = build(rid, params)
     calls = _record_identity_probes(monkeypatch)
+    probes = _record_pair_probes(monkeypatch)
     report = full_verify(rep)
     assert report.passed and rep.relations
     assert not _other_probes(rep, calls)
-    assert len(calls) == 1 + _extended_alt_forms(rep)
+    assert len(calls) == _extended_alt_forms(rep)
+    assert {pair for pair, _ in probes} == _marked_pairs(rep)
+    assert len(probes) == 2 * len(set(probes))
+    del calls[:], probes[:]
+    assert full_verify(rep).to_json() == report.to_json()
+    assert len(calls) == _extended_alt_forms(rep) and not probes
 
 
 def _osp22_translated(**gens):
@@ -1556,6 +1604,57 @@ def test_a_bump_beyond_the_probe_range_fails_through_its_preimage(monkeypatch):
         assert _state_str(*first, bad.modes) == state, name
 
 
+def test_the_preimage_closure_table_is_the_matrix_probes_on_the_translated_grid(monkeypatch):
+    # on every full-grid translated instance closure is decided over the
+    # preimage rep, and its table, span dimension and dependent generators
+    # are the matrix probe's; the detail drops the probe degree alone
+    reps = [build(rid, params) for rid, params in acceptance_grid()
+            if rid.endswith("_translated")]
+    assert len(reps) == 54
+    for rep in reps:
+        copy = dataclasses.replace(rep)
+        assert verify._preimages(copy) is not None
+        sc, line = closure(copy)
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "_preimages", lambda rep: None)
+            probed, probe_line = closure(dataclasses.replace(rep))
+        assert line.passed and sc == probed, (rep.rep_id, rep.params)
+        assert line.detail == re.sub(r", probe degree \d+", "", probe_line.detail)
+
+
+def test_a_bump_past_the_probe_range_fails_closure_on_the_generators(monkeypatch):
+    # T+ + ahat^9 on osp22_translated: the matrix probe reaches degree 2 and
+    # PASSes, while over the preimages [T+,T0] leaves the span.  The witness
+    # state is the preimage residual's first unkilled state, and there the
+    # generators' bracket and its span combination, applied as operator
+    # trees, differ by the printed image
+    rep = _osp22_translated()
+    bad = dataclasses.replace(rep, generators=dict(
+        rep.generators, **{"T+": rep.generator("T+") + rep.generator("T-") ** 9}))
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_preimages", lambda rep: None)
+        assert closure(bad)[1] == CheckResult(
+            "closure", "PASS", "span dimension 8 over 8 generators, probe degree 2")
+    copy = dataclasses.replace(bad)
+    sc, line = closure(copy)
+    assert sc is None and line == CheckResult(
+        "closure", "FAIL", "", "[T+,T0] less its span combination sends |0> to 20 b |0> "
+        "(preimage residual 20 b - 10 b th dth - 10 b^2 a)")
+    modes, pre = bad.modes, verify._preimages(copy)
+    b, a = WeylElement.b(modes), WeylElement.a(modes)
+    residual = b * 20 - b * WeylElement.theta(modes) * WeylElement.dtheta(modes) * 10 - b * b * a * 10
+    span = EchelonSpan()
+    for g in pre.generators.values():
+        span.insert(g.as_weyl().terms)
+    coeffs, _ = span.express((pre.bracket("T+", "T0", False) - residual).terms)
+    names = list(bad.generators)
+    vacuum = {((0,), 0): 1}
+    lhs = bad.word_expr([(1, ("T+", "T0")), (-1, ("T0", "T+"))]).apply(vacuum)
+    rhs = bad.word_expr([(c, (names[k],)) for k, c in coeffs.items()]).apply(vacuum)
+    difference = {key: lhs.get(key, 0) - rhs.get(key, 0) for key in lhs.keys() | rhs.keys()}
+    assert {key: c for key, c in difference.items() if c} == {((1,), 0): 20}
+
+
 def test_marks_that_are_no_shift_pair_leave_a_nonzero_residual_to_the_probe():
     # e^a marked as a: X = 1 has the preimage residual a - 1, whose first
     # unkilled state |0> e^a fixes, so the sides agree there; with no pair
@@ -1568,6 +1667,26 @@ def test_marks_that_are_no_shift_pair_leave_a_nonzero_residual_to_the_probe():
     assert verify._preimages(rep) is not None
     (line,) = check_relations(rep)
     assert line.witness == "X = 1: mismatch on b |0>: lhs |0> + b |0>, rhs b |0>"
+
+
+def test_marks_that_show_no_closure_witness_leave_closure_to_the_probe():
+    # e^a marked as a and the shift pair's bhat (step 1) as b pass the pair
+    # guard, as [e^a, bhat] = 1.  P = e^{2a}/2 - e^a reads back to
+    # a^2/2 - a, so [P, Y] reads back to a - 1, outside the span, whose
+    # first unkilled state is |0>; but [P, Y] is e^a - 1, which kills |0>,
+    # so closure is the matrix probe's
+    modes = ModeSystem(1, 0)
+    x = ExpA(modes, 1, 1)
+    x.marked = WeylElement.a(modes)
+    _, bhat = catalogue.shift_pair(modes, 1, 1)
+    p = Sum([Scale(rat(1, 2), Product([x, x])), Scale(-1, x)])
+    rep = RepSpec("marked", {}, {"Y": bhat, "P": p}, default_cutoff=6)
+    pre = verify._preimages(dataclasses.replace(rep))
+    assert pre is not None
+    assert pre.bracket("P", "Y", False) == WeylElement.a(modes) - WeylElement.one(modes)
+    assert closure_symbolic(pre, rep)[1].witness == ""
+    sc, line = closure(rep)
+    assert (sc, line) == dense_closure(rep) and line.detail == "probe degree 4" and sc is None
 
 
 def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
@@ -1586,9 +1705,14 @@ def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
     pre, _ = preimages(list(bad.generators.values()))
     assert pre == [g.as_weyl() for g in build("osp22", {"n": 2}).generators.values()]
     assert verify._preimages(dataclasses.replace(bad)) is None
+    (ahat, _), (bhat, _) = preimages(list(bad.generators.values()))[1]
+    assert verify._commutation(frozenset((ahat, bhat)))[1] is False
     lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
     assert not all(c.passed for c in lines)
     assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
+    # closure, with no preimage rep, is the matrix probe's
+    report = full_verify(bad)
+    assert report.check("closure") == dense_closure(bad)[1] and not report.passed
 
 
 def test_a_casimir_bump_through_the_pair_fails_as_the_probe_does(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +263,40 @@ def test_a_cold_and_a_warm_pair_table_give_the_same_reports():
     assert [table.cache_info().misses for table in tables] == filled
     check_pinned("small_grid", cold)
     check_pinned("small_grid", warm)
+
+
+def _act_by_folding(mono, state):
+    """weyl.act read off the whole fold: the dth-free word among every word
+    of _ferm_multiply(th, dth, beta, 0), contractions and juxtapositions."""
+    bp, ap, th, dth = mono
+    alpha, beta = state
+    if any(e > k for k, e in zip(alpha, ap)):
+        return None
+    factor = 1
+    for k, e in zip(alpha, ap):
+        factor *= math.perm(k, e)
+    free = [(word, sign) for (word, d), sign in weyl._ferm_multiply(th, dth, beta, 0) if not d]
+    if not free:
+        return None
+    (beta, sign), = free
+    return (tuple(k - e + b for k, e, b in zip(alpha, ap, bp)), beta), factor * sign
+
+
+def test_act_forms_the_dth_free_word_of_the_whole_fold():
+    # every monomial and basis state of degree <= 3 over one boson and two
+    # fermionic modes: act's direct word and sign are the fold's one
+    # dth-free word
+    ms = ModeSystem(1, 2)
+    monos = [((k,), (e,), th, dth) for k, e, th, dth in itertools.product(range(4), range(4),
+                                                                          range(4), range(4))
+             if k + e + th.bit_count() + dth.bit_count() <= 3]
+    states = fock.basis_states(ms, 3)
+    pairs = [(mono, key) for mono in monos for key in states]
+    assert len(monos) == 56 and len(states) == 12
+    assert all(weyl.act(mono, key) == _act_by_folding(mono, key) for mono, key in pairs)
+    hits = [weyl.act(mono, key) for mono, key in pairs]
+    assert sum(hit is not None for hit in hits) == 261
+    assert sum(hit is not None and hit[1] < 0 for hit in hits) == 31
 
 
 def test_bracket_matches_swap_oracle_on_the_small_grid():
