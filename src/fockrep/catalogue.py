@@ -15,9 +15,11 @@ family is its formula over the transformed canonical pair
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
 which is canonical, so the algebra relations hold by construction.  That
-is what the report uses: shift_pair marks the pair with a and b, and a
-translated rep's relations and [C,g] are decided over its generators'
-preimages in normal form (verify.check_relations).  The explicitly
+is what the report uses: shift_pair marks the pair with a and b, Kit.preimages
+reads a formula over a kit's own marked nodes back to its polynomial, and a
+translated rep's relations, [C,g] and closure are decided over its
+generators' preimages in normal form (verify.check_relations,
+verify.casimir_check, verify.closure).  The explicitly
 displayed closed forms are attached as alt_forms: checkable claims whose
 mismatches are reported, never patched into the generators.
 """
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 
-from .fock import (ExpA, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
-                   _state_str, basis_states, identity_op, shared)
+from .fock import (Compiled, ExpA, LeftDivB, OperatorExpr, Poly, Product, Scale, Sum,
+                   _state_str, basis_states, identity_op, preimages, shared)
 from .qheis import q_alpha_hat, q_number, q_number_op, q_pair
 from .scalars import SQRT2, Rational, inverse, rat
 from .weyl import ModeSystem, WeylElement, accumulate, bracket
@@ -600,8 +602,8 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
     (Roman, The Umbral Calculus, 1984: ahat is the delta operator of the
     d-falling factorials), and an identity among polynomials in a, b holds
     for the same polynomials in ahat, bhat on the whole Fock space.
-    fock.preimages reads a formula over the pair back to its polynomial
-    through these marks.
+    Kit.preimages reads a formula over the kit's pairs back to its
+    polynomial through these marks.
     """
     delta = rat(delta)
     if delta == 0:
@@ -641,6 +643,21 @@ class Kit:
         put(self, "b", tuple(map(shared, self.b)))
         put(self, "th", tuple(self.th))
         put(self, "dth", tuple(self.dth))
+
+    def nodes(self) -> list:
+        """The a, b, th and dth nodes in that order, each bare of its Compiled."""
+        return [x.inner if isinstance(x, Compiled) else x
+                for x in self.a + self.b + self.th + self.dth]
+
+    def preimages(self, ops) -> list:
+        """Each op read back through the marks (fock.preimages), where only
+        this kit's own pair nodes (nodes) read as their marks: its
+        polynomial, or None where its tree holds any other marked node or a
+        node with no preimage.  A kit's marked nodes obey the canonical
+        relations of their marks (shift_pair's lemma for the shift kit), so
+        this is an algebra map on a formula over the kit; a marked node
+        made anywhere else, such as a pair at a wrong step, is not read."""
+        return preimages(ops, {id(x) for x in self.nodes()})
 
 
 @cache

@@ -19,8 +19,8 @@ columns are held by every rep and realization over the same pairs.  Those
 columns are the only cache a node keeps; a table keyed by data alone
 (weyl.act, _binomial_row, the bases) is kept once for the process.  A node
 may carry a mark, the Weyl generator it stands for (OperatorExpr.marked),
-and preimages reads a tree of marked nodes, scalars and fermions back to
-its polynomial.
+and preimages reads a tree of a kit's marked nodes, scalars and fermions
+back to its polynomial.
 Arithmetic (+, -, *, scale) is the one place polynomials fold: two Poly
 operands give one Poly, anything else gives a Sum, Product or Scale node,
 which never folds later.  Scaling by 1 returns the operator itself, and a
@@ -114,9 +114,12 @@ class OperatorExpr:
     """Base class; subclasses implement apply and max_raise.
 
     marked is None except on a node that stands for one generator of a
-    canonical pair other than the Fock one (catalogue.shift_pair): there it
-    is the WeylElement, a_i or b_i, that the node is the image of.  The mark
-    is an attribute of the node itself, so it adds no level to apply."""
+    canonical pair other than the Fock one: there it is the WeylElement
+    (a_i, b_i, th_j or dth_j) that the node is the image of.
+    catalogue.shift_pair marks the shift pair, and realize's differential
+    and fd kits mark each of their pair nodes and Pauli-Kronecker matrices.
+    The mark is an attribute of the node itself, so it adds no level to
+    apply."""
 
     modes: ModeSystem
     marked = None
@@ -475,23 +478,21 @@ def shared(x: OperatorExpr) -> OperatorExpr:
     return x if isinstance(x, Compiled) or x.as_weyl() is not None else Compiled(x)
 
 
-def preimages(roots) -> tuple:
-    """Each root read back through the marks: a marked node as its mark, a
-    polynomial free of bosonic exponents (scalars and fermions) as itself,
-    and Sum, Product, Scale and Compiled as the sum, product, multiple and
-    inner node's preimage.  When the marked nodes obey the canonical
-    relations their marks do, this is an algebra map, so a root is the
-    image of its preimage.
+def preimages(roots, own) -> list:
+    """Each root read back through the marks of the nodes whose ids are in
+    own: such a node as its mark, a polynomial free of bosonic exponents
+    (scalars and fermions) as itself, and Sum, Product, Scale and Compiled
+    as the sum, product, multiple and inner node's preimage.  When the
+    nodes in own obey the canonical relations their marks do, this is an
+    algebra map, so a root is the image of its preimage.
 
-    Returns (pre, marked): pre[k] is roots[k]'s preimage, a WeylElement, or
-    None where any node of its tree has none (a polynomial with a bosonic
-    exponent, which is the Fock pair's a or b and not a marked one's, or
-    any other node); marked lists (node, mark) once per marked node met, the
-    node being the Compiled one around it where there is one.  Each node is
-    read once per call, so an intermediate that several roots share (a
+    Each root's preimage is a WeylElement, or None where any node of its
+    tree has none: a marked node not in own, a polynomial with a bosonic
+    exponent (the Fock pair's a or b, not a marked one's), or any other
+    node.  catalogue.Kit.preimages gives own as its pair nodes.  Each node
+    is read once per call, so an intermediate that several roots share (a
     formula's shared factor) is read once for all of them.
     """
-    marked = {}  # id of a marked node -> (that node, or its Compiled, mark)
     read = {}  # id of a node met -> its preimage
 
     def walk(node):
@@ -502,12 +503,9 @@ def preimages(roots) -> tuple:
 
     def _read(node):
         if isinstance(node, Compiled):
-            if node.inner.marked is not None:
-                marked.setdefault(id(node.inner), (node, node.inner.marked))
             return walk(node.inner)
         if node.marked is not None:
-            marked.setdefault(id(node), (node, node.marked))
-            return node.marked
+            return node.marked if id(node) in own else None
         if isinstance(node, Poly):
             w = node.weyl
             return None if any(any(bp) or any(ap) for bp, ap, _, _ in w.terms) else w
@@ -526,7 +524,7 @@ def preimages(roots) -> tuple:
             return None if w is None else w.scale(node.coeff)
         return None
 
-    return [walk(root) for root in roots], list(marked.values())
+    return [walk(root) for root in roots]
 
 
 # -- falling-factorial transform ----------------------------------------------

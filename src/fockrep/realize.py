@@ -38,7 +38,7 @@ from functools import cache
 
 from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
 from .fock import (Compiled, ExpA, MatrixRep, OperatorExpr, Product, Scale, Sum, basis_states,
-                   identity_op, preimages, state_degree, to_matrix)
+                   identity_op, state_degree, to_matrix)
 from .scalars import exact, inverse, rat
 from .verify import CheckResult
 from .weyl import ModeSystem, WeylElement, accumulate
@@ -355,26 +355,6 @@ def abstract_counterpart(rep: RepSpec, kind: str) -> dict:
     return family(rep.rep_id).formula(counterpart(rep), rep.params)
 
 
-def _bare(node: OperatorExpr) -> OperatorExpr:
-    return node.inner if isinstance(node, Compiled) else node
-
-
-def _pair_nodes(kit: Kit) -> list:
-    """kit's a, b, th and dth nodes in that order, each bare of its Compiled."""
-    return [_bare(x) for x in kit.a + kit.b + kit.th + kit.dth]
-
-
-def _words(ops, kit: Kit) -> list:
-    """Each op read back through the marks (fock.preimages): its polynomial,
-    or None where its tree holds a node with no preimage; all None where a
-    marked node met is not one of kit's pair nodes."""
-    pre, marked = preimages(ops)
-    own = {id(x) for x in _pair_nodes(kit)}
-    if any(id(_bare(node)) not in own for node, _ in marked):
-        return [None] * len(pre)
-    return pre
-
-
 def _reach(node: OperatorExpr, seen: dict) -> int:
     """How far above its input's degree any vector met while node acts can
     rise: the sum over a Product's factors, the max over a Sum's parts, and
@@ -400,7 +380,7 @@ def _agreement(realized: Kit, counterpart: Kit) -> list:
     once a state of degree d + 1 tells two apart, or from the start (d =
     -1) where a node's mark is not the generator its place stands for.
     One record per pair of kits per process, as the kits are."""
-    pairs = zip(_pair_nodes(realized), _pair_nodes(counterpart), strict=True)
+    pairs = zip(realized.nodes(), counterpart.nodes(), strict=True)
     return [-1, all(x.marked == (y.as_weyl() if y.marked is None else y.marked)
                     for x, y in pairs)]
 
@@ -415,7 +395,7 @@ def _leaves_agree(realized: Kit, counterpart: Kit, degree: int) -> bool:
     record = _agreement(realized, counterpart)
     through, holds = record
     if degree > through and holds:
-        pairs = list(zip(_pair_nodes(realized), _pair_nodes(counterpart)))
+        pairs = list(zip(realized.nodes(), counterpart.nodes()))
         for key in basis_states(realized.one.modes, degree):
             d = state_degree(key)
             if d > through and any(x.apply({key: 1}) != y.apply({key: 1}) for x, y in pairs):
@@ -431,7 +411,7 @@ def _kit_theorem(rep: RepSpec, kind: str, realized: dict, abstract: dict) -> set
     (see cross_check); a name left out is decided by the state walk."""
     make_realized, make_counterpart = KINDS[kind]
     kit = make_realized(rep)
-    pre = _words(list(realized.values()), kit)
+    pre = kit.preimages(list(realized.values()))
     if all(w is None for w in pre):
         return set()
     if make_counterpart is None:  # the rep itself, polynomials over the Fock kit
@@ -439,7 +419,7 @@ def _kit_theorem(rep: RepSpec, kind: str, realized: dict, abstract: dict) -> set
         words = [g.as_weyl() for g in abstract.values()]
     else:
         counterpart = make_counterpart(rep)
-        words = _words(list(abstract.values()), counterpart)
+        words = counterpart.preimages(list(abstract.values()))
     words = dict(zip(abstract, words))
     cutoff, seen = rep.default_cutoff, {}
     return {name for (name, op), w in zip(realized.items(), pre)
@@ -452,8 +432,9 @@ def cross_check(rep: RepSpec, kind: str) -> list:
     to the rep's cutoff.
 
     A generator is first decided as a theorem on the kits (_kit_theorem).
-    Its realized tree T is read back through the marks of its kit's nodes
-    to a polynomial w, and its counterpart to its own: the rep generator's
+    Its realized tree T is read back through the marks of its kit's own
+    nodes (catalogue.Kit.preimages, which verify reads through too) to a
+    polynomial w, and its counterpart to its own: the rep generator's
     normal form for the differential kind, the preimage through the shift
     kit's marks for fd.  The line PASSes when the two are equal and each
     marked node equals the counterpart kit's node in its place on every

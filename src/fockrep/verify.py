@@ -15,28 +15,30 @@ Graded Jacobi on that exact table is a theorem where its grading premise
 holds (_jacobi_line), and is summed over the table's triples otherwise.
 A shift-translated family's generators are polynomials in its marked
 shift pair, scalars and fermions, and read back to preimage polynomials
-(_preimages), once the marked nodes' own brackets pass a guard probe that
-compares each state once per pair of nodes per process (_commutation).
-Its relation lines, [C,g] and closure are decided in normal form over
-those, as on a polynomial family: the marks' map is an injective algebra
-map, so a zero residual holds on the whole Fock space, the closure table
-is the generators' own, and Jacobi on it is implied.  A nonzero residual
-FAILs on the first state, in graded order, on which the two sides differ,
-which the pair's unit-triangular change of basis makes the residual's
-first unkilled state, as on a polynomial family; where a probe finds a
-witness it is that state, so the line is the probe's.  A closure FAIL
-names that state's image under the generators' bracket less its span
-combination.  Every other identity of an extended family is probed as
-operator trees on the states up to the cutoff, a finite probe and not a
-proof, with the Casimir stored shared (fock.shared) so each state's image
-is formed once.  Closure of an extended rep with no preimages is a matrix
-probe that sums each bracket over the generators' nonzero columns and
-never calls weyl.  The symbolic closure and the Casimir centrality check
-form each bracket with weyl.bracket, which reads each monomial pair's
-bracket from weyl's process-wide pair table.
+through the kit its family record builds over (_preimages): only that
+kit's own pair nodes read as their marks (catalogue.Kit.preimages), and
+the pair is canonical (catalogue.shift_pair).  Its relation lines, [C,g]
+and closure are decided in normal form over those, as on a polynomial
+family: the marks' map is an injective algebra map, so a zero residual
+holds on the whole Fock space, the closure table is the generators' own,
+and Jacobi on it is implied.  A nonzero residual FAILs on the first
+state, in graded order, on which the two sides differ, which the pair's
+unit-triangular change of basis makes the residual's first unkilled
+state, as on a polynomial family; where a probe finds a witness it is
+that state, so the line is the probe's.  A closure FAIL names that
+state's image under the generators' bracket less its span combination.
+Every other identity of an extended family, a marked node made outside
+the family's kit included, is probed as operator trees on the states up
+to the cutoff, a finite probe and not a proof, with the Casimir stored
+shared (fock.shared) so each state's image is formed once.  Closure of an
+extended rep with no preimages is a matrix probe that sums each bracket
+over the generators' nonzero columns and never calls weyl.  The symbolic
+closure and the Casimir centrality check form each bracket with
+weyl.bracket, which reads each monomial pair's bracket from weyl's
+process-wide pair table.
 
-Every check takes only the rep and probes at its default_cutoff, as does
-the shift-pair guard (_preimages); another cutoff is another rep.
+Every check takes only the rep and probes at its default_cutoff; another
+cutoff is another rep.
 
 full_verify walks CHECKS, one ordered table that alone decides whether a
 check runs, is skipped (a SKIP line with the reason) or gives no line, and
@@ -58,11 +60,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cache
 
-from .catalogue import RepSpec
-from .fock import (IdentityReport, Poly, Product, Sum, _state_str, basis_states, check_identity,
-                   preimages, shared, state_degree, state_sort_key, vector_str)
+from .catalogue import FAMILIES, RepSpec
+from .fock import (IdentityReport, Poly, Product, _state_str, basis_states, check_identity,
+                   shared, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
 from .scalars import MOD_P, reduce_mod_p
 from .weyl import WeylElement, accumulate, bracket
@@ -172,9 +173,8 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
     marked pairs' change of basis S, S b^k|0> = bhat^k|0>, which is
     unit-triangular: S^-1 v is v plus states of lower degree, so every
     state before u in graded order is still killed and u is not, and u is
-    again the witness a probe would name.  Where the sides agree on u after
-    all, the marks are no such algebra map, and the probe decides.  Sides
-    with no residual are probed by check_identity.
+    again the witness a probe would name.  Sides with no residual are
+    probed by check_identity.
     """
     if residual is None:
         w, v = lhs.as_weyl(), rhs.as_weyl()
@@ -185,10 +185,7 @@ def _mismatch(lhs, rhs, cutoff: int, residual: WeylElement = None):
     if residual.is_zero():
         return None
     key = _first_unkilled(residual)
-    left, right = lhs.apply({key: 1}), rhs.apply({key: 1})
-    if left == right:
-        return _mismatch(lhs, rhs, cutoff)
-    return IdentityReport(False, state_degree(key), key, left, right)
+    return IdentityReport(False, state_degree(key), key, lhs.apply({key: 1}), rhs.apply({key: 1}))
 
 
 def _first_unkilled(residual: WeylElement):
@@ -234,56 +231,26 @@ def _probe_cutoff(rep: RepSpec) -> int:
 
 def _preimages(rep: RepSpec):
     """The polynomial rep over the preimages of an extended rep's
-    generators (fock.preimages), kept on rep, or None.
+    generators, kept on rep, or None.
 
-    Every generator must have a preimage, and each two marked nodes x, y
-    must satisfy [x, y] = [pre x, pre y] on the relation probe range, which
-    a pair built with a wrong step fails (_commutes).  Then an identity
-    whose preimage residual is zero holds for the generators on the whole
-    Fock space, as the marks' algebra map sends it there
-    (catalogue.shift_pair)."""
+    The generators are read back through the kit the rep's family record
+    builds over (catalogue.Kit.preimages), where only that kit's own pair
+    nodes read as their marks; a rep with no family record, or a generator
+    with no preimage, gives None.  The kit's marked pair is canonical
+    (catalogue.shift_pair), so the marks' map is an injective algebra map,
+    and an identity whose preimage residual is zero holds for the
+    generators on the whole Fock space."""
     return rep.memo(_preimages, lambda: _pulled_back(rep))
 
 
 def _pulled_back(rep: RepSpec):
-    pre, marked = preimages(list(rep.generators.values()))
+    record = FAMILIES.get(rep.rep_id)
+    if record is None:
+        return None
+    pre = record.kit(rep.modes, rep.params).preimages(list(rep.generators.values()))
     if any(w is None for w in pre):
         return None
-    cutoff = _probe_cutoff(rep)
-    for i, (x, v) in enumerate(marked):
-        for y, w in marked[i + 1:]:
-            if not _commutes(x, v, y, w, cutoff):
-                return None
     return replace(rep, generators={name: Poly(w) for name, w in zip(rep.generators, pre)})
-
-
-@cache
-def _commutation(pair: frozenset) -> list:
-    """[d, holds]: the two marked nodes of pair satisfy [x, y] = [pre x,
-    pre y] on every basis state of degree <= d; holds is False once a state
-    of degree d + 1 tells the sides apart.  One record per pair of marked
-    nodes per process, as the nodes are their kit's (catalogue.Kit), so
-    each state is compared once however many reps and reports read the
-    pair (as realize._agreement records a pair of kits)."""
-    return [-1, True]
-
-
-def _commutes(x, v, y, w, cutoff: int) -> bool:
-    """Whether [x, y] = [v, w] on every basis state up to cutoff less the
-    raise of either side, as check_identity would find; only the states
-    above the pair's record (_commutation) are compared."""
-    lhs, rhs = Product([x, y]), Sum([Product([y, x]), Poly(bracket(v, w, False))])
-    degree = max(cutoff - max(0, lhs.max_raise(), rhs.max_raise()), 0)
-    record = _commutation(frozenset((x, y)))
-    through, holds = record
-    if degree > through and holds:
-        for key in basis_states(x.modes, degree):
-            d = state_degree(key)
-            if d > through and lhs.apply({key: 1}) != rhs.apply({key: 1}):
-                record[:] = d - 1, False
-                return False
-        record[0] = degree
-    return degree <= record[0]
 
 
 def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
@@ -327,8 +294,7 @@ def closure(rep: RepSpec):
     ahat, b -> bhat is an injective algebra map, so each bracket of the
     generators is the image of its preimages' bracket, and its coordinates
     in the generators' span are unique.  A bracket outside the span FAILs
-    on the generators themselves (closure_symbolic), or, where they show no
-    witness, as the matrix probe decides.
+    on the generators themselves (closure_symbolic).
 
     Any other extended rep is probed on the overflow-free range of the
     rep's cutoff, floored at the combined lowering degree of a generator
@@ -342,9 +308,7 @@ def closure(rep: RepSpec):
         return closure_symbolic(rep)
     pre = _preimages(rep)
     if pre is not None:
-        sc, line = pre.memo(closure, lambda: closure_symbolic(pre, rep))
-        if sc is not None or line.witness:
-            return sc, line
+        return pre.memo(closure, lambda: closure_symbolic(pre, rep))
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -401,9 +365,9 @@ def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
 
     Given actual, an extended rep whose preimage rep (_preimages) this is,
     the witness is the image of u under actual's bracket less that
-    combination, as operator trees: the marks' change of basis is unit-triangular, so u is
-    again the first state the trees do not kill (_mismatch).  Where they
-    kill it after all, the line's witness is empty.
+    combination, as operator trees: the marks' change of basis is
+    unit-triangular, so u is again the first state the trees do not kill
+    (_mismatch).
     """
     names = list(rep.generators)
     parities = [rep.parities[n] for n in names]
@@ -425,8 +389,6 @@ def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
                  [(1, (names[i], names[j])), (1 if anti else -1, (names[j], names[i]))])
         words += [(-c, (names[k],)) for k, c in span.express(inside)[0].items()]
         image = actual.word_expr(words).apply({key: 1})
-        if not image:
-            return ""
         return ("%s less its span combination sends %s to %s (preimage residual %s)"
                 % (bracket_name, _state_str(*key, rep.modes), vector_str(image, rep.modes),
                    residual))

@@ -1,12 +1,11 @@
 import pytest
 
-from fockrep import catalogue, realize, verify
+from fockrep import catalogue, realize
 
-# every kit constructor's process-wide memo, the cross check's record of how
-# far each pair of kits agrees, and the shift-pair guard's record of how far
-# each pair of marked nodes obeys its marks' bracket
+# every kit constructor's process-wide memo, and the cross check's record of
+# how far each pair of kits agrees
 KIT_MEMOS = (catalogue.fock_kit, catalogue._q_kit, realize.differential_kit,
-             realize.fd_kit, realize.jackson_kit, realize._agreement, verify._commutation)
+             realize.fd_kit, realize.jackson_kit, realize._agreement)
 
 
 def _clear_kits():

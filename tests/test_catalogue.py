@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from fockrep.catalogue import CatalogueError, build, fock_kit, list_catalogue, shift_pair
-from fockrep.fock import Compiled, Poly, basis_states, check_identity, preimages, to_matrix
+from fockrep.catalogue import CatalogueError, build, family, fock_kit, list_catalogue, shift_pair
+from fockrep.fock import Compiled, Poly, basis_states, check_identity, to_matrix
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
 from fockrep.verify import check_alt_forms, full_verify
@@ -210,66 +210,110 @@ def _bracket_on(x, y, key) -> dict:
     return (x * y - y * x).apply({key: 1})
 
 
-@pytest.mark.parametrize("delta", [rat(1), rat(1, 2), rat(-1, 3), rat(7, 5)])
-def test_the_shift_pair_is_canonical_and_marked_with_a_and_b(delta):
-    # [ahat, bhat] = 1 on every state of degree <= 12: the lemma behind
-    # deciding a translated rep's relations over a and b
-    modes = ModeSystem(1, 0)
-    ahat, bhat = shift_pair(modes, 1, delta)
-    assert (ahat.marked, bhat.marked) == (WeylElement.a(modes), WeylElement.b(modes))
-    for key in basis_states(modes, 12):
-        assert _bracket_on(ahat, bhat, key) == {key: 1}, key
-    assert ahat.apply({((0,), 0): 1}) == {}
+def _grid_steps(rid) -> list:
+    """The distinct per-mode steps of the shift kits (fock_kit(modes,
+    steps)) that rid's acceptance-grid reps build over, in grid order."""
+    record = family(rid)
+    return list(dict.fromkeys(record.fd_steps(record.modes(p), p)
+                              for r, p in acceptance_grid() if r == rid))
 
 
-@pytest.mark.parametrize("deltas", [
-    (params["delta1"], params["delta2"]) for rid, params in acceptance_grid()
-    if rid == "sl3_translated" and params["n"] == 0])
-def test_two_shift_pairs_commute_across_modes(deltas):
-    # sl3_translated's two steps: [ahat_i, bhat_j] = delta_ij, and the two
-    # lowering and the two raising nodes commute, on every state of degree <= 8
-    modes = ModeSystem(2, 0)
-    kit = fock_kit(modes, deltas)
+def _assert_canonical(kit, degree):
+    """The canonical relations of kit's pair nodes on every basis state of
+    degree <= degree: [ahat_i, bhat_j] = delta_ij, the lowering nodes
+    commute, the raising nodes commute, and each pair node commutes with
+    every th_j and dth_j."""
+    m = len(kit.a)
     nodes = kit.a + kit.b
-    marks = [WeylElement.a(modes, 1), WeylElement.a(modes, 2),
-             WeylElement.b(modes, 1), WeylElement.b(modes, 2)]
-    # the kit holds each marked pair node Compiled, the mark on its inner node
-    assert all(isinstance(x, Compiled) and x.marked is None for x in nodes)
-    assert [x.inner.marked for x in nodes] == marks
-    for key in basis_states(modes, 8):
+    for key in basis_states(kit.one.modes, degree):
         for i, x in enumerate(nodes):
             for j, y in enumerate(nodes):
-                want = {key: 1} if j == i + 2 else {key: -1} if i == j + 2 else {}
+                want = {key: 1} if j == i + m else {key: -1} if i == j + m else {}
                 assert _bracket_on(x, y, key) == want, (key, i, j)
+            for f in kit.th + kit.dth:
+                assert _bracket_on(x, f, key) == {}, (key, i)
+
+
+def _assert_marked(kit):
+    """kit holds each pair node Compiled, the mark on its inner node, and
+    reads its own nodes back as a_i and b_i (Kit.preimages)."""
+    modes = kit.one.modes
+    marks = ([WeylElement.a(modes, i) for i in range(1, modes.bosonic + 1)]
+             + [WeylElement.b(modes, i) for i in range(1, modes.bosonic + 1)])
+    nodes = kit.a + kit.b
+    assert all(isinstance(x, Compiled) and x.marked is None for x in nodes)
+    assert [x.inner.marked for x in nodes] == marks == kit.preimages(nodes)
+
+
+@pytest.mark.parametrize("delta", [d for (d,) in _grid_steps("sl2_translated")] + [rat(7, 5)])
+def test_the_shift_pair_is_canonical_and_marked_with_a_and_b(delta):
+    # the lemma behind deciding a translated rep over its preimages, on the
+    # shift kit of each grid step sl2_translated and osp22_translated build
+    # over, and one step off the grid: [ahat, bhat] = 1 and ahat kills |0>,
+    # and on osp22's modes the pair commutes with th and dth, on every
+    # state of degree <= 12
+    assert _grid_steps("osp22_translated") == _grid_steps("sl2_translated")
+    for modes in (ModeSystem(1, 0), ModeSystem(1, 1)):
+        kit = fock_kit(modes, (delta,))
+        _assert_marked(kit)
+        assert kit.a[0].apply({((0,), 0): 1}) == {}
+        _assert_canonical(kit, 12)
+
+
+@pytest.mark.parametrize("deltas", _grid_steps("sl3_translated"))
+def test_two_shift_pairs_commute_across_modes(deltas):
+    # each grid kit of sl3_translated's two steps: [ahat_i, bhat_j] =
+    # delta_ij, and the two lowering and the two raising nodes commute, on
+    # every state of degree <= 12
+    kit = fock_kit(ModeSystem(2, 0), deltas)
+    _assert_marked(kit)
+    _assert_canonical(kit, 12)
 
 
 @pytest.mark.parametrize("rid, base", [("sl2_translated", "sl2_standard"),
                                        ("osp22_translated", "osp22"),
                                        ("sl3_translated", "sl3_fock")])
 def test_translated_generators_read_back_to_the_base_family(rid, base):
-    # through the marks, each translated generator is its base family's
-    # normal form, on the built rep and on a copy; the marked nodes are
-    # found as the kit's Compiled pair nodes on both
+    # through the marks of the kit the family record builds over, each
+    # translated generator is its base family's normal form, on the built
+    # rep and on a copy; the kit of another step reads back only the
+    # generators free of a and b
+    record = family(rid)
     for params in (params for r, params in acceptance_grid() if r == rid):
         rep = build(rid, params)
         want = [g.as_weyl() for g in build(base, {"n": params["n"]}).generators.values()]
-        found = []
+        kit = record.kit(rep.modes, params)
         for copy in (rep, dataclasses.replace(rep)):
-            pre, marked = preimages(list(copy.generators.values()))
-            assert pre == want, params
-            assert len(marked) == 2 * rep.modes.bosonic
-            assert all(isinstance(node, Compiled) and node.inner.marked is mark
-                       for node, mark in marked)
-            found.append([node for node, _ in marked])
-        assert found[0] == found[1]
+            assert kit.preimages(list(copy.generators.values())) == want, params
+        other = fock_kit(rep.modes, tuple(2 * d for d in record.fd_steps(rep.modes, params)))
+        assert other.preimages(list(rep.generators.values())) == [
+            None if any(any(bp) or any(ap) for bp, ap, _, _ in w.terms) else w for w in want]
 
 
 def test_a_node_off_the_marks_has_no_preimage():
     rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
     b = Poly(WeylElement.b(rep.modes))
-    pre, _ = preimages([rep.generator("J-") + b, rep.generator("J0") + rat(1, 2),
-                        build("sl2q", {"alpha": 2, "q": 2, "delta": 1}).generator("J-")])
+    kit = fock_kit(rep.modes, (rat(1, 2),))
+    pre = kit.preimages([rep.generator("J-") + b, rep.generator("J0") + rat(1, 2),
+                         build("sl2q", {"alpha": 2, "q": 2, "delta": 1}).generator("J-")])
     assert pre == [None, WeylElement.b(rep.modes) * WeylElement.a(rep.modes) - rat(1, 2), None]
+
+
+def test_only_the_kits_own_marked_nodes_read_back():
+    # a copy of the kit's pair made by shift_pair bears the same marks and
+    # acts the same, but is no node of the kit: in one call each root that
+    # holds it reads as None, while the roots over the kit's own nodes,
+    # the shared intermediate included, read back
+    modes = ModeSystem(1, 0)
+    kit = fock_kit(modes, (rat(1, 2),))
+    ahat, bhat = kit.a[0], kit.b[0]
+    foreign, _ = shift_pair(modes, 1, rat(1, 2))
+    assert foreign.marked == ahat.inner.marked
+    assert all(foreign.apply({key: 1}) == ahat.apply({key: 1}) for key in basis_states(modes, 6))
+    both = bhat * ahat
+    a, b = WeylElement.a(modes), WeylElement.b(modes)
+    assert kit.preimages([ahat, foreign, both, both + foreign, both.scale(3), foreign * bhat]) == [
+        a, None, b * a, None, (b * a).scale(3), None]
 
 
 # -- stored generators ---------------------------------------------------------

@@ -1,9 +1,7 @@
 import dataclasses
-import importlib
 import json
 import re
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -901,16 +899,6 @@ def test_the_residual_names_the_first_separating_state(terms, cutoff):
         assert probe.equal
 
 
-def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
-    # the traced benchmark replaces each (owner, attribute) of its SPANS; a
-    # renamed or moved function would leave its span reading zero
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    spans = importlib.import_module("spans")
-    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in spans.SPANS
-               if not callable(owner.__dict__.get(attr))]
-    assert not missing
-
-
 def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
     # the table reaches each check as a verify global when it runs, and the
     # Jacobi and Killing entries share one closure: on a polynomial rep and
@@ -1384,53 +1372,6 @@ def test_transported_lines_equal_the_probe_lines(monkeypatch):
             assert casimir_check(copy)[1][0] == commutes == probe_casimir_commutes(rep)
 
 
-def _record_pair_probes(monkeypatch) -> list:
-    """Record, from now on, each state the shift-pair guard compares
-    (verify._commutes): (the ids of the pair, state) for each basis state
-    verify applies a product of two marked nodes to, x y and y x alike."""
-    seen = []
-
-    class Recording(Product):
-        __slots__ = ()
-
-        def apply(self, terms):
-            if all(isinstance(f, Compiled) and f.inner.marked is not None for f in self.factors):
-                seen.extend((frozenset(map(id, self.factors)), key) for key in terms)
-            return super().apply(terms)
-
-    monkeypatch.setattr(verify, "Product", Recording)
-    return seen
-
-
-def _marked_pairs(rep) -> set:
-    """The ids of each two marked nodes of rep's generators."""
-    _, marked = preimages(list(rep.generators.values()))
-    return {frozenset((id(x), id(y))) for i, (x, _) in enumerate(marked) for y, _ in marked[i + 1:]}
-
-
-@pytest.mark.usefixtures("fresh_kits")  # the guard's record starts cold
-def test_check_relations_guards_the_pair_at_the_probe_cutoff_of_its_copy(monkeypatch):
-    # the shift-pair guard (_preimages) reads the probe cutoff of the copy
-    # check_relations is given, floored or not, and its record per pair of
-    # marked nodes (_commutation) compares each state once per process: a
-    # cold record probes every state of the range, a second copy at the same
-    # cutoff none, and a higher cutoff only the states above the old range
-    rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
-    (x, _), (y, _) = preimages(list(rep.generators.values()))[1]
-    reach = x.max_raise() + y.max_raise()  # of x y, y x and [pre x, pre y] = 1
-    floored = 3 + 2 * rep.max_generator_raise() - reach
-    probes = _record_pair_probes(monkeypatch)
-    ranges = []
-    for cutoff in (0, 0, 11):
-        del probes[:]
-        assert all(r.passed for r in check_relations(dataclasses.replace(rep, default_cutoff=cutoff)))
-        assert {pair for pair, _ in probes} <= _marked_pairs(rep)
-        assert len(probes) == 2 * len(set(probes))  # each state once, by x y and by y x
-        ranges.append(sorted(state_degree(key) for _, key in set(probes)))
-    assert ranges == [list(range(floored + 1)), [], list(range(floored + 1, 11 - reach + 1))]
-    assert verify._commutation(frozenset((x, y))) == [11 - reach, True]
-
-
 def _sl3_translated_with_fock_a1():
     """sl3_translated n=2 delta1=1 delta2=1/2 with the Fock a1, not the
     shift pair's ahat1, added to J1+."""
@@ -1494,27 +1435,24 @@ def _extended_alt_forms(rep) -> int:
                for alt in rep.alt_forms)
 
 
-@pytest.mark.usefixtures("fresh_kits")  # the guard's record starts cold
 @pytest.mark.parametrize("rid, params", [
     ("osp22_translated", {"n": 2, "delta": rat(1, 2)}),
     ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
 ])
-def test_a_passing_translated_report_probes_only_the_shift_pair(monkeypatch, rid, params):
-    # no relation word and no [C,g] word is probed: check_identity sees the
-    # (extended) alt forms alone, and the guard compares each marked pair
-    # on each state of its range once; a second report probes no pair
+def test_a_passing_translated_report_probes_only_alt_forms(monkeypatch, rid, params):
+    # the generators read back through the family's kit, so no relation
+    # word and no [C,g] word is probed: check_identity sees the (extended)
+    # alt forms alone, in this report and in a second one
     rep = build(rid, params)
     calls = _record_identity_probes(monkeypatch)
-    probes = _record_pair_probes(monkeypatch)
     report = full_verify(rep)
     assert report.passed and rep.relations
+    assert verify._preimages(dataclasses.replace(rep)) is not None
     assert not _other_probes(rep, calls)
     assert len(calls) == _extended_alt_forms(rep)
-    assert {pair for pair, _ in probes} == _marked_pairs(rep)
-    assert len(probes) == 2 * len(set(probes))
-    del calls[:], probes[:]
+    del calls[:]
     assert full_verify(rep).to_json() == report.to_json()
-    assert len(calls) == _extended_alt_forms(rep) and not probes
+    assert len(calls) == _extended_alt_forms(rep)
 
 
 def _osp22_translated(**gens):
@@ -1655,44 +1593,54 @@ def test_a_bump_past_the_probe_range_fails_closure_on_the_generators(monkeypatch
     assert {key: c for key, c in difference.items() if c} == {((1,), 0): 20}
 
 
-def test_marks_that_are_no_shift_pair_leave_a_nonzero_residual_to_the_probe():
-    # e^a marked as a: X = 1 has the preimage residual a - 1, whose first
-    # unkilled state |0> e^a fixes, so the sides agree there; with no pair
-    # to probe the preimages stand, and the probe finds b|0>
-    modes = ModeSystem(1, 0)
+def _e_a_marked_as_a(modes):
+    """e^a, marked as a, as the step-1 shift pair's ahat = e^a - 1 is: a
+    node that bears a's mark but is no node of any kit."""
     x = ExpA(modes, 1, 1)
     x.marked = WeylElement.a(modes)
-    rep = RepSpec("marked", {}, {"X": x},
+    return x
+
+
+def test_marks_that_are_no_shift_pair_leave_a_nonzero_residual_to_the_probe():
+    # e^a marked as a, on a rep of the family whose kit at step 1 holds the
+    # shift pair: read as a, X = 1 would have the preimage residual a - 1,
+    # whose first unkilled state |0> e^a fixes.  X is no node of the kit,
+    # so it has no preimage, the relation is probed, and the probe finds b|0>
+    modes = ModeSystem(1, 0)
+    rep = RepSpec("sl2_translated", {"n": rat(0), "delta": rat(1)}, {"X": _e_a_marked_as_a(modes)},
                   [catalogue.RelationClaim("X = 1", [(1, ("X",))], [(1, ())])])
-    assert verify._preimages(rep) is not None
+    assert verify._preimages(rep) is None
     (line,) = check_relations(rep)
     assert line.witness == "X = 1: mismatch on b |0>: lhs |0> + b |0>, rhs b |0>"
 
 
 def test_marks_that_show_no_closure_witness_leave_closure_to_the_probe():
-    # e^a marked as a and the shift pair's bhat (step 1) as b pass the pair
-    # guard, as [e^a, bhat] = 1.  P = e^{2a}/2 - e^a reads back to
-    # a^2/2 - a, so [P, Y] reads back to a - 1, outside the span, whose
-    # first unkilled state is |0>; but [P, Y] is e^a - 1, which kills |0>,
-    # so closure is the matrix probe's
+    # e^a marked as a, and the kit's own bhat at step 1: [e^a, bhat] = 1,
+    # so no bracket of the two tells e^a from the kit's ahat.  Trusted as
+    # a, P = e^{2a}/2 - e^a would read back to a^2/2 - a, and [P, Y] to
+    # a - 1, outside the span with first unkilled state |0>; but [P, Y] is
+    # e^a - 1, which kills |0>.  Only the kit's own nodes read back, so P
+    # has no preimage and closure is the matrix probe's
     modes = ModeSystem(1, 0)
-    x = ExpA(modes, 1, 1)
-    x.marked = WeylElement.a(modes)
-    _, bhat = catalogue.shift_pair(modes, 1, 1)
+    x = _e_a_marked_as_a(modes)
+    bhat = catalogue.fock_kit(modes, (rat(1),)).b[0]
     p = Sum([Scale(rat(1, 2), Product([x, x])), Scale(-1, x)])
-    rep = RepSpec("marked", {}, {"Y": bhat, "P": p}, default_cutoff=6)
-    pre = verify._preimages(dataclasses.replace(rep))
-    assert pre is not None
-    assert pre.bracket("P", "Y", False) == WeylElement.a(modes) - WeylElement.one(modes)
-    assert closure_symbolic(pre, rep)[1].witness == ""
+    rep = RepSpec("sl2_translated", {"n": rat(0), "delta": rat(1)}, {"Y": bhat, "P": p},
+                  default_cutoff=6)
+    a, one = WeylElement.a(modes), WeylElement.one(modes)
+    trusted = preimages([p], {id(x)})[0]
+    assert weyl.bracket(trusted, WeylElement.b(modes), False) == a - one
+    assert verify._preimages(dataclasses.replace(rep)) is None
     sc, line = closure(rep)
     assert (sc, line) == dense_closure(rep) and line.detail == "probe degree 4" and sc is None
 
 
 def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
     # bhat = b e^{-2 delta a}, marked as b: [ahat, bhat] = e^{-delta a} != 1.
-    # Its preimages are osp22's generators, whose relations all hold, so
-    # only the pair probe keeps the report from a false PASS
+    # Read through its own kit, the formula gives osp22's generators, whose
+    # relations all hold; but the pair is no node of the kit the family
+    # builds over, so the generators have no preimage and the probe keeps
+    # the report from a false PASS
     rep = _osp22_translated()
     modes, delta = rep.modes, rep.params["delta"]
     ahat, _ = catalogue.shift_pair(modes, 1, delta)
@@ -1702,11 +1650,9 @@ def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
                         [Poly(WeylElement.dtheta(modes))], identity_op(modes))
     bad = dataclasses.replace(rep, generators=catalogue.family(rep.rep_id).formula(
         kit, rep.params))
-    pre, _ = preimages(list(bad.generators.values()))
-    assert pre == [g.as_weyl() for g in build("osp22", {"n": 2}).generators.values()]
+    assert kit.preimages(list(bad.generators.values())) == [
+        g.as_weyl() for g in build("osp22", {"n": 2}).generators.values()]
     assert verify._preimages(dataclasses.replace(bad)) is None
-    (ahat, _), (bhat, _) = preimages(list(bad.generators.values()))[1]
-    assert verify._commutation(frozenset((ahat, bhat)))[1] is False
     lines, calls = _decided_as_the_probe_does(monkeypatch, bad)
     assert not all(c.passed for c in lines)
     assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
