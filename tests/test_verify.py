@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -897,6 +899,16 @@ def test_the_residual_names_the_first_separating_state(terms, cutoff):
         assert probe.witness_state == key and probe.lhs_value == report.lhs_value
     else:
         assert probe.equal
+
+
+def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
+    # the traced benchmark replaces each (owner, attribute) of its SPANS; a
+    # renamed or moved function would leave its span reading zero
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in spans.SPANS
+               if not callable(owner.__dict__.get(attr))]
+    assert not missing
 
 
 def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
