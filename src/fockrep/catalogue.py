@@ -654,9 +654,12 @@ class Kit:
         this kit's own pair nodes (nodes) read as their marks: its
         polynomial, or None where its tree holds any other marked node or a
         node with no preimage.  A kit's marked nodes obey the canonical
-        relations of their marks (shift_pair's lemma for the shift kit), so
-        this is an algebra map on a formula over the kit; a marked node
-        made anywhere else, such as a pair at a wrong step, is not read."""
+        relations of their marks (shift_pair's lemma for the shift kit; for
+        realize's differential and fd kits, the lemma in realize.cross_check
+        that each node is in closed form the Fock or shift kit's node in its
+        place), so this is an algebra map on a formula over the kit; a
+        marked node made anywhere else, such as a pair at a wrong step, is
+        not read."""
         return preimages(ops, {id(x) for x in self.nodes()})
 
 

@@ -118,8 +118,10 @@ class OperatorExpr:
     (a_i, b_i, th_j or dth_j) that the node is the image of.
     catalogue.shift_pair marks the shift pair, and realize's differential
     and fd kits mark each of their pair nodes and Pauli-Kronecker matrices.
-    The mark is an attribute of the node itself, so it adds no level to
-    apply."""
+    A mark is trusted, never probed: it holds by a lemma on the node's
+    closed form (shift_pair's, and realize.cross_check's for the function
+    kits), which the tests check node by node.  The mark is an attribute
+    of the node itself, so it adds no level to apply."""
 
     modes: ModeSystem
     marked = None

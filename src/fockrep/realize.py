@@ -22,14 +22,14 @@ the q-pair, which is not canonical, so it has no marks.
 
 A cross check decides a generator as a theorem on the kits where it can
 (cross_check): the realized tree and its counterpart read back through the
-marks to the same polynomial, and each marked node equals the counterpart
-kit's node in its place on every basis state up to the degree the tree
-can reach from the cutoff, a check made once per pair of kits.  Every
-other generator is compared with its abstract Fock counterpart state by
-state on the shared graded basis; the matrices of both are formed only
-where the images differ, to give the verdict and its witness.  The
-paper's displayed fd closed forms are not built here: the tests hold them
-as data and compare them with the fd realization.
+marks to the same polynomial, and each marked node is, in closed form, the
+counterpart kit's node in its place (the kit lemma in cross_check), so
+nothing is probed at run time.  Every other generator is compared with its
+abstract Fock counterpart state by state on the shared graded basis; the
+matrices of both are formed only where the images differ, to give the
+verdict and its witness.  The paper's displayed fd closed forms are not
+built here: the tests hold them as data and compare them with the fd
+realization.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from __future__ import annotations
 from functools import cache
 
 from .catalogue import Kit, RepSpec, family, fock_kit, q_kit
-from .fock import (Compiled, ExpA, MatrixRep, OperatorExpr, Product, Scale, Sum, basis_states,
-                   identity_op, state_degree, to_matrix)
+from .fock import ExpA, MatrixRep, OperatorExpr, basis_states, identity_op, to_matrix
 from .scalars import exact, inverse, rat
 from .verify import CheckResult
 from .weyl import ModeSystem, WeylElement, accumulate
@@ -355,76 +354,19 @@ def abstract_counterpart(rep: RepSpec, kind: str) -> dict:
     return family(rep.rep_id).formula(counterpart(rep), rep.params)
 
 
-def _reach(node: OperatorExpr, seen: dict) -> int:
-    """How far above its input's degree any vector met while node acts can
-    rise: the sum over a Product's factors, the max over a Sum's parts, and
-    max(0, raise) at a leaf.  seen maps the id of each node already
-    measured to its reach."""
-    key = id(node)
-    if key not in seen:
-        if isinstance(node, (Compiled, Scale)):
-            seen[key] = _reach(node.inner, seen)
-        elif isinstance(node, Sum):
-            seen[key] = max(_reach(part, seen) for part in node.parts)
-        elif isinstance(node, Product):
-            seen[key] = sum(_reach(factor, seen) for factor in node.factors)
-        else:
-            seen[key] = max(0, node.max_raise())
-    return seen[key]
-
-
-@cache
-def _agreement(realized: Kit, counterpart: Kit) -> list:
-    """[d, holds]: every pair node of realized equals the counterpart's
-    node in its place on every basis state of degree <= d; holds is False
-    once a state of degree d + 1 tells two apart, or from the start (d =
-    -1) where a node's mark is not the generator its place stands for.
-    One record per pair of kits per process, as the kits are."""
-    pairs = zip(realized.nodes(), counterpart.nodes(), strict=True)
-    return [-1, all(x.marked == (y.as_weyl() if y.marked is None else y.marked)
-                    for x, y in pairs)]
-
-
-def _leaves_agree(realized: Kit, counterpart: Kit, degree: int) -> bool:
-    """Whether each pair node of realized stands for the same Weyl generator
-    as the counterpart's node in its place (its mark, or a Fock polynomial
-    itself) and equals it on every basis state up to degree.
-
-    The bare nodes are compared, so no Compiled column cache grows, and
-    each state is compared once per pair of kits (_agreement)."""
-    record = _agreement(realized, counterpart)
-    through, holds = record
-    if degree > through and holds:
-        pairs = list(zip(realized.nodes(), counterpart.nodes()))
-        for key in basis_states(realized.one.modes, degree):
-            d = state_degree(key)
-            if d > through and any(x.apply({key: 1}) != y.apply({key: 1}) for x, y in pairs):
-                record[:] = d - 1, False
-                return False
-        record[0] = degree
-    return degree <= record[0]
-
-
 def _kit_theorem(rep: RepSpec, kind: str, realized: dict, abstract: dict) -> set:
-    """The names of the realized generators that equal their counterparts
-    as operators on every state up to the rep's cutoff, by the kit theorem
-    (see cross_check); a name left out is decided by the state walk."""
+    """The names of the realized generators that read back through their
+    kit's marks to the same polynomial as their counterparts, which the
+    kit lemma makes the same operator (see cross_check); a name left out
+    is decided by the state walk."""
     make_realized, make_counterpart = KINDS[kind]
-    kit = make_realized(rep)
-    pre = kit.preimages(list(realized.values()))
-    if all(w is None for w in pre):
-        return set()
-    if make_counterpart is None:  # the rep itself, polynomials over the Fock kit
-        counterpart = fock_kit(rep.modes)
+    pre = make_realized(rep).preimages(list(realized.values()))
+    if make_counterpart is None:  # the rep itself, polynomials in the Fock pairs
         words = [g.as_weyl() for g in abstract.values()]
     else:
-        counterpart = make_counterpart(rep)
-        words = counterpart.preimages(list(abstract.values()))
+        words = make_counterpart(rep).preimages(list(abstract.values()))
     words = dict(zip(abstract, words))
-    cutoff, seen = rep.default_cutoff, {}
-    return {name for (name, op), w in zip(realized.items(), pre)
-            if w is not None and w == words[name]
-            and _leaves_agree(kit, counterpart, cutoff + _reach(op, seen))}
+    return {name for name, w in zip(realized, pre) if w is not None and w == words[name]}
 
 
 def cross_check(rep: RepSpec, kind: str) -> list:
@@ -436,21 +378,30 @@ def cross_check(rep: RepSpec, kind: str) -> list:
     nodes (catalogue.Kit.preimages, which verify reads through too) to a
     polynomial w, and its counterpart to its own: the rep generator's
     normal form for the differential kind, the preimage through the shift
-    kit's marks for fd.  The line PASSes when the two are equal and each
-    marked node equals the counterpart kit's node in its place on every
-    basis state up to D = cutoff + reach(T) (_reach, _leaves_agree).  No
-    vector T meets from a state up to the cutoff rises above D, so there T
-    over the realized kit equals T over the counterpart kit, which is w
-    over the counterpart kit: the counterpart itself, as that kit's nodes
-    obey the canonical relations their marks do (trivially for the Fock
-    kit, by catalogue.shift_pair for the shift kit).  The two agree on
-    every such state, out-of-basis parts included.
+    kit's marks for fd.  The line PASSes when the two are equal.  That rests
+    on a lemma: with x^alpha on spinor mask beta read as the Fock state
+    b^alpha th^beta |0>, each marked node is, on the whole space, the
+    counterpart kit's node in its place, in closed form:
+        Partial_i acts as a_i and MultX_i as b_i;
+        the fd D+ is (ShiftX - 1)/d with ShiftX = ExpA, e^{d a}, so it is
+            the shift pair's ahat (e^{d a} - 1)/d;
+        the fd b is x(1 - d D-) = MultX ShiftX(-d), the shift pair's
+            bhat b e^{-d a};
+        the Pauli-Kronecker matrices are the Jordan-Wigner th_j and dth_j
+            on the 2^r masks
+    (Roman, The Umbral Calculus, 1984).  So T over the realized kit is T
+    over the counterpart kit, which is w over the counterpart kit: the
+    counterpart itself, as that kit's nodes obey the canonical relations
+    their marks do (trivially for the Fock kit, by catalogue.shift_pair for
+    the shift kit).  The two agree on every state, out-of-basis parts
+    included.  tests/test_realize.py checks the lemma node by node on every
+    kit pair the grid builds.
 
     Every other generator (a node with no preimage, such as a bare Fock
-    polynomial bump or any Jackson leaf, a differing word or a differing
-    node) is compared state by state on the shared graded basis
-    (_difference); overflow column sets must agree and are excluded from
-    entry comparison only when flagged on both sides.
+    polynomial bump or any Jackson leaf, or a differing word) is compared
+    state by state on the shared graded basis (_difference); overflow column
+    sets must agree and are excluded from entry comparison only when
+    flagged on both sides.
     """
     cutoff = rep.default_cutoff
     if cutoff < 0:

@@ -2,10 +2,9 @@ import pytest
 
 from fockrep import catalogue, realize
 
-# every kit constructor's process-wide memo, and the cross check's record of
-# how far each pair of kits agrees
+# every kit constructor's process-wide memo
 KIT_MEMOS = (catalogue.fock_kit, catalogue._q_kit, realize.differential_kit,
-             realize.fd_kit, realize.jackson_kit, realize._agreement)
+             realize.fd_kit, realize.jackson_kit)
 
 
 def _clear_kits():

@@ -234,36 +234,75 @@ def test_passing_kit_theorem_lines_walk_no_state(monkeypatch):
     assert calls == {"jackson": 108}
 
 
-def _same_as_the_walk(cases) -> list:
-    """cross_check of each (rep id, params, kind) case, asserted equal to the
-    walk line by line; returns the names of the lines that FAIL."""
-    failed = []
-    for rid, params, kind in cases:
+# the highest degree a grid line's realized tree reaches from its cutoff
+LEMMA_DEGREE = 14
+
+
+def _kit_lemma_breach(realized, counterpart) -> str:
+    """"" when the kit lemma behind a kit-theorem PASS (realize.cross_check)
+    holds node by node (Kit.nodes): each realized pair node is marked with
+    what the counterpart's node in its place stands for (its mark, or the
+    Fock polynomial itself), and the two act equally on every basis state
+    up to LEMMA_DEGREE; otherwise the first breach."""
+    pairs = list(zip(realized.nodes(), counterpart.nodes(), strict=True))
+    for x, y in pairs:
+        mark = y.as_weyl() if y.marked is None else y.marked
+        if mark is None or x.marked != mark:
+            return "marked %s in place of %s" % (x.marked, mark)
+    for key in basis_states(realized.one.modes, LEMMA_DEGREE):
+        for x, y in pairs:
+            if x.apply({key: 1}) != y.apply({key: 1}):
+                return "%s acts differently on %s" % (x.marked, key)
+    return ""
+
+
+def _kit_pairs(cases) -> list:
+    """(realized, counterpart) for each kit pair the differential and fd
+    lines of the (rep id, params) cases build, once per pair; the
+    differential kind's counterpart is the Fock kit."""
+    pairs = {}
+    for rid, params in cases:
         rep = build(rid, params)
-        results = cross_check(rep, kind)
-        assert results == walk_cross_check(rep, kind), (rid, kind)
-        failed += [c.name for c in results if not c.passed]
-    return failed
+        for kind in ("differential", "fd"):
+            make_realized, make_counterpart = realize.KINDS[kind]
+            try:
+                kit = make_realized(rep)
+            except RealizeError:
+                continue
+            other = fock_kit(rep.modes) if make_counterpart is None else make_counterpart(rep)
+            pairs[id(kit), id(other)] = kit, other
+    return list(pairs.values())
 
 
-def test_a_leaf_off_above_the_cutoff_is_walked(monkeypatch, fresh_kits):
-    # d/dx doubled on the states of degree cutoff + 1 alone: J0's a b takes
-    # a state of degree cutoff there, inside J0's D = cutoff + 1, so the kit
-    # theorem must not pass it; the walk FAILs it
-    rep = build("sl2_metaplectic", {})
-    off = rep.default_cutoff + 1
+def test_the_function_kits_are_their_counterpart_kits_node_by_node():
+    # the lemma a kit-theorem PASS rests on, on all 21 kit pairs of the grid
+    # and at an off-grid fd step with a fermionic mode
+    pairs = _kit_pairs(acceptance_grid())
+    assert len(pairs) == 21
+    modes, steps = ModeSystem(1, 1), (rat(7, 3),)
+    pairs.append((fd_kit(modes, steps), fock_kit(modes, steps)))
+    for kit, other in pairs:
+        assert _kit_lemma_breach(kit, other) == "", kit.one.modes
 
+
+def _breaches(cases) -> list:
+    return [_kit_lemma_breach(kit, other) for kit, other in _kit_pairs(cases)]
+
+
+def test_a_partial_off_at_one_degree_breaks_the_kit_lemma(monkeypatch, fresh_kits):
+    # d/dx doubled on the states of degree LEMMA_DEGREE alone
     class OffPartial(Partial):
         def apply(self, terms):
-            return super().apply({key: c * 2 if state_degree(key) == off else c
+            return super().apply({key: c * 2 if state_degree(key) == LEMMA_DEGREE else c
                                   for key, c in terms.items()})
 
     monkeypatch.setattr(realize, "Partial", OffPartial)
-    assert _same_as_the_walk([("sl2_metaplectic", {}, "differential")]) == \
-        ["cross differential J0"]
+    # the differential kit, then the fd kit, which holds no d/dx
+    assert _breaches([("sl2_metaplectic", {})]) == \
+        ["a acts differently on ((%d,), 0)" % LEMMA_DEGREE, ""]
 
 
-def test_a_flipped_clifford_sign_is_walked(monkeypatch, fresh_kits):
+def test_a_flipped_clifford_sign_breaks_the_kit_lemma(monkeypatch, fresh_kits):
     # one entry of the last dth matrix negated, in every function kit
     class Flipped(CliffordMatrices):
         def __init__(self, r):
@@ -273,23 +312,27 @@ def test_a_flipped_clifford_sign_is_walked(monkeypatch, fresh_kits):
                 self.a_f[-1] = {entry: -v, **dict(rest)}
 
     monkeypatch.setattr(realize, "CliffordMatrices", Flipped)
-    failed = _same_as_the_walk([("osp22", {"n": 2}, "differential"),
-                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "differential"),
-                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "fd"),
-                                ("osp22_translated", {"n": 2, "delta": rat(1)}, "fd")])
-    assert "cross differential Q1" in failed and "cross fd Qb1-" in failed
+    # osp22's differential kit, gl_super's differential and fd kits, and
+    # osp22_translated's fd kit: each breaks at its first state with a fermion
+    assert _breaches([("osp22", {"n": 2}), ("gl_super", {"k": 2, "r": 1, "n": 1}),
+                      ("osp22_translated", {"n": 2, "delta": rat(1)})]) == \
+        ["dth acts differently on ((0,), 1)"] + \
+        ["dth acts differently on ((0, 0), 1)"] * 2 + ["dth acts differently on ((0,), 1)"]
 
 
-def test_an_fd_pair_at_the_wrong_step_is_walked(monkeypatch, fresh_kits):
+def test_an_fd_pair_at_the_wrong_step_breaks_the_kit_lemma(monkeypatch, fresh_kits):
     # D+ built at twice the pair's step, b left as it is
     def wrong_step(modes, i, delta, pair=realize.fd_pair):
         return (Dplus(modes, i, 2 * delta), pair(modes, i, delta)[1])
 
     monkeypatch.setattr(realize, "fd_pair", wrong_step)
-    failed = _same_as_the_walk([("sl2_translated", {"n": 2, "delta": rat(1, 2)}, "fd"),
-                                ("gl_super", {"k": 2, "r": 1, "n": 1}, "fd"),
-                                ("osp22_translated", {"n": 2, "delta": rat(1)}, "fd")])
-    assert "cross fd J-" in failed and "cross fd T1-" in failed
+    # D+ at 2d and at d agree up to degree 1; gl_super's differential kit
+    # holds no D+
+    assert _breaches([("sl2_translated", {"n": 2, "delta": rat(1, 2)}),
+                      ("gl_super", {"k": 2, "r": 1, "n": 1}),
+                      ("osp22_translated", {"n": 2, "delta": rat(1)})]) == \
+        ["a acts differently on ((2,), 0)", "", "a2 acts differently on ((0, 2), 0)",
+         "a acts differently on ((2,), 0)"]
 
 
 def test_cross_check_refuses_a_negative_cutoff():

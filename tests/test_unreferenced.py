@@ -24,7 +24,11 @@ passed by some call in the library or the benchmark, by keyword, by
 position or through * or **: a default no caller overrides is a constant,
 not a knob.  A call counts wherever its callee is named like the function,
 bare or as an attribute, so here too the check may over-reach, never
-under-reach."""
+under-reach.
+
+Every name a library module imports is used in that module as a bare name,
+or listed in its __all__: an import the code no longer uses is dropped with
+that code."""
 
 import ast
 from functools import cache
@@ -234,3 +238,33 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                 for module, name, parameter, position in _defaulted_parameters()
                 if not any(_passes(call, parameter, position) for call in calls.get(name, ()))]
     assert not unpassed, "defaulted parameters no call passes: %s" % ", ".join(unpassed)
+
+
+def _imported(tree):
+    """(name, line) for every name the module binds by an import, the
+    __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _exported(tree) -> set:
+    """The names the module lists in __all__."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in stmt.targets):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def test_every_library_import_is_used_in_its_module():
+    unused = []
+    for path in LIBRARY:
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in _imported(tree) if name not in used]
+    assert not unused, "imported but never used: %s" % ", ".join(unused)
