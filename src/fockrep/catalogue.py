@@ -19,7 +19,10 @@ is what the report uses: shift_pair marks the pair with a and b, Kit.preimages
 reads a formula over a kit's own marked nodes back to its polynomial, and a
 translated rep's relations, [C,g] and closure are decided over its
 generators' preimages in normal form (verify.check_relations,
-verify.casimir_check, verify.closure).  The explicitly
+verify.casimir_check, verify.closure).  A family that takes n also has a
+shape per value of its other parameters (family_shape): its formula with n
+a spectator mode, whose closure table verify.closure forms once for every
+n.  The explicitly
 displayed closed forms are attached as alt_forms: checkable claims whose
 mismatches are reported, never patched into the generators.
 """
@@ -953,11 +956,10 @@ def list_catalogue():
     return [(rep_id, ", ".join(f.signature), f.description) for rep_id, f in FAMILIES.items()]
 
 
-def build(rep_id: str, params: dict = None) -> RepSpec:
-    """Construct a catalogued representation with exact rational parameters:
-    the family's formula over its kit, with the claims its record makes."""
-    record = family(rep_id)
-    params = {key: rat(value) for key, value in (params or {}).items()}
+def _parameters(record: Family, rep_id: str, params: dict) -> dict:
+    """params as exact rationals, checked against the record's signature and
+    its check."""
+    params = {key: rat(value) for key, value in params.items()}
     for name in record.signature:
         if not name.endswith("?") and name not in params:
             raise CatalogueError("missing parameter %r for %s" % (name, rep_id))
@@ -966,6 +968,14 @@ def build(rep_id: str, params: dict = None) -> RepSpec:
         if key not in allowed:
             raise CatalogueError("unexpected parameter %r for %s" % (key, rep_id))
     record.check(params)
+    return params
+
+
+def build(rep_id: str, params: dict = None) -> RepSpec:
+    """Construct a catalogued representation with exact rational parameters:
+    the family's formula over its kit, with the claims its record makes."""
+    record = family(rep_id)
+    params = _parameters(record, rep_id, params or {})
     modes = record.modes(params)
     gens = record.formula(record.kit(modes, params), params)
     degree = _finite(record.degree(params)) if record.space else None
@@ -974,3 +984,44 @@ def build(rep_id: str, params: dict = None) -> RepSpec:
                    record.parities(gens), record.casimir(params), inv,
                    Claims(record.closes, record.irreducible if inv else None),
                    record.alt_forms(modes, params), record.cutoff(params))
+
+
+# -- family shapes: n as a spectator mode ----------------------------------------------------
+
+
+def family_shape(rep_id: str, params: dict):
+    """The shape of an instance of a family that takes n: the family with
+    every other parameter as in params, as one polynomial rep over the
+    instance's modes and one more bosonic mode, the spectator nu, last, whose
+    b stands for n and whose a never occurs.  None for any other rep_id or
+    parameters that the family rejects.  One shape per (rep_id, params
+    without n) per process, made at its first call and never by build:
+    verify.closure reads its closure table and Killing rank."""
+    return _shape(rep_id, tuple(sorted((k, v) for k, v in params.items() if k != "n")))
+
+
+@cache
+def _shape(rep_id: str, fixed: tuple):
+    """family_shape's memo.  Each generator is G(0) + nu (G(1) - G(0)), G(n)
+    the family formula at n over the Fock kit; every formula is affine in n,
+    so nu set to n gives G(n) again, which verify._shape checks term for term
+    before it reads the shape."""
+    try:
+        record = family(rep_id)
+        p0, p1 = [_parameters(record, rep_id, dict(fixed, n=n)) for n in (0, 1)]
+    except CatalogueError:
+        return None
+    modes = record.modes(p0)
+    g0, g1 = (record.formula(fock_kit(modes), p) for p in (p0, p1))
+    spectated = ModeSystem(modes.bosonic + 1, modes.fermionic)
+    gens = {}
+    for name, g in g0.items():
+        w0 = g.as_weyl()
+        gens[name] = Poly(WeylElement(spectated, {**_times_nu(w0, 0),
+                                                  **_times_nu(g1[name].as_weyl() - w0, 1)}))
+    return RepSpec(rep_id, dict(fixed), gens, parities=record.parities(gens))
+
+
+def _times_nu(w: WeylElement, power: int) -> dict:
+    """w's terms over the spectator's mode system, each times nu^power."""
+    return {(bp + (power,), ap + (0,), th, dth): c for (bp, ap, th, dth), c in w.terms.items()}

@@ -13,6 +13,10 @@ bracket is expressed in the span of the generators, and one that leaves it
 FAILs with its residual and that residual's first unkilled state.
 Graded Jacobi on that exact table is a theorem where its grading premise
 holds (_jacobi_line), and is summed over the table's triples otherwise.
+An instance of a family that takes n reads that table and its Killing
+rank from the family's shape, the family with n a spectator mode, formed
+once per process, where its generators are the shape's at that n and
+independent (closure).
 A shift-translated family's generators are polynomials in its marked
 shift pair, scalars and fermions, and read back to preimage polynomials
 through the kit its family record builds over (_preimages): only that
@@ -61,7 +65,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .catalogue import FAMILIES, RepSpec
+from .catalogue import FAMILIES, RepSpec, family_shape
 from .fock import (IdentityReport, Poly, Product, _state_str, basis_states, check_identity,
                    shared, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
@@ -253,6 +257,13 @@ def _pulled_back(rep: RepSpec):
     return replace(rep, generators={name: Poly(w) for name, w in zip(rep.generators, pre)})
 
 
+def _normal_rep(rep: RepSpec):
+    """rep itself where it is polynomial, else its preimage rep
+    (_preimages) or None: the rep whose normal forms decide rep's exact
+    identities."""
+    return rep if rep.is_polynomial() else _preimages(rep)
+
+
 def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
     """The relation lines, each relation decided by _mismatch: by its
     residual over pre's word sums where pre is given, so the sides'
@@ -296,6 +307,22 @@ def closure(rep: RepSpec):
     in the generators' span are unique.  A bracket outside the span FAILs
     on the generators themselves (closure_symbolic).
 
+    That polynomial rep, the rep or its preimage rep, reads its table from
+    its family shape (catalogue.family_shape) where it passes the shape's
+    guard (_shape).  The shape's generators X_i are the family formula with n replaced by
+    the b of a spectator mode nu, whose a never occurs, so nu commutes with
+    every X_i and setting nu to n is an algebra map on the subalgebra they
+    generate.  The shape's table [X_i, X_j] = sum_k c_ij^k X_k, with
+    scalar c free of nu, therefore holds for the generators at n, and where those
+    are linearly independent their coordinates are unique: the table, and
+    the Killing rank read from it, are the rep's own.  The guard checks all
+    of that on the rep itself (generator names, order and parities, each
+    normal form equal to the shape's at nu = n term for term, and
+    independence), never its rep_id; a rep it rejects, a bumped, flipped or
+    dependent one such as glk or gl_super at n = 0, is decided by
+    closure_symbolic on its own.  The shape's table and rank are formed
+    once per process, at the first instance that passes.
+
     Any other extended rep is probed on the overflow-free range of the
     rep's cutoff, floored at the combined lowering degree of a generator
     pair.  An operator is the stacked vector of its images of the probe
@@ -305,10 +332,10 @@ def closure(rep: RepSpec):
     that state; each bracket vector sums only these nonzero entries.
     """
     if rep.is_polynomial():
-        return closure_symbolic(rep)
+        return _symbolic(rep)
     pre = _preimages(rep)
     if pre is not None:
-        return pre.memo(closure, lambda: closure_symbolic(pre, rep))
+        return pre.memo(closure, lambda: _symbolic(pre, rep))
     names = list(rep.generators)
     gens = [rep.generators[n] for n in names]
     parities = [rep.parities[n] for n in names]
@@ -353,6 +380,57 @@ def closure(rep: RepSpec):
                       [{(idx, key): c for idx, col in cols for key, c in col.items()}
                        for cols in on_probes],
                       bracket_vector, witness, "probe degree %d" % probe)
+
+
+def _symbolic(pre: RepSpec, actual: RepSpec = None):
+    """closure_symbolic(pre, actual), or the table and line of pre's family
+    shape where pre passes its guard (_shape)."""
+    shape = _shape(pre)
+    return closure_symbolic(pre, actual) if shape is None else _shape_closure(shape)
+
+
+def _shape(pre: RepSpec):
+    """pre's family shape (catalogue.family_shape), kept on pre, where pre
+    passes the guard, else None.  The guard holds when pre has the shape's
+    generator names in its order and their parities, each generator's
+    normal form is the shape's with nu set to pre's n, term for term, those
+    normal forms are linearly independent, and the shape closes.  It stops
+    at the first generator that differs, and it reads rep_id and n only to
+    find the shape to compare against."""
+    return pre.memo(_shape, lambda: _guarded_shape(pre))
+
+
+def _guarded_shape(pre: RepSpec):
+    n = pre.params.get("n")
+    shape = None if n is None else family_shape(pre.rep_id, pre.params)
+    if (shape is None or list(shape.generators) != list(pre.generators)
+            or shape.parities != pre.parities):
+        return None
+    terms, independent = shape.memo((_at, n), lambda: _at(shape, n))
+    if not (independent and all(g.as_weyl().terms == t
+                                for g, t in zip(pre.generators.values(), terms))):
+        return None
+    return shape if _shape_closure(shape)[0] is not None else None
+
+
+def _at(shape: RepSpec, n):
+    """The terms of the shape's generators with nu set to n, over the modes
+    without nu, and whether they are linearly independent; formed once per
+    shape and n."""
+    terms = []
+    for g in shape.generators.values():
+        out = {}
+        for (bp, ap, th, dth), c in g.as_weyl().terms.items():
+            accumulate(out, (bp[:-1], ap[:-1], th, dth), c * n ** bp[-1])
+        terms.append(out)
+    span = EchelonSpan()
+    return terms, all(span.insert(t) for t in terms)
+
+
+def _shape_closure(shape: RepSpec):
+    """closure_symbolic on a family shape, formed once per process, on a
+    copy: the shape keeps the table and line, not the brackets."""
+    return shape.memo(_shape_closure, lambda: closure_symbolic(replace(shape)))
 
 
 def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
@@ -490,7 +568,7 @@ def _jacobi_line(rep: RepSpec) -> CheckResult:
     (ordinary commutators), or every declared parity the fermion parity of
     its generator's normal form.  Any other declaration, a mixed-parity or
     flipped generator, and a probed table are summed."""
-    pre = rep if rep.is_polynomial() else _preimages(rep)
+    pre = _normal_rep(rep)
     grading = None
     if pre is not None and _once(pre, closure)[0] is not None:
         if not any(pre.parities.values()):
@@ -535,6 +613,17 @@ def killing_form(sc: StructureConstants):
     return K, span.dim
 
 
+def _killing_rank(rep: RepSpec) -> int:
+    """The rank of the Killing form of rep's closure table; where that table
+    is a family shape's (closure), the shape's rank, formed once per
+    process."""
+    pre = _normal_rep(rep)
+    shape = None if pre is None else _shape(pre)
+    if shape is None:
+        return killing_form(_once(rep, closure)[0])[1]
+    return shape.memo(_killing_rank, lambda: killing_form(_shape_closure(shape)[0])[1])
+
+
 # -- Casimir ------------------------------------------------------------------------
 
 
@@ -555,7 +644,7 @@ def casimir_check(rep: RepSpec):
     and the scalar probe read, is formed once.
     """
     expr = shared(rep.word_expr(rep.casimir.terms))
-    pre = rep if rep.is_polynomial() else _preimages(rep)
+    pre = _normal_rep(rep)
     c_pre = None if pre is None else pre.word_sum(rep.casimir.terms)
     probe = _probe_cutoff(rep)
     failures = []
@@ -819,7 +908,7 @@ CHECKS = [
     ("closure", lambda rep: rep.claims.closes, lambda rep: [_once(rep, closure)[1]]),
     ("jacobi", _closed, lambda rep: [_jacobi_line(rep)]),
     ("killing_rank", _closed,  # (rank, generators): report data, not a check
-     lambda rep: [(killing_form(_once(rep, closure)[0])[1], len(rep.generators))]),
+     lambda rep: [(_killing_rank(rep), len(rep.generators))]),
     ("alt_forms", lambda rep: True, lambda rep: check_alt_forms(rep)),
     ("casimir", lambda rep: rep.casimir is not None, lambda rep: _casimir(rep)),
     ("invariant_subspace", lambda rep: rep.invariant_space is not None or "no claim",

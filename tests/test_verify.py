@@ -911,41 +911,132 @@ def test_every_benchmark_span_resolves_on_the_library(monkeypatch):
     assert not missing
 
 
-def test_full_verify_calls_closure_and_jacobi_once(monkeypatch):
+def test_full_verify_calls_closure_and_jacobi_once(monkeypatch, fresh_kits):
     # the table reaches each check as a verify global when it runs, and the
-    # Jacobi and Killing entries share one closure: on a polynomial rep and
-    # a translated one the symbolic one, called once inside closure (on the
-    # preimage rep), on an extended rep with no preimages the matrix probe
-    # alone; where the symbolic table's grading holds Jacobi is implied and
-    # never summed, on a probed table it is summed once
+    # Jacobi and Killing entries share one closure.  With the shape memo
+    # cleared, the first n of a family shape forms the symbolic table and
+    # the Killing form once each, on the shape (for a translated rep, the
+    # shape of its preimages); a second n of that shape forms neither.  On
+    # an extended rep with no preimages the matrix probe decides alone;
+    # where the symbolic table's grading holds Jacobi is implied and never
+    # summed, on a probed table it is summed once
     calls = Counter()
+    first_args = {}
 
     def counting(name):
         check = getattr(verify, name)
 
         def wrapper(*args):
             calls[name] += 1
+            first_args.setdefault(name, args[0])
             return check(*args)
         return wrapper
 
     for name in ("closure", "closure_symbolic", "jacobi", "killing_form"):
         monkeypatch.setattr(verify, name, counting(name))
-    report = full_verify(build("sl2_standard", {"n": 2}))
-    assert report.passed and report.killing_rank == (3, 3)
-    assert report.check("jacobi").detail == "implied: exact closure, ungraded"
-    assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
-    calls.clear()
-    report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
-    assert report.passed and report.killing_rank == (3, 3)
-    assert report.check("jacobi").detail == "implied: exact closure, ungraded"
-    assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
-    calls.clear()
+    for rep_id, params in [("sl2_standard", {}), ("sl2_translated", {"delta": 1})]:
+        rep = build(rep_id, dict(params, n=2))
+        report = full_verify(rep)
+        assert report.passed and report.killing_rank == (3, 3)
+        assert report.check("jacobi").detail == "implied: exact closure, ungraded"
+        assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
+        shape = catalogue.family_shape(rep_id, rep.params)
+        assert first_args["closure_symbolic"].modes == shape.modes
+        assert first_args["killing_form"] is verify._shape_closure(shape)[0]
+        calls.clear()
+        first_args.clear()
+        assert full_verify(build(rep_id, dict(params, n=3))).killing_rank == (3, 3)
+        assert calls == {"closure": 1}
+        calls.clear()
     with monkeypatch.context() as patched:  # no preimages: the matrix probe
         patched.setattr(verify, "_preimages", lambda rep: None)
         report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
     assert report.passed and report.killing_rank == (3, 3)
     assert report.check("jacobi").detail == "27 triples"
     assert calls == {"closure": 1, "jacobi": 1, "killing_form": 1}
+
+
+def test_the_shape_path_equals_the_per_instance_decision_on_the_full_grid(fresh_kits):
+    # 144 of the 150 grid instances that take n read their closure table
+    # and Killing rank from their family shape; on every instance that
+    # claims closure, the closure line, table and Killing rank equal
+    # closure_symbolic and killing_form on a fresh copy of its (preimage)
+    # rep, which never reads a shape.  The 6 misses are glk and gl_super at
+    # n = 0, whose generators are dependent.  Building the grid makes no
+    # shape; the pass leaves one per family shape, 25
+    reps = [build(rep_id, params) for rep_id, params in acceptance_grid()]
+    assert catalogue._shape.cache_info().currsize == 0
+    hits, misses = 0, []
+    for rep in reps:
+        if not rep.claims.closes:
+            continue
+        pre = verify._normal_rep(rep)
+        sc, line = closure_symbolic(dataclasses.replace(pre), None if pre is rep else rep)
+        report = full_verify(rep)
+        assert report.check("closure") == line
+        assert closure(rep)[0] == sc
+        assert report.killing_rank == (killing_form(sc)[1], len(rep.generators))
+        if verify._shape(pre) is not None:
+            hits += 1
+        elif "n" in rep.params:
+            misses.append((rep.rep_id, {k: int(v) for k, v in rep.params.items()},
+                           line.detail.split("; ")[1]))
+    assert hits == 144
+    assert misses == [("glk", {"k": 2, "n": 0}, "dependent: J0"),
+                      ("glk", {"k": 3, "n": 0}, "dependent: J0")] + [
+        ("gl_super", {"k": k, "r": r, "n": 0}, "dependent: J0_%d%d" % (r, r))
+        for k, r in ((1, 1), (2, 1), (2, 2), (3, 2))]
+    assert catalogue._shape.cache_info().currsize == 25
+
+
+@pytest.mark.parametrize("rep_id, params", [
+    ("gl_super", {"k": 2, "r": 1}), ("sl2_translated", {"delta": rat(1, 2)}),
+    ("glk", {"k": 3}), ("sl3_seven", {"m": rat(-1, 3)})])
+def test_a_report_is_the_same_from_a_cold_or_warm_shape_in_any_n_order(
+        monkeypatch, fresh_kits, rep_id, params):
+    def reports(ns):
+        return {n: json.dumps(full_verify(build(rep_id, dict(params, n=n))).to_json(),
+                              sort_keys=True) for n in ns}
+
+    cold_up = reports(range(6))
+    fresh_kits()
+    cold_down = reports(range(5, -1, -1))
+    warm = reports(range(6))
+    monkeypatch.setattr(verify, "family_shape", lambda rep_id, params: None)
+    assert cold_up == cold_down == warm == reports(range(6))
+
+
+def _off_the_formula():
+    """Reps built from a family formula and then changed, each with its
+    closure line: sl2_standard n=3 with the spectator coefficient of J+
+    bumped, J+ = b^2 a - (n+1) b; the pinned osp22 n=2 bump of Qb1's th
+    term by +1, which makes Qb1 the family's at n = 1; gl_super k=2 r=1 n=2
+    with J0_11 declared odd."""
+    rep = build("sl2_standard", {"n": 3})
+    b, a = WeylElement.b(rep.modes), WeylElement.a(rep.modes)
+    yield (dataclasses.replace(rep, generators=dict(rep.generators, **{
+        "J+": Poly(b * b * a - b.scale(4))})),
+        CheckResult("closure", "FAIL", "",
+                    "[J+,J-] has residual 2/3 b a, which sends b |0> to 2/3 b |0>"))
+    rep = build("osp22", {"n": 2})
+    th = WeylElement.theta(rep.modes)
+    yield (dataclasses.replace(rep, generators=dict(
+        rep.generators, Qb1=Poly(rep.generator("Qb1").as_weyl() + th))),
+        CheckResult("closure", "FAIL", "",
+                    "[T+,Qb1] has residual b th, which sends |0> to b th |0>"))
+    rep = build("gl_super", {"k": 2, "r": 1, "n": 2})
+    yield (dataclasses.replace(rep, parities=dict(rep.parities, J0_11=1)),
+           CheckResult("closure", "PASS", "span dimension 16 over 16 generators"))
+
+
+@pytest.mark.parametrize("rep, line", list(_off_the_formula()))
+def test_a_rep_off_its_family_formula_misses_the_shape(monkeypatch, rep, line):
+    # the guard rejects each, so its report is the per-instance one
+    assert verify._shape(verify._normal_rep(dataclasses.replace(rep))) is None
+    report = full_verify(rep)
+    assert report.check("closure") == line
+    monkeypatch.setattr(verify, "family_shape", lambda rep_id, params: None)
+    assert full_verify(rep).to_json() == report.to_json()
 
 
 def test_every_check_table_entry_runs_on_the_full_grid(monkeypatch):
