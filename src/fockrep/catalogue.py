@@ -2,8 +2,8 @@
 
 Each family is one record, a Family in FAMILIES: its parameter signature
 and checks, its mode system, its one generator formula written over a Kit
-of canonical pairs, the kit the catalogue builds it over, the steps of its
-finite-difference realization where it has one, and its claims as
+of that system's pairs, the kit the catalogue builds it over, the steps of
+its finite-difference realization where it has one, and its claims as
 functions of the parameters: the relation table, parities, Casimir,
 invariant space, irreducibility, alt forms and probe cutoff.  build reads
 the record, and so does realize, which calls the same formula over its own
@@ -19,12 +19,14 @@ is what the report uses: shift_pair marks the pair with a and b, Kit.preimages
 reads a formula over a kit's own marked nodes back to its polynomial, and a
 translated rep's relations, [C,g] and closure are decided over its
 generators' preimages in normal form (verify.check_relations,
-verify.casimir_check, verify.closure).  A family that takes n also has a
-shape per value of its other parameters (family_shape): its formula with n
-a spectator mode, whose closure table verify.closure forms once for every
-n.  The explicitly
-displayed closed forms are attached as alt_forms: checkable claims whose
-mismatches are reported, never patched into the generators.
+verify.casimir_check, verify.closure).  sl2q's mode system is one q-mode
+(weyl.ModeSystem with its q), so at delta = 0 it is a polynomial family,
+and at delta != 0 its q-pair (q_kit) is marked and read back the same way.
+A family that takes n also has a shape per value of its other parameters
+(family_shape): its formula with n a spectator mode, whose closure table
+verify.closure forms once for every n.  The explicitly displayed closed
+forms are attached as alt_forms: checkable claims whose mismatches are
+reported, never patched into the generators.
 """
 
 from __future__ import annotations
@@ -588,7 +590,7 @@ def _sl2q_casimir(p) -> CasimirSpec:
         name="q-C2")
 
 
-# -- kits: the canonical pairs a formula is evaluated over ------------------------
+# -- kits: the pairs a formula is evaluated over ---------------------------------
 
 
 def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
@@ -620,9 +622,9 @@ def shift_pair(modes: ModeSystem, mode: int, delta: Rational):
 
 @dataclass(frozen=True)
 class Kit:
-    """One implementation of the canonical pairs a family formula is written
-    in: a[i], b[i] per bosonic mode, th[j], dth[j] per fermionic mode, and
-    the identity.
+    """One implementation of the pairs a family formula is written in, those
+    of its mode system (canonical, or a q-mode's): a[i], b[i] per bosonic
+    mode, th[j], dth[j] per fermionic mode, and the identity.
 
     Each a[i] and b[i] is stored shared (fock.shared): a polynomial as it
     is, so polynomials still fold, and any other pair node Compiled, so
@@ -656,13 +658,13 @@ class Kit:
         """Each op read back through the marks (fock.preimages), where only
         this kit's own pair nodes (nodes) read as their marks: its
         polynomial, or None where its tree holds any other marked node or a
-        node with no preimage.  A kit's marked nodes obey the canonical
-        relations of their marks (shift_pair's lemma for the shift kit; for
-        realize's differential and fd kits, the lemma in realize.cross_check
-        that each node is in closed form the Fock or shift kit's node in its
-        place), so this is an algebra map on a formula over the kit; a
-        marked node made anywhere else, such as a pair at a wrong step, is
-        not read."""
+        node with no preimage.  A kit's marked nodes obey the relations of
+        their marks (shift_pair's lemma for the shift kit, _q_kit's for the
+        q-pair; for realize's function kits, the lemma in
+        realize.cross_check that each node is in closed form the Fock,
+        shift or q-mode Fock kit's node in its place), so this is an
+        algebra map on a formula over the kit; a marked node made anywhere
+        else, such as a pair at a wrong step, is not read."""
         return preimages(ops, {id(x) for x in self.nodes()})
 
 
@@ -702,15 +704,35 @@ def _shifted(steps):
 
 
 def q_kit(modes, p) -> Kit:
-    """sl2q's q-deformed pair (qheis.q_pair) at p's delta, spectral when p
-    has none."""
-    return _q_kit(modes, p["q"], p.get("delta", 0))
+    """sl2q's pair over its q-mode system (weyl.ModeSystem with q): the
+    Fock pair at delta = 0, or where p has no delta, else the q-pair at
+    p's delta (_q_kit)."""
+    delta = p.get("delta", 0)
+    return _q_kit(modes, delta) if delta else fock_kit(modes)
 
 
 @cache
-def _q_kit(modes, q, delta) -> Kit:
-    """q_kit's one kit per (modes, q, delta) per process."""
-    atil, btil = q_pair(modes, 1, q, delta)
+def _q_kit(modes, delta) -> Kit:
+    """The q-pair (atil, btil) = qheis.q_pair at delta and the q-mode's q,
+    marked (fock.OperatorExpr.marked) with the q-mode's a and b; one kit
+    per (modes, delta) per process.
+
+    On the delta-falling factorials bhat^k|0> = b(b - d)...(b - (k-1)d)|0>
+    (shift_pair's bhat^k|0>), QSpectral multiplies by q^k, so {N}_q by
+    [k]_q = (1 - q^k)/(1 - q); LeftDivB strips the leading b and e^{d a}
+    shifts b to b + d, so atil bhat^k|0> = [k]_q bhat^(k-1)|0>; and e^{-d a}
+    shifts b to b - d before b multiplies, so btil bhat^k|0> =
+    bhat^(k+1)|0>.  That is how the q-mode's a and b act on b^k|0>
+    (weyl.act).  So with S b^k|0> = bhat^k|0>, linear and unit-triangular,
+    atil = S a S^-1 and btil = S b S^-1 on the whole Fock space: the pair
+    obeys atil btil - q btil atil = 1, atil kills |0>, and a -> atil,
+    b -> btil is an algebra map from the q-Weyl algebra, faithful as the
+    q-mode's own Fock module is (weyl.ModeSystem).  An identity among
+    polynomials in a, b holds for the same polynomials in atil, btil, and
+    Kit.preimages reads a formula over the kit back to its polynomial
+    through these marks (Macfarlane, J. Phys. A 22, 1989)."""
+    atil, btil = q_pair(modes, 1, modes.q, delta)
+    atil.marked, btil.marked = WeylElement.a(modes), WeylElement.b(modes)
     return Kit([atil], [btil], [], [], identity_op(modes))
 
 
@@ -935,7 +957,8 @@ FAMILIES = {
         parities=lambda gens: {name: g.as_weyl().parity() for name, g in gens.items()},
         space=_gl_super_space, irreducible=True),
     "sl2q": Family(
-        ("alpha", "q", "delta?"), "quantum sl2 (q-deformed)", _modes(1),
+        ("alpha", "q", "delta?"), "quantum sl2 (q-deformed)",
+        lambda p: ModeSystem(1, 0, p["q"]),
         lambda kit, p: sl2q_triple(kit.a[0], kit.b[0], int(p["alpha"]), p["q"], kit.one),
         kit=q_kit, check=_check_sl2q, relations=_sl2q_relations, casimir=_sl2q_casimir,
         degree=lambda p: p["alpha"],

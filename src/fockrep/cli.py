@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .catalogue import CatalogueError, build, list_catalogue
-from .fock import to_matrix
+from .fock import NotLeftDivisible, to_matrix
 from .qheis import QDomainError
 from .realize import RealizeError, cross_check, poly_to_matrix, realize_generators
 from .scalars import rat, to_decimal
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         if extra:
             args.params = args.params + extra
         return args.func(args)
-    except (CatalogueError, QDomainError, RealizeError, UsageError) as exc:
+    except (CatalogueError, NotLeftDivisible, QDomainError, RealizeError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

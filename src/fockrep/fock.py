@@ -114,14 +114,15 @@ class OperatorExpr:
     """Base class; subclasses implement apply and max_raise.
 
     marked is None except on a node that stands for one generator of a
-    canonical pair other than the Fock one: there it is the WeylElement
-    (a_i, b_i, th_j or dth_j) that the node is the image of.
-    catalogue.shift_pair marks the shift pair, and realize's differential
-    and fd kits mark each of their pair nodes and Pauli-Kronecker matrices.
+    pair other than the Fock one: there it is the WeylElement (a_i, b_i,
+    th_j or dth_j) that the node is the image of, over the node's mode
+    system, so a q-mode's a and b for a q-pair.  catalogue.shift_pair
+    marks the shift pair, catalogue.q_kit the q-pair, and realize's
+    function kits each of their pair nodes and Pauli-Kronecker matrices.
     A mark is trusted, never probed: it holds by a lemma on the node's
-    closed form (shift_pair's, and realize.cross_check's for the function
-    kits), which the tests check node by node.  The mark is an attribute
-    of the node itself, so it adds no level to apply."""
+    closed form (shift_pair's, q_kit's, and realize.cross_check's for the
+    function kits), which the tests check node by node.  The mark is an
+    attribute of the node itself, so it adds no level to apply."""
 
     modes: ModeSystem
     marked = None
@@ -213,10 +214,11 @@ class Poly(OperatorExpr):
 
     def apply(self, terms: dict) -> dict:
         monos = self.weyl.terms.items()
+        q = self.modes.q
         out: dict = {}
         for state, cv in terms.items():
             for mono, cm in monos:
-                image = act(mono, state)
+                image = act(mono, state, q)
                 if image is not None:
                     key, factor = image
                     c = cv * cm
@@ -262,11 +264,10 @@ class ExpA(OperatorExpr):
 
 
 class QSpectral(OperatorExpr):
-    """q^{N} for the number operator of the shift-transformed pair.
-
-    N = (b_i/delta)(1 - e^{-delta a_i}) for delta != 0 and N = b_i a_i at
-    delta = 0.  Diagonal with eigenvalue q^k on the delta-falling-factorial
-    basis vector of index k in the designated mode.
+    """q^{N} for the number operator N = (b_i/delta)(1 - e^{-delta a_i}) of
+    the shift-transformed pair: diagonal with eigenvalue q^k on the
+    delta-falling factorial of index k in the designated mode.  At delta = 0
+    those factorials are the monomials b_i^k and N is b_i a_i.
     """
 
     __slots__ = ("modes", "mode", "q", "delta")
@@ -281,13 +282,7 @@ class QSpectral(OperatorExpr):
         return 0
 
     def apply(self, terms: dict) -> dict:
-        i = self.mode - 1
-        if self.delta == 0:
-            out = {}
-            for (alpha, beta), c in terms.items():
-                accumulate(out, (alpha, beta), c * self.q ** alpha[i])
-            return out
-        return _map_mode_coeffs(terms, i, self.delta,
+        return _map_mode_coeffs(terms, self.mode - 1, self.delta,
                                 lambda coeffs: [c * self.q ** k for k, c in enumerate(coeffs)])
 
 
@@ -485,8 +480,8 @@ def preimages(roots, own) -> list:
     own: such a node as its mark, a polynomial free of bosonic exponents
     (scalars and fermions) as itself, and Sum, Product, Scale and Compiled
     as the sum, product, multiple and inner node's preimage.  When the
-    nodes in own obey the canonical relations their marks do, this is an
-    algebra map, so a root is the image of its preimage.
+    nodes in own obey the relations their marks do, this is an algebra
+    map, so a root is the image of its preimage.
 
     Each root's preimage is a WeylElement, or None where any node of its
     tree has none: a marked node not in own, a polynomial with a bosonic

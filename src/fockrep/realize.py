@@ -12,24 +12,23 @@ Every realization is the family's own generator formula over a kit of
 function-space pairs: (d/dx, x) for the differential kind, the fd pair for
 fd and the Jackson pair for jackson, with Pauli-Kronecker matrices for the
 fermionic modes.  Each kit is made once per key for the process
-(differential_kit per modes, fd_kit per modes and steps, jackson_kit per
-modes and q), so every rep and realization over the same pairs reads and
-extends the same cached columns.  The differential and fd kits' nodes are
-marked (fock.OperatorExpr.marked) with the Weyl generators they stand for:
-d/dx_i and the fd D+ with a_i, x_i and the fd b with b_i, the
-Pauli-Kronecker matrices with th_j and dth_j.  The Jackson pair realizes
-the q-pair, which is not canonical, so it has no marks.
+(differential_kit, jackson_kit per modes, fd_kit per modes and steps), so
+every rep and realization over the same pairs reads and extends the same
+cached columns.  Each kit's nodes are marked (fock.OperatorExpr.marked)
+with the Weyl generators they stand for over the rep's mode system: d/dx_i,
+the fd D+ and the Jackson derivative with a_i, x_i and the fd b with b_i,
+the Pauli-Kronecker matrices with th_j and dth_j.  The Jackson pair's marks
+are a q-mode's a and b.
 
 A cross check decides a generator as a theorem on the kits where it can
-(cross_check): the realized tree and its counterpart read back through the
-marks to the same polynomial, and each marked node is, in closed form, the
-counterpart kit's node in its place (the kit lemma in cross_check), so
-nothing is probed at run time.  Every other generator is compared with its
-abstract Fock counterpart state by state on the shared graded basis; the
-matrices of both are formed only where the images differ, to give the
-verdict and its witness.  The paper's displayed fd closed forms are not
-built here: the tests hold them as data and compare them with the fd
-realization.
+(cross_check): the realized tree and its counterpart read back to the same
+polynomial, and each marked node is, in closed form, the counterpart kit's
+node in its place (the kit lemma in cross_check), so nothing is probed at
+run time.  Every other generator is compared with its abstract Fock
+counterpart state by state on the shared graded basis; the matrices of
+both are formed only where the images differ, to give the verdict and its
+witness.  The paper's displayed fd closed forms are not built here: the
+tests hold them as data and compare them with the fd realization.
 """
 
 from __future__ import annotations
@@ -275,8 +274,9 @@ def _function_kit(modes: ModeSystem, pairs) -> Kit:
 
 
 def _polynomial_modes(rep: RepSpec) -> ModeSystem:
-    """The modes of a polynomial rep, the only kind with a differential form."""
-    if not rep.is_polynomial():
+    """The modes of a polynomial rep over canonical modes, the only kind
+    with a differential form: d/dx is no q-mode's a."""
+    if not rep.is_polynomial() or rep.modes.q != 1:
         raise RealizeError("%s has no polynomial differential form" % rep.rep_id)
     return rep.modes
 
@@ -298,9 +298,10 @@ def fd_kit(modes: ModeSystem, deltas: tuple) -> Kit:
 
 
 @cache
-def jackson_kit(modes: ModeSystem, q) -> Kit:
-    """The Jackson pair (JacksonX, MultX) of the one mode; one kit per (modes, q)."""
-    return Kit([JacksonX(modes, 1, q)], [MultX(modes, 1)], [], [], identity_op(modes))
+def jackson_kit(modes: ModeSystem) -> Kit:
+    """The Jackson pair (JacksonX, MultX) of the one q-mode of `modes`, at
+    its q; one kit per modes."""
+    return _function_kit(modes, [(JacksonX(modes, 1, modes.q), MultX(modes, 1))])
 
 
 def _fd_steps(rep: RepSpec) -> tuple:
@@ -311,12 +312,12 @@ def _fd_steps(rep: RepSpec) -> tuple:
     return steps(rep.modes, rep.params)
 
 
-def _jackson_q(rep: RepSpec):
-    """q of a family built over the q-pair, the one formula the Jackson
-    pair (JacksonX, MultX) can realize."""
+def _q_modes(rep: RepSpec) -> ModeSystem:
+    """The q-mode system of a family built over the q-pair, the one formula
+    the Jackson pair (JacksonX, MultX) can realize."""
     if family(rep.rep_id).kit is not q_kit:
         raise RealizeError("the Jackson realization applies to sl2q only")
-    return rep.params["q"]
+    return rep.modes
 
 
 # kind -> (realized, counterpart): each (rep) -> the Kit that side puts into
@@ -326,14 +327,15 @@ def _jackson_q(rep: RepSpec):
 # every rep and realization over the same pairs reads the same cached
 # columns.  The fd pair is the coordinate image of the shift-transformed
 # pair, so the fd counterpart is the formula over the shift kit at the same
-# steps.  The Jackson pair realizes the spectral q-pair, so its counterpart
-# is the formula over q_kit given q alone, whatever the rep's step.
+# steps.  The Jackson pair is the coordinate image of the q-mode's Fock
+# pair, so its counterpart is the formula over the q-mode's Fock kit,
+# whatever the rep's step.
 KINDS = {
     "differential": (lambda rep: differential_kit(_polynomial_modes(rep)), None),
     "fd": (lambda rep: fd_kit(rep.modes, _fd_steps(rep)),
            lambda rep: fock_kit(rep.modes, _fd_steps(rep))),
-    "jackson": (lambda rep: jackson_kit(rep.modes, _jackson_q(rep)),
-                lambda rep: q_kit(rep.modes, {"q": _jackson_q(rep)})),
+    "jackson": (lambda rep: jackson_kit(_q_modes(rep)),
+                lambda rep: fock_kit(_q_modes(rep))),
 }
 
 
@@ -358,12 +360,13 @@ def _kit_theorem(rep: RepSpec, kind: str, realized: dict, abstract: dict) -> set
     """The names of the realized generators that read back through their
     kit's marks to the same polynomial as their counterparts, which the
     kit lemma makes the same operator (see cross_check); a name left out
-    is decided by the state walk."""
+    is decided by the state walk.  Counterparts that are all polynomials in
+    the Fock pairs are their own words; any others are read back through
+    the counterpart kit's marks."""
     make_realized, make_counterpart = KINDS[kind]
     pre = make_realized(rep).preimages(list(realized.values()))
-    if make_counterpart is None:  # the rep itself, polynomials in the Fock pairs
-        words = [g.as_weyl() for g in abstract.values()]
-    else:
+    words = [g.as_weyl() for g in abstract.values()]
+    if any(w is None for w in words):
         words = make_counterpart(rep).preimages(list(abstract.values()))
     words = dict(zip(abstract, words))
     return {name for name, w in zip(realized, pre) if w is not None and w == words[name]}
@@ -376,10 +379,11 @@ def cross_check(rep: RepSpec, kind: str) -> list:
     A generator is first decided as a theorem on the kits (_kit_theorem).
     Its realized tree T is read back through the marks of its kit's own
     nodes (catalogue.Kit.preimages, which verify reads through too) to a
-    polynomial w, and its counterpart to its own: the rep generator's
-    normal form for the differential kind, the preimage through the shift
-    kit's marks for fd.  The line PASSes when the two are equal.  That rests
-    on a lemma: with x^alpha on spinor mask beta read as the Fock state
+    polynomial w, and its counterpart to its own: the normal form of the
+    rep generator for the differential kind and of the formula over the
+    q-mode's Fock kit for jackson, the preimage through the shift kit's
+    marks for fd.  The line PASSes when the two are equal.  That rests on a
+    lemma: with x^alpha on spinor mask beta read as the Fock state
     b^alpha th^beta |0>, each marked node is, on the whole space, the
     counterpart kit's node in its place, in closed form:
         Partial_i acts as a_i and MultX_i as b_i;
@@ -387,21 +391,22 @@ def cross_check(rep: RepSpec, kind: str) -> list:
             the shift pair's ahat (e^{d a} - 1)/d;
         the fd b is x(1 - d D-) = MultX ShiftX(-d), the shift pair's
             bhat b e^{-d a};
+        JacksonX sends x^k to (q^k - 1)/(q - 1) x^(k-1) = [k]_q x^(k-1),
+            as the q-mode's a sends b^k|0> (weyl.act);
         the Pauli-Kronecker matrices are the Jordan-Wigner th_j and dth_j
             on the 2^r masks
-    (Roman, The Umbral Calculus, 1984).  So T over the realized kit is T
-    over the counterpart kit, which is w over the counterpart kit: the
-    counterpart itself, as that kit's nodes obey the canonical relations
-    their marks do (trivially for the Fock kit, by catalogue.shift_pair for
-    the shift kit).  The two agree on every state, out-of-basis parts
-    included.  tests/test_realize.py checks the lemma node by node on every
-    kit pair the grid builds.
+    (Roman, The Umbral Calculus, 1984; Jackson, Trans. Roy. Soc. Edinburgh
+    46, 1908).  So T over the realized kit is T over the counterpart kit,
+    which is w over the counterpart kit: the counterpart itself, as that
+    kit's nodes obey the relations their marks do (trivially for a Fock
+    kit, by catalogue.shift_pair for the shift kit).  The two agree on
+    every state, out-of-basis parts included.  tests/test_realize.py
+    checks the lemma node by node on every kit pair the grid builds.
 
     Every other generator (a node with no preimage, such as a bare Fock
-    polynomial bump or any Jackson leaf, or a differing word) is compared
-    state by state on the shared graded basis (_difference); overflow column
-    sets must agree and are excluded from entry comparison only when
-    flagged on both sides.
+    polynomial bump, or a differing word) is compared state by state on the
+    shared graded basis (_difference); overflow column sets must agree and
+    are excluded from entry comparison only when flagged on both sides.
     """
     cutoff = rep.default_cutoff
     if cutoff < 0:

@@ -4,7 +4,8 @@ Every check is exact arithmetic over Q(sqrt2), and a FAIL carries a
 concrete witness (a basis state or index pair with both values); where a
 PASS rests on a finite probe, see below.
 
-On a polynomial family a relation line, a Casimir commutator [C,g] and a
+On a polynomial family, over canonical modes or sl2q's q-mode (normal
+forms in weyl's q-rule), a relation line, a Casimir commutator [C,g] and a
 polynomial alt form are decided exactly by their residual lhs - rhs in
 normal form: zero PASSes (MATCH), anything else FAILs (DIFFERS) with both
 sides' images on the first state the residual does not kill (_mismatch).
@@ -17,11 +18,12 @@ An instance of a family that takes n reads that table and its Killing
 rank from the family's shape, the family with n a spectator mode, formed
 once per process, where its generators are the shape's at that n and
 independent (closure).
-A shift-translated family's generators are polynomials in its marked
-shift pair, scalars and fermions, and read back to preimage polynomials
-through the kit its family record builds over (_preimages): only that
-kit's own pair nodes read as their marks (catalogue.Kit.preimages), and
-the pair is canonical (catalogue.shift_pair).  Its relation lines, [C,g]
+A shift-translated family's generators, and sl2q's at delta != 0, are
+polynomials in its marked shift pair or q-pair, scalars and fermions, and
+read back to preimage polynomials through the kit its family record builds
+over (_preimages): only that kit's own pair nodes read as their marks
+(catalogue.Kit.preimages), and the pair is its marks' pair in another
+basis (catalogue.shift_pair, catalogue._q_kit).  Its relation lines, [C,g]
 and closure are decided in normal form over those, as on a polynomial
 family: the marks' map is an injective algebra map, so a zero residual
 holds on the whole Fock space, the closure table is the generators' own,
@@ -197,8 +199,9 @@ def _first_unkilled(residual: WeylElement):
     form does not kill.
 
     A monomial kills each state that lacks its lowering part and sends that
-    part to a multiple of its raising part, so on the least lowering part
-    of the monomials only those with that lowering part act, with distinct
+    part to a nonzero multiple of its raising part (on a q-mode too, as no
+    [k]_q vanishes: weyl.ModeSystem), so on the least lowering part of the
+    monomials only those with that lowering part act, with distinct
     images.
     """
     return min(((m[1], m[3]) for m in residual.terms), key=state_sort_key)
@@ -240,10 +243,10 @@ def _preimages(rep: RepSpec):
     The generators are read back through the kit the rep's family record
     builds over (catalogue.Kit.preimages), where only that kit's own pair
     nodes read as their marks; a rep with no family record, or a generator
-    with no preimage, gives None.  The kit's marked pair is canonical
-    (catalogue.shift_pair), so the marks' map is an injective algebra map,
-    and an identity whose preimage residual is zero holds for the
-    generators on the whole Fock space."""
+    with no preimage, gives None.  The kit's marked pair obeys its marks'
+    relations (catalogue.shift_pair, catalogue._q_kit), so the marks' map
+    is an injective algebra map, and an identity whose preimage residual
+    is zero holds for the generators on the whole Fock space."""
     return rep.memo(_preimages, lambda: _pulled_back(rep))
 
 

@@ -1,26 +1,32 @@
-"""Normal-ordered super-Heisenberg (Weyl) algebra.
+"""Normal-ordered super-Heisenberg (Weyl) algebra, with a q-rule per mode system.
 
 Elements are finite combinations, with coefficients in Q(sqrt2), of monomials
 
     b1^k1 a1^m1 ... bp^kp ap^mp  th_{i1}...th_{ik}  dth_{j1}...dth_{jl}
 
-over p bosonic pairs with [a_i, b_j] = delta_ij and r fermionic pairs with
-{dth_i, th_j} = delta_ij, {th_i, th_j} = {dth_i, dth_j} = 0.  The stored
-form is always canonical: per mode b before a, modes ascending, then the
-th block and the dth block with indices ascending; signs live in the
-coefficients.
+over p bosonic pairs with a_i b_i - q b_i a_i = 1, [a_i, b_j] = 0 for i != j,
+and r fermionic pairs with {dth_i, th_j} = delta_ij, {th_i, th_j} =
+{dth_i, dth_j} = 0.  q is the mode system's (ModeSystem.q): 1 is the
+canonical Weyl algebra, any other q the q-Weyl algebra of the
+q-oscillator (Macfarlane, J. Phys. A 22, 1989).  The stored form is always
+canonical: per mode b before a, modes ascending, then the th block and the
+dth block with indices ascending; signs live in the coefficients.  Each
+rule is a reduction system whose overlaps resolve, so the normal form is
+unique (Bergman, Adv. Math. 29, 1978).
 
 Production reordering uses the closed form
-    a^m b^k = sum_j C(m,j) C(k,j) j! b^(k-j) a^(m-j)
-per bosonic mode, expanded only on the contracting modes of a monomial
-pair (where m and k are both nonzero; every other mode just adds its
-exponents), and transposition-counted Koszul signs for fermions, skipped
-when the right monomial has none.  Each monomial pair's product, commutator
-or anticommutator is normal-ordered once per process, with unit
+    a^m b^k = sum_j q^((m-j)(k-j)) [m choose j]_q [k choose j]_q [j]_q! b^(k-j) a^(m-j)
+per bosonic mode (_contraction), which is C(m,j) C(k,j) j! at q = 1,
+expanded only on the contracting modes of a monomial pair (where m and k
+are both nonzero; every other mode just adds its exponents), and
+transposition-counted Koszul signs for fermions, skipped when the right
+monomial has none.  Each monomial pair's product, commutator or
+anticommutator is normal-ordered once per process and q, with unit
 coefficient, into one cached pair table (_pair); multiply and
 bracket(x, y, anti) scale its entries by the terms' coefficients, and
-act keeps, per monomial and Fock state, the one term alive on the vacuum.
-The independent single-swap rewriter lives in the test suite as an oracle.
+act keeps, per monomial, Fock state and q, the one term alive on the
+vacuum.  The independent single-swap rewriters live in the test suite as
+oracles.
 
 Fermionic sign convention: moving any fermionic generator past another
 (distinct) one contributes one factor -1 per adjacent transposition.
@@ -32,19 +38,28 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, perm
 
-from .scalars import exact, inverse
+from .scalars import exact, inverse, rat
 
 
 @dataclass(frozen=True)
 class ModeSystem:
-    """p bosonic pairs (a_i, b_i) and r fermionic pairs (th_j, dth_j)."""
+    """p bosonic pairs (a_i, b_i) and r fermionic pairs (th_j, dth_j); each
+    bosonic pair obeys a_i b_i - q b_i a_i = 1.  q = 1 is the canonical
+    Weyl algebra.  A q-mode's Fock module, a_i b_i^k|0> = [k]_q
+    b_i^(k-1)|0>, is faithful only where no [k]_q = 1 + q + ... + q^(k-1)
+    vanishes, which over Q(sqrt2) excludes q = -1 alone."""
 
     bosonic: int
     fermionic: int = 0
+    q: object = 1
 
     def __post_init__(self):
         if self.bosonic < 0 or self.fermionic < 0:
             raise ValueError("mode counts must be nonnegative")
+        q = exact(self.q)
+        if q == -1:
+            raise ValueError("q = -1 makes [2]_q vanish")
+        object.__setattr__(self, "q", q)  # frozen
 
 
 class ModeMismatch(ValueError):
@@ -240,13 +255,14 @@ def bracket(x: WeylElement, y: WeylElement, anti: bool) -> WeylElement:
 
 
 def _combine(x: WeylElement, y: WeylElement, kind) -> WeylElement:
-    """The sum of c1 c2 _pair(u, v, kind) over the terms c1 u of x and c2 v
-    of y."""
+    """The sum of c1 c2 _pair(u, v, kind, q) over the terms c1 u of x and
+    c2 v of y."""
     _check_modes(x, y)
+    q = x.modes.q
     terms: dict = {}
     for u, c1 in x.terms.items():
         for v, c2 in y.terms.items():
-            table = _pair(u, v, kind)
+            table = _pair(u, v, kind, q)
             if table:
                 c = c1 * c2
                 for mono, d in table:
@@ -255,30 +271,32 @@ def _combine(x: WeylElement, y: WeylElement, kind) -> WeylElement:
 
 
 @cache
-def _pair(u: Monomial, v: Monomial, kind) -> tuple:
+def _pair(u: Monomial, v: Monomial, kind, q) -> tuple:
     """The normal form of u v (kind None), u v - v u (False) or u v + v u
-    (True) for monomials u, v, with unit coefficient: a tuple of
-    (monomial, int), each int nonzero.  Formed once per process: p is
-    len(u[0]) and the fermion masks alone fix the signs, so (u, v, kind) is
-    the whole key."""
+    (True) for monomials u, v under the rule q, with unit coefficient: a
+    tuple of (monomial, nonzero coefficient), each an int where q = 1.
+    Formed once per process: p is len(u[0]) and the fermion masks alone fix
+    the signs, so (u, v, kind, q) is the whole key."""
     out: dict = {}
-    _expand(out, u, v, 1)
+    _expand(out, u, v, 1, q)
     if kind is not None:
-        _expand(out, v, u, 1 if kind else -1)
+        _expand(out, v, u, 1 if kind else -1, q)
     return tuple(out.items())
 
 
 @cache
-def act(mono: Monomial, state) -> tuple | None:
+def act(mono: Monomial, state, q) -> tuple | None:
     """The monomial's image of the Fock basis state b^alpha th^beta |0>,
-    state = (alpha, beta_mask): None or the one (state, nonzero int), the
-    term of mono b^alpha th^beta free of a and dth.  That is _expand's full
-    contraction, perm(alpha_i, e_i) per a_i^e_i, times the one dth-free
-    word of _ferm_multiply(th, dth, beta, 0), formed directly: each dth
-    must contract with its th of beta, as no later th can, so folding
-    beta's th in ascending order takes the contraction branch where the
-    word holds that dth and the juxtaposition otherwise, with their signs.
-    Formed once per process and keyed by data, as _pair is."""
+    state = (alpha, beta_mask), under the rule q: None or the one (state,
+    nonzero coefficient), the term of mono b^alpha th^beta free of a and
+    dth.  That is _expand's full contraction, the falling factorial
+    _falling(alpha_i, e_i, q) per a_i^e_i (perm, an int, where q = 1),
+    times the one dth-free word of _ferm_multiply(th, dth, beta, 0), formed
+    directly: each dth must contract with its th of beta, as no later th
+    can, so folding beta's th in ascending order takes the contraction
+    branch where the word holds that dth and the juxtaposition otherwise,
+    with their signs.  Formed once per process and keyed by data, as _pair
+    is."""
     bp, ap, th, dth = mono
     alpha, beta = state
     factor = 1
@@ -286,7 +304,7 @@ def act(mono: Monomial, state) -> tuple | None:
         if e:
             if e > k:
                 return None
-            factor *= perm(k, e)
+            factor *= _falling(k, e, q)
     if dth & ~beta:
         return None
     m = beta
@@ -308,8 +326,37 @@ def act(mono: Monomial, state) -> tuple | None:
     return (alpha, th), factor
 
 
-def _expand(out: dict, u: Monomial, v: Monomial, c: int):
-    """out += c u v, normal-ordered, for monomials u, v and an int c."""
+def q_integer(j: int, q):
+    """[j]_q = (1 - q^j)/(1 - q) = 1 + q + ... + q^(j-1), for q != 1."""
+    q = rat(q)
+    return (1 - q ** j) / (1 - q)
+
+
+def _falling(k: int, e: int, q):
+    """a^e b^k|0> = _falling(k, e, q) b^(k-e)|0> on one mode: the falling
+    factorial perm(k, e) where q = 1, else [k]_q [k-1]_q ... [k-e+1]_q."""
+    if q == 1:
+        return perm(k, e)
+    out = 1
+    for j in range(k - e + 1, k + 1):
+        out = out * q_integer(j, q)
+    return exact(out)
+
+
+def _contraction(m: int, k: int, j: int, q):
+    """The coefficient of b^(k-j) a^(m-j) in a^m b^k on one mode:
+    C(m,j) C(k,j) j! where q = 1, else q^((m-j)(k-j)) [m choose j]_q
+    [k choose j]_q [j]_q!, written through _falling as q^((m-j)(k-j))
+    F(m, j) F(k, j) / F(j, j)."""
+    if q == 1:
+        return comb(m, j) * comb(k, j) * factorial(j)
+    return exact(q ** ((m - j) * (k - j)) * _falling(m, j, q) * _falling(k, j, q)
+                 * inverse(_falling(j, j, q)))
+
+
+def _expand(out: dict, u: Monomial, v: Monomial, c: int, q):
+    """out += c u v, normal-ordered under the rule q, for monomials u, v and
+    an int c."""
     bp1, ap1, th1, dth1 = u
     bp2, ap2, th2, dth2 = v
     # fermionic part: fold v's generators into u's normal-ordered word
@@ -327,7 +374,7 @@ def _expand(out: dict, u: Monomial, v: Monomial, c: int):
         if m and k:
             prods = [(b[:i] + (b[i] - j,) + b[i + 1:],
                       a[:i] + (a[i] - j,) + a[i + 1:],
-                      c * comb(m, j) * comb(k, j) * factorial(j))
+                      c * _contraction(m, k, j, q))
                      for b, a, c in prods for j in range(min(m, k) + 1)]
     for bp, ap, c in prods:
         for (th, dth), sign in ferm:

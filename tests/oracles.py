@@ -56,7 +56,8 @@ def _is_fermionic(atom):
 
 
 def swap_normal_order(word, coeff, modes: ModeSystem) -> WeylElement:
-    """Normal-order a single word by repeated adjacent swaps.
+    """Normal-order a single word by repeated adjacent swaps, under the
+    mode system's rule a b = q b a + 1 (q = 1 for the canonical pair).
 
     Each step rewrites the first out-of-order adjacent pair of every word
     by one defining relation; identical words are merged between steps, so
@@ -82,7 +83,7 @@ def swap_normal_order(word, coeff, modes: ModeSystem) -> WeylElement:
             if _is_fermionic(x) and x == y:
                 continue  # nilpotent square kills the word
             if x[0] == "a" and y[0] == "b" and x[1] == y[1]:
-                push(head + (y, x) + tail, c)  # ab -> ba + 1
+                push(head + (y, x) + tail, c * modes.q)  # ab -> q ba + 1
                 push(head + tail, c)
             elif _is_fermionic(x) and _is_fermionic(y):
                 if x[0] == "dth" and y[0] == "th" and x[1] == y[1]:

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from fockrep.catalogue import CatalogueError, build, family, fock_kit, list_catalogue, shift_pair
+from fockrep import catalogue
+from fockrep.catalogue import (CatalogueError, build, family, fock_kit, list_catalogue, q_kit,
+                               shift_pair)
 from fockrep.fock import Compiled, Poly, basis_states, check_identity, to_matrix
 from fockrep.grids import acceptance_grid
 from fockrep.scalars import Scalar, rat
@@ -184,15 +186,20 @@ def test_every_grid_build_is_well_formed():
 
 
 def test_is_polynomial_exactly_on_the_polynomial_families():
+    # sl2q is polynomial over its q-mode at delta = 0, and extended at
+    # delta != 0, over the q-pair
     from fockrep.grids import acceptance_grid
 
-    extended = {"sl2_translated", "sl3_translated", "osp22_translated", "sl2q"}
+    extended = {"sl2_translated", "sl3_translated", "osp22_translated"}
     seen = {}
     for rep_id, params in acceptance_grid():
         polynomial = build(rep_id, params).is_polynomial()
-        assert polynomial == (rep_id not in extended), (rep_id, params)
-        seen[rep_id] = polynomial
-    assert len(seen) == 16 and sum(seen.values()) == 12
+        if rep_id == "sl2q":
+            assert polynomial == (not params.get("delta")), params
+        else:
+            assert polynomial == (rep_id not in extended), (rep_id, params)
+        seen[rep_id, polynomial] = True
+    assert len(seen) == 17 and sum(polynomial for _, polynomial in seen) == 13
 
 
 def test_substituted_pairs_are_canonical():
@@ -270,6 +277,51 @@ def test_two_shift_pairs_commute_across_modes(deltas):
     _assert_canonical(kit, 12)
 
 
+def _q_pair_breach(kit, delta, degree) -> str:
+    """"" when kit's q-pair obeys its lemma (catalogue._q_kit) on every
+    basis state of degree <= degree: atil btil - q btil atil = 1, atil
+    kills |0>, and btil^k |0> is shift_pair's bhat^k |0> at delta;
+    otherwise the first breach."""
+    modes = kit.one.modes
+    (atil,), (btil,) = kit.a, kit.b
+    relation = atil * btil - (btil * atil).scale(modes.q)
+    vacuum = {((0,), 0): 1}
+    if atil.apply(vacuum):
+        return "atil does not kill |0>"
+    _, bhat = shift_pair(ModeSystem(1, 0), 1, delta)
+    for key in basis_states(modes, degree):
+        if relation.apply({key: 1}) != {key: 1}:
+            return "atil btil - q btil atil is not 1 on %s" % (key,)
+        (k,), _ = key
+        if (btil ** k).apply(vacuum) != (bhat ** k).apply(vacuum):
+            return "btil^%d |0> is not bhat^%d |0>" % (k, k)
+    return ""
+
+
+@pytest.mark.parametrize("delta", [rat(1), rat(-1, 3), rat(7, 5)])
+def test_the_q_pair_obeys_its_lemma_and_is_marked_with_the_q_modes_a_and_b(delta):
+    # the lemma behind deciding sl2q at delta != 0 over its preimages, at
+    # the grid's step, another sign and one more step, on every state of
+    # degree <= 12: the pair is the q-mode's pair in the delta-falling
+    # factorial basis, held Compiled with the q-mode's a and b as marks,
+    # which Kit.preimages reads back
+    modes = ModeSystem(1, 0, rat(3, 5))
+    kit = q_kit(modes, {"q": modes.q, "delta": delta})
+    _assert_marked(kit)
+    assert _q_pair_breach(kit, delta, 12) == ""
+
+
+def test_a_q_pair_raising_at_the_wrong_step_breaks_its_lemma(monkeypatch, fresh_kits):
+    # btil built at step -2 delta, atil left as it is
+    def wrong_step(modes, mode, q, delta, pair=catalogue.q_pair):
+        return pair(modes, mode, q, delta)[0], pair(modes, mode, q, -2 * delta)[1]
+
+    monkeypatch.setattr(catalogue, "q_pair", wrong_step)
+    modes = ModeSystem(1, 0, rat(3, 5))
+    assert _q_pair_breach(q_kit(modes, {"q": modes.q, "delta": rat(1)}), rat(1), 12) == \
+        "atil btil - q btil atil is not 1 on ((1,), 0)"
+
+
 @pytest.mark.parametrize("rid, base", [("sl2_translated", "sl2_standard"),
                                        ("osp22_translated", "osp22"),
                                        ("sl3_translated", "sl3_fock")])
@@ -336,6 +388,7 @@ def _extended_small_grid():
 
 @pytest.mark.parametrize("rid, params", _extended_small_grid() + [
     ("sl2q", {"alpha": 2, "q": 2, "delta": 1}),
+    ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": rat(-1, 3)}),
 ])
 def test_compiled_generators_give_the_raw_matrices(rid, params):
     # each stored Compiled generator has the matrix of its raw inner tree

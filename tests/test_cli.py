@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep import catalogue
+from fockrep import catalogue, fock
 from fockrep.cli import main, parse_params
-from fockrep.fock import Poly
+from fockrep.fock import NotLeftDivisible, Poly
 from fockrep.realize import cross_check
 from fockrep.scalars import rat
 from fockrep.verify import casimir_check, full_verify
@@ -392,6 +392,18 @@ def test_unavailable_realization_exits_two(capsys):
     code, _, err = run(capsys, "matrix", "sl2_translated", "n=1", "delta=1",
                        "--gen", "J0", "--realization", "diff")
     assert code == 2 and "differential" in err
+
+
+def test_a_left_division_that_fails_exits_two(capsys, monkeypatch, fresh_kits):
+    # the q-pair's lowering node divides by b (fock.LeftDivB): a division
+    # that fails is a domain error, one line and exit 2, not a traceback
+    def refuse(self, terms):
+        raise NotLeftDivisible("not left-divisible: forced")
+
+    monkeypatch.setattr(fock.LeftDivB, "apply", refuse)
+    for command in ("verify", "casimir"):
+        code, out, err = run(capsys, command, "sl2q", "alpha=2", "q=3/5", "delta=1")
+        assert (code, out, err) == (2, "", "error: not left-divisible: forced\n")
 
 
 def test_decimal_flag(capsys):

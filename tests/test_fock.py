@@ -104,15 +104,19 @@ def _image_by_multiplying(w, key):
             if not any(ap) and not dth}
 
 
-@pytest.mark.parametrize("ms", [B1, ModeSystem(2, 1), ModeSystem(3, 2), ModeSystem(1, 3)],
-                         ids=["1+0", "2+1", "3+2", "1+3"])
+@pytest.mark.parametrize("ms", [B1, ModeSystem(2, 1), ModeSystem(3, 2), ModeSystem(1, 3),
+                                ModeSystem(2, 1, rat(3, 5))],
+                         ids=["1+0", "2+1", "3+2", "1+3", "2+1 q=3/5"])
 def test_poly_apply_matches_the_product_in_the_algebra(ms):
     # an oracle for Poly.apply and weyl.act that shares none of their code:
     # each monomial's image of a state is read off the single-swap normal
-    # form of its product with the state's monomial, and it is the one
-    # term that act gives, or nothing where act gives None
+    # form of its product with the state's monomial, under the mode
+    # system's rule, and it is the one term that act gives, or nothing
+    # where act gives None; an int on canonical modes.  The oracle's image
+    # is formed once per (monomial, state), as draws repeat both
     rng = random.Random(20)
     keys = basis_states(ms, 3)
+    oracle = {}
     for _ in range(200):
         w = _random_element(rng, ms)
         op = Poly(w)
@@ -120,12 +124,15 @@ def test_poly_apply_matches_the_product_in_the_algebra(ms):
         for key in keys:
             parts = []
             for mono, c in w.terms.items():
-                image = _image_by_multiplying(WeylElement(ms, {mono: 1}), key)
-                hit = act(mono, key)
+                image = oracle.get((mono, key))
+                if image is None:
+                    image = oracle[mono, key] = _image_by_multiplying(
+                        WeylElement(ms, {mono: 1}), key)
+                hit = act(mono, key, ms.q)
                 if hit is None:
                     assert image == {}, (mono, key)
                 else:
-                    assert type(hit[1]) is int and hit[1], (mono, key)
+                    assert hit[1] and (type(hit[1]) is int or ms.q != 1), (mono, key)
                     assert image == {hit[0]: hit[1]}, (mono, key)
                 parts.append((c, image))
             images[key] = lincomb(*parts)

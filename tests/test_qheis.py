@@ -1,14 +1,14 @@
 import random
+from math import prod
 
 import pytest
 
 from fockrep.fock import Product, Scale, Sum, check_identity, identity_op, to_matrix
 from fockrep.catalogue import sl2q_triple
-from fockrep.qheis import (QDomainError, QWeylElement, _reorder, q_alpha_hat, q_multiply,
-                           q_number, q_pair)
+from fockrep.qheis import QDomainError, q_alpha_hat, q_number, q_pair
 from fockrep.realize import JacksonX
 from fockrep.scalars import Scalar, rat
-from fockrep.weyl import ModeSystem, WeylElement, multiply
+from fockrep.weyl import ModeMismatch, ModeSystem, WeylElement, multiply
 
 from oracles import q_swap_multiply
 
@@ -17,46 +17,59 @@ B1 = ModeSystem(1, 0)
 
 
 def qmono(q, k, m, c=1):
-    return QWeylElement.monomial(q, k, m, c)
+    """c b^k a^m over one q-mode at q: weyl's q-Weyl algebra."""
+    return WeylElement.monomial(ModeSystem(1, 0, q), (k,), (m,), coeff=c)
+
+
+def _by_exponents(element) -> dict:
+    """A one-mode element's terms as {(k, m): coefficient}, the oracle's shape."""
+    return {(bp[0], ap[0]): c for (bp, ap, _, _), c in element.terms.items()}
 
 
 def test_defining_relation():
     q = rat(2)
-    at, bt = QWeylElement.atil(q), QWeylElement.btil(q)
-    assert q_multiply(at, bt) == qmono(q, 1, 1, Scalar(q)) + QWeylElement.one(q)
+    at, bt = qmono(q, 0, 1), qmono(q, 1, 0)
+    assert multiply(at, bt) == qmono(q, 1, 1, Scalar(q)) + WeylElement.one(at.modes)
 
 
 def test_two_swap_example():
     # at bt^2 = q^2 bt^2 at + (1+q) bt
     q = rat(3, 5)
-    at = QWeylElement.atil(q)
-    bt2 = qmono(q, 2, 0)
-    got = q_multiply(at, bt2)
+    got = multiply(qmono(q, 0, 1), qmono(q, 2, 0))
     expected = qmono(q, 2, 1, Scalar(q * q)) + qmono(q, 1, 0, Scalar(1 + q))
     assert got == expected
 
 
 def test_q_multiply_matches_swap_oracle():
-    for q in QS:
+    # the q-rule off criterion 7's q values: a negative q, q = 0 (a b = 1)
+    # and a q above 2
+    for q in (rat(-2), rat(0), rat(7, 3)):
         monos = [(k, m) for k in range(5) for m in range(5)]
         for k1, m1 in monos:
             x = qmono(q, k1, m1)
             for k2, m2 in monos:
                 y = qmono(q, k2, m2)
-                assert q_multiply(x, y).terms == q_swap_multiply(x.terms, y.terms, q)
+                assert _by_exponents(multiply(x, y)) == \
+                    q_swap_multiply({(k1, m1): 1}, {(k2, m2): 1}, q), (q, k1, m1, k2, m2)
 
 
 def test_reorder_degenerates_to_weyl_at_q_one():
-    # substituting q = 1 into the reordering coefficients gives the
-    # undeformed normal ordering
-    ms = ModeSystem(1, 0)
-    for m in range(5):
-        for k in range(5):
-            image = {}
-            for (j, l), c in _reorder(m, k, rat(1)):
-                image[((j,), (l,), 0, 0)] = c
-            direct = multiply(WeylElement.a(ms) ** m, WeylElement.b(ms) ** k)
-            assert image == direct.terms
+    # the q-rule's coefficient of b^(k-j) a^(m-j) in a^m b^k, q^((m-j)(k-j))
+    # [m]_(j) [k]_(j) / [j]_(j) with the falling products [n]_(j) =
+    # [n]...[n-j+1] of [i]_q = 1 + q + ... + q^(i-1), is a polynomial in q:
+    # at every q of QS it is the q-mode's product, and at q = 1 the
+    # canonical one, C(m,j) C(k,j) j!
+    def coefficient(m, k, j, q):
+        def falling(n, e):
+            return prod((sum(q ** i for i in range(n - i2)) for i2 in range(e)), start=rat(1))
+        return q ** ((m - j) * (k - j)) * falling(m, j) * falling(k, j) / falling(j, j)
+
+    for q in (rat(1),) + QS:
+        for m in range(5):
+            for k in range(5):
+                got = _by_exponents(multiply(qmono(q, 0, m), qmono(q, k, 0)))
+                assert got == {(k - j, m - j): coefficient(m, k, j, q)
+                               for j in range(min(m, k) + 1)}, (q, m, k)
 
 
 def test_q_multiply_associative():
@@ -65,20 +78,25 @@ def test_q_multiply_associative():
         for _ in range(20):
             elems = []
             for _ in range(3):
-                e = QWeylElement.zero(q)
+                e = WeylElement.zero(ModeSystem(1, 0, q))
                 for _ in range(2):
                     e = e + qmono(q, rng.randint(0, 2), rng.randint(0, 2),
                                   rng.randint(-3, 3))
                 elems.append(e)
             x, y, z = elems
-            assert q_multiply(q_multiply(x, y), z) == q_multiply(x, q_multiply(y, z))
+            assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
-def test_q_mismatch_and_q_one_rejected():
-    with pytest.raises(QDomainError):
-        QWeylElement.monomial(rat(1), 1, 0)
-    with pytest.raises(QDomainError):
-        q_multiply(QWeylElement.atil(rat(2)), QWeylElement.atil(rat(3)))
+def test_q_mismatch_and_q_minus_one_rejected():
+    # q = -1 makes [2]_q = 1 + q vanish, so its Fock module is not faithful;
+    # q = 1 is the canonical system itself, and two q's never mix
+    with pytest.raises(ValueError, match="q = -1"):
+        ModeSystem(1, 0, -1)
+    assert ModeSystem(1, 0, rat(1)) == B1
+    with pytest.raises(ModeMismatch):
+        multiply(qmono(rat(2), 0, 1), qmono(rat(3), 1, 0))
+    with pytest.raises(ModeMismatch):
+        multiply(qmono(rat(2), 0, 1), WeylElement.b(B1))
 
 
 def test_q_numbers():

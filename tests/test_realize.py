@@ -218,9 +218,9 @@ def test_cross_check_equals_the_walk_on_the_grid():
 
 
 def test_passing_kit_theorem_lines_walk_no_state(monkeypatch):
-    # every differential and fd line of the grid passes by the kit theorem,
-    # with no call to the state walk; the Jackson pair has no marks, so each
-    # of its 108 generators is walked
+    # every differential, fd and Jackson line of the grid passes by the kit
+    # theorem, with no call to the state walk: the Jackson pair is marked
+    # with the q-mode's a and b, so its 108 lines read back too
     calls = Counter()
 
     def counted(realized, abstract, cutoff, inner=realize._difference):
@@ -228,10 +228,13 @@ def test_passing_kit_theorem_lines_walk_no_state(monkeypatch):
         return inner(realized, abstract, cutoff)
 
     monkeypatch.setattr(realize, "_difference", counted)
+    lines = Counter()
     for rep, kind in _grid_pairs():
         results = cross_check(rep, kind)
-        assert kind == "jackson" or all(c.passed for c in results), (rep.rep_id, kind)
-    assert calls == {"jackson": 108}
+        assert all(c.passed for c in results), (rep.rep_id, kind)
+        lines[kind] += len(results)
+    assert not calls
+    assert lines["jackson"] == 108
 
 
 # the highest degree a grid line's realized tree reaches from its cutoff
@@ -257,14 +260,14 @@ def _kit_lemma_breach(realized, counterpart) -> str:
 
 
 def _kit_pairs(cases) -> list:
-    """(realized, counterpart) for each kit pair the differential and fd
-    lines of the (rep id, params) cases build, once per pair; the
-    differential kind's counterpart is the Fock kit."""
+    """(realized, counterpart) for each kit pair the lines of the (rep id,
+    params) cases build, once per pair; the differential kind's
+    counterpart is the Fock kit, and the Jackson kind's the q-mode's Fock
+    kit."""
     pairs = {}
     for rid, params in cases:
         rep = build(rid, params)
-        for kind in ("differential", "fd"):
-            make_realized, make_counterpart = realize.KINDS[kind]
+        for make_realized, make_counterpart in realize.KINDS.values():
             try:
                 kit = make_realized(rep)
             except RealizeError:
@@ -275,10 +278,11 @@ def _kit_pairs(cases) -> list:
 
 
 def test_the_function_kits_are_their_counterpart_kits_node_by_node():
-    # the lemma a kit-theorem PASS rests on, on all 21 kit pairs of the grid
-    # and at an off-grid fd step with a fermionic mode
+    # the lemma a kit-theorem PASS rests on, on all 24 kit pairs of the grid
+    # (21 differential and fd, 3 Jackson, one per q) and at an off-grid fd
+    # step with a fermionic mode
     pairs = _kit_pairs(acceptance_grid())
-    assert len(pairs) == 21
+    assert len(pairs) == 24
     modes, steps = ModeSystem(1, 1), (rat(7, 3),)
     pairs.append((fd_kit(modes, steps), fock_kit(modes, steps)))
     for kit, other in pairs:
@@ -300,6 +304,17 @@ def test_a_partial_off_at_one_degree_breaks_the_kit_lemma(monkeypatch, fresh_kit
     # the differential kit, then the fd kit, which holds no d/dx
     assert _breaches([("sl2_metaplectic", {})]) == \
         ["a acts differently on ((%d,), 0)" % LEMMA_DEGREE, ""]
+
+
+def test_a_jackson_derivative_at_a_wrong_q_breaks_the_kit_lemma(monkeypatch, fresh_kits):
+    # JacksonX built at 2q: [1] is 1 at every q, so the two first differ on x^2
+    class WrongQ(JacksonX):
+        def __init__(self, modes, i, q):
+            super().__init__(modes, i, 2 * q)
+
+    monkeypatch.setattr(realize, "JacksonX", WrongQ)
+    assert _breaches([("sl2q", {"alpha": 2, "q": rat(3, 5)})]) == \
+        ["a acts differently on ((2,), 0)"]
 
 
 def test_a_flipped_clifford_sign_breaks_the_kit_lemma(monkeypatch, fresh_kits):
@@ -350,7 +365,7 @@ def test_differential_formula_matches_the_relabeled_normal_form():
     checked = set()
     for rep_id, params in acceptance_grid(small=True):
         rep = build(rep_id, params)
-        if not rep.is_polynomial():
+        if not rep.is_polynomial() or rep.modes.q != 1:  # d/dx is no q-mode's a
             continue
         cutoff = rep.default_cutoff
         for name, op in realize_generators(rep, "differential").items():
@@ -573,7 +588,7 @@ SHARING = [
     ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, None, 2),
     ("sl3_translated", {"n": 1, "delta1": rat(1), "delta2": rat(-1, 3)}, None, 5),
     ("osp22_translated", {"n": 2, "delta": rat(1)}, None, 2),
-    ("sl2q", {"alpha": 2, "q": rat(2)}, None, 1),
+    ("sl2q", {"alpha": 2, "q": rat(2)}, None, 0),
     ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}, None, 2),
     ("sl2q", {"alpha": 2, "q": rat(2)}, "jackson", 2),
     ("sl2_standard", {"n": 2}, "differential", 2),

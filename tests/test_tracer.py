@@ -19,7 +19,8 @@ def test_the_tracer_installs_every_span_and_restores_it(monkeypatch):
     tracer = spans.Tracer()
     try:
         tracer.install()
-        rep = catalogue.build("sl2q", {"alpha": 2, "q": rat(2)})
+        # at delta != 0 the J- alt form is still probed (fock.check_identity)
+        rep = catalogue.build("sl2q", {"alpha": 2, "q": rat(2), "delta": rat(1)})
         assert verify.full_verify(rep).passed
         assert all(c.passed for c in realize.cross_check(rep, "jackson"))
     finally:

@@ -40,11 +40,7 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = {path.stem for path in LIBRARY}
 
 # public API that only the tests call, with what needs it
-TEST_API = {
-    "QWeylElement": "criterion 7, until item 19",
-    "atil": "criterion 7, until item 19",
-    "btil": "criterion 7, until item 19",
-}
+TEST_API = {}
 
 
 @cache

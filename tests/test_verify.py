@@ -605,6 +605,15 @@ def _relation_words(rep):
     return {tuple(word) for rel in rep.relations for _, word in rel.lhs + rel.rhs}
 
 
+def _read_as_brackets(rep) -> set:
+    """The unordered generator pairs {x, y} of the relation sides' adjacent
+    terms c x y, c' y x with c' = c or -c, which the word sum reads as one
+    bracket (RepSpec.word_sum); sl2q's q-commutators are not among them."""
+    return {frozenset(w1) for rel in rep.relations for side in (rel.lhs, rel.rhs)
+            for (c1, w1), (c2, w2) in zip(side, side[1:])
+            if len(w1) == 2 and w2 == w1[::-1] and c2 in (c1, -c1)}
+
+
 def _memo_brackets(rep) -> set:
     """The unordered generator pairs whose bracket rep's memo holds, under
     its (x, y, anti) keys (RepSpec.bracket)."""
@@ -708,11 +717,14 @@ def test_normal_form_decisions_match_the_probe_oracles():
                 name for name, differs in verdicts["casimir"].items() if differs}
         assert check_relations(rep) == relations
         assert check_relations(copy) == relations
-        # each two-letter relation word is read as a bracket of the memo,
+        # each two-letter relation word of a bracket is read from the memo,
         # none is multiplied out, and with no relations nothing is formed
-        assert _memo_brackets(copy) == {
-            frozenset(word) for word in _relation_words(rep) if len(word) == 2}
-        assert all(len(word) < 2 for word in _memo_products(copy))
+        brackets = _read_as_brackets(rep)
+        assert _memo_brackets(copy) == brackets
+        assert brackets == {frozenset(word) for word in _relation_words(rep)
+                            if len(word) == 2} or rep.rep_id == "sl2q"
+        assert all(len(word) < 2 or len(word) == 2 and frozenset(word) not in brackets
+                   for word in _memo_products(copy))
         assert rep.relations or not _memo_products(copy)
         assert check_alt_forms(rep) == alt_forms == check_alt_forms(copy)
         if commutes is not None:
@@ -725,7 +737,7 @@ def test_normal_form_decisions_match_the_probe_oracles():
                 probe_relations(rep) != relations or probe_alt_forms(rep) != alt_forms
                 or commutes is not None and probe_casimir_commutes(rep) != commutes):
             seen["beyond the default probe"] += 1
-    assert len(reps) == 120
+    assert len(reps) == 121
     assert set(seen) == {"relation PASS", "relation FAIL", "casimir_commutes PASS",
                          "casimir_commutes FAIL", "alt MATCH", "alt DIFFERS",
                          "beyond the default probe"}
@@ -794,9 +806,10 @@ def test_a_bumped_generator_is_decided_without_a_probe(monkeypatch):
 
 
 def test_full_verify_never_probes_a_polynomial_rep(monkeypatch):
-    # each polynomial --grid small instance, each of its +1 bumps and each
-    # bump the normal-form oracle test walks: every relation line, [C,g]
-    # and alt form is decided from its residual
+    # each polynomial --grid small instance (sl2q at delta = 0, over its
+    # q-mode, among them), each of its +1 bumps and each bump the
+    # normal-form oracle test walks: every relation line, [C,g] and alt
+    # form is decided from its residual
     def no_probe(lhs, rhs, cutoff):
         raise AssertionError("check_identity called on a polynomial rep")
 
@@ -804,7 +817,7 @@ def test_full_verify_never_probes_a_polynomial_rep(monkeypatch):
     bases = _polynomial_small_grid()
     reps = bases + [rep for base in bases + [build(rid, params) for rid, params in _BUMPED_FAMILIES]
                     for rep in _bumps(base)]
-    assert len(reps) == 258
+    assert len(reps) == 264
     for rep in reps:
         full_verify(rep)
 
@@ -851,19 +864,82 @@ def test_a_casimir_term_lowering_past_the_probe_fails_centrality(n, witness):
 
 
 def test_a_low_cutoff_keeps_the_casimir_probe_floor():
-    # sl2q has no preimages, so its [C,g] are probed; the probe floors its
-    # cutoff as a relation probe does (3 + 2 * the largest raise), so a
-    # cutoff of 0-2 no longer shrinks it to the vacuum and misses b a^2
-    # added to J+
-    rep = build("sl2q", {"alpha": 2, "q": 2})
+    # the Fock b a^2 added to a translated J+ is no node of its shift kit,
+    # so the rep has no preimages and its [C,g] are probed; the probe
+    # floors its cutoff as a relation probe does (3 + 2 * the largest
+    # raise), so a cutoff of 0-2 no longer shrinks it to the vacuum and
+    # misses the witness on b |0>
+    rep = build("sl2_translated", {"n": 2, "delta": rat(1, 2)})
     gens = dict(rep.generators)
     gens["J+"] = gens["J+"] + Poly(WeylElement.b(rep.modes) * WeylElement.a(rep.modes) ** 2)
     bad = dataclasses.replace(rep, generators=gens)
     commutes = casimir_check(bad)[1][0]
-    assert commutes.witness.startswith("[C,J+]: mismatch on b^3 |0>: ")
+    assert commutes.witness.startswith("[C,J+]: mismatch on b |0>: ")
     for cutoff in (0, 1, 2):
         assert casimir_check(dataclasses.replace(bad, default_cutoff=cutoff))[1][0] == commutes
         assert casimir_check(dataclasses.replace(rep, default_cutoff=cutoff))[1][0].passed
+
+
+def test_no_grid_sl2q_relation_or_casimir_line_is_probed(monkeypatch):
+    # all 36 sl2q instances of the grid: the 18 at delta = 0 over their
+    # q-mode and the 18 at delta = 1 over their q-pair's preimages
+    def no_probe(lhs, rhs, cutoff):
+        raise AssertionError("sl2q's relations and [C,g] are probed")
+
+    monkeypatch.setattr(verify, "check_identity", no_probe)
+    reps = [build(rid, params) for rid, params in acceptance_grid() if rid == "sl2q"]
+    for rep in reps:
+        assert all(line.passed for line in check_relations(rep)), rep.params
+        assert casimir_check(rep)[1][0].passed, rep.params
+    assert len(reps) == 36 and sum(rep.is_polynomial() for rep in reps) == 18
+
+
+def _sl2q_bumps(delta):
+    """sl2q at alpha = 2, q = 3/5 and delta, with J+ + atil^5 and with J0's
+    btil atil coefficient off by 1/7, each over the rep's own q-pair
+    (catalogue.q_kit), so each has preimages."""
+    rep = build("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": delta})
+    kit = catalogue.q_kit(rep.modes, rep.params)
+    atil, btil = kit.a[0], kit.b[0]
+    for name, bump in (("J+", atil ** 5), ("J0", (btil * atil).scale(rat(1, 7)))):
+        yield dataclasses.replace(rep, generators=dict(
+            rep.generators, **{name: rep.generator(name) + bump}))
+
+
+def test_bumped_sl2q_fails_from_its_residual_with_the_probes_witness(monkeypatch):
+    # sl2q's relations and [C,g] are decided in normal form over its q-mode
+    # (delta = 0) or its q-pair's preimages (delta = 1), with no probe: J+ +
+    # atil^5 and J0's coefficient off by 1/7 each FAIL, and every line is
+    # the probe oracle's at a cutoff that reaches the first separating
+    # state.  The J0 bump FAILs every line of the default probe too, on the
+    # same state; the default probe misses atil^5, whose residual first
+    # acts on b^5 |0>
+    def no_probe(lhs, rhs, cutoff):
+        raise AssertionError("sl2q's relations and [C,g] are probed")
+
+    reach = 12
+    for delta in (0, 1):
+        plus, zero = _sl2q_bumps(delta)
+        for bad in (plus, zero):
+            with monkeypatch.context() as m:
+                m.setattr(verify, "check_identity", no_probe)
+                lines = check_relations(bad) + [casimir_check(bad)[1][0]]
+            assert lines == probe_relations(bad, reach) + [probe_casimir_commutes(bad, reach)]
+        lines = check_relations(plus) + [casimir_check(plus)[1][0]]
+        assert [line.status for line in lines] == ["FAIL", "FAIL", "PASS", "FAIL"]
+        assert lines[0].witness.startswith("j0 j+ - q j+ j0 = j+: mismatch on b^5 |0>: ")
+        assert lines[3].witness.startswith("[C,J+]: mismatch on b^5 |0>: ")
+        assert all(line.passed for line in probe_relations(plus))
+        assert probe_casimir_commutes(plus).passed
+        lines = check_relations(zero) + [casimir_check(zero)[1][0]]
+        assert lines == probe_relations(zero) + [probe_casimir_commutes(zero)]
+        assert [line.witness for line in lines] == [
+            "j0 j+ - q j+ j0 = j+: mismatch on |0>: lhs -656/315 b |0>, rhs -8/5 b |0>",
+            "q^2 j+ j- - j- j+ = -(q+1) j0: mismatch on b |0>: lhs 16/15 b |0>, "
+            "rhs 184/315 b |0>",
+            "q j0 j- - j- j0 = -j-: mismatch on b |0>: lhs -82/63 |0>, rhs -|0>",
+            "[C,J+]: mismatch on |0>: lhs 3091216/2211125 b |0>, rhs 2448/1805 b |0>; "
+            "[C,J-]: mismatch on b |0>: lhs -306/361 |0>, rhs -386402/442225 |0>"]
 
 
 def test_a_polynomial_alt_form_lowering_past_the_probe_differs():
@@ -1122,7 +1198,7 @@ def _swap_word_sum(rep, terms, formed):
 
 def test_word_sum_matches_the_swap_oracle():
     # every relation side and Casimir of each polynomial --grid small
-    # instance and of each of its +1 bumps
+    # instance, sl2q's q-mode among them, and of each of its +1 bumps
     formed = {}
     sums = 0
     for rid, params in acceptance_grid(small=True):
@@ -1134,7 +1210,7 @@ def test_word_sum_matches_the_swap_oracle():
             for terms in sides + ([rep.casimir.terms] if rep.casimir else []):
                 assert rep.word_sum(terms) == _swap_word_sum(rep, terms, formed)
                 sums += 1
-    assert sums == 1855
+    assert sums == 1897
     # hand-made sums on one rep, so that a pair in the second order reads
     # the bracket the first order formed: commutator and anticommutator
     # pairs of even, odd and mixed generators; (x, x); pairs whose
@@ -1304,7 +1380,7 @@ def test_closure_agrees_with_the_dense_oracle_on_every_polynomial_rep():
         assert sc == expected and result.status == oracle.status
         assert result.witness.split(" ")[:1] == oracle.witness.split(" ")[:1]
         seen[result.status] += 1
-    assert len(bases) == 100 and seen["PASS"] > 100 and seen["FAIL"] > 50
+    assert len(bases) == 118 and seen["PASS"] > 100 and seen["FAIL"] > 50
 
 
 def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
@@ -1352,6 +1428,7 @@ def _extended_with_casimir():
 
 @pytest.mark.parametrize("rid, params", list(_extended_with_casimir()) + [
     ("sl2q", {"alpha": 1, "q": 2, "delta": rat(1, 3)}),
+    ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}),
 ])
 def test_extended_casimir_commutes_matches_the_probe_oracle(rid, params):
     # status, detail and witness: on every extended --grid small instance

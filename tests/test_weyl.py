@@ -166,10 +166,12 @@ def _without_b(y, modes):
 
 @st.composite
 def _factor_pairs(draw):
-    """(x, y) of up to three terms each; y is fermion-free in a third of
-    the draws, and in another third shares no contracting mode with x (no
-    mode where x has an a and y a b)."""
-    ms = draw(st.sampled_from([ModeSystem(0, 2), ModeSystem(2, 1), ModeSystem(3, 1)]))
+    """(x, y) of up to three terms each, over canonical modes or q-modes at
+    q = 3/5; y is fermion-free in a third of the draws, and in another
+    third shares no contracting mode with x (no mode where x has an a and
+    y a b)."""
+    ms = draw(st.sampled_from([ModeSystem(0, 2), ModeSystem(2, 1), ModeSystem(3, 1),
+                               ModeSystem(2, 1, rat(3, 5))]))
     x = draw(_elements(ms))
     kind = draw(st.sampled_from(["any", "bosonic right", "no contraction"]))
     y = draw(_elements(ms, fermions=kind != "bosonic right"))
@@ -220,9 +222,10 @@ def test_bracket_doubles_a_juxtaposed_term_the_sign_keeps():
 def test_the_pair_table_holds_unit_terms_of_each_kind(pair, kinds, scales):
     # a cold table, filled in a drawn order of product, commutator and
     # anticommutator and read again under another coefficient: each result
-    # is the oracle's, and every entry is a tuple of (monomial, nonzero int),
-    # one per (u, v, kind), so no entry keeps a caller's coefficient or a
-    # Scalar, and no kind reads another kind's entry
+    # is the oracle's, and every entry is a tuple of (monomial, nonzero
+    # coefficient), an int on canonical modes and a rational on a q-mode,
+    # one per (u, v, kind, q), so no entry keeps a caller's coefficient or
+    # a Scalar, and no kind reads another kind's entry
     x, y = pair
     weyl._pair.cache_clear()
     for s in scales:
@@ -232,25 +235,26 @@ def test_the_pair_table_holds_unit_terms_of_each_kind(pair, kinds, scales):
                 assert multiply(xs, y) == swap_multiply(xs, y)
             else:
                 assert bracket(xs, y, kind) == _swap_bracket(xs, y, kind)
-    keys = [(u, v, kind) for u in x.terms for v in y.terms for kind in kinds]
+    keys = [(u, v, kind, x.modes.q) for u in x.terms for v in y.terms for kind in kinds]
     filled = weyl._pair.cache_info()
     assert filled.currsize == filled.misses == len(keys)
     p = x.modes.bosonic
     for key in keys:
         for mono, d in weyl._pair(*key):
-            assert type(d) is int and d
+            assert d and type(d) in ((int,) if x.modes.q == 1 else (int, type(rat(1, 2))))
             assert len(mono) == 4 and len(mono[0]) == len(mono[1]) == p
     assert weyl._pair.cache_info().misses == filled.misses
 
 
 def test_a_cold_and_a_warm_pair_table_give_the_same_reports():
     # the pair table, the action table and ExpA's binomial rows outlive
-    # every rep: the small grid reported from empty tables, and again on
-    # freshly built reps from the full ones, gives the pinned bytes both
-    # times, and the second pass adds no entry to any of the three
+    # every rep: the full grid, sl2q's q-modes among it, reported from
+    # empty tables, and again on freshly built reps from the full ones,
+    # gives the pinned bytes both times, and the second pass adds no entry
+    # to any of the three
     def reports():
         return json.dumps([full_verify(build(rep_id, params)).to_json()
-                           for rep_id, params in acceptance_grid(small=True)],
+                           for rep_id, params in acceptance_grid()],
                           indent=2, sort_keys=True) + "\n"
 
     tables = (weyl._pair, weyl.act, fock._binomial_row)
@@ -261,8 +265,8 @@ def test_a_cold_and_a_warm_pair_table_give_the_same_reports():
     assert all(filled)
     warm = reports()
     assert [table.cache_info().misses for table in tables] == filled
-    check_pinned("small_grid", cold)
-    check_pinned("small_grid", warm)
+    check_pinned("full_grid", cold)
+    check_pinned("full_grid", warm)
 
 
 def _act_by_folding(mono, state):
@@ -293,8 +297,8 @@ def test_act_forms_the_dth_free_word_of_the_whole_fold():
     states = fock.basis_states(ms, 3)
     pairs = [(mono, key) for mono in monos for key in states]
     assert len(monos) == 56 and len(states) == 12
-    assert all(weyl.act(mono, key) == _act_by_folding(mono, key) for mono, key in pairs)
-    hits = [weyl.act(mono, key) for mono, key in pairs]
+    assert all(weyl.act(mono, key, 1) == _act_by_folding(mono, key) for mono, key in pairs)
+    hits = [weyl.act(mono, key, 1) for mono, key in pairs]
     assert sum(hit is not None for hit in hits) == 261
     assert sum(hit is not None and hit[1] < 0 for hit in hits) == 31
 
