@@ -191,16 +191,8 @@ class RepSpec:
 
     def _word_sum(self, terms) -> WeylElement:
         out = {}
-        i = 0
-        while i < len(terms):
-            coeff, word = terms[i]
-            c2, word2 = terms[i + 1] if i + 1 < len(terms) else (None, None)
-            if len(word) == 2 and word2 == word[::-1] and c2 in (coeff, -coeff):
-                part = self.bracket(word[0], word[1], c2 == coeff)
-                i += 2
-            else:
-                part = self._product(word)
-                i += 1
+        for coeff, word, anti in read_words(terms):
+            part = self._product(word) if anti is None else self.bracket(*word, anti)
             for mono, c in part.terms.items():
                 accumulate(out, mono, c * coeff)
         return WeylElement(self.modes, out)
@@ -264,6 +256,23 @@ class RepSpec:
 
 
 # -- small helpers -----------------------------------------------------------
+
+
+def read_words(terms):
+    """A weighted sum of generator words, (coefficient, word) pairs with
+    tuple words, as RepSpec.word_sum reads it: (c, (x, y), anti) for
+    adjacent terms c x y and c y x (anti, c {x, y}) or c x y and -c y x
+    (not anti, c [x, y]), and (c, word, None) for every other term."""
+    i = 0
+    while i < len(terms):
+        coeff, word = terms[i]
+        c2, word2 = terms[i + 1] if i + 1 < len(terms) else (None, None)
+        if len(word) == 2 and word2 == word[::-1] and c2 in (coeff, -coeff):
+            yield coeff, word, c2 == coeff
+            i += 2
+        else:
+            yield coeff, word, None
+            i += 1
 
 
 def comm(x: str, y: str):

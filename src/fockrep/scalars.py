@@ -143,6 +143,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
         return _new(a._numerator * b, da)
 
 _RATIONAL = type(Rational(0))
+_SLOTS = issubclass(_RATIONAL, Fraction)  # no gmpy2: Rational is a Fraction
 
 
 def _refuse_float(x):
@@ -162,7 +163,9 @@ def rat(value, den=None) -> Rational:
 def exact(x):
     """The coefficient x in its plainest type: an int when integral, a
     Rational when rational, else a Scalar.  Constructors that take a
-    constant pass it through here; a float raises TypeError."""
+    constant pass it through here; a float raises TypeError.  Without gmpy2
+    the Rational's two Fraction slots are read directly, not through
+    Fraction's denominator property and its int()."""
     t = type(x)
     if t is int:
         return x
@@ -171,6 +174,8 @@ def exact(x):
     if t is not _RATIONAL:
         _refuse_float(x)
         x = Rational(x)
+    if _SLOTS:
+        return x._numerator if x._denominator == 1 else x
     return int(x) if x.denominator == 1 else x
 
 
@@ -194,7 +199,7 @@ class Scalar:
 
     # ints, Rationals and, where Rational is a Fraction, a plain Fraction
     # from outside
-    _COERCIBLE = (int, Fraction if issubclass(_RATIONAL, Fraction) else _RATIONAL)
+    _COERCIBLE = (int, Fraction if _SLOTS else _RATIONAL)
 
     def __add__(self, other):
         if type(other) is Scalar:

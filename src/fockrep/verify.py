@@ -17,7 +17,11 @@ holds (_jacobi_line), and is summed over the table's triples otherwise.
 An instance of a family that takes n reads that table and its Killing
 rank from the family's shape, the family with n a spectator mode, formed
 once per process, where its generators are the shape's at that n and
-independent (closure).
+independent (closure).  Where a rep claims closure and that table is
+exact, a relation whose sides are generator brackets and single
+generators is read off it (_relation_lines): each bracket is the
+combination of generators its entry gives, so equal coordinates on both
+sides are the same element, and the relation holds with no bracket formed.
 A shift-translated family's generators, and sl2q's at delta != 0, are
 polynomials in its marked shift pair or q-pair, scalars and fermions, and
 read back to preimage polynomials through the kit its family record builds
@@ -33,10 +37,18 @@ unit-triangular change of basis makes the residual's first unkilled
 state, as on a polynomial family; where a probe finds a witness it is
 that state, so the line is the probe's.  A closure FAIL names that
 state's image under the generators' bracket less its span combination.
-Every other identity of an extended family, a marked node made outside
-the family's kit included, is probed as operator trees on the states up
-to the cutoff, a finite probe and not a proof, with the Casimir stored
-shared (fock.shared) so each state's image is formed once.  Closure of an
+Its invariant space, irreducibility and Casimir value are decided on the
+preimage rep too, by the transport lemma (invariant_subspace): every tree
+T over the kit's own pair nodes with preimage w satisfies T S = S w, for
+S the marks' change of basis, per mode; S maps the claimed space onto
+itself, so T keeps it exactly when w does, their matrices there are
+S-conjugates, and C is the scalar c there exactly when its preimage is.  A
+FAIL there is formed again on the trees, for its witness, and a preimage
+FAIL the trees do not confirm raises (_confirmed).  Every other identity
+of an extended family, a marked node made outside the family's kit
+included, is probed as operator trees on the states up to the cutoff, a
+finite probe and not a proof, with the Casimir stored shared
+(fock.shared) so each state's image is formed once.  Closure of an
 extended rep with no preimages is a matrix probe that sums each bracket
 over the generators' nonzero columns and never calls weyl.  The symbolic
 closure and the Casimir centrality check form each bracket with
@@ -53,8 +65,9 @@ memo the entries share, so each of these is formed once per report: each
 generator bracket (RepSpec.bracket), which the relation sides and the
 symbolic closure read; each relation side and the Casimir
 (RepSpec.word_sum); each generator's invariant-space columns
-(RepSpec.space_columns), which Burnside reads too; and the closure and
-invariant-space results and the preimage rep.  A rep stores each
+(RepSpec.space_columns), which Burnside reads too, on the rep or its
+preimage rep; and the closure and invariant-space results and the
+preimage rep.  A rep stores each
 non-polynomial generator as one Compiled node (fock.shared), which the
 copy holds too, so a generator's image of a basis state is formed once
 for every check, report and copy of the rep.  The pair nodes under it
@@ -67,7 +80,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .catalogue import FAMILIES, RepSpec, family_shape
+from .catalogue import FAMILIES, RepSpec, family_shape, read_words
 from .fock import (IdentityReport, Poly, Product, _state_str, basis_states, check_identity,
                    shared, state_degree, state_sort_key, vector_str)
 from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
@@ -267,10 +280,48 @@ def _normal_rep(rep: RepSpec):
     return rep if rep.is_polynomial() else _preimages(rep)
 
 
+def _transported(rep: RepSpec):
+    """The preimage rep (_preimages) of an extended rep whose claimed
+    invariant space, where it claims one, is closed downward in each
+    bosonic exponent, kept on rep; else None.  Its columns and Casimir
+    decide rep's invariant space, irreducibility and Casimir value by the
+    transport lemma (invariant_subspace); a polynomial rep decides its own."""
+    return rep.memo(_transported, lambda: _transport(rep))
+
+
+def _transport(rep: RepSpec):
+    pre = None if rep.is_polynomial() else _preimages(rep)
+    if pre is None or rep.invariant_space is None:
+        return pre
+    keys = set(rep.invariant_space.basis(rep.modes))
+    lowered = all((alpha[:i] + (k - 1,) + alpha[i + 1:], beta) in keys
+                  for alpha, beta in keys for i, k in enumerate(alpha) if k)
+    return pre if lowered else None
+
+
+def _confirmed(witness: str) -> str:
+    """The witness of a FAIL that a preimage rep found (_transported), as
+    formed on the operator trees; by the transport lemma they fail too, so
+    an empty one means the kit lemma is broken, which must never PASS."""
+    if not witness:
+        raise RuntimeError("a preimage FAIL the operator trees do not confirm: "
+                           "the kit lemma is broken")
+    return witness
+
+
 def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
-    """The relation lines, each relation decided by _mismatch: by its
-    residual over pre's word sums where pre is given, so the sides'
-    operator trees are formed only for a nonzero residual."""
+    """The relation lines.  A relation both of whose sides are weighted sums
+    of generator brackets and single generators, read from adjacent word
+    pairs as RepSpec.word_sum reads them, is read off the rep's exact
+    closure table where there is one (_exact_table): each bracket is the
+    combination sum_k c^k x_k its table entry gives, exactly, so where both
+    sides have the same coordinates they are the same combination of the
+    generators' normal forms, and the relation holds on the whole Fock
+    space.  Every other relation, unequal coordinates included, is decided
+    by _mismatch: by its residual over pre's word sums where pre is given,
+    so the sides' operator trees are formed only for a nonzero residual."""
+    sc = _exact_table(rep)
+    index = None if sc is None else {name: i for i, name in enumerate(sc.names)}
     grouped: dict = {}
     for rel in rep.relations:
         grouped.setdefault(rel.line or rel.name, []).append(rel)
@@ -278,6 +329,10 @@ def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
     for label, rels in grouped.items():
         failures = []
         for rel in rels:
+            if sc is not None:
+                lhs = _coordinates(sc, index, rel.lhs)
+                if lhs is not None and lhs == _coordinates(sc, index, rel.rhs):
+                    continue  # holds by the table: no bracket is formed
             residual = None if pre is None else pre.word_sum(rel.lhs) - pre.word_sum(rel.rhs)
             if residual is not None and residual.is_zero():
                 continue  # holds: no operator tree is needed
@@ -287,6 +342,37 @@ def _relation_lines(rep: RepSpec, cutoff, pre: RepSpec = None) -> list:
         results.append(CheckResult("relation %s" % label, "FAIL" if failures else "PASS",
                                    "; ".join(rel.name for rel in rels), "; ".join(failures)))
     return results
+
+
+def _exact_table(rep: RepSpec):
+    """rep's closure table where it is exact, else None: rep claims closure,
+    has a normal rep (_normal_rep), so closure is decided in normal form,
+    and its brackets close (closure)."""
+    if not rep.claims.closes or _normal_rep(rep) is None:
+        return None
+    return _once(rep, closure)[0]
+
+
+def _coordinates(sc: StructureConstants, index: dict, terms):
+    """The coordinates {k: c} in the generators x_k, index[name] = k, of a
+    weighted sum of generator brackets and single generators
+    (catalogue.read_words), read off the closure table sc; None where a
+    term is any other word or a bracket of another kind than sc's for its
+    pair."""
+    out = {}
+    for coeff, word, anti in read_words(terms):
+        ks = tuple(index.get(name) for name in word)
+        if None in ks:
+            return None
+        if anti is not None and anti == (sc.parities[ks[0]] == sc.parities[ks[1]] == 1):
+            part = sc.table[ks]
+        elif anti is None and len(ks) == 1:
+            part = {ks[0]: 1}
+        else:
+            return None
+        for k, c in part.items():
+            accumulate(out, k, c * coeff)
+    return out
 
 
 # -- closure and structure constants ----------------------------------------------
@@ -642,9 +728,15 @@ def casimir_check(rep: RepSpec):
     extended rep with preimages (_preimages) each [C,g] is decided, with no
     probe, by its preimage residual, as a relation is (check_relations);
     every [C,g] of any other extended rep is probed up to the rep's probe
-    cutoff (_probe_cutoff).  On an extended rep C is stored shared
-    (fock.shared), so its image of each state, which C g, g C, a witness
-    and the scalar probe read, is formed once.
+    cutoff (_probe_cutoff).  The scalar is read on the invariant space's
+    basis, or on the states up to the cutoff less C's raise, both closed
+    downward; on an extended rep with preimages (_transported) it is read
+    from C's preimage, a polynomial: by the transport lemma
+    (invariant_subspace) C = S c S^-1 there, so C acts as a scalar exactly
+    when c does, and as the same one.  Where c is no scalar the witness is
+    formed on C's tree, which must fail too (_confirmed).  On an extended
+    rep C is stored shared (fock.shared), so its image of each state,
+    which C g, g C, a witness and the scalar probe read, is formed once.
     """
     expr = shared(rep.word_expr(rep.casimir.terms))
     pre = _normal_rep(rep)
@@ -665,28 +757,17 @@ def casimir_check(rep: RepSpec):
     else:
         probe_keys = basis_states(rep.modes,
                                  max(rep.default_cutoff - max(0, expr.max_raise()), 0))
-    measured = None
-    value_failures = []
-    for key in probe_keys:
-        got = expr.apply({key: 1})
-        if measured is None:
-            if got and key not in got:
-                value_failures.append("on %s: image %s is not a multiple of the state"
-                                      % (_state_str(*key, rep.modes),
-                                         vector_str(got, rep.modes)))
-                break
-            measured = got.get(key, 0)
-        if got != ({key: measured} if measured else {}):
-            value_failures.append("on %s: %s is not %s * state"
-                                  % (_state_str(*key, rep.modes),
-                                     vector_str(got, rep.modes), measured))
-            break
-    value = CheckResult("casimir_value", "FAIL" if value_failures else "PASS",
+    source = _transported(rep)
+    measured, failure = _scalar_action(expr if source is None else Poly(c_pre),
+                                       probe_keys, rep.modes)
+    if failure and source is not None:
+        measured, failure = _scalar_action(expr, probe_keys, rep.modes)
+        _confirmed(failure)
+    value = CheckResult("casimir_value", "FAIL" if failure else "PASS",
                         "acts as the scalar %s on %d states"
-                        % (measured, len(probe_keys)),
-                        "; ".join(value_failures))
+                        % (measured, len(probe_keys)), failure)
     claim = None
-    if not value_failures:
+    if not failure:
         claimed = rep.casimir.claimed
         claim = AltFormResult(
             "%s claimed value" % rep.casimir.name,
@@ -698,16 +779,55 @@ def casimir_check(rep: RepSpec):
     return measured, [commutes, value], claim
 
 
+def _scalar_action(op, keys, modes):
+    """(c, "") where op sends each state of keys to c times itself, else
+    the value read on the first state (or None) and the first witness."""
+    measured = None
+    for key in keys:
+        got = op.apply({key: 1})
+        if measured is None:
+            if got and key not in got:
+                return None, ("on %s: image %s is not a multiple of the state"
+                              % (_state_str(*key, modes), vector_str(got, modes)))
+            measured = got.get(key, 0)
+        if got != ({key: measured} if measured else {}):
+            return measured, ("on %s: %s is not %s * state"
+                              % (_state_str(*key, modes), vector_str(got, modes), measured))
+    return measured, ""
+
+
 # -- invariant subspace ---------------------------------------------------------------
 
 
 def invariant_subspace(rep: RepSpec):
     """The claimed invariant space is closed under every generator and has
-    the claimed dimension; reps that claim a space only."""
+    the claimed dimension; reps that claim a space only.
+
+    The columns are those of the rep where it is polynomial, and of its
+    preimage rep (_transported) where it is an extended rep with
+    preimages, by the transport lemma.  Let S be the marks' change of
+    basis, S b^alpha th^beta|0> = bhat^alpha th^beta|0>, per mode: on a
+    shift or q-pair bhat^k|0> = b(b - d)...(b - (k-1)d)|0>, the
+    d-falling factorial (Roman, The Umbral Calculus, 1984), and the
+    identity on the fermions.  Every tree T over the kit's own pair nodes
+    with preimage w satisfies T S = S w: the marks' map phi sends the
+    normal ordering of w b^alpha th^beta to T phi(b^alpha th^beta), and
+    the lowering nodes kill |0> (catalogue.shift_pair's and _q_kit's
+    lemma).  S b^alpha th^beta|0> is b^alpha th^beta|0> plus states whose
+    every bosonic exponent is no larger, so S maps the span of states
+    closed downward in each bosonic exponent, as every weighted-degree
+    space with nonnegative weights is, onto itself, unit-triangularly;
+    _transported checks that of the claimed space.  There T = S w S^-1, so
+    T keeps the space exactly when w does.  Where a preimage column leaves
+    the space, the witness is formed on the trees, which must leave it too
+    (_confirmed)."""
     space = rep.invariant_space
+    source = _transported(rep) or rep
     for name in rep.generators:
-        keys, _, escape = rep.space_columns(name)
+        keys, _, escape = source.space_columns(name)
         if escape:
+            if source is not rep:
+                escape = _confirmed(rep.space_columns(name)[2])
             return None, CheckResult("invariant_subspace", "FAIL", space.description, escape)
     dim = len(keys)
     status = "PASS" if dim == space.expected_dim else "FAIL"
@@ -745,15 +865,19 @@ def burnside_irreducibility(rep: RepSpec):
     Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
     every dimension below d^2 come only from that span.
 
-    The columns are the rep's invariant-space columns
-    (RepSpec.space_columns), so inside full_verify the invariant-space
-    check's columns are not formed again.
+    The columns are the invariant-space columns (RepSpec.space_columns)
+    of the rep or of its preimage rep, as invariant_subspace reads them,
+    so inside full_verify they are not formed again.  By the transport
+    lemma there, an extended rep's matrices on the space are the
+    S-conjugates of its preimages', so they generate an algebra of the
+    same dimension, and the verdict and detail are the trees'.
     """
+    source = _transported(rep) or rep
     cols = []
     for name in rep.generators:
-        keys, g_cols, escape = rep.space_columns(name)
+        keys, g_cols, escape = source.space_columns(name)
         if escape:
-            raise ValueError(escape)
+            raise ValueError(escape if source is rep else _confirmed(rep.space_columns(name)[2]))
         cols.append(g_cols)
     d = len(keys)
     if _norton_certifies(cols, d):

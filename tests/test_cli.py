@@ -396,14 +396,18 @@ def test_unavailable_realization_exits_two(capsys):
 
 def test_a_left_division_that_fails_exits_two(capsys, monkeypatch, fresh_kits):
     # the q-pair's lowering node divides by b (fock.LeftDivB): a division
-    # that fails is a domain error, one line and exit 2, not a traceback
+    # that fails is a domain error, one line and exit 2, not a traceback.
+    # verify probes the J- alt form and matrix applies J-; casimir decides
+    # C over its preimage and applies no tree, so it never divides
     def refuse(self, terms):
         raise NotLeftDivisible("not left-divisible: forced")
 
     monkeypatch.setattr(fock.LeftDivB, "apply", refuse)
-    for command in ("verify", "casimir"):
-        code, out, err = run(capsys, command, "sl2q", "alpha=2", "q=3/5", "delta=1")
+    for command in (("verify",), ("matrix", "--gen", "J-")):
+        code, out, err = run(capsys, *command[:1], "sl2q", "alpha=2", "q=3/5", "delta=1",
+                             *command[1:])
         assert (code, out, err) == (2, "", "error: not left-divisible: forced\n")
+    assert run(capsys, "casimir", "sl2q", "alpha=2", "q=3/5", "delta=1")[0] == 0
 
 
 def test_decimal_flag(capsys):

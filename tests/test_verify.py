@@ -605,13 +605,23 @@ def _relation_words(rep):
     return {tuple(word) for rel in rep.relations for _, word in rel.lhs + rel.rhs}
 
 
-def _read_as_brackets(rep) -> set:
+def _read_as_brackets(relations) -> set:
     """The unordered generator pairs {x, y} of the relation sides' adjacent
     terms c x y, c' y x with c' = c or -c, which the word sum reads as one
     bracket (RepSpec.word_sum); sl2q's q-commutators are not among them."""
-    return {frozenset(w1) for rel in rep.relations for side in (rel.lhs, rel.rhs)
+    return {frozenset(w1) for rel in relations for side in (rel.lhs, rel.rhs)
             for (c1, w1), (c2, w2) in zip(side, side[1:])
             if len(w1) == 2 and w2 == w1[::-1] and c2 in (c1, -c1)}
+
+
+def _table_decides(sc, rel) -> bool:
+    """Both sides of rel have coordinates in the closure table sc, and they
+    are equal: the relation line reads it off the table."""
+    if sc is None:
+        return False
+    index = {name: i for i, name in enumerate(sc.names)}
+    lhs = verify._coordinates(sc, index, rel.lhs)
+    return lhs is not None and lhs == verify._coordinates(sc, index, rel.rhs)
 
 
 def _memo_brackets(rep) -> set:
@@ -707,6 +717,8 @@ def test_normal_form_decisions_match_the_probe_oracles():
         relations, alt_forms = probe_relations(rep, reach), probe_alt_forms(rep, reach)
         commutes = probe_casimir_commutes(rep, reach) if rep.casimir else None
         copy = dataclasses.replace(rep)
+        table = verify._exact_table(copy)  # closure first, as check_relations forms it
+        by_closure = _memo_brackets(copy)
         assert [(r.name, r.status) for r in check_relations(rep)] == [
             (line, "FAIL" if differs else "PASS") for line, differs in verdicts["relation"].items()]
         assert [(a.generator, a.status) for a in check_alt_forms(rep)] == [
@@ -717,10 +729,13 @@ def test_normal_form_decisions_match_the_probe_oracles():
                 name for name, differs in verdicts["casimir"].items() if differs}
         assert check_relations(rep) == relations
         assert check_relations(copy) == relations
-        # each two-letter relation word of a bracket is read from the memo,
-        # none is multiplied out, and with no relations nothing is formed
-        brackets = _read_as_brackets(rep)
-        assert _memo_brackets(copy) == brackets
+        # each two-letter relation word of a bracket is read off the exact
+        # closure table where that decides its relation, else from the memo,
+        # which closure may have filled; none is multiplied out, and with no
+        # relations nothing is formed
+        brackets = _read_as_brackets(rep.relations)
+        assert _memo_brackets(copy) == by_closure | _read_as_brackets(
+            [rel for rel in rep.relations if not _table_decides(table, rel)])
         assert brackets == {frozenset(word) for word in _relation_words(rep)
                             if len(word) == 2} or rep.rep_id == "sl2q"
         assert all(len(word) < 2 or len(word) == 2 and frozenset(word) not in brackets
@@ -774,7 +789,9 @@ def _count_products_and_probes(monkeypatch):
 def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypatch, rep_id):
     # each bracket is formed once, whichever of the relations, the Casimir
     # and the symbolic closure reads it first; the only generator product
-    # multiplied out is sl2's Casimir term J0 J0, which is no bracket half
+    # multiplied out is sl2's Casimir term J0 J0, which is no bracket half.
+    # Both read closure and their relations off their shape's table, so
+    # osp22, with no Casimir, may form no bracket at all
     multiplied = {"osp22": set(), "sl2_standard": {("J0", "J0")}}[rep_id]
     rep = build(rep_id, {"n": 2})
     names = {g.as_weyl(): name for name, g in rep.generators.items()}
@@ -784,7 +801,7 @@ def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypa
     assert [c.status for c in report.checks if c.name.startswith("relation ")] == [
         "PASS"] * len({rel.line or rel.name for rel in rep.relations})
     assert not probes
-    assert brackets and max(brackets.values()) == 1
+    assert all(count == 1 for count in brackets.values())
     assert {(names[x], names[y]) for x, y in products if x in names and y in names} == multiplied
     assert all(count == 1 for count in products.values())
 
@@ -1172,9 +1189,7 @@ def test_word_sum_keeps_each_prefix_product(monkeypatch):
 def test_copies_start_with_empty_memos():
     rep = build("sl2_standard", {"n": 3})
     assert all(r.passed for r in check_relations(rep)) and invariant_subspace(rep)[1].passed
-    assert _memo_brackets(rep) == {
-        frozenset(word) for word in _relation_words(rep) if len(word) == 2}
-    assert _memo_products(rep) and RepSpec.space_columns in rep._memos
+    assert verify.closure in rep._memos and RepSpec.space_columns in rep._memos
     for copy in (dataclasses.replace(rep),
                  dataclasses.replace(rep, generators=dict(rep.generators))):
         assert not copy._memos
@@ -1474,13 +1489,18 @@ class _Recording(OperatorExpr):
     ("sl2_translated", {"n": 2, "delta": 1}),
 ])
 def test_an_extended_casimir_is_applied_once_per_state(monkeypatch, rid, params):
-    # C g, g C and the scalar probe all read one image of each state
+    # on the tree path, a rep with no preimages: C g, g C and the scalar
+    # probe all read one image of each state.  Over its preimages the
+    # Casimir tree is applied to no state at all
     rep = build(rid, params)
     seen = []
     word_expr = RepSpec.word_expr
     monkeypatch.setattr(RepSpec, "word_expr",
                         lambda self, terms: _Recording(word_expr(self, terms), seen))
-    _, (commutes, value), _ = casimir_check(rep)
+    _, (commutes, value), _ = casimir_check(dataclasses.replace(rep))
+    assert commutes.passed and value.passed and not seen
+    monkeypatch.setattr(verify, "_preimages", lambda rep: None)
+    _, (commutes, value), _ = casimir_check(dataclasses.replace(rep))
     assert commutes.passed and value.passed
     assert seen and len(seen) == len(set(seen))
 
@@ -1512,14 +1532,17 @@ def _record_expa_nodes(rep) -> list:
     (rid, params) for rid, params in acceptance_grid(small=True) if rid.endswith("_translated")])
 def test_full_verify_meets_each_state_once_per_exponential(rid, params):
     # each shift pair is compiled once for every generator that contains
-    # it, so its e^{da} and e^{-da} meet each basis state once per report.
+    # it, so its e^{da} and e^{-da} meet each basis state once per report,
+    # and only where an alt form is probed: every other check is decided
+    # over the preimages, so sl3_translated's meet none.
     # (sl2q's e^{da} sits inside its q-pair's lowering operator, after the
     # division by b, so it meets the images of q^N, not basis states.)
     rep = build(rid, params)
     seen = _record_expa_nodes(rep)
     assert len(seen) == 2 * rep.modes.bosonic
     assert full_verify(rep).passed
-    assert all(states and len(states) == len(set(states)) for states in seen)
+    assert all(bool(states) == bool(rep.alt_forms) and len(states) == len(set(states))
+               for states in seen)
 
 
 # -- shift-translated reps: relations and [C,g] over the pair's preimages ------------
@@ -1860,3 +1883,200 @@ def test_a_casimir_bump_through_the_pair_fails_as_the_probe_does(monkeypatch):
     assert not commutes.passed
     assert [name for name in bad.generators if "[C,%s]: " % name in commutes.witness] == nonzero
     assert not calls
+
+
+# -- extended reps: the space, irreducibility and the Casimir value over the preimages,
+# -- and relation lines read off the exact closure table ----------------------------------
+
+
+def _tree_path(monkeypatch, rep):
+    """full_verify(rep)'s JSON with no transport and no table reads: the
+    invariant space, irreducibility and Casimir value on the operator
+    trees, and every relation decided by its residual."""
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_transported", lambda rep: None)
+        patched.setattr(verify, "_exact_table", lambda rep: None)
+        return full_verify(rep).to_json()
+
+
+def _kit_node(rep, pair, index=0):
+    """The rep's family kit's own pair node, a or b, which reads back as its mark."""
+    return getattr(catalogue.FAMILIES[rep.rep_id].kit(rep.modes, rep.params), pair)[index]
+
+
+def _bumped(rep, name, change):
+    return dataclasses.replace(rep, generators=dict(
+        rep.generators, **{name: change(rep.generator(name))}))
+
+
+def test_transported_reports_equal_the_tree_path(monkeypatch):
+    # every full-grid instance with preimages (54 shift-translated, 18 sl2q
+    # at delta != 0) reads its space, Burnside verdict and Casimir value off
+    # its preimage rep, and its report is the tree path's, byte for byte
+    reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid())
+            if verify._transported(dataclasses.replace(rep)) is not None]
+    assert Counter(rep.rep_id for rep in reps) == {
+        "sl2_translated": 18, "osp22_translated": 18, "sl3_translated": 18, "sl2q": 18}
+    for rep in reps:
+        assert full_verify(rep).to_json() == _tree_path(monkeypatch, rep), rep.params
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
+    ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}),
+])
+def test_a_kit_bump_that_leaves_the_space_fails_as_on_the_trees(monkeypatch, rid, params):
+    # J- + bhat (btilde on sl2q) reads back to a + b, which raises b^n|0>
+    # out of the space: the preimage FAILs, and the witness is the trees'
+    rep = build(rid, params)
+    bad = _bumped(rep, "J-", lambda g: g + _kit_node(rep, "b"))
+    assert verify._transported(dataclasses.replace(bad)) is not None
+    report = full_verify(bad)
+    assert report.to_json() == _tree_path(monkeypatch, bad)
+    line = report.check("invariant_subspace")
+    assert not line.passed and line.witness.startswith("J- maps ")
+    assert report.check("irreducibility") is None
+    with pytest.raises(ValueError) as transported:
+        burnside_irreducibility(dataclasses.replace(bad))
+    monkeypatch.setattr(verify, "_transported", lambda rep: None)
+    with pytest.raises(ValueError) as on_trees:
+        burnside_irreducibility(dataclasses.replace(bad))
+    assert str(transported.value) == str(on_trees.value) == line.witness
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
+    ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}),
+])
+def test_a_bump_that_makes_c_no_scalar_fails_as_on_the_trees(monkeypatch, rid, params):
+    # J0 added to the Casimir, and J0 doubled: C is no scalar on the space,
+    # and the casimir_value witness (and value) is the trees'
+    rep = build(rid, params)
+    for bad in (dataclasses.replace(rep, casimir=dataclasses.replace(
+                    rep.casimir, terms=[*rep.casimir.terms, (1, ("J0",))])),
+                _bumped(rep, "J0", lambda g: g.scale(2))):
+        assert verify._transported(dataclasses.replace(bad)) is not None
+        report = full_verify(bad)
+        assert report.to_json() == _tree_path(monkeypatch, bad)
+        value = report.check("casimir_value")
+        assert not value.passed and value.witness.startswith("on ")
+        assert report.check("invariant_subspace").passed
+
+
+def test_a_preimage_fail_the_trees_do_not_confirm_raises(monkeypatch):
+    # a preimage rep that is not the trees' (J- + b in place of J-, and 2 J0
+    # in place of J0) breaks the kit lemma: the checks raise, never PASS
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
+    pre = verify._preimages(dataclasses.replace(rep))
+    wrong_j = _bumped(pre, "J-", lambda g: g + Poly(WeylElement.b(rep.modes)))
+    monkeypatch.setattr(verify, "_transported", lambda rep: wrong_j)
+    for check in (invariant_subspace, burnside_irreducibility):
+        with pytest.raises(RuntimeError, match="kit lemma"):
+            check(dataclasses.replace(rep))
+    wrong_c = _bumped(pre, "J0", lambda g: g.scale(2))
+    monkeypatch.setattr(verify, "_preimages", lambda rep: wrong_c)
+    monkeypatch.setattr(verify, "_transported", lambda rep: wrong_c)
+    with pytest.raises(RuntimeError, match="kit lemma"):
+        casimir_check(dataclasses.replace(rep))
+
+
+def test_a_space_not_closed_downward_takes_the_tree_path():
+    # S maps the span of b^0 and b^2 elsewhere, so no transport: the trees
+    # decide it, and FAIL it
+    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
+    gapped = dataclasses.replace(rep, invariant_space=InvariantSpace(
+        lambda alpha, beta: alpha[0] in (0, 2), 2, 2, "span(|0>, b^2|0>)"))
+    assert verify._transported(dataclasses.replace(rep)) is not None
+    assert verify._transported(dataclasses.replace(gapped)) is None
+    assert not invariant_subspace(dataclasses.replace(gapped))[1].passed
+
+
+def test_no_transported_rep_applies_a_generator_tree_to_decide_its_space_or_casimir(monkeypatch):
+    # on the full grid, no rep with preimages forms or reads a column of a
+    # generator node (Compiled.column) in its casimir, invariant_subspace or
+    # irreducibility entries; on the tree path the first two apply them, and
+    # Burnside reads the columns the invariant space formed
+    active, applied = [], Counter()
+    column = Compiled.column
+
+    def counting(self, key):
+        if active and id(self) in active[-1][1]:
+            applied[active[-1][0]] += 1
+        return column(self, key)
+
+    def watched(name, run):
+        def entry(rep):
+            active.append((name, {id(g) for g in rep.generators.values()}))
+            try:
+                return run(rep)
+            finally:
+                active.pop()
+        return entry
+
+    monkeypatch.setattr(Compiled, "column", counting)
+    monkeypatch.setattr(verify, "CHECKS", [
+        (name, when, watched(name, run) if name in ("casimir", "invariant_subspace",
+                                                     "irreducibility") else run)
+        for name, when, run in verify.CHECKS])
+    reps = [rep for rep in (build(rid, params) for rid, params in acceptance_grid())
+            if verify._transported(dataclasses.replace(rep)) is not None]
+    assert len(reps) == 72
+    for rep in reps:
+        assert full_verify(rep).passed
+    assert not applied
+    monkeypatch.setattr(verify, "_transported", lambda rep: None)
+    full_verify(reps[0])
+    assert set(applied) == {"casimir", "invariant_subspace"}
+
+
+def test_grid_relation_lines_read_off_the_table_equal_the_residual_path(monkeypatch):
+    # every relation line of the full grid, as the table reads it and as the
+    # residual path decides it with the table forced away; 74 reps have
+    # their every relation read off the table, and no such line forms a
+    # generator bracket (RepSpec.bracket) once closure is formed
+    calls = []
+    bracket = RepSpec.bracket
+    decided = 0
+    for rid, params in acceptance_grid():
+        rep = build(rid, params)
+        if not rep.relations:
+            continue
+        copy = dataclasses.replace(rep)
+        table = verify._exact_table(copy)
+        monkeypatch.setattr(RepSpec, "bracket",
+                            lambda self, *args: calls.append(args) or bracket(self, *args))
+        lines = check_relations(copy)
+        monkeypatch.setattr(RepSpec, "bracket", bracket)
+        if all(_table_decides(table, rel) for rel in rep.relations):
+            decided += 1
+            assert not calls, (rid, params)
+        del calls[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "_exact_table", lambda rep: None)
+            assert lines == check_relations(dataclasses.replace(rep))
+        assert all(line.passed for line in lines)
+    assert decided == 74
+
+
+@pytest.mark.parametrize("rid, params", [
+    ("sl2_standard", {"n": 2}),
+    ("sl2_translated", {"n": 3, "delta": rat(1, 2)}),
+    ("osp22", {"n": 2}),
+])
+def test_a_table_that_disagrees_leaves_the_residual_witness(monkeypatch, rid, params):
+    # the first even generator doubled: the brackets still close, so the
+    # table is exact, but its coordinates of [X0,X+] are not the claimed
+    # ones; those lines take the residual path and FAIL with its witness
+    rep = build(rid, params)
+    name = next(iter(n for n in rep.generators if n.endswith("0")))
+    bad = _bumped(rep, name, lambda g: g.scale(2))
+    copy = dataclasses.replace(bad)
+    table = verify._exact_table(copy)
+    assert table is not None
+    assert not all(_table_decides(table, rel) for rel in bad.relations)
+    lines = check_relations(copy)
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_exact_table", lambda rep: None)
+        assert lines == check_relations(dataclasses.replace(bad))
+    assert [line for line in lines if not line.passed] and all(
+        line.witness for line in lines if not line.passed)
