@@ -1,9 +1,8 @@
-"""Exact linear algebra over Q(sqrt2), and spans over the prime field F_p:
-the echelon spans that closure, the Killing rank and Burnside use, and the
-dense identity and product of Burnside's exact fallback.
+"""Exact linear algebra over Q(sqrt2): the echelon spans that closure, the
+Killing rank and Burnside use, and the dense identity and product of
+Burnside's exact fallback.
 
-Sparse vectors are dicts key -> coefficient (key -> int for F_p) with mutually
-comparable keys.
+Sparse vectors are dicts key -> coefficient with mutually comparable keys.
 Elimination pivots on the first (smallest) nonzero coordinate, never on
 magnitude, so every result is deterministic and exact; a zero residual
 means an identity, not a tolerance.
@@ -11,7 +10,7 @@ means an identity, not a tolerance.
 
 from __future__ import annotations
 
-from .scalars import MOD_P, exact, inverse
+from .scalars import exact, inverse
 from .weyl import accumulate
 
 
@@ -72,46 +71,6 @@ class EchelonSpan:
         if self._reduce(residual, coeffs) is not None:
             return None, residual
         return coeffs, {}
-
-
-class ModPSpan:
-    """Insert-only echelonized span over F_p, p = MOD_P.
-
-    Vectors are sparse dicts key -> int; the same first-nonzero-key pivots
-    as EchelonSpan, each stored row scaled to pivot coefficient 1.  Entries
-    stay below p, so unlike over Q(sqrt2) no coefficient grows.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot key -> row
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: dict) -> bool:
-        """Add a vector; False when it was already in the span."""
-        p = MOD_P
-        rows = self.rows
-        vec = {k: v % p for k, v in vec.items() if v % p}
-        get = vec.get
-        while vec:
-            k = min(vec)
-            row = rows.get(k)
-            if row is None:
-                inv = pow(vec[k], -1, p)
-                rows[k] = {j: v * inv % p for j, v in vec.items()}
-                return True
-            # add -vec[k] * row; lam * v is nonzero mod p, so an entry that
-            # cancels was present in vec
-            lam = p - vec[k]
-            for j, v in row.items():
-                s = (get(j, 0) + lam * v) % p
-                if s:
-                    vec[j] = s
-                else:
-                    del vec[j]
-        return False
 
 
 # -- dense helpers (small matrices) ---------------------------------------------

@@ -325,29 +325,3 @@ def to_decimal(x) -> str:
     scale = 10 ** 12
     num = a * scale * scale + b * isqrt(2 * scale * scale * scale * scale)
     return "%.12f" % (int(num) / scale / scale)
-
-
-# -- reduction modulo a prime -----------------------------------------------------
-#
-# MOD_P = 2^61 - 1 is prime and = 7 (mod 8), so 2 is a square mod MOD_P; since
-# also MOD_P = 3 (mod 4), 2^((MOD_P+1)/4) is a square root of it.  Sending
-# sqrt2 to that root is a ring homomorphism Z_(p)[sqrt2] -> F_p: it respects
-# sums and products of every coefficient whose denominators MOD_P does not
-# divide.
-
-MOD_P = 2 ** 61 - 1
-SQRT2_MOD_P = pow(2, (MOD_P + 1) // 4, MOD_P)
-if SQRT2_MOD_P * SQRT2_MOD_P % MOD_P != 2:
-    raise ArithmeticError("2 is not a square modulo %d" % MOD_P)
-
-
-def reduce_mod_p(x):
-    """The image of x in F_p, p = MOD_P, or None when p divides a denominator."""
-    out = 0
-    for part, unit in zip(_parts(x), (1, SQRT2_MOD_P)):
-        if part:
-            den = int(part.denominator) % MOD_P
-            if not den:
-                return None
-            out += int(part.numerator) * unit * pow(den, -1, MOD_P)
-    return out % MOD_P

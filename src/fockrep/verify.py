@@ -83,8 +83,7 @@ from dataclasses import dataclass, field, replace
 from .catalogue import FAMILIES, RepSpec, family_shape, read_words
 from .fock import (IdentityReport, Poly, Product, _state_str, basis_states, check_identity,
                    shared, state_degree, state_sort_key, vector_str)
-from .linalg import EchelonSpan, ModPSpan, mat_identity, mat_mul
-from .scalars import MOD_P, reduce_mod_p
+from .linalg import EchelonSpan, mat_identity, mat_mul
 from .weyl import WeylElement, accumulate, bracket
 
 
@@ -853,17 +852,26 @@ def burnside_irreducibility(rep: RepSpec):
 
     A generator mapping out of the space raises ValueError.
 
-    "irreducible" is Norton's spin certificate (the MeatAxe criterion) mod
-    p = 2^61 - 1, sqrt2 sent to a square root of 2.  theta = g - lam I for
-    the first generator g triangular on the basis with a diagonal value lam
-    occurring once mod p, so once over Q(sqrt2): theta has nullity 1 over
-    the algebraic closure.  Every claimed family has such a g: J0 or T0 is
-    triangular and the vacuum's value occurs once.  If theta's kernel vector
-    spins to the space under the generators and theta^T's to the dual under
-    their transposes, the space is absolutely irreducible, so by Burnside
-    the algebra has dimension d^2; a full spin mod p is a full exact spin.
-    Otherwise the algebra is spanned over Q(sqrt2) exactly: "reducible" and
-    every dimension below d^2 come only from that span.
+    "irreducible" is first sought by an extreme-weight reach
+    (_extreme_weight_certifies; Kac, Lie superalgebras, 1977), which reads
+    only which entries are nonzero.  Give the basis state b^alpha th^beta|0>
+    the weight (alpha, beta) in Z^(p+r), so each weight space is one state.
+    A generator is homogeneous when every nonzero entry (i <- j) moves
+    keys[j] by one shift s_g, and lowering when s_g < 0 in lex order, a
+    total order compatible with addition.  Where every generator is
+    homogeneous, exactly one state v is killed by every lowering generator,
+    and every state is reached from v along nonzero entries, the space is
+    irreducible: a nonzero submodule U holds some u != 0, and while a
+    lowering generator does not kill u, replacing u by its image lowers
+    u's top weight, so U holds a nonzero u the lowering generators kill;
+    each such generator maps distinct states to distinct weight spaces, so
+    its kernel is spanned by the states it kills, and u is a multiple of
+    v.  A homogeneous generator sends each state to a multiple of one
+    state, so the spin of v is the span of the states it reaches, the
+    whole space.  No step depends on the field, so the space is absolutely
+    irreducible, and by Burnside the algebra has dimension d^2.  Otherwise
+    the algebra is spanned over Q(sqrt2) exactly: "reducible" and every
+    dimension below d^2 come only from that span.
 
     The columns are the invariant-space columns (RepSpec.space_columns)
     of the rep or of its preimage rep, as invariant_subspace reads them,
@@ -880,7 +888,7 @@ def burnside_irreducibility(rep: RepSpec):
             raise ValueError(escape if source is rep else _confirmed(rep.space_columns(name)[2]))
         cols.append(g_cols)
     d = len(keys)
-    if _norton_certifies(cols, d):
+    if _extreme_weight_certifies(keys, cols):
         algebra_dim = d * d
     else:
         algebra_dim = _exact_algebra_dim([_dense(g_cols, d) for g_cols in cols], d)
@@ -899,59 +907,45 @@ def burnside_irreducibility(rep: RepSpec):
                                                witness)
 
 
-def _norton_certifies(exact_cols, d) -> bool:
-    """True when a Norton spin certificate mod p proves irreducibility of
-    the generators given by their exact sparse columns on a d-space."""
-    cols = [[{} for _ in range(d)] for _ in exact_cols]  # column j: {i: g_ij mod p}
-    rows = [[{} for _ in range(d)] for _ in exact_cols]  # row i: {j: g_ij mod p}
-    for g_exact, g_cols, g_rows in zip(exact_cols, cols, rows):
-        for j, col in enumerate(g_exact):
-            for i, c in col.items():
-                r = reduce_mod_p(c)
-                if r is None:
-                    return False
-                g_cols[j][i] = g_rows[i][j] = r
-    for g_cols, g_rows in zip(cols, rows):
-        # triangular on the exact support: an entry may vanish mod p
-        upper = all(i <= j for j, col in enumerate(g_cols) for i in col)
-        if not upper and not all(i >= j for j, col in enumerate(g_cols) for i in col):
-            continue
-        diag = [col.get(j, 0) for j, col in enumerate(g_cols)]
-        k = next((k for k, lam in enumerate(diag) if diag.count(lam) == 1), None)
-        if k is not None:
-            down, up = range(k - 1, -1, -1), range(k + 1, d)
-            v = _kernel_vector(g_rows, diag, k, down if upper else up)
-            w = _kernel_vector(g_cols, diag, k, up if upper else down)
-            return _spins(v, cols) and _spins(w, rows)
-    return False
+def _extreme_weight_certifies(keys, cols) -> bool:
+    """The extreme-weight reach of burnside_irreducibility on the basis
+    keys, each generator given by its sparse columns, which hold no zero
+    entry (weyl.accumulate drops them).
 
-
-def _kernel_vector(rows, diag, k, order) -> dict:
-    """Kernel vector, 1 at k, of triangular g - diag[k] I mod p, g by rows."""
-    v = {k: 1}
-    for i in order:
-        s = sum(c * v[j] for j, c in rows[i].items() if j in v) % MOD_P
-        if s:
-            v[i] = -s * pow(diag[i] - diag[k], -1, MOD_P) % MOD_P
-    return v
-
-
-def _spins(v: dict, mats) -> bool:
-    """True when v spins to F_p^d under mats, each a list of d sparse columns."""
-    d = len(mats[0])
-    span = ModPSpan()
-    span.insert(v)
-    stack = [v]
-    while stack and span.dim < d:
-        u = stack.pop()
-        for cols in mats:
-            image = {}
-            for j, x in u.items():
-                for i, c in cols[j].items():
-                    image[i] = (image.get(i, 0) + x * c) % MOD_P
-            if span.insert(image):
-                stack.append(image)
-    return span.dim == d
+    A weight is one int: the exponents (alpha, beta) as mixed-radix digits,
+    most significant first, in a base above twice the largest degree.  A
+    difference of exponents has every digit below half the base in size,
+    so it maps one to one to the difference of the ints, whose sign is
+    that of its first nonzero digit, its lex sign."""
+    base = 2 * max(map(state_degree, keys), default=0) + 2
+    bits = max((beta for _, beta in keys), default=0).bit_length()
+    weights = []
+    for alpha, beta in keys:
+        w = 0
+        for e in alpha:
+            w = w * base + e
+        for k in range(bits):
+            w = w * base + (beta >> k & 1)
+        weights.append(w)
+    lowering = []
+    for g_cols in cols:
+        shifts = {weights[i] - w for w, col in zip(weights, g_cols) for i in col}
+        if len(shifts) > 1:
+            return False
+        if shifts and shifts.pop() < 0:
+            lowering.append(g_cols)
+    extreme = [j for j in range(len(keys)) if not any(g_cols[j] for g_cols in lowering)]
+    if len(extreme) != 1:
+        return False
+    reached, stack = set(extreme), extreme
+    while stack:
+        j = stack.pop()
+        for g_cols in cols:
+            for i in g_cols[j]:
+                if i not in reached:
+                    reached.add(i)
+                    stack.append(i)
+    return len(reached) == len(keys)
 
 
 def _exact_algebra_dim(mats, d) -> int:

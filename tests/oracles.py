@@ -32,7 +32,7 @@ from fockrep.linalg import EchelonSpan
 from fockrep.qheis import q_number_op
 from fockrep.realize import (Cliff, CliffordMatrices, MultX, Partial, _difference,
                              abstract_counterpart, fd_kit, fd_pair, realize_generators)
-from fockrep.scalars import MOD_P, SQRT2_MOD_P, Rational, Scalar, rat
+from fockrep.scalars import Rational, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, StructureConstants, _bracket_name,
                             _pairwise_lowering)
 from fockrep.weyl import ModeSystem, WeylElement, _mask_to_list, accumulate
@@ -62,43 +62,48 @@ def swap_normal_order(word, coeff, modes: ModeSystem) -> WeylElement:
     Each step rewrites the first out-of-order adjacent pair of every word
     by one defining relation; identical words are merged between steps, so
     a word reached along many rewrite paths is rewritten once per step.
+    A rewrite at pos leaves the pairs before pos - 1 as they were, in
+    order, so each word's scan resumes there.
     """
     result = WeylElement.zero(modes)
-    words = {tuple(word): coeff}
+    words = {tuple(word): [coeff, 0]}
     while words:
         step = {}
 
-        def push(w, c):
-            step[w] = step.get(w, 0) + c
+        def push(w, c, start):
+            entry = step.setdefault(w, [0, start])
+            entry[0] += c
+            entry[1] = max(entry[1], start)
 
-        for w, c in words.items():
+        for w, (c, start) in words.items():
             if not c:
                 continue
-            pos = _first_violation(w)
+            pos = _first_violation(w, start)
             if pos is None:
                 result = result + _word_to_element(w, c, modes)
                 continue
             x, y = w[pos], w[pos + 1]
             head, tail = w[:pos], w[pos + 2:]
+            start = max(pos - 1, 0)
             if _is_fermionic(x) and x == y:
                 continue  # nilpotent square kills the word
             if x[0] == "a" and y[0] == "b" and x[1] == y[1]:
-                push(head + (y, x) + tail, c * modes.q)  # ab -> q ba + 1
-                push(head + tail, c)
+                push(head + (y, x) + tail, c * modes.q, start)  # ab -> q ba + 1
+                push(head + tail, c, start)
             elif _is_fermionic(x) and _is_fermionic(y):
                 if x[0] == "dth" and y[0] == "th" and x[1] == y[1]:
-                    push(head + tail, c)  # dth th -> 1 - th dth
-                    push(head + (y, x) + tail, -c)
+                    push(head + tail, c, start)  # dth th -> 1 - th dth
+                    push(head + (y, x) + tail, -c, start)
                 else:
-                    push(head + (y, x) + tail, -c)
+                    push(head + (y, x) + tail, -c, start)
             else:
-                push(head + (y, x) + tail, c)  # commuting swap
+                push(head + (y, x) + tail, c, start)  # commuting swap
         words = step
     return result
 
 
-def _first_violation(word):
-    for pos in range(len(word) - 1):
+def _first_violation(word, start):
+    for pos in range(start, len(word) - 1):
         kx, ky = _atom_key(word[pos]), _atom_key(word[pos + 1])
         if kx > ky:
             return pos
@@ -610,13 +615,3 @@ class OracleScalar:
         if self.irr:
             out["s2"] = str(self.irr)
         return out
-
-    def reduce_mod_p(self):
-        out = 0
-        for part, unit in ((self.rat, 1), (self.irr, SQRT2_MOD_P)):
-            if part:
-                den = int(part.denominator) % MOD_P
-                if not den:
-                    return None
-                out += int(part.numerator) * unit * pow(den, -1, MOD_P)
-        return out % MOD_P

@@ -1,4 +1,4 @@
-"""Independent oracle: sympy's ranks over F_p, QQ and QQ(sqrt2) against the
+"""Independent oracle: sympy's ranks over QQ and QQ(sqrt2) against the
 engine's own linear algebra."""
 
 import random
@@ -6,12 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockrep.linalg import EchelonSpan, ModPSpan
-from fockrep.scalars import MOD_P, SQRT2, Scalar, exact, rat, reduce_mod_p
+from fockrep.linalg import EchelonSpan
+from fockrep.scalars import SQRT2, Scalar, exact, rat
 from oracles import to_sympy
 
 sympy = pytest.importorskip("sympy")
-from sympy.polys.domains import GF, QQ  # noqa: E402
+from sympy.polys.domains import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 QQ_SQRT2 = QQ.algebraic_field(sympy.sqrt(2))
@@ -28,10 +28,6 @@ def _random_rows(rng, n_rows, n_cols, entry):
         else:
             rows.append([entry(rng) for _ in range(n_cols)])
     return rows
-
-
-def _small_int(rng):
-    return rng.randint(-3, 3)
 
 
 def _rational_entry(rng):
@@ -51,25 +47,6 @@ def _sympy_element(domain, x):
     return domain.from_sympy(to_sympy(x))
 
 
-def test_mod_p_span_rank_matches_sympy_gf():
-    rng = random.Random(5)
-    field = GF(MOD_P)
-    seen_deficient = False
-    for _ in range(100):
-        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 6)
-        rows = _random_rows(rng, n_rows, n_cols, _small_int)
-        if rng.random() < 0.3:  # entries equal mod p but not as integers
-            rows = [[x + MOD_P * rng.randint(-2, 2) for x in row] for row in rows]
-        span = ModPSpan()
-        for row in rows:
-            span.insert({j: x for j, x in enumerate(row) if x})
-        expected = DomainMatrix([[field(x) for x in row] for row in rows],
-                                (n_rows, n_cols), field).rank()
-        assert span.dim == expected, rows
-        seen_deficient |= expected < min(n_rows, n_cols)
-    assert seen_deficient
-
-
 @pytest.mark.parametrize("domain, entry", [(QQ, _rational_entry),
                                            (QQ_SQRT2, _scalar_entry)])
 def test_echelon_rank_matches_sympy(domain, entry):
@@ -83,19 +60,6 @@ def test_echelon_rank_matches_sympy(domain, entry):
         dm = DomainMatrix([[_sympy_element(domain, x) for x in row] for row in rows],
                           (n_rows, n_cols), domain)
         assert span.dim == dm.rank()
-
-
-def test_reduce_mod_p_is_a_ring_map():
-    rng = random.Random(3)
-    for _ in range(50):
-        x, y = _scalar_entry(rng), _scalar_entry(rng)
-        rx, ry = reduce_mod_p(x), reduce_mod_p(y)
-        assert reduce_mod_p(x + y) == (rx + ry) % MOD_P
-        assert reduce_mod_p(x * y) == rx * ry % MOD_P
-    assert reduce_mod_p(SQRT2) ** 2 % MOD_P == 2
-    assert reduce_mod_p(Scalar(rat(1, MOD_P))) is None
-    assert reduce_mod_p(Scalar(0, rat(3, 2 * MOD_P))) is None
-    assert reduce_mod_p(Scalar(MOD_P)) == 0
 
 
 _span_entries = st.builds(lambda p, q, s: exact(rat(p, q) + s * SQRT2),

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,7 @@ from fockrep.fock import (Compiled, ExpA, OperatorExpr, Poly, Product, Scale, Su
                           basis_states, identity_op, preimages, state_degree, vector_str)
 from fockrep.grids import acceptance_grid
 from fockrep.linalg import EchelonSpan, mat_mul
-from fockrep.scalars import MOD_P, SQRT2, Scalar, rat
+from fockrep.scalars import SQRT2, Scalar, rat
 from fockrep.verify import (AltFormResult, CheckResult, burnside_irreducibility,
                             casimir_check, check_alt_forms, check_relations, closure,
                             closure_symbolic, full_verify, invariant_subspace,
@@ -386,11 +387,23 @@ def test_burnside_examples(exact_spans):
     for rep_id, params, d in LARGE_SPACES:
         verdict, result = burnside_irreducibility(build(rep_id, params))
         assert verdict == ("irreducible", d * d) and result.passed, (rep_id, params)
-    assert not exact_spans  # all certified mod p
+    assert not exact_spans  # all certified by the extreme-weight reach
     # "reducible" comes only from the exact span
     verdict, result = burnside_irreducibility(build("sl2_vector_field", {}))
     assert verdict == ("reducible", 5) and result.passed and exact_spans
     assert result.detail == "reducible: algebra dimension 5 on a 3-dimensional space"
+
+
+def test_only_sl2_vector_field_takes_the_exact_span_on_the_grid(exact_spans):
+    spanned = []
+    for rep_id, params in acceptance_grid():
+        rep = build(rep_id, params)
+        if rep.invariant_space is not None and rep.claims.irreducible is not None:
+            opened = len(exact_spans)
+            assert burnside_irreducibility(rep)[1].passed, (rep_id, params)
+            if len(exact_spans) > opened:
+                spanned.append(rep_id)
+    assert spanned == ["sl2_vector_field"]
 
 
 def test_full_verify_checks_irreducibility_on_large_spaces():
@@ -411,17 +424,16 @@ def _two_state_rep(**gens):
 
 
 @pytest.mark.parametrize("gens, algebra_dim", [
-    # N = diag(0, 1) and X|0> = b|0>: |0> spins to the space, but no
-    # generator has a |0> component in any image, so the dual spin of <0|
-    # stays 1-dimensional; the invariant line is b|0>
+    # N = diag(0, 1) and X|0> = b|0>: |0> reaches the space, but no
+    # generator lowers, so both states are extreme; the invariant line is
+    # b|0>
     ({"N": lambda a, b: b * a, "X": lambda a, b: b - b * b * a}, 3),
-    # not triangular, diagonal (1, 0); it fixes the line |0> + b|0>
+    # M|0> = |0> + 2b|0> shifts two ways; it fixes the line |0> + b|0>
     ({"M": lambda a, b: 1 - b * a + 2 * b - 2 * b * b * a + a}, 2),
-    # D vanishes on the space, its diagonal value 0 occurs twice; the swap
-    # X fixes the line |0> + b|0>
+    # the swap X shifts up on |0> and down on b|0>, and D vanishes on the
+    # space; X fixes the line |0> + b|0>
     ({"D": lambda a, b: a * a, "X": lambda a, b: a + b - b * b * a}, 2),
-    # T is upper triangular with diagonal (0, 1); the dual kernel vector is
-    # <0| - <1|, which X maps to its negative; T and X fix |0> + b|0>
+    # T b|0> = |0> + b|0> shifts two ways; T and X fix |0> + b|0>
     ({"T": lambda a, b: a + b * a, "X": lambda a, b: a + b - b * b * a}, 3),
 ])
 def test_burnside_certificate_conditions_are_load_bearing(exact_spans, gens, algebra_dim):
@@ -431,11 +443,13 @@ def test_burnside_certificate_conditions_are_load_bearing(exact_spans, gens, alg
 
 
 def test_burnside_dual_spin_is_needed():
+    # a full reach alone proves nothing: it must start at the one state
+    # every lowering generator kills, and here no generator lowers
     rep = _two_state_rep(N=lambda a, b: b * a, X=lambda a, b: b - b * b * a)
     vacuum, one = {((0,), 0): 1}, {((1,), 0): 1}
-    assert rep.generators["N"].apply(vacuum) == {}  # N - 0 I has kernel |0>
-    assert rep.generators["X"].apply(vacuum) == one  # the forward spin is full
-    for g in rep.generators.values():  # the dual spin of <0| is not
+    assert rep.generators["N"].apply(vacuum) == {}  # N = diag(0, 1) lowers nothing
+    assert rep.generators["X"].apply(vacuum) == one  # the reach from |0> is full
+    for g in rep.generators.values():  # no image has a |0> component
         for v in (vacuum, one):
             assert vacuum.keys().isdisjoint(g.apply(v))
 
@@ -445,23 +459,106 @@ def test_burnside_certificate_with_sqrt2_entries(exact_spans):
     assert any(type(c) is Scalar for col in rep.space_columns("J+")[1] for c in col.values())
     verdict, result = burnside_irreducibility(rep)
     assert verdict == ("irreducible", 16) and result.passed
-    assert not exact_spans  # certified mod p, no exact span
+    assert not exact_spans  # certified by the reach, no exact span
 
 
-def test_burnside_falls_back_when_p_divides_a_denominator(exact_spans):
-    rep = build("sl2_standard", {"n": 3})
-    assert burnside_irreducibility(rep)[0] == ("irreducible", 16) and not exact_spans
-    verdict, result = burnside_irreducibility(_scaled(rep, "J+", Scalar(rat(1, MOD_P))))
-    assert verdict == ("irreducible", 16) and result.passed and exact_spans
+def _three_state_rep(**gens):
+    """Generators given as Weyl polynomials in one mode, on span(b^k|0>,
+    k <= 2); P(k, a, b) projects onto b^k|0> there."""
+    modes = ModeSystem(1, 0)
+    space = InvariantSpace(lambda alpha, beta: True, 2, 3, "span(b^k|0>, k <= 2)")
+
+    def projector(k, a, b):
+        n, (i, j) = b * a, [m for m in range(3) if m != k]
+        return (n - i) * (n - j) * rat(1, (k - i) * (k - j))
+    return RepSpec("three_state", {}, {name: Poly(w(projector, WeylElement.a(modes),
+                                                   WeylElement.b(modes)))
+                                       for name, w in gens.items()},
+                   invariant_space=space, claims=Claims(irreducible=None))
 
 
-def test_burnside_falls_back_when_p_is_unlucky(exact_spans):
-    # J+ scaled by p vanishes mod p, so the vacuum's forward spin stays at
-    # dimension 1 and Norton's certificate fails; the exact span opens and
-    # still finds all of M_2
-    rep = _scaled(build("sl2_standard", {"n": 1}), "J+", Scalar(MOD_P))
-    verdict, result = burnside_irreducibility(rep)
-    assert verdict == ("irreducible", 4) and result.passed and exact_spans
+def _two_mode_rep():
+    modes = ModeSystem(2, 0)
+    (a1, b1), (a2, b2) = [(WeylElement.a(modes, i), WeylElement.b(modes, i)) for i in (1, 2)]
+    space = InvariantSpace(lambda alpha, beta: True, 1, 3, "degree <= 1")
+    vacuum = (1 - b1 * a1) * (1 - b2 * a2)
+    return RepSpec("two_mode", {}, {"A1": Poly(a1), "A2": Poly(a2), "N": Poly((b1 + b2) * vacuum)},
+                   invariant_space=space, claims=Claims(irreducible=None))
+
+
+def _sl2_swap_rep():
+    """sl2_standard n=1 with J+ + J- in place of J+."""
+    rep = build("sl2_standard", {"n": 1})
+    gens = dict(rep.generators, **{"J+": rep.generators["J+"] + rep.generators["J-"]})
+    return dataclasses.replace(rep, generators=gens)
+
+
+@pytest.mark.parametrize("rep, verdict", [
+    # J+ + J- shifts up on |0> and down on b|0>
+    (_sl2_swap_rep, ("irreducible", 4)),
+    # N|0> = b1|0> + b2|0> raises two ways, and the reach from |0> is full,
+    # but span(|0>, b1|0> + b2|0>) is invariant
+    (_two_mode_rep, ("reducible", 7)),
+    # A lowers by 2 and kills |0> and b|0>: two extreme states, while the
+    # cycle |0> -> b|0> -> b^2|0> -> |0> still spans M_3
+    (lambda: _three_state_rep(A=lambda P, a, b: a * a,
+                              B=lambda P, a, b: b * P(0, a, b),
+                              C=lambda P, a, b: b * P(1, a, b)), ("irreducible", 9)),
+    # a lowers and kills |0> alone, but nothing leaves |0>
+    (lambda: _two_state_rep(N=lambda a, b: b * a, Y=lambda a, b: a), ("reducible", 3)),
+], ids=["shifts-two-ways", "raises-two-ways", "two-extremes", "short-reach"])
+def test_burnside_falls_back_when_a_certificate_condition_fails(exact_spans, rep, verdict):
+    assert burnside_irreducibility(rep())[0] == verdict and exact_spans
+
+
+def test_extreme_weight_certificate_is_sound():
+    """On a seeded corpus of small reps, most generators homogeneous in the
+    exponent weight and some not, every space the certificate calls
+    irreducible has algebra dimension d^2 by the exact span."""
+    rng = random.Random(44)
+    certified = []
+    for _ in range(1000):
+        modes = ModeSystem(rng.randint(1, 2), rng.randint(0, 1))
+        width = modes.bosonic + modes.fermionic
+        keys = basis_states(modes, rng.randint(1, 2))
+        index = {key: i for i, key in enumerate(keys)}
+        cols = []
+        for _ in range(rng.randint(2, 4)):
+            g_cols = [{} for _ in keys]
+            if rng.random() < 0.75:  # homogeneous: one exponent shift, mostly a unit step
+                if rng.random() < 0.8:
+                    shift = [0] * width
+                    shift[rng.randrange(width)] = rng.choice([-1, 1])
+                else:
+                    shift = [rng.randint(-1, 1) for _ in range(width)]
+                for j, (alpha, beta) in enumerate(keys):
+                    exps = list(alpha) + [beta >> k & 1 for k in range(modes.fermionic)]
+                    moved = [x + y for x, y in zip(exps, shift)]
+                    image = (tuple(moved[:modes.bosonic]),
+                             sum(x << k for k, x in enumerate(moved[modes.bosonic:])))
+                    i = index.get(image) if min(moved) >= 0 else None
+                    if i is not None and rng.random() < 0.95:
+                        g_cols[j][i] = rng.choice([1, -2, rat(1, 3), SQRT2])
+            else:
+                for _ in range(rng.randint(1, 2 * len(keys))):
+                    g_cols[rng.randrange(len(keys))][rng.randrange(len(keys))] = rng.randint(1, 3)
+            cols.append(g_cols)
+        if verify._extreme_weight_certifies(keys, cols):
+            d = len(keys)
+            certified.append(d)
+            mats = [verify._dense(g_cols, d) for g_cols in cols]
+            assert verify._exact_algebra_dim(mats, d) == d * d, (modes, cols)
+    assert len(certified) >= 50 and max(certified) >= 5
+    # homogeneous, and |0> alone is killed by the lowering a and dth, but
+    # only b|0> is reached from it: th|0> lies outside span(|0>, b|0>)
+    modes = ModeSystem(1, 1)
+    a, b = WeylElement.a(modes), WeylElement.b(modes)
+    th, dth = WeylElement.theta(modes), WeylElement.dtheta(modes)
+    space = InvariantSpace(lambda alpha, beta: True, 1, 3, "degree <= 1")
+    raise_vacuum = b * (1 - b * a) * (1 - th * dth)
+    rep = RepSpec("short_reach", {}, {"X": Poly(raise_vacuum), "Y": Poly(a), "Z": Poly(dth)},
+                  invariant_space=space, claims=Claims(irreducible=None))
+    assert burnside_irreducibility(rep)[0] == ("reducible", 7)
 
 
 def test_charpoly_equivalence():
