@@ -74,14 +74,23 @@ class CasimirSpec:
 
 @dataclass
 class InvariantSpace:
-    predicate: object  # (alpha, beta_mask) -> bool
+    """The states whose weighted bosonic degree plus fermionic degree is at
+    most max_degree.  Weights are nonnegative, so the space is closed
+    downward in each exponent."""
+
+    weights: tuple  # per bosonic mode
     max_degree: int
     expected_dim: int
     description: str
 
+    def __post_init__(self):
+        if min(self.weights, default=0) < 0:
+            raise CatalogueError("negative weight in %s" % (self.weights,))
+
     def basis(self, modes: ModeSystem):
-        return [key for key in basis_states(modes, self.max_degree)
-                if self.predicate(*key)]
+        return [(alpha, beta) for alpha, beta in basis_states(modes, self.max_degree)
+                if sum(w * k for w, k in zip(self.weights, alpha)) + beta.bit_count()
+                <= self.max_degree]
 
 
 @dataclass
@@ -834,14 +843,6 @@ def _check_sl2q(p):
     _require(_require_int(p["alpha"], "alpha") != -1, "alpha = -1 makes {2 alpha + 2} vanish")
 
 
-def _degree_space(n: int, weights, expected: int, desc: str) -> InvariantSpace:
-    """States whose weighted bosonic degree plus fermionic degree is <= n."""
-    def pred(alpha, beta):
-        return sum(w * k for w, k in zip(weights, alpha)) + beta.bit_count() <= n
-
-    return InvariantSpace(pred, n, expected, desc)
-
-
 def _gl2_space(d, p):
     r = int(p["r"])
     return ((1, r), sum(1 for n2 in range(d // r + 1) for n1 in range(d - r * n2 + 1)),
@@ -1011,7 +1012,10 @@ def build(rep_id: str, params: dict = None) -> RepSpec:
     modes = record.modes(params)
     gens = record.formula(record.kit(modes, params), params)
     degree = _finite(record.degree(params)) if record.space else None
-    inv = None if degree is None else _degree_space(degree, *record.space(degree, params))
+    inv = None
+    if degree is not None:
+        weights, dim, desc = record.space(degree, params)
+        inv = InvariantSpace(weights, degree, dim, desc)
     return RepSpec(rep_id, params, gens, list(record.relations(params)),
                    record.parities(gens), record.casimir(params), inv,
                    Claims(record.closes, record.irreducible if inv else None),

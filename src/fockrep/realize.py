@@ -24,11 +24,11 @@ A cross check decides a generator as a theorem on the kits where it can
 (cross_check): the realized tree and its counterpart read back to the same
 polynomial, and each marked node is, in closed form, the counterpart kit's
 node in its place (the kit lemma in cross_check), so nothing is probed at
-run time.  Every other generator is compared with its abstract Fock
-counterpart state by state on the shared graded basis; the matrices of
-both are formed only where the images differ, to give the verdict and its
-witness.  The paper's displayed fd closed forms are not built here: the
-tests hold them as data and compare them with the fd realization.
+run time.  Every other generator's matrix on the shared graded basis is
+compared with its abstract Fock counterpart's, entry by entry, for the
+verdict and its witness.  The paper's displayed fd closed forms are not
+built here: the tests hold them as data and compare them with the fd
+realization.
 """
 
 from __future__ import annotations
@@ -214,22 +214,11 @@ def poly_to_matrix(op: OperatorExpr, cutoff: int) -> MatrixRep:
 
 
 def _difference(realized: OperatorExpr, abstract: OperatorExpr, cutoff: int) -> str:
-    """"" when the two operators agree on the shared graded basis up to
-    cutoff; otherwise the first difference of their matrices.
-
-    The basis states are walked once and each image compared whole.  Equal
-    images give equal columns and the same overflow flag, so the matrices
-    are formed only at the first state whose images differ, and their
-    verdict decides: a difference confined to the out-of-basis part of
-    columns that overflow on both sides still passes."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    for key in basis_states(realized.modes, cutoff):
-        vec = {key: 1}
-        if realized.apply(vec) != abstract.apply(vec):
-            return _first_difference(poly_to_matrix(realized, cutoff),
-                                     to_matrix(abstract, cutoff))
-    return ""
+    """"" when the two operators' matrices on the shared graded basis up to
+    cutoff agree (_first_difference), otherwise their first difference: a
+    difference confined to the out-of-basis part of columns that overflow
+    on both sides still passes."""
+    return _first_difference(poly_to_matrix(realized, cutoff), to_matrix(abstract, cutoff))
 
 
 def _first_difference(realized: MatrixRep, abstract: MatrixRep) -> str:
@@ -360,9 +349,9 @@ def _kit_theorem(rep: RepSpec, kind: str, realized: dict, abstract: dict) -> set
     """The names of the realized generators that read back through their
     kit's marks to the same polynomial as their counterparts, which the
     kit lemma makes the same operator (see cross_check); a name left out
-    is decided by the state walk.  Counterparts that are all polynomials in
-    the Fock pairs are their own words; any others are read back through
-    the counterpart kit's marks."""
+    is decided by its matrix (_difference).  Counterparts that are all
+    polynomials in the Fock pairs are their own words; any others are read
+    back through the counterpart kit's marks."""
     make_realized, make_counterpart = KINDS[kind]
     pre = make_realized(rep).preimages(list(realized.values()))
     words = [g.as_weyl() for g in abstract.values()]
@@ -404,7 +393,7 @@ def cross_check(rep: RepSpec, kind: str) -> list:
     checks the lemma node by node on every kit pair the grid builds.
 
     Every other generator (a node with no preimage, such as a bare Fock
-    polynomial bump, or a differing word) is compared state by state on the
+    polynomial bump, or a differing word) is compared by its matrix on the
     shared graded basis (_difference); overflow column sets must agree and
     are excluded from entry comparison only when flagged on both sides.
     """

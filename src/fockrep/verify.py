@@ -49,8 +49,9 @@ of an extended family, a marked node made outside the family's kit
 included, is probed as operator trees on the states up to the cutoff, a
 finite probe and not a proof, with the Casimir stored shared
 (fock.shared) so each state's image is formed once.  Closure of an
-extended rep with no preimages is a matrix probe that sums each bracket
-over the generators' nonzero columns and never calls weyl.  The symbolic
+extended rep with no preimages is probed too: each generator, and each
+bracket as the operator tree of its generator words, is stacked over the
+probe states and expressed in the generators' span.  The symbolic
 closure and the Casimir centrality check form each bracket with
 weyl.bracket, which reads each monomial pair's bracket from weyl's
 process-wide pair table.
@@ -153,12 +154,6 @@ class VerificationReport:
             self.alt_forms.append(result)
         else:
             self.killing_rank = result
-
-    def check(self, name: str):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        return None
 
     def to_json(self, with_timing: bool = False):
         out = {
@@ -280,22 +275,11 @@ def _normal_rep(rep: RepSpec):
 
 
 def _transported(rep: RepSpec):
-    """The preimage rep (_preimages) of an extended rep whose claimed
-    invariant space, where it claims one, is closed downward in each
-    bosonic exponent, kept on rep; else None.  Its columns and Casimir
-    decide rep's invariant space, irreducibility and Casimir value by the
-    transport lemma (invariant_subspace); a polynomial rep decides its own."""
-    return rep.memo(_transported, lambda: _transport(rep))
-
-
-def _transport(rep: RepSpec):
-    pre = None if rep.is_polynomial() else _preimages(rep)
-    if pre is None or rep.invariant_space is None:
-        return pre
-    keys = set(rep.invariant_space.basis(rep.modes))
-    lowered = all((alpha[:i] + (k - 1,) + alpha[i + 1:], beta) in keys
-                  for alpha, beta in keys for i, k in enumerate(alpha) if k)
-    return pre if lowered else None
+    """The preimage rep (_preimages) of an extended rep, or None: its
+    columns and Casimir decide rep's invariant space, irreducibility and
+    Casimir value by the transport lemma (invariant_subspace); a polynomial
+    rep decides its own."""
+    return None if rep.is_polynomial() else _preimages(rep)
 
 
 def _confirmed(witness: str) -> str:
@@ -414,10 +398,9 @@ def closure(rep: RepSpec):
     Any other extended rep is probed on the overflow-free range of the
     rep's cutoff, floored at the combined lowering degree of a generator
     pair.  An operator is the stacked vector of its images of the probe
-    states, keyed (state index, image state).  Each generator's nonzero
-    columns on the probe states are listed once, and the generators acting
-    nonzero on an image state are found once, when a bracket first reaches
-    that state; each bracket vector sums only these nonzero entries.
+    states, keyed (state index, image state): each generator, and each
+    bracket as the operator tree of its generator words (_bracket_words),
+    whose Compiled generators form each column once.
     """
     if rep.is_polynomial():
         return _symbolic(rep)
@@ -425,49 +408,22 @@ def closure(rep: RepSpec):
     if pre is not None:
         return pre.memo(closure, lambda: _symbolic(pre, rep))
     names = list(rep.generators)
-    gens = [rep.generators[n] for n in names]
-    parities = [rep.parities[n] for n in names]
     probe = max(rep.default_cutoff - 2 * rep.max_generator_raise(), _pairwise_lowering(rep), 1)
     states = basis_states(rep.modes, probe)
 
-    # per generator, its nonzero columns on the probe states: (state index, column)
-    on_probes = [[(idx, col) for idx, col in enumerate(g.apply({key: 1}) for key in states)
-                  if col] for g in gens]
-    acting = {}  # image state -> {generator index: its nonzero column there}
+    def stacked(op):
+        return {(idx, key): c for idx, state in enumerate(states)
+                for key, c in op.apply({state: 1}).items()}
 
-    def add_product(vec, i, j, sign):
-        """vec += sign x_i x_j on every probe state."""
-        for idx, col in on_probes[j]:
-            for key, d in col.items():
-                act = acting.get(key)
-                if act is None:
-                    act = acting[key] = {k: col for k, col in
-                                         enumerate([g.apply({key: 1}) for g in gens]) if col}
-                col_i = act.get(i)
-                if col_i is not None:
-                    if sign != 1:
-                        d = d * sign
-                    for out, c in col_i.items():
-                        accumulate(vec, (idx, out), c * d)
-
-    def bracket_vector(i, j, anti):
-        vec = {}
-        if i == j:
-            add_product(vec, i, i, 2)  # {x, x} = 2 x x
-        else:
-            add_product(vec, i, j, 1)
-            add_product(vec, j, i, 1 if anti else -1)
-        return vec
-
-    def witness(i, j, anti, residual):
+    def witness(i, j, anti, residual, span):
         return ("%s on state %s leaves the span"
                 % (_bracket_name(names[i], names[j], anti),
                    _state_str(*states[min(residual)[0]], rep.modes)))
 
-    return _constants(names, parities,
-                      [{(idx, key): c for idx, col in cols for key, c in col.items()}
-                       for cols in on_probes],
-                      bracket_vector, witness, "probe degree %d" % probe)
+    return _constants(names, [rep.parities[n] for n in names],
+                      [stacked(rep.generators[n]) for n in names],
+                      lambda i, j, anti: stacked(rep.word_expr(_bracket_words(names, i, j, anti))),
+                      witness, "probe degree %d" % probe)
 
 
 def _symbolic(pre: RepSpec, actual: RepSpec = None):
@@ -536,10 +492,8 @@ def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
     (_mismatch).
     """
     names = list(rep.generators)
-    parities = [rep.parities[n] for n in names]
-    vectors = [dict(rep.generators[n].as_weyl().terms) for n in names]
 
-    def witness(i, j, anti, residual):
+    def witness(i, j, anti, residual, span):
         bracket_name = _bracket_name(names[i], names[j], anti)
         residual = WeylElement(rep.modes, residual)
         key = _first_unkilled(residual)
@@ -547,29 +501,33 @@ def closure_symbolic(rep: RepSpec, actual: RepSpec = None):
             return ("%s has residual %s, which sends %s to %s"
                     % (bracket_name, residual, _state_str(*key, rep.modes),
                        vector_str(Poly(residual).apply({key: 1}), rep.modes)))
-        span = EchelonSpan()
-        for vec in vectors:
-            span.insert(vec)
         inside = (rep.bracket(names[i], names[j], anti) - residual).terms
-        words = ([(2, (names[i], names[i]))] if i == j else
-                 [(1, (names[i], names[j])), (1 if anti else -1, (names[j], names[i]))])
+        words = _bracket_words(names, i, j, anti)
         words += [(-c, (names[k],)) for k, c in span.express(inside)[0].items()]
         image = actual.word_expr(words).apply({key: 1})
         return ("%s less its span combination sends %s to %s (preimage residual %s)"
                 % (bracket_name, _state_str(*key, rep.modes), vector_str(image, rep.modes),
                    residual))
 
-    return _constants(names, parities, vectors,
+    return _constants(names, [rep.parities[n] for n in names],
+                      [dict(rep.generators[n].as_weyl().terms) for n in names],
                       lambda i, j, anti: rep.bracket(names[i], names[j], anti).terms,
                       witness, "")
 
 
-def _constants(names, parities, vectors, bracket_vector, witness, probed):
+def _bracket_words(names, i, j, anti) -> list:
+    """{x_i, x_j} when anti, else [x_i, x_j], as weighted generator words:
+    {x, x} = 2 x x."""
+    x, y = names[i], names[j]
+    return [(2, (x, x))] if i == j else [(1, (x, y)), (1 if anti else -1, (y, x))]
+
+
+def _constants(names, parities, vectors, bracketed, witness, probed):
     """The table and `closure` line of both closure paths: each bracket
-    {x_i, x_j} or [x_i, x_j], i <= j, as bracket_vector(i, j, anti) gives
+    {x_i, x_j} or [x_i, x_j], i <= j, as bracketed(i, j, anti) gives
     it, expressed in the span of the generators' vectors.  The first
-    bracket outside the span FAILs with witness(i, j, anti, residual).
-    probed is the matrix path's probe degree for the detail, or empty."""
+    bracket outside the span FAILs with witness(i, j, anti, residual,
+    span).  probed is the probe path's degree for the detail, or empty."""
     span = EchelonSpan()
     dependent = [name for name, vec in zip(names, vectors) if not span.insert(vec)]
     table = {}
@@ -580,10 +538,10 @@ def _constants(names, parities, vectors, bracket_vector, witness, probed):
             if i == j and not anti:
                 table[(i, i)] = {}  # [x, x] = 0
                 continue
-            coeffs, residual = span.express(bracket_vector(i, j, anti))
+            coeffs, residual = span.express(bracketed(i, j, anti))
             if coeffs is None:
                 return None, CheckResult("closure", "FAIL", probed,
-                                         witness(i, j, anti, residual))
+                                         witness(i, j, anti, residual, span))
             table[(i, j)] = coeffs
             if i != j:
                 table[(j, i)] = dict(coeffs) if anti else {k: -v for k, v in coeffs.items()}
@@ -814,9 +772,9 @@ def invariant_subspace(rep: RepSpec):
     the lowering nodes kill |0> (catalogue.shift_pair's and _q_kit's
     lemma).  S b^alpha th^beta|0> is b^alpha th^beta|0> plus states whose
     every bosonic exponent is no larger, so S maps the span of states
-    closed downward in each bosonic exponent, as every weighted-degree
-    space with nonnegative weights is, onto itself, unit-triangularly;
-    _transported checks that of the claimed space.  There T = S w S^-1, so
+    closed downward in each bosonic exponent onto itself,
+    unit-triangularly, and every claimed space is one: its weights are
+    nonnegative (catalogue.InvariantSpace).  There T = S w S^-1, so
     T keeps the space exactly when w does.  Where a preimage column leaves
     the space, the witness is formed on the trees, which must leave it too
     (_confirmed)."""
@@ -1022,7 +980,7 @@ def _casimir(rep):
 # as a module global when it runs, so a verify.<check> patched later is the
 # one called.  Closure is one entry and one line per rep, the symbolic
 # decision on a polynomial rep or an extended rep's preimages and the
-# matrix probe on any other; the Killing rank reads its table, and so does
+# probe on any other; the Killing rank reads its table, and so does
 # Jacobi where the table's grading does not imply it (_jacobi_line).
 CHECKS = [
     ("relations", lambda rep: bool(rep.relations), lambda rep: check_relations(rep)),

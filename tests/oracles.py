@@ -15,7 +15,7 @@ The differential oracle relabels a normal-ordered element monomial by
 monomial into function-space leaves, where the library puts the family's
 formula over its differential kit.  q_pair_fd transcribes the paper's
 displayed finite-difference q-pair, which criterion 8 and test_realize check.
-walk_cross_check decides every cross check line by the state walk alone, the
+walk_cross_check decides every cross check line by the matrix comparison alone, the
 reference for cross_check's kit theorem; given fd steps, it builds the fd
 kits at steps other than a family record's, so the fd cross check runs at
 those steps without the library taking them.
@@ -245,7 +245,7 @@ def dense_closure(rep, cutoff=None):
     """Oracle for verify.closure: every bracket of the m(m+1)/2 pairs i <= j
     summed on every probe state from both products' images of basis states
     (apply({state: 1})), empty ones included.  An extended rep is probed on
-    the matrix path's range; a polynomial rep, which verify decides in
+    the probe path's range; a polynomial rep, which verify decides in
     normal form, up to the combined lowering degree of a generator pair,
     where vanishing on every probe state is an exact identity."""
     names = list(rep.generators)
@@ -463,7 +463,7 @@ def weyl_to_differential(w: WeylElement) -> OperatorExpr:
 
 def walk_cross_check(rep, kind, deltas=None) -> list:
     """realize.cross_check(rep, kind) with every generator decided by the
-    state walk alone (realize._difference), which cross_check falls back to
+    matrix comparison alone (realize._difference), which cross_check falls back to
     where the kit theorem does not decide a generator.  With per-mode steps
     deltas, the fd check at those steps in place of the family record's:
     the family's formula over fd_kit and over the shift kit, both at

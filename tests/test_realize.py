@@ -208,7 +208,7 @@ def _grid_pairs():
 
 
 def test_cross_check_equals_the_walk_on_the_grid():
-    # the kit theorem decides a line only as the state walk would: on all
+    # the kit theorem decides a line only as the matrix comparison would: on all
     # 227 pairs every line's name, status, detail and witness are the walk's
     pairs = 0
     for rep, kind in _grid_pairs():
@@ -219,7 +219,7 @@ def test_cross_check_equals_the_walk_on_the_grid():
 
 def test_passing_kit_theorem_lines_walk_no_state(monkeypatch):
     # every differential, fd and Jackson line of the grid passes by the kit
-    # theorem, with no call to the state walk: the Jackson pair is marked
+    # theorem, with no call to the matrix comparison: the Jackson pair is marked
     # with the q-mode's a and b, so its 108 lines read back too
     calls = Counter()
 
@@ -801,7 +801,7 @@ FD_DISPLAYS = {
 def _display_verdicts(rid, params, d=None) -> dict:
     """MATCH or DIFFERS per displayed fd form of the family at params, each
     compared with the fd realization, at step d or the record's, by the
-    state walk a cross check falls back to (realize._difference)."""
+    matrix comparison a cross check falls back to (realize._difference)."""
     rep = build(rid, params)
     (d,) = (d,) if d is not None else FAMILIES[rid].fd_steps(rep.modes, rep.params)
     normative = FAMILIES[rid].formula(fd_kit(rep.modes, (d,)), rep.params)

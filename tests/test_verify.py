@@ -31,6 +31,11 @@ def _index(sc, name):
     return sc.names.index(name)
 
 
+def _line(report, name: str):
+    """The report's check line of that name, or None."""
+    return next((c for c in report.checks if c.name == name), None)
+
+
 def test_closure_extracts_sl2_constants():
     rep = build("sl2_standard", {"n": 3})
     sc, result = closure(rep)
@@ -160,7 +165,7 @@ def test_jacobi_is_implied_exactly_on_the_polynomial_grid_tables():
     gradings, triples = Counter(), 0
     for rep_id, params in acceptance_grid():
         rep = build(rep_id, params)
-        line = full_verify(rep).check("jacobi")
+        line = _line(full_verify(rep), "jacobi")
         if line is None:
             continue
         m = len(rep.generators)
@@ -181,8 +186,8 @@ def test_a_flipped_parity_falls_back_to_the_triple_sum():
     rep = build("gl_super", {"k": 2, "r": 1, "n": 1})
     bad = dataclasses.replace(rep, parities=dict(rep.parities, J0_11=1))
     report = full_verify(bad)
-    assert report.check("closure").passed
-    line = report.check("jacobi")
+    assert _line(report, "closure").passed
+    line = _line(report, "jacobi")
     assert line.witness == "triple (Qb1-,Qb1-,Qb1+): coefficient of Qb1- is -4, not 0"
     assert line == loop_jacobi(closure(bad)[0])
 
@@ -192,7 +197,7 @@ def test_an_all_even_declaration_implies_ungraded_jacobi():
     # its table is of ordinary commutators, an ungraded sl2
     rep = build("sl2_clifford", {})
     assert rep.generators["J1"].as_weyl().parity() == 1
-    assert full_verify(rep).check("jacobi") == CheckResult(
+    assert _line(full_verify(rep), "jacobi") == CheckResult(
         "jacobi", "PASS", "implied: exact closure, ungraded")
 
 
@@ -408,7 +413,7 @@ def test_only_sl2_vector_field_takes_the_exact_span_on_the_grid(exact_spans):
 
 def test_full_verify_checks_irreducibility_on_large_spaces():
     report = full_verify(build("glk", {"k": 3, "n": 4}))
-    burnside = report.check("irreducibility")
+    burnside = _line(report, "irreducibility")
     assert report.passed and burnside is not None and burnside.passed
     assert burnside.detail == "irreducible: algebra dimension 225 on a 15-dimensional space"
 
@@ -416,7 +421,7 @@ def test_full_verify_checks_irreducibility_on_large_spaces():
 def _two_state_rep(**gens):
     """Generators given as Weyl polynomials in one mode, on span(|0>, b|0>)."""
     modes = ModeSystem(1, 0)
-    space = InvariantSpace(lambda alpha, beta: True, 1, 2, "span(|0>, b|0>)")
+    space = InvariantSpace((1,), 1, 2, "span(|0>, b|0>)")
     return RepSpec("two_state", {}, {name: Poly(w(WeylElement.a(modes),
                                                    WeylElement.b(modes)))
                                      for name, w in gens.items()},
@@ -466,7 +471,7 @@ def _three_state_rep(**gens):
     """Generators given as Weyl polynomials in one mode, on span(b^k|0>,
     k <= 2); P(k, a, b) projects onto b^k|0> there."""
     modes = ModeSystem(1, 0)
-    space = InvariantSpace(lambda alpha, beta: True, 2, 3, "span(b^k|0>, k <= 2)")
+    space = InvariantSpace((1,), 2, 3, "span(b^k|0>, k <= 2)")
 
     def projector(k, a, b):
         n, (i, j) = b * a, [m for m in range(3) if m != k]
@@ -480,7 +485,7 @@ def _three_state_rep(**gens):
 def _two_mode_rep():
     modes = ModeSystem(2, 0)
     (a1, b1), (a2, b2) = [(WeylElement.a(modes, i), WeylElement.b(modes, i)) for i in (1, 2)]
-    space = InvariantSpace(lambda alpha, beta: True, 1, 3, "degree <= 1")
+    space = InvariantSpace((1, 1), 1, 3, "degree <= 1")
     vacuum = (1 - b1 * a1) * (1 - b2 * a2)
     return RepSpec("two_mode", {}, {"A1": Poly(a1), "A2": Poly(a2), "N": Poly((b1 + b2) * vacuum)},
                    invariant_space=space, claims=Claims(irreducible=None))
@@ -554,7 +559,7 @@ def test_extreme_weight_certificate_is_sound():
     modes = ModeSystem(1, 1)
     a, b = WeylElement.a(modes), WeylElement.b(modes)
     th, dth = WeylElement.theta(modes), WeylElement.dtheta(modes)
-    space = InvariantSpace(lambda alpha, beta: True, 1, 3, "degree <= 1")
+    space = InvariantSpace((1,), 1, 3, "degree <= 1")
     raise_vacuum = b * (1 - b * a) * (1 - th * dth)
     rep = RepSpec("short_reach", {}, {"X": Poly(raise_vacuum), "Y": Poly(a), "Z": Poly(dth)},
                   invariant_space=space, claims=Claims(irreducible=None))
@@ -682,7 +687,7 @@ def test_checks_agree_on_compiled_generators(rep_id, params):
     assert check_relations(warm) == check_relations(cold)
     assert closure(warm) == closure(cold)
     if rep.casimir is None:  # the check table gives it no Casimir line
-        assert full_verify(rep).check("casimir_commutes") is None
+        assert _line(full_verify(rep), "casimir_commutes") is None
     else:
         assert casimir_check(warm) == casimir_check(cold)
     assert invariant_subspace(warm) == invariant_subspace(cold)
@@ -894,7 +899,7 @@ def test_full_verify_forms_each_word_once_and_probes_only_for_witnesses(monkeypa
     names = {g.as_weyl(): name for name, g in rep.generators.items()}
     products, brackets, probes = _count_products_and_probes(monkeypatch)
     report = full_verify(rep)
-    assert report.passed and report.check("closure").passed
+    assert report.passed and _line(report, "closure").passed
     assert [c.status for c in report.checks if c.name.startswith("relation ")] == [
         "PASS"] * len({rel.line or rel.name for rel in rep.relations})
     assert not probes
@@ -915,7 +920,7 @@ def test_a_bumped_generator_is_decided_without_a_probe(monkeypatch):
     assert failing == ["relation L06", "relation L07", "relation L08",
                        "relation L11", "relation L12"]
     assert not probes
-    assert report.check("relation L06").witness == (
+    assert _line(report, "relation L06").witness == (
         "{Q2,Qb1} = T+: mismatch on |0>: lhs -4 b |0>, rhs -2 b |0>")
 
 
@@ -954,7 +959,7 @@ def test_a_residual_beyond_the_probe_range_fails_a_relation_and_the_casimir():
     # the derived states finds them first
     assert all(r.passed for r in probe_relations(bad)) and probe_casimir_commutes(bad).passed
     assert probe_relations(bad, 12) == relations and probe_casimir_commutes(bad, 12) == commutes
-    assert not full_verify(bad).check("relation [J0,J+] = J+").passed
+    assert not _line(full_verify(bad), "relation [J0,J+] = J+").passed
 
 
 @pytest.mark.parametrize("n, witness", [
@@ -1128,7 +1133,7 @@ def test_full_verify_calls_closure_and_jacobi_once(monkeypatch, fresh_kits):
         rep = build(rep_id, dict(params, n=2))
         report = full_verify(rep)
         assert report.passed and report.killing_rank == (3, 3)
-        assert report.check("jacobi").detail == "implied: exact closure, ungraded"
+        assert _line(report, "jacobi").detail == "implied: exact closure, ungraded"
         assert calls == {"closure": 1, "closure_symbolic": 1, "killing_form": 1}
         shape = catalogue.family_shape(rep_id, rep.params)
         assert first_args["closure_symbolic"].modes == shape.modes
@@ -1142,7 +1147,7 @@ def test_full_verify_calls_closure_and_jacobi_once(monkeypatch, fresh_kits):
         patched.setattr(verify, "_preimages", lambda rep: None)
         report = full_verify(build("sl2_translated", {"n": 2, "delta": 1}))
     assert report.passed and report.killing_rank == (3, 3)
-    assert report.check("jacobi").detail == "27 triples"
+    assert _line(report, "jacobi").detail == "27 triples"
     assert calls == {"closure": 1, "jacobi": 1, "killing_form": 1}
 
 
@@ -1163,7 +1168,7 @@ def test_the_shape_path_equals_the_per_instance_decision_on_the_full_grid(fresh_
         pre = verify._normal_rep(rep)
         sc, line = closure_symbolic(dataclasses.replace(pre), None if pre is rep else rep)
         report = full_verify(rep)
-        assert report.check("closure") == line
+        assert _line(report, "closure") == line
         assert closure(rep)[0] == sc
         assert report.killing_rank == (killing_form(sc)[1], len(rep.generators))
         if verify._shape(pre) is not None:
@@ -1224,7 +1229,7 @@ def test_a_rep_off_its_family_formula_misses_the_shape(monkeypatch, rep, line):
     # the guard rejects each, so its report is the per-instance one
     assert verify._shape(verify._normal_rep(dataclasses.replace(rep))) is None
     report = full_verify(rep)
-    assert report.check("closure") == line
+    assert _line(report, "closure") == line
     monkeypatch.setattr(verify, "family_shape", lambda rep_id, params: None)
     assert full_verify(rep).to_json() == report.to_json()
 
@@ -1264,7 +1269,7 @@ def test_full_verify_builds_the_space_columns_once(monkeypatch):
     rep = build("sl2_standard", {"n": 3})
     monkeypatch.setattr(RepSpec, "_columns_on_space", counting)
     report = full_verify(rep)
-    assert report.check("invariant_subspace").passed and report.check("irreducibility").passed
+    assert _line(report, "invariant_subspace").passed and _line(report, "irreducibility").passed
     assert [name for name, _ in formed] == list(rep.generators)
     assert all(len(cols) == 4 and not escape for _, (cols, escape) in formed)
 
@@ -1495,40 +1500,41 @@ def test_closure_agrees_with_the_dense_oracle_on_every_polynomial_rep():
     assert len(bases) == 118 and seen["PASS"] > 100 and seen["FAIL"] > 50
 
 
-def test_closure_reads_each_column_once_per_probe_state_and_image(monkeypatch):
-    # each generator's column is read on the probe states and on the states
-    # the brackets reach, not once per pair and probe state; the matrix
-    # probe runs on extended reps only
-    # (osp22_translated's Q1 and Qb1 are stored as their Poly; with no
-    # preimages it is probed)
+def test_closure_forms_each_column_once_per_probe_state_and_image(monkeypatch, fresh_kits):
+    # on a cold rep, one closure call forms each Compiled generator's image
+    # of a state (its inner node applied to that state) at most once: on
+    # each probe state and image state, and on the states T- meets inside
+    # T+'s tree, not once per pair and probe state.  The probe runs on
+    # extended reps with no preimages only (osp22_translated's J and Q1 are
+    # stored as their Poly)
     monkeypatch.setattr(verify, "_preimages", lambda rep: None)
     rep = build("osp22_translated", {"n": 2, "delta": 1})
-    sc, result = closure(rep)
-    assert result.passed
-    probe = int(re.search(r"probe degree (\d+)", result.detail).group(1))
     gens = list(rep.generators.values())
-    assert any(isinstance(g, Poly) for g in gens)
+    inners = {id(g.inner): g.inner for g in gens if isinstance(g, Compiled)}
+    assert inners and len(inners) < len(gens)
+    formed = Counter()
+
+    def wrap(kind):
+        apply = kind.apply
+
+        def counted(self, terms):
+            if id(self) in inners:
+                (key, c), = terms.items()
+                assert c == 1
+                formed[id(self), key] += 1
+            return apply(self, terms)
+        monkeypatch.setattr(kind, "apply", counted)
+
+    for kind in {type(inner) for inner in inners.values()}:
+        wrap(kind)
+    sc, result = closure(rep)
+    monkeypatch.undo()
+    assert result.passed
+    assert sc is not None and (sc, result) == dense_closure(rep)
+    probe = int(re.search(r"probe degree (\d+)", result.detail).group(1))
     states = basis_states(rep.modes, probe)
-    images = {key for g in gens for state in states for key in g.apply({state: 1})}
-    calls = Counter()
-    column, poly_apply = Compiled.column, Poly.apply
-
-    def counting(self, key):
-        # the generators' own columns; a shared inner node's are not closure's
-        if any(self is g for g in gens):
-            calls[key] += 1
-        return column(self, key)
-
-    def counting_poly(self, terms):
-        if any(self is g for g in gens):
-            calls.update(terms)
-        return poly_apply(self, terms)
-
-    monkeypatch.setattr(Compiled, "column", counting)
-    monkeypatch.setattr(Poly, "apply", counting_poly)
-    assert closure(rep) == (sc, result)
-    m = len(gens)
-    assert 0 < sum(calls.values()) <= m * (len(states) + len(images)) < m * m * len(states)
+    assert max(formed.values()) == 1 and set(states) <= {key for _, key in formed}
+    assert len(formed) < len(gens) ** 2 * len(states)
 
 
 def _extended_with_casimir():
@@ -1685,7 +1691,7 @@ def test_translated_closure_fails_a_fock_a1_at_cutoff_6():
     # the matrix probe reaches degree 2 at cutoff 6, and [J1+,J2+] leaves
     # the span there: a witness on a probe state, so a true failure
     report = full_verify(dataclasses.replace(_sl3_translated_with_fock_a1(), default_cutoff=6))
-    assert report.check("closure") == CheckResult(
+    assert _line(report, "closure") == CheckResult(
         "closure", "FAIL", "probe degree 2", "[J1+,J2+] on state b1^2 |0> leaves the span")
 
 
@@ -1697,7 +1703,7 @@ def test_translated_closure_fails_a_fock_a1_at_cutoff_6():
 def test_translated_closure_fails_a_fock_a1_at_the_default_cutoff():
     bad = _sl3_translated_with_fock_a1()
     assert bad.default_cutoff == 4
-    assert not full_verify(bad).check("closure").passed
+    assert not _line(full_verify(bad), "closure").passed
 
 
 _CHECK_IDENTITY = fock.check_identity
@@ -1828,9 +1834,9 @@ def test_a_bump_beyond_the_probe_range_fails_through_its_preimage(monkeypatch):
     failing = [c for c in report.checks if c.name.startswith("relation ") and not c.passed]
     assert [c.name for c in failing] == ["relation L01", "relation L06", "relation L11",
                                          "relation L13"]
-    assert report.check("relation L01").witness.startswith(
+    assert _line(report, "relation L01").witness.startswith(
         "[T0,T+] = T+: mismatch on b^9 |0>: lhs -3265920 |0> - 509/512 b |0>")
-    assert report.check("relation L11").witness == (
+    assert _line(report, "relation L11").witness == (
         "[Q2,T+] = 0: mismatch on b^8 th |0>: lhs -362880 |0>, rhs 0")
     assert not _other_probes(bad, calls)
     # each witness is the first state, in graded order, whose images differ
@@ -1958,7 +1964,7 @@ def test_a_pair_with_a_wrong_step_fails_the_pair_probe(monkeypatch):
     assert len(_other_probes(bad, calls)) == _extended_relations(bad, bad.relations)
     # closure, with no preimage rep, is the matrix probe's
     report = full_verify(bad)
-    assert report.check("closure") == dense_closure(bad)[1] and not report.passed
+    assert _line(report, "closure") == dense_closure(bad)[1] and not report.passed
 
 
 def test_a_casimir_bump_through_the_pair_fails_as_the_probe_does(monkeypatch):
@@ -2030,9 +2036,9 @@ def test_a_kit_bump_that_leaves_the_space_fails_as_on_the_trees(monkeypatch, rid
     assert verify._transported(dataclasses.replace(bad)) is not None
     report = full_verify(bad)
     assert report.to_json() == _tree_path(monkeypatch, bad)
-    line = report.check("invariant_subspace")
+    line = _line(report, "invariant_subspace")
     assert not line.passed and line.witness.startswith("J- maps ")
-    assert report.check("irreducibility") is None
+    assert _line(report, "irreducibility") is None
     with pytest.raises(ValueError) as transported:
         burnside_irreducibility(dataclasses.replace(bad))
     monkeypatch.setattr(verify, "_transported", lambda rep: None)
@@ -2055,9 +2061,9 @@ def test_a_bump_that_makes_c_no_scalar_fails_as_on_the_trees(monkeypatch, rid, p
         assert verify._transported(dataclasses.replace(bad)) is not None
         report = full_verify(bad)
         assert report.to_json() == _tree_path(monkeypatch, bad)
-        value = report.check("casimir_value")
+        value = _line(report, "casimir_value")
         assert not value.passed and value.witness.startswith("on ")
-        assert report.check("invariant_subspace").passed
+        assert _line(report, "invariant_subspace").passed
 
 
 def test_a_preimage_fail_the_trees_do_not_confirm_raises(monkeypatch):
@@ -2077,15 +2083,13 @@ def test_a_preimage_fail_the_trees_do_not_confirm_raises(monkeypatch):
         casimir_check(dataclasses.replace(rep))
 
 
-def test_a_space_not_closed_downward_takes_the_tree_path():
-    # S maps the span of b^0 and b^2 elsewhere, so no transport: the trees
-    # decide it, and FAIL it
-    rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
-    gapped = dataclasses.replace(rep, invariant_space=InvariantSpace(
-        lambda alpha, beta: alpha[0] in (0, 2), 2, 2, "span(|0>, b^2|0>)"))
-    assert verify._transported(dataclasses.replace(rep)) is not None
-    assert verify._transported(dataclasses.replace(gapped)) is None
-    assert not invariant_subspace(dataclasses.replace(gapped))[1].passed
+def test_a_negative_weight_is_refused():
+    # a space of nonnegative weights is closed downward, as the transport
+    # lemma needs, and kept in basis order; a gapped space cannot be built
+    space = InvariantSpace((1, 2), 2, 4, "span(b1^n1 b2^n2 : n1 + 2 n2 <= 2)")
+    assert space.basis(ModeSystem(2, 0)) == [((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((2, 0), 0)]
+    with pytest.raises(CatalogueError, match="negative weight"):
+        InvariantSpace((1, -1), 2, 2, "span(|0>, b1 b2|0>)")
 
 
 def test_no_transported_rep_applies_a_generator_tree_to_decide_its_space_or_casimir(monkeypatch):
