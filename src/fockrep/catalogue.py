@@ -7,10 +7,12 @@ its finite-difference realization where it has one, and its claims as
 functions of the parameters: the relation table, parities, Casimir,
 invariant space, irreducibility, alt forms and probe cutoff.  build reads
 the record, and so does realize, which calls the same formula over its own
-pairs.  A node is shared where it is made: a Kit stores each pair node,
-and a formula the one intermediate several generators contain, through
-fock.shared; one kit per key is made for the process.  A translated
-family is its formula over the transformed canonical pair
+pairs.  Nine families' formula is one map: each gives its generators as
+rows of gl(k+1|r), and jordan_schwinger forms them over the kit.  A node
+is shared where it is made: a Kit stores each pair node, and
+jordan_schwinger the T0 several generators contain, through fock.shared;
+one kit per key is made for the process.  A translated family is its
+formula over the transformed canonical pair
 
     ahat = (e^{d a} - 1)/d ,   bhat = b e^{-d a}
 
@@ -319,13 +321,93 @@ def _require_int(x: Rational, name: str) -> int:
 # -- generator formulas, each written over a Kit of canonical pairs -------------
 
 
-def sl2_triple(a, b, n: Rational):
-    half_n = rat(n) / 2
-    return {
-        "J+": b * b * a - b.scale(rat(n)),
-        "J0": b * a - half_n,
-        "J-": a,
-    }
+def jordan_schwinger(kit, n, rows) -> dict:
+    """The Jordan-Schwinger map phi_n of gl(k+1|r) over kit, one generator
+    per row: a name and a sparse matrix {(I, J): coefficient} on the modes
+    0..k+r, where 0 is the eliminated mode and the kit's k bosonic modes
+    come before its r fermionic ones.  With c_I, d_I mode I's b, a or th,
+    dth and T0 = n - sum_I c_I d_I, made once (fock.shared), phi_n sends
+
+        E_00 to T0,  E_II to c_I d_I,  E_0J to d_J,  E_I0 to c_I T0,  E_IJ to c_I d_J,
+
+    a row m E_IJ to m phi_n(E_IJ), and a row of more entries to its
+    off-diagonal entries' images plus m_00 n + sum_I (m_II - m_00) c_I d_I,
+    less the terms that vanish.  This is gl(k+1|r) on the degree-n
+    polynomials in x_0..x_{k+r} at x_0 = 1 (Jordan, Z. Phys. 94, 1935;
+    Perelomov, Generalized Coherent States, 1986).  A diagonal part is not
+    m_00 T0 + sum m_II c_I d_I, which on a kit of non-polynomial pairs
+    holds a c_I d_I - c_I d_I that never folds."""
+    c, d = (None,) + kit.b + kit.th, (None,) + kit.a + kit.dth
+    number = [None] + [c[i] * d[i] for i in range(1, len(c))]
+    t0 = kit.one.scale(n)
+    for x in number[1:]:
+        t0 = t0 - x
+    t0 = shared(t0)
+
+    def unit(i, j):  # phi_n(E_ij)
+        if i == j:
+            return number[i] if i else t0
+        return d[j] if i == 0 else c[i] * (t0 if j == 0 else d[j])
+
+    gens = {}
+    for name, matrix in rows:
+        if len(matrix) == 1:
+            ((i, j), m), = matrix.items()
+            gens[name] = unit(i, j).scale(m)
+            continue
+        m00 = matrix.get((0, 0), 0)
+        parts = [unit(i, j).scale(m) for (i, j), m in matrix.items() if i != j]
+        parts += [kit.one.scale(m00 * n)] if m00 * n else []
+        parts += [number[i].scale(matrix.get((i, i), 0) - m00)
+                  for i in range(1, len(c)) if matrix.get((i, i), 0) != m00]
+        gens[name] = sum(parts[1:], parts[0])
+    return gens
+
+
+def _label(modes) -> str:
+    """A generator's index text: the mode numbers run together while each
+    has one digit, else comma-separated, so (1, 11) and (11, 1) differ."""
+    return ("" if max(modes, default=0) < 10 else ",").join(map(str, modes))
+
+
+@cache
+def gl_rows(k: int, r: int, names, first: int = 1) -> tuple:
+    """gl(k+1|r)'s matrix units E_IJ as rows, in canonical order: with i, j
+    bosonic and f, g fermionic modes, the blocks E_0j, E_ij, E_00, E_i0,
+    E_0f, E_f0, E_fi, E_if, E_fg.  names has one str.format per block, given
+    the _label of the unit's nonzero indices; bosonic mode i is numbered
+    i + first - 1 and fermionic mode k + f is numbered f.  Only as many
+    blocks are read as names has formats.  Formed once per process for its
+    arguments, as the constant row lists are once per module; the map only
+    reads a row."""
+    bos, fer = range(1, k + 1), range(k + 1, k + r + 1)
+    blocks = ([(0, j) for j in bos], [(i, j) for i in bos for j in bos], [(0, 0)],
+              [(i, 0) for i in bos], [(0, f) for f in fer], [(f, 0) for f in fer],
+              [(f, i) for f in fer for i in bos], [(i, f) for i in bos for f in fer],
+              [(f, g) for f in fer for g in fer])
+    return tuple((form.format(_label([i + first - 1 if i <= k else i - k for i in unit if i])),
+                  {unit: 1})
+                 for form, units in zip(names, blocks) for unit in units)
+
+
+GL_SUPER_NAMES = ("T{}-", "T0_{}", "T0", "T{}+", "Qb{}-", "Qb{}+", "Q-_{}", "Q+_{}", "J0_{}")
+GLK_NAMES = ("J{}-", "J0_{}", "J0", "J{}+")
+
+HALF = rat(1, 2)
+SL2_ROWS = [("J+", {(1, 0): -1}), ("J0", {(1, 1): HALF, (0, 0): -HALF}), ("J-", {(0, 1): 1})]
+SL3_ROWS = [("J1+", {(1, 0): -1}), ("J2+", {(2, 0): -1}), ("J1-", {(0, 1): 1}),
+            ("J2-", {(0, 2): 1}), ("J0_21", {(2, 1): 1}), ("J0_12", {(1, 2): 1}),
+            ("J0_1", {(1, 1): 1, (2, 2): -1}),
+            ("J0_2", {(1, 1): rat(1, 3), (2, 2): rat(1, 3), (0, 0): rat(-2, 3)})]
+OSP22_ROWS = [("T+", {(1, 0): -1}), ("T0", {(1, 1): HALF, (0, 0): -HALF}), ("T-", {(0, 1): 1}),
+              ("J", {(0, 0): -HALF, (1, 1): -HALF, (2, 2): -1}), ("Q1", {(0, 2): 1}),
+              ("Q2", {(1, 2): 1}), ("Qb1", {(2, 0): -1}), ("Qb2", {(2, 1): -1})]
+
+
+def _phi(rows):
+    """(kit, p) -> jordan_schwinger over kit at p's n of rows(k, r), k and r
+    the kit's bosonic and fermionic pairs."""
+    return lambda kit, p: jordan_schwinger(kit, p["n"], rows(len(kit.a), len(kit.th)))
 
 
 def metaplectic_triple(a, b):
@@ -338,84 +420,6 @@ def metaplectic_triple(a, b):
     }
 
 
-def sl3_octet(kit, p):
-    """sl3 over two pairs; the factor J1+ and J2+ contain is shared
-    (fock.shared)."""
-    (a1, a2), (b1, b2), n = kit.a, kit.b, p["n"]
-    n1, n2 = b1 * a1, b2 * a2
-    num = shared(n1 + n2 - rat(n))
-    return {
-        "J1+": b1 * num,
-        "J2+": b2 * num,
-        "J1-": a1,
-        "J2-": a2,
-        "J0_21": b2 * a1,
-        "J0_12": b1 * a2,
-        "J0_1": n1 - n2,
-        "J0_2": n1 + n2 - rat(2, 3) * rat(n),
-    }
-
-
-def glk_family(kit, p):
-    """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
-
-    J0, which every J_i+ contains, is shared (fock.shared).
-    """
-    a, b = kit.a, kit.b
-    k = len(a) + 1
-    number = [b[i] * a[i] for i in range(k - 1)]
-    j0 = shared(rat(p["n"]) - sum(number[1:], number[0]))
-    gens = {}
-    for i in range(k - 1):
-        gens["J%d-" % (i + 2)] = a[i]
-    for i in range(k - 1):
-        for j in range(k - 1):
-            gens["J0_%d%d" % (i + 2, j + 2)] = b[i] * a[j]
-    gens["J0"] = j0
-    for i in range(k - 1):
-        gens["J%d+" % (i + 2)] = b[i] * j0
-    return gens
-
-
-def gl_super_family(kit, p):
-    """gl(k+1,r+1) generators over k bosonic and r fermionic pairs.
-
-    T0, which every T_i+ and Qb_j+ contains, is shared (fock.shared).
-    Returns the generators in canonical order.
-    """
-    a, b, th, dth = kit.a, kit.b, kit.th, kit.dth
-    k, r = len(a), len(th)
-    t0 = kit.one.scale(rat(p["n"]))
-    for i in range(k):
-        t0 = t0 - b[i] * a[i]
-    for j in range(r):
-        t0 = t0 - th[j] * dth[j]
-    t0 = shared(t0)
-    gens = {}
-    for i in range(k):
-        gens["T%d-" % (i + 1)] = a[i]
-    for i in range(k):
-        for j in range(k):
-            gens["T0_%d%d" % (i + 1, j + 1)] = b[i] * a[j]
-    gens["T0"] = t0
-    for i in range(k):
-        gens["T%d+" % (i + 1)] = b[i] * t0
-    for j in range(r):
-        gens["Qb%d-" % (j + 1)] = dth[j]
-    for j in range(r):
-        gens["Qb%d+" % (j + 1)] = th[j] * t0
-    for i in range(r):
-        for j in range(k):
-            gens["Q-_%d%d" % (i + 1, j + 1)] = th[i] * a[j]
-    for i in range(k):
-        for j in range(r):
-            gens["Q+_%d%d" % (i + 1, j + 1)] = b[i] * dth[j]
-    for i in range(r):
-        for j in range(r):
-            gens["J0_%d%d" % (i + 1, j + 1)] = th[i] * dth[j]
-    return gens
-
-
 def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
     """Deformed sl2 generators over any implementation of the q-pair."""
     qa = q_number(alpha, q)
@@ -424,25 +428,6 @@ def sl2q_triple(atil, btil, alpha: int, q: Rational, one):
         "J+": btil * btil * atil - btil.scale(qa),
         "J0": btil * atil - one.scale(ahat),
         "J-": atil,
-    }
-
-
-def osp22_octet(kit, p):
-    """osp(2,2) over one bosonic and one fermionic pair: the sl2 triple
-    plus th dth terms, J, and the four odd charges."""
-    a, b, th, dth, n = kit.a[0], kit.b[0], kit.th[0], kit.dth[0], p["n"]
-    half = rat(1, 2)
-    thdth = th * dth
-    sl2 = sl2_triple(a, b, n)
-    return {
-        "T+": sl2["J+"] + b * thdth,
-        "T0": sl2["J0"] + thdth.scale(half),
-        "T-": a,
-        "J": thdth.scale(-half) - rat(n) * half,
-        "Q1": dth,
-        "Q2": b * dth,
-        "Qb1": b * a * th - th.scale(rat(n)),
-        "Qb2": -(a * th),
     }
 
 
@@ -843,7 +828,7 @@ def _check_sl2q(p):
     _require(_require_int(p["alpha"], "alpha") != -1, "alpha = -1 makes {2 alpha + 2} vanish")
 
 
-def _gl2_space(d, p):
+def _gl2_space(d, modes, p):
     r = int(p["r"])
     return ((1, r), sum(1 for n2 in range(d // r + 1) for n1 in range(d - r * n2 + 1)),
             "span(b1^n1 b2^n2 : n1 + r n2 <= n)")
@@ -854,15 +839,15 @@ def _gl2_cutoff(p):
     return None if d is None else d + 2 * int(p["r"])
 
 
-def _glk_space(d, p):
-    k = int(p["k"])
-    return (1,) * (k - 1), comb(d + k - 1, k - 1), "span(b2^n2 ... bk^nk : sum <= n)"
-
-
-def _gl_super_space(d, p):
-    k, r = int(p["k"]), int(p["r"])
-    return ((1,) * k, sum(comb(r, f) * comb(d - f + k, k) for f in range(min(r, d) + 1)),
-            "span(b^alpha th^beta : |alpha|+|beta| <= n)")
+def _sym(description):
+    """(degree d, modes, p) -> the states of total degree <= d over modes, k
+    bosonic and r fermionic: Sym^d of C^(k+1|r) under the Jordan-Schwinger
+    map, of dimension sum_f C(r, f) C(d - f + k, k)."""
+    def space(d, modes, p):
+        k, r = modes.bosonic, modes.fermionic
+        return ((1,) * k, sum(comb(r, f) * comb(d - f + k, k) for f in range(min(r, d) + 1)),
+                description)
+    return space
 
 
 # -- the sixteen family records ------------------------------------------------------------
@@ -899,7 +884,7 @@ class Family:
     parities: object = _none  # generators -> {name: 0 | 1}; None: all even
     casimir: object = _none  # p -> CasimirSpec or None
     degree: object = lambda p: p["n"]  # p -> the invariant space's degree bound
-    space: object = None  # (degree, p) -> (weights, dimension, description)
+    space: object = None  # (degree, modes, p) -> (weights, dimension, description)
     irreducible: bool = None  # claimed on the invariant space, where there is one
     closes: bool = True  # claimed: the brackets close on the generators' span
     alt_forms: object = _empty  # (modes, p) -> [AltForm]
@@ -908,16 +893,15 @@ class Family:
 
 _DELTA = _steps("delta")
 _DELTAS = _steps("delta1", "delta2")
-_SL2 = dict(modes=_modes(1), formula=lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"]),
+_SL2 = dict(modes=_modes(1), formula=_phi(lambda k, r: SL2_ROWS),
             relations=lambda p: SL2_RELATIONS, casimir=_sl2_casimir, irreducible=True,
-            space=lambda d, p: ((1,), d + 1, "span(1, b, ..., b^n)"))
-_SL3 = dict(modes=_modes(2), formula=sl3_octet,
-            space=lambda d, p: ((1, 1), (d + 1) * (d + 2) // 2, "span(b1^n1 b2^n2 : n1+n2 <= n)"))
+            space=_sym("span(1, b, ..., b^n)"))
+_SL3 = dict(modes=_modes(2), formula=_phi(lambda k, r: SL3_ROWS),
+            space=_sym("span(b1^n1 b2^n2 : n1+n2 <= n)"))
 _OSP22_TABLE = dict(modes=_modes(1, 1), relations=lambda p: OSP22_RELATIONS,
                     parities=lambda gens: dict(OSP22_PARITIES))
-_OSP22 = dict(_OSP22_TABLE, formula=osp22_octet,
-              space=lambda d, p: ((1,), 2 * d + 1,
-                                  "span(b^k : k <= n) + span(b^k th : k <= n-1)"))
+_OSP22 = dict(_OSP22_TABLE, formula=_phi(lambda k, r: OSP22_ROWS),
+              space=_sym("span(b^k : k <= n) + span(b^k th : k <= n-1)"))
 
 FAMILIES = {
     "sl2_standard": Family(("n",), "sl2, polynomial family", **_SL2),
@@ -935,7 +919,7 @@ FAMILIES = {
                            cutoff=lambda p: 2),
     "sl2_vector_field": Family(
         (), "sl2 by vector fields, reducible", _modes(2), _vector_field,
-        degree=lambda p: 1, space=lambda d, p: ((1, 1), 3, "span(1, b1, b2)"),
+        degree=lambda p: 1, space=lambda d, modes, p: ((1, 1), 3, "span(1, b1, b2)"),
         irreducible=False, cutoff=lambda p: 4),
     "sl3_fock": Family(("n",), "sl3, polynomial family", **_SL3),
     "sl3_translated": Family(("n", "delta1", "delta2"), "sl3, per-mode shift-transform family",
@@ -949,9 +933,10 @@ FAMILIES = {
         relations=_gl2_relations, space=_gl2_space, cutoff=_gl2_cutoff),
     "glk": Family(
         ("k", "n"), "gl_k, minimal Fock realization",
-        lambda p: ModeSystem(int(p["k"]) - 1, 0), glk_family, fd_steps=_unit_steps,
+        lambda p: ModeSystem(int(p["k"]) - 1, 0),
+        _phi(lambda k, r: gl_rows(k, r, GLK_NAMES, first=2)), fd_steps=_unit_steps,
         check=lambda p: _require(_require_int(p["k"], "k") >= 2, "k must be an integer >= 2"),
-        space=_glk_space, irreducible=True),
+        space=_sym("span(b2^n2 ... bk^nk : sum <= n)"), irreducible=True),
     "osp22": Family(("n",), "osp(2,2) superalgebra, polynomial family", **_OSP22),
     "osp22_translated": Family(("n", "delta"), "osp(2,2) superalgebra, shift-transform family",
                                **_OSP22, kit=_shifted(_DELTA), fd_steps=_DELTA,
@@ -961,18 +946,19 @@ FAMILIES = {
         **_OSP22_TABLE),
     "gl_super": Family(
         ("k", "r", "n"), "gl(k+1,r+1) superalgebra",
-        lambda p: ModeSystem(int(p["k"]), int(p["r"])), gl_super_family, fd_steps=_unit_steps,
+        lambda p: ModeSystem(int(p["k"]), int(p["r"])),
+        _phi(lambda k, r: gl_rows(k, r, GL_SUPER_NAMES)), fd_steps=_unit_steps,
         check=lambda p: _require(min(_require_int(p["k"], "k"), _require_int(p["r"], "r")) >= 1,
                                  "k and r must be positive integers"),
         parities=lambda gens: {name: g.as_weyl().parity() for name, g in gens.items()},
-        space=_gl_super_space, irreducible=True),
+        space=_sym("span(b^alpha th^beta : |alpha|+|beta| <= n)"), irreducible=True),
     "sl2q": Family(
         ("alpha", "q", "delta?"), "quantum sl2 (q-deformed)",
         lambda p: ModeSystem(1, 0, p["q"]),
         lambda kit, p: sl2q_triple(kit.a[0], kit.b[0], int(p["alpha"]), p["q"], kit.one),
         kit=q_kit, check=_check_sl2q, relations=_sl2q_relations, casimir=_sl2q_casimir,
         degree=lambda p: p["alpha"],
-        space=lambda d, p: ((1,), d + 1, "span(1, btilde, ..., btilde^n)|0>"),
+        space=lambda d, modes, p: ((1,), d + 1, "span(1, btilde, ..., btilde^n)|0>"),
         irreducible=True, closes=False, alt_forms=_sl2q_forms),
 }
 
@@ -1014,7 +1000,7 @@ def build(rep_id: str, params: dict = None) -> RepSpec:
     degree = _finite(record.degree(params)) if record.space else None
     inv = None
     if degree is not None:
-        weights, dim, desc = record.space(degree, params)
+        weights, dim, desc = record.space(degree, modes, params)
         inv = InvariantSpace(weights, degree, dim, desc)
     return RepSpec(rep_id, params, gens, list(record.relations(params)),
                    record.parities(gens), record.casimir(params), inv,

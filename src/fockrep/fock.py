@@ -464,9 +464,9 @@ def shared(x: OperatorExpr) -> OperatorExpr:
     of a basis state is formed once for all of them, unless x is already
     Compiled or is a polynomial, which must still fold.  It is the one place
     a Compiled node is made.  Its callers: catalogue.Kit for each pair
-    node, the sl3_octet, glk_family and gl_super_family formulas for the
-    factor their generators share, catalogue.RepSpec for each generator, and
-    verify.casimir_check for an extended rep's Casimir.
+    node, catalogue.jordan_schwinger for the T0 its generators share,
+    catalogue.RepSpec for each generator, and verify.casimir_check for an
+    extended rep's Casimir.
 
     x must be defined on every basis state: a Compiled node splits a vector
     into basis states, so a bare LeftDivB with a shift (b_i + 1 divides

@@ -11,6 +11,8 @@ characteristic polynomial on its invariant space is sympy's.  The probe
 oracles decide every relation, Casimir commutator and alt form by applying
 both sides to each state up to the cutoff, with no normal-form shortcut,
 and fold their generator words themselves, reading no memo of the rep.
+DISPLAYED holds the nine Jordan-Schwinger families' generator formulas as
+the paper displays them, where the library forms them as gl(k+1|r) rows.
 The differential oracle relabels a normal-ordered element monomial by
 monomial into function-space leaves, where the library puts the family's
 formula over its differential kit.  q_pair_fd transcribes the paper's
@@ -27,7 +29,7 @@ from math import isqrt
 
 from fockrep.catalogue import FAMILIES, fock_kit
 from fockrep.fock import (LeftDivB, OperatorExpr, Poly, Product, Scale, Sum, _state_str,
-                          basis_states, check_identity, identity_op)
+                          basis_states, check_identity, identity_op, shared)
 from fockrep.linalg import EchelonSpan
 from fockrep.qheis import q_number_op
 from fockrep.realize import (Cliff, CliffordMatrices, MultX, Partial, _difference,
@@ -417,6 +419,131 @@ def probe_alt_forms(rep, cutoff=6) -> list:
         out.append(AltFormResult(alt.generator, "MATCH" if report.equal else "DIFFERS",
                                  "" if report.equal else report.describe(rep.modes)))
     return out
+
+
+# -- the displayed generator formulas of the Jordan-Schwinger families ---------------
+#
+# Nine families form their generators as rows of gl(k+1|r) under
+# catalogue.jordan_schwinger.  These are the same generators as the paper
+# displays them, one transcription per formula, each over any Kit; the
+# indices of glk and gl_super run together, as displayed, so they stay
+# apart only while each has one digit.
+
+
+def sl2_triple(a, b, n):
+    half_n = rat(n) / 2
+    return {
+        "J+": b * b * a - b.scale(rat(n)),
+        "J0": b * a - half_n,
+        "J-": a,
+    }
+
+
+def sl3_octet(kit, p):
+    """sl3 over two pairs; the factor J1+ and J2+ contain is shared
+    (fock.shared)."""
+    (a1, a2), (b1, b2), n = kit.a, kit.b, p["n"]
+    n1, n2 = b1 * a1, b2 * a2
+    num = shared(n1 + n2 - rat(n))
+    return {
+        "J1+": b1 * num,
+        "J2+": b2 * num,
+        "J1-": a1,
+        "J2-": a2,
+        "J0_21": b2 * a1,
+        "J0_12": b1 * a2,
+        "J0_1": n1 - n2,
+        "J0_2": n1 + n2 - rat(2, 3) * rat(n),
+    }
+
+
+def glk_family(kit, p):
+    """Generators over modes a[i], b[i] indexed 2..k (list offset 0 <-> index 2).
+
+    J0, which every J_i+ contains, is shared (fock.shared).
+    """
+    a, b = kit.a, kit.b
+    k = len(a) + 1
+    number = [b[i] * a[i] for i in range(k - 1)]
+    j0 = shared(rat(p["n"]) - sum(number[1:], number[0]))
+    gens = {}
+    for i in range(k - 1):
+        gens["J%d-" % (i + 2)] = a[i]
+    for i in range(k - 1):
+        for j in range(k - 1):
+            gens["J0_%d%d" % (i + 2, j + 2)] = b[i] * a[j]
+    gens["J0"] = j0
+    for i in range(k - 1):
+        gens["J%d+" % (i + 2)] = b[i] * j0
+    return gens
+
+
+def gl_super_family(kit, p):
+    """gl(k+1,r+1) generators over k bosonic and r fermionic pairs.
+
+    T0, which every T_i+ and Qb_j+ contains, is shared (fock.shared).
+    Returns the generators in canonical order.
+    """
+    a, b, th, dth = kit.a, kit.b, kit.th, kit.dth
+    k, r = len(a), len(th)
+    t0 = kit.one.scale(rat(p["n"]))
+    for i in range(k):
+        t0 = t0 - b[i] * a[i]
+    for j in range(r):
+        t0 = t0 - th[j] * dth[j]
+    t0 = shared(t0)
+    gens = {}
+    for i in range(k):
+        gens["T%d-" % (i + 1)] = a[i]
+    for i in range(k):
+        for j in range(k):
+            gens["T0_%d%d" % (i + 1, j + 1)] = b[i] * a[j]
+    gens["T0"] = t0
+    for i in range(k):
+        gens["T%d+" % (i + 1)] = b[i] * t0
+    for j in range(r):
+        gens["Qb%d-" % (j + 1)] = dth[j]
+    for j in range(r):
+        gens["Qb%d+" % (j + 1)] = th[j] * t0
+    for i in range(r):
+        for j in range(k):
+            gens["Q-_%d%d" % (i + 1, j + 1)] = th[i] * a[j]
+    for i in range(k):
+        for j in range(r):
+            gens["Q+_%d%d" % (i + 1, j + 1)] = b[i] * dth[j]
+    for i in range(r):
+        for j in range(r):
+            gens["J0_%d%d" % (i + 1, j + 1)] = th[i] * dth[j]
+    return gens
+
+
+def osp22_octet(kit, p):
+    """osp(2,2) over one bosonic and one fermionic pair: the sl2 triple
+    plus th dth terms, J, and the four odd charges."""
+    a, b, th, dth, n = kit.a[0], kit.b[0], kit.th[0], kit.dth[0], p["n"]
+    half = rat(1, 2)
+    thdth = th * dth
+    sl2 = sl2_triple(a, b, n)
+    return {
+        "T+": sl2["J+"] + b * thdth,
+        "T0": sl2["J0"] + thdth.scale(half),
+        "T-": a,
+        "J": thdth.scale(-half) - rat(n) * half,
+        "Q1": dth,
+        "Q2": b * dth,
+        "Qb1": b * a * th - th.scale(rat(n)),
+        "Qb2": -(a * th),
+    }
+
+
+DISPLAYED = {
+    **dict.fromkeys(("sl2_standard", "sl2_translated", "sl2_oscillator"),
+                    lambda kit, p: sl2_triple(kit.a[0], kit.b[0], p["n"])),
+    **dict.fromkeys(("sl3_fock", "sl3_translated"), sl3_octet),
+    "glk": glk_family,
+    **dict.fromkeys(("osp22", "osp22_translated"), osp22_octet),
+    "gl_super": gl_super_family,
+}
 
 
 # -- the differential oracle: a normal form relabeled leaf by leaf -------------------

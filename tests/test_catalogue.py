@@ -3,13 +3,15 @@ import dataclasses
 import pytest
 
 from fockrep import catalogue
-from fockrep.catalogue import (CatalogueError, build, family, fock_kit, list_catalogue, q_kit,
-                               shift_pair)
-from fockrep.fock import Compiled, Poly, basis_states, check_identity, to_matrix
+from fockrep.catalogue import (FAMILIES, CatalogueError, build, family, fock_kit, list_catalogue,
+                               q_kit, shift_pair)
+from fockrep.fock import Compiled, Poly, basis_states, check_identity, shared, to_matrix
 from fockrep.grids import acceptance_grid
+from fockrep.realize import differential_kit, fd_kit
 from fockrep.scalars import Scalar, rat
 from fockrep.verify import check_alt_forms, full_verify
 from fockrep.weyl import ModeSystem, WeylElement
+from oracles import DISPLAYED
 
 
 REGISTRY = ["sl2_standard", "sl2_translated", "sl2_oscillator", "sl2_metaplectic",
@@ -400,12 +402,12 @@ def test_compiled_generators_give_the_raw_matrices(rid, params):
 
 
 def test_compiled_translated_sl2_shares_one_ahat_and_one_bhat():
-    # J- is ahat, and J0 = bhat ahat - n/2: every place of the shift pair in
+    # J- is ahat, and J0 = -n/2 + bhat ahat: every place of the shift pair in
     # the three generators reaches the same Compiled node, on the built rep,
     # which stores J+ and J0 Compiled and J- as the kit's node, and on a copy
     rep = build("sl2_translated", {"n": 3, "delta": rat(1, 2)})
     ahat = rep.generator("J-")
-    bhat = rep.generator("J0").inner.parts[0].factors[0]
+    bhat = rep.generator("J0").inner.parts[1].factors[0]
     assert isinstance(ahat, Compiled) and isinstance(bhat, Compiled)
     assert dataclasses.replace(rep).generators["J-"] is ahat
     for copy in (rep, dataclasses.replace(rep)):
@@ -462,3 +464,40 @@ def test_a_second_report_forms_no_column(rid, params):
     assert any(formed.values()) == bool(rep.alt_forms)
     assert full_verify(rep).to_json() == first
     assert {key: set(node._cols) for key, node in nodes.items()} == formed
+
+
+def _jordan_schwinger_kits(rep) -> dict:
+    """The Fock, shift, differential and fd kits over a rep's modes, the
+    shift and fd ones at its family's fd steps, or unit steps where it has
+    none."""
+    modes, steps = rep.modes, FAMILIES[rep.rep_id].fd_steps
+    steps = steps(modes, rep.params) if steps else (rat(1),) * modes.bosonic
+    return {"fock": fock_kit(modes), "shift": fock_kit(modes, steps),
+            "differential": differential_kit(modes), "fd": fd_kit(modes, steps)}
+
+
+def test_the_rows_are_the_displayed_generators_on_every_kit():
+    # every grid instance of the nine Jordan-Schwinger families, over every
+    # kit: each generator formed from its gl(k+1|r) row has its displayed
+    # transcription's normal form (read back through the kit's marks off
+    # the Fock kit), is stored as the same node class, Poly or Compiled,
+    # and has the same raise bound
+    seen = set()
+    for rid, params in acceptance_grid():
+        if rid not in DISPLAYED:
+            continue
+        seen.add(rid)
+        rep = build(rid, params)
+        for kind, kit in _jordan_schwinger_kits(rep).items():
+            rows, shown = (f(kit, rep.params) for f in (FAMILIES[rid].formula, DISPLAYED[rid]))
+            assert list(rows) == list(shown), (rid, params)
+            if kind == "fock":
+                words = [[g.as_weyl() for g in gens.values()] for gens in (rows, shown)]
+            else:
+                words = [kit.preimages(list(gens.values())) for gens in (rows, shown)]
+            assert None not in words[0] and words[0] == words[1], (rid, params, kind)
+            for name in rows:
+                x, y = shared(rows[name]), shared(shown[name])
+                assert (type(x), x.max_raise()) == (type(y), y.max_raise()), (
+                    rid, params, kind, name)
+    assert seen == set(DISPLAYED)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockrep import catalogue, fock
+from fockrep.catalogue import build
 from fockrep.cli import main, parse_params
 from fockrep.fock import NotLeftDivisible, Poly
 from fockrep.realize import cross_check
@@ -60,6 +61,18 @@ def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "sl2_standard", "n=2")
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_two_digit_mode_indices_name_distinct_generators(capsys):
+    # T0_1,11 and T0_11,1 are two generators, where run-together indices
+    # would merge them into T0_111 and report a closure FAIL; glk k=21 is
+    # only built, since its verify is slow
+    names = list(build("gl_super", {"k": 11, "r": 1, "n": 1}).generators)
+    assert len(names) == 169
+    assert {"T0_1,11", "T0_11,1", "T0_11", "Q-_1,11", "J0_11"} <= set(names)
+    code, out, _ = run(capsys, "verify", "gl_super", "k=11", "r=1", "n=1")
+    assert code == 0 and "FAIL" not in out and "result: PASS" in out
+    assert len(build("glk", {"k": 21, "n": 1}).generators) == 441
 
 
 def test_verify_usage_errors_exit_two(capsys):

@@ -585,19 +585,19 @@ def _held_once(gens: dict, node: Compiled) -> list:
 # (rid, params, realization or None for the catalogue rep, the shared
 # nodes it makes: non-polynomial pair nodes and intermediates)
 SHARING = [
-    ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, None, 2),
+    ("sl2_translated", {"n": 2, "delta": rat(1, 2)}, None, 3),
     ("sl3_translated", {"n": 1, "delta1": rat(1), "delta2": rat(-1, 3)}, None, 5),
-    ("osp22_translated", {"n": 2, "delta": rat(1)}, None, 2),
+    ("osp22_translated", {"n": 2, "delta": rat(1)}, None, 3),
     ("sl2q", {"alpha": 2, "q": rat(2)}, None, 0),
     ("sl2q", {"alpha": 2, "q": rat(3, 5), "delta": 1}, None, 2),
     ("sl2q", {"alpha": 2, "q": rat(2)}, "jackson", 2),
-    ("sl2_standard", {"n": 2}, "differential", 2),
+    ("sl2_standard", {"n": 2}, "differential", 3),
     ("sl3_fock", {"n": 2}, "differential", 5),
     ("glk", {"k": 3, "n": 1}, "differential", 5),
     ("gl_super", {"k": 2, "r": 1, "n": 1}, "differential", 5),
-    ("osp22", {"n": 2}, "differential", 2),
-] + [(rid, params, kind, {"sl2_translated": 2, "sl2_metaplectic": 2, "sl3_translated": 5,
-                          "glk": 5, "gl_super": 5, "osp22_translated": 2}[rid])
+    ("osp22", {"n": 2}, "differential", 3),
+] + [(rid, params, kind, {"sl2_translated": 3, "sl2_metaplectic": 2, "sl3_translated": 5,
+                          "glk": 5, "gl_super": 5, "osp22_translated": 3}[rid])
      for rid, params in FD_FAMILIES for kind in ("fd", "fd counterpart")]
 
 
@@ -672,6 +672,21 @@ def test_a_cold_and_a_warm_kit_give_the_same_reports(fresh_kits):
     assert passes() == cold
     assert [memo.cache_info().misses for memo in (fock_kit, fd_kit)] == made
     check_pinned("small_grid", cold[0])
+
+
+def test_no_memo_changes_a_report(fresh_kits):
+    # from cleared memos (every one in conftest.MEMOS), the small grid in
+    # grid order and, from cleared memos again, in reverse order gives each
+    # instance the same report JSON
+    grid = list(acceptance_grid(small=True))
+
+    def reports(order):
+        fresh_kits()
+        return {i: json.dumps(full_verify(build(*grid[i])).to_json(), sort_keys=True)
+                for i in order}
+
+    forward = reports(range(len(grid)))
+    assert reports(reversed(range(len(grid)))) == forward
 
 
 def test_a_bump_over_a_shared_kit_does_not_leak():
